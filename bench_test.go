@@ -21,6 +21,19 @@ import (
 	"cimflow/internal/sim"
 )
 
+// runOnce is one figure data point end to end: a fresh engine compiles the
+// model and a fresh chip simulates the seeded input (weights seed 1, input
+// seed 2).
+func runOnce(b *testing.B, g *cimflow.Graph, cfg cimflow.Config, s cimflow.Strategy) *cimflow.Result {
+	b.Helper()
+	sess := freshSession(b, g, cfg, s, 1)
+	res, err := sess.Infer(context.Background(), sess.SeededInput(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig5 regenerates Fig. 5: normalized speed and energy of the
 // three compilation strategies on the four benchmark DNNs.
 func BenchmarkFig5(b *testing.B) {
@@ -31,12 +44,8 @@ func BenchmarkFig5(b *testing.B) {
 		for _, s := range []cimflow.Strategy{cimflow.StrategyGeneric, cimflow.StrategyDuplication, cimflow.StrategyDP} {
 			b.Run(fmt.Sprintf("%s/%v", name, s), func(b *testing.B) {
 				var res *cimflow.Result
-				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = cimflow.Run(g, cfg, cimflow.Options{Strategy: s, Seed: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
+					res = runOnce(b, g, cfg, s)
 				}
 				if s == cimflow.StrategyGeneric {
 					base = res
@@ -63,12 +72,8 @@ func BenchmarkFig6(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/mg%d/flit%d", name, mg, flit), func(b *testing.B) {
 					cfg := base.WithMacrosPerGroup(mg).WithFlitBytes(flit)
 					var res *cimflow.Result
-					var err error
 					for i := 0; i < b.N; i++ {
-						res, err = cimflow.Run(g, cfg, cimflow.Options{Strategy: cimflow.StrategyGeneric, Seed: 1})
-						if err != nil {
-							b.Fatal(err)
-						}
+						res = runOnce(b, g, cfg, cimflow.StrategyGeneric)
 					}
 					b.ReportMetric(res.TOPS, "TOPS")
 					b.ReportMetric(res.Stats.Energy.LocalMemPJ/1e9, "mJ_localmem")
@@ -92,12 +97,8 @@ func BenchmarkFig7(b *testing.B) {
 					b.Run(fmt.Sprintf("%s/%v/mg%d/flit%d", name, s, mg, flit), func(b *testing.B) {
 						cfg := base.WithMacrosPerGroup(mg).WithFlitBytes(flit)
 						var res *cimflow.Result
-						var err error
 						for i := 0; i < b.N; i++ {
-							res, err = cimflow.Run(g, cfg, cimflow.Options{Strategy: s, Seed: 1})
-							if err != nil {
-								b.Fatal(err)
-							}
+							res = runOnce(b, g, cfg, s)
 						}
 						b.ReportMetric(res.TOPS, "TOPS")
 						b.ReportMetric(res.EnergyMJ, "mJ")

@@ -68,11 +68,6 @@ type (
 	CompileContext = compiler.CompileContext
 	// CompileOptions configures a direct CompileContext.Compile call.
 	CompileOptions = compiler.Options
-	// Options is the legacy flat run configuration.
-	//
-	// Deprecated: use the functional options (WithStrategy, WithSeed,
-	// WithCycleLimit, WithFullBufferLimit) with NewEngine / Engine.Session.
-	Options = core.Options
 	// Result is a completed run: statistics, output tensor, metrics.
 	Result = core.Result
 	// Stats is the simulator's chip-level report.
@@ -123,43 +118,6 @@ func Compile(g *Graph, cfg Config, strategy Strategy) (*Compiled, error) {
 // one-shot Compile calls.
 func NewCompileContext(g *Graph) (*CompileContext, error) {
 	return compiler.NewContext(g)
-}
-
-// Run compiles and simulates a model with deterministic synthetic weights,
-// returning cycle, energy and utilization statistics plus the output tensor.
-//
-// Deprecated: Run recompiles the model and rebuilds the chip on every
-// call and cannot be cancelled. Create an Engine once and use
-// Session.Infer, which compiles once, pools chips across inferences,
-// accepts real input tensors and honors context cancellation. Run is now a
-// thin wrapper over that path and produces byte-identical results.
-func Run(g *Graph, cfg Config, opt Options) (*Result, error) {
-	e, err := NewEngine(cfg, optionsFrom(opt)...)
-	if err != nil {
-		return nil, err
-	}
-	s, err := e.Session(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Infer(context.Background(), s.SeededInput(opt.Seed+1))
-}
-
-// Validate runs a model end to end and compares the simulated output
-// against the golden reference executor, returning the mismatch count.
-//
-// Deprecated: use Session.Validate, which reuses the session's compiled
-// artifact and weights and honors context cancellation.
-func Validate(g *Graph, cfg Config, opt Options) (int, error) {
-	e, err := NewEngine(cfg, optionsFrom(opt)...)
-	if err != nil {
-		return -1, err
-	}
-	s, err := e.Session(g)
-	if err != nil {
-		return -1, err
-	}
-	return s.Validate(context.Background(), s.SeededInput(opt.Seed+1))
 }
 
 // --- Design-space exploration (internal/dse) ---

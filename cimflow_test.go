@@ -1,10 +1,27 @@
 package cimflow_test
 
 import (
+	"context"
 	"testing"
 
 	"cimflow"
 )
+
+// freshSession builds a new engine and compiles g on it: everything a
+// one-shot run pays. Weights are seeded with seed; callers pair it with
+// SeededInput(seed+1) for the repository's canonical synthetic run.
+func freshSession(t testing.TB, g *cimflow.Graph, cfg cimflow.Config, strategy cimflow.Strategy, seed uint64) *cimflow.Session {
+	t.Helper()
+	engine, err := cimflow.NewEngine(cfg, cimflow.WithStrategy(strategy), cimflow.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := engine.Session(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
 
 // TestFacadeEndToEnd exercises the public API surface: model lookup,
 // config, compile, run, validate.
@@ -24,14 +41,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if compiled.InstructionCount() == 0 {
 		t.Error("empty compile result")
 	}
-	res, err := cimflow.Run(g, cfg, cimflow.Options{Strategy: cimflow.StrategyDP, Seed: 1})
+	sess := freshSession(t, g, cfg, cimflow.StrategyDP, 1)
+	res, err := sess.Infer(context.Background(), sess.SeededInput(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TOPS <= 0 || res.EnergyMJ <= 0 {
 		t.Errorf("degenerate metrics: %v TOPS %v mJ", res.TOPS, res.EnergyMJ)
 	}
-	mism, err := cimflow.Validate(g, cfg, cimflow.Options{Strategy: cimflow.StrategyDP, Seed: 1})
+	mism, err := sess.Validate(context.Background(), sess.SeededInput(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +65,8 @@ func TestCustomGraphViaFacade(t *testing.T) {
 	x = g.GlobalAvgPool("gap", x)
 	x = g.Flatten("f", x)
 	g.Dense("fc", x, 5, false)
-	mism, err := cimflow.Validate(g, cimflow.DefaultConfig(), cimflow.Options{Seed: 3})
+	sess := freshSession(t, g, cimflow.DefaultConfig(), cimflow.StrategyGeneric, 3)
+	mism, err := sess.Validate(context.Background(), sess.SeededInput(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +75,20 @@ func TestCustomGraphViaFacade(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: two identical runs must agree cycle-for-cycle.
+// TestRunDeterministic: two identical runs, each compiled and simulated from
+// scratch, must agree cycle-for-cycle.
 func TestRunDeterministic(t *testing.T) {
 	g := cimflow.Model("tinycnn")
 	cfg := cimflow.DefaultConfig()
-	a, err := cimflow.Run(g, cfg, cimflow.Options{Strategy: cimflow.StrategyDP, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	run := func() *cimflow.Result {
+		sess := freshSession(t, g, cfg, cimflow.StrategyDP, 7)
+		res, err := sess.Infer(context.Background(), sess.SeededInput(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	b, err := cimflow.Run(g, cfg, cimflow.Options{Strategy: cimflow.StrategyDP, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(), run()
 	if a.Stats.Cycles != b.Stats.Cycles || a.EnergyMJ != b.EnergyMJ {
 		t.Errorf("nondeterministic: %d/%d cycles, %v/%v mJ",
 			a.Stats.Cycles, b.Stats.Cycles, a.EnergyMJ, b.EnergyMJ)

@@ -21,10 +21,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -45,9 +43,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	simWorkers := flag.Int("sim-workers", 0, "per-chip simulation scheduler width (0 = GOMAXPROCS, 1 = serial)")
-	simLanes := flag.Int("sim-lanes", 1, "bench: lane-batch capacity — run this many inferences per chip through one cycle-accurate schedule (1 = off)")
-	benchJSON := flag.String("bench-json", "", "run the warm-pooled throughput benchmark instead of the figures and write the JSON summary to this file")
-	compare := flag.String("compare", "", "bench: compare the fresh summary against this baseline JSON and warn on >10% geomean regression")
 	flag.Parse()
 	switch *format {
 	case "table", "csv", "json":
@@ -114,13 +109,6 @@ func main() {
 		subset = strings.Split(*models, ",")
 	}
 	cfg := cimflow.DefaultConfig()
-
-	if *benchJSON != "" {
-		if err := runThroughputBench(ctx, cfg, subset, *simWorkers, *simLanes, *benchJSON, *compare); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	cache := cimflow.NewCompileCache()
 	opt := cimflow.SweepOptions{Workers: *workers, SimWorkers: *simWorkers, Cache: cache}
@@ -200,214 +188,4 @@ func main() {
 			return cimflow.Fig7Table(rows), nil
 		})
 	}
-}
-
-// benchRow is one model's warm-pooled throughput measurement.
-type benchRow struct {
-	Model        string  `json:"model"`
-	Cycles       int64   `json:"cycles"`
-	MsPerInfer   float64 `json:"ms_per_infer"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-}
-
-// laneSweepRow is one lane-batch setting of the lanes sweep.
-type laneSweepRow struct {
-	Lanes      int     `json:"lanes"`
-	MsPerInfer float64 `json:"ms_per_infer"`
-	Speedup    float64 `json:"speedup_vs_serial"`
-}
-
-// benchSummary is the machine-readable output of -bench-json. It records
-// the host shape alongside the numbers because the windowed parallel
-// scheduler's throughput scales with available cores: a figure measured on
-// a 1-CPU runner is not comparable to one from a 16-core box.
-type benchSummary struct {
-	HostCores           int            `json:"host_cores"`
-	GoMaxProcs          int            `json:"gomaxprocs"`
-	SimWorkers          int            `json:"sim_workers"`
-	SimLanes            int            `json:"sim_lanes"`
-	Strategy            string         `json:"strategy"`
-	Warmups             int            `json:"warmups"`
-	Runs                int            `json:"runs"`
-	Models              []benchRow     `json:"models"`
-	GeomeanCyclesPerSec float64        `json:"geomean_cycles_per_sec"`
-	LanesSweepModel     string         `json:"lanes_sweep_model,omitempty"`
-	LanesSweep          []laneSweepRow `json:"lanes_sweep,omitempty"`
-}
-
-// runThroughputBench measures steady-state simulator throughput: each
-// model gets a Session with one pooled chip (weights staged once), a
-// couple of warmup rounds to fill the pool and the allocator free-lists,
-// then timed back-to-back inference rounds. With simLanes > 1 every round
-// is one lane-batched chip run carrying simLanes inferences, so cycles/s
-// is the effective figure — each served inference credited with the full
-// simulated cycle count — directly comparable to a lanes=1 summary.
-func runThroughputBench(ctx context.Context, cfg cimflow.Config, models []string, simWorkers, simLanes int, path, comparePath string) error {
-	const warmups, runs = 2, 5
-	if simLanes < 1 {
-		simLanes = 1
-	}
-	if len(models) == 0 {
-		models = []string{"resnet18", "mobilenetv2", "efficientnetb0", "vgg19"}
-	}
-	eng, err := cimflow.NewEngine(cfg,
-		cimflow.WithMaxPooledChips(1),
-		cimflow.WithSimWorkers(simWorkers),
-		cimflow.WithSimLanes(simLanes))
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	sum := benchSummary{
-		HostCores:  runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		SimWorkers: simWorkers,
-		SimLanes:   simLanes,
-		Strategy:   "generic",
-		Warmups:    warmups,
-		Runs:       runs,
-	}
-	logGeo := 0.0
-	for _, name := range models {
-		s, err := eng.SessionFor(name)
-		if err != nil {
-			return err
-		}
-		ins := make([]cimflow.Tensor, simLanes)
-		for i := range ins {
-			ins[i] = s.SeededInput(7)
-		}
-		var cycles int64
-		for i := 0; i < warmups; i++ {
-			if _, err := s.InferBatch(ctx, ins); err != nil {
-				return err
-			}
-		}
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			res, err := s.InferBatch(ctx, ins)
-			if err != nil {
-				return err
-			}
-			cycles = res[0].Stats.Cycles
-		}
-		elapsed := time.Since(start).Seconds()
-		infers := float64(runs * simLanes)
-		row := benchRow{
-			Model:        name,
-			Cycles:       cycles,
-			MsPerInfer:   elapsed * 1e3 / infers,
-			CyclesPerSec: float64(cycles) * infers / elapsed,
-		}
-		sum.Models = append(sum.Models, row)
-		logGeo += math.Log(row.CyclesPerSec)
-		fmt.Printf("%-16s %12d cycles  %9.1f ms/infer  %8.2f M cycles/s\n",
-			name, row.Cycles, row.MsPerInfer, row.CyclesPerSec/1e6)
-	}
-	sum.GeomeanCyclesPerSec = math.Exp(logGeo / float64(len(sum.Models)))
-	fmt.Printf("geomean: %.2f M cycles/s (%d host cores, sim-workers=%d, sim-lanes=%d)\n",
-		sum.GeomeanCyclesPerSec/1e6, sum.HostCores, simWorkers, simLanes)
-
-	if err := runLanesSweep(ctx, eng, models[0], &sum); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(&sum, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if comparePath != "" {
-		return compareBench(&sum, comparePath)
-	}
-	return nil
-}
-
-// runLanesSweep measures one model's warm-pooled ms/infer at lane-batch
-// sizes 1, 2, 4 and 8, showing how far one cycle-accurate schedule
-// amortizes. Each setting gets its own Session (SimLanes is part of the
-// session key); sessions are closed after measuring so only one chip's
-// lane images are resident at a time.
-func runLanesSweep(ctx context.Context, eng *cimflow.Engine, model string, sum *benchSummary) error {
-	const sweepRuns = 3
-	sum.LanesSweepModel = model
-	serialMs := 0.0
-	for _, lanes := range []int{1, 2, 4, 8} {
-		s, err := eng.SessionFor(model, cimflow.WithSimLanes(lanes))
-		if err != nil {
-			return err
-		}
-		ins := make([]cimflow.Tensor, lanes)
-		for i := range ins {
-			ins[i] = s.SeededInput(7)
-		}
-		if _, err := s.InferBatch(ctx, ins); err != nil {
-			s.Close()
-			return err
-		}
-		start := time.Now()
-		for i := 0; i < sweepRuns; i++ {
-			if _, err := s.InferBatch(ctx, ins); err != nil {
-				s.Close()
-				return err
-			}
-		}
-		elapsed := time.Since(start).Seconds()
-		s.Close()
-		row := laneSweepRow{Lanes: lanes, MsPerInfer: elapsed * 1e3 / float64(sweepRuns*lanes)}
-		if lanes == 1 {
-			serialMs = row.MsPerInfer
-		}
-		if row.MsPerInfer > 0 {
-			row.Speedup = serialMs / row.MsPerInfer
-		}
-		sum.LanesSweep = append(sum.LanesSweep, row)
-		fmt.Printf("lanes sweep %-12s lanes=%d  %9.1f ms/infer  %.2fx vs serial\n",
-			model, row.Lanes, row.MsPerInfer, row.Speedup)
-	}
-	return nil
-}
-
-// compareBench diffs the fresh summary against a baseline JSON, printing
-// per-model and geomean cycles/s deltas. It warns (exit status stays 0 —
-// a 1-CPU shared runner is too noisy to gate on) when the geomean
-// regresses by more than 10%, and skips entirely when the host shapes
-// differ, since the numbers are not comparable across machines.
-func compareBench(curr *benchSummary, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading baseline %s: %w", path, err)
-	}
-	var prev benchSummary
-	if err := json.Unmarshal(data, &prev); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	if prev.HostCores != curr.HostCores {
-		fmt.Printf("compare: skipped — baseline %s ran on %d host cores, this run on %d (not comparable)\n",
-			path, prev.HostCores, curr.HostCores)
-		return nil
-	}
-	prevRows := make(map[string]benchRow, len(prev.Models))
-	for _, r := range prev.Models {
-		prevRows[r.Model] = r
-	}
-	fmt.Printf("compare vs %s (baseline sim-workers=%d sim-lanes=%d):\n", path, prev.SimWorkers, prev.SimLanes)
-	for _, r := range curr.Models {
-		p, ok := prevRows[r.Model]
-		if !ok || p.CyclesPerSec <= 0 {
-			fmt.Printf("  %-16s (no baseline row)\n", r.Model)
-			continue
-		}
-		fmt.Printf("  %-16s %+7.1f%% cycles/s (%.2fM -> %.2fM)\n",
-			r.Model, (r.CyclesPerSec/p.CyclesPerSec-1)*100, p.CyclesPerSec/1e6, r.CyclesPerSec/1e6)
-	}
-	if prev.GeomeanCyclesPerSec > 0 {
-		delta := (curr.GeomeanCyclesPerSec/prev.GeomeanCyclesPerSec - 1) * 100
-		fmt.Printf("  geomean: %+.1f%%\n", delta)
-		if delta < -10 {
-			fmt.Printf("WARNING: geomean cycles/s regressed %.1f%% vs %s (>10%% threshold)\n", -delta, path)
-		}
-	}
-	return nil
 }

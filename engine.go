@@ -25,8 +25,7 @@ var (
 	ErrEngineClosed = errors.New("cimflow: engine closed")
 )
 
-// Option configures an Engine or a Session built from it. Options replace
-// the flat Options struct of the deprecated free functions: engine-level
+// Option configures an Engine or a Session built from it: engine-level
 // options set defaults, and Session-level options override them per model.
 type Option func(*settings)
 
@@ -83,9 +82,8 @@ func WithSimWorkers(n int) Option {
 // lane-batched chip run, paying the cycle-accurate schedule — dispatch,
 // scoreboard, NoC and energy accounting — once for the whole group while
 // applying per-input data effects in stride. Per-lane results are
-// bit-identical to serial per-input runs; a lane whose data would change
-// control flow diverges and is transparently re-run on the serial path.
-// 0 or 1 disables lane batching.
+// bit-identical to per-input runs; a lane whose data would change control
+// flow diverges and is transparently re-run alone. 0 or 1 means one lane.
 func WithSimLanes(n int) Option {
 	return func(o *settings) { o.SimLanes = n }
 }
@@ -111,9 +109,8 @@ func WithArtifactStore(s *ArtifactStore) Option {
 }
 
 // Engine is the reusable entry point of the framework: one architecture
-// plus a compile cache and per-(model, strategy) inference Sessions. Where
-// the deprecated Run recompiled the model and rebuilt the chip on every
-// call, an Engine compiles each (model, strategy, …) combination exactly
+// plus a compile cache and per-(model, strategy) inference Sessions. An
+// Engine compiles each (model, strategy, …) combination exactly
 // once — reusing the DSE fingerprint cache, so sweeps and serving share
 // artifacts — and Sessions pool pre-initialized chips (weights staged
 // once, activation state reset between runs) for compile-once/infer-many
@@ -402,8 +399,8 @@ func (s *Session) SimLanes() int { return s.inner.SimLanes() }
 // occupancy: entry b counts runs that carried b inferences.
 func (s *Session) LaneOccupancy() []int64 { return s.inner.LaneOccupancy() }
 
-// LaneFallbacks reports how many lanes diverged during lane-batched runs
-// and were transparently re-run on the serial path.
+// LaneFallbacks reports how many lanes diverged during multi-lane runs
+// and were transparently re-run alone.
 func (s *Session) LaneFallbacks() int64 { return s.inner.LaneFallbacks() }
 
 // Closed reports whether the session has been closed.
@@ -454,20 +451,7 @@ func LookupModel(name string) (*Graph, error) {
 		name, strings.Join(model.ZooNames(), ", "))
 }
 
-// SeededInput returns a deterministic INT8 input tensor for a shape — the
-// synthetic-input generator the deprecated Run applied with seed+1.
+// SeededInput returns a deterministic INT8 input tensor for a shape.
 func SeededInput(shape Shape, seed uint64) Tensor {
 	return model.SeededInput(shape, seed)
-}
-
-// optionsFrom adapts a legacy flat Options struct for the deprecated
-// wrappers.
-func optionsFrom(opt Options) []Option {
-	return []Option{
-		WithStrategy(opt.Strategy),
-		WithSeed(opt.Seed),
-		WithCycleLimit(opt.CycleLimit),
-		WithFullBufferLimit(opt.FullBufferLimit),
-		WithMaxPooledChips(opt.MaxPooledChips),
-	}
 }

@@ -36,14 +36,15 @@ func TestEngineCompileOnceInferMany(t *testing.T) {
 	ctx := context.Background()
 	const n = 4
 	for i := 0; i < n; i++ {
-		// Run(seed=7) simulates with weights seed 7 and input seed 8: the
-		// session shares the weights, so the same input must reproduce the
-		// legacy single-shot result exactly.
+		// An independent engine compiles, builds a chip and simulates from
+		// scratch with the same weights (seed 7) and input (seed 8): the
+		// pooled session must reproduce that single-shot result exactly.
 		got, err := sess.Infer(ctx, sess.SeededInput(8))
 		if err != nil {
 			t.Fatalf("infer %d: %v", i, err)
 		}
-		want, err := cimflow.Run(g, cfg, cimflow.Options{Strategy: cimflow.StrategyDP, Seed: 7})
+		fresh := freshSession(t, g, cfg, cimflow.StrategyDP, 7)
+		want, err := fresh.Infer(ctx, fresh.SeededInput(8))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -67,29 +67,39 @@ type Options struct {
 	// SimLanes sets the session's lane-batch capacity (sim.WithLanes, at
 	// most sim.MaxLanes): InferBatch fills up to SimLanes inputs into one
 	// lane-batched chip run, paying the cycle-accurate schedule once per
-	// batch. Per-lane results are bit-identical to serial per-input runs —
-	// lanes whose data would change control flow diverge and re-run
-	// serially. 0 or 1 disables lane batching.
+	// batch. Per-lane results are bit-identical to per-input runs — lanes
+	// whose data would change control flow diverge and re-run alone. 0 or
+	// 1 means one lane.
 	SimLanes int
 }
 
-// Run compiles the model for the architecture (one pass of the staged
+// session compiles the model for the architecture (one pass of the staged
 // compiler pipeline: frontend, planning, parallel per-core codegen) and
-// executes it on the simulator with deterministic synthetic weights and
-// input. Cancelling ctx aborts the simulation mid-run. Callers that
-// compile the same graph repeatedly should go through an Engine or a
-// dse.CompileCache, which reuse the graph's CompileContext and artifacts.
-func Run(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (*Result, error) {
+// stages it with deterministic synthetic weights; it also returns the
+// matching synthetic input.
+func session(g *model.Graph, cfg arch.Config, opt Options) (*Session, tensor.Tensor, error) {
 	compiled, err := compiler.Compile(g, &cfg, compiler.Options{
 		Strategy:        opt.Strategy,
 		FullBufferLimit: opt.FullBufferLimit,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: compile %s: %w", g.Name, err)
+		return nil, tensor.Tensor{}, fmt.Errorf("core: compile %s: %w", g.Name, err)
 	}
-	ws := model.NewSeededWeights(g, opt.Seed)
-	input := model.SeededInput(g.Nodes[0].OutShape, opt.Seed+1)
-	return Simulate(ctx, compiled, ws, input, opt)
+	s, err := NewSession(compiled, model.NewSeededWeights(g, opt.Seed), opt)
+	return s, model.SeededInput(g.Nodes[0].OutShape, opt.Seed+1), err
+}
+
+// Run compiles the model and executes it on the simulator with
+// deterministic synthetic weights and input. Cancelling ctx aborts the
+// simulation mid-run. Callers that compile the same graph repeatedly should
+// go through an Engine or a dse.CompileCache, which reuse the graph's
+// CompileContext and artifacts.
+func Run(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (*Result, error) {
+	s, input, err := session(g, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	return s.Infer(ctx, input)
 }
 
 // Simulate executes an already-compiled model with the given weights and
@@ -105,28 +115,12 @@ func Simulate(ctx context.Context, compiled *compiler.Compiled, ws model.WeightS
 }
 
 // Validate runs the model end to end and compares the simulated output with
-// the golden reference executor; it returns the number of mismatching
-// elements (0 = exact functional match).
+// the golden reference executor (Session.Validate); it returns the number
+// of mismatching elements (0 = exact functional match).
 func Validate(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (int, error) {
-	res, err := Run(ctx, g, cfg, opt)
+	s, input, err := session(g, cfg, opt)
 	if err != nil {
 		return -1, err
 	}
-	ws := model.NewSeededWeights(g, opt.Seed)
-	input := model.SeededInput(g.Nodes[0].OutShape, opt.Seed+1)
-	refs, err := model.Execute(g, input, ws)
-	if err != nil {
-		return -1, err
-	}
-	ref := refs[res.Compiled.OutputNode]
-	if ref.Len() != res.Output.Len() {
-		return -1, fmt.Errorf("core: output size %d != reference %d", res.Output.Len(), ref.Len())
-	}
-	mismatches := 0
-	for i := range ref.Data {
-		if ref.Data[i] != res.Output.Data[i] {
-			mismatches++
-		}
-	}
-	return mismatches, nil
+	return s.Validate(ctx, input)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,9 +48,9 @@ type Session struct {
 	laneRuns      []atomic.Int64
 	laneFallbacks atomic.Int64
 
-	// testForceDiverge, when set by tests, marks extra lanes of a
-	// lane-batched run as diverged so the serial fallback path is
-	// exercised without crafting data-dependent control flow.
+	// testForceDiverge, when set by tests, marks extra lanes of a run as
+	// diverged so the re-run path is exercised without crafting
+	// data-dependent control flow.
 	testForceDiverge func(b int) []int
 
 	pmu    sync.Mutex // guards closed and pool membership on release
@@ -91,7 +92,7 @@ func (s *Session) SimLanes() int { return s.opt.SimLanes }
 
 // LaneOccupancy returns a histogram of chip runs by lane occupancy:
 // entry b counts completed runs that carried b inferences. Entry 0 is
-// always zero; serial runs count under entry 1.
+// always zero.
 func (s *Session) LaneOccupancy() []int64 {
 	occ := make([]int64, len(s.laneRuns))
 	for i := range s.laneRuns {
@@ -101,7 +102,7 @@ func (s *Session) LaneOccupancy() []int64 {
 }
 
 // LaneFallbacks reports how many lanes diverged from lane 0's control
-// flow during lane-batched runs and were re-run on the serial path.
+// flow and were re-run alone.
 func (s *Session) LaneFallbacks() int64 { return s.laneFallbacks.Load() }
 
 // Compiled returns the compiled artifact the session runs.
@@ -226,90 +227,54 @@ func (s *Session) release(ch *sim.Chip) {
 }
 
 // Infer executes one inference with the given input tensor on a pooled
-// chip. Cancelling ctx aborts the simulation mid-run with an error
-// wrapping ctx.Err().
+// chip: a one-lane run. Cancelling ctx aborts the simulation mid-run with an
+// error wrapping ctx.Err().
 func (s *Session) Infer(ctx context.Context, input tensor.Tensor) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	seg, err := s.compiled.InputSegment(input)
+	res, err := s.inferLanes(ctx, []tensor.Tensor{input})
 	if err != nil {
 		return nil, err
 	}
-	ch, err := s.acquire(1)
-	if err != nil {
-		return nil, err
-	}
-	if err := ch.InitGlobal(seg); err != nil {
-		return nil, err
-	}
-	// Tag the simulation with the model name and lane occupancy so CPU
-	// profiles split by workload; the simulator's own scheduler adds the
-	// phase labels.
-	var stats *sim.Stats
-	pprof.Do(ctx, pprof.Labels("model", s.compiled.Graph.Name, "sim-lanes", "1"), func(ctx context.Context) {
-		stats, err = ch.Run(ctx)
-	})
-	if err != nil {
-		s.release(ch)
-		return nil, fmt.Errorf("core: simulating %s: %w", s.compiled.Graph.Name, err)
-	}
-	out, err := s.compiled.ReadOutput(ch.ReadGlobal)
-	s.release(ch)
-	if err != nil {
-		return nil, err
-	}
-	s.laneRuns[1].Add(1)
-	return newResult(s.compiled, stats, out, s.cfg.ClockGHz), nil
+	return res[0], nil
 }
 
-// cloneStats makes an independent copy of a lane-batched run's shared
-// stats so each per-lane Result owns its Stats like a serial run would.
+// cloneStats makes an independent copy of a run's shared stats so each
+// per-lane Result owns its Stats.
 func cloneStats(st *sim.Stats) *sim.Stats {
 	cp := *st
 	cp.Cores = append([]sim.CoreStats(nil), st.Cores...)
 	return &cp
 }
 
-// inferLanes executes up to SimLanes inputs as one lane-batched chip
-// run: the cycle-accurate schedule is paid once, with per-lane data
-// effects applied in stride. Lanes whose data diverges from lane 0's
-// control flow are re-run serially, so every returned Result is
-// bit-identical to a serial Infer of the same input.
+// inferLanes executes 1..SimLanes inputs as one chip run, one lane each:
+// the cycle-accurate schedule is paid once, with per-lane data effects
+// applied in stride. Lanes whose data diverges from lane 0's control flow
+// are re-run on their own, so every returned Result is bit-identical to a
+// one-lane run of the same input.
 func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Result, error) {
-	b := len(inputs)
-	if b == 1 {
-		res, err := s.Infer(ctx, inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*Result{res}, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	b := len(inputs)
 	segs := make([]sim.GlobalSegment, b)
-	for i, in := range inputs {
+	for l, in := range inputs {
 		seg, err := s.compiled.InputSegment(in)
 		if err != nil {
 			return nil, err
 		}
-		segs[i] = seg
+		segs[l] = seg
 	}
 	ch, err := s.acquire(b)
 	if err != nil {
 		return nil, err
 	}
-	// InitGlobal mirrors lane 0's segment into every lane image; the
-	// per-lane stores then overwrite lanes 1..b-1 with their own inputs.
-	if err := ch.InitGlobal(segs[0]); err != nil {
-		return nil, err
-	}
-	for l := 1; l < b; l++ {
-		if err := ch.InitGlobalLane(l, segs[l]); err != nil {
+	for l, seg := range segs {
+		if err := ch.InitGlobalLane(l, seg); err != nil {
 			return nil, err
 		}
 	}
+	// Tag the simulation with the model name and lane occupancy so CPU
+	// profiles split by workload; the simulator's own scheduler adds the
+	// phase labels.
 	var stats *sim.Stats
 	pprof.Do(ctx, pprof.Labels("model", s.compiled.Graph.Name, "sim-lanes", strconv.Itoa(b)), func(ctx context.Context) {
 		stats, err = ch.Run(ctx)
@@ -318,23 +283,17 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 		s.release(ch)
 		return nil, fmt.Errorf("core: simulating %s (lanes=%d): %w", s.compiled.Graph.Name, b, err)
 	}
-	diverged := make(map[int]bool)
-	for _, l := range ch.DivergedLanes() {
-		diverged[l] = true
-	}
+	diverged := ch.DivergedLanes()
 	if s.testForceDiverge != nil {
-		for _, l := range s.testForceDiverge(b) {
-			diverged[l] = true
-		}
+		diverged = append(diverged, s.testForceDiverge(b)...)
 	}
 	results := make([]*Result, b)
-	for l := 0; l < b; l++ {
-		if diverged[l] {
+	for l := range results {
+		if slices.Contains(diverged, l) {
 			continue
 		}
-		lane := l
 		out, err := s.compiled.ReadOutput(func(addr, size int) ([]byte, error) {
-			return ch.ReadGlobalLane(lane, addr, size)
+			return ch.ReadGlobalLane(l, addr, size)
 		})
 		if err != nil {
 			s.release(ch)
@@ -349,7 +308,9 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 	s.release(ch)
 	s.laneRuns[b].Add(1)
 	// Divergent lanes carried garbage data past the first mismatching
-	// load; replay each on the serial path for the exact per-input run.
+	// load; replay each alone for the exact per-input run. Lane 0 is the
+	// lane the others are compared against, so a one-lane run never
+	// diverges and the recursion ends there.
 	for l := range results {
 		if results[l] != nil {
 			continue

@@ -48,16 +48,23 @@ type core struct {
 	code []isa.Instruction
 	// prog is the predecoded micro-op form of code, nil on chips running
 	// the legacy interpreter. It is immutable and may be shared between
-	// chips executing the same compiled artifact. progHash digests the
-	// instruction stream prog was derived from, so Run re-predecodes when
-	// test code swaps or mutates the stream behind LoadProgram's back.
-	prog     []isa.Decoded
-	progHash uint64
+	// chips executing the same compiled artifact.
+	prog []isa.Decoded
 
 	pc    int
 	regs  [isa.NumGRegs]int32
 	sregs [isa.NumSRegs]int32
-	local []byte
+
+	// images[l] is lane l's data plane (see lanes.go); every lane shares the
+	// registers, timing and stats above and below. The embedded pointer is
+	// images[0], so c.local, c.mg, c.cimAcc and c.gather name lane 0's state:
+	// the whole machine when one lane is live, which is all the legacy
+	// interpreter ever runs.
+	*image
+	images []image
+	// mvmOps is the per-MVM operand scratch: one entry per live lane,
+	// preallocated so the hot loop allocates nothing in steady state.
+	mvmOps []mvmOperand
 
 	// Constants hoisted out of the dispatch loop at construction time;
 	// all are derived from the immutable chip configuration.
@@ -75,13 +82,6 @@ type core struct {
 	// rangeBuf is the reusable scoreboard-range scratch of the predecoded
 	// step functions (the legacy interpreter builds ad-hoc slices instead).
 	rangeBuf [4]memRange
-
-	// CIM unit state: per-macro-group weight matrices (rows x groupChans,
-	// row-major INT8 values stored as raw bytes, so the MVM inner loop can
-	// load them a 64-bit word at a time) and the unit-level shared
-	// accumulator fed by the inter-macro adder tree.
-	mg     [][]byte
-	cimAcc []int32
 
 	// Timing state.
 	time     int64
@@ -104,17 +104,6 @@ type core struct {
 	parkErr error
 	lbTime  int64
 
-	gather []byte // reusable MVM input buffer
-
-	// Lane-batched state (see lanes.go): lanes[l-1] is lane l's private
-	// data image (lane 0 lives in the fields above), and laneIns/laneAccs
-	// are the preallocated scratch of the multi-RHS MVM kernel — the
-	// per-lane input/accumulator working set assembled once per MVM — so
-	// the lane-batched hot loop allocates nothing in steady state.
-	lanes    []laneCore
-	laneIns  [][]byte
-	laneAccs [][]int32
-
 	stats CoreStats
 }
 
@@ -125,10 +114,8 @@ func newCore(id int, chip *Chip) *core {
 	c := &core{
 		id:         id,
 		chip:       chip,
-		local:      make([]byte, cfg.Core.LocalMemBytes),
-		mg:         make([][]byte, cfg.Core.NumMacroGroups),
-		cimAcc:     make([]int32, groupChans),
-		gather:     make([]byte, cfg.Unit.MacroRows),
+		images:     make([]image, chip.lanesCap),
+		mvmOps:     make([]mvmOperand, 0, chip.lanesCap),
 		frontPJ:    e.InstFetchPJ + e.RegFilePJ,
 		latScalar:  int64(cfg.Core.ScalarLatency),
 		latMem:     int64(cfg.Core.LocalMemLatency),
@@ -140,25 +127,18 @@ func newCore(id int, chip *Chip) *core {
 		groupChans: groupChans,
 		macroRows:  int32(cfg.Unit.MacroRows),
 	}
-	for i := range c.mg {
-		c.mg[i] = make([]byte, cfg.Unit.MacroRows*groupChans)
-	}
-	if n := chip.lanesCap; n > 1 {
-		c.lanes = make([]laneCore, n-1)
-		for l := range c.lanes {
-			ln := &c.lanes[l]
-			ln.local = make([]byte, cfg.Core.LocalMemBytes)
-			ln.mg = make([][]byte, cfg.Core.NumMacroGroups)
-			for i := range ln.mg {
-				ln.mg[i] = make([]byte, cfg.Unit.MacroRows*groupChans)
-			}
-			ln.mgDiv = make([]bool, cfg.Core.NumMacroGroups)
-			ln.cimAcc = make([]int32, groupChans)
-			ln.gather = make([]byte, cfg.Unit.MacroRows)
+	for l := range c.images {
+		im := &c.images[l]
+		im.local = make([]byte, cfg.Core.LocalMemBytes)
+		im.mg = make([][]byte, cfg.Core.NumMacroGroups)
+		for i := range im.mg {
+			im.mg[i] = make([]byte, cfg.Unit.MacroRows*groupChans)
 		}
-		c.laneIns = make([][]byte, 0, n)
-		c.laneAccs = make([][]int32, 0, n)
+		im.mgDiv = make([]bool, cfg.Core.NumMacroGroups)
+		im.cimAcc = make([]int32, groupChans)
+		im.gather = make([]byte, cfg.Unit.MacroRows)
 	}
+	c.image = &c.images[0]
 	c.reset()
 	return c
 }
@@ -169,21 +149,17 @@ func (c *core) reset() {
 	c.pc = 0
 	c.regs = [isa.NumGRegs]int32{}
 	c.sregs = [isa.NumSRegs]int32{}
-	clear(c.local)
-	for _, m := range c.mg {
-		clear(m)
-	}
-	clear(c.cimAcc)
-	clear(c.gather)
-	for i := range c.lanes {
-		ln := &c.lanes[i]
-		clear(ln.local)
-		for _, m := range ln.mg {
+	// Every allocated image is wiped, not just the live ones: a pooled chip
+	// may shrink and regrow its occupancy between runs.
+	for l := range c.images {
+		im := &c.images[l]
+		clear(im.local)
+		for _, m := range im.mg {
 			clear(m)
 		}
-		clear(ln.mgDiv)
-		clear(ln.cimAcc)
-		clear(ln.gather)
+		clear(im.mgDiv)
+		clear(im.cimAcc)
+		clear(im.gather)
 	}
 	c.time = 0
 	c.regReady = [isa.NumGRegs]int64{}
@@ -495,22 +471,22 @@ func (c *core) stepScalarMem(in isa.Instruction) error {
 		issue := c.hazardIssue(isa.UnitScalar, srcs, nil)
 		done := c.chip.mesh.MemAccess(c.id, int(size), issue)
 		g := addr - GlobalBase
-		if g < 0 || int(g)+int(size) > len(c.chip.global) {
+		if g < 0 || int(g)+int(size) > len(c.chip.global[0]) {
 			return c.errf("global access %d out of bounds", g)
 		}
 		if isLoad {
 			var v int32
 			if size == 4 {
-				v = int32(binary.LittleEndian.Uint32(c.chip.global[g:]))
+				v = int32(binary.LittleEndian.Uint32(c.chip.global[0][g:]))
 			} else {
-				v = int32(int8(c.chip.global[g]))
+				v = int32(int8(c.chip.global[0][g]))
 			}
 			c.setReg(in.RT, v, done)
 		} else {
 			if size == 4 {
-				binary.LittleEndian.PutUint32(c.chip.global[g:], uint32(c.reg(in.RT)))
+				binary.LittleEndian.PutUint32(c.chip.global[0][g:], uint32(c.reg(in.RT)))
 			} else {
-				c.chip.global[g] = byte(c.reg(in.RT))
+				c.chip.global[0][g] = byte(c.reg(in.RT))
 			}
 		}
 		c.retire(isa.UnitScalar, issue, 1, done, nil)
@@ -598,19 +574,19 @@ func (c *core) stepTransfer(in isa.Instruction) error {
 	var data []byte
 	if srcGlobal {
 		g := src - GlobalBase
-		if g < 0 || int(g)+int(size) > len(c.chip.global) {
+		if g < 0 || int(g)+int(size) > len(c.chip.global[0]) {
 			return c.errf("global read [%d+%d) out of bounds", g, size)
 		}
-		data = c.chip.global[g : g+size]
+		data = c.chip.global[0][g : g+size]
 	} else {
 		data = c.local[src : src+size]
 	}
 	if dstGlobal {
 		g := dst - GlobalBase
-		if g < 0 || int(g)+int(size) > len(c.chip.global) {
+		if g < 0 || int(g)+int(size) > len(c.chip.global[0]) {
 			return c.errf("global write [%d+%d) out of bounds", g, size)
 		}
-		copy(c.chip.global[g:], data)
+		copy(c.chip.global[0][g:], data)
 	} else {
 		copy(c.local[dst:], data)
 	}

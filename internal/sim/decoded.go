@@ -1,22 +1,28 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"cimflow/internal/isa"
 	"cimflow/internal/tensor"
 )
 
 // This file is the predecoded execution pipeline: one handler per
-// isa.Kind, dispatched through a flat table from stepDecoded. The handlers
-// are semantically bit-identical to the legacy step* family in core.go —
-// the differential equivalence suite asserts outputs, cycles, energy and
-// per-core stats match on every zoo model × strategy — but the steady-state
-// loop does no per-step decoding, no slice allocation (scoreboard ranges
-// live in core.rangeBuf, message payloads come from the chip's pool) and no
-// repeated configuration lookups (latency, bandwidth and energy constants
-// are hoisted onto the core at construction).
+// isa.Kind, dispatched through a single flat table from stepDecoded. A
+// handler validates its operands and computes timing, energy and scoreboard
+// state once from the shared registers, then applies its data effect to the
+// image of every live lane (lanes.go); a one-lane run walks those loops
+// once. The handlers are semantically bit-identical to the reference step*
+// family in core.go — the differential equivalence suite asserts outputs,
+// cycles, energy and per-core stats match on every zoo model × strategy —
+// and the steady-state loop does no per-step decoding, no slice allocation
+// (scoreboard ranges live in core.rangeBuf, MVM operands in core.mvmOps,
+// message payloads come from the chip's pool) and no repeated configuration
+// lookups (latency, bandwidth and energy constants are hoisted onto the core
+// at construction).
 
 // decHandler executes one predecoded micro-op.
 type decHandler func(*core, *isa.Decoded) (stepStatus, error)
@@ -47,9 +53,7 @@ var decHandlers = [isa.NumKinds]decHandler{
 func init() { decHandlers[isa.KindFusedRun] = decFusedRun }
 
 // stepDecoded executes one predecoded micro-op. The chip scheduler
-// guarantees this core currently has the minimum local time. Dispatch goes
-// through the chip's selected handler table: the plain predecoded handlers,
-// or the lane-batched variants when the Run in flight has lanes active.
+// guarantees this core currently has the minimum local time.
 func (c *core) stepDecoded() (stepStatus, error) {
 	if c.pc >= len(c.prog) {
 		return stepHalted, c.errf("fell off the end of the program")
@@ -57,7 +61,7 @@ func (c *core) stepDecoded() (stepStatus, error) {
 	d := &c.prog[c.pc]
 	c.stats.Energy.FrontendPJ += c.frontPJ
 	c.stats.Instructions++
-	return c.chip.handlers[d.Kind](c, d)
+	return decHandlers[d.Kind](c, d)
 }
 
 // stepDecodedUnfused executes exactly one architectural instruction,
@@ -208,62 +212,67 @@ func decScMFS(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepOK, nil
 }
 
+// decScMem is the scalar load/store and the divergence guard: a load takes
+// lane 0's value into the shared register and flags every live lane whose
+// memory disagrees; a store writes the shared register to every live lane.
 func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 	addr := c.reg(d.RS) + d.Imm
 	size := d.MemSize
-	if addr >= GlobalBase {
-		issue := c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], nil)
-		done := c.chip.mesh.MemAccess(c.id, int(size), issue)
-		g := addr - GlobalBase
-		if g < 0 || int(g)+int(size) > len(c.chip.global) {
-			return stepOK, c.errf("global access %d out of bounds", g)
+	global := addr >= GlobalBase
+	var issue, done int64
+	var ranges []memRange
+	if global {
+		issue = c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], nil)
+		done = c.chip.mesh.MemAccess(c.id, int(size), issue)
+		addr -= GlobalBase
+		if int(addr)+int(size) > len(c.chip.global[0]) {
+			return stepOK, c.errf("global access %d out of bounds", addr)
 		}
-		if d.IsLoad {
-			var v int32
-			if size == 4 {
-				v = int32(binary.LittleEndian.Uint32(c.chip.global[g:]))
-			} else {
-				v = int32(int8(c.chip.global[g]))
-			}
-			c.setReg(d.RT, v, done)
-		} else {
-			if size == 4 {
-				binary.LittleEndian.PutUint32(c.chip.global[g:], uint32(c.reg(d.RT)))
-			} else {
-				c.chip.global[g] = byte(c.reg(d.RT))
-			}
-		}
-		c.retire(isa.UnitScalar, issue, 1, done, nil)
-		c.time = issue + 1
-		c.pc++
-		return stepOK, nil
-	}
-	r, err := c.localRange(addr, size)
-	if err != nil {
-		return stepOK, c.errf("%v", err)
-	}
-	c.rangeBuf[0] = r
-	issue := c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], c.rangeBuf[:1])
-	c.stats.Energy.LocalMemPJ += float64(size) * c.chip.cfg.Energy.LocalMemPJPerByte
-	if d.IsLoad {
-		var v int32
-		if size == 4 {
-			v = int32(binary.LittleEndian.Uint32(c.local[addr:]))
-		} else {
-			v = int32(int8(c.local[addr]))
-		}
-		c.setReg(d.RT, v, issue+c.latMem)
 	} else {
-		if size == 4 {
-			binary.LittleEndian.PutUint32(c.local[addr:], uint32(c.reg(d.RT)))
-		} else {
-			c.local[addr] = byte(c.reg(d.RT))
+		r, err := c.localRange(addr, size)
+		if err != nil {
+			return stepOK, c.errf("%v", err)
+		}
+		c.rangeBuf[0] = r
+		ranges = c.rangeBuf[:1]
+		issue = c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], ranges)
+		c.stats.Energy.LocalMemPJ += float64(size) * c.chip.cfg.Energy.LocalMemPJPerByte
+		done = issue + c.latMem
+	}
+	if d.IsLoad {
+		v := loadScalar(c.plane(0, global)[addr:], size)
+		if d.RT != isa.GZero { // a discarded value cannot diverge anything
+			for m := c.live() &^ 1; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				if loadScalar(c.plane(l, global)[addr:], size) != v {
+					c.chip.divergeLane(l)
+				}
+			}
+		}
+		c.setReg(d.RT, v, done)
+	} else {
+		v := c.reg(d.RT)
+		for m := c.live(); m != 0; m &= m - 1 {
+			mem := c.plane(bits.TrailingZeros64(m), global)[addr:]
+			if size == 4 {
+				binary.LittleEndian.PutUint32(mem, uint32(v))
+			} else {
+				mem[0] = byte(v)
+			}
 		}
 	}
-	c.retire(isa.UnitScalar, issue, 1, issue+c.latMem, c.rangeBuf[:1])
+	c.retire(isa.UnitScalar, issue, 1, done, ranges)
 	c.time = issue + 1
 	c.pc++
 	return stepOK, nil
+}
+
+// loadScalar reads a sign-extended byte or a little-endian word.
+func loadScalar(mem []byte, size int32) int32 {
+	if size == 4 {
+		return int32(binary.LittleEndian.Uint32(mem))
+	}
+	return int32(int8(mem[0]))
 }
 
 func decVFill(c *core, d *isa.Decoded) (stepStatus, error) {
@@ -279,9 +288,11 @@ func decVFill(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], c.rangeBuf[:1])
 	fill := byte(int8(d.Imm))
-	region := c.local[dst : dst+size]
-	for i := range region {
-		region[i] = fill
+	for m := c.live(); m != 0; m &= m - 1 {
+		region := c.images[bits.TrailingZeros64(m)].local[dst : dst+size]
+		for i := range region {
+			region[i] = fill
+		}
 	}
 	occ := c.latMem + (int64(size)+c.bw-1)/c.bw
 	c.stats.Energy.LocalMemPJ += float64(size) * c.chip.cfg.Energy.LocalMemPJPerByte
@@ -320,25 +331,23 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	ranges := c.rangeBuf[:nr]
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], ranges)
 
-	// Functional copy.
-	var data []byte
+	// Functional copy, lane by lane.
+	globalSize := len(c.chip.global[0])
 	if srcGlobal {
-		g := src - GlobalBase
-		if g < 0 || int(g)+int(size) > len(c.chip.global) {
-			return stepOK, c.errf("global read [%d+%d) out of bounds", g, size)
+		src -= GlobalBase
+		if int(src)+int(size) > globalSize {
+			return stepOK, c.errf("global read [%d+%d) out of bounds", src, size)
 		}
-		data = c.chip.global[g : g+size]
-	} else {
-		data = c.local[src : src+size]
 	}
 	if dstGlobal {
-		g := dst - GlobalBase
-		if g < 0 || int(g)+int(size) > len(c.chip.global) {
-			return stepOK, c.errf("global write [%d+%d) out of bounds", g, size)
+		dst -= GlobalBase
+		if int(dst)+int(size) > globalSize {
+			return stepOK, c.errf("global write [%d+%d) out of bounds", dst, size)
 		}
-		copy(c.chip.global[g:], data)
-	} else {
-		copy(c.local[dst:], data)
+	}
+	for m := c.live(); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		copy(c.plane(l, dstGlobal)[dst:], c.plane(l, srcGlobal)[src:src+size])
 	}
 
 	// Timing and energy.
@@ -371,8 +380,13 @@ func decSend(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], c.rangeBuf[:1])
-	payload := c.chip.getPayload(size)
-	copy(payload, c.local[src:src+size])
+	// A diverged lane's stride keeps whatever the pooled buffer held: its
+	// receiver is just as diverged and never reads it.
+	payload := c.chip.getPayload(size * int32(c.chip.activeLanes))
+	for m := c.live(); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		copy(payload[int32(l)*size:], c.images[l].local[src:src+size])
+	}
 	inject := (int64(size)+c.bw-1)/c.bw + 1
 	arrival := c.chip.mesh.Transfer(c.id, dst, int(size), issue+inject)
 	c.stats.Energy.LocalMemPJ += float64(size) * c.chip.cfg.Energy.LocalMemPJPerByte
@@ -396,8 +410,8 @@ func decRecv(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	dst := c.reg(d.RS)
 	want := c.reg(d.RT)
-	if int(want) != len(msg.payload) {
-		return stepOK, c.errf("recv size %d != message size %d (src %d tag %d)", want, len(msg.payload), src, tag)
+	if lanes := c.chip.activeLanes; int(want)*lanes != len(msg.payload) {
+		return stepOK, c.errf("recv size %d != message size %d (src %d tag %d)", want, len(msg.payload)/lanes, src, tag)
 	}
 	r, err := c.localRange(dst, want)
 	if err != nil {
@@ -410,7 +424,10 @@ func decRecv(c *core, d *isa.Decoded) (stepStatus, error) {
 		issue = msg.arrival
 	}
 	c.chip.pop(src, c.id, tag)
-	copy(c.local[dst:], msg.payload)
+	for m := c.live(); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		copy(c.images[l].local[dst:dst+want], msg.payload[int32(l)*want:])
+	}
 	c.chip.putPayload(msg.payload)
 	occ := (int64(want)+c.bw-1)/c.bw + 1
 	c.stats.Energy.LocalMemPJ += float64(want) * c.chip.cfg.Energy.LocalMemPJPerByte
@@ -427,6 +444,9 @@ func decBarrier(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepBarrier, nil
 }
 
+// decCimLoad writes a weight tile into every live lane's macro group and
+// tracks whether each lane's weights still match lane 0's: while they do,
+// decCimMVM runs the shared multi-RHS kernel over lane 0's weights alone.
 func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	cfg := c.chip.cfg
 	mgIdx := int(c.reg(d.RT))
@@ -451,11 +471,23 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], c.rangeBuf[:1])
-	w := c.mg[mgIdx]
-	for row := int32(0); row < rows; row++ {
-		base := (rowOff + row) * groupChans
-		srcBase := src + row*chans
-		copy(w[base+chanOff:base+chanOff+chans], c.local[srcBase:srcBase+chans])
+	w0 := c.images[0].mg[mgIdx]
+	for m := c.live(); m != 0; m &= m - 1 {
+		im := &c.images[bits.TrailingZeros64(m)]
+		w := im.mg[mgIdx]
+		same := true
+		for row := int32(0); row < rows; row++ {
+			base := (rowOff+row)*groupChans + chanOff
+			srcBase := src + row*chans
+			seg := w[base : base+chans]
+			copy(seg, im.local[srcBase:srcBase+chans])
+			same = same && bytes.Equal(seg, w0[base:base+chans])
+		}
+		if !same {
+			// Sticky: a later identical partial load cannot prove the rest
+			// of the group converged, so the per-lane MVM kernel stays on.
+			im.mgDiv[mgIdx] = true
+		}
 	}
 	occ := c.latMem + (int64(size)+c.bw-1)/c.bw
 	c.stats.Energy.CIMLoadPJ += float64(size) * cfg.Energy.CIMLoadPJPerByte
@@ -467,11 +499,14 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 }
 
 // decCimMVM is the hot path of every DNN simulation. Beyond the predecoded
-// flags it differs from the legacy interpreter in three measured-equivalent
-// ways: the gather copy is skipped when the input is one contiguous segment
-// (the MAC loop only reads it, so aliasing local memory is safe), the
-// accumulator clear is a memclr, and the MAC inner loop is shaped for
-// bounds-check elimination.
+// flags it differs from the reference interpreter in three
+// measured-equivalent ways: the gather copy is skipped when the input is one
+// contiguous segment (the MAC loop only reads it, so aliasing local memory
+// is safe), the accumulator clear is a memclr, and the MAC inner loop is
+// shaped for bounds-check elimination. It also holds the one choice that
+// depends on how many lanes are live: several lanes sharing lane 0's
+// weights take a single traversal of them (mvmSharedKernel); one lane, or
+// lanes whose weights diverged, take a traversal each (mvmLaneKernel).
 func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	e := &c.chip.cfg.Energy
 	rows := c.reg(d.RT)
@@ -483,49 +518,56 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		return stepOK, c.errf("mvm targets macro group %d of %d", d.MG, len(c.mg))
 	}
 
-	// Gather input segments.
+	// Validate the input segments; the scoreboard tracks the first and last.
 	segCount := c.sregs[isa.SRegSegCount]
 	if segCount <= 0 || rows%segCount != 0 {
 		return stepOK, c.errf("mvm length %d not divisible into %d segments", rows, segCount)
 	}
-	var input []byte
+	segLen := rows / segCount
+	segStride := c.sregs[isa.SRegSegStride]
 	nr := 0
-	if segCount == 1 {
-		r, err := c.localRange(inAddr, rows)
+	for s := int32(0); s < segCount; s++ {
+		r, err := c.localRange(inAddr+s*segStride, segLen)
 		if err != nil {
-			return stepOK, c.errf("mvm segment 0: %v", err)
+			return stepOK, c.errf("mvm segment %d: %v", s, err)
 		}
-		c.rangeBuf[nr] = r
-		nr++
-		input = c.local[inAddr : inAddr+rows]
-	} else {
-		segLen := rows / segCount
-		segStride := c.sregs[isa.SRegSegStride]
-		for s := int32(0); s < segCount; s++ {
-			base := inAddr + s*segStride
-			r, err := c.localRange(base, segLen)
-			if err != nil {
-				return stepOK, c.errf("mvm segment %d: %v", s, err)
-			}
-			if s == 0 || s == segCount-1 {
-				c.rangeBuf[nr] = r
-				nr++
-			}
-			copy(c.gather[s*segLen:], c.local[base:base+segLen])
+		if s == 0 || s == segCount-1 {
+			c.rangeBuf[nr] = r
+			nr++
 		}
-		input = c.gather[:rows]
 	}
 
-	// Accumulate into the unit accumulator. Quantized activations are
-	// mostly zero (post-ReLU resnet18 inputs measure ~77% zero rows), so
-	// zero rows skip their weight pass and runs of zeros are skipped a
-	// 64-bit word at a time.
-	groupChans := c.groupChans
-	if !d.Accumulate {
-		clear(c.cimAcc)
+	// Gather each live lane's input and ready its accumulator.
+	ops := c.mvmOps[:0]
+	shared := true
+	for m := c.live(); m != 0; m &= m - 1 {
+		im := &c.images[bits.TrailingZeros64(m)]
+		var in []byte
+		if segCount == 1 {
+			in = im.local[inAddr : inAddr+rows]
+		} else {
+			for s := int32(0); s < segCount; s++ {
+				base := inAddr + s*segStride
+				copy(im.gather[s*segLen:], im.local[base:base+segLen])
+			}
+			in = im.gather[:rows]
+		}
+		if !d.Accumulate {
+			clear(im.cimAcc)
+		}
+		ops = append(ops, mvmOperand{in, im.cimAcc, im})
+		shared = shared && !im.mgDiv[d.MG]
 	}
-	acc := c.cimAcc
-	mvmLaneKernel(input, c.mg[d.MG], acc, groupChans)
+
+	// Accumulate into the unit accumulators.
+	groupChans := c.groupChans
+	if shared && len(ops) > 1 {
+		mvmSharedKernel(ops, c.mg[d.MG], groupChans)
+	} else {
+		for i := range ops {
+			mvmLaneKernel(ops[i].in, ops[i].im.mg[d.MG], ops[i].acc, groupChans)
+		}
+	}
 	macs := int64(rows) * int64(groupChans)
 	c.stats.MACs += macs
 	c.stats.Energy.CIMComputePJ += float64(macs) * e.CIMMACpJ
@@ -552,16 +594,19 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		nr++
 		qmul := c.sregs[isa.SRegQuantMul]
 		qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
-		for ch := int32(0); ch < outChans; ch++ {
-			sum := acc[ch]
-			if d.WriteRaw {
-				binary.LittleEndian.PutUint32(c.local[outAddr+ch*4:], uint32(sum))
-			} else {
-				v := tensor.Requant(sum, qmul, qshift)
-				if d.Relu && v < 0 {
-					v = 0
+		for i := range ops {
+			acc, local := ops[i].acc, ops[i].im.local
+			for ch := int32(0); ch < outChans; ch++ {
+				sum := acc[ch]
+				if d.WriteRaw {
+					binary.LittleEndian.PutUint32(local[outAddr+ch*4:], uint32(sum))
+				} else {
+					v := tensor.Requant(sum, qmul, qshift)
+					if d.Relu && v < 0 {
+						v = 0
+					}
+					local[outAddr+ch] = byte(v)
 				}
-				c.local[outAddr+ch] = byte(v)
 			}
 		}
 		c.stats.Energy.LocalMemPJ += float64(wbBytes) * e.LocalMemPJPerByte
@@ -582,8 +627,8 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepOK, nil
 }
 
-// mvmLaneKernel multiply-accumulates one input vector (one lane's RHS)
-// against a packed weight matrix. Quantized activations are mostly zero
+// mvmLaneKernel multiply-accumulates one lane's input vector against a
+// packed weight matrix. Quantized activations are mostly zero
 // (post-ReLU resnet18 inputs measure ~77% zero rows), so zero rows skip
 // their weight pass and runs of zeros are skipped a 64-bit word at a time.
 func mvmLaneKernel(input, w []byte, acc []int32, groupChans int) {
@@ -607,7 +652,7 @@ func mvmLaneKernel(input, w []byte, acc []int32, groupChans int) {
 // weight row. Weights load eight INT8 channels per 64-bit word; with one
 // accumulator load and store per channel the inner loop is load-port-bound,
 // and halving the weight loads measurably raises simulated MACs/second.
-// Shared between the serial kernel and the lane-batched multi-RHS kernel.
+// Both MAC kernels are built on it.
 func mvmRow(iv int32, wRow []byte, acc []int32) {
 	a := acc[:len(wRow)]
 	ch := 0
@@ -678,7 +723,9 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	ranges := c.rangeBuf[:nr]
 	issue := c.hazardIssue(isa.UnitVector, d.Srcs[:d.NSrc], ranges)
 
-	vecApply(c, d, c.local)
+	for m := c.live(); m != 0; m &= m - 1 {
+		vecApply(c, d, c.images[bits.TrailingZeros64(m)].local)
+	}
 
 	occ := (int64(n) + c.vlanes - 1) / c.vlanes
 	if occ == 0 {
@@ -686,8 +733,8 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	done := issue + occ + c.vecDepth
 	c.stats.Energy.VectorPJ += float64(n) * e.VectorOpPJ
-	bytes := int64(n) * int64(sizeA+sizeB+sizeD)
-	c.stats.Energy.LocalMemPJ += float64(bytes) * e.LocalMemPJPerByte
+	moved := int64(n) * int64(sizeA+sizeB+sizeD)
+	c.stats.Energy.LocalMemPJ += float64(moved) * e.LocalMemPJPerByte
 	c.retire(isa.UnitVector, issue, occ, done, ranges)
 	c.time = issue + 1
 	c.pc++
@@ -695,10 +742,8 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 }
 
 // vecApply performs decVec's functional effect — the per-element loops of
-// the validated SIMD operation — against the given local-memory image.
-// Operands and strides come from the core's (lane-shared) registers, so the
-// lane-batched handler can replay the same operation on every lane's local
-// memory after lane 0 has driven validation and timing.
+// the validated SIMD operation — against one lane's local memory. Operands
+// and strides come from the core's lane-shared registers.
 func vecApply(c *core, d *isa.Decoded, local []byte) {
 	n := c.reg(d.RE)
 	strideA := c.sregs[isa.SRegVecStrideA]

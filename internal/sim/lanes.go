@@ -1,54 +1,56 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"cimflow/internal/isa"
-	"cimflow/internal/tensor"
 )
 
-// This file is lane-batched execution: one chip simulation advances B
-// independent inferences ("lanes") through the same micro-op stream, paying
-// instruction dispatch, scoreboard checks, heap scheduling, NoC routing and
-// cycle/energy accounting once per step while applying each micro-op's data
-// effects to every lane. Lane 0 lives in the core's ordinary state and
-// drives all validation and timing; lanes 1..B-1 carry private copies of
-// the data plane only (local memory, macro weights, accumulators, global
-// memory, message payloads).
+// This file is the lane model: one chip simulation advances B independent
+// inferences ("lanes", 1 <= B <= LaneCap) through one micro-op stream.
+// Registers, program counters, the scoreboard, the scheduler, the NoC and
+// all cycle/energy accounting exist once per core — the timing plane. The
+// data plane exists once per lane: core.images[l] holds lane l's local
+// memory, macro-group weights, accumulator and gather buffer, Chip.global[l]
+// its global memory, and a message payload carries every lane's bytes
+// strided at the message size. Each handler in decoded.go validates and
+// times its micro-op once from the shared registers, then applies the data
+// effect to every live lane (core.live); a one-lane run is the B = 1 case of
+// the same loops.
 //
-// Correctness rests on a shared-register invariant: general and special
-// registers are shared across lanes, and the only instruction that can move
-// lane-private data into a register is a scalar load (KindScMem). The lane
-// load handler therefore compares every lane's loaded value against lane
-// 0's; while they agree, registers are lane-uniform by induction, so every
-// data-dependent control decision — branch conditions, register-derived
-// scalar-memory and MEMCPY addresses, computed jumps — and all timing are
-// identical across lanes. The first disagreeing load flags the lane in the
-// chip's sticky divergence mask: the lane's subsequent data effects are
-// skipped (its state is garbage from that point) and the caller re-runs the
-// lane's input on the ordinary serial path, so results are always
-// bit-identical to per-input runs.
+// Correctness rests on a shared-register invariant: the only instruction
+// that can move lane-private data into a register is a scalar load
+// (KindScMem). The load handler takes lane 0's value and compares every
+// other live lane's against it; while they agree, registers are
+// lane-uniform by induction, so every data-dependent control decision —
+// branch conditions, register-derived addresses, computed jumps — and all
+// timing are identical across lanes. The first disagreeing load flags the
+// lane in the chip's sticky divergence mask: the lane stops being live (its
+// state is garbage from that point) and the caller re-runs its input in a
+// run of its own, so results are always bit-identical to per-input runs.
 
 // MaxLanes bounds the lane capacity of one chip; the divergence mask is a
 // single 64-bit atomic word.
 const MaxLanes = 64
 
-// laneCore is one extra lane's private data image of a core. Timing,
-// registers and stats are shared with lane 0.
-type laneCore struct {
-	local  []byte
+// image is one lane's data plane of a core.
+type image struct {
+	local []byte
+	// mg holds the per-macro-group weight matrices (rows x groupChans,
+	// row-major INT8 values stored as raw bytes, so the MVM inner loop can
+	// load them a 64-bit word at a time); mgDiv[g] records that this lane's
+	// group g no longer matches lane 0's, which takes the MVM off the shared
+	// kernel. cimAcc is the unit-level accumulator fed by the inter-macro
+	// adder tree, gather the reusable MVM input buffer.
 	mg     [][]byte
-	mgDiv  []bool // lane weights differ from lane 0's, per macro group
+	mgDiv  []bool
 	cimAcc []int32
 	gather []byte
 }
 
 // WithLanes allocates lane capacity for n-way batched execution (n <= 1
-// means no lane state; n is capped by MaxLanes at construction). Capacity
-// is occupancy-independent: a chip built for 8 lanes runs any batch of 1-8
+// means one lane; n is capped by MaxLanes at construction). Capacity is
+// occupancy-independent: a chip built for 8 lanes runs any batch of 1-8
 // (SetLanes) without reallocation.
 func WithLanes(n int) ChipOption {
 	return func(ch *Chip) { ch.lanesCap = n }
@@ -69,53 +71,51 @@ func (ch *Chip) SetLanes(b int) error {
 	return nil
 }
 
-// InitGlobalLane writes an initialization segment into lane l's private
-// global-memory image (l >= 1; lane 0 is the chip's primary global memory,
-// staged via InitGlobal).
-func (ch *Chip) InitGlobalLane(l int, seg GlobalSegment) error {
-	if l < 1 || l > len(ch.laneGlobal) {
-		return fmt.Errorf("sim: lane %d out of range [1, %d]", l, len(ch.laneGlobal))
+// laneGlobal returns lane l's global memory after checking that l is
+// allocated and [addr, addr+size) lies inside it.
+func (ch *Chip) laneGlobal(l, addr, size int) ([]byte, error) {
+	if l < 0 || l >= len(ch.global) {
+		return nil, fmt.Errorf("sim: lane %d out of range [0, %d)", l, len(ch.global))
 	}
-	g := ch.laneGlobal[l-1]
-	if seg.Addr < 0 || seg.Addr+len(seg.Data) > len(g) {
-		return fmt.Errorf("sim: lane %d global segment [%d, %d) exceeds %d bytes",
-			l, seg.Addr, seg.Addr+len(seg.Data), len(g))
+	g := ch.global[l]
+	if err := checkSpan("global", addr, size, len(g)); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// InitGlobalLane writes an initialization segment into lane l's global
+// memory only, on top of whatever InitGlobal mirrored there.
+func (ch *Chip) InitGlobalLane(l int, seg GlobalSegment) error {
+	g, err := ch.laneGlobal(l, seg.Addr, len(seg.Data))
+	if err != nil {
+		return err
 	}
 	copy(g[seg.Addr:], seg.Data)
 	return nil
 }
 
-// ReadGlobalLane copies a region of lane l's global memory after execution;
-// lane 0 reads the chip's primary global memory.
+// ReadGlobalLane copies a region of lane l's global memory after execution.
 func (ch *Chip) ReadGlobalLane(l, addr, size int) ([]byte, error) {
-	if l == 0 {
-		return ch.ReadGlobal(addr, size)
-	}
-	if l < 1 || l > len(ch.laneGlobal) {
-		return nil, fmt.Errorf("sim: lane %d out of range [0, %d]", l, len(ch.laneGlobal))
-	}
-	g := ch.laneGlobal[l-1]
-	if addr < 0 || addr+size > len(g) {
-		return nil, fmt.Errorf("sim: lane %d global read [%d, %d) out of bounds", l, addr, addr+size)
+	g, err := ch.laneGlobal(l, addr, size)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, size)
 	copy(out, g[addr:])
 	return out, nil
 }
 
-// DivergedLanes returns the lanes (ascending) that hit the divergence
-// fallback during the last Run; their outputs are invalid and must be
-// re-run serially.
+// DivergedLanes returns the lanes (ascending) that diverged during the last
+// Run; their outputs are invalid and must be re-run on their own.
 func (ch *Chip) DivergedLanes() []int {
 	mask := ch.divergedMask.Load()
 	if mask == 0 {
 		return nil
 	}
 	out := make([]int, 0, bits.OnesCount64(mask))
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			out = append(out, l)
-		}
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
 	}
 	return out
 }
@@ -133,467 +133,33 @@ func (ch *Chip) divergeLane(l int) {
 	}
 }
 
-// decLaneHandlers is the lane-batched dispatch table Run installs when the
-// batch occupancy exceeds one. Kinds with no lane-private data effects
-// (control flow, scalar ALU, special registers, barriers) reuse the plain
-// predecoded handlers — registers are lane-shared, so executing them once
-// is executing them for every lane.
-var decLaneHandlers = [isa.NumKinds]decHandler{
-	isa.KindNOP:     decNOP,
-	isa.KindHALT:    decHALT,
-	isa.KindJMP:     decJMP,
-	isa.KindBranch:  decBranch,
-	isa.KindScALU:   decScALU,
-	isa.KindScALUI:  decScALUI,
-	isa.KindScLUI:   decScLUI,
-	isa.KindScMTS:   decScMTS,
-	isa.KindScMFS:   decScMFS,
-	isa.KindScMem:   decScMemLanes,
-	isa.KindMemCpy:  decMemCpyLanes,
-	isa.KindVFill:   decVFillLanes,
-	isa.KindSend:    decSendLanes,
-	isa.KindRecv:    decRecvLanes,
-	isa.KindBarrier: decBarrier,
-	isa.KindCimLoad: decCimLoadLanes,
-	isa.KindCimMVM:  decCimMVMLanes,
-	isa.KindVec:     decVecLanes,
-}
-
-// decFusedRunLanes recurses through decLaneHandlers, so it cannot appear in
-// the composite literal above (initialization cycle).
-func init() { decLaneHandlers[isa.KindFusedRun] = decFusedRunLanes }
-
-// decFusedRunLanes replays a fused run's components through the lane table:
-// the head via its preserved Sub kind, then each successor via its own
-// kind. Stats and energy accumulate exactly as in decFusedRun.
-func decFusedRunLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	st, err := decLaneHandlers[d.Sub](c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
-	for n := int(d.SubN) - 1; n > 0; n-- {
-		d2 := &c.prog[c.pc]
-		k := d2.Kind
-		if k == isa.KindFusedRun {
-			k = d2.Sub
-		}
-		c.stats.Energy.FrontendPJ += c.frontPJ
-		c.stats.Instructions++
-		if st, err = decLaneHandlers[k](c, d2); st != stepOK || err != nil {
-			return st, err
-		}
-	}
-	return stepOK, nil
-}
-
-// decScMemLanes is the divergence guard and the lane data path for scalar
-// loads and stores. The address is captured before the lane-0 handler runs
-// (a load may overwrite its own address register); lane values are computed
-// after it (loads do not mutate memory, stores do not write registers).
-func decScMemLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	addr := c.reg(d.RS) + d.Imm
-	st, err := decScMem(c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
+// live returns the bitmap of lanes whose data plane the next micro-op must
+// update: the run's occupancy minus the lanes that have diverged. Handlers
+// walk it lowest bit first, so lane 0 — which never diverges, being the
+// lane the others are compared against — is always visited first:
+//
+//	for m := c.live(); m != 0; m &= m - 1 {
+//		l := bits.TrailingZeros64(m)
+func (c *core) live() uint64 {
 	ch := c.chip
-	size := d.MemSize
-	mask := ch.divergedMask.Load()
-	if addr >= GlobalBase {
-		g := addr - GlobalBase
-		if d.IsLoad {
-			if d.RT == isa.GZero {
-				return stepOK, nil // discarded value, nothing architectural
-			}
-			v0 := c.reg(d.RT)
-			for l := 1; l < ch.activeLanes; l++ {
-				if mask&(1<<uint(l)) != 0 {
-					continue
-				}
-				lg := ch.laneGlobal[l-1]
-				var v int32
-				if size == 4 {
-					v = int32(binary.LittleEndian.Uint32(lg[g:]))
-				} else {
-					v = int32(int8(lg[g]))
-				}
-				if v != v0 {
-					ch.divergeLane(l)
-					mask |= 1 << uint(l)
-				}
-			}
-		} else {
-			v := c.reg(d.RT)
-			for l := 1; l < ch.activeLanes; l++ {
-				if mask&(1<<uint(l)) != 0 {
-					continue
-				}
-				lg := ch.laneGlobal[l-1]
-				if size == 4 {
-					binary.LittleEndian.PutUint32(lg[g:], uint32(v))
-				} else {
-					lg[g] = byte(v)
-				}
-			}
-		}
-		return stepOK, nil
-	}
-	if d.IsLoad {
-		if d.RT == isa.GZero {
-			return stepOK, nil
-		}
-		v0 := c.reg(d.RT)
-		for l := 1; l < ch.activeLanes; l++ {
-			if mask&(1<<uint(l)) != 0 {
-				continue
-			}
-			ll := c.lanes[l-1].local
-			var v int32
-			if size == 4 {
-				v = int32(binary.LittleEndian.Uint32(ll[addr:]))
-			} else {
-				v = int32(int8(ll[addr]))
-			}
-			if v != v0 {
-				ch.divergeLane(l)
-				mask |= 1 << uint(l)
-			}
-		}
-	} else {
-		v := c.reg(d.RT)
-		for l := 1; l < ch.activeLanes; l++ {
-			if mask&(1<<uint(l)) != 0 {
-				continue
-			}
-			ll := c.lanes[l-1].local
-			if size == 4 {
-				binary.LittleEndian.PutUint32(ll[addr:], uint32(v))
-			} else {
-				ll[addr] = byte(v)
-			}
-		}
-	}
-	return stepOK, nil
+	return ^uint64(0) >> (64 - uint(ch.activeLanes)) &^ ch.divergedMask.Load()
 }
 
-func decMemCpyLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	src := c.reg(d.RS)
-	dst := c.reg(d.RD) + d.Imm
-	size := c.reg(d.RT)
-	st, err := decMemCpy(c, d)
-	if st != stepOK || err != nil {
-		return st, err
+// plane returns lane l's image of the memory an address resolved to: its
+// global memory, or its local memory on this core.
+func (c *core) plane(l int, global bool) []byte {
+	if global {
+		return c.chip.global[l]
 	}
-	ch := c.chip
-	srcGlobal, dstGlobal := src >= GlobalBase, dst >= GlobalBase
-	mask := ch.divergedMask.Load()
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue
-		}
-		var data []byte
-		if srcGlobal {
-			data = ch.laneGlobal[l-1][src-GlobalBase:][:size]
-		} else {
-			data = c.lanes[l-1].local[src:][:size]
-		}
-		if dstGlobal {
-			copy(ch.laneGlobal[l-1][dst-GlobalBase:], data)
-		} else {
-			copy(c.lanes[l-1].local[dst:], data)
-		}
-	}
-	return stepOK, nil
+	return c.images[l].local
 }
 
-func decVFillLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	dst := c.reg(d.RS)
-	size := c.reg(d.RT)
-	st, err := decVFill(c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
-	ch := c.chip
-	fill := byte(int8(d.Imm))
-	mask := ch.divergedMask.Load()
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue
-		}
-		region := c.lanes[l-1].local[dst : dst+size]
-		for i := range region {
-			region[i] = fill
-		}
-	}
-	return stepOK, nil
-}
-
-// decSendLanes attaches the extra lanes' payloads — one getPayload buffer
-// strided at the message size — to the message decSend just delivered.
-func decSendLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	src := c.reg(d.RS)
-	size := c.reg(d.RT)
-	st, err := decSend(c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
-	ch := c.chip
-	n := ch.activeLanes - 1
-	lanePay := ch.getPayload(size * int32(n))
-	mask := ch.divergedMask.Load()
-	for l := 1; l <= n; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue // a diverged lane's bytes are garbage either way
-		}
-		copy(lanePay[int32(l-1)*size:int32(l)*size], c.lanes[l-1].local[src:src+size])
-	}
-	ch.lastMsg.lanePay = lanePay
-	return stepOK, nil
-}
-
-// decRecvLanes copies the message's lane payloads into each lane's local
-// memory. The message is peeked before the lane-0 handler pops and recycles
-// it; the peeked value keeps the payload slices alive.
-func decRecvLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	src := int(c.reg(d.RD))
-	dst := c.reg(d.RS)
-	want := c.reg(d.RT)
-	msg, _ := c.chip.peek(src, c.id, d.Imm)
-	st, err := decRecv(c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
-	ch := c.chip
-	mask := ch.divergedMask.Load()
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue
-		}
-		copy(c.lanes[l-1].local[dst:dst+want], msg.lanePay[int32(l-1)*want:])
-	}
-	ch.putPayload(msg.lanePay)
-	return stepOK, nil
-}
-
-// decCimLoadLanes applies the weight write to every lane's macro group and
-// tracks whether a lane's weights still match lane 0's: while they do, the
-// MVM handler runs the shared multi-RHS kernel over lane 0's weights alone.
-func decCimLoadLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	mgIdx := int(c.reg(d.RT))
-	rows := c.reg(d.RE)
-	chans := c.reg(d.RD)
-	src := c.reg(d.RS)
-	st, err := decCimLoad(c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
-	ch := c.chip
-	groupChans := int32(c.groupChans)
-	rowOff := c.sregs[isa.SRegLoadRow]
-	chanOff := c.sregs[isa.SRegLoadChan]
-	w0 := c.mg[mgIdx]
-	mask := ch.divergedMask.Load()
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue
-		}
-		lane := &c.lanes[l-1]
-		w := lane.mg[mgIdx]
-		same := true
-		for row := int32(0); row < rows; row++ {
-			base := (rowOff+row)*groupChans + chanOff
-			srcBase := src + row*chans
-			seg := w[base : base+chans]
-			copy(seg, lane.local[srcBase:srcBase+chans])
-			if same && !bytes.Equal(seg, w0[base:base+chans]) {
-				same = false
-			}
-		}
-		if !same {
-			// Sticky: a later identical partial load cannot prove the rest
-			// of the group converged, so the per-lane MVM kernel stays on.
-			lane.mgDiv[mgIdx] = true
-		}
-	}
-	return stepOK, nil
-}
-
-// decCimMVMLanes is the multi-RHS hot path: the validation, gather shape,
-// stats, energy and timing mirror decCimMVM exactly (the differential lane
-// suite proves bit-identity on every zoo model x strategy), but a single
-// traversal of the packed weights multiply-accumulates every lane's input
-// when the lanes share lane 0's weights; lanes with divergent weights fall
-// back to per-lane traversals of their own copies.
-func decCimMVMLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	e := &c.chip.cfg.Energy
-	ch := c.chip
-	rows := c.reg(d.RT)
-	inAddr := c.reg(d.RS)
-	if rows <= 0 || rows > c.macroRows {
-		return stepOK, c.errf("mvm input length %d out of range (max %d)", rows, c.macroRows)
-	}
-	if int(d.MG) >= len(c.mg) {
-		return stepOK, c.errf("mvm targets macro group %d of %d", d.MG, len(c.mg))
-	}
-
-	// Gather input segments for every active lane.
-	segCount := c.sregs[isa.SRegSegCount]
-	if segCount <= 0 || rows%segCount != 0 {
-		return stepOK, c.errf("mvm length %d not divisible into %d segments", rows, segCount)
-	}
-	mask := ch.divergedMask.Load()
-	ins := c.laneIns[:0]
-	nr := 0
-	if segCount == 1 {
-		r, err := c.localRange(inAddr, rows)
-		if err != nil {
-			return stepOK, c.errf("mvm segment 0: %v", err)
-		}
-		c.rangeBuf[nr] = r
-		nr++
-		ins = append(ins, c.local[inAddr:inAddr+rows])
-		for l := 1; l < ch.activeLanes; l++ {
-			if mask&(1<<uint(l)) != 0 {
-				ins = append(ins, nil)
-				continue
-			}
-			ins = append(ins, c.lanes[l-1].local[inAddr:inAddr+rows])
-		}
-	} else {
-		segLen := rows / segCount
-		segStride := c.sregs[isa.SRegSegStride]
-		for s := int32(0); s < segCount; s++ {
-			base := inAddr + s*segStride
-			r, err := c.localRange(base, segLen)
-			if err != nil {
-				return stepOK, c.errf("mvm segment %d: %v", s, err)
-			}
-			if s == 0 || s == segCount-1 {
-				c.rangeBuf[nr] = r
-				nr++
-			}
-			copy(c.gather[s*segLen:], c.local[base:base+segLen])
-			for l := 1; l < ch.activeLanes; l++ {
-				if mask&(1<<uint(l)) != 0 {
-					continue
-				}
-				lane := &c.lanes[l-1]
-				copy(lane.gather[s*segLen:], lane.local[base:base+segLen])
-			}
-		}
-		ins = append(ins, c.gather[:rows])
-		for l := 1; l < ch.activeLanes; l++ {
-			if mask&(1<<uint(l)) != 0 {
-				ins = append(ins, nil)
-				continue
-			}
-			ins = append(ins, c.lanes[l-1].gather[:rows])
-		}
-	}
-
-	// Accumulators, per lane.
-	groupChans := c.groupChans
-	if !d.Accumulate {
-		clear(c.cimAcc)
-	}
-	accs := c.laneAccs[:0]
-	accs = append(accs, c.cimAcc)
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			accs = append(accs, nil)
-			continue
-		}
-		la := c.lanes[l-1].cimAcc
-		if !d.Accumulate {
-			clear(la)
-		}
-		accs = append(accs, la)
-	}
-
-	// One weight traversal computes every lane's products when all active
-	// lanes still share lane 0's weights for this group.
-	shared := true
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue
-		}
-		if c.lanes[l-1].mgDiv[d.MG] {
-			shared = false
-			break
-		}
-	}
-	if shared {
-		mvmSharedKernel(c, ins, accs, c.mg[d.MG], groupChans)
-	} else {
-		mvmLaneKernel(ins[0], c.mg[d.MG], accs[0], groupChans)
-		for l := 1; l < ch.activeLanes; l++ {
-			if ins[l] == nil {
-				continue
-			}
-			mvmLaneKernel(ins[l], c.lanes[l-1].mg[d.MG], accs[l], groupChans)
-		}
-	}
-	macs := int64(rows) * int64(groupChans)
-	c.stats.MACs += macs
-	c.stats.Energy.CIMComputePJ += float64(macs) * e.CIMMACpJ
-	c.stats.Energy.LocalMemPJ += float64(rows) * e.LocalMemPJPerByte
-
-	// Writeback, per lane.
-	var wbBytes int32
-	outAddr := c.reg(d.RE)
-	if d.Writeback || d.WriteRaw {
-		outChans := c.sregs[isa.SRegOutChans]
-		if outChans <= 0 || outChans > int32(groupChans) {
-			outChans = int32(groupChans)
-		}
-		elem := int32(1)
-		if d.WriteRaw {
-			elem = 4
-		}
-		wbBytes = outChans * elem
-		r, err := c.localRange(outAddr, wbBytes)
-		if err != nil {
-			return stepOK, c.errf("mvm writeback: %v", err)
-		}
-		c.rangeBuf[nr] = r
-		nr++
-		qmul := c.sregs[isa.SRegQuantMul]
-		qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
-		for k, acc := range accs {
-			if acc == nil {
-				continue
-			}
-			local := c.local
-			if k > 0 {
-				local = c.lanes[k-1].local
-			}
-			for chn := int32(0); chn < outChans; chn++ {
-				sum := acc[chn]
-				if d.WriteRaw {
-					binary.LittleEndian.PutUint32(local[outAddr+chn*4:], uint32(sum))
-				} else {
-					v := tensor.Requant(sum, qmul, qshift)
-					if d.Relu && v < 0 {
-						v = 0
-					}
-					local[outAddr+chn] = byte(v)
-				}
-			}
-		}
-		c.stats.Energy.LocalMemPJ += float64(wbBytes) * e.LocalMemPJPerByte
-	}
-
-	ranges := c.rangeBuf[:nr]
-	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], ranges)
-	occ := c.mvmOcc
-	if stream := (int64(rows) + c.bw - 1) / c.bw; stream > occ {
-		occ = stream
-	}
-	done := issue + c.mvmLat + (int64(wbBytes)+c.bw-1)/c.bw
-	c.retire(isa.UnitCIM, issue, occ, done, ranges)
-	c.time = issue + 1
-	c.pc++
-	return stepOK, nil
+// mvmOperand is one live lane's view of an MVM in flight: the gathered
+// input vector, the accumulator, and the image both belong to.
+type mvmOperand struct {
+	in  []byte
+	acc []int32
+	im  *image
 }
 
 // mvmSharedKernel is the multi-RHS MAC loop: one traversal of a packed
@@ -601,22 +167,18 @@ func decCimMVMLanes(c *core, d *isa.Decoded) (stepStatus, error) {
 // in lockstep across lanes, so a weight row touched by several lanes is
 // read again while still cache-hot, and 8-row runs that are zero in every
 // lane are skipped with one OR over the lanes' input words. Each lane with
-// a nonzero value runs the same tight per-row body as the serial kernel —
+// a nonzero value runs the same tight per-row body as mvmLaneKernel —
 // quantized activations are mostly zero, so most union rows have a single
 // active lane, and an inner per-word lane loop would pay its accumulator
 // re-slicing on every 8-channel word instead of once per row (profiling
-// showed that shape costing ~2x the serial kernel per lane).
-// ins[l]/accs[l] are nil for diverged lanes.
-func mvmSharedKernel(c *core, ins [][]byte, accs [][]int32, w []byte, groupChans int) {
-	rows := len(ins[0])
+// showed that shape costing ~2x the one-lane kernel per lane).
+func mvmSharedKernel(ops []mvmOperand, w []byte, groupChans int) {
+	rows := len(ops[0].in)
 	for row := 0; row < rows; {
 		if row+8 <= rows {
 			var or8 uint64
-			for _, in := range ins {
-				if in == nil {
-					continue
-				}
-				or8 |= binary.LittleEndian.Uint64(in[row:])
+			for i := range ops {
+				or8 |= binary.LittleEndian.Uint64(ops[i].in[row:])
 			}
 			if or8 == 0 {
 				row += 8
@@ -625,33 +187,11 @@ func mvmSharedKernel(c *core, ins [][]byte, accs [][]int32, w []byte, groupChans
 		}
 		base := row * groupChans
 		wRow := w[base : base+groupChans]
-		for l, in := range ins {
-			if in == nil {
-				continue
-			}
-			if iv := int32(int8(in[row])); iv != 0 {
-				mvmRow(iv, wRow, accs[l])
+		for i := range ops {
+			if iv := int32(int8(ops[i].in[row])); iv != 0 {
+				mvmRow(iv, wRow, ops[i].acc)
 			}
 		}
 		row++
 	}
-}
-
-// decVecLanes replays the validated SIMD operation on every lane's local
-// memory; vector operations read and write no registers, so the operands
-// are still intact after the lane-0 handler.
-func decVecLanes(c *core, d *isa.Decoded) (stepStatus, error) {
-	st, err := decVec(c, d)
-	if st != stepOK || err != nil {
-		return st, err
-	}
-	ch := c.chip
-	mask := ch.divergedMask.Load()
-	for l := 1; l < ch.activeLanes; l++ {
-		if mask&(1<<uint(l)) != 0 {
-			continue
-		}
-		vecApply(c, d, c.lanes[l-1].local)
-	}
-	return stepOK, nil
 }

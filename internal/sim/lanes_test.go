@@ -3,98 +3,278 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"cimflow/internal/arch"
 	"cimflow/internal/isa"
 )
 
-// laneTestProgram moves data through every lane-private surface without
-// touching a scalar load of lane-varying data: 32 input bytes are copied
-// from global memory into local, doubled with a SIMD add, and copied back
-// out, so per-lane outputs depend on per-lane inputs while control flow
-// stays lane-uniform.
-func laneTestProgram() []isa.Instruction {
-	prog := []isa.Instruction{}
-	prog = append(prog, isa.LI(1, GlobalBase)...)    // global input
-	prog = append(prog, isa.LI(2, 0)...)             // local staging
-	prog = append(prog, isa.LI(3, 32)...)            // size
-	prog = append(prog, isa.LI(4, GlobalBase+64)...) // global output
-	prog = append(prog, isa.LI(5, 64)...)            // local result
-	prog = append(prog,
-		isa.MemCpy(2, 1, 3, 0),           // local[0:32] = global[0:32]
-		isa.Vec(isa.VFnAdd8, 5, 2, 2, 3), // local[64:96] = 2*local[0:32]
-		isa.MemCpy(4, 5, 3, 0),           // global[64:96] = local[64:96]
-		isa.Halt(),
-	)
-	return prog
+// laneCase is one hand-assembled program of the lane differential. Every
+// case reads a lane's 64 input bytes from global[0:64] (plus lane-uniform
+// data at global[128:], when it has any) and leaves its result in
+// global[256:256+outSize]; no case loads lane-varying data into a register,
+// so control flow stays lane-uniform and no lane may diverge.
+type laneCase struct {
+	name    string
+	progs   []Program
+	uniform []byte // staged at global[128:] in every lane
+	outSize int
+	// check inspects the lane chip after its run (white-box: which MAC
+	// kernel the weights selected).
+	check func(t *testing.T, ch *Chip)
 }
 
-// TestLaneDataEquivalence proves the lane data plane end to end at the sim
-// layer: three inputs run as one 3-lane batch, and every lane's output must
-// be byte-identical to a serial single-input run of the same program, with
-// identical cycles and energy (timing is shared across lanes).
-func TestLaneDataEquivalence(t *testing.T) {
-	cfg := testConfig()
-	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 1
-	prog := laneTestProgram()
+const (
+	laneIn       = 0   // global offset of a lane's input
+	laneUniform  = 128 // global offset of lane-uniform data
+	laneOut      = 256 // global offset of a lane's result
+	laneMemBytes = 512 // global bytes the cases need
+)
 
-	inputs := make([][]byte, 3)
-	for l := range inputs {
-		in := make([]byte, 32)
-		for i := range in {
-			in[i] = byte(17*l + 3*i + 1)
-		}
-		inputs[l] = in
+// seq concatenates instruction fragments (isa.LI returns one) into a stream.
+func seq(parts ...[]isa.Instruction) []isa.Instruction {
+	var out []isa.Instruction
+	for _, p := range parts {
+		out = append(out, p...)
 	}
+	return out
+}
 
-	// Reference: one serial chip per input.
-	refOut := make([][]byte, len(inputs))
-	var refStats *Stats
-	for l, in := range inputs {
-		ch, err := NewChip(&cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch.EnsureGlobal(128)
-		if err := ch.LoadProgram(Program{Core: 0, Code: prog}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: in}); err != nil {
-			t.Fatal(err)
-		}
-		stats, err := ch.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		refOut[l], err = ch.ReadGlobal(64, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l == 0 {
-			refStats = stats
-		} else if stats.Cycles != refStats.Cycles {
-			t.Fatalf("reference runs disagree on cycles: %d vs %d", stats.Cycles, refStats.Cycles)
+// one wraps single instructions as a fragment for seq.
+func one(ins ...isa.Instruction) []isa.Instruction { return ins }
+
+// copyIn is global[from:from+n] -> local[to:], copyOut the reverse; both
+// clobber G1-G3.
+func copyIn(to, from, n int32) []isa.Instruction {
+	return seq(isa.LI(1, to), isa.LI(2, GlobalBase+from), isa.LI(3, n), one(isa.MemCpy(1, 2, 3, 0)))
+}
+
+func copyOut(to, from, n int32) []isa.Instruction {
+	return seq(isa.LI(1, GlobalBase+to), isa.LI(2, from), isa.LI(3, n), one(isa.MemCpy(1, 2, 3, 0)))
+}
+
+// setSReg is S[sreg] = v through G1.
+func setSReg(sreg int, v int32) []isa.Instruction {
+	return seq(isa.LI(1, v), one(isa.MTS(sreg, 1)))
+}
+
+// weightsAreShared asserts which MAC kernel core 0's macro group 0 selects:
+// lanes that loaded lane 0's weights stay on the shared kernel, lanes that
+// loaded their own are flagged divergent.
+func weightsAreShared(want bool) func(*testing.T, *Chip) {
+	return func(t *testing.T, ch *Chip) {
+		t.Helper()
+		for l := 1; l < ch.activeLanes; l++ {
+			if got := !ch.cores[0].images[l].mgDiv[0]; got != want {
+				t.Errorf("lane %d: weights shared with lane 0 = %v, want %v", l, got, want)
+			}
 		}
 	}
+}
 
-	// Lane-batched: one chip, three lanes; built with spare capacity so the
-	// occupancy < capacity path is covered too.
-	ch, err := NewChip(&cfg, WithLanes(4))
+func laneCases() []laneCase {
+	// 16x8 lane-uniform weights, small enough that 16 rows never saturate
+	// the requantized output.
+	weights := make([]byte, 16*8)
+	for i := range weights {
+		weights[i] = byte(int8(i%7 - 3))
+	}
+	// loadWeights is CIM_LOAD of rows x 8 weights from local[from:] into
+	// macro group 0; mvm multiplies local[in:in+rows] (gathered per the
+	// segment registers) and writes channel results to local[out:].
+	loadWeights := func(from, rows int32) []isa.Instruction {
+		return seq(isa.LI(1, from), isa.LI(2, rows), isa.LI(3, 8), one(isa.CimLoad(0, 1, 2, 3)))
+	}
+	mvm := func(in, rows, out int32, flags uint16) []isa.Instruction {
+		return seq(isa.LI(1, in), isa.LI(2, rows), isa.LI(3, out), one(isa.CimMVM(1, 2, 3, isa.MVMFlags(0, flags))))
+	}
+	halt := one(isa.Halt())
+	quant := seq(setSReg(isa.SRegQuantMul, 1), setSReg(isa.SRegQuantShift, 5), setSReg(isa.SRegOutChans, 8))
+
+	return []laneCase{
+		{
+			// 32 input bytes copied in, doubled with a SIMD add, copied out.
+			name: "memcpy+vec",
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 32),
+				isa.LI(1, 0), isa.LI(3, 32), isa.LI(5, 64),
+				one(isa.Vec(isa.VFnAdd8, 5, 1, 1, 3)),
+				copyOut(laneOut, 64, 32),
+				halt,
+			)}},
+			outSize: 32,
+		},
+		{
+			// Core 0 forwards its lane-varying input to core 1, which
+			// doubles it and writes it out: the strided message payload.
+			name: "send/recv",
+			progs: []Program{
+				{Core: 0, Code: seq(
+					copyIn(0, laneIn, 32),
+					isa.LI(1, 0), isa.LI(2, 32), isa.LI(3, 1),
+					one(isa.Send(1, 2, 3, 7)),
+					halt,
+				)},
+				{Core: 1, Code: seq(
+					isa.LI(1, 64), isa.LI(2, 32), isa.LI(3, 0),
+					one(isa.Recv(1, 2, 3, 7)),
+					isa.LI(5, 128),
+					one(isa.Vec(isa.VFnAdd8, 5, 1, 1, 2)),
+					copyOut(laneOut, 128, 32),
+					halt,
+				)},
+			},
+			outSize: 32,
+		},
+		{
+			// Every lane loads the same weights: one shared traversal.
+			name:    "cim_load uniform weights",
+			uniform: weights,
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 16), copyIn(512, laneUniform, 128), quant,
+				loadWeights(512, 16),
+				mvm(0, 16, 1024, isa.MVMFlagWriteback|isa.MVMFlagRelu),
+				copyOut(laneOut, 1024, 8),
+				halt,
+			)}},
+			outSize: 8,
+			check:   weightsAreShared(true),
+		},
+		{
+			// Each lane loads 4x8 weights out of its own input bytes: the
+			// groups diverge and every lane traverses its own copy.
+			name: "cim_load lane-varying weights",
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 64), setSReg(isa.SRegOutChans, 8),
+				loadWeights(0, 4),
+				mvm(32, 4, 1024, isa.MVMFlagWriteRaw),
+				copyOut(laneOut, 1024, 32),
+				halt,
+			)}},
+			outSize: 32,
+			check:   weightsAreShared(false),
+		},
+		{
+			// A two-segment gather (local[0:8] and local[24:32]) written back
+			// raw, then accumulated onto itself and written back requantized.
+			name:    "gather mvm raw+requant",
+			uniform: weights,
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 64), copyIn(512, laneUniform, 128), quant,
+				loadWeights(512, 16),
+				setSReg(isa.SRegSegCount, 2), setSReg(isa.SRegSegStride, 24),
+				mvm(0, 16, 1024, isa.MVMFlagWriteRaw),
+				mvm(0, 16, 1056, isa.MVMFlagAccumulate|isa.MVMFlagWriteback),
+				copyOut(laneOut, 1024, 40),
+				halt,
+			)}},
+			outSize: 40,
+			check:   weightsAreShared(true),
+		},
+		{
+			// A constant fill in the middle of lane-varying bytes.
+			name: "vfill",
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 32),
+				isa.LI(1, 8), isa.LI(2, 16),
+				one(isa.VFill(1, 2, -3)),
+				copyOut(laneOut, 0, 32),
+				halt,
+			)}},
+			outSize: 32,
+		},
+		{
+			// A lane-uniform word stored to global and local memory and
+			// loaded back into registers: every lane holds the same value,
+			// so the loads must not flag divergence. The reloaded values are
+			// stored next to 16 lane-varying bytes.
+			name: "scalar store+load",
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 16), copyOut(laneOut, 0, 16),
+				isa.LI(4, GlobalBase+laneOut), isa.LI(5, 0x01234567), isa.LI(6, 200),
+				one(
+					isa.Store(5, 4, 100), // global scratch
+					isa.Load(7, 4, 100),
+					isa.Store(7, 4, 16),
+					isa.Store(5, 6, 0), // local scratch
+					isa.Load(8, 6, 0),
+					isa.Store(8, 4, 20),
+					isa.Instruction{Op: isa.OpScSB, RT: 7, RS: 4, Imm: 24},
+					isa.Instruction{Op: isa.OpScLB, RT: 9, RS: 4, Imm: 24},
+					isa.Store(9, 4, 28),
+				),
+				halt,
+			)}},
+			outSize: 32,
+		},
+	}
+}
+
+// laneInput is lane l's 64 input bytes: lane-varying values with one run of
+// eight zeros private to the lane and one shared by all lanes, so the MAC
+// kernels' zero-run skipping sees both.
+func laneInput(l int) []byte {
+	in := make([]byte, 64)
+	for i := range in {
+		in[i] = byte((17*l + 3*i + 1) % 251)
+	}
+	clear(in[8*l : 8*l+8])
+	clear(in[40:48])
+	return in
+}
+
+// stage builds a chip for a lane case, loads its programs and the uniform
+// data, and returns it ready for per-lane inputs.
+func (lc *laneCase) stage(t *testing.T, cfg *arch.Config, opts ...ChipOption) *Chip {
+	t.Helper()
+	ch, err := NewChip(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.EnsureGlobal(128)
-	if err := ch.LoadProgram(Program{Core: 0, Code: prog}); err != nil {
+	ch.EnsureGlobal(laneMemBytes)
+	for _, p := range lc.progs {
+		if err := ch.LoadProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ch.InitGlobal(GlobalSegment{Addr: laneUniform, Data: lc.uniform}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.SetLanes(3); err != nil {
+	return ch
+}
+
+// runAlone runs one input through a one-lane chip built with opts and
+// returns its output bytes and report.
+func (lc *laneCase) runAlone(t *testing.T, cfg *arch.Config, in []byte, opts ...ChipOption) ([]byte, *Stats) {
+	t.Helper()
+	ch := lc.stage(t, cfg, opts...)
+	if err := ch.InitGlobal(GlobalSegment{Addr: laneIn, Data: in}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: inputs[0]}); err != nil {
+	stats, err := ch.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	for l := 1; l < 3; l++ {
-		if err := ch.InitGlobalLane(l, GlobalSegment{Addr: 0, Data: inputs[l]}); err != nil {
+	out, err := ch.ReadGlobal(laneOut, lc.outSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, stats
+}
+
+// runLanes stages inputs one per lane on ch (already Reset when reused),
+// runs it, and checks every lane's output against want and the report
+// against wantStats, which is lane-count-agnostic apart from Stats.Lanes.
+func (lc *laneCase) runLanes(t *testing.T, ch *Chip, inputs, want [][]byte, wantStats *Stats) {
+	t.Helper()
+	if err := ch.SetLanes(len(inputs)); err != nil {
+		t.Fatal(err)
+	}
+	for l, in := range inputs {
+		if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: in}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,49 +282,118 @@ func TestLaneDataEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Lanes != 3 || stats.DivergedLanes != 0 {
-		t.Fatalf("stats: lanes %d diverged %d, want 3 and 0", stats.Lanes, stats.DivergedLanes)
+	if got := ch.DivergedLanes(); len(got) != 0 || stats.DivergedLanes != 0 {
+		t.Fatalf("diverged lanes %v (stats %d), want none", got, stats.DivergedLanes)
 	}
-	if got := ch.DivergedLanes(); len(got) != 0 {
-		t.Fatalf("unexpected diverged lanes %v", got)
+	if stats.Lanes != len(inputs) {
+		t.Errorf("stats.Lanes = %d, want %d", stats.Lanes, len(inputs))
 	}
-	if stats.Cycles != refStats.Cycles || stats.Instructions != refStats.Instructions ||
-		stats.Energy != refStats.Energy {
-		t.Errorf("lane-batched timing differs from serial: cycles %d vs %d", stats.Cycles, refStats.Cycles)
+	timing := *stats
+	timing.Lanes = wantStats.Lanes
+	if !reflect.DeepEqual(&timing, wantStats) {
+		t.Errorf("lane run report differs from a one-lane run\nlanes: %+v\nalone: %+v", &timing, wantStats)
 	}
-	for l := 0; l < 3; l++ {
-		out, err := ch.ReadGlobalLane(l, 64, 32)
+	for l := range inputs {
+		out, err := ch.ReadGlobalLane(l, laneOut, lc.outSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out, refOut[l]) {
-			t.Errorf("lane %d output differs from serial run:\nlane   %v\nserial %v", l, out, refOut[l])
+		if !bytes.Equal(out, want[l]) {
+			t.Errorf("lane %d output differs from its one-lane run:\nlane  %v\nalone %v", l, out, want[l])
 		}
 	}
+}
 
-	// Pooled rerun at shrunk occupancy: Reset + SetLanes(2) with swapped
-	// inputs must reproduce the serial results again (no stale lane state).
-	ch.Reset()
-	if err := ch.SetLanes(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: inputs[2]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.InitGlobalLane(1, GlobalSegment{Addr: 0, Data: inputs[1]}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ch.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for l, want := range [][]byte{refOut[2], refOut[1]} {
-		out, err := ch.ReadGlobalLane(l, 64, 32)
-		if err != nil {
-			t.Fatal(err)
+// TestLaneDataEquivalence is the sim-level lane differential. For each
+// hand-assembled case — together they drive every handler with a per-lane
+// data effect, both MAC kernels and the strided message payload — three
+// inputs run as one 3-lane batch on a 4-lane chip, and every lane must equal
+// a fresh one-lane chip and a reference-interpreter chip on the same input,
+// byte for byte and cycle for cycle (the full report: energy, per-core
+// stats, NoC traffic), under the serial and the parallel scheduler. A pooled
+// rerun at shrunk occupancy with swapped inputs must reproduce them again.
+func TestLaneDataEquivalence(t *testing.T) {
+	cfg := testConfig()
+	inputs := [][]byte{laneInput(0), laneInput(1), laneInput(2)}
+	for _, lc := range laneCases() {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", lc.name, workers), func(t *testing.T) {
+				want := make([][]byte, len(inputs))
+				var wantStats *Stats
+				for l, in := range inputs {
+					out, stats := lc.runAlone(t, &cfg, in, WithWorkers(workers))
+					refOut, refStats := lc.runAlone(t, &cfg, in, WithLegacyInterpreter())
+					if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
+						t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v\nstats %+v\nref   %+v",
+							l, out, refOut, stats, refStats)
+					}
+					if l > 0 && !reflect.DeepEqual(stats, wantStats) {
+						t.Fatalf("input %d: one-lane timing depends on the data; the case is not lane-uniform", l)
+					}
+					want[l], wantStats = out, stats
+				}
+
+				// Spare capacity covers occupancy < capacity.
+				ch := lc.stage(t, &cfg, WithLanes(4), WithWorkers(workers))
+				lc.runLanes(t, ch, inputs, want, wantStats)
+				if lc.check != nil {
+					lc.check(t, ch)
+				}
+
+				// Pooled rerun: no stale lane state may survive Reset.
+				ch.Reset()
+				lc.runLanes(t, ch, [][]byte{inputs[2], inputs[1]}, [][]byte{want[2], want[1]}, wantStats)
+			})
 		}
-		if !bytes.Equal(out, want) {
-			t.Errorf("pooled rerun lane %d output differs from serial run", l)
-		}
+	}
+}
+
+// TestLaneTraceMatchesUntraced: the Trace hook observes the shared timing
+// plane, so a traced 2-lane run returns the same per-lane outputs and
+// report as the untraced one and fires once per architectural instruction.
+func TestLaneTraceMatchesUntraced(t *testing.T) {
+	cfg := testConfig()
+	inputs := [][]byte{laneInput(0), laneInput(1)}
+	for _, lc := range laneCases() {
+		t.Run(lc.name, func(t *testing.T) {
+			run := func(traced bool) ([][]byte, *Stats, int64) {
+				ch := lc.stage(t, &cfg, WithLanes(2))
+				var calls int64
+				if traced {
+					ch.Trace = func(int, int, isa.Instruction, int64) { calls++ }
+				}
+				if err := ch.SetLanes(2); err != nil {
+					t.Fatal(err)
+				}
+				for l, in := range inputs {
+					if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: in}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				stats, err := ch.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs := make([][]byte, 2)
+				for l := range outs {
+					if outs[l], err = ch.ReadGlobalLane(l, laneOut, lc.outSize); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return outs, stats, calls
+			}
+			outs, stats, _ := run(false)
+			tracedOuts, tracedStats, calls := run(true)
+			if !reflect.DeepEqual(outs, tracedOuts) {
+				t.Errorf("traced outputs differ:\nuntraced %v\ntraced   %v", outs, tracedOuts)
+			}
+			if !reflect.DeepEqual(stats, tracedStats) {
+				t.Errorf("traced report differs:\nuntraced %+v\ntraced   %+v", stats, tracedStats)
+			}
+			if calls != stats.Instructions {
+				t.Errorf("trace hook fired %d times for %d instructions", calls, stats.Instructions)
+			}
+		})
 	}
 }
 
@@ -199,7 +448,7 @@ func TestLaneDivergenceDetection(t *testing.T) {
 	}
 }
 
-// TestLaneStepAllocs is the lane-batched twin of TestStepDecodedZeroAllocs:
+// TestLaneStepAllocs is the 4-lane twin of TestStepDecodedZeroAllocs:
 // once warm, stepping the full 4-lane data plane through the vector,
 // transfer and CIM units must not allocate — every per-lane slice is a view
 // of state preallocated at chip construction.
@@ -213,7 +462,6 @@ func TestLaneStepAllocs(t *testing.T) {
 	if err := ch.SetLanes(4); err != nil {
 		t.Fatal(err)
 	}
-	ch.handlers = &decLaneHandlers // Run installs this; the test steps directly
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
 	prog = append(prog, isa.LI(2, 64)...)
@@ -246,5 +494,78 @@ func TestLaneStepAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20000, step); avg != 0 {
 		t.Errorf("steady-state lane step allocates %.4f objects/op, want 0", avg)
+	}
+}
+
+// TestAccessorBounds: every host-side memory accessor rejects a span that
+// leaves its memory — negative sizes (which used to slip past the
+// addr+size check into a panicking make) and overflowing ends included —
+// and a lane that is not allocated.
+func TestAccessorBounds(t *testing.T) {
+	cfg := testConfig()
+	ch, err := NewChip(&cfg, WithLanes(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxInt = int(^uint(0) >> 1)
+	errNotASegment := errors.New("span not expressible as a GlobalSegment")
+	accessors := []struct {
+		name string
+		n    int // size of the memory accessed
+		do   func(addr, size int) error
+	}{
+		{"ReadGlobal", cfg.Chip.GlobalMemBytes, func(addr, size int) error {
+			_, err := ch.ReadGlobal(addr, size)
+			return err
+		}},
+		{"ReadGlobalLane", cfg.Chip.GlobalMemBytes, func(addr, size int) error {
+			_, err := ch.ReadGlobalLane(1, addr, size)
+			return err
+		}},
+		{"ReadLocal", cfg.Core.LocalMemBytes, func(addr, size int) error {
+			_, err := ch.ReadLocal(0, addr, size)
+			return err
+		}},
+		{"InitGlobalLane", cfg.Chip.GlobalMemBytes, func(addr, size int) error {
+			if size < 0 || size > 64 {
+				return errNotASegment // the size is len(Data)
+			}
+			return ch.InitGlobalLane(1, GlobalSegment{Addr: addr, Data: make([]byte, size)})
+		}},
+	}
+	for _, a := range accessors {
+		spans := []struct {
+			name       string
+			addr, size int
+			ok         bool
+		}{
+			{"start", 0, 16, true},
+			{"end", a.n - 16, 16, true},
+			{"empty at end", a.n, 0, true},
+			{"negative size", 0, -1, false},
+			{"negative size cancelling addr", 8, -8, false},
+			{"negative addr", -1, 1, false},
+			{"one past end", a.n - 15, 16, false},
+			{"addr past end", a.n + 1, 0, false},
+			{"end overflows", maxInt, 16, false},
+			{"size overflows", 16, maxInt, false},
+		}
+		for _, sp := range spans {
+			err := a.do(sp.addr, sp.size)
+			if err == errNotASegment {
+				continue
+			}
+			if (err == nil) != sp.ok {
+				t.Errorf("%s %s [%d, +%d): err = %v, want ok=%v", a.name, sp.name, sp.addr, sp.size, err, sp.ok)
+			}
+		}
+	}
+	for _, l := range []int{-1, 2} {
+		if _, err := ch.ReadGlobalLane(l, 0, 1); err == nil {
+			t.Errorf("ReadGlobalLane accepted lane %d of 2", l)
+		}
+		if err := ch.InitGlobalLane(l, GlobalSegment{Data: []byte{1}}); err == nil {
+			t.Errorf("InitGlobalLane accepted lane %d of 2", l)
+		}
 	}
 }

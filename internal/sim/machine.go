@@ -42,12 +42,11 @@ type GlobalSegment struct {
 	Data []byte
 }
 
-// message is an in-flight or delivered core-to-core transfer. Under
-// lane-batched execution (lanes.go) lanePay carries the extra lanes' data
-// strided at the payload size: lane l's bytes live at [(l-1)*size, l*size).
+// message is an in-flight or delivered core-to-core transfer. The payload
+// carries every lane of the run strided at the message size: lane l's bytes
+// live at [l*size, (l+1)*size).
 type message struct {
 	payload []byte
-	lanePay []byte
 	arrival int64
 }
 
@@ -63,24 +62,6 @@ type msgKey struct {
 type msgQueue struct {
 	msgs []message
 	head int
-}
-
-// codeHash is an FNV-1a digest over an instruction stream's contents. Run
-// compares it against the hash recorded when the core's program was
-// predecoded, so code swapped or mutated in place behind LoadProgram's
-// back (white-box tests do both) is re-predecoded instead of silently
-// executing stale micro-ops. One pass over at most a few thousand
-// instructions per Run is noise next to the simulation itself.
-func codeHash(code []isa.Instruction) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := range code {
-		in := &code[i]
-		h = (h ^ (uint64(in.Op) | uint64(in.Funct)<<8 | uint64(in.RS)<<16 | uint64(in.RT)<<24 |
-			uint64(in.RE)<<32 | uint64(in.RD)<<40 | uint64(in.Flags)<<48)) * prime
-		h = (h ^ uint64(uint32(in.Imm))) * prime
-	}
-	return h
 }
 
 func (q *msgQueue) empty() bool { return q.head >= len(q.msgs) }
@@ -134,9 +115,11 @@ func (ch *Chip) putPayload(b []byte) {
 
 // Chip is one simulation instance.
 type Chip struct {
-	cfg    *arch.Config
-	mesh   *noc.Mesh
-	global []byte
+	cfg  *arch.Config
+	mesh *noc.Mesh
+	// global[l] is lane l's global memory (see lanes.go); all lanes are
+	// the same size.
+	global [][]byte
 	cores  []*core
 	// legacy selects the original instruction-at-a-time interpreter over
 	// the predecoded dispatch loop (see WithLegacyInterpreter).
@@ -163,21 +146,14 @@ type Chip struct {
 	barrierID    uint16
 	barrierArmed bool
 
-	// Lane-batched execution state (see lanes.go). lanesCap is the
-	// allocated lane capacity (WithLanes); activeLanes is the occupancy of
-	// the Run in flight (SetLanes, 1 outside lane mode); laneGlobal[l-1] is
-	// lane l's private global-memory image (lane 0 uses ch.global);
-	// divergedMask is the sticky per-lane divergence bitmap, atomic because
-	// window workers and the commit loop flag divergence concurrently;
-	// handlers is the dispatch table Run selected (serial or lane-batched);
-	// lastMsg points at the queue slot deliver just pushed, so the lane
-	// send handler can attach lane payloads to it.
+	// Lane state (see lanes.go). lanesCap is the allocated lane capacity
+	// (WithLanes); activeLanes is the occupancy of the Run in flight
+	// (SetLanes); divergedMask is the sticky per-lane divergence bitmap,
+	// atomic because window workers and the commit loop flag divergence
+	// concurrently.
 	lanesCap     int
 	activeLanes  int
-	laneGlobal   [][]byte
 	divergedMask atomic.Uint64
-	handlers     *[isa.NumKinds]decHandler
-	lastMsg      *message
 
 	// CycleLimit aborts runaway simulations; 0 means the default.
 	CycleLimit int64
@@ -219,7 +195,6 @@ func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 	ch := &Chip{
 		cfg:     cfg,
 		mesh:    noc.New(cfg),
-		global:  make([]byte, cfg.Chip.GlobalMemBytes),
 		mailbox: make(map[msgKey]*msgQueue, 64),
 		ready:   make(coreHeap, 0, cfg.NumCores()),
 	}
@@ -233,12 +208,9 @@ func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 		return nil, fmt.Errorf("sim: %d lanes exceed the %d-lane divergence mask", ch.lanesCap, MaxLanes)
 	}
 	ch.activeLanes = 1
-	ch.handlers = &decHandlers
-	if ch.lanesCap > 1 {
-		ch.laneGlobal = make([][]byte, ch.lanesCap-1)
-		for i := range ch.laneGlobal {
-			ch.laneGlobal[i] = make([]byte, len(ch.global))
-		}
+	ch.global = make([][]byte, ch.lanesCap)
+	for l := range ch.global {
+		ch.global[l] = make([]byte, cfg.Chip.GlobalMemBytes)
 	}
 	ch.cores = make([]*core, 0, cfg.NumCores())
 	for i := 0; i < cfg.NumCores(); i++ {
@@ -263,11 +235,9 @@ func (ch *Chip) LoadProgram(p Program) error {
 		return fmt.Errorf("sim: core %d program is %d bytes, instruction memory holds %d",
 			p.Core, size, ch.cfg.Core.InstMemBytes)
 	}
-	c := ch.cores[p.Core]
-	c.code = p.Code
-	c.prog = nil
+	var dec []isa.Decoded
 	if !ch.legacy {
-		dec := p.Decoded
+		dec = p.Decoded
 		if len(dec) != len(p.Code) {
 			var err error
 			dec, err = isa.Predecode(p.Code)
@@ -276,9 +246,18 @@ func (ch *Chip) LoadProgram(p Program) error {
 			}
 			isa.Fuse(dec)
 		}
-		c.prog = dec
 	}
-	c.progHash = codeHash(p.Code)
+	c := ch.cores[p.Core]
+	c.code, c.prog = p.Code, dec
+	return nil
+}
+
+// checkSpan reports whether [addr, addr+size) lies inside an n-byte memory,
+// rejecting negative sizes and spans whose end would overflow.
+func checkSpan(what string, addr, size, n int) error {
+	if addr < 0 || size < 0 || addr > n-size {
+		return fmt.Errorf("sim: %s span [%d, %d+%d) out of bounds (%d bytes)", what, addr, addr, size, n)
+	}
 	return nil
 }
 
@@ -287,31 +266,23 @@ func (ch *Chip) LoadProgram(p Program) error {
 // whose capacity extends into DRAM behind the same port; bandwidth and
 // latency follow the configuration either way (see DESIGN.md).
 func (ch *Chip) EnsureGlobal(size int) {
-	if size > len(ch.global) {
-		grown := make([]byte, size)
-		copy(grown, ch.global)
-		ch.global = grown
-	}
-	for i, g := range ch.laneGlobal {
+	for l, g := range ch.global {
 		if size > len(g) {
 			grown := make([]byte, size)
 			copy(grown, g)
-			ch.laneGlobal[i] = grown
+			ch.global[l] = grown
 		}
 	}
 }
 
-// InitGlobal writes an initialization segment into global memory. The
-// segment is mirrored into every allocated lane image so that uniform data
-// (weights, a default input) is visible to all lanes; per-lane inputs are
-// staged on top with InitGlobalLane.
+// InitGlobal writes an initialization segment into every allocated lane's
+// global memory, so that uniform data (weights, a default input) is visible
+// to all lanes; per-lane inputs are staged on top with InitGlobalLane.
 func (ch *Chip) InitGlobal(seg GlobalSegment) error {
-	if seg.Addr < 0 || seg.Addr+len(seg.Data) > len(ch.global) {
-		return fmt.Errorf("sim: global segment [%d, %d) exceeds %d bytes",
-			seg.Addr, seg.Addr+len(seg.Data), len(ch.global))
+	if err := checkSpan("global", seg.Addr, len(seg.Data), len(ch.global[0])); err != nil {
+		return err
 	}
-	copy(ch.global[seg.Addr:], seg.Data)
-	for _, g := range ch.laneGlobal {
+	for _, g := range ch.global {
 		copy(g[seg.Addr:], seg.Data)
 	}
 	return nil
@@ -321,14 +292,13 @@ func (ch *Chip) InitGlobal(seg GlobalSegment) error {
 // pooled runs to wipe the input and activation scratch regions while the
 // staged weights stay resident.
 func (ch *Chip) ZeroGlobal(addr, size int) error {
-	if addr < 0 || size < 0 || addr+size > len(ch.global) {
-		return fmt.Errorf("sim: global zero [%d, %d) out of bounds", addr, addr+size)
+	if err := checkSpan("global", addr, size, len(ch.global[0])); err != nil {
+		return err
 	}
-	clear(ch.global[addr : addr+size])
-	// Every allocated lane image is wiped, not just the active ones: a
-	// pooled chip may shrink and regrow its occupancy between runs, and a
-	// lane left dirty by an earlier wider run must not leak into a later one.
-	for _, g := range ch.laneGlobal {
+	// Every allocated lane is wiped, not just the active ones: a pooled chip
+	// may shrink and regrow its occupancy between runs, and a lane left
+	// dirty by an earlier wider run must not leak into a later one.
+	for _, g := range ch.global {
 		clear(g[addr : addr+size])
 	}
 	return nil
@@ -348,13 +318,11 @@ func (ch *Chip) Reset() {
 	for _, q := range ch.mailbox {
 		for i := q.head; i < len(q.msgs); i++ {
 			ch.putPayload(q.msgs[i].payload)
-			ch.putPayload(q.msgs[i].lanePay)
 			q.msgs[i] = message{}
 		}
 		q.msgs = q.msgs[:0]
 		q.head = 0
 	}
-	ch.lastMsg = nil
 	ch.divergedMask.Store(0)
 	ch.ready = ch.ready[:0]
 	ch.barrierWait = ch.barrierWait[:0]
@@ -367,24 +335,20 @@ func (ch *Chip) Reset() {
 	}
 }
 
-// ReadGlobal copies a region of global memory after execution.
+// ReadGlobal copies a region of lane 0's global memory after execution.
 func (ch *Chip) ReadGlobal(addr, size int) ([]byte, error) {
-	if addr < 0 || addr+size > len(ch.global) {
-		return nil, fmt.Errorf("sim: global read [%d, %d) out of bounds", addr, addr+size)
-	}
-	out := make([]byte, size)
-	copy(out, ch.global[addr:])
-	return out, nil
+	return ch.ReadGlobalLane(0, addr, size)
 }
 
-// ReadLocal copies a region of a core's local memory (for tests and debug).
+// ReadLocal copies a region of a core's lane-0 local memory (for tests and
+// debug).
 func (ch *Chip) ReadLocal(coreID, addr, size int) ([]byte, error) {
 	if coreID < 0 || coreID >= len(ch.cores) {
 		return nil, fmt.Errorf("sim: core %d out of range", coreID)
 	}
 	c := ch.cores[coreID]
-	if addr < 0 || addr+size > len(c.local) {
-		return nil, fmt.Errorf("sim: local read [%d, %d) out of bounds", addr, addr+size)
+	if err := checkSpan("local", addr, size, len(c.local)); err != nil {
+		return nil, err
 	}
 	out := make([]byte, size)
 	copy(out, c.local[addr:])
@@ -400,10 +364,6 @@ func (ch *Chip) deliver(src, dst int, tag int32, payload []byte, arrival int64) 
 		ch.mailbox[k] = q
 	}
 	q.push(message{payload: payload, arrival: arrival})
-	// The lane send handler attaches lane payloads to the entry just pushed;
-	// deliver runs serially (commit loop or serial scheduler), so the pointer
-	// stays valid until the next push.
-	ch.lastMsg = &q.msgs[len(q.msgs)-1]
 	rx := ch.cores[dst]
 	if rx.blockSrc == src && rx.blockTag == tag && rx.blocked {
 		rx.blocked = false
@@ -505,21 +465,6 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	ch.ready = ch.ready[:0]
 	for _, c := range ch.cores {
 		if len(c.code) > 0 {
-			// Predecode programs installed or mutated behind LoadProgram's
-			// back (tests poke instruction streams into cores directly):
-			// the content hash catches swapped and edited-in-place code
-			// alike.
-			if !ch.legacy {
-				if h := codeHash(c.code); len(c.prog) != len(c.code) || h != c.progHash {
-					dec, err := isa.Predecode(c.code)
-					if err != nil {
-						return nil, fmt.Errorf("sim: core %d: %w", c.id, err)
-					}
-					isa.Fuse(dec)
-					c.prog = dec
-					c.progHash = h
-				}
-			}
 			ch.ready.push(c)
 		} else {
 			c.halted = true
@@ -531,20 +476,9 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	}
 	ch.limit = limit
 
-	// Select the dispatch table: lane-batched execution swaps in handlers
-	// that apply each micro-op's data effects to every active lane after
-	// lane 0 has driven validation and timing. It requires the predecoded
-	// pipeline (lane handlers wrap the predecoded ones) and has no
-	// per-instruction Trace notion for the extra lanes.
-	ch.handlers = &decHandlers
-	if ch.activeLanes > 1 {
-		if ch.legacy {
-			return nil, fmt.Errorf("sim: lane-batched execution requires the predecoded pipeline")
-		}
-		if ch.Trace != nil {
-			return nil, fmt.Errorf("sim: lane-batched execution does not support the Trace hook")
-		}
-		ch.handlers = &decLaneHandlers
+	// The legacy interpreter executes lane 0 only.
+	if ch.legacy && ch.activeLanes > 1 {
+		return nil, fmt.Errorf("sim: lane-batched execution requires the predecoded pipeline")
 	}
 
 	// Route to the conservative-window parallel scheduler when it can help:

@@ -73,7 +73,6 @@ const advPollSteps = 1024
 // serial scheduler would execute the op that stopped the window.
 func (ch *Chip) advance(c *core, stop *atomic.Bool) {
 	limit := ch.limit
-	handlers := ch.handlers
 	for steps := 1; ; steps++ {
 		if steps%advPollSteps == 0 && stop.Load() {
 			return // run is being aborted; the park is discarded
@@ -92,7 +91,7 @@ func (ch *Chip) advance(c *core, stop *atomic.Bool) {
 		}
 		c.stats.Energy.FrontendPJ += c.frontPJ
 		c.stats.Instructions++
-		if _, err := handlers[d.Kind](c, d); err != nil {
+		if _, err := decHandlers[d.Kind](c, d); err != nil {
 			c.parkErr = err
 			return
 		}

@@ -34,6 +34,15 @@ func runOn(t *testing.T, cfg arch.Config, progs ...Program) (*Chip, *Stats) {
 	return ch, stats
 }
 
+// load installs a core's program the way every caller must: LoadProgram is
+// the only path from an instruction stream to a core.
+func load(t *testing.T, ch *Chip, core int, code []isa.Instruction) {
+	t.Helper()
+	if err := ch.LoadProgram(Program{Core: core, Code: code}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func asm(t *testing.T, src string) []isa.Instruction {
 	t.Helper()
 	prog, err := isa.Assemble(src)
@@ -170,7 +179,7 @@ func TestVectorOps(t *testing.T) {
 		VEC_MAXS G3, G1, G5, G4
 		HALT
 	`)
-	ch.cores[0].code = code
+	load(t, ch, 0, code)
 	a := []int8{-2, -1, 0, 1, 2, 3, 4, 5}
 	b := []int8{1, 1, 1, 1, -1, -1, -1, -1}
 	for i := range a {
@@ -212,7 +221,7 @@ func TestVectorQuantAndReduction(t *testing.T) {
 		VEC_RSUM8 G4, G2, G0, G3
 		HALT
 	`)
-	ch.cores[0].code = code
+	load(t, ch, 0, code)
 	for i, v := range []int32{100, -100, 8, 515} {
 		binary.LittleEndian.PutUint32(ch.cores[0].local[i*4:], uint32(v))
 	}
@@ -245,7 +254,7 @@ func TestVectorStrides(t *testing.T) {
 		VEC_MOV G2, G1, G0, G3
 		HALT
 	`)
-	ch.cores[0].code = code
+	load(t, ch, 0, code)
 	for i := 0; i < 8; i++ {
 		ch.cores[0].local[i] = byte(i + 1)
 	}
@@ -280,7 +289,7 @@ func TestCimMVMSingleGroup(t *testing.T) {
 		CIM_MVM G6, G5, G7, 0x2  ; writeback, MG 0
 		HALT
 	`)
-	ch.cores[0].code = code
+	load(t, ch, 0, code)
 	w := []int8{1, 1, 2, 1, 3, 1, 4, 1} // row-major rows x 2
 	for i, v := range w {
 		ch.cores[0].local[i] = byte(v)
@@ -325,7 +334,7 @@ func TestCimMVMAccumulateAcrossGroups(t *testing.T) {
 	prog = append(prog, isa.CimMVM(1, 2, 3, isa.MVMFlags(0, 0)))
 	prog = append(prog, isa.CimMVM(4, 2, 3, isa.MVMFlags(1, isa.MVMFlagAccumulate|isa.MVMFlagWriteback)))
 	prog = append(prog, isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +367,7 @@ func TestCimMVMGatherSegments(t *testing.T) {
 	prog = append(prog, isa.LI(3, 200)...)
 	prog = append(prog, isa.CimMVM(1, 2, 3, isa.MVMFlagWriteback))
 	prog = append(prog, isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +395,7 @@ func TestCimMVMRawWriteback(t *testing.T) {
 	prog = append(prog, isa.LI(3, 64)...)
 	prog = append(prog, isa.CimMVM(1, 2, 3, isa.MVMFlagWriteRaw))
 	prog = append(prog, isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -535,10 +544,14 @@ func TestRuntimeErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ch, _ := NewChip(&cfg)
-			ch.LoadProgram(Program{Core: 0, Code: asm(t, tc.src)})
-			_, err := ch.Run(context.Background())
+			// Illegal encodings are rejected when the program is loaded,
+			// data-dependent faults when it runs.
+			err := ch.LoadProgram(Program{Core: 0, Code: asm(t, tc.src)})
+			if err == nil {
+				_, err = ch.Run(context.Background())
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Run = %v, want %q", err, tc.want)
+				t.Errorf("load+Run = %v, want %q", err, tc.want)
 			}
 		})
 	}

@@ -53,10 +53,10 @@ type CoreStats struct {
 	Energy       EnergyBreakdown
 }
 
-// Stats is the whole-chip simulation report. Under lane-batched execution
-// (lanes.go) Lanes is the run's occupancy and DivergedLanes counts lanes
-// dropped to the divergence fallback; cycle, energy and traffic numbers are
-// the shared timing plane, identical for every converged lane.
+// Stats is the whole-chip simulation report. Lanes is the run's occupancy
+// and DivergedLanes counts the lanes that diverged (lanes.go); cycle, energy
+// and traffic numbers are the shared timing plane, identical for every lane
+// that did not.
 type Stats struct {
 	Cycles        int64
 	Instructions  int64

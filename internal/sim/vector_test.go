@@ -23,7 +23,7 @@ func vecCase(t *testing.T, setup func(c *core), fn uint8, rdDst, rsA, rtB, reLen
 	setup(c)
 	prog := append([]isa.Instruction{}, pre...)
 	prog = append(prog, isa.Vec(fn, rdDst, rsA, rtB, reLen), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestVectorMulMinMov(t *testing.T) {
 	prog = append(prog, isa.LI(3, 48)...)
 	prog = append(prog, isa.Vec(isa.VFnMin8, 3, 1, 2, 4))
 	prog = append(prog, isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestVectorQAddMatchesTensor(t *testing.T) {
 	prog = append(prog, isa.LI(3, 32)...)
 	prog = append(prog, isa.LI(4, 4)...)
 	prog = append(prog, isa.Vec(isa.VFnQAdd8, 3, 1, 2, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestVectorQMulMatchesTensor(t *testing.T) {
 	prog = append(prog, isa.LI(3, 32)...)
 	prog = append(prog, isa.LI(4, 3)...)
 	prog = append(prog, isa.Vec(isa.VFnQMul8, 3, 1, 2, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestVectorMacAndAcc(t *testing.T) {
 		isa.Vec(isa.VFnMac8, 3, 1, 2, 4), // d32 += a*b
 		isa.Vec(isa.VFnAcc8, 3, 1, 0, 4), // d32 += a
 		isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestVectorAdd32AndRSum32(t *testing.T) {
 		isa.Vec(isa.VFnAdd32, 3, 1, 2, 4))
 	prog = append(prog, isa.LI(5, 96)...)
 	prog = append(prog, isa.Vec(isa.VFnRSum32, 5, 3, 0, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestVectorRMax(t *testing.T) {
 	prog = append(prog, isa.LI(3, 32)...)
 	prog = append(prog, isa.LI(4, 4)...)
 	prog = append(prog, isa.Vec(isa.VFnRMax8, 3, 1, 0, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestVectorSigmoidSiluMatchTensor(t *testing.T) {
 	prog = append(prog, isa.Vec(isa.VFnSigm8, 3, 1, 0, 4))
 	prog = append(prog, isa.LI(3, 48)...)
 	prog = append(prog, isa.Vec(isa.VFnSilu8, 3, 1, 0, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestVectorNegativeLengthRejected(t *testing.T) {
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(4, -5)...)
 	prog = append(prog, isa.Vec(isa.VFnRelu8, 1, 1, 0, 4), isa.Halt())
-	ch.cores[0].code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err == nil {
 		t.Error("negative vector length accepted")
 	}
@@ -274,7 +274,7 @@ func TestCimLoadOffsets(t *testing.T) {
 	prog = append(prog, isa.LI(3, 1)...) // rows
 	prog = append(prog, isa.LI(4, 1)...) // chans
 	prog = append(prog, isa.CimLoad(2, 1, 3, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCimLoadBoundsRejected(t *testing.T) {
 	prog = append(prog, isa.LI(3, 1)...)
 	prog = append(prog, isa.LI(4, 1)...)
 	prog = append(prog, isa.CimLoad(0, 0, 3, 4), isa.Halt())
-	c.code = prog
+	load(t, ch, 0, prog)
 	if _, err := ch.Run(context.Background()); err == nil {
 		t.Error("out-of-bounds CIM_LOAD accepted")
 	}
