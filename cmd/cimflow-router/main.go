@@ -158,7 +158,7 @@ func run(f *routerFlags) error {
 	}
 	defer r.Close()
 
-	httpSrv := &http.Server{Addr: f.addr, Handler: newHandler(r)}
+	httpSrv := &http.Server{Addr: f.addr, Handler: newHandler(r), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	drained := make(chan struct{})
@@ -444,14 +444,20 @@ func newHandler(r *cimflow.Router) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, req *http.Request) {
 		name := req.PathValue("name")
-		var body inferRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		input, err := buildInput(r, name, &body)
+		shape, err := r.InputShape(name)
 		if err != nil {
 			writeError(w, statusFor(err), err)
+			return
+		}
+		var body inferRequest
+		req.Body = http.MaxBytesReader(w, req.Body, maxInferBody(shape))
+		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+			writeError(w, decodeStatus(err), fmt.Errorf("decoding request: %w", err))
+			return
+		}
+		input, err := buildInput(shape, &body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		tenant := req.Header.Get("X-Cimflow-Tenant")
@@ -474,11 +480,26 @@ func newHandler(r *cimflow.Router) http.Handler {
 	return mux
 }
 
-func buildInput(r *cimflow.Router, name string, req *inferRequest) (cimflow.Tensor, error) {
-	shape, err := r.InputShape(name)
-	if err != nil {
-		return cimflow.Tensor{}, err
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections open.
+const readHeaderTimeout = 10 * time.Second
+
+// maxInferBody bounds an infer request's body by the model's input tensor
+// written as JSON: "-128, " is the widest an INT8 element gets, and 1 KiB
+// covers the envelope (seed, shape, key names).
+func maxInferBody(shape cimflow.Shape) int64 { return 1024 + 6*int64(shape.Elems()) }
+
+// decodeStatus is 413 for a body cut off by maxInferBody, 400 for any other
+// undecodable body.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
+	return http.StatusBadRequest
+}
+
+func buildInput(shape cimflow.Shape, req *inferRequest) (cimflow.Tensor, error) {
 	if req.Seed != nil {
 		return cimflow.SeededInput(shape, *req.Seed), nil
 	}

@@ -132,7 +132,7 @@ func main() {
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: newHandler(srv)}
+	httpSrv := &http.Server{Addr: *addr, Handler: newHandler(srv), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Shutdown does the draining; main must wait for it to finish, or the
@@ -212,14 +212,20 @@ func newHandler(srv *cimflow.Server) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		var req inferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		input, err := buildInput(srv, name, &req)
+		shape, err := srv.InputShape(name)
 		if err != nil {
 			writeError(w, statusFor(err), err)
+			return
+		}
+		var req inferRequest
+		r.Body = http.MaxBytesReader(w, r.Body, maxInferBody(shape))
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeError(w, decodeStatus(err), fmt.Errorf("decoding request: %w", err))
+			return
+		}
+		input, err := buildInput(shape, &req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		start := time.Now()
@@ -257,12 +263,27 @@ func wantsPrometheus(r *http.Request) bool {
 		strings.Contains(accept, "application/openmetrics-text")
 }
 
-// buildInput materializes the request's tensor: seeded or raw.
-func buildInput(srv *cimflow.Server, name string, req *inferRequest) (cimflow.Tensor, error) {
-	shape, err := srv.InputShape(name)
-	if err != nil {
-		return cimflow.Tensor{}, err
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections open.
+const readHeaderTimeout = 10 * time.Second
+
+// maxInferBody bounds an infer request's body by the model's input tensor
+// written as JSON: "-128, " is the widest an INT8 element gets, and 1 KiB
+// covers the envelope (seed, shape, key names).
+func maxInferBody(shape cimflow.Shape) int64 { return 1024 + 6*int64(shape.Elems()) }
+
+// decodeStatus is 413 for a body cut off by maxInferBody, 400 for any other
+// undecodable body.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
+	return http.StatusBadRequest
+}
+
+// buildInput materializes the request's tensor: seeded or raw.
+func buildInput(shape cimflow.Shape, req *inferRequest) (cimflow.Tensor, error) {
 	if req.Seed != nil {
 		return cimflow.SeededInput(shape, *req.Seed), nil
 	}

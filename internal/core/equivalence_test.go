@@ -9,6 +9,7 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
+	"cimflow/internal/tensor"
 )
 
 // assertResultsEqual requires two simulation runs to agree byte for byte on
@@ -149,5 +150,49 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 			assertResultsEqual(t, label, ref, first)
 		}
 		s.Close()
+	}
+}
+
+// TestInterpreterEquivalenceGroupTail runs a whole chip whose macro groups
+// are 9 channels wide (3 macros of 24/8 channels), so every MVM row ends in
+// a tail the 8-channel kernel blocks do not cover: the legacy interpreter,
+// the predecoded handlers and an eight-lane batch must still agree exactly.
+func TestInterpreterEquivalenceGroupTail(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Core.MacrosPerGroup, cfg.Unit.MacroCols = 3, 24
+	if cfg.GroupChannels()%8 == 0 {
+		t.Fatalf("GroupChannels() = %d leaves no tail", cfg.GroupChannels())
+	}
+	g := model.TinyResNet()
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := model.NewSeededWeights(g, 1)
+	const lanes = 8
+	inputs := make([]tensor.Tensor, lanes)
+	for i := range inputs {
+		inputs[i] = model.SeededInput(g.Nodes[0].OutShape, uint64(2+i))
+	}
+	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: lanes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	batch, err := s.InferBatch(context.Background(), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, in := range inputs {
+		legacy, err := Simulate(context.Background(), compiled, ws, in, Options{LegacyInterpreter: true})
+		if err != nil {
+			t.Fatalf("legacy interpreter, input %d: %v", l, err)
+		}
+		serial, err := Simulate(context.Background(), compiled, ws, in, Options{SimWorkers: 1})
+		if err != nil {
+			t.Fatalf("serial predecoded, input %d: %v", l, err)
+		}
+		assertResultsEqual(t, fmt.Sprintf("serial input %d", l), legacy, serial)
+		assertResultsEqual(t, fmt.Sprintf("lane %d", l), legacy, batch[l])
 	}
 }

@@ -62,9 +62,6 @@ type core struct {
 	// interpreter ever runs.
 	*image
 	images []image
-	// mvmOps is the per-MVM operand scratch: one entry per live lane,
-	// preallocated so the hot loop allocates nothing in steady state.
-	mvmOps []mvmOperand
 
 	// Constants hoisted out of the dispatch loop at construction time;
 	// all are derived from the immutable chip configuration.
@@ -115,7 +112,6 @@ func newCore(id int, chip *Chip) *core {
 		id:         id,
 		chip:       chip,
 		images:     make([]image, chip.lanesCap),
-		mvmOps:     make([]mvmOperand, 0, chip.lanesCap),
 		frontPJ:    e.InstFetchPJ + e.RegFilePJ,
 		latScalar:  int64(cfg.Core.ScalarLatency),
 		latMem:     int64(cfg.Core.LocalMemLatency),
@@ -134,7 +130,6 @@ func newCore(id int, chip *Chip) *core {
 		for i := range im.mg {
 			im.mg[i] = make([]byte, cfg.Unit.MacroRows*groupChans)
 		}
-		im.mgDiv = make([]bool, cfg.Core.NumMacroGroups)
 		im.cimAcc = make([]int32, groupChans)
 		im.gather = make([]byte, cfg.Unit.MacroRows)
 	}
@@ -157,7 +152,6 @@ func (c *core) reset() {
 		for _, m := range im.mg {
 			clear(m)
 		}
-		clear(im.mgDiv)
 		clear(im.cimAcc)
 		clear(im.gather)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"math/bits"
@@ -19,10 +18,9 @@ import (
 // family in core.go — the differential equivalence suite asserts outputs,
 // cycles, energy and per-core stats match on every zoo model × strategy —
 // and the steady-state loop does no per-step decoding, no slice allocation
-// (scoreboard ranges live in core.rangeBuf, MVM operands in core.mvmOps,
-// message payloads come from the chip's pool) and no repeated configuration
-// lookups (latency, bandwidth and energy constants are hoisted onto the core
-// at construction).
+// (scoreboard ranges live in core.rangeBuf, message payloads come from the
+// chip's pool) and no repeated configuration lookups (latency, bandwidth and
+// energy constants are hoisted onto the core at construction).
 
 // decHandler executes one predecoded micro-op.
 type decHandler func(*core, *isa.Decoded) (stepStatus, error)
@@ -444,9 +442,7 @@ func decBarrier(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepBarrier, nil
 }
 
-// decCimLoad writes a weight tile into every live lane's macro group and
-// tracks whether each lane's weights still match lane 0's: while they do,
-// decCimMVM runs the shared multi-RHS kernel over lane 0's weights alone.
+// decCimLoad writes a weight tile into every live lane's macro group.
 func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	cfg := c.chip.cfg
 	mgIdx := int(c.reg(d.RT))
@@ -471,22 +467,13 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], c.rangeBuf[:1])
-	w0 := c.images[0].mg[mgIdx]
 	for m := c.live(); m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
 		w := im.mg[mgIdx]
-		same := true
 		for row := int32(0); row < rows; row++ {
 			base := (rowOff+row)*groupChans + chanOff
 			srcBase := src + row*chans
-			seg := w[base : base+chans]
-			copy(seg, im.local[srcBase:srcBase+chans])
-			same = same && bytes.Equal(seg, w0[base:base+chans])
-		}
-		if !same {
-			// Sticky: a later identical partial load cannot prove the rest
-			// of the group converged, so the per-lane MVM kernel stays on.
-			im.mgDiv[mgIdx] = true
+			copy(w[base:base+chans], im.local[srcBase:srcBase+chans])
 		}
 	}
 	occ := c.latMem + (int64(size)+c.bw-1)/c.bw
@@ -502,11 +489,10 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 // flags it differs from the reference interpreter in three
 // measured-equivalent ways: the gather copy is skipped when the input is one
 // contiguous segment (the MAC loop only reads it, so aliasing local memory
-// is safe), the accumulator clear is a memclr, and the MAC inner loop is
-// shaped for bounds-check elimination. It also holds the one choice that
-// depends on how many lanes are live: several lanes sharing lane 0's
-// weights take a single traversal of them (mvmSharedKernel); one lane, or
-// lanes whose weights diverged, take a traversal each (mvmLaneKernel).
+// is safe), the accumulator clear is a memclr, and the MAC loop skips zero
+// input rows and hands the rest to mvmRow (an AVX2 kernel where the CPU has
+// one). Every live lane runs that same loop over its own weights and input,
+// whatever the lane count.
 func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	e := &c.chip.cfg.Energy
 	rows := c.reg(d.RT)
@@ -537,10 +523,11 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		}
 	}
 
-	// Gather each live lane's input and ready its accumulator.
-	ops := c.mvmOps[:0]
-	shared := true
-	for m := c.live(); m != 0; m &= m - 1 {
+	// Gather each live lane's input and accumulate it into the lane's unit
+	// accumulators.
+	groupChans := c.groupChans
+	live := c.live()
+	for m := live; m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
 		var in []byte
 		if segCount == 1 {
@@ -555,18 +542,7 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		if !d.Accumulate {
 			clear(im.cimAcc)
 		}
-		ops = append(ops, mvmOperand{in, im.cimAcc, im})
-		shared = shared && !im.mgDiv[d.MG]
-	}
-
-	// Accumulate into the unit accumulators.
-	groupChans := c.groupChans
-	if shared && len(ops) > 1 {
-		mvmSharedKernel(ops, c.mg[d.MG], groupChans)
-	} else {
-		for i := range ops {
-			mvmLaneKernel(ops[i].in, ops[i].im.mg[d.MG], ops[i].acc, groupChans)
-		}
+		mvmLaneKernel(in, im.mg[d.MG], im.cimAcc, groupChans)
 	}
 	macs := int64(rows) * int64(groupChans)
 	c.stats.MACs += macs
@@ -594,8 +570,9 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		nr++
 		qmul := c.sregs[isa.SRegQuantMul]
 		qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
-		for i := range ops {
-			acc, local := ops[i].acc, ops[i].im.local
+		for m := live; m != 0; m &= m - 1 {
+			im := &c.images[bits.TrailingZeros64(m)]
+			acc, local := im.cimAcc, im.local
 			for ch := int32(0); ch < outChans; ch++ {
 				sum := acc[ch]
 				if d.WriteRaw {
@@ -645,31 +622,6 @@ func mvmLaneKernel(input, w []byte, acc []int32, groupChans int) {
 		base := row * groupChans
 		mvmRow(int32(int8(b)), w[base:base+groupChans], acc)
 		row++
-	}
-}
-
-// mvmRow multiply-accumulates one nonzero input value against one packed
-// weight row. Weights load eight INT8 channels per 64-bit word; with one
-// accumulator load and store per channel the inner loop is load-port-bound,
-// and halving the weight loads measurably raises simulated MACs/second.
-// Both MAC kernels are built on it.
-func mvmRow(iv int32, wRow []byte, acc []int32) {
-	a := acc[:len(wRow)]
-	ch := 0
-	for ; ch+8 <= len(wRow); ch += 8 {
-		word := binary.LittleEndian.Uint64(wRow[ch:])
-		a2 := a[ch : ch+8 : ch+8]
-		a2[0] += iv * int32(int8(word))
-		a2[1] += iv * int32(int8(word>>8))
-		a2[2] += iv * int32(int8(word>>16))
-		a2[3] += iv * int32(int8(word>>24))
-		a2[4] += iv * int32(int8(word>>32))
-		a2[5] += iv * int32(int8(word>>40))
-		a2[6] += iv * int32(int8(word>>48))
-		a2[7] += iv * int32(int8(word>>56))
-	}
-	for ; ch < len(wRow); ch++ {
-		a[ch] += iv * int32(int8(wRow[ch]))
 	}
 }
 

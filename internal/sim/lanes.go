@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -37,13 +36,10 @@ const MaxLanes = 64
 type image struct {
 	local []byte
 	// mg holds the per-macro-group weight matrices (rows x groupChans,
-	// row-major INT8 values stored as raw bytes, so the MVM inner loop can
-	// load them a 64-bit word at a time); mgDiv[g] records that this lane's
-	// group g no longer matches lane 0's, which takes the MVM off the shared
-	// kernel. cimAcc is the unit-level accumulator fed by the inter-macro
-	// adder tree, gather the reusable MVM input buffer.
+	// row-major INT8 values stored as raw bytes, so the MVM row kernel can
+	// load eight of them at a time). cimAcc is the unit-level accumulator fed
+	// by the inter-macro adder tree, gather the reusable MVM input buffer.
 	mg     [][]byte
-	mgDiv  []bool
 	cimAcc []int32
 	gather []byte
 }
@@ -152,46 +148,4 @@ func (c *core) plane(l int, global bool) []byte {
 		return c.chip.global[l]
 	}
 	return c.images[l].local
-}
-
-// mvmOperand is one live lane's view of an MVM in flight: the gathered
-// input vector, the accumulator, and the image both belong to.
-type mvmOperand struct {
-	in  []byte
-	acc []int32
-	im  *image
-}
-
-// mvmSharedKernel is the multi-RHS MAC loop: one traversal of a packed
-// weight matrix multiply-accumulates every lane's input vector. Rows walk
-// in lockstep across lanes, so a weight row touched by several lanes is
-// read again while still cache-hot, and 8-row runs that are zero in every
-// lane are skipped with one OR over the lanes' input words. Each lane with
-// a nonzero value runs the same tight per-row body as mvmLaneKernel —
-// quantized activations are mostly zero, so most union rows have a single
-// active lane, and an inner per-word lane loop would pay its accumulator
-// re-slicing on every 8-channel word instead of once per row (profiling
-// showed that shape costing ~2x the one-lane kernel per lane).
-func mvmSharedKernel(ops []mvmOperand, w []byte, groupChans int) {
-	rows := len(ops[0].in)
-	for row := 0; row < rows; {
-		if row+8 <= rows {
-			var or8 uint64
-			for i := range ops {
-				or8 |= binary.LittleEndian.Uint64(ops[i].in[row:])
-			}
-			if or8 == 0 {
-				row += 8
-				continue
-			}
-		}
-		base := row * groupChans
-		wRow := w[base : base+groupChans]
-		for i := range ops {
-			if iv := int32(int8(ops[i].in[row])); iv != 0 {
-				mvmRow(iv, wRow, ops[i].acc)
-			}
-		}
-		row++
-	}
 }
