@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"cimflow/internal/isa"
@@ -27,9 +28,14 @@ func TestStepDecodedZeroAllocs(t *testing.T) {
 	prog = append(prog, isa.LI(5, 0)...)   // macro group
 	prog = append(prog, isa.LI(6, 8)...)   // cim rows
 	prog = append(prog, isa.LI(7, 8)...)   // cim chans
+	// G8: both activation scales.
+	prog = append(prog, isa.LI(8, int32(math.Float32bits(0.0625)))...)
+	prog = append(prog, isa.MTS(isa.SRegActInScale, 8), isa.MTS(isa.SRegActOutScale, 8))
 	loop := len(prog)
 	prog = append(prog,
 		isa.Vec(isa.VFnAdd8, 3, 1, 2, 4),
+		isa.Vec(isa.VFnSilu8, 3, 1, 0, 4), // table lookup, built during warm-up
+		isa.Vec(isa.VFnMac8, 3, 1, 2, 4),  // AVX2 kernel where there is one
 		isa.MemCpy(3, 1, 4, 0),
 		isa.VFill(2, 4, 3),
 		isa.CimLoad(5, 1, 6, 7),

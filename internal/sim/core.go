@@ -80,6 +80,10 @@ type core struct {
 	// step functions (the legacy interpreter builds ad-hoc slices instead).
 	rangeBuf [4]memRange
 
+	// act is the lookup table of the activation decVec ran last (see
+	// actTable). It is a pure function of its key, so it survives reset.
+	act actTable
+
 	// Timing state.
 	time     int64
 	regReady [isa.NumGRegs]int64
@@ -252,6 +256,30 @@ func (c *core) localRange(addr, size int32) (memRange, error) {
 		return memRange{}, fmt.Errorf("local access [%d, %d+%d) out of bounds (%d)", addr, addr, size, len(c.local))
 	}
 	return memRange{addr, addr + size}, nil
+}
+
+// vecSpan validates the local-memory window a strided n-element vector
+// operand touches. n and the stride are whatever the program loaded, and
+// (n-1)*stride wraps int32 long before the operand fits in memory (n = 65537
+// at stride 65536 is a 1-byte span in int32), so the span is taken in int64.
+func (c *core) vecSpan(base, stride, size, n int32) (memRange, error) {
+	if n == 0 {
+		return memRange{base, base}, nil
+	}
+	mem := int64(len(c.local))
+	// The last element's offset, clamped to the memory size: such an operand
+	// is out of bounds either way, and the size multiply cannot wrap int64.
+	ext := min(max(int64(n-1)*int64(stride), -mem), mem) * int64(size)
+	lo, hi := int64(base), int64(base)+int64(size)
+	if ext > 0 {
+		hi += ext
+	} else {
+		lo += ext
+	}
+	if lo < 0 || hi > mem {
+		return memRange{}, fmt.Errorf("local access of %d x %d bytes at %d, stride %d, out of bounds (%d)", n, size, base, stride, mem)
+	}
+	return memRange{int32(lo), int32(hi)}, nil
 }
 
 // step executes one instruction. The chip scheduler guarantees this core
@@ -847,16 +875,7 @@ func (c *core) stepVector(in isa.Instruction) error {
 	strideD := c.sregs[isa.SRegVecStrideD]
 	aAddr, bAddr, dAddr := c.reg(in.RS), c.reg(in.RT), c.reg(in.RD)
 
-	span := func(base, stride, size int32) (memRange, error) {
-		if n == 0 {
-			return memRange{base, base}, nil
-		}
-		lo, hi := base, base+((n-1)*stride+1)*size
-		if stride < 0 {
-			lo, hi = base+(n-1)*stride*size, base+size
-		}
-		return c.localRange(lo, hi-lo)
-	}
+	span := func(base, stride, size int32) (memRange, error) { return c.vecSpan(base, stride, size, n) }
 	dN := n
 	if isReduction(in.Funct) {
 		dN = 1

@@ -21,6 +21,16 @@ import (
 // (scoreboard ranges live in core.rangeBuf, message payloads come from the
 // chip's pool) and no repeated configuration lookups (latency, bandwidth and
 // energy constants are hoisted onto the core at construction).
+//
+// Data effects are decided once per instruction, not once per element. The
+// vector handler runs a unit-stride instruction whose destination is apart
+// from its sources, or exactly on one, as whole-slice kernels (vecBulk,
+// vecApplyBulk: AVX2 for VEC_MAC8 and the ReLU clamps, a 256-byte table for
+// the activations, straight Go loops for the rest of what the zoo executes)
+// and anything else element by element (vecApply, also the kernels' test
+// reference); CIM_MVM picks one of three writeback loops; VFILL is a memclr
+// or a doubling copy. The reference interpreter keeps its own per-element
+// loops as the independent oracle.
 
 // decHandler executes one predecoded micro-op.
 type decHandler func(*core, *isa.Decoded) (stepStatus, error)
@@ -288,8 +298,13 @@ func decVFill(c *core, d *isa.Decoded) (stepStatus, error) {
 	fill := byte(int8(d.Imm))
 	for m := c.live(); m != 0; m &= m - 1 {
 		region := c.images[bits.TrailingZeros64(m)].local[dst : dst+size]
-		for i := range region {
-			region[i] = fill
+		if fill == 0 { // all the compiler emits, padding rows aside
+			clear(region)
+		} else if len(region) > 0 {
+			region[0] = fill
+			for n := 1; n < len(region); n *= 2 {
+				copy(region[n:], region[:n])
+			}
 		}
 	}
 	occ := c.latMem + (int64(size)+c.bw-1)/c.bw
@@ -486,13 +501,14 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 }
 
 // decCimMVM is the hot path of every DNN simulation. Beyond the predecoded
-// flags it differs from the reference interpreter in three
+// flags it differs from the reference interpreter in four
 // measured-equivalent ways: the gather copy is skipped when the input is one
 // contiguous segment (the MAC loop only reads it, so aliasing local memory
-// is safe), the accumulator clear is a memclr, and the MAC loop skips zero
+// is safe), the accumulator clear is a memclr, the MAC loop skips zero
 // input rows and hands the rest to mvmRow (an AVX2 kernel where the CPU has
-// one). Every live lane runs that same loop over its own weights and input,
-// whatever the lane count.
+// one), and the writeback mode is tested once, not per channel. Every live
+// lane runs those same loops over its own weights and input, whatever the
+// lane count.
 func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	e := &c.chip.cfg.Energy
 	rows := c.reg(d.RT)
@@ -572,19 +588,7 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
 		for m := live; m != 0; m &= m - 1 {
 			im := &c.images[bits.TrailingZeros64(m)]
-			acc, local := im.cimAcc, im.local
-			for ch := int32(0); ch < outChans; ch++ {
-				sum := acc[ch]
-				if d.WriteRaw {
-					binary.LittleEndian.PutUint32(local[outAddr+ch*4:], uint32(sum))
-				} else {
-					v := tensor.Requant(sum, qmul, qshift)
-					if d.Relu && v < 0 {
-						v = 0
-					}
-					local[outAddr+ch] = byte(v)
-				}
-			}
+			mvmWriteback(d, im.cimAcc[:outChans], im.local[outAddr:outAddr+wbBytes], qmul, qshift)
 		}
 		c.stats.Energy.LocalMemPJ += float64(wbBytes) * e.LocalMemPJPerByte
 	}
@@ -602,6 +606,29 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.time = issue + 1
 	c.pc++
 	return stepOK, nil
+}
+
+// mvmWriteback stores one lane's accumulators to its validated output
+// window: raw little-endian INT32, or requantized to INT8 with the optional
+// fused ReLU. Which of the three is the instruction's choice, so it is made
+// here once and not per channel.
+func mvmWriteback(d *isa.Decoded, acc []int32, out []byte, qmul int32, qshift uint) {
+	switch {
+	case d.WriteRaw:
+		for ch, sum := range acc {
+			binary.LittleEndian.PutUint32(out[4*ch:], uint32(sum))
+		}
+	case d.Relu:
+		out = out[:len(acc)]
+		for ch, sum := range acc {
+			out[ch] = byte(max(tensor.Requant(sum, qmul, qshift), 0))
+		}
+	default:
+		out = out[:len(acc)]
+		for ch, sum := range acc {
+			out[ch] = byte(tensor.Requant(sum, qmul, qshift))
+		}
+	}
 }
 
 // mvmLaneKernel multiply-accumulates one lane's input vector against a
@@ -626,8 +653,10 @@ func mvmLaneKernel(input, w []byte, acc []int32, groupChans int) {
 }
 
 // decVec executes a memory-to-memory SIMD operation with the element sizes
-// and reduction flag resolved at predecode time and the per-element loops
-// written against local memory directly (no per-step closures).
+// and reduction flag resolved at predecode time. It validates the operand
+// windows and settles timing once, then applies the data effect to every
+// live lane: whole-slice kernels over the windows when vecBulk admits the
+// instruction, the per-element loops otherwise.
 func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	e := &c.chip.cfg.Energy
 	n := c.reg(d.RE)
@@ -645,6 +674,7 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 		dN = 1
 	}
 	nr := 0
+	var rB, rD memRange
 	rA, err := c.vecSpan(aAddr, strideA, sizeA, n)
 	if err != nil {
 		return stepOK, c.errf("vector src A: %v", err)
@@ -652,7 +682,7 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.rangeBuf[nr] = rA
 	nr++
 	if sizeB != 0 {
-		rB, err := c.vecSpan(bAddr, strideB, sizeB, n)
+		rB, err = c.vecSpan(bAddr, strideB, sizeB, n)
 		if err != nil {
 			return stepOK, c.errf("vector src B: %v", err)
 		}
@@ -660,7 +690,6 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 		nr++
 	}
 	if dN > 0 {
-		var rD memRange
 		if d.Reduce {
 			rD, err = c.localRange(dAddr, sizeD)
 		} else {
@@ -675,8 +704,14 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	ranges := c.rangeBuf[:nr]
 	issue := c.hazardIssue(isa.UnitVector, d.Srcs[:d.NSrc], ranges)
 
+	bulk := c.vecBulk(d, rA, rB, rD)
 	for m := c.live(); m != 0; m &= m - 1 {
-		vecApply(c, d, c.images[bits.TrailingZeros64(m)].local)
+		local := c.images[bits.TrailingZeros64(m)].local
+		if bulk {
+			vecApplyBulk(c, d, local[rA.lo:rA.hi], local[rB.lo:rB.hi], local[rD.lo:rD.hi])
+		} else {
+			vecApply(c, d, local)
+		}
 	}
 
 	occ := (int64(n) + c.vlanes - 1) / c.vlanes
@@ -693,9 +728,148 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepOK, nil
 }
 
-// vecApply performs decVec's functional effect — the per-element loops of
-// the validated SIMD operation — against one lane's local memory. Operands
-// and strides come from the core's lane-shared registers.
+// vecBulk reports whether decVec may run the instruction as whole-slice
+// kernels (vecApplyBulk) rather than element by element (vecApply). It may
+// when the funct has kernels — the ones a zoo model executes; nothing pays
+// for the rest — every stride is 1, which is every vector op the compiler
+// emits, and the destination window is apart from each source window or
+// the same window with the same element size (in place): then element i's
+// result depends on no other element's, and the order a kernel visits them
+// in cannot show. A partial overlap is order-dependent and keeps the loop.
+// rA, rB and rD are the operand windows decVec validated (rB empty for
+// one-source functs).
+func (c *core) vecBulk(d *isa.Decoded, rA, rB, rD memRange) bool {
+	switch d.Funct {
+	case isa.VFnMax8, isa.VFnMov8, isa.VFnRelu8, isa.VFnSigm8, isa.VFnSilu8,
+		isa.VFnQAdd8, isa.VFnQMul8, isa.VFnMac8, isa.VFnAcc8, isa.VFnQnt:
+	case isa.VFnRelu68:
+		// The clamp kernel compares signed bytes; a bound outside [0, 127]
+		// is no INT8 clamp (a negative one is not even monotonic).
+		if q6 := c.reg(d.RT); q6 < 0 || q6 > 127 {
+			return false
+		}
+	default:
+		return false
+	}
+	// An empty operand's window is its unvalidated base address.
+	if c.reg(d.RE) == 0 || c.sregs[isa.SRegVecStrideA] != 1 || c.sregs[isa.SRegVecStrideD] != 1 {
+		return false
+	}
+	if rD.overlaps(rA) && (rD.lo != rA.lo || d.SizeD != d.SizeA) {
+		return false
+	}
+	if d.SizeB != 0 && (c.sregs[isa.SRegVecStrideB] != 1 ||
+		rD.overlaps(rB) && (rD.lo != rB.lo || d.SizeD != d.SizeB)) {
+		return false
+	}
+	return true
+}
+
+// actTable is the vector unit's activation lookup table: lut[x] is
+// VEC_SIGM8 or VEC_SILU8 of the input byte x at one (SRegActInScale,
+// SRegActOutScale) pair. It is filled by calling tensor.Sigmoid8/SiLU8 on
+// all 256 inputs, so a lookup is bit-identical to the per-element loop by
+// construction. Each core holds the one table of the activation it ran
+// last; a core is stepped by one goroutine at a time, so there is no lock.
+type actTable struct {
+	funct             uint8 // 0 is VFnAdd8, no activation: the zero value matches nothing
+	inScale, outScale int32 // float32 bits, as the special registers hold them
+	lut               [256]byte
+}
+
+// lookup returns the table for funct at the given scales, refilling it when
+// it holds another activation's.
+func (t *actTable) lookup(funct uint8, inScale, outScale int32) *[256]byte {
+	if t.funct != funct || t.inScale != inScale || t.outScale != outScale {
+		fn := tensor.Sigmoid8
+		if funct == isa.VFnSilu8 {
+			fn = tensor.SiLU8
+		}
+		inS, outS := math.Float32frombits(uint32(inScale)), math.Float32frombits(uint32(outScale))
+		for x := range t.lut {
+			t.lut[x] = byte(fn(int8(x), inS, outS))
+		}
+		t.funct, t.inScale, t.outScale = funct, inScale, outScale
+	}
+	return &t.lut
+}
+
+// vecApplyBulk is vecApply for an instruction vecBulk admitted: a, b and dst
+// are one lane's whole operand windows (n elements each at unit stride, b
+// empty for one-source functs) and every funct is one straight loop over
+// them, with no per-element address arithmetic. VEC_MAC8 and the ReLU clamps
+// have AVX2 bodies (vec_amd64.s).
+func vecApplyBulk(c *core, d *isa.Decoded, a, b, dst []byte) {
+	qmul := c.sregs[isa.SRegQuantMul]
+	qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
+	switch d.Funct {
+	case isa.VFnMac8:
+		vecMac8(dst, a, b)
+	case isa.VFnRelu8:
+		vecClamp8(dst, a, 127)
+	case isa.VFnRelu68:
+		vecClamp8(dst, a, int8(c.reg(d.RT)))
+	case isa.VFnSigm8, isa.VFnSilu8:
+		lut := c.act.lookup(d.Funct, c.sregs[isa.SRegActInScale], c.sregs[isa.SRegActOutScale])
+		dst = dst[:len(a)]
+		for i, x := range a {
+			dst[i] = lut[x]
+		}
+	case isa.VFnMov8:
+		copy(dst, a)
+	case isa.VFnMax8:
+		b, dst = b[:len(a)], dst[:len(a)]
+		for i, x := range a {
+			dst[i] = byte(max(int8(x), int8(b[i])))
+		}
+	case isa.VFnQAdd8:
+		mA := c.sregs[isa.SRegQMulA]
+		mB := c.sregs[isa.SRegQMulB]
+		b, dst = b[:len(a)], dst[:len(a)]
+		for i, x := range a {
+			dst[i] = byte(tensor.Sat8((int32(int8(x))*mA + int32(int8(b[i]))*mB) >> qshift))
+		}
+	case isa.VFnQMul8:
+		b, dst = b[:len(a)], dst[:len(a)]
+		for i, x := range a {
+			dst[i] = byte(tensor.Requant(int32(int8(x))*int32(int8(b[i])), qmul, qshift))
+		}
+	case isa.VFnAcc8:
+		for i, x := range a {
+			p := dst[4*i : 4*i+4]
+			binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)+uint32(int8(x)))
+		}
+	case isa.VFnQnt:
+		for i := range dst {
+			dst[i] = byte(tensor.Requant(int32(binary.LittleEndian.Uint32(a[4*i:])), qmul, qshift))
+		}
+	}
+}
+
+// vecMac8Generic is the portable body of vecMac8: dst32[i] += a8[i] * b8[i]
+// in wrapping int32 arithmetic, dst holding little-endian INT32s.
+func vecMac8Generic(dst, a, b []byte) {
+	b = b[:len(a)]
+	for i, x := range a {
+		p := dst[4*i : 4*i+4]
+		binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)+uint32(int32(int8(x))*int32(int8(b[i]))))
+	}
+}
+
+// vecClamp8Generic is the portable body of vecClamp8: dst8[i] = src8[i]
+// clamped to [0, hi], with 0 <= hi.
+func vecClamp8Generic(dst, src []byte, hi int8) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = byte(min(max(int8(x), 0), hi))
+	}
+}
+
+// vecApply performs decVec's functional effect element by element — the
+// loops of the validated SIMD operation at any stride and any operand
+// overlap — against one lane's local memory. Operands and strides come from
+// the core's lane-shared registers. It is what runs when vecBulk declines,
+// and the reference the bulk kernels are tested against.
 func vecApply(c *core, d *isa.Decoded, local []byte) {
 	n := c.reg(d.RE)
 	strideA := c.sregs[isa.SRegVecStrideA]
@@ -844,17 +1018,4 @@ func vecApply(c *core, d *isa.Decoded, local []byte) {
 		}
 		local[dAddr] = byte(int8(best))
 	}
-}
-
-// vecSpan validates the local-memory window a strided n-element vector
-// operand touches (the predecoded twin of the legacy span closure).
-func (c *core) vecSpan(base, stride, size, n int32) (memRange, error) {
-	if n == 0 {
-		return memRange{base, base}, nil
-	}
-	lo, hi := base, base+((n-1)*stride+1)*size
-	if stride < 0 {
-		lo, hi = base+(n-1)*stride*size, base+size
-	}
-	return c.localRange(lo, hi-lo)
 }

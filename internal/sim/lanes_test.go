@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,7 @@ const (
 	laneIn       = 0   // global offset of a lane's input
 	laneUniform  = 128 // global offset of lane-uniform data
 	laneOut      = 256 // global offset of a lane's result
-	laneMemBytes = 512 // global bytes the cases need
+	laneMemBytes = 768 // global bytes the cases need
 )
 
 // seq concatenates instruction fragments (isa.LI returns one) into a stream.
@@ -73,6 +74,11 @@ func laneCases() []laneCase {
 	}
 	mvm := func(in, rows, out int32, flags uint16) []isa.Instruction {
 		return seq(isa.LI(1, in), isa.LI(2, rows), isa.LI(3, out), one(isa.CimMVM(1, 2, 3, isa.MVMFlags(0, flags))))
+	}
+	// vec is VEC_<fn> of n elements from local[a:] (and local[rt:], or the
+	// scalar rt) to local[d:].
+	vec := func(fn uint8, d, a, rt, n int32) []isa.Instruction {
+		return seq(isa.LI(4, a), isa.LI(5, rt), isa.LI(6, d), isa.LI(7, n), one(isa.Vec(fn, 6, 4, 5, 7)))
 	}
 	halt := one(isa.Halt())
 	quant := seq(setSReg(isa.SRegQuantMul, 1), setSReg(isa.SRegQuantShift, 5), setSReg(isa.SRegOutChans, 8))
@@ -153,6 +159,50 @@ func laneCases() []laneCase {
 				halt,
 			)}},
 			outSize: 40,
+		},
+		{
+			// 5 of the group's channels written back raw, requantized and
+			// requantized with ReLU, each into a window pre-filled with 0x55
+			// so a store past the fifth channel shows.
+			name:    "mvm writeback 5 channels",
+			uniform: weights,
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 16), copyIn(512, laneUniform, 128), quant, setSReg(isa.SRegOutChans, 5),
+				loadWeights(512, 16),
+				isa.LI(1, 1024), isa.LI(2, 48), one(isa.VFill(1, 2, 0x55)),
+				mvm(0, 16, 1024, isa.MVMFlagWriteRaw),
+				mvm(0, 16, 1056, isa.MVMFlagWriteback),
+				mvm(0, 16, 1064, isa.MVMFlagWriteback|isa.MVMFlagRelu),
+				copyOut(laneOut, 1024, 48),
+				halt,
+			)}},
+			outSize: 48,
+		},
+		{
+			// Every funct with a whole-slice kernel, at unit stride on
+			// lane-varying bytes: a multiply-accumulate chain requantized and
+			// clamped in place, then one result window per remaining funct.
+			name: "bulk vector kernels",
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 64), quant,
+				setSReg(isa.SRegQMulA, 3), setSReg(isa.SRegQMulB, -5),
+				setSReg(isa.SRegActInScale, int32(math.Float32bits(0.0625))),
+				setSReg(isa.SRegActOutScale, int32(math.Float32bits(0.03125))),
+				vec(isa.VFnMac8, 256, 0, 0, 61), // local[256:512] starts zeroed
+				vec(isa.VFnAcc8, 256, 0, 0, 61),
+				vec(isa.VFnQnt, 512, 256, 0, 61),
+				vec(isa.VFnRelu68, 512, 512, 23, 61),
+				vec(isa.VFnSilu8, 576, 0, 0, 61),
+				vec(isa.VFnMax8, 640, 0, 512, 61),
+				vec(isa.VFnQAdd8, 704, 0, 512, 61),
+				vec(isa.VFnQMul8, 768, 0, 512, 61),
+				vec(isa.VFnMov8, 832, 0, 0, 61),
+				vec(isa.VFnRelu8, 896, 0, 0, 61),
+				vec(isa.VFnSigm8, 960, 0, 0, 61),
+				copyOut(laneOut, 512, 512),
+				halt,
+			)}},
+			outSize: 512,
 		},
 		{
 			// A constant fill in the middle of lane-varying bytes.
@@ -447,9 +497,13 @@ func TestLaneStepAllocs(t *testing.T) {
 	prog = append(prog, isa.LI(5, 0)...)
 	prog = append(prog, isa.LI(6, 8)...)
 	prog = append(prog, isa.LI(7, 8)...)
+	prog = append(prog, isa.LI(8, int32(math.Float32bits(0.0625)))...) // both activation scales
+	prog = append(prog, isa.MTS(isa.SRegActInScale, 8), isa.MTS(isa.SRegActOutScale, 8))
 	loop := len(prog)
 	prog = append(prog,
 		isa.Vec(isa.VFnAdd8, 3, 1, 2, 4),
+		isa.Vec(isa.VFnSilu8, 3, 1, 0, 4), // table lookup, built during warm-up
+		isa.Vec(isa.VFnMac8, 3, 1, 2, 4),  // AVX2 kernel where there is one
 		isa.MemCpy(3, 1, 4, 0),
 		isa.VFill(2, 4, 3),
 		isa.CimLoad(5, 1, 6, 7),

@@ -540,18 +540,25 @@ func TestRuntimeErrors(t *testing.T) {
 		{"bad mvm length", "CIM_MVM G0, G0, G0, 0\nHALT", "input length"},
 		{"bad mvm group", "SC_ADDI G1, G0, 64\nCIM_MVM G0, G1, G0, 0x1f0\nHALT", "macro group"},
 		{"send oob core", "SC_ADDI G3, G0, 30\nSC_ADDI G2, G0, 4\nSEND G0, G2, G3, 0\nHALT", "out of range"},
+		// 65537 elements at stride 65536: (n-1)*stride+1 wraps int32 to 1, a
+		// span that used to validate and then index 4 GiB past local memory.
+		{"vector span wraps int32", "SC_LUI G1, 1\nSC_MTS 6, G1\nSC_ADDI G2, G1, 1\nVEC_RSUM8 G0, G0, G0, G2\nHALT", "out of bounds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ch, _ := NewChip(&cfg)
-			// Illegal encodings are rejected when the program is loaded,
-			// data-dependent faults when it runs.
-			err := ch.LoadProgram(Program{Core: 0, Code: asm(t, tc.src)})
-			if err == nil {
-				_, err = ch.Run(context.Background())
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("load+Run = %v, want %q", err, tc.want)
+			// Illegal encodings are rejected when the program is loaded (by
+			// the reference interpreter, when it reaches them),
+			// data-dependent faults when it runs — as errors, never panics,
+			// under both interpreters.
+			for _, opts := range [][]ChipOption{nil, {WithLegacyInterpreter()}} {
+				ch, _ := NewChip(&cfg, opts...)
+				err := ch.LoadProgram(Program{Core: 0, Code: asm(t, tc.src)})
+				if err == nil {
+					_, err = ch.Run(context.Background())
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("load+Run (legacy=%v) = %v, want %q", opts != nil, err, tc.want)
+				}
 			}
 		})
 	}
