@@ -158,7 +158,7 @@ func run(f *routerFlags) error {
 	}
 	defer r.Close()
 
-	httpSrv := &http.Server{Addr: f.addr, Handler: newHandler(r), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(f.addr, newHandler(r))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	drained := make(chan struct{})
@@ -480,9 +480,34 @@ func newHandler(r *cimflow.Router) http.Handler {
 	return mux
 }
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so idle or trickling clients cannot hold connections open.
-const readHeaderTimeout = 10 * time.Second
+// The connection deadlines of the HTTP front end: no client can hold a
+// connection, and the goroutine serving it, open without making progress.
+const (
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers, so idle or trickling clients cannot hold connections open.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request, headers and body; the largest
+	// infer body is maxInferBody, a few hundred KB.
+	readTimeout = 30 * time.Second
+	// writeTimeout runs from the end of the headers to the end of the reply,
+	// so it covers the inference itself: queue wait, batching and the
+	// slowest zoo model's simulation fit with a wide margin.
+	writeTimeout = 2 * time.Minute
+	// idleTimeout bounds a keep-alive connection's wait for its next request.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is the front end's http.Server with every deadline set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // maxInferBody bounds an infer request's body by the model's input tensor
 // written as JSON: "-128, " is the widest an INT8 element gets, and 1 KiB

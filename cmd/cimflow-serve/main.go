@@ -132,7 +132,7 @@ func main() {
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: newHandler(srv), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := newHTTPServer(*addr, newHandler(srv))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Shutdown does the draining; main must wait for it to finish, or the
@@ -263,9 +263,34 @@ func wantsPrometheus(r *http.Request) bool {
 		strings.Contains(accept, "application/openmetrics-text")
 }
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so idle or trickling clients cannot hold connections open.
-const readHeaderTimeout = 10 * time.Second
+// The connection deadlines of the HTTP front end: no client can hold a
+// connection, and the goroutine serving it, open without making progress.
+const (
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers, so idle or trickling clients cannot hold connections open.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request, headers and body; the largest
+	// infer body is maxInferBody, a few hundred KB.
+	readTimeout = 30 * time.Second
+	// writeTimeout runs from the end of the headers to the end of the reply,
+	// so it covers the inference itself: queue wait, batching and the
+	// slowest zoo model's simulation fit with a wide margin.
+	writeTimeout = 2 * time.Minute
+	// idleTimeout bounds a keep-alive connection's wait for its next request.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is the front end's http.Server with every deadline set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // maxInferBody bounds an infer request's body by the model's input tensor
 // written as JSON: "-128, " is the widest an INT8 element gets, and 1 KiB

@@ -14,9 +14,15 @@ import (
 
 // assertResultsEqual requires two simulation runs to agree byte for byte on
 // the output tensor and exactly on cycles, instruction counts, MACs, the
-// full energy breakdown, every per-core stat and the NoC traffic counters.
+// full energy breakdown, every per-core stat and the NoC traffic counters,
+// and each report to satisfy the simulator's own conservation laws.
 func assertResultsEqual(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
+	for _, r := range []*Result{ref, got} {
+		if err := r.Stats.Check(); err != nil {
+			t.Errorf("%s: inconsistent report: %v", label, err)
+		}
+	}
 	if !reflect.DeepEqual(ref.Output.Data, got.Output.Data) {
 		t.Errorf("%s: output tensors differ", label)
 	}
@@ -153,46 +159,56 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 	}
 }
 
-// TestInterpreterEquivalenceGroupTail runs a whole chip whose macro groups
-// are 9 channels wide (3 macros of 24/8 channels), so every MVM row ends in
-// a tail the 8-channel kernel blocks do not cover: the legacy interpreter,
-// the predecoded handlers and an eight-lane batch must still agree exactly.
+// TestInterpreterEquivalenceGroupTail runs a whole chip at macro-group
+// widths that between them use every channel tile of the MVM kernel: 9 (3
+// macros of 24/8 channels: one 8-wide tile and a channel the kernel blocks do
+// not cover), 32, 40 (32 + 8), 72 (64 + 8) and 128 (two 64-wide tiles); the
+// default 64 is every other test. At each width the legacy interpreter, the
+// predecoded handlers and every lane of an eight-lane batch must agree
+// exactly, outputs and full Stats.
 func TestInterpreterEquivalenceGroupTail(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	cfg.Core.MacrosPerGroup, cfg.Unit.MacroCols = 3, 24
-	if cfg.GroupChannels()%8 == 0 {
-		t.Fatalf("GroupChannels() = %d leaves no tail", cfg.GroupChannels())
-	}
-	g := model.TinyResNet()
-	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := model.NewSeededWeights(g, 1)
-	const lanes = 8
-	inputs := make([]tensor.Tensor, lanes)
-	for i := range inputs {
-		inputs[i] = model.SeededInput(g.Nodes[0].OutShape, uint64(2+i))
-	}
-	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: lanes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	batch, err := s.InferBatch(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l, in := range inputs {
-		legacy, err := Simulate(context.Background(), compiled, ws, in, Options{LegacyInterpreter: true})
-		if err != nil {
-			t.Fatalf("legacy interpreter, input %d: %v", l, err)
-		}
-		serial, err := Simulate(context.Background(), compiled, ws, in, Options{SimWorkers: 1})
-		if err != nil {
-			t.Fatalf("serial predecoded, input %d: %v", l, err)
-		}
-		assertResultsEqual(t, fmt.Sprintf("serial input %d", l), legacy, serial)
-		assertResultsEqual(t, fmt.Sprintf("lane %d", l), legacy, batch[l])
+	for _, shape := range []struct{ macros, cols, chans int }{
+		{3, 24, 9}, {4, 64, 32}, {5, 64, 40}, {9, 64, 72}, {16, 64, 128},
+	} {
+		t.Run(fmt.Sprintf("chans=%d", shape.chans), func(t *testing.T) {
+			t.Parallel()
+			cfg := arch.DefaultConfig()
+			cfg.Core.MacrosPerGroup, cfg.Unit.MacroCols = shape.macros, shape.cols
+			if cfg.GroupChannels() != shape.chans {
+				t.Fatalf("GroupChannels() = %d, want %d", cfg.GroupChannels(), shape.chans)
+			}
+			g := model.TinyResNet()
+			compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := model.NewSeededWeights(g, 1)
+			const lanes = 8
+			inputs := make([]tensor.Tensor, lanes)
+			for i := range inputs {
+				inputs[i] = model.SeededInput(g.Nodes[0].OutShape, uint64(2+i))
+			}
+			s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: lanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			batch, err := s.InferBatch(context.Background(), inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, in := range inputs {
+				legacy, err := Simulate(context.Background(), compiled, ws, in, Options{LegacyInterpreter: true})
+				if err != nil {
+					t.Fatalf("legacy interpreter, input %d: %v", l, err)
+				}
+				serial, err := Simulate(context.Background(), compiled, ws, in, Options{SimWorkers: 1})
+				if err != nil {
+					t.Fatalf("serial predecoded, input %d: %v", l, err)
+				}
+				assertResultsEqual(t, fmt.Sprintf("serial input %d", l), legacy, serial)
+				assertResultsEqual(t, fmt.Sprintf("lane %d", l), legacy, batch[l])
+			}
+		})
 	}
 }

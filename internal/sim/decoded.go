@@ -504,11 +504,11 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 // flags it differs from the reference interpreter in four
 // measured-equivalent ways: the gather copy is skipped when the input is one
 // contiguous segment (the MAC loop only reads it, so aliasing local memory
-// is safe), the accumulator clear is a memclr, the MAC loop skips zero
-// input rows and hands the rest to mvmRow (an AVX2 kernel where the CPU has
-// one), and the writeback mode is tested once, not per channel. Every live
-// lane runs those same loops over its own weights and input, whatever the
-// lane count.
+// is safe), the accumulator clear is a memclr, the whole MAC loop is one
+// mvmLaneKernel call per lane that skips zero input rows (an AVX2 kernel
+// where the CPU has one), and the writeback mode is tested once, not per
+// channel. Every live lane runs those same loops over its own weights and
+// input, whatever the lane count.
 func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	e := &c.chip.cfg.Energy
 	rows := c.reg(d.RT)
@@ -628,27 +628,6 @@ func mvmWriteback(d *isa.Decoded, acc []int32, out []byte, qmul int32, qshift ui
 		for ch, sum := range acc {
 			out[ch] = byte(tensor.Requant(sum, qmul, qshift))
 		}
-	}
-}
-
-// mvmLaneKernel multiply-accumulates one lane's input vector against a
-// packed weight matrix. Quantized activations are mostly zero
-// (post-ReLU resnet18 inputs measure ~77% zero rows), so zero rows skip
-// their weight pass and runs of zeros are skipped a 64-bit word at a time.
-func mvmLaneKernel(input, w []byte, acc []int32, groupChans int) {
-	for row := 0; row < len(input); {
-		b := input[row]
-		if b == 0 {
-			if row+8 <= len(input) && binary.LittleEndian.Uint64(input[row:]) == 0 {
-				row += 8
-			} else {
-				row++
-			}
-			continue
-		}
-		base := row * groupChans
-		mvmRow(int32(int8(b)), w[base:base+groupChans], acc)
-		row++
 	}
 }
 

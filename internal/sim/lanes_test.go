@@ -80,7 +80,15 @@ func laneCases() []laneCase {
 	vec := func(fn uint8, d, a, rt, n int32) []isa.Instruction {
 		return seq(isa.LI(4, a), isa.LI(5, rt), isa.LI(6, d), isa.LI(7, n), one(isa.Vec(fn, 6, 4, 5, 7)))
 	}
-	halt := one(isa.Halt())
+	// HALT does not wait for operations in flight, and Stats.Check holds a
+	// unit's busy time to the cycle count: spin past the last copy-out's
+	// occupancy, as a program that wants its cycle count to cover its
+	// transfers must.
+	halt := seq(isa.LI(10, 100), one(
+		isa.ALUI(isa.FnAdd, 10, 10, -1),
+		isa.Branch(isa.OpBNE, 10, 0, -2),
+		isa.Halt(),
+	))
 	quant := seq(setSReg(isa.SRegQuantMul, 1), setSReg(isa.SRegQuantShift, 5), setSReg(isa.SRegOutChans, 8))
 
 	return []laneCase{
@@ -155,6 +163,39 @@ func laneCases() []laneCase {
 				setSReg(isa.SRegSegCount, 2), setSReg(isa.SRegSegStride, 24),
 				mvm(0, 16, 1024, isa.MVMFlagWriteRaw),
 				mvm(0, 16, 1056, isa.MVMFlagAccumulate|isa.MVMFlagWriteback),
+				copyOut(laneOut, 1024, 40),
+				halt,
+			)}},
+			outSize: 40,
+		},
+		{
+			// 15 rows, then 9 rows from an odd address accumulated on top:
+			// the nonzero count is odd in some lanes and even in others, so
+			// the row-pair kernel's unpaired last row is lane-varying.
+			name:    "mvm odd nonzero count",
+			uniform: weights,
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 16), copyIn(512, laneUniform, 128), quant,
+				loadWeights(512, 16),
+				mvm(0, 15, 1024, isa.MVMFlagWriteRaw),
+				mvm(3, 9, 1056, isa.MVMFlagAccumulate|isa.MVMFlagWriteback),
+				copyOut(laneOut, 1024, 40),
+				halt,
+			)}},
+			outSize: 40,
+		},
+		{
+			// 27 rows — less than one 32-row chunk of the kernel's scan, so
+			// the mask is all tail pieces (16 + 8 + 2 + 1) — gathered from
+			// three 9-byte segments 16 bytes apart.
+			name:    "short segmented mvm",
+			uniform: weights,
+			progs: []Program{{Core: 0, Code: seq(
+				copyIn(0, laneIn, 64), copyIn(512, laneUniform, 128), quant,
+				loadWeights(512, 16), setSReg(isa.SRegLoadRow, 16), loadWeights(552, 11),
+				setSReg(isa.SRegSegCount, 3), setSReg(isa.SRegSegStride, 16),
+				mvm(0, 27, 1024, isa.MVMFlagWriteRaw),
+				mvm(0, 27, 1056, isa.MVMFlagAccumulate|isa.MVMFlagWriteback|isa.MVMFlagRelu),
 				copyOut(laneOut, 1024, 40),
 				halt,
 			)}},
@@ -288,6 +329,9 @@ func (lc *laneCase) runAlone(t *testing.T, cfg *arch.Config, in []byte, opts ...
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := stats.Check(); err != nil {
+		t.Errorf("inconsistent report: %v", err)
+	}
 	out, err := ch.ReadGlobal(laneOut, lc.outSize)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +361,9 @@ func (lc *laneCase) runLanes(t *testing.T, ch *Chip, inputs, want [][]byte, want
 	}
 	if stats.Lanes != len(inputs) {
 		t.Errorf("stats.Lanes = %d, want %d", stats.Lanes, len(inputs))
+	}
+	if err := stats.Check(); err != nil {
+		t.Errorf("inconsistent report: %v", err)
 	}
 	timing := *stats
 	timing.Lanes = wantStats.Lanes

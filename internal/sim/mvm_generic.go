@@ -2,12 +2,33 @@ package sim
 
 import "encoding/binary"
 
-// mvmRowGeneric is the portable body of mvmRow: weights load eight INT8
-// channels per 64-bit word, each channel pays a shift, a sign-extend, a
-// multiply and a load-add-store of its accumulator. It is what mvmRow runs
-// wherever the AVX2 kernel is absent (other architectures, -tags purego, an
-// amd64 CPU or OS without AVX2) and the reference the kernel tests compare
-// the assembly against.
+// mvmLaneGeneric is the portable body of mvmLaneKernel, run wherever the
+// AVX2 kernel is absent (other architectures, -tags purego, an amd64 CPU or
+// OS without AVX2). Zero input rows skip their weight pass, and runs of zeros
+// are skipped a 64-bit word at a time.
+func mvmLaneGeneric(input, w []byte, acc []int32, groupChans int) {
+	for row := 0; row < len(input); {
+		b := input[row]
+		if b == 0 {
+			if row+8 <= len(input) && binary.LittleEndian.Uint64(input[row:]) == 0 {
+				row += 8
+			} else {
+				row++
+			}
+			continue
+		}
+		base := row * groupChans
+		mvmRowGeneric(int32(int8(b)), w[base:base+groupChans], acc)
+		row++
+	}
+}
+
+// mvmRowGeneric multiply-accumulates one input value against one packed
+// weight row: acc[ch] += iv * int8(wRow[ch]) in wrapping int32 arithmetic.
+// Weights load eight INT8 channels per 64-bit word, each channel pays a
+// shift, a sign-extend, a multiply and a load-add-store of its accumulator.
+// A plain loop of it over every row is the reference the kernel tests
+// compare mvmLaneKernel against.
 func mvmRowGeneric(iv int32, wRow []byte, acc []int32) {
 	a := acc[:len(wRow)]
 	ch := 0

@@ -2,9 +2,12 @@
 
 package sim
 
-// useAVX2 is false wherever the assembly kernel is not built.
+// useAVX2 is false wherever the assembly kernels are not built.
 const useAVX2 = false
 
-// mvmRow multiply-accumulates one nonzero input value against one packed
-// weight row: acc[ch] += iv * int8(wRow[ch]) in wrapping int32 arithmetic.
-func mvmRow(iv int32, wRow []byte, acc []int32) { mvmRowGeneric(iv, wRow, acc) }
+// mvmLaneKernel multiply-accumulates one lane's input vector against a
+// packed weight matrix: acc[ch] += int8(input[row]) * int8(w[row*groupChans+ch])
+// in wrapping int32 arithmetic, for every row and every ch < groupChans.
+func mvmLaneKernel(input, w []byte, acc []int32, groupChans int) {
+	mvmLaneGeneric(input, w, acc, groupChans)
+}

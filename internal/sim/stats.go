@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -68,6 +69,59 @@ type Stats struct {
 	GlobalBytes   int64
 	Lanes         int
 	DivergedLanes int
+}
+
+// Check reports the first violated conservation law of a report: the chip's
+// MAC and instruction counts are the sums over its cores, no unit is busy and
+// no core halts beyond the last cycle, every per-core energy component sums
+// to the chip's (NoC energy is metered by the mesh, not per core), and the
+// three reporting buckets add up to the total. The equivalence suites call it
+// on every report they compare.
+func (s *Stats) Check() error {
+	var macs, instrs int64
+	var energy EnergyBreakdown
+	for i := range s.Cores {
+		c := &s.Cores[i]
+		macs += c.MACs
+		instrs += c.Instructions
+		energy.add(&c.Energy)
+		if c.HaltCycle > s.Cycles {
+			return fmt.Errorf("core %d halts at cycle %d of %d", c.CoreID, c.HaltCycle, s.Cycles)
+		}
+		for u, busy := range c.UnitBusy {
+			if busy > s.Cycles {
+				return fmt.Errorf("core %d unit %d busy %d cycles of %d", c.CoreID, u, busy, s.Cycles)
+			}
+		}
+	}
+	if macs != s.MACs {
+		return fmt.Errorf("cores sum to %d MACs, chip reports %d", macs, s.MACs)
+	}
+	if instrs != s.Instructions {
+		return fmt.Errorf("cores sum to %d instructions, chip reports %d", instrs, s.Instructions)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, f := range []struct {
+		name       string
+		cores, all float64
+	}{
+		{"CIM compute", energy.CIMComputePJ, s.Energy.CIMComputePJ},
+		{"CIM load", energy.CIMLoadPJ, s.Energy.CIMLoadPJ},
+		{"vector", energy.VectorPJ, s.Energy.VectorPJ},
+		{"scalar", energy.ScalarPJ, s.Energy.ScalarPJ},
+		{"frontend", energy.FrontendPJ, s.Energy.FrontendPJ},
+		{"leakage", energy.LeakagePJ, s.Energy.LeakagePJ},
+		{"local memory", energy.LocalMemPJ, s.Energy.LocalMemPJ},
+	} {
+		if !near(f.cores, f.all) {
+			return fmt.Errorf("%s energy: cores sum to %g pJ, chip reports %g", f.name, f.cores, f.all)
+		}
+	}
+	if e := &s.Energy; !near(e.ComputePJ()+e.LocalMemPJ+e.NoCPJ, e.TotalPJ()) {
+		return fmt.Errorf("energy buckets %g + %g + %g do not add up to the total %g",
+			e.ComputePJ(), e.LocalMemPJ, e.NoCPJ, e.TotalPJ())
+	}
+	return nil
 }
 
 // Utilization returns the average busy fraction of a unit across cores.
