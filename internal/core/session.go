@@ -32,7 +32,12 @@ var ErrClosed = errors.New("core: session closed")
 // Pooled runs are byte-identical to fresh-chip runs: Chip.Reset clears all
 // core/NoC state, the scratch ranges (input, activations, padding) are
 // zeroed, and the resident weight segments are exactly what StaticInit
-// would rewrite.
+// would rewrite. Reset restores the cores' data planes to power-on state by
+// clearing what the chip's runs since the last Reset touched — pages of
+// local memory, macro groups, in the lanes that ran — so an acquire costs
+// what the previous inference wrote, not what the chip allocates (64 MB per
+// lane at the default architecture); a chip that errored or was cancelled
+// mid-run is covered by the same record.
 type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore

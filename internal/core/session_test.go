@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
+	"cimflow/internal/sim"
 	"cimflow/internal/tensor"
 )
 
@@ -224,4 +228,116 @@ func int8Bytes(t tensor.Tensor) []byte {
 		out[i] = byte(v)
 	}
 	return out
+}
+
+// cancelAfter is a context whose Err turns Canceled at the n-th poll. The
+// serial scheduler polls every few thousand steps, so a run under it is
+// abandoned part-way at the same instruction on any host.
+type cancelAfter struct {
+	context.Context
+	polls atomic.Int64
+	n     int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPooledResetDifferential drives one pooled 8-lane chip through shrinking
+// and regrowing occupancies with fresh inputs every time, and through runs
+// abandoned in the middle, and holds every lane of every batch — output and
+// full Stats — to a fresh-chip run of its input. Chip.Reset clears only what
+// the earlier runs touched, in the lanes they ran; whatever it missed would
+// be another inference's bytes under this one.
+//
+// A run is abandoned two ways. The cycle limit, set on the pooled chip to
+// half the model's cycle count, stops either scheduler at the same cycle on
+// any host. Cancellation does too under the serial scheduler and cancelAfter,
+// but only in a model that outlasts a poll interval: a tiny model's whole run
+// (under 8,200 instructions) fits inside one, so it can be cancelled before
+// it starts or not at all, and those steps are skipped for it.
+func TestPooledResetDifferential(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	for _, tc := range []struct {
+		model string
+		strat compiler.Strategy
+	}{{"tinyresnet", compiler.StrategyDP}, {"mobilenetv2", compiler.StrategyGeneric}} {
+		if (testing.Short() || raceEnabled) && tc.model == "mobilenetv2" {
+			continue
+		}
+		t.Run(tc.model+"/"+tc.strat.String(), func(t *testing.T) {
+			t.Parallel()
+			g := model.Zoo(tc.model)
+			compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: tc.strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := model.NewSeededWeights(g, 1)
+			for _, workers := range []int{1, 2} {
+				s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimWorkers: workers, SimLanes: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				seed := uint64(100 * workers)
+				var ran *sim.Stats // of the first batch: how long the model runs
+				for step, st := range []struct {
+					lanes int
+					abort string
+				}{{8, ""}, {2, ""}, {8, "limit"}, {8, ""}, {8, "cancel"}, {2, ""}, {8, ""}} {
+					inputs := make([]tensor.Tensor, st.lanes)
+					for i := range inputs {
+						seed++
+						inputs[i] = model.SeededInput(g.Nodes[0].OutShape, seed)
+					}
+					label := fmt.Sprintf("workers=%d step %d lanes %d %s", workers, step, st.lanes, st.abort)
+					switch st.abort {
+					case "limit":
+						ch := <-s.free
+						ch.CycleLimit = ran.Cycles / 2
+						s.free <- ch
+						if _, err := s.InferBatch(context.Background(), inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+							t.Fatalf("%s: InferBatch = %v, want a cycle-limit abort", label, err)
+						}
+						ch = <-s.free
+						ch.CycleLimit = 0
+						s.free <- ch
+						continue
+					case "cancel":
+						if workers != 1 || ran.Instructions < 1<<20 {
+							continue
+						}
+						// Polls 1 and 2 are the entry checks of the session and
+						// of Run; the scheduler's follow every 8192 steps.
+						_, err := s.InferBatch(&cancelAfter{Context: context.Background(), n: 5}, inputs)
+						if !errors.Is(err, context.Canceled) {
+							t.Fatalf("%s: InferBatch = %v, want context.Canceled", label, err)
+						}
+						continue
+					}
+					res, err := s.InferBatch(context.Background(), inputs)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					ran = res[0].Stats
+					for l, in := range inputs {
+						fresh, err := Simulate(context.Background(), compiled, ws, in, Options{SimWorkers: 1})
+						if err != nil {
+							t.Fatalf("%s: fresh chip: %v", label, err)
+						}
+						assertResultsEqual(t, fmt.Sprintf("%s lane %d", label, l), fresh, res[l])
+					}
+				}
+				if n := s.PooledChips(); n != 1 {
+					t.Errorf("workers=%d: pool holds %d chips, want the one every run reused", workers, n)
+				}
+				if n := s.LaneFallbacks(); n != 0 {
+					t.Errorf("workers=%d: %d unexpected divergence fallbacks", workers, n)
+				}
+				s.Close()
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cimflow/internal/isa"
 	"cimflow/internal/tensor"
@@ -18,6 +19,11 @@ const GlobalBase = 1 << 28
 type memRange struct{ lo, hi int32 }
 
 func (r memRange) overlaps(o memRange) bool { return r.lo < o.hi && o.lo < r.hi }
+
+// dirtyShift is log2 of the granule of a core's dirty record: one bit per
+// 4 KB page of local memory, chosen against 1 KB and 16 KB by measurement
+// (EXPERIMENTS.md "PR 17").
+const dirtyShift = 12
 
 // outstanding records the in-flight operation of one execution unit: its
 // completion cycle and the local-memory ranges it reads or writes.
@@ -62,6 +68,15 @@ type core struct {
 	// interpreter ever runs.
 	*image
 	images []image
+
+	// The dirty record: what Runs since the last reset may have left unlike
+	// power-on state. Bit p of dirty is page p (1<<dirtyShift bytes) of local
+	// memory, marked by hazardIssue for every window an operation reads or
+	// writes; bit g of mgDirty is macro group g, marked by CIM_LOAD. Addresses
+	// come from the lane-shared registers, so one record serves every lane,
+	// and it is per core, so window workers mark without synchronisation.
+	dirty   []uint64
+	mgDirty uint32
 
 	// Constants hoisted out of the dispatch loop at construction time;
 	// all are derived from the immutable chip configuration.
@@ -116,6 +131,7 @@ func newCore(id int, chip *Chip) *core {
 		id:         id,
 		chip:       chip,
 		images:     make([]image, chip.lanesCap),
+		dirty:      make([]uint64, (cfg.Core.LocalMemBytes+(64<<dirtyShift)-1)/(64<<dirtyShift)),
 		frontPJ:    e.InstFetchPJ + e.RegFilePJ,
 		latScalar:  int64(cfg.Core.ScalarLatency),
 		latMem:     int64(cfg.Core.LocalMemLatency),
@@ -138,27 +154,39 @@ func newCore(id int, chip *Chip) *core {
 		im.gather = make([]byte, cfg.Unit.MacroRows)
 	}
 	c.image = &c.images[0]
-	c.reset()
+	c.reset(0) // make returned zeroed memory: there is nothing to clear yet
 	return c
 }
 
 // reset restores the core to its power-on state (the state newCore leaves
-// it in), keeping the loaded program and the allocated buffers.
-func (c *core) reset() {
+// it in), keeping the loaded program and the allocated buffers. Only Run
+// writes a data plane, in the lanes of its occupancy, and every store names
+// its window to hazardIssue or is a CIM_LOAD, so what it wrote lies inside
+// the pages and macro groups of the dirty record. Clearing those in the
+// first lanes images — the widest occupancy of any Run since the last reset,
+// not the last one's: a pooled chip shrinks and regrows its occupancy
+// between runs — plus each one's accumulator and gather buffer leaves every
+// allocated byte zero.
+func (c *core) reset(lanes int) {
 	c.pc = 0
 	c.regs = [isa.NumGRegs]int32{}
 	c.sregs = [isa.NumSRegs]int32{}
-	// Every allocated image is wiped, not just the live ones: a pooled chip
-	// may shrink and regrow its occupancy between runs.
-	for l := range c.images {
+	for l := range c.images[:lanes] {
 		im := &c.images[l]
-		clear(im.local)
-		for _, m := range im.mg {
-			clear(m)
+		for w, word := range c.dirty {
+			for ; word != 0; word &= word - 1 {
+				lo := (w<<6 | bits.TrailingZeros64(word)) << dirtyShift
+				clear(im.local[lo:min(lo+1<<dirtyShift, len(im.local))])
+			}
+		}
+		for m := c.mgDirty; m != 0; m &= m - 1 {
+			clear(im.mg[bits.TrailingZeros32(m)])
 		}
 		clear(im.cimAcc)
 		clear(im.gather)
 	}
+	clear(c.dirty)
+	c.mgDirty = 0
 	c.time = 0
 	c.regReady = [isa.NumGRegs]int64{}
 	c.unitFree = [5]int64{}
@@ -203,8 +231,21 @@ func (c *core) setReg(r uint8, v int32, ready int64) {
 }
 
 // hazardIssue computes the earliest issue cycle given register sources,
-// the target unit, and local-memory ranges, implementing the scoreboard.
+// the target unit, and local-memory ranges, implementing the scoreboard. It
+// also marks the ranges' pages in the dirty record: both executors pass
+// every local window an operation reads or writes here. Marking one that is
+// only read, or whose operation faults later, is harmless; an empty one — a
+// zero-length operand's unvalidated base — marks nothing. retire gets the
+// same windows but is inlined into every handler, and would not be with this
+// loop in it: marking there cost about 7% of a resnet18 run.
 func (c *core) hazardIssue(unit isa.Unit, srcs []uint8, ranges []memRange) int64 {
+	for _, r := range ranges {
+		if r.lo < r.hi {
+			for pg := r.lo >> dirtyShift; pg <= (r.hi-1)>>dirtyShift; pg++ {
+				c.dirty[pg>>6] |= 1 << (pg & 63)
+			}
+		}
+	}
 	issue := c.time
 	for _, r := range srcs {
 		if c.regReady[r] > issue {
@@ -719,6 +760,7 @@ func (c *core) stepCimLoad(in isa.Instruction) error {
 		return c.errf("%v", err)
 	}
 	issue := c.hazardIssue(isa.UnitCIM, []uint8{in.RS, in.RT, in.RE, in.RD}, []memRange{r})
+	c.mgDirty |= 1 << mgIdx
 	w := c.mg[mgIdx]
 	for row := int32(0); row < rows; row++ {
 		base := (rowOff + row) * groupChans

@@ -482,6 +482,7 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], c.rangeBuf[:1])
+	c.mgDirty |= 1 << mgIdx
 	for m := c.live(); m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
 		w := im.mg[mgIdx]

@@ -1,0 +1,41 @@
+package sim
+
+// ResetFootprint is what the next Reset will clear, for the benchmark in the
+// external test package: the dirty pages and macro groups summed over the
+// cores, the lanes they are cleared in, the bytes that makes (accumulators
+// and gather buffers included), and — for comparison — the local-memory
+// bytes per lane a single [first, last] dirty window per core would span.
+type ResetFootprint struct {
+	Pages, Groups, Lanes int
+	Bytes, HullBytes     int64
+}
+
+func (ch *Chip) ResetFootprint() ResetFootprint {
+	f := ResetFootprint{Lanes: ch.dirtyLanes}
+	for _, c := range ch.cores {
+		var perLane int64
+		first, last := -1, -1
+		for pg := 0; pg<<dirtyShift < len(c.local); pg++ {
+			if c.dirty[pg>>6]>>(pg&63)&1 != 0 {
+				f.Pages++
+				perLane += int64(min((pg+1)<<dirtyShift, len(c.local)) - pg<<dirtyShift)
+				if first < 0 {
+					first = pg
+				}
+				last = pg
+			}
+		}
+		if first >= 0 {
+			f.HullBytes += int64(min((last+1)<<dirtyShift, len(c.local)) - first<<dirtyShift)
+		}
+		for g, m := range c.mg {
+			if c.mgDirty>>g&1 != 0 {
+				f.Groups++
+				perLane += int64(len(m))
+			}
+		}
+		perLane += int64(4*len(c.cimAcc) + len(c.gather))
+		f.Bytes += perLane * int64(ch.dirtyLanes)
+	}
+	return f
+}

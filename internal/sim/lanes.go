@@ -15,7 +15,10 @@ import (
 // strided at the message size. Each handler in decoded.go validates and
 // times its micro-op once from the shared registers, then applies the data
 // effect to every live lane (core.live); a one-lane run is the B = 1 case of
-// the same loops.
+// the same loops. What Reset must clear follows the same split: which pages
+// and macro groups were touched is timing-plane state, one dirty record per
+// core (addresses come from the shared registers), and Reset clears them in
+// the images of the widest occupancy run since the last one, not in all B.
 //
 // Correctness rests on a shared-register invariant: the only instruction
 // that can move lane-private data into a register is a scalar load

@@ -59,37 +59,52 @@ func setSReg(sreg int, v int32) []isa.Instruction {
 	return seq(isa.LI(1, v), one(isa.MTS(sreg, 1)))
 }
 
-func laneCases() []laneCase {
-	// 16x8 lane-uniform weights, small enough that 16 rows never saturate
-	// the requantized output.
+// laneWeights is 16x8 lane-uniform weights, small enough that 16 rows never
+// saturate the requantized output.
+func laneWeights() []byte {
 	weights := make([]byte, 16*8)
 	for i := range weights {
 		weights[i] = byte(int8(i%7 - 3))
 	}
-	// loadWeights is CIM_LOAD of rows x 8 weights from local[from:] into
-	// macro group 0; mvm multiplies local[in:in+rows] (gathered per the
-	// segment registers) and writes channel results to local[out:].
-	loadWeights := func(from, rows int32) []isa.Instruction {
-		return seq(isa.LI(1, from), isa.LI(2, rows), isa.LI(3, 8), one(isa.CimLoad(0, 1, 2, 3)))
-	}
-	mvm := func(in, rows, out int32, flags uint16) []isa.Instruction {
-		return seq(isa.LI(1, in), isa.LI(2, rows), isa.LI(3, out), one(isa.CimMVM(1, 2, 3, isa.MVMFlags(0, flags))))
-	}
-	// vec is VEC_<fn> of n elements from local[a:] (and local[rt:], or the
-	// scalar rt) to local[d:].
-	vec := func(fn uint8, d, a, rt, n int32) []isa.Instruction {
-		return seq(isa.LI(4, a), isa.LI(5, rt), isa.LI(6, d), isa.LI(7, n), one(isa.Vec(fn, 6, 4, 5, 7)))
-	}
-	// HALT does not wait for operations in flight, and Stats.Check holds a
-	// unit's busy time to the cycle count: spin past the last copy-out's
-	// occupancy, as a program that wants its cycle count to cover its
-	// transfers must.
-	halt := seq(isa.LI(10, 100), one(
+	return weights
+}
+
+// loadWeights is CIM_LOAD of rows x 8 weights from local[from:] into macro
+// group 0; mvm multiplies local[in:in+rows] (gathered per the segment
+// registers) and writes channel results to local[out:].
+func loadWeights(from, rows int32) []isa.Instruction {
+	return seq(isa.LI(1, from), isa.LI(2, rows), isa.LI(3, 8), one(isa.CimLoad(0, 1, 2, 3)))
+}
+
+func mvm(in, rows, out int32, flags uint16) []isa.Instruction {
+	return seq(isa.LI(1, in), isa.LI(2, rows), isa.LI(3, out), one(isa.CimMVM(1, 2, 3, isa.MVMFlags(0, flags))))
+}
+
+// vec is VEC_<fn> of n elements from local[a:] (and local[rt:], or the
+// scalar rt) to local[d:].
+func vec(fn uint8, d, a, rt, n int32) []isa.Instruction {
+	return seq(isa.LI(4, a), isa.LI(5, rt), isa.LI(6, d), isa.LI(7, n), one(isa.Vec(fn, 6, 4, 5, 7)))
+}
+
+// spinHalt ends a hand-written program. HALT does not wait for operations in
+// flight, and Stats.Check holds a unit's busy time to the cycle count: spin
+// past the last copy-out's occupancy, as a program that wants its cycle count
+// to cover its transfers must.
+func spinHalt() []isa.Instruction {
+	return seq(isa.LI(10, 100), one(
 		isa.ALUI(isa.FnAdd, 10, 10, -1),
 		isa.Branch(isa.OpBNE, 10, 0, -2),
 		isa.Halt(),
 	))
-	quant := seq(setSReg(isa.SRegQuantMul, 1), setSReg(isa.SRegQuantShift, 5), setSReg(isa.SRegOutChans, 8))
+}
+
+// quant8 sets up a requantized 8-channel writeback: multiplier 1, shift 5.
+func quant8() []isa.Instruction {
+	return seq(setSReg(isa.SRegQuantMul, 1), setSReg(isa.SRegQuantShift, 5), setSReg(isa.SRegOutChans, 8))
+}
+
+func laneCases() []laneCase {
+	weights, halt, quant := laneWeights(), spinHalt(), quant8()
 
 	return []laneCase{
 		{

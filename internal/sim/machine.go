@@ -148,11 +148,13 @@ type Chip struct {
 
 	// Lane state (see lanes.go). lanesCap is the allocated lane capacity
 	// (WithLanes); activeLanes is the occupancy of the Run in flight
-	// (SetLanes); divergedMask is the sticky per-lane divergence bitmap,
-	// atomic because window workers and the commit loop flag divergence
-	// concurrently.
+	// (SetLanes); dirtyLanes is the widest occupancy of any Run since the
+	// last Reset, the lanes Reset has to clear; divergedMask is the sticky
+	// per-lane divergence bitmap, atomic because window workers and the
+	// commit loop flag divergence concurrently.
 	lanesCap     int
 	activeLanes  int
+	dirtyLanes   int
 	divergedMask atomic.Uint64
 
 	// CycleLimit aborts runaway simulations; 0 means the default.
@@ -297,7 +299,9 @@ func (ch *Chip) ZeroGlobal(addr, size int) error {
 	}
 	// Every allocated lane is wiped, not just the active ones: a pooled chip
 	// may shrink and regrow its occupancy between runs, and a lane left
-	// dirty by an earlier wider run must not leak into a later one.
+	// dirty by an earlier wider run must not leak into a later one. Unlike
+	// Reset this keeps no record of what ran: the host stages into the region
+	// outside Run, and clearing it is a few tenths of a millisecond per batch.
 	for _, g := range ch.global {
 		clear(g[addr : addr+size])
 	}
@@ -311,6 +315,14 @@ func (ch *Chip) ZeroGlobal(addr, size int) error {
 // global memory survive, which is what lets a pooled chip serve many
 // inferences after a single weight load; callers refresh the input and
 // activation regions (ZeroGlobal + InitGlobal) before the next Run.
+//
+// Local memories and macro groups are cleared by record, not by size: each
+// core notes the 4 KB pages and the macro groups its operations touch, the
+// chip the widest lane occupancy it ran, and Reset zeroes exactly those (see
+// core.reset). Nothing but Run writes them, so everything outside the record
+// still holds the zeros it was allocated with, and the chip is byte for byte
+// the one NewChip built; the cost is what the runs since the last Reset
+// touched, not what the chip allocates.
 func (ch *Chip) Reset() {
 	// Keep the mailbox keys and queue storage: recycling them (plus the
 	// payload free-list) is what makes pooled re-runs allocation-free in
@@ -331,8 +343,9 @@ func (ch *Chip) Reset() {
 	ch.barrierArmed = false
 	ch.mesh.Reset()
 	for _, c := range ch.cores {
-		c.reset()
+		c.reset(ch.dirtyLanes)
 	}
+	ch.dirtyLanes = 0
 }
 
 // ReadGlobal copies a region of lane 0's global memory after execution.
@@ -480,6 +493,7 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	if ch.legacy && ch.activeLanes > 1 {
 		return nil, fmt.Errorf("sim: lane-batched execution requires the predecoded pipeline")
 	}
+	ch.dirtyLanes = max(ch.dirtyLanes, ch.activeLanes)
 
 	// Route to the conservative-window parallel scheduler when it can help:
 	// it needs the predecoded pipeline (the legacy interpreter and the

@@ -527,24 +527,27 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// runtimeErrorCases are programs that fault: name, source, and a substring of
+// the error. TestResetRestoresPowerOnState reruns them behind a prologue.
+var runtimeErrorCases = []struct {
+	name string
+	src  string
+	want string
+}{
+	{"div by zero", "SC_ADDI G1, G0, 5\nSC_DIV G2, G1, G0\nHALT", "division by zero"},
+	{"oob store", "SC_LUI G1, 512\nSC_ST G1, G1, 0\nHALT", "out of bounds"},
+	{"bad sreg", "SC_MTS 31, G0\nHALT", "special register"},
+	{"bad mvm length", "CIM_MVM G0, G0, G0, 0\nHALT", "input length"},
+	{"bad mvm group", "SC_ADDI G1, G0, 64\nCIM_MVM G0, G1, G0, 0x1f0\nHALT", "macro group"},
+	{"send oob core", "SC_ADDI G3, G0, 30\nSC_ADDI G2, G0, 4\nSEND G0, G2, G3, 0\nHALT", "out of range"},
+	// 65537 elements at stride 65536: (n-1)*stride+1 wraps int32 to 1, a
+	// span that used to validate and then index 4 GiB past local memory.
+	{"vector span wraps int32", "SC_LUI G1, 1\nSC_MTS 6, G1\nSC_ADDI G2, G1, 1\nVEC_RSUM8 G0, G0, G0, G2\nHALT", "out of bounds"},
+}
+
 func TestRuntimeErrors(t *testing.T) {
 	cfg := testConfig()
-	cases := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"div by zero", "SC_ADDI G1, G0, 5\nSC_DIV G2, G1, G0\nHALT", "division by zero"},
-		{"oob store", "SC_LUI G1, 512\nSC_ST G1, G1, 0\nHALT", "out of bounds"},
-		{"bad sreg", "SC_MTS 31, G0\nHALT", "special register"},
-		{"bad mvm length", "CIM_MVM G0, G0, G0, 0\nHALT", "input length"},
-		{"bad mvm group", "SC_ADDI G1, G0, 64\nCIM_MVM G0, G1, G0, 0x1f0\nHALT", "macro group"},
-		{"send oob core", "SC_ADDI G3, G0, 30\nSC_ADDI G2, G0, 4\nSEND G0, G2, G3, 0\nHALT", "out of range"},
-		// 65537 elements at stride 65536: (n-1)*stride+1 wraps int32 to 1, a
-		// span that used to validate and then index 4 GiB past local memory.
-		{"vector span wraps int32", "SC_LUI G1, 1\nSC_MTS 6, G1\nSC_ADDI G2, G1, 1\nVEC_RSUM8 G0, G0, G0, G2\nHALT", "out of bounds"},
-	}
-	for _, tc := range cases {
+	for _, tc := range runtimeErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Illegal encodings are rejected when the program is loaded (by
 			// the reference interpreter, when it reaches them),

@@ -261,6 +261,42 @@ func TestVectorNegativeLengthRejected(t *testing.T) {
 	}
 }
 
+// TestZeroLengthOperandMarksNothing: a zero-length operand's window is its
+// unvalidated base address. It must neither fault nor reach the dirty
+// record: a base inside memory would mark a page nothing wrote, and a wild
+// one indexes the bitmap at word 512 of 2.
+func TestZeroLengthOperandMarksNothing(t *testing.T) {
+	cfg := testConfig()
+	mem := int32(cfg.Core.LocalMemBytes)
+	prog := seq(
+		isa.LI(1, 1<<27+5), isa.LI(2, mem), isa.LI(3, 5000),
+		one(
+			isa.Vec(isa.VFnAdd8, 1, 1, 1, 0),  // n = G0 = 0, every operand at 1<<27+5
+			isa.Vec(isa.VFnRelu8, 1, 1, 0, 0), // one source
+			isa.Vec(isa.VFnMov8, 3, 3, 0, 0),
+			isa.VFill(2, 0, 0x5a), // 0 bytes at len(local)
+			isa.VFill(3, 0, 0x5a),
+			isa.MemCpy(2, 3, 0, 0),
+			isa.Send(3, 0, 0, 3), // 0 bytes to core 0 itself
+			isa.Recv(2, 0, 0, 3),
+			isa.Halt(),
+		))
+	for _, ex := range resetExecutors {
+		t.Run(ex.name, func(t *testing.T) {
+			ch, err := NewChip(&cfg, ex.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load(t, ch, 0, prog)
+			if _, err := ch.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ch.dirtyLanes = 0 // the run counts; it must be all the record holds
+			assertPowerOn(t, ch, "after the run, before any Reset")
+		})
+	}
+}
+
 func TestCimLoadOffsets(t *testing.T) {
 	cfg := testConfig()
 	ch, _ := NewChip(&cfg)
