@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cimflow/internal/cluster"
+	"cimflow/internal/httpapi"
 )
 
 // Cluster serving: a Router fronts N replica backends — each an
@@ -102,7 +103,7 @@ func NewLocalBackend(name string, s *Server) ClusterBackend {
 // NewHTTPBackend connects a remote cimflow-serve instance (by base URL,
 // e.g. "http://host:8080") as a replica backend.
 func NewHTTPBackend(base string) (ClusterBackend, error) {
-	return cluster.NewHTTPBackend(base)
+	return httpapi.NewClient(base)
 }
 
 // DelayedBackend wraps a backend with a fixed added latency on every

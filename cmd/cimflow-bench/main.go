@@ -42,7 +42,6 @@ func main() {
 	format := flag.String("format", "table", "stdout format: table | csv | json (one JSON object per row)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-	simWorkers := flag.Int("sim-workers", 0, "per-chip simulation scheduler width (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 	switch *format {
 	case "table", "csv", "json":
@@ -111,7 +110,7 @@ func main() {
 	cfg := cimflow.DefaultConfig()
 
 	cache := cimflow.NewCompileCache()
-	opt := cimflow.SweepOptions{Workers: *workers, SimWorkers: *simWorkers, Cache: cache}
+	opt := cimflow.SweepOptions{Workers: *workers, Cache: cache}
 
 	writeCSV := func(name string, t *cimflow.Table) error {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

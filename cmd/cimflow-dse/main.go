@@ -67,7 +67,6 @@ func main() {
 func run() error {
 	specPath := flag.String("spec", "", "sweep spec JSON file (required unless -example)")
 	workers := flag.Int("j", 0, "worker-pool size (0 = GOMAXPROCS)")
-	simWorkers := flag.Int("sim-workers", 0, "per-simulation scheduler width (0 = serial per chip; the sweep is the parallel axis)")
 	cacheDir := flag.String("cache-dir", "", "compile-artifact store directory: sweep shards running as separate processes share compiles through it")
 	csvPath := flag.String("csv", "", "write the result table as CSV to this file")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file: resume done points, record progress")
@@ -105,7 +104,7 @@ func run() error {
 		return err
 	}
 
-	opt := cimflow.SweepOptions{Workers: *workers, SimWorkers: *simWorkers, Cache: cimflow.NewCompileCache()}
+	opt := cimflow.SweepOptions{Workers: *workers, Cache: cimflow.NewCompileCache()}
 	if *cacheDir != "" {
 		store, err := cimflow.OpenArtifactStore(*cacheDir)
 		if err != nil {
@@ -257,7 +256,6 @@ func runSearch(spec *cimflow.SweepSpec, opt cimflow.SweepOptions, args searchArg
 		Budget:     args.budget,
 		Seed:       args.seed,
 		Workers:    opt.Workers,
-		SimWorkers: opt.SimWorkers,
 		Cache:      opt.Cache,
 		Checkpoint: opt.Checkpoint,
 	}

@@ -8,7 +8,8 @@
 //	cimflow-router -replicas 3 -models tinymlp,tinycnn -addr :8090
 //	cimflow-router -backends http://a:8080,http://b:8080 -models tinymlp
 //
-// HTTP API (wire-compatible with cimflow-serve, plus a tenant header):
+// HTTP API (the first two routes are internal/httpapi's, as on
+// cimflow-serve; its Client is how the router reaches -backends):
 //
 //	POST /v1/models/{name}/infer   route one inference; the X-Cimflow-Tenant
 //	                               header selects the tenant contract
@@ -30,23 +31,20 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"cimflow"
 	"cimflow/internal/compiler"
+	"cimflow/internal/httpapi"
 )
 
 type routerFlags struct {
@@ -158,27 +156,9 @@ func run(f *routerFlags) error {
 	}
 	defer r.Close()
 
-	httpSrv := newHTTPServer(f.addr, newHandler(r))
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		log.Print("draining...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}()
 	log.Printf("routing %s across %d backends on %s (hedge %v budget %g, checks every %v)",
 		strings.Join(r.Models(), ","), len(r.Backends()), f.addr, f.hedgeDelay, f.hedgeBudget, f.checkInterval)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	<-drained
-	return nil
+	return httpapi.ListenAndServe(f.addr, newHandler(r))
 }
 
 // --- fleet assembly ---
@@ -215,14 +195,7 @@ func buildFleet(f *routerFlags, models []string) (*fleet, error) {
 		return fl, nil
 	}
 
-	cfg := cimflow.DefaultConfig()
-	if f.archPath != "" {
-		var err error
-		if cfg, err = cimflow.LoadConfig(f.archPath); err != nil {
-			return nil, err
-		}
-	}
-	strat, err := compiler.ParseStrategy(f.strategy)
+	cfg, strat, err := archAndStrategy(f)
 	if err != nil {
 		return nil, err
 	}
@@ -263,6 +236,20 @@ func buildFleet(f *routerFlags, models []string) (*fleet, error) {
 		log.Printf("replica %s up: %s", name, strings.Join(srv.Models(), ","))
 	}
 	return fl, nil
+}
+
+// archAndStrategy resolves -arch and -strategy, which replicas and the
+// reference session of -check must agree on.
+func archAndStrategy(f *routerFlags) (cimflow.Config, cimflow.Strategy, error) {
+	cfg := cimflow.DefaultConfig()
+	if f.archPath != "" {
+		var err error
+		if cfg, err = cimflow.LoadConfig(f.archPath); err != nil {
+			return cfg, 0, err
+		}
+	}
+	strat, err := compiler.ParseStrategy(f.strategy)
+	return cfg, strat, err
 }
 
 // maybeSlow wraps the named backend with the injected latency.
@@ -377,31 +364,12 @@ func splitList(s string) []string {
 	return out
 }
 
-// --- HTTP front end (wire-compatible with cimflow-serve) ---
+// --- HTTP front end ---
 
-type inferRequest struct {
-	Seed  *uint64 `json:"seed,omitempty"`
-	Data  []int8  `json:"data,omitempty"`
-	Shape []int   `json:"shape,omitempty"`
-}
-
-type inferResponse struct {
-	Model     string  `json:"model"`
-	Shape     []int   `json:"shape"`
-	Output    []int8  `json:"output"`
-	Cycles    int64   `json:"cycles"`
-	Seconds   float64 `json:"seconds"`
-	EnergyMJ  float64 `json:"energy_mj"`
-	LatencyMs float64 `json:"latency_ms"`
-}
-
-type modelInfo struct {
-	Name       string `json:"name"`
-	InputShape []int  `json:"input_shape"`
-}
-
+// newHandler mounts httpapi's routes beside the three that are the router's.
 func newHandler(r *cimflow.Router) http.Handler {
 	mux := http.NewServeMux()
+	httpapi.Register(mux, r)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		healthy := 0
 		for _, name := range r.Backends() {
@@ -413,28 +381,17 @@ func newHandler(r *cimflow.Router) http.Handler {
 		if healthy == 0 {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]any{
+		httpapi.WriteJSON(w, status, map[string]any{
 			"status":           map[bool]string{true: "ok", false: "no healthy backends"}[healthy > 0],
 			"backends_healthy": healthy, "backends_total": len(r.Backends()),
 		})
 	})
-	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, req *http.Request) {
-		var out []modelInfo
-		for _, name := range r.Models() {
-			shape, err := r.InputShape(name)
-			if err != nil {
-				continue
-			}
-			out = append(out, modelInfo{Name: name, InputShape: []int{shape.H, shape.W, shape.C}})
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
 	mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Metrics())
+		httpapi.WriteJSON(w, http.StatusOK, r.Metrics())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "json" {
-			writeJSON(w, http.StatusOK, r.Metrics())
+			httpapi.WriteJSON(w, http.StatusOK, r.Metrics())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -442,132 +399,7 @@ func newHandler(r *cimflow.Router) http.Handler {
 			log.Printf("metrics: %v", err)
 		}
 	})
-	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, req *http.Request) {
-		name := req.PathValue("name")
-		shape, err := r.InputShape(name)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		var body inferRequest
-		req.Body = http.MaxBytesReader(w, req.Body, maxInferBody(shape))
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			writeError(w, decodeStatus(err), fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		input, err := buildInput(shape, &body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		tenant := req.Header.Get("X-Cimflow-Tenant")
-		start := time.Now()
-		res, err := r.Infer(req.Context(), tenant, name, input)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, inferResponse{
-			Model:     name,
-			Shape:     []int{res.Output.H, res.Output.W, res.Output.C},
-			Output:    res.Output.Data,
-			Cycles:    res.Stats.Cycles,
-			Seconds:   res.Seconds,
-			EnergyMJ:  res.EnergyMJ,
-			LatencyMs: float64(time.Since(start)) / float64(time.Millisecond),
-		})
-	})
 	return mux
-}
-
-// The connection deadlines of the HTTP front end: no client can hold a
-// connection, and the goroutine serving it, open without making progress.
-const (
-	// readHeaderTimeout bounds how long a connection may take to send its
-	// request headers, so idle or trickling clients cannot hold connections open.
-	readHeaderTimeout = 10 * time.Second
-	// readTimeout bounds the whole request, headers and body; the largest
-	// infer body is maxInferBody, a few hundred KB.
-	readTimeout = 30 * time.Second
-	// writeTimeout runs from the end of the headers to the end of the reply,
-	// so it covers the inference itself: queue wait, batching and the
-	// slowest zoo model's simulation fit with a wide margin.
-	writeTimeout = 2 * time.Minute
-	// idleTimeout bounds a keep-alive connection's wait for its next request.
-	idleTimeout = 2 * time.Minute
-)
-
-// newHTTPServer is the front end's http.Server with every deadline set.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
-
-// maxInferBody bounds an infer request's body by the model's input tensor
-// written as JSON: "-128, " is the widest an INT8 element gets, and 1 KiB
-// covers the envelope (seed, shape, key names).
-func maxInferBody(shape cimflow.Shape) int64 { return 1024 + 6*int64(shape.Elems()) }
-
-// decodeStatus is 413 for a body cut off by maxInferBody, 400 for any other
-// undecodable body.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func buildInput(shape cimflow.Shape, req *inferRequest) (cimflow.Tensor, error) {
-	if req.Seed != nil {
-		return cimflow.SeededInput(shape, *req.Seed), nil
-	}
-	if len(req.Shape) != 3 {
-		return cimflow.Tensor{}, fmt.Errorf("request needs \"seed\" or \"data\" with \"shape\": [h,w,c]")
-	}
-	t := cimflow.Tensor{H: req.Shape[0], W: req.Shape[1], C: req.Shape[2], Data: req.Data}
-	if t.Len() != len(req.Data) {
-		return cimflow.Tensor{}, fmt.Errorf("data has %d elements, shape %dx%dx%d needs %d",
-			len(req.Data), t.H, t.W, t.C, t.Len())
-	}
-	return t, nil
-}
-
-// statusFor maps router errors onto HTTP codes: quota violations are the
-// client's to back off from (429), capacity and health problems are the
-// fleet's (503), deadline expiry is a timeout (504).
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, cimflow.ErrUnknownModel):
-		return http.StatusNotFound
-	case errors.Is(err, cimflow.ErrQuotaExceeded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, cimflow.ErrOverloaded),
-		errors.Is(err, cimflow.ErrNoBackends),
-		errors.Is(err, cimflow.ErrRouterClosed),
-		errors.Is(err, cimflow.ErrBackendUnavailable):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // --- trace replay ---
@@ -650,14 +482,7 @@ func replayOnce(f *routerFlags, models []string, tenants []tenantSpec,
 // -check seeded inputs through the router must match a dedicated
 // reference session byte for byte.
 func verifyRouted(r *cimflow.Router, models []string, f *routerFlags) error {
-	cfg := cimflow.DefaultConfig()
-	if f.archPath != "" {
-		var err error
-		if cfg, err = cimflow.LoadConfig(f.archPath); err != nil {
-			return err
-		}
-	}
-	strat, err := compiler.ParseStrategy(f.strategy)
+	cfg, strat, err := archAndStrategy(f)
 	if err != nil {
 		return err
 	}
@@ -686,7 +511,7 @@ func verifyRouted(r *cimflow.Router, models []string, f *routerFlags) error {
 			if err != nil {
 				return fmt.Errorf("routed %s/%d: %w", name, i, err)
 			}
-			if !bytes.Equal(int8AsBytes(got.Output.Data), int8AsBytes(want.Output.Data)) {
+			if !slices.Equal(got.Output.Data, want.Output.Data) {
 				return fmt.Errorf("routed output for %s seed %d differs from direct Session.Infer", name, i)
 			}
 		}
@@ -718,12 +543,4 @@ func printHedgeComparison(off, on *cimflow.ReplayReport) {
 	}
 	fmt.Printf("hedges launched %d (won %d); retries %d\n",
 		on.Router.HedgesLaunched, on.Router.HedgesWon, on.Router.Retries)
-}
-
-func int8AsBytes(v []int8) []byte {
-	out := make([]byte, len(v))
-	for i, b := range v {
-		out[i] = byte(b)
-	}
-	return out
 }

@@ -4,7 +4,7 @@
 //	cimflow-serve -models tinyresnet,tinymlp -addr :8080
 //	cimflow-serve -loadgen -models tinymlp -rps 100 -duration 10s -workers 4
 //
-// HTTP API:
+// HTTP API (the first two routes are internal/httpapi's, as on cimflow-router):
 //
 //	POST /v1/models/{name}/infer   run one inference ({"seed": 7} or
 //	                               {"data": [...], "shape": [h,w,c]})
@@ -21,24 +21,21 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"cimflow"
 	"cimflow/internal/compiler"
+	"cimflow/internal/httpapi"
 )
 
 func main() {
@@ -53,7 +50,6 @@ func main() {
 		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "dynamic batcher: max wait to fill a batch")
 		queue    = flag.Int("queue", 64, "per-model admission queue depth")
 		pool     = flag.Int("pool", 0, "pooled chips per session (0 = GOMAXPROCS)")
-		simWork  = flag.Int("sim-workers", 1, "per-chip simulation scheduler width (1 = serial; serving parallelizes across chips, 0 = GOMAXPROCS per chip)")
 		simLanes = flag.Int("sim-lanes", 1, "lane-batch capacity per chip: coalesced batches run up to this many inferences through one cycle-accurate schedule (1 = off)")
 		artDir   = flag.String("artifact-dir", "", "compile-artifact store directory: restarts load compiled models from disk instead of recompiling")
 
@@ -80,7 +76,6 @@ func main() {
 		cimflow.WithStrategy(strat),
 		cimflow.WithSeed(*seed),
 		cimflow.WithMaxPooledChips(*pool),
-		cimflow.WithSimWorkers(*simWork),
 		cimflow.WithSimLanes(*simLanes),
 	}
 	if *artDir != "" {
@@ -132,28 +127,11 @@ func main() {
 		return
 	}
 
-	httpSrv := newHTTPServer(*addr, newHandler(srv))
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Shutdown does the draining; main must wait for it to finish, or the
-	// process exits while in-flight responses are still being written.
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		<-ctx.Done()
-		log.Print("draining...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}()
 	log.Printf("listening on %s (workers=%d max-batch=%d max-delay=%v queue=%d)",
 		*addr, *workers, *maxBatch, *maxDelay, *queue)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpapi.ListenAndServe(*addr, newHandler(srv)); err != nil {
 		log.Fatal(err)
 	}
-	<-drained
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -161,44 +139,12 @@ func main() {
 
 // --- HTTP front end ---
 
-// inferRequest is the POST body: either a deterministic seeded input or
-// raw INT8 data with an explicit [h, w, c] shape.
-type inferRequest struct {
-	Seed  *uint64 `json:"seed,omitempty"`
-	Data  []int8  `json:"data,omitempty"`
-	Shape []int   `json:"shape,omitempty"`
-}
-
-type inferResponse struct {
-	Model     string  `json:"model"`
-	Shape     []int   `json:"shape"`
-	Output    []int8  `json:"output"`
-	Cycles    int64   `json:"cycles"`
-	Seconds   float64 `json:"seconds"`
-	EnergyMJ  float64 `json:"energy_mj"`
-	LatencyMs float64 `json:"latency_ms"`
-}
-
-type modelInfo struct {
-	Name       string `json:"name"`
-	InputShape []int  `json:"input_shape"`
-}
-
+// newHandler mounts httpapi's routes beside the two that are this binary's.
 func newHandler(srv *cimflow.Server) http.Handler {
 	mux := http.NewServeMux()
+	httpapi.Register(mux, httpapi.SingleTenant{Server: srv})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "models": len(srv.Models())})
-	})
-	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
-		var out []modelInfo
-		for _, name := range srv.Models() {
-			shape, err := srv.InputShape(name)
-			if err != nil {
-				continue
-			}
-			out = append(out, modelInfo{Name: name, InputShape: []int{shape.H, shape.W, shape.C}})
-		}
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "models": len(srv.Models())})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if wantsPrometheus(r) {
@@ -208,41 +154,7 @@ func newHandler(srv *cimflow.Server) http.Handler {
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, srv.Metrics())
-	})
-	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		shape, err := srv.InputShape(name)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		var req inferRequest
-		r.Body = http.MaxBytesReader(w, r.Body, maxInferBody(shape))
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, decodeStatus(err), fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		input, err := buildInput(shape, &req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		start := time.Now()
-		res, err := srv.Infer(r.Context(), name, input)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, inferResponse{
-			Model:     name,
-			Shape:     []int{res.Output.H, res.Output.W, res.Output.C},
-			Output:    res.Output.Data,
-			Cycles:    res.Stats.Cycles,
-			Seconds:   res.Seconds,
-			EnergyMJ:  res.EnergyMJ,
-			LatencyMs: float64(time.Since(start)) / float64(time.Millisecond),
-		})
+		httpapi.WriteJSON(w, http.StatusOK, srv.Metrics())
 	})
 	return mux
 }
@@ -261,94 +173,6 @@ func wantsPrometheus(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	return strings.Contains(accept, "text/plain") ||
 		strings.Contains(accept, "application/openmetrics-text")
-}
-
-// The connection deadlines of the HTTP front end: no client can hold a
-// connection, and the goroutine serving it, open without making progress.
-const (
-	// readHeaderTimeout bounds how long a connection may take to send its
-	// request headers, so idle or trickling clients cannot hold connections open.
-	readHeaderTimeout = 10 * time.Second
-	// readTimeout bounds the whole request, headers and body; the largest
-	// infer body is maxInferBody, a few hundred KB.
-	readTimeout = 30 * time.Second
-	// writeTimeout runs from the end of the headers to the end of the reply,
-	// so it covers the inference itself: queue wait, batching and the
-	// slowest zoo model's simulation fit with a wide margin.
-	writeTimeout = 2 * time.Minute
-	// idleTimeout bounds a keep-alive connection's wait for its next request.
-	idleTimeout = 2 * time.Minute
-)
-
-// newHTTPServer is the front end's http.Server with every deadline set.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-}
-
-// maxInferBody bounds an infer request's body by the model's input tensor
-// written as JSON: "-128, " is the widest an INT8 element gets, and 1 KiB
-// covers the envelope (seed, shape, key names).
-func maxInferBody(shape cimflow.Shape) int64 { return 1024 + 6*int64(shape.Elems()) }
-
-// decodeStatus is 413 for a body cut off by maxInferBody, 400 for any other
-// undecodable body.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// buildInput materializes the request's tensor: seeded or raw.
-func buildInput(shape cimflow.Shape, req *inferRequest) (cimflow.Tensor, error) {
-	if req.Seed != nil {
-		return cimflow.SeededInput(shape, *req.Seed), nil
-	}
-	if len(req.Shape) != 3 {
-		return cimflow.Tensor{}, fmt.Errorf("request needs \"seed\" or \"data\" with \"shape\": [h,w,c]")
-	}
-	t := cimflow.Tensor{H: req.Shape[0], W: req.Shape[1], C: req.Shape[2], Data: req.Data}
-	if t.Len() != len(req.Data) {
-		return cimflow.Tensor{}, fmt.Errorf("data has %d elements, shape %dx%dx%d needs %d",
-			len(req.Data), t.H, t.W, t.C, t.Len())
-	}
-	return t, nil
-}
-
-// statusFor maps the serving subsystem's typed errors onto HTTP codes.
-// Unrecognized errors are server-side faults (simulation failures, closed
-// sessions), not client mistakes.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, cimflow.ErrUnknownModel):
-		return http.StatusNotFound
-	case errors.Is(err, cimflow.ErrOverloaded),
-		errors.Is(err, cimflow.ErrServerClosed),
-		errors.Is(err, cimflow.ErrSessionClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // --- open-loop load generator ---
@@ -411,7 +235,7 @@ arrivals:
 				switch {
 				case err == nil:
 					completed.Add(1)
-					if int(seed) < check && !bytes.Equal(int8AsBytes(res.Output.Data), int8AsBytes(refs[seed])) {
+					if int(seed) < check && !slices.Equal(res.Output.Data, refs[seed]) {
 						mismatched.Add(1)
 					}
 				case errors.Is(err, cimflow.ErrOverloaded):
@@ -453,12 +277,4 @@ arrivals:
 		fmt.Printf("verified: served outputs byte-identical to Session.Infer on %d reference inputs\n", check)
 	}
 	return nil
-}
-
-func int8AsBytes(v []int8) []byte {
-	out := make([]byte, len(v))
-	for i, b := range v {
-		out[i] = byte(b)
-	}
-	return out
 }

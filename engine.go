@@ -69,10 +69,11 @@ func WithMaxPooledChips(n int) Option {
 }
 
 // WithSimWorkers sets the simulator's conservative-window worker-pool
-// size per chip (0 = GOMAXPROCS, 1 = the serial scheduler). Simulation
-// results are bit-identical at any setting — the pool only changes how
-// many host cores one simulated chip spreads across, so serving layers
-// that already parallelize across chips typically pin this to 1.
+// size per chip; 0 and 1, the default, are the serial scheduler. This is
+// the one place a caller opts in to windows: on the 2-core host they
+// measured 0.76-0.85x of serial (EXPERIMENTS.md "PR 21"), so nothing
+// selects them by default. Simulation results are bit-identical at any
+// setting.
 func WithSimWorkers(n int) Option {
 	return func(o *settings) { o.SimWorkers = n }
 }

@@ -1,7 +1,7 @@
 // Package cluster is the horizontally sharded serving tier of the
 // framework: a router front-end that places inference requests across N
 // replica backends, each an internal/serve server (in-process for tests,
-// HTTP for real deployments).
+// over HTTP through internal/httpapi's Client for real deployments).
 //
 // Placement consistent-hashes on the model name so a model's traffic lands
 // on the replica that already holds its warm compiled artifact and chip
@@ -24,7 +24,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"cimflow/internal/core"
@@ -47,7 +46,7 @@ var (
 
 // Backend is one serving replica the router can place requests on. A
 // backend is an internal/serve server reached in-process (LocalBackend) or
-// over HTTP (HTTPBackend); fakes implement it directly in tests.
+// over HTTP (httpapi.Client); fakes implement it directly in tests.
 type Backend interface {
 	// Name is the backend's stable identity — it seeds the consistent-hash
 	// ring, so renaming a replica remaps its models.
@@ -85,11 +84,7 @@ func (b *LocalBackend) Models() []string { return b.srv.Models() }
 
 // InputShape reports a served model's expected input shape.
 func (b *LocalBackend) InputShape(name string) (model.Shape, error) {
-	sess, _, err := b.srv.Model(name)
-	if err != nil {
-		return model.Shape{}, err
-	}
-	return sess.InputShape(), nil
+	return b.srv.InputShape(name)
 }
 
 // Infer submits one request to the wrapped server.
@@ -129,18 +124,20 @@ func (b *delayedBackend) Infer(ctx context.Context, name string, input tensor.Te
 	return b.Backend.Infer(ctx, name, input)
 }
 
-// retryable classifies an attempt error as worth retrying on another
-// replica: load shedding and transport faults are; deterministic request
-// errors (unknown model, bad shape, simulation failure) and the caller's
-// own context expiry are not.
-func retryable(err error) bool {
+// Retryable classifies an attempt error as worth retrying on another
+// replica: load shedding, a replica shutting down or with nothing to place
+// on, and transport faults are; deterministic request errors (unknown model,
+// bad shape, simulation failure) and the caller's own context expiry are
+// not. These are the errors the HTTP API answers 503, which comes back as
+// ErrOverloaded: a failure is classed alike in-process and over the wire.
+func Retryable(err error) bool {
 	switch {
 	case err == nil:
 		return false
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return false
-	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed),
-		errors.Is(err, ErrBackendUnavailable):
+	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed), errors.Is(err, core.ErrClosed),
+		errors.Is(err, ErrBackendUnavailable), errors.Is(err, ErrNoBackends), errors.Is(err, ErrRouterClosed):
 		return true
 	default:
 		return false
@@ -151,8 +148,3 @@ func retryable(err error) bool {
 // backend (connection refused, malformed reply) — retryable on another
 // replica, unlike a deterministic request error.
 var ErrBackendUnavailable = errors.New("cluster: backend unavailable")
-
-// wrapUnavailable tags a transport error as retryable.
-func wrapUnavailable(name string, err error) error {
-	return fmt.Errorf("%w: %s: %v", ErrBackendUnavailable, name, err)
-}

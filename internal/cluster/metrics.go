@@ -4,9 +4,9 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"cimflow/internal/serve"
 )
 
 // tenantLatencyWindow is how many recent request latencies each tenant
@@ -23,16 +23,7 @@ type tenantStats struct {
 	expired           atomic.Int64
 	failed            atomic.Int64
 
-	mu   sync.Mutex
-	lat  [tenantLatencyWindow]time.Duration
-	latN int
-}
-
-func (ts *tenantState) observeLatency(d time.Duration) {
-	ts.m.mu.Lock()
-	ts.m.lat[ts.m.latN%tenantLatencyWindow] = d
-	ts.m.latN++
-	ts.m.mu.Unlock()
+	lat *serve.LatencyWindow
 }
 
 // BackendMetrics is one replica's router-side snapshot.
@@ -125,22 +116,7 @@ func (ts *tenantState) snapshot() TenantMetrics {
 		Expired:           ts.m.expired.Load(),
 		Failed:            ts.m.failed.Load(),
 	}
-	ts.m.mu.Lock()
-	n := ts.m.latN
-	if n > tenantLatencyWindow {
-		n = tenantLatencyWindow
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, ts.m.lat[:n])
-	ts.m.mu.Unlock()
-	tm.LatencySamples = n
-	if n > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		q := func(p float64) float64 {
-			return float64(samples[int(p*float64(n-1))]) / float64(time.Millisecond)
-		}
-		tm.P50Ms, tm.P95Ms, tm.P99Ms = q(0.50), q(0.95), q(0.99)
-	}
+	tm.LatencySamples, tm.P50Ms, tm.P95Ms, tm.P99Ms = ts.m.lat.Quantiles()
 	if tm.Sent > 0 {
 		tm.Attainment = float64(tm.Completed) / float64(tm.Sent)
 	}

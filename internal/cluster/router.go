@@ -193,6 +193,7 @@ func New(opts ...Option) *Router {
 
 func (r *Router) newTenantState(cfg TenantConfig) *tenantState {
 	ts := &tenantState{cfg: cfg}
+	ts.m.lat = serve.NewLatencyWindow(tenantLatencyWindow)
 	if cfg.Rate > 0 {
 		ts.quota = newBucket(cfg.Rate, cfg.Burst, r.now())
 	}
@@ -398,7 +399,7 @@ func (r *Router) Infer(ctx context.Context, tenant, model string, input tensor.T
 	switch {
 	case err == nil:
 		ts.m.completed.Add(1)
-		ts.observeLatency(r.now().Sub(start))
+		ts.m.lat.Observe(r.now().Sub(start))
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		ts.m.expired.Add(1)
 	default:
@@ -459,7 +460,7 @@ func (r *Router) dispatch(ctx context.Context, prefs []*backendState, ts *tenant
 				return out.res, nil
 			}
 			lastErr = out.err
-			if retryable(out.err) && next < len(prefs) && r.hedge.take(r.now(), 1) {
+			if Retryable(out.err) && next < len(prefs) && r.hedge.take(r.now(), 1) {
 				r.m.retries.Add(1)
 				launch(next, false)
 				next++

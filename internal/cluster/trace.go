@@ -263,13 +263,7 @@ func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, erro
 			Expired:    acc.expired,
 			Failed:     acc.failed,
 		}
-		if n := len(acc.lat); n > 0 {
-			sort.Slice(acc.lat, func(i, j int) bool { return acc.lat[i] < acc.lat[j] })
-			q := func(p float64) float64 {
-				return float64(acc.lat[int(p*float64(n-1))]) / float64(time.Millisecond)
-			}
-			slo.P50Ms, slo.P95Ms, slo.P99Ms = q(0.50), q(0.95), q(0.99)
-		}
+		slo.P50Ms, slo.P95Ms, slo.P99Ms = serve.Quantiles(acc.lat)
 		if acc.sent > 0 {
 			slo.Attainment = float64(acc.ok) / float64(acc.sent)
 		}

@@ -78,13 +78,6 @@ func (e *emitter) setSReg(idx int, v int32) {
 	e.sregKnown[idx] = v
 }
 
-// setSRegFromReg writes a register value to a special register and
-// invalidates the cache entry.
-func (e *emitter) setSRegFromReg(idx int, r uint8) {
-	e.emit(isa.MTS(idx, r))
-	delete(e.sregKnown, idx)
-}
-
 // invalidateSRegs clears special-register knowledge (used at control-flow
 // merge points where different paths may have set different values).
 func (e *emitter) invalidateSRegs() { e.sregKnown = map[int]int32{} }

@@ -69,6 +69,7 @@ func assertResultsEqual(t *testing.T, label string, ref, got *Result) {
 func TestInterpreterEquivalence(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	large := map[string]bool{"resnet18": true, "vgg19": true, "mobilenetv2": true, "efficientnetb0": true}
+	golden := newGoldenChecker(t)
 	for _, name := range model.ZooNames() {
 		if (testing.Short() || raceEnabled) && large[name] {
 			continue
@@ -99,6 +100,7 @@ func TestInterpreterEquivalence(t *testing.T) {
 					t.Fatalf("serial predecoded: %v", err)
 				}
 				assertResultsEqual(t, "serial", legacy, serial)
+				golden.check(t, name+"/"+strat.String(), serial.Stats)
 				for _, w := range []int{2, 8} {
 					parallel, err := Simulate(context.Background(), compiled, ws, input,
 						Options{SimWorkers: w})

@@ -60,9 +60,8 @@ type Options struct {
 	// hatch the differential equivalence suite runs against.
 	LegacyInterpreter bool
 	// SimWorkers sets the simulator's conservative-window worker-pool size
-	// (sim.WithWorkers): 0 sizes it to GOMAXPROCS, 1 forces the serial
-	// scheduler. Results are bit-identical at any setting; this trades
-	// simulation throughput against host parallelism budget.
+	// (sim.WithWorkers): 0 and 1 are the serial scheduler. Results are
+	// bit-identical at any setting.
 	SimWorkers int
 	// SimLanes sets the session's lane-batch capacity (sim.WithLanes, at
 	// most sim.MaxLanes): InferBatch fills up to SimLanes inputs into one

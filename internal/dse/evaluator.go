@@ -28,20 +28,6 @@ type Evaluator struct {
 	Checkpoint *Checkpoint
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
-	// SimWorkers is the per-simulation worker-pool size forwarded to the
-	// chip's windowed scheduler. A sweep already parallelizes across
-	// points, so 0 defaults to 1 (serial per chip) — the opposite of the
-	// simulator's own GOMAXPROCS default — to keep point throughput from
-	// oversubscribing the host. Results are bit-identical either way.
-	SimWorkers int
-}
-
-// simWorkers resolves the per-point scheduler width (see SimWorkers).
-func (ev *Evaluator) simWorkers() int {
-	if ev.SimWorkers == 0 {
-		return 1
-	}
-	return ev.SimWorkers
 }
 
 // Key identifies a point outcome for resume: the point identity (model,
@@ -132,7 +118,6 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 		Strategy:   p.Strategy,
 		Seed:       p.Seed,
 		CycleLimit: ev.CycleLimit,
-		SimWorkers: ev.simWorkers(),
 	})
 	r.SimTime = time.Since(start)
 	if err != nil {

@@ -74,10 +74,6 @@ type RunOptions struct {
 	OnResult func(PointResult)
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
-	// SimWorkers is the per-simulation scheduler width (see
-	// Evaluator.SimWorkers); 0 keeps each point's chip serial because the
-	// sweep itself is the parallel axis.
-	SimWorkers int
 }
 
 // Run executes every point on a worker pool and returns one PointResult
@@ -150,7 +146,7 @@ func (opt *RunOptions) evaluator() *Evaluator {
 	if cache == nil {
 		cache = NewCompileCache()
 	}
-	return &Evaluator{Cache: cache, Checkpoint: opt.Checkpoint, CycleLimit: opt.CycleLimit, SimWorkers: opt.SimWorkers}
+	return &Evaluator{Cache: cache, Checkpoint: opt.Checkpoint, CycleLimit: opt.CycleLimit}
 }
 
 // Sweep expands a spec against its base configuration and runs it: the

@@ -64,11 +64,6 @@ func MTS(sreg int, rs uint8) Instruction {
 	return Instruction{Op: OpScMTS, RS: rs, Imm: int32(sreg)}
 }
 
-// MFS builds G[rt] = S[sreg].
-func MFS(rt uint8, sreg int) Instruction {
-	return Instruction{Op: OpScMFS, RT: rt, Imm: int32(sreg)}
-}
-
 // Jmp builds an unconditional relative jump by offset instructions.
 func Jmp(offset int32) Instruction { return Instruction{Op: OpJMP, Imm: offset} }
 

@@ -37,12 +37,6 @@ const (
 	OpFlatten       OpType = "flatten"
 )
 
-// IsMVM reports whether the operator is matrix-vector-multiply based and
-// therefore maps onto CIM macro groups.
-func (op OpType) IsMVM() bool {
-	return op == OpConv || op == OpDense
-}
-
 // Shape is a channel-last activation shape.
 type Shape struct {
 	H int `json:"h"`

@@ -84,13 +84,6 @@ func (m *Mesh) Hops(src, dst int) int {
 	return abs(r1-r2) + abs(c1-c2)
 }
 
-// HopsToMemory returns the hop count from a core to its global-memory port
-// on the west edge of its row.
-func (m *Mesh) HopsToMemory(core int) int {
-	_, c := m.coord(core)
-	return c + 1
-}
-
 // Flits returns the number of flits a payload occupies, including one
 // header flit.
 func (m *Mesh) Flits(bytes int) int64 {

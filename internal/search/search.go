@@ -32,10 +32,6 @@ type Options struct {
 	Checkpoint *dse.Checkpoint
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
-	// SimWorkers is the per-simulation scheduler width (see
-	// dse.Evaluator.SimWorkers); 0 keeps each chip serial because the
-	// search's point evaluation is the parallel axis.
-	SimWorkers int
 	// OnSim, when non-nil, observes each charged simulation in trajectory
 	// order (serialized).
 	OnSim func(dse.PointResult)
@@ -166,7 +162,7 @@ func newTour(ctx context.Context, space *Space, opt Options) (*Tour, error) {
 	t := &Tour{
 		ctx:      ctx,
 		space:    space,
-		ev:       &dse.Evaluator{Cache: cache, Checkpoint: opt.Checkpoint, CycleLimit: opt.CycleLimit, SimWorkers: opt.SimWorkers},
+		ev:       &dse.Evaluator{Cache: cache, Checkpoint: opt.Checkpoint, CycleLimit: opt.CycleLimit},
 		rng:      rand.New(rand.NewSource(opt.Seed)),
 		opt:      opt,
 		workers:  workers,

@@ -117,7 +117,7 @@ func (s *Server) dispatch(b *batch) {
 		switch {
 		case results[i] != nil:
 			q.m.completed.Add(1)
-			q.m.observeLatency(now.Sub(r.enqueued))
+			q.m.lat.Observe(now.Sub(r.enqueued))
 			r.done <- reply{res: results[i]}
 		case err != nil:
 			q.m.failed.Add(1)

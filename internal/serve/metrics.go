@@ -11,9 +11,56 @@ import (
 // quantile estimation.
 const latencyWindow = 1024
 
+// LatencyWindow is a ring of the most recent latencies of one stream, for
+// quantile estimation. It is safe for concurrent use, and Observe does not
+// allocate: it runs once per served request.
+type LatencyWindow struct {
+	mu   sync.Mutex
+	ring []time.Duration
+	n    int // samples written (the ring wraps at len(ring))
+}
+
+// NewLatencyWindow returns a window over the last size samples.
+func NewLatencyWindow(size int) *LatencyWindow {
+	return &LatencyWindow{ring: make([]time.Duration, size)}
+}
+
+// Observe records one latency, overwriting the oldest once the ring is full.
+func (w *LatencyWindow) Observe(d time.Duration) {
+	w.mu.Lock()
+	w.ring[w.n%len(w.ring)] = d
+	w.n++
+	w.mu.Unlock()
+}
+
+// Quantiles reports how many samples the window holds and their p50, p95
+// and p99 in milliseconds.
+func (w *LatencyWindow) Quantiles() (n int, p50, p95, p99 float64) {
+	w.mu.Lock()
+	samples := append([]time.Duration(nil), w.ring[:min(w.n, len(w.ring))]...)
+	w.mu.Unlock()
+	p50, p95, p99 = Quantiles(samples)
+	return len(samples), p50, p95, p99
+}
+
+// Quantiles sorts samples in place and returns their p50, p95 and p99 in
+// milliseconds (zeros for no samples): the sample at rank p*(n-1), rounded
+// down, with no interpolation.
+func Quantiles(samples []time.Duration) (p50, p95, p99 float64) {
+	n := len(samples)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	q := func(p float64) float64 {
+		return float64(samples[int(p*float64(n-1))]) / float64(time.Millisecond)
+	}
+	return q(0.50), q(0.95), q(0.99)
+}
+
 // modelStats accumulates one model's serving counters. Counters are
-// atomic; the batch histogram and latency ring take a small mutex (they
-// are touched once per batch / per request, never per simulated cycle).
+// atomic; the batch histogram takes a small mutex (it is touched once per
+// batch, never per simulated cycle).
 type modelStats struct {
 	accepted  atomic.Int64
 	shed      atomic.Int64
@@ -24,8 +71,8 @@ type modelStats struct {
 	mu        sync.Mutex
 	batches   int64
 	batchHist []int64 // index = batch size after expiry shedding
-	lat       [latencyWindow]time.Duration
-	latN      int // samples written (ring wraps at latencyWindow)
+
+	lat *LatencyWindow
 }
 
 func (m *modelStats) observeBatch(size int) {
@@ -34,13 +81,6 @@ func (m *modelStats) observeBatch(size int) {
 	if size < len(m.batchHist) {
 		m.batchHist[size]++
 	}
-	m.mu.Unlock()
-}
-
-func (m *modelStats) observeLatency(d time.Duration) {
-	m.mu.Lock()
-	m.lat[m.latN%latencyWindow] = d
-	m.latN++
 	m.mu.Unlock()
 }
 
@@ -122,24 +162,7 @@ func (q *modelQueue) snapshot() ModelMetrics {
 			mm.BatchHist[size] = n
 		}
 	}
-	n := q.m.latN
-	if n > latencyWindow {
-		n = latencyWindow
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, q.m.lat[:n])
 	q.m.mu.Unlock()
-
-	mm.LatencySamples = n
-	if n > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		quantile := func(p float64) float64 {
-			i := int(p * float64(n-1))
-			return float64(samples[i]) / float64(time.Millisecond)
-		}
-		mm.P50Ms = quantile(0.50)
-		mm.P95Ms = quantile(0.95)
-		mm.P99Ms = quantile(0.99)
-	}
+	mm.LatencySamples, mm.P50Ms, mm.P95Ms, mm.P99Ms = q.m.lat.Quantiles()
 	return mm
 }

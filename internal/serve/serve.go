@@ -151,9 +151,6 @@ func NewServer(workers int) *Server {
 	return s
 }
 
-// Workers reports the dispatch worker-pool size.
-func (s *Server) Workers() int { return s.workers }
-
 // AddModel registers a session under a name and starts its batcher. The
 // session is not owned by the server: Close drains requests but leaves the
 // session (and its chip pool) to the caller.
@@ -177,6 +174,7 @@ func (s *Server) AddModel(name string, sess *core.Session, cfg ModelConfig) erro
 		reqs: make(chan *request, cfg.QueueDepth),
 	}
 	q.m.batchHist = make([]int64, cfg.MaxBatch+1)
+	q.m.lat = NewLatencyWindow(latencyWindow)
 	s.models[name] = q
 	s.batchers.Add(1)
 	go s.batcher(q)
@@ -207,16 +205,15 @@ func (s *Server) Models() []string {
 	return s.modelsLocked()
 }
 
-// Model returns a served model's session and config (for front-ends that
-// report input shapes or build reference inputs).
-func (s *Server) Model(name string) (*core.Session, ModelConfig, error) {
+// InputShape reports the input tensor shape a served model expects.
+func (s *Server) InputShape(name string) (model.Shape, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	q := s.models[name]
 	if q == nil {
-		return nil, ModelConfig{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+		return model.Shape{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
-	return q.sess, q.cfg, nil
+	return q.sess.InputShape(), nil
 }
 
 // Infer submits one request and blocks until it is served, shed or its

@@ -15,11 +15,11 @@ import (
 // interpreters now report barrier arrivals as a distinct step status.
 func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 	cfg := testConfig() // 2x2 mesh, cores 2 and 3 idle
-	for _, legacy := range []bool{false, true} {
-		var opts []ChipOption
-		if legacy {
-			opts = append(opts, WithLegacyInterpreter())
-		}
+	// Both cores are active, so the windows leg names its worker count: the
+	// default is the serial scheduler.
+	for name, opts := range map[string][]ChipOption{
+		"serial": nil, "windows": {WithWorkers(2)}, "legacy": {WithLegacyInterpreter()},
+	} {
 		ch, err := NewChip(&cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := ch.Run(context.Background()); err != nil {
-			t.Errorf("legacy=%v: %v", legacy, err)
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

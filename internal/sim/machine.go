@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -133,9 +132,9 @@ type Chip struct {
 	ready    coreHeap
 
 	// workers is the parallel-scheduler pool size (see WithWorkers and
-	// parallel.go): <=0 sizes the pool to GOMAXPROCS at Run time, 1 forces
-	// the serial scheduler. limit, parked and runList are the Run in
-	// flight's cycle limit and the scheduler's reusable scratch.
+	// parallel.go); <= 1 is the serial scheduler. limit, parked and runList
+	// are the Run in flight's cycle limit and the scheduler's reusable
+	// scratch.
 	workers int
 	limit   int64
 	parked  coreHeap
@@ -178,10 +177,12 @@ func WithLegacyInterpreter() ChipOption {
 }
 
 // WithWorkers sets the simulation worker-pool size for the
-// conservative-window parallel scheduler (parallel.go). n = 1 selects the
-// exact serial scheduler loop; n <= 0 (the default) sizes the pool to
-// GOMAXPROCS when Run starts. The schedulers are bit-identical — the
-// worker count changes throughput only, never results.
+// conservative-window parallel scheduler (parallel.go). n <= 1 (the
+// default) selects the exact serial scheduler loop: windows measured
+// 0.76-0.85x its speed at n = 2 on every full-size zoo model (EXPERIMENTS.md
+// "PR 21"), so they run only where a caller asks for them. The schedulers
+// are bit-identical — the worker count changes throughput only, never
+// results.
 func WithWorkers(n int) ChipOption {
 	return func(ch *Chip) { ch.workers = n }
 }
@@ -495,17 +496,14 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	}
 	ch.dirtyLanes = max(ch.dirtyLanes, ch.activeLanes)
 
-	// Route to the conservative-window parallel scheduler when it can help:
-	// it needs the predecoded pipeline (the legacy interpreter and the
-	// per-instruction Trace hook are inherently serial) and at least two
-	// active cores to overlap. A single-core chip degenerates to the serial
-	// fast path below regardless of the worker setting.
-	workers := ch.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && active > 1 && !ch.legacy && ch.Trace == nil {
-		return ch.runParallel(ctx, active, workers)
+	// Route to the conservative-window parallel scheduler when the caller
+	// asked for it and it can run: it needs the predecoded pipeline (the
+	// legacy interpreter and the per-instruction Trace hook are inherently
+	// serial) and at least two active cores to overlap. A single-core chip
+	// degenerates to the serial fast path below regardless of the worker
+	// setting.
+	if ch.workers > 1 && active > 1 && !ch.legacy && ch.Trace == nil {
+		return ch.runParallel(ctx, active, ch.workers)
 	}
 
 	legacy := ch.legacy

@@ -367,3 +367,38 @@ func TestParallelPooledRerunMatchesSerial(t *testing.T) {
 		t.Errorf("parallel pooled stats diverge from serial:\nserial:   %+v\nparallel: %+v", serial, first)
 	}
 }
+
+// TestDefaultSchedulerIsSerial: a chip built with no worker option runs the
+// serial loop on a host of any width, and so does one given 0 or 1; windows
+// run only for a caller that names a count above one. runList is scratch
+// that only runWindows grows, so its capacity says which route Run took.
+func TestDefaultSchedulerIsSerial(t *testing.T) {
+	cfg := testConfig()
+	code := asm(t, "SC_ADDI G1, G0, 3\nHALT")
+	for _, tc := range []struct {
+		name    string
+		opts    []ChipOption
+		windows bool
+	}{
+		{"no option", nil, false},
+		{"workers=0", []ChipOption{WithWorkers(0)}, false},
+		{"workers=1", []ChipOption{WithWorkers(1)}, false},
+		{"workers=2", []ChipOption{WithWorkers(2)}, true},
+	} {
+		ch, err := NewChip(&cfg, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for core := 0; core < 2; core++ {
+			if err := ch.LoadProgram(Program{Core: core, Code: code}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ch.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(ch.runList) > 0; got != tc.windows {
+			t.Errorf("%s: windowed scheduler ran = %v, want %v", tc.name, got, tc.windows)
+		}
+	}
+}

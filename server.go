@@ -142,13 +142,7 @@ func (s *Server) ServeGraph(name string, g *Graph, opts ...ServeOption) error {
 func (s *Server) Models() []string { return s.inner.Models() }
 
 // InputShape returns the input tensor shape a served model expects.
-func (s *Server) InputShape(model string) (Shape, error) {
-	sess, _, err := s.inner.Model(model)
-	if err != nil {
-		return Shape{}, err
-	}
-	return sess.InputShape(), nil
-}
+func (s *Server) InputShape(model string) (Shape, error) { return s.inner.InputShape(model) }
 
 // Infer submits one request and blocks until it is served, shed or ctx
 // expires. Admission is deadline-aware: an expired context fails
