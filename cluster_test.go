@@ -117,6 +117,8 @@ func TestServerMetricsPrometheus(t *testing.T) {
 		"# TYPE cimflow_model_requests_total counter",
 		`cimflow_model_requests_total{model="tinymlp",outcome="completed"} 1`,
 		`cimflow_model_latency_ms{model="tinymlp",quantile="0.99"}`,
+		"# TYPE cimflow_model_queue_wait_ms gauge",
+		`cimflow_model_queue_wait_ms{model="tinymlp",quantile="0.5"}`,
 		"cimflow_serve_compile_calls_total 1",
 	} {
 		if !strings.Contains(out, want) {

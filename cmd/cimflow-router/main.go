@@ -60,7 +60,6 @@ type routerFlags struct {
 
 	workers  int
 	maxBatch int
-	maxDelay time.Duration
 	queue    int
 
 	hedgeDelay    time.Duration
@@ -101,7 +100,6 @@ func main() {
 	flag.StringVar(&f.artDir, "artifact-dir", "", "shared compile-artifact store: replicas load compiled models from disk")
 	flag.IntVar(&f.workers, "workers", 2, "per-replica dispatch workers")
 	flag.IntVar(&f.maxBatch, "max-batch", 8, "per-replica dynamic batcher: max requests per dispatch")
-	flag.DurationVar(&f.maxDelay, "max-delay", 2*time.Millisecond, "per-replica dynamic batcher: max wait to fill a batch")
 	flag.IntVar(&f.queue, "queue", 64, "per-replica per-model admission queue depth")
 	flag.DurationVar(&f.hedgeDelay, "hedge-delay", 25*time.Millisecond, "hedge a request on the successor replica after this long without a reply (0 disables)")
 	flag.Float64Var(&f.hedgeBudget, "hedge-budget", 0.1, "hedge tokens earned per admitted request (bounds extra load)")
@@ -222,7 +220,6 @@ func buildFleet(f *routerFlags, models []string) (*fleet, error) {
 		srv := cimflow.NewServer(engine,
 			cimflow.WithWorkers(f.workers),
 			cimflow.WithMaxBatch(f.maxBatch),
-			cimflow.WithMaxDelay(f.maxDelay),
 			cimflow.WithQueueDepth(f.queue))
 		for _, name := range models {
 			if err := srv.ServeModel(name); err != nil {

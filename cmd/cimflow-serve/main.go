@@ -47,7 +47,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "synthetic-weight seed")
 		workers  = flag.Int("workers", 4, "dispatch worker-pool size (unit of chip parallelism)")
 		maxBatch = flag.Int("max-batch", 8, "dynamic batcher: max requests per dispatch")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "dynamic batcher: max wait to fill a batch")
 		queue    = flag.Int("queue", 64, "per-model admission queue depth")
 		pool     = flag.Int("pool", 0, "pooled chips per session (0 = GOMAXPROCS)")
 		simLanes = flag.Int("sim-lanes", 1, "lane-batch capacity per chip: coalesced batches run up to this many inferences through one cycle-accurate schedule (1 = off)")
@@ -94,7 +93,6 @@ func main() {
 	srv := cimflow.NewServer(engine,
 		cimflow.WithWorkers(*workers),
 		cimflow.WithMaxBatch(*maxBatch),
-		cimflow.WithMaxDelay(*maxDelay),
 		cimflow.WithQueueDepth(*queue))
 	names := strings.Split(*models, ",")
 	for _, name := range names {
@@ -127,8 +125,7 @@ func main() {
 		return
 	}
 
-	log.Printf("listening on %s (workers=%d max-batch=%d max-delay=%v queue=%d)",
-		*addr, *workers, *maxBatch, *maxDelay, *queue)
+	log.Printf("listening on %s (workers=%d max-batch=%d queue=%d)", *addr, *workers, *maxBatch, *queue)
 	if err := httpapi.ListenAndServe(*addr, newHandler(srv)); err != nil {
 		log.Fatal(err)
 	}

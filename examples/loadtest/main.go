@@ -33,7 +33,6 @@ const (
 	duration = 3 * time.Second
 	timeout  = 2 * time.Second
 	maxBatch = 8
-	maxDelay = 5 * time.Millisecond
 	queue    = 64
 )
 
@@ -112,7 +111,6 @@ func run(engine *cimflow.Engine, model string, p point) (row, error) {
 	srv := cimflow.NewServer(engine,
 		cimflow.WithWorkers(p.workers),
 		cimflow.WithMaxBatch(maxBatch),
-		cimflow.WithMaxDelay(maxDelay),
 		cimflow.WithQueueDepth(queue))
 	if err := srv.ServeModel(model); err != nil {
 		return row{}, err
@@ -276,7 +274,6 @@ func replayOnce(model string, spec cimflow.TraceSpec, tenants []cimflow.TenantCo
 		srv := cimflow.NewServer(engine,
 			cimflow.WithWorkers(2),
 			cimflow.WithMaxBatch(maxBatch),
-			cimflow.WithMaxDelay(maxDelay),
 			cimflow.WithQueueDepth(queue))
 		if err := srv.ServeModel(model); err != nil {
 			return nil, err

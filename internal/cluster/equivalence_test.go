@@ -44,7 +44,7 @@ func replicaFleet(t *testing.T, graphs []*model.Graph, seed uint64, n int) []*se
 			}
 			t.Cleanup(func() { sess.Close() })
 			if err := srv.AddModel(cm.g.Name, sess, serve.ModelConfig{
-				MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 256,
+				MaxBatch: 4, QueueDepth: 256,
 			}); err != nil {
 				t.Fatal(err)
 			}

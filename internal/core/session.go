@@ -57,6 +57,10 @@ type Session struct {
 	// diverged so the re-run path is exercised without crafting
 	// data-dependent control flow.
 	testForceDiverge func(b int) []int
+	// testStageErr, when set by tests, fails a run on its acquired chip
+	// before any input is staged: the one early exit of runLanes that no
+	// well-formed session reaches.
+	testStageErr error
 
 	pmu    sync.Mutex // guards closed and pool membership on release
 	closed bool
@@ -190,27 +194,32 @@ func (s *Session) newChip() (*sim.Chip, error) {
 
 // acquire returns a ready-to-run chip with the requested lane occupancy
 // set: a pooled one reset to pristine state, or a freshly built one when
-// the pool is empty.
+// the pool is empty. A chip it cannot make ready goes back to the pool — the
+// next acquire resets it again — so an error here costs no rebuild.
 func (s *Session) acquire(lanes int) (*sim.Chip, error) {
 	if s.Closed() {
 		return nil, ErrClosed
 	}
 	var ch *sim.Chip
+	var err error
 	select {
 	case ch = <-s.free:
 		ch.Reset()
 		for _, r := range s.scratch {
-			if err := ch.ZeroGlobal(r[0], r[1]); err != nil {
-				return nil, err
+			if err = ch.ZeroGlobal(r[0], r[1]); err != nil {
+				break
 			}
 		}
 	default:
-		var err error
 		if ch, err = s.newChip(); err != nil {
 			return nil, err
 		}
 	}
-	if err := ch.SetLanes(lanes); err != nil {
+	if err == nil {
+		err = ch.SetLanes(lanes)
+	}
+	if err != nil {
+		s.release(ch)
 		return nil, err
 	}
 	return ch, nil
@@ -272,45 +281,11 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 	if err != nil {
 		return nil, err
 	}
-	for l, seg := range segs {
-		if err := ch.InitGlobalLane(l, seg); err != nil {
-			return nil, err
-		}
-	}
-	// Tag the simulation with the model name and lane occupancy so CPU
-	// profiles split by workload; the simulator's own scheduler adds the
-	// phase labels.
-	var stats *sim.Stats
-	pprof.Do(ctx, pprof.Labels("model", s.compiled.Graph.Name, "sim-lanes", strconv.Itoa(b)), func(ctx context.Context) {
-		stats, err = ch.Run(ctx)
-	})
-	if err != nil {
-		s.release(ch)
-		return nil, fmt.Errorf("core: simulating %s (lanes=%d): %w", s.compiled.Graph.Name, b, err)
-	}
-	diverged := ch.DivergedLanes()
-	if s.testForceDiverge != nil {
-		diverged = append(diverged, s.testForceDiverge(b)...)
-	}
-	results := make([]*Result, b)
-	for l := range results {
-		if slices.Contains(diverged, l) {
-			continue
-		}
-		out, err := s.compiled.ReadOutput(func(addr, size int) ([]byte, error) {
-			return ch.ReadGlobalLane(l, addr, size)
-		})
-		if err != nil {
-			s.release(ch)
-			return nil, err
-		}
-		laneStats := stats
-		if l > 0 {
-			laneStats = cloneStats(stats)
-		}
-		results[l] = newResult(s.compiled, laneStats, out, s.cfg.ClockGHz)
-	}
+	results, err := s.runLanes(ctx, ch, segs)
 	s.release(ch)
+	if err != nil {
+		return nil, err
+	}
 	s.laneRuns[b].Add(1)
 	// Divergent lanes carried garbage data past the first mismatching
 	// load; replay each alone for the exact per-input run. Lane 0 is the
@@ -326,6 +301,55 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 			return nil, err
 		}
 		results[l] = res
+	}
+	return results, nil
+}
+
+// runLanes stages one input segment per lane on an acquired chip, runs it
+// and reads the outputs back; the entries of diverged lanes stay nil. It
+// owns no part of the chip's lifetime: inferLanes releases the chip after
+// every exit from here, early errors included.
+func (s *Session) runLanes(ctx context.Context, ch *sim.Chip, segs []sim.GlobalSegment) ([]*Result, error) {
+	if s.testStageErr != nil {
+		return nil, s.testStageErr
+	}
+	b := len(segs)
+	for l, seg := range segs {
+		if err := ch.InitGlobalLane(l, seg); err != nil {
+			return nil, err
+		}
+	}
+	// Tag the simulation with the model name and lane occupancy so CPU
+	// profiles split by workload; the simulator's own scheduler adds the
+	// phase labels.
+	var stats *sim.Stats
+	var err error
+	pprof.Do(ctx, pprof.Labels("model", s.compiled.Graph.Name, "sim-lanes", strconv.Itoa(b)), func(ctx context.Context) {
+		stats, err = ch.Run(ctx)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: simulating %s (lanes=%d): %w", s.compiled.Graph.Name, b, err)
+	}
+	diverged := ch.DivergedLanes()
+	if s.testForceDiverge != nil {
+		diverged = append(diverged, s.testForceDiverge(b)...)
+	}
+	results := make([]*Result, b)
+	for l := range results {
+		if slices.Contains(diverged, l) {
+			continue
+		}
+		out, err := s.compiled.ReadOutput(func(addr, size int) ([]byte, error) {
+			return ch.ReadGlobalLane(l, addr, size)
+		})
+		if err != nil {
+			return nil, err
+		}
+		laneStats := stats
+		if l > 0 {
+			laneStats = cloneStats(stats)
+		}
+		results[l] = newResult(s.compiled, laneStats, out, s.cfg.ClockGHz)
 	}
 	return results, nil
 }

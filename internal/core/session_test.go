@@ -140,6 +140,71 @@ func TestSessionRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestEarlyErrorKeepsPooledChip: an inference that fails before its chip
+// runs — scratch zeroing or lane set-up in acquire, input staging after it —
+// hands the pooled chip back, so the next request reuses it instead of
+// rebuilding one, and that request's result is that of a fresh run.
+func TestEarlyErrorKeepsPooledChip(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	g := model.TinyMLP()
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	input := model.SeededInput(g.Nodes[0].OutShape, 2)
+	for _, c := range []struct {
+		failing string
+		infer   func(s *Session) error // fails at the named step, leaves s usable
+	}{
+		{"ZeroGlobal", func(s *Session) error {
+			scratch := s.scratch
+			defer func() { s.scratch = scratch }()
+			s.scratch = append(scratch[:len(scratch):len(scratch)], [2]int{-1, 1}) // no such range
+			_, err := s.Infer(ctx, input)
+			return err
+		}},
+		{"SetLanes", func(s *Session) error {
+			_, err := s.inferLanes(ctx, []tensor.Tensor{input, input}) // a one-lane chip
+			return err
+		}},
+		{"InitGlobalLane", func(s *Session) error {
+			s.testStageErr = errors.New("forced staging error")
+			defer func() { s.testStageErr = nil }()
+			_, err := s.Infer(ctx, input)
+			return err
+		}},
+	} {
+		t.Run(c.failing, func(t *testing.T) {
+			s, err := NewSession(compiled, model.NewSeededWeights(g, 1), Options{MaxPooledChips: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ref, err := s.Infer(ctx, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pooled := <-s.free
+			s.free <- pooled
+			if err := c.infer(s); err == nil {
+				t.Fatalf("inference with a failing %s succeeded", c.failing)
+			}
+			if n := s.PooledChips(); n != 1 {
+				t.Fatalf("PooledChips = %d after a failed %s, want 1", n, c.failing)
+			}
+			got, err := s.Infer(ctx, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, "after failed "+c.failing, ref, got)
+			if after := <-s.free; after != pooled {
+				t.Errorf("the pool holds a rebuilt chip after a failed %s", c.failing)
+			}
+		})
+	}
+}
+
 // TestSessionClose: Close drains the pool, further use fails with the
 // typed ErrClosed, chips released after Close are dropped, and Close is
 // idempotent.

@@ -13,56 +13,47 @@ func (s *Server) batcher(q *modelQueue) {
 	defer s.batchers.Done()
 	for {
 		first, ok := <-q.reqs
-		if !ok {
+		if !ok || !s.offer(q, first) {
 			return
 		}
-		s.batches <- s.collect(q, first)
 	}
 }
 
-// collect grows a batch from its first request until MaxBatch requests are
-// gathered, MaxDelay elapses, or the queue closes. MaxDelay = 0 is greedy:
-// it drains whatever is already queued without waiting.
-func (s *Server) collect(q *modelQueue, first *request) *batch {
+// offer grows a batch from its first request and hands it to a worker,
+// reporting whether the queue is still open. A request already queued joins
+// before the batch is offered; after that the batch is offered while it
+// fills. s.batches is unbuffered, so the send succeeds exactly when a worker
+// is parked in its range: an idle worker takes a batch of one at once, a
+// busy pool lets the batch grow until a worker frees. A full batch, or what
+// a closed queue left, goes over with a plain blocking send.
+func (s *Server) offer(q *modelQueue, first *request) (open bool) {
 	b := &batch{q: q, reqs: []*request{first}}
-	if q.cfg.MaxBatch <= 1 {
-		return b
-	}
-	var timeout <-chan time.Time
-	if q.cfg.MaxDelay > 0 {
-		timer := time.NewTimer(q.cfg.MaxDelay)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	for len(b.reqs) < q.cfg.MaxBatch {
-		if timeout == nil {
+	open = true
+	for open && len(b.reqs) < q.cfg.MaxBatch {
+		var r *request
+		select {
+		case r, open = <-q.reqs:
+		default:
 			select {
-			case r, ok := <-q.reqs:
-				if !ok {
-					return b
-				}
-				b.reqs = append(b.reqs, r)
-			default:
-				return b
-			}
-		} else {
-			select {
-			case r, ok := <-q.reqs:
-				if !ok {
-					return b
-				}
-				b.reqs = append(b.reqs, r)
-			case <-timeout:
-				return b
+			case r, open = <-q.reqs:
+			case s.batches <- b:
+				return true
 			}
 		}
+		if open {
+			b.reqs = append(b.reqs, r)
+		}
 	}
-	return b
+	s.batches <- b
+	return open
 }
 
-// worker dispatches formed batches. Multiple blocked batchers hand batches
-// to workers in the order the batchers arrived at the gate, so hot models
-// take fair turns.
+// worker dispatches batches. Blocked batchers are served in the order they
+// last arrived at the gate: one that accepts a request re-enters the select
+// at the back, while a full batch blocks in a plain send and keeps its
+// place. So a cold model's lone request is served after at most one batch
+// per other model, and a hot model is passed over at most MaxBatch-1 times
+// before its batch is full and holds its turn.
 func (s *Server) worker() {
 	defer s.pool.Done()
 	for b := range s.batches {
@@ -75,6 +66,7 @@ func (s *Server) worker() {
 // every request.
 func (s *Server) dispatch(b *batch) {
 	q := b.q
+	start := time.Now()
 	live := make([]*request, 0, len(b.reqs))
 	for _, r := range b.reqs {
 		if err := r.ctx.Err(); err != nil {
@@ -82,6 +74,7 @@ func (s *Server) dispatch(b *batch) {
 			r.done <- reply{err: err}
 			continue
 		}
+		q.m.wait.Observe(start.Sub(r.enqueued))
 		live = append(live, r)
 	}
 	if len(live) == 0 {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// latencyWindow is how many recent request latencies each model keeps for
-// quantile estimation.
+// latencyWindow is how many recent request latencies (and queue waits) each
+// model keeps for quantile estimation.
 const latencyWindow = 1024
 
 // LatencyWindow is a ring of the most recent latencies of one stream, for
@@ -72,7 +72,8 @@ type modelStats struct {
 	batches   int64
 	batchHist []int64 // index = batch size after expiry shedding
 
-	lat *LatencyWindow
+	lat  *LatencyWindow // admission to reply
+	wait *LatencyWindow // admission to dispatch: queue wait plus batch fill
 }
 
 func (m *modelStats) observeBatch(size int) {
@@ -104,6 +105,12 @@ type ModelMetrics struct {
 	P50Ms          float64 `json:"latency_p50_ms"`
 	P95Ms          float64 `json:"latency_p95_ms"`
 	P99Ms          float64 `json:"latency_p99_ms"`
+	// The share of that latency spent before dispatch (admission queue plus
+	// batch fill), over the same window: near zero while a worker is idle,
+	// growing only when every worker is busy.
+	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
+	QueueWaitP95Ms float64 `json:"queue_wait_p95_ms"`
+	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
 	// Session pool state.
 	PooledChips int `json:"pooled_chips"`
 	PoolCap     int `json:"pool_cap"`
@@ -164,5 +171,6 @@ func (q *modelQueue) snapshot() ModelMetrics {
 	}
 	q.m.mu.Unlock()
 	mm.LatencySamples, mm.P50Ms, mm.P95Ms, mm.P99Ms = q.m.lat.Quantiles()
+	_, mm.QueueWaitP50Ms, mm.QueueWaitP95Ms, mm.QueueWaitP99Ms = q.m.wait.Quantiles()
 	return mm
 }

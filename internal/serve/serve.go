@@ -6,16 +6,19 @@
 // admission control: requests are shed with typed errors when the queue is
 // full (ErrOverloaded) and dropped at dispatch time when their context
 // deadline has already expired. A per-model dynamic batcher coalesces
-// queued requests up to MaxBatch, waiting at most MaxDelay after the first
-// request to fill the batch, and hands the batch to a worker pool shared by
-// every model. Each worker dispatches one batch at a time
+// queued requests up to MaxBatch and is work-conserving: it offers the
+// batch to the worker pool shared by every model while the batch fills, so
+// an idle worker takes a batch of one at once and batches grow only while
+// every worker is busy. There is no fill timer and nothing to tune but
+// MaxBatch. Each worker dispatches one batch at a time
 // (Session.InferBatchN with parallelism 1), so total chip parallelism
 // equals the number of workers — the scheduler's fairness unit is the
-// batch: every model holds at most one formed batch at the dispatch gate,
-// so under load workers alternate between hot models instead of letting one
-// model monopolize the pool. Sessions built with lane batching (SimLanes >
-// 1) run each coalesced batch as lane groups on a single chip, paying the
-// cycle-accurate schedule once per group instead of once per request.
+// batch: every model holds at most one batch, filling or full, at the
+// dispatch gate, so under load workers alternate between hot models instead
+// of letting one model monopolize the pool. Sessions built with lane
+// batching (SimLanes > 1) run each coalesced batch as lane groups on a
+// single chip, paying the cycle-accurate schedule once per group instead of
+// once per request.
 //
 // Dispatch contexts derive from the server's lifecycle context: requests
 // already admitted are served even during Close (graceful drain), but a
@@ -24,8 +27,9 @@
 //
 // The server records per-model metrics — live queue depth, admission and
 // completion counters, a batch-size histogram and p50/p95/p99 request
-// latency — and drains gracefully: Close stops admission, serves every
-// queued request, then waits for the workers to finish.
+// latency next to the part of it spent waiting for dispatch — and drains
+// gracefully: Close stops admission, serves every queued request, then
+// waits for the workers to finish.
 package serve
 
 import (
@@ -58,10 +62,6 @@ type ModelConfig struct {
 	// MaxBatch is the largest number of requests coalesced into one
 	// dispatch (default 8).
 	MaxBatch int
-	// MaxDelay is how long the batcher waits after the first request of a
-	// batch for more to arrive (default 2ms). 0 batches greedily: it takes
-	// whatever is queued without waiting.
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are shed
 	// with ErrOverloaded (default 64).
 	QueueDepth int
@@ -71,9 +71,6 @@ type ModelConfig struct {
 func (c ModelConfig) withDefaults() ModelConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxDelay < 0 {
-		c.MaxDelay = 0
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -175,6 +172,7 @@ func (s *Server) AddModel(name string, sess *core.Session, cfg ModelConfig) erro
 	}
 	q.m.batchHist = make([]int64, cfg.MaxBatch+1)
 	q.m.lat = NewLatencyWindow(latencyWindow)
+	q.m.wait = NewLatencyWindow(latencyWindow)
 	s.models[name] = q
 	s.batchers.Add(1)
 	go s.batcher(q)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,7 +74,6 @@ func TestServeEquivalence(t *testing.T) {
 				srv := serve.NewServer(workers)
 				if err := srv.AddModel("m", sess, serve.ModelConfig{
 					MaxBatch:   maxBatch,
-					MaxDelay:   2 * time.Millisecond,
 					QueueDepth: 2 * n,
 				}); err != nil {
 					t.Fatal(err)
@@ -110,55 +110,14 @@ func TestServeEquivalence(t *testing.T) {
 	}
 }
 
-// TestDynamicBatchingCoalesces: with MaxBatch=8 and a generous MaxDelay,
-// eight concurrent requests are served as one batch of eight.
-func TestDynamicBatchingCoalesces(t *testing.T) {
-	g := model.TinyMLP()
-	sess := newSession(t, g, 1, 2)
-	defer sess.Close()
-	srv := serve.NewServer(1)
-	if err := srv.AddModel("m", sess, serve.ModelConfig{
-		MaxBatch:   8,
-		MaxDelay:   500 * time.Millisecond,
-		QueueDepth: 16,
-	}); err != nil {
-		t.Fatal(err)
+// slowNet is a synthetic workload that keeps the worker running it busy for
+// about 3.5 ms per convolution (some 50 ms under the race detector), so a
+// test can act on a server state that holds for as long as the run lasts.
+func slowNet(convs int) *model.Graph {
+	g, x := model.NewGraph("slownet", model.Shape{H: 64, W: 64, C: 32})
+	for i := 0; i < convs; i++ {
+		x = g.Conv(fmt.Sprintf("c%d", i), x, 64, 3, 1, 1, true)
 	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := srv.Infer(ctx, "m", seededInput(sess, uint64(i))); err != nil {
-				t.Errorf("request %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mm := srv.Metrics().Models["m"]
-	if mm.Batches != 1 || mm.BatchHist[8] != 1 {
-		t.Errorf("batches=%d hist=%v, want one batch of 8", mm.Batches, mm.BatchHist)
-	}
-	if mm.Completed != 8 {
-		t.Errorf("completed=%d, want 8", mm.Completed)
-	}
-	if mm.LatencySamples != 8 || mm.P99Ms < mm.P50Ms {
-		t.Errorf("latency snapshot inconsistent: %+v", mm)
-	}
-}
-
-// slowNet is a synthetic workload heavy enough (tens of ms per inference)
-// that a dispatched batch keeps a worker provably busy while the test
-// stages the queue into a known state.
-func slowNet() *model.Graph {
-	g, x := model.NewGraph("slownet", model.Shape{H: 16, W: 16, C: 32})
-	x = g.Conv("c1", x, 64, 3, 1, 1, true)
-	x = g.Conv("c2", x, 64, 3, 1, 1, true)
-	x = g.Conv("c3", x, 64, 3, 1, 1, true)
 	g.Dense("fc", g.Flatten("fl", g.GlobalAvgPool("gap", x)), 10, false)
 	return g
 }
@@ -176,120 +135,293 @@ func waitFor(t *testing.T, what string, pred func() bool) {
 	}
 }
 
+// waitHeld waits until a model's batcher holds every one of its n admitted
+// requests in the batch it is offering: n accepted, none left in the queue.
+func waitHeld(t *testing.T, srv *serve.Server, name string, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d %s requests in the waiting batch", n, name), func() bool {
+		m := srv.Metrics().Models[name]
+		return m.Accepted == int64(n) && m.QueueDepth == 0
+	})
+}
+
+// parkWorker occupies one dispatch worker of srv until the returned release
+// is called: it serves a slowNet that runs for hundreds of milliseconds as
+// "blocker", submits one request and waits for its dispatch. To the
+// batchers a parked worker is a busy pool, so what they do at a blocked gate
+// can be staged through metrics, event by event, in a few milliseconds.
+// release abandons the request, which cancels the run mid-simulation.
+func parkWorker(t *testing.T, srv *serve.Server) (release func()) {
+	t.Helper()
+	sess := newSession(t, slowNet(100), 1, 1)
+	t.Cleanup(func() { sess.Close() })
+	if err := srv.AddModel("blocker", sess, serve.ModelConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := srv.Infer(ctx, "blocker", seededInput(sess, 0))
+		abandoned <- err
+	}()
+	waitFor(t, "blocker dispatch", func() bool { return srv.Metrics().Models["blocker"].Batches == 1 })
+	return func() {
+		cancel()
+		if err := <-abandoned; !errors.Is(err, context.Canceled) {
+			t.Errorf("blocker returned %v before its release: the worker was not parked throughout", err)
+		}
+	}
+}
+
+// submit sends n seeded requests to a model, each from its own goroutine;
+// wait blocks until all have returned and reports their errors by index.
+// The timeout only turns a request that is never answered into a failure.
+func submit(srv *serve.Server, name string, sess *core.Session, n int) (wait func() []error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = srv.Infer(ctx, name, seededInput(sess, uint64(i)))
+		}(i)
+	}
+	return func() []error {
+		wg.Wait()
+		cancel()
+		return errs
+	}
+}
+
+// expectServed fails the test for every request of a submit that errored.
+func expectServed(t *testing.T, what string, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("%s request %d: %v", what, i, err)
+		}
+	}
+}
+
+// stagedServer is the fixture of the gate tests: one worker, parked, and
+// tinymlp served as "m" with the given batch and queue bounds.
+func stagedServer(t *testing.T, maxBatch, queueDepth int) (srv *serve.Server, sess *core.Session, mm func() serve.ModelMetrics, release func()) {
+	t.Helper()
+	sess = newSession(t, model.TinyMLP(), 1, 1)
+	t.Cleanup(func() { sess.Close() })
+	srv = serve.NewServer(1)
+	if err := srv.AddModel("m", sess, serve.ModelConfig{MaxBatch: maxBatch, QueueDepth: queueDepth}); err != nil {
+		t.Fatal(err)
+	}
+	mm = func() serve.ModelMetrics { return srv.Metrics().Models["m"] }
+	return srv, sess, mm, parkWorker(t, srv)
+}
+
+// TestDynamicBatchingCoalesces: eight requests that arrive while the only
+// worker is busy are served as one batch of eight when it frees.
+func TestDynamicBatchingCoalesces(t *testing.T) {
+	srv, sess, mm, release := stagedServer(t, 8, 16)
+	wait := submit(srv, "m", sess, 8)
+	waitHeld(t, srv, "m", 8)
+	release()
+	expectServed(t, "coalesced", wait())
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := mm()
+	if m.Batches != 1 || m.BatchHist[8] != 1 {
+		t.Errorf("batches=%d hist=%v, want one batch of 8", m.Batches, m.BatchHist)
+	}
+	if m.Completed != 8 {
+		t.Errorf("completed=%d, want 8", m.Completed)
+	}
+	if m.LatencySamples != 8 || m.P99Ms < m.P50Ms {
+		t.Errorf("latency snapshot inconsistent: %+v", m)
+	}
+	// Every request waited for the worker, so nearly all of its latency is
+	// queue wait.
+	if m.QueueWaitP50Ms <= 0 || m.QueueWaitP50Ms > m.P50Ms {
+		t.Errorf("queue wait p50 %.3f ms outside (0, latency p50 %.3f ms]", m.QueueWaitP50Ms, m.P50Ms)
+	}
+}
+
 // TestAdmissionShedding drives the queue into a provably full state and
 // asserts the bounded queue sheds with the typed ErrOverloaded while every
 // accepted request is still served.
 //
-// With one worker, MaxBatch = QueueDepth = 8 and an effectively infinite
-// MaxDelay, the system is staged deterministically: batch 1 (8 requests)
-// dispatches and occupies the worker for hundreds of milliseconds; batch 2
-// (8 requests) forms fully and blocks at the dispatch gate; 8 more
-// requests fill the admission queue; the 25th request must shed. Each
-// burst matches the queue depth, so no fill phase can overflow even when
-// the batcher drains slowly (e.g. under the race detector).
+// With the one worker parked and MaxBatch = QueueDepth = 8: the first 8
+// requests form a full batch that blocks at the dispatch gate; 8 more fill
+// the admission queue (nothing consumes them: a full batch takes no more);
+// the 17th must shed. Each burst matches the queue depth, so no fill phase
+// can overflow even when the batcher drains slowly (e.g. under the race
+// detector).
 func TestAdmissionShedding(t *testing.T) {
-	sess := newSession(t, slowNet(), 1, 1)
-	defer sess.Close()
-	srv := serve.NewServer(1)
-	if err := srv.AddModel("m", sess, serve.ModelConfig{
-		MaxBatch:   8,
-		MaxDelay:   10 * time.Second, // batches always fill completely
-		QueueDepth: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	mm := func() serve.ModelMetrics { return srv.Metrics().Models["m"] }
-	var wg sync.WaitGroup
-	errs := make([]error, 24)
-	submit := func(from, to int) {
-		for i := from; i < to; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_, errs[i] = srv.Infer(ctx, "m", seededInput(sess, uint64(i)))
-			}(i)
-		}
-	}
-	// Batch 1 fills and dispatches: the worker is now busy for ~8 slow
-	// inferences.
-	submit(0, 8)
-	waitFor(t, "batch 1 dispatch", func() bool { return mm().Batches == 1 })
-	// Batch 2 fills and blocks at the dispatch gate behind the busy worker.
-	submit(8, 16)
-	waitFor(t, "batch 2 formed", func() bool {
-		m := mm()
-		return m.Accepted == 16 && m.QueueDepth == 0
-	})
-	// Eight more requests fill the admission queue (nothing consumes them:
-	// the batcher is blocked at the gate).
-	submit(16, 24)
+	srv, sess, mm, release := stagedServer(t, 8, 8)
+	waitBatch := submit(srv, "m", sess, 8)
+	waitHeld(t, srv, "m", 8) // a full batch, blocked at the gate
+	waitQueue := submit(srv, "m", sess, 8)
 	waitFor(t, "queue full", func() bool { return mm().QueueDepth == 8 })
-	// The 25th request finds the queue full and is shed synchronously.
-	if _, err := srv.Infer(ctx, "m", seededInput(sess, 99)); !errors.Is(err, serve.ErrOverloaded) {
+	if _, err := srv.Infer(context.Background(), "m", seededInput(sess, 99)); !errors.Is(err, serve.ErrOverloaded) {
 		t.Errorf("overflow request: %v, want ErrOverloaded", err)
 	}
-	wg.Wait()
+	release()
+	expectServed(t, "batched", waitBatch())
+	expectServed(t, "queued", waitQueue())
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("accepted request %d failed: %v", i, err)
-		}
-	}
 	m := mm()
-	if m.Accepted != 24 || m.Shed != 1 || m.Completed != 24 {
-		t.Errorf("accepted=%d shed=%d completed=%d, want 24, 1, 24", m.Accepted, m.Shed, m.Completed)
+	if m.Accepted != 16 || m.Shed != 1 || m.Completed != 16 {
+		t.Errorf("accepted=%d shed=%d completed=%d, want 16, 1, 16", m.Accepted, m.Shed, m.Completed)
 	}
 }
 
 // TestDeadlineExpiresInQueue: a request whose context deadline passes while
-// it waits in a forming batch is shed at dispatch time with its context
-// error; the live request in the same batch still completes.
+// its batch waits behind a busy worker is shed at dispatch time with its
+// context error; the live request in the same batch still completes.
 func TestDeadlineExpiresInQueue(t *testing.T) {
-	g := model.TinyMLP()
-	sess := newSession(t, g, 1, 1)
-	defer sess.Close()
-	srv := serve.NewServer(1)
-	if err := srv.AddModel("m", sess, serve.ModelConfig{
-		MaxBatch:   3, // never fills: dispatch waits out the full MaxDelay
-		MaxDelay:   400 * time.Millisecond,
-		QueueDepth: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var errA, errB error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, errA = srv.Infer(context.Background(), "m", seededInput(sess, 1))
-	}()
-	// Give A a moment to start its batch, then enqueue B with a deadline
-	// far shorter than the 400ms the batcher will wait for a third request.
-	time.Sleep(20 * time.Millisecond)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		defer cancel()
-		_, errB = srv.Infer(ctx, "m", seededInput(sess, 2))
-	}()
-	wg.Wait()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if errA != nil {
-		t.Errorf("request A: %v, want success", errA)
-	}
+	srv, sess, mm, release := stagedServer(t, 3, 8)
+	waitA := submit(srv, "m", sess, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	// Infer returns as soon as B's deadline passes; B itself stays in the
+	// waiting batch until the worker takes it.
+	_, errB := srv.Infer(ctx, "m", seededInput(sess, 2))
 	if !errors.Is(errB, context.DeadlineExceeded) {
 		t.Errorf("request B: %v, want context.DeadlineExceeded", errB)
 	}
-	mm := srv.Metrics().Models["m"]
-	if mm.Expired != 1 || mm.Completed != 1 {
-		t.Errorf("expired=%d completed=%d, want 1 and 1", mm.Expired, mm.Completed)
+	waitHeld(t, srv, "m", 2)
+	release()
+	expectServed(t, "A", waitA())
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if m := mm(); m.Expired != 1 || m.Completed != 1 || m.BatchHist[1] != 1 {
+		t.Errorf("expired=%d completed=%d hist=%v, want B expired and A served as a batch of 1", m.Expired, m.Completed, m.BatchHist)
+	}
+}
+
+// TestIdleWorkerDispatchesAlone: on an idle server a lone request does not
+// wait for company. Nothing else is ever sent, so a batcher that held the
+// request back to fill its batch of 8 would never answer.
+func TestIdleWorkerDispatchesAlone(t *testing.T) {
+	sess := newSession(t, model.TinyMLP(), 1, 1)
+	defer sess.Close()
+	srv := serve.NewServer(1)
+	defer srv.Close()
+	if err := srv.AddModel("m", sess, serve.ModelConfig{MaxBatch: 8}); err != nil {
+		t.Fatal(err)
+	}
+	expectServed(t, "lone", submit(srv, "m", sess, 1)())
+	m := srv.Metrics().Models["m"]
+	if m.Batches != 1 || m.BatchHist[1] != 1 || m.Completed != 1 {
+		t.Errorf("batches=%d hist=%v completed=%d, want one batch of 1", m.Batches, m.BatchHist, m.Completed)
+	}
+}
+
+// TestBatchGrowsWhileGateBlocked: a batch that finds every worker busy
+// keeps filling while it waits, one request at a time, up to MaxBatch and
+// no further.
+func TestBatchGrowsWhileGateBlocked(t *testing.T) {
+	const maxBatch = 4
+	srv, sess, mm, release := stagedServer(t, maxBatch, 8)
+	var waits []func() []error
+	for i := 1; i <= maxBatch; i++ {
+		waits = append(waits, submit(srv, "m", sess, 1))
+		waitHeld(t, srv, "m", i)
+	}
+	// The batch is full: one more stays in the queue.
+	waits = append(waits, submit(srv, "m", sess, 1))
+	waitFor(t, "request 5 admitted", func() bool { return mm().Accepted == maxBatch+1 })
+	if d := mm().QueueDepth; d != 1 {
+		t.Errorf("queue depth %d behind a full batch, want 1", d)
+	}
+	release()
+	for _, wait := range waits {
+		expectServed(t, "trickled", wait())
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := mm(); m.Batches != 2 || m.BatchHist[maxBatch] != 1 || m.BatchHist[1] != 1 {
+		t.Errorf("batches=%d hist=%v, want a batch of %d then a batch of 1", m.Batches, m.BatchHist, maxBatch)
+	}
+}
+
+// TestGateFairness: one worker, a hot model whose six closed-loop clients
+// keep it under continuous arrivals, and a cold model with a single request.
+// The cold request is dispatched after at most one hot batch, and the hot
+// model completes everything: neither starves.
+func TestGateFairness(t *testing.T) {
+	const clients, perClient, maxBatch = 6, 5, 4
+	srv, hot, mm, release := stagedServer(t, maxBatch, 16)
+	// The cold model runs for some 80 ms, so once its batch is dispatched the
+	// one worker stays on it while the hot count is read.
+	cold := newSession(t, slowNet(24), 2, 1)
+	defer cold.Close()
+	if err := srv.AddModel("cold", cold, serve.ModelConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	hotErrs := make([]error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient && hotErrs[c] == nil; i++ {
+				_, hotErrs[c] = srv.Infer(context.Background(), "m", seededInput(hot, uint64(c*perClient+i)))
+			}
+		}(c)
+	}
+	// A full hot batch holds the gate with two more requests queued behind
+	// it before the cold request arrives.
+	waitFor(t, "hot batch full", func() bool {
+		m := mm()
+		return m.Accepted == clients && m.QueueDepth == clients-maxBatch
+	})
+	waitCold := submit(srv, "cold", cold, 1)
+	waitHeld(t, srv, "cold", 1)
+	release()
+	waitFor(t, "cold dispatch", func() bool { return srv.Metrics().Models["cold"].Batches == 1 })
+	if m := mm(); m.Batches > 1 {
+		t.Errorf("%d hot batches (hist %v) dispatched ahead of the cold request, want at most 1", m.Batches, m.BatchHist)
+	}
+	expectServed(t, "cold", waitCold())
+	wg.Wait()
+	expectServed(t, "hot client", hotErrs)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := mm(); m.Completed != clients*perClient {
+		t.Errorf("hot completed=%d, want %d", m.Completed, clients*perClient)
+	}
+}
+
+// TestCloseDrainsFormingBatch: Close while a partial batch is being offered
+// to a busy pool still serves every admitted request, and leaves no
+// goroutine behind.
+func TestCloseDrainsFormingBatch(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, sess, mm, release := stagedServer(t, 8, 8)
+	wait := submit(srv, "m", sess, 3)
+	waitHeld(t, srv, "m", 3)
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	// Closed reports true once Close has closed every queue: the batcher is
+	// left holding three requests and a closed queue, the worker still busy.
+	waitFor(t, "admission closed", srv.Closed)
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	expectServed(t, "admitted", wait())
+	if m := mm(); m.Completed != 3 || m.BatchHist[3] != 1 {
+		t.Errorf("completed=%d hist=%v, want the 3 admitted requests served as one batch", m.Completed, m.BatchHist)
+	}
+	// Batchers and workers have exited when Close returns; a dispatch's
+	// cancellation watcher may take a moment longer.
+	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestFairnessAcrossModels: one worker, two hot models — the batch-level

@@ -26,7 +26,7 @@ var (
 
 type (
 	// ModelMetrics is one served model's snapshot: queue state, admission
-	// counters, batch-size histogram and latency quantiles.
+	// counters, batch-size histogram, latency and queue-wait quantiles.
 	ModelMetrics = serve.ModelMetrics
 )
 
@@ -59,15 +59,19 @@ func WithWorkers(n int) ServeOption {
 }
 
 // WithMaxBatch caps how many queued requests the dynamic batcher coalesces
-// into one dispatch (default 8).
+// into one dispatch (default 8). It is the batcher's only setting: a batch
+// is offered to the workers while it fills, so an idle worker takes a batch
+// of one at once and batches grow only while every worker is busy.
 func WithMaxBatch(n int) ServeOption {
 	return func(s *serveSettings) { s.model.MaxBatch = n }
 }
 
-// WithMaxDelay bounds how long the batcher waits after a batch's first
-// request for more to arrive (default 2ms; 0 batches greedily).
-func WithMaxDelay(d time.Duration) ServeOption {
-	return func(s *serveSettings) { s.model.MaxDelay = d }
+// WithMaxDelay does nothing: the batcher has no fill timer.
+//
+// Deprecated: kept only because the frozen bench/serve.go calls it; it goes
+// with that call in the next benchmark PR.
+func WithMaxDelay(time.Duration) ServeOption {
+	return func(*serveSettings) {}
 }
 
 // WithQueueDepth bounds a model's admission queue; requests beyond it are
@@ -155,8 +159,8 @@ func (s *Server) Infer(ctx context.Context, model string, input Tensor) (*Result
 }
 
 // Metrics snapshots the server: per-model queue depth, admission and
-// completion counters, batch-size histogram, p50/p95/p99 request latency,
-// and the engine's compile-cache and chip-pool counters.
+// completion counters, batch-size histogram, p50/p95/p99 request latency
+// and queue wait, and the engine's compile-cache and chip-pool counters.
 func (s *Server) Metrics() ServerMetrics {
 	m := s.inner.Metrics()
 	return ServerMetrics{
@@ -210,17 +214,21 @@ func (m ServerMetrics) WritePrometheus(w io.Writer) error {
 	for _, name := range names {
 		mw.Sample("cimflow_model_batches_total", cluster.Labels{{Name: "model", Value: name}}, float64(m.Models[name].Batches))
 	}
-	mw.Gauge("cimflow_model_latency_ms", "Request latency quantiles by model, milliseconds.")
-	for _, name := range names {
-		mm := m.Models[name]
-		for _, q := range []struct {
-			q string
-			v float64
-		}{{"0.5", mm.P50Ms}, {"0.95", mm.P95Ms}, {"0.99", mm.P99Ms}} {
-			mw.Sample("cimflow_model_latency_ms",
-				cluster.Labels{{Name: "model", Value: name}, {Name: "quantile", Value: q.q}}, q.v)
+	quantiles := func(metric, help string, of func(ModelMetrics) [3]float64) {
+		mw.Gauge(metric, help)
+		for _, name := range names {
+			v := of(m.Models[name])
+			for i, q := range [3]string{"0.5", "0.95", "0.99"} {
+				mw.Sample(metric, cluster.Labels{{Name: "model", Value: name}, {Name: "quantile", Value: q}}, v[i])
+			}
 		}
 	}
+	quantiles("cimflow_model_latency_ms", "Request latency (admission to reply) quantiles by model, milliseconds.",
+		func(mm ModelMetrics) [3]float64 { return [3]float64{mm.P50Ms, mm.P95Ms, mm.P99Ms} })
+	quantiles("cimflow_model_queue_wait_ms", "Queue wait (admission to dispatch) quantiles by model, milliseconds.",
+		func(mm ModelMetrics) [3]float64 {
+			return [3]float64{mm.QueueWaitP50Ms, mm.QueueWaitP95Ms, mm.QueueWaitP99Ms}
+		})
 	mw.Gauge("cimflow_model_sim_lanes", "Configured lane-batch capacity by model.")
 	for _, name := range names {
 		mw.Sample("cimflow_model_sim_lanes", cluster.Labels{{Name: "model", Value: name}}, float64(m.Models[name].SimLanes))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"cimflow"
 )
@@ -87,7 +86,6 @@ func TestServerFacade(t *testing.T) {
 	srv := cimflow.NewServer(engine,
 		cimflow.WithWorkers(2),
 		cimflow.WithMaxBatch(4),
-		cimflow.WithMaxDelay(2*time.Millisecond),
 		cimflow.WithQueueDepth(32))
 	if err := srv.ServeModel("tinymlp",
 		cimflow.WithSessionOptions(cimflow.WithStrategy(cimflow.StrategyDP))); err != nil {
@@ -142,6 +140,10 @@ func TestServerFacade(t *testing.T) {
 	}
 	if mm.Batches == 0 || mm.LatencySamples != n {
 		t.Errorf("metrics batches=%d latency samples=%d, want >0 and %d", mm.Batches, mm.LatencySamples, n)
+	}
+	// Queue wait is the part of a request's latency before dispatch.
+	if mm.QueueWaitP99Ms <= 0 || mm.QueueWaitP99Ms > mm.P99Ms {
+		t.Errorf("queue wait p99 %.3f ms outside (0, latency p99 %.3f ms]", mm.QueueWaitP99Ms, mm.P99Ms)
 	}
 	if m.CompileCalls != 1 {
 		t.Errorf("CompileCalls=%d across serving, want 1", m.CompileCalls)
