@@ -25,12 +25,12 @@ import (
 // Data effects are decided once per instruction, not once per element. The
 // vector handler runs a unit-stride instruction whose destination is apart
 // from its sources, or exactly on one, as whole-slice kernels (vecBulk,
-// vecApplyBulk: AVX2 for VEC_MAC8 and the ReLU clamps, a 256-byte table for
-// the activations, straight Go loops for the rest of what the zoo executes)
-// and anything else element by element (vecApply, also the kernels' test
-// reference); CIM_MVM picks one of three writeback loops; VFILL is a memclr
-// or a doubling copy. The reference interpreter keeps its own per-element
-// loops as the independent oracle.
+// vecApplyBulk: AVX2 for VEC_MAC8, VEC_QNT and the ReLU clamps, a 256-byte
+// table for the activations, straight Go loops for the rest of what the zoo
+// executes) and anything else element by element (vecApply, also the kernels'
+// test reference); CIM_MVM picks raw stores or the requant kernel VEC_QNT
+// shares; VFILL is a memclr or a doubling copy. The reference interpreter
+// keeps its own per-element loops as the independent oracle.
 
 // decHandler executes one predecoded micro-op.
 type decHandler func(*core, *isa.Decoded) (stepStatus, error)
@@ -612,7 +612,9 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 // mvmWriteback stores one lane's accumulators to its validated output
 // window: raw little-endian INT32, or requantized to INT8 with the optional
 // fused ReLU. Which of the three is the instruction's choice, so it is made
-// here once and not per channel.
+// here once and not per channel; both requantized forms are one call of the
+// requant kernel (AVX2 where the CPU has it, requant_amd64.s), the ReLU as
+// its lower bound.
 func mvmWriteback(d *isa.Decoded, acc []int32, out []byte, qmul int32, qshift uint) {
 	switch {
 	case d.WriteRaw:
@@ -620,15 +622,9 @@ func mvmWriteback(d *isa.Decoded, acc []int32, out []byte, qmul int32, qshift ui
 			binary.LittleEndian.PutUint32(out[4*ch:], uint32(sum))
 		}
 	case d.Relu:
-		out = out[:len(acc)]
-		for ch, sum := range acc {
-			out[ch] = byte(max(tensor.Requant(sum, qmul, qshift), 0))
-		}
+		requant(out[:len(acc)], acc, qmul, qshift, 0)
 	default:
-		out = out[:len(acc)]
-		for ch, sum := range acc {
-			out[ch] = byte(tensor.Requant(sum, qmul, qshift))
-		}
+		requant(out[:len(acc)], acc, qmul, qshift, -128)
 	}
 }
 
@@ -778,7 +774,8 @@ func (t *actTable) lookup(funct uint8, inScale, outScale int32) *[256]byte {
 // are one lane's whole operand windows (n elements each at unit stride, b
 // empty for one-source functs) and every funct is one straight loop over
 // them, with no per-element address arithmetic. VEC_MAC8 and the ReLU clamps
-// have AVX2 bodies (vec_amd64.s).
+// have AVX2 bodies (vec_amd64.s), and VEC_QNT is the requant kernel CIM_MVM's
+// write-back runs (requant_amd64.s), fed its source window as bytes.
 func vecApplyBulk(c *core, d *isa.Decoded, a, b, dst []byte) {
 	qmul := c.sregs[isa.SRegQuantMul]
 	qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
@@ -820,9 +817,7 @@ func vecApplyBulk(c *core, d *isa.Decoded, a, b, dst []byte) {
 			binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)+uint32(int8(x)))
 		}
 	case isa.VFnQnt:
-		for i := range dst {
-			dst[i] = byte(tensor.Requant(int32(binary.LittleEndian.Uint32(a[4*i:])), qmul, qshift))
-		}
+		requantLE(dst, a, qmul, qshift, -128)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"cimflow/internal/arch"
 	"cimflow/internal/isa"
 	"cimflow/internal/tensor"
 )
@@ -61,21 +63,28 @@ func vecInstr(t testing.TB, fn uint8) *isa.Decoded {
 // (after prep, when given, has edited it), and through the per-element loop
 // on another. It reports whether the instruction was valid; when it was, the
 // two memories must be byte-identical, and when not, memory must be
-// untouched.
+// untouched. The quantization shift is one that suits the funct; exec is run
+// with the quantization registers as the caller left them.
 func (r *vecRig) run(t testing.TB, d *isa.Decoded, a, rt, dst, n int32, prep func(local []byte)) bool {
 	t.Helper()
-	c := r.c
-	c.regs[1], c.regs[2], c.regs[3], c.regs[4] = a, rt, dst, n
 	// A shift that spreads each requantizing funct's results over the INT8
 	// range, some saturating at either end, rather than pinning them all.
 	switch d.Funct {
 	case isa.VFnQnt:
-		c.sregs[isa.SRegQuantShift] = 25
+		r.c.sregs[isa.SRegQuantShift] = 25
 	case isa.VFnQMul8:
-		c.sregs[isa.SRegQuantShift] = 7
+		r.c.sregs[isa.SRegQuantShift] = 7
 	default:
-		c.sregs[isa.SRegQuantShift] = 2
+		r.c.sregs[isa.SRegQuantShift] = 2
 	}
+	return r.exec(t, d, a, rt, dst, n, prep)
+}
+
+// exec is run without the choice of shift.
+func (r *vecRig) exec(t testing.TB, d *isa.Decoded, a, rt, dst, n int32, prep func(local []byte)) bool {
+	t.Helper()
+	c := r.c
+	c.regs[1], c.regs[2], c.regs[3], c.regs[4] = a, rt, dst, n
 	copy(c.local, r.init)
 	if prep != nil {
 		prep(c.local)
@@ -235,23 +244,32 @@ func TestVecKernels(t *testing.T) {
 }
 
 // FuzzVecApply feeds decVec arbitrary functs, lengths, operand addresses,
-// strides and scalar operands: whatever it accepts must leave memory as the
-// per-element loop does, and whatever it rejects must leave memory alone.
+// strides, scalar operands and quantization registers (any int32 multiplier:
+// hand-written ISA can load one): whatever it accepts must leave memory as
+// the per-element loop does, and whatever it rejects must leave memory alone.
 func FuzzVecApply(f *testing.F) {
-	f.Add(isa.VFnMac8, uint16(41), uint16(513), int32(1027), uint16(2049), int8(1), int8(1), int8(1))
-	f.Add(isa.VFnRelu68, uint16(70), uint16(512), int32(23), uint16(512), int8(1), int8(1), int8(1))
-	f.Add(isa.VFnRelu68, uint16(70), uint16(512), int32(-3), uint16(513), int8(1), int8(1), int8(1))
-	f.Add(isa.VFnSilu8, uint16(257), uint16(100), int32(0), uint16(99), int8(1), int8(1), int8(1))
-	f.Add(isa.VFnQnt, uint16(33), uint16(512), int32(0), uint16(512), int8(1), int8(0), int8(1))
-	f.Add(isa.VFnAcc8, uint16(16), uint16(300), int32(0), uint16(290), int8(2), int8(1), int8(-1))
-	f.Add(isa.VFnRSum8, uint16(65535), uint16(0), int32(0), uint16(0), int8(127), int8(1), int8(1))
+	qmul, qshift := tensor.QuantizeScale(0.0037) // what the compiler loads
+	f.Add(isa.VFnMac8, uint16(41), uint16(513), int32(1027), uint16(2049), int8(1), int8(1), int8(1), int32(3), uint8(2))
+	f.Add(isa.VFnRelu68, uint16(70), uint16(512), int32(23), uint16(512), int8(1), int8(1), int8(1), int32(3), uint8(2))
+	f.Add(isa.VFnRelu68, uint16(70), uint16(512), int32(-3), uint16(513), int8(1), int8(1), int8(1), int32(3), uint8(2))
+	f.Add(isa.VFnSilu8, uint16(257), uint16(100), int32(0), uint16(99), int8(1), int8(1), int8(1), int32(3), uint8(2))
+	f.Add(isa.VFnQnt, uint16(33), uint16(512), int32(0), uint16(512), int8(1), int8(0), int8(1), int32(3), uint8(25))
+	f.Add(isa.VFnQnt, uint16(70), uint16(513), int32(0), uint16(2049), int8(1), int8(1), int8(1), qmul, uint8(qshift))
+	f.Add(isa.VFnQnt, uint16(41), uint16(515), int32(0), uint16(2050), int8(1), int8(1), int8(1), int32(0), uint8(9))
+	f.Add(isa.VFnQnt, uint16(64), uint16(512), int32(0), uint16(2048), int8(1), int8(1), int8(1), int32(-12345), uint8(31))
+	f.Add(isa.VFnQnt, uint16(65), uint16(514), int32(0), uint16(2051), int8(1), int8(1), int8(1), int32(math.MinInt32), uint8(30))
+	f.Add(isa.VFnQMul8, uint16(40), uint16(512), int32(1024), uint16(2048), int8(1), int8(1), int8(1), qmul, uint8(7))
+	f.Add(isa.VFnAcc8, uint16(16), uint16(300), int32(0), uint16(290), int8(2), int8(1), int8(-1), int32(3), uint8(2))
+	f.Add(isa.VFnRSum8, uint16(65535), uint16(0), int32(0), uint16(0), int8(127), int8(1), int8(1), int32(3), uint8(2))
 	r := newVecRig(f) // a worker process calls the target sequentially
-	f.Fuzz(func(t *testing.T, fn uint8, n, a uint16, rt int32, dst uint16, sA, sB, sD int8) {
+	f.Fuzz(func(t *testing.T, fn uint8, n, a uint16, rt int32, dst uint16, sA, sB, sD int8, qmul int32, qshift uint8) {
 		fn %= isa.VFnRMax8 + 1
 		r.c.sregs[isa.SRegVecStrideA] = int32(sA)
 		r.c.sregs[isa.SRegVecStrideB] = int32(sB)
 		r.c.sregs[isa.SRegVecStrideD] = int32(sD)
-		r.run(t, vecInstr(t, fn), int32(a)%vecRigMem, rt, int32(dst)%vecRigMem, int32(n)%600, nil)
+		r.c.sregs[isa.SRegQuantMul] = qmul
+		r.c.sregs[isa.SRegQuantShift] = int32(qshift) // the vector unit uses the low five bits
+		r.exec(t, vecInstr(t, fn), int32(a)%vecRigMem, rt, int32(dst)%vecRigMem, int32(n)%600, nil)
 	})
 }
 
@@ -338,6 +356,35 @@ func TestActTable(t *testing.T) {
 	}
 }
 
+// laneDifferential runs each input through a one-lane chip, which must equal
+// the reference interpreter on it (bytes and report), then all of them as
+// one full batch, each lane of which must equal its one-lane run. It returns
+// the one-lane outputs.
+func (lc *laneCase) laneDifferential(t *testing.T, cfg *arch.Config, inputs [][]byte) [][]byte {
+	t.Helper()
+	want := make([][]byte, len(inputs))
+	var wantStats *Stats
+	for l, in := range inputs {
+		out, stats := lc.runAlone(t, cfg, in)
+		refOut, refStats := lc.runAlone(t, cfg, in, WithLegacyInterpreter())
+		if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
+			t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v", l, out, refOut)
+		}
+		want[l], wantStats = out, stats
+	}
+	lc.runLanes(t, lc.stage(t, cfg, WithLanes(len(inputs))), inputs, want, wantStats)
+	return want
+}
+
+// laneInputs is the first n lane inputs.
+func laneInputs(n int) [][]byte {
+	inputs := make([][]byte, n)
+	for l := range inputs {
+		inputs[l] = laneInput(l)
+	}
+	return inputs
+}
+
 // TestWritebackPartialGroup runs the partial-group writeback case (5 of the
 // group's channels, raw / requantized / requantized+ReLU, guard bytes behind
 // each window) at one lane against the reference interpreter and as a full
@@ -353,20 +400,81 @@ func TestWritebackPartialGroup(t *testing.T) {
 	if lc == nil {
 		t.Fatal("lane case not found")
 	}
-	inputs := make([][]byte, 8)
-	want := make([][]byte, 8)
-	var wantStats *Stats
-	for l := range inputs {
-		inputs[l] = laneInput(l)
-		out, stats := lc.runAlone(t, &cfg, inputs[l])
-		refOut, refStats := lc.runAlone(t, &cfg, inputs[l], WithLegacyInterpreter())
-		if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
-			t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v", l, out, refOut)
-		}
-		want[l], wantStats = out, stats
-	}
+	want := lc.laneDifferential(t, &cfg, laneInputs(8))
 	if relu, noRelu := want[0][40:45], want[0][32:37]; bytes.Equal(relu, noRelu) {
 		t.Fatalf("the case does not tell ReLU from no ReLU: both %v", relu)
 	}
-	lc.runLanes(t, lc.stage(t, &cfg, WithLanes(8)), inputs, want, wantStats)
+}
+
+// TestWritebackTable runs CIM_MVM's write-back as a whole instruction at the
+// channel counts on both sides of the requant kernel's 8-element block (1, 7,
+// 8, 9, 33 and the whole group), raw / requantized / requantized+ReLU, and
+// the multipliers hand-written ISA may load besides the compiler's own (0, a
+// negative, MinInt32) — the other rigs pin SRegQuantMul to 1, 3 or 5. A lane's
+// 64 input bytes are its 1x64 weights, multiplied by one of them, so every
+// lane writes back accumulators of its own; the window is pre-filled with
+// 0x55 and read back with eight bytes behind it. Each one-lane run must equal
+// the reference interpreter, and each lane of an 8-lane batch its one-lane
+// run, bytes and report.
+func TestWritebackTable(t *testing.T) {
+	cfg := testConfig()
+	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 1
+	// Over a thousand chips are built below; none needs the default 16 MB per lane.
+	cfg.Chip.GlobalMemBytes, cfg.Core.LocalMemBytes = 4096, 4096
+	group := int32(cfg.GroupChannels())
+	mul, shift := tensor.QuantizeScale(0.0037)
+	type quant struct {
+		mul, shift int32
+		spread     bool // scaled to land most of this table's accumulators inside INT8
+	}
+	quants := []quant{
+		{mul, int32(shift), true}, {mul, int32(shift) - 3, false},
+		{0, 9, false}, {-12345, 22, true}, {math.MinInt32, 31, false},
+	}
+	modes := []struct {
+		name   string
+		flags  uint16
+		elem   int32
+		quants []quant
+	}{
+		{"plain", isa.MVMFlagWriteback, 1, quants},
+		{"relu", isa.MVMFlagWriteback | isa.MVMFlagRelu, 1, quants},
+		{"raw", isa.MVMFlagWriteRaw, 4, quants[:1]}, // raw stores no quantized value
+	}
+	inputs := laneInputs(8)
+	for _, outChans := range []int32{1, 7, 8, 9, 33, group} {
+		for _, mode := range modes {
+			for _, q := range mode.quants {
+				window := outChans*mode.elem + 8
+				lc := laneCase{
+					name: fmt.Sprintf("%s/chans=%d/mul=%d>>%d", mode.name, outChans, q.mul, q.shift),
+					progs: []Program{{Core: 0, Code: seq(
+						copyIn(0, laneIn, 64),
+						setSReg(isa.SRegQuantMul, q.mul), setSReg(isa.SRegQuantShift, q.shift), setSReg(isa.SRegOutChans, outChans),
+						isa.LI(1, 0), isa.LI(2, 1), isa.LI(3, group), one(isa.CimLoad(0, 1, 2, 3)),
+						isa.LI(1, 1024), isa.LI(2, window), one(isa.VFill(1, 2, 0x55)),
+						mvm(21, 1, 1024, mode.flags),
+						copyOut(laneOut, 1024, window),
+						spinHalt(),
+					)}},
+					outSize: int(window),
+				}
+				t.Run(lc.name, func(t *testing.T) {
+					distinct := map[byte]bool{}
+					for l, out := range lc.laneDifferential(t, &cfg, inputs) {
+						if tail := out[len(out)-8:]; !bytes.Equal(tail, bytes.Repeat([]byte{0x55}, 8)) {
+							t.Fatalf("input %d: bytes behind the window overwritten: %v", l, tail)
+						}
+						for _, b := range out[:len(out)-8] {
+							distinct[b] = true
+						}
+					}
+					// A table whose every result saturates would prove little.
+					if q.spread && outChans >= 8 && len(distinct) < 8 {
+						t.Fatalf("only %d distinct output bytes over %d lanes", len(distinct), len(inputs))
+					}
+				})
+			}
+		}
+	}
 }
