@@ -134,15 +134,37 @@ func compileCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	var dump []isa.Instruction
+	if *dumpCore != -1 {
+		if dump, err = coreProgram(compiled, *dumpCore); err != nil {
+			return err
+		}
+	}
 	fmt.Printf("compiled %s for %s: %d instructions across %d cores, %d stages, %.1f MB global\n",
 		g.Name, cfg.Name, compiled.InstructionCount(), len(compiled.Programs),
 		len(compiled.Plan.Stages), float64(compiled.GlobalBytes())/(1<<20))
 	fmt.Print(compiled.Plan.Summary())
-	if *dumpCore >= 0 && *dumpCore < len(compiled.Programs) {
+	if *dumpCore != -1 {
 		fmt.Printf("--- core %d program ---\n", *dumpCore)
-		fmt.Print(isa.DisassembleProgram(compiled.Programs[*dumpCore].Code))
+		fmt.Print(isa.DisassembleProgram(dump))
 	}
 	return nil
+}
+
+// coreProgram returns the instructions compiled for a core. A program names
+// its core in Program.Core; its position in the list is not the core id.
+func coreProgram(c *cimflow.Compiled, core int) ([]isa.Instruction, error) {
+	if len(c.Programs) == 0 {
+		return nil, fmt.Errorf("-dump-core %d: the compiled model has no programs", core)
+	}
+	lo, hi := c.Programs[0].Core, c.Programs[0].Core
+	for _, p := range c.Programs {
+		if p.Core == core {
+			return p.Code, nil
+		}
+		lo, hi = min(lo, p.Core), max(hi, p.Core)
+	}
+	return nil, fmt.Errorf("-dump-core %d: no program for that core (programs are for cores %d to %d)", core, lo, hi)
 }
 
 func runCmd(args []string) error {

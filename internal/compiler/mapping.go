@@ -37,15 +37,26 @@ func (cm *costModel) mapStage(units []*unit, numCores int, inStage bmask, duplic
 	if used > numCores {
 		return alloc, false
 	}
+	// cs[i] is unit i's cost at replicas[i] and fs[i] its fill term. A trial
+	// replica changes one entry, so cost() folds the tables instead of
+	// re-deriving every unit: the same operands in the same order.
+	cs := make([]float64, 2*len(units))
+	fs := cs[len(units):]
+	set := func(i int) {
+		cs[i] = cm.unitCost(units[i], alloc.replicas[i])
+		fs[i] = cs[i] / float64(units[i].anchor.OutShape.H+1)
+	}
+	for i := range units {
+		set(i)
+	}
 	cost := func() float64 {
 		worst := 0.0
 		var fill float64
-		for i, u := range units {
-			c := cm.unitCost(u, alloc.replicas[i])
+		for i, c := range cs[:len(units)] {
 			if c > worst {
 				worst = c
 			}
-			fill += c / float64(u.anchor.OutShape.H+1)
+			fill += fs[i]
 		}
 		return worst + fill
 	}
@@ -63,9 +74,12 @@ func (cm *costModel) mapStage(units []*unit, numCores int, inStage bmask, duplic
 				if min > free || alloc.replicas[i] >= cm.unitMaxReplicas(u) {
 					continue
 				}
+				c, f := cs[i], fs[i]
 				alloc.replicas[i]++
+				set(i)
 				gain := base - cost()
 				alloc.replicas[i]--
+				cs[i], fs[i] = c, f
 				// Normalize by cores spent so cheap duplications win ties.
 				if gain > 0 && (bestIdx < 0 || gain/float64(min) > bestGain) {
 					bestIdx, bestGain = i, gain/float64(min)
@@ -75,6 +89,7 @@ func (cm *costModel) mapStage(units []*unit, numCores int, inStage bmask, duplic
 				break
 			}
 			alloc.replicas[bestIdx]++
+			set(bestIdx)
 			used += cm.unitMinCores(units[bestIdx])
 		}
 	}

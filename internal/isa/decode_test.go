@@ -3,6 +3,7 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestPredecodeResolvesStaticFields(t *testing.T) {
@@ -131,5 +132,15 @@ func TestPredecodeCoreIDReadOnly(t *testing.T) {
 	}
 	if !dec[1].WritesSReg {
 		t.Error("MTS to a writable register decoded as a no-op")
+	}
+}
+
+// TestDecodedSize pins the micro-op's size. A sweep keeps every point's
+// predecoded program live, so eight more bytes here put the cold_dse
+// benchmark's live heap 5% up (EXPERIMENTS.md "PR 24"): growing Decoded is a
+// measured decision, not a side effect.
+func TestDecodedSize(t *testing.T) {
+	if got := unsafe.Sizeof(Decoded{}); got != 60 {
+		t.Errorf("unsafe.Sizeof(Decoded{}) = %d, want 60", got)
 	}
 }

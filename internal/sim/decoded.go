@@ -140,7 +140,7 @@ func decJMP(c *core, d *isa.Decoded) (stepStatus, error) {
 }
 
 func decBranch(c *core, d *isa.Decoded) (stepStatus, error) {
-	issue := c.hazardIssue(isa.UnitControl, d.Srcs[:d.NSrc], nil)
+	issue := c.regIssue(isa.UnitControl, d.Srcs[:d.NSrc])
 	a, b := c.reg(d.RS), c.reg(d.RT)
 	var taken bool
 	switch d.Funct {
@@ -165,7 +165,7 @@ func decBranch(c *core, d *isa.Decoded) (stepStatus, error) {
 
 func decScALU(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.stats.Energy.ScalarPJ += c.chip.cfg.Energy.ScalarOpPJ
-	issue := c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], nil)
+	issue := c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 	v, err := scalarALU(d.Funct, c.reg(d.RS), c.reg(d.RT))
 	if err != nil {
 		return stepOK, c.errf("%v", err)
@@ -179,7 +179,7 @@ func decScALU(c *core, d *isa.Decoded) (stepStatus, error) {
 
 func decScALUI(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.stats.Energy.ScalarPJ += c.chip.cfg.Energy.ScalarOpPJ
-	issue := c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], nil)
+	issue := c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 	v, err := scalarALU(d.Funct, c.reg(d.RS), d.Imm)
 	if err != nil {
 		return stepOK, c.errf("%v", err)
@@ -193,7 +193,7 @@ func decScALUI(c *core, d *isa.Decoded) (stepStatus, error) {
 
 func decScLUI(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.stats.Energy.ScalarPJ += c.chip.cfg.Energy.ScalarOpPJ
-	issue := c.hazardIssue(isa.UnitScalar, nil, nil)
+	issue := c.regIssue(isa.UnitScalar, nil)
 	c.setReg(d.RT, d.Imm<<16, issue+c.latScalar)
 	c.time = issue + 1
 	c.pc++
@@ -202,7 +202,7 @@ func decScLUI(c *core, d *isa.Decoded) (stepStatus, error) {
 
 func decScMTS(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.stats.Energy.ScalarPJ += c.chip.cfg.Energy.ScalarOpPJ
-	issue := c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], nil)
+	issue := c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 	if d.WritesSReg {
 		c.sregs[d.Imm] = c.reg(d.RS)
 	}
@@ -213,7 +213,7 @@ func decScMTS(c *core, d *isa.Decoded) (stepStatus, error) {
 
 func decScMFS(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.stats.Energy.ScalarPJ += c.chip.cfg.Energy.ScalarOpPJ
-	issue := c.hazardIssue(isa.UnitScalar, nil, nil)
+	issue := c.regIssue(isa.UnitScalar, nil)
 	c.setReg(d.RT, c.sregs[d.Imm], issue+c.latScalar)
 	c.time = issue + 1
 	c.pc++
@@ -230,7 +230,7 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 	var issue, done int64
 	var ranges []memRange
 	if global {
-		issue = c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], nil)
+		issue = c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 		done = c.chip.mesh.MemAccess(c.id, int(size), issue)
 		addr -= GlobalBase
 		if int(addr)+int(size) > len(c.chip.global[0]) {
