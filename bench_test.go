@@ -186,55 +186,6 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instructions), "ns/instr")
 }
 
-// BenchmarkSimWorkers is the measurement behind the serial default of
-// WithSimWorkers: one warm pooled session per setting, the serial scheduler
-// against two-worker windows, one inference per op (a batch of eight on the
-// lanes row). One pass runs the settings interleaved (1, 2, 1, 2, ...);
-// EXPERIMENTS.md "PR 21" reports five passes of
-//
-//	go test -run '^$' -bench SimWorkers -benchtime 20x .
-func BenchmarkSimWorkers(b *testing.B) {
-	for _, mc := range []struct {
-		name     string
-		strategy cimflow.Strategy
-		lanes    int
-	}{
-		{"resnet18", cimflow.StrategyGeneric, 1}, {"resnet18", cimflow.StrategyDP, 1},
-		{"mobilenetv2", cimflow.StrategyGeneric, 1}, {"mobilenetv2", cimflow.StrategyDP, 1},
-		{"efficientnetb0", cimflow.StrategyGeneric, 1}, {"mobilenetv2", cimflow.StrategyGeneric, 8},
-		{"tinymlp", cimflow.StrategyDP, 1}, {"tinyresnet", cimflow.StrategyGeneric, 1},
-	} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/%v/lanes=%d/workers=%d", mc.name, mc.strategy, mc.lanes, workers), func(b *testing.B) {
-				engine, err := cimflow.NewEngine(cimflow.DefaultConfig(), cimflow.WithStrategy(mc.strategy),
-					cimflow.WithMaxPooledChips(1), cimflow.WithSimLanes(mc.lanes), cimflow.WithSimWorkers(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer engine.Close()
-				sess, err := engine.SessionFor(mc.name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				inputs := make([]cimflow.Tensor, mc.lanes)
-				for i := range inputs {
-					inputs[i] = sess.SeededInput(uint64(2 + i))
-				}
-				op := func() {
-					if _, err := sess.InferBatch(context.Background(), inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				op() // builds and warms the pooled chip
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op()
-				}
-			})
-		}
-	}
-}
-
 func compilePump() ([]isa.Instruction, error) {
 	return isa.Assemble(`
 		SC_ADDI G1, G0, 500

@@ -68,14 +68,16 @@ func WithMaxPooledChips(n int) Option {
 	return func(o *settings) { o.MaxPooledChips = n }
 }
 
-// WithSimWorkers sets the simulator's conservative-window worker-pool
-// size per chip; 0 and 1, the default, are the serial scheduler. This is
-// the one place a caller opts in to windows: on the 2-core host they
-// measured 0.76-0.85x of serial (EXPERIMENTS.md "PR 21"), so nothing
-// selects them by default. Simulation results are bit-identical at any
-// setting.
-func WithSimWorkers(n int) Option {
-	return func(o *settings) { o.SimWorkers = n }
+// WithSimWorkers does nothing: a chip has one scheduler, the serial loop.
+// Parallelism is across chips (WithMaxPooledChips, the server's workers)
+// and across lanes (WithSimLanes).
+//
+// Deprecated: the windowed parallel scheduler it sized was slower than the
+// serial loop on every zoo model (EXPERIMENTS.md) and is gone. Kept only
+// because the frozen bench/ calls it; it goes with those calls in the next
+// benchmark PR.
+func WithSimWorkers(int) Option {
+	return func(*settings) {}
 }
 
 // WithSimLanes sets a Session's lane-batch capacity (at most
@@ -153,7 +155,6 @@ type sessionKey struct {
 	seed       uint64
 	cycleLimit int64
 	maxPooled  int
-	simWorkers int
 	simLanes   int
 	cache      *CompileCache
 }
@@ -290,7 +291,6 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 		seed:       st.Seed,
 		cycleLimit: st.CycleLimit,
 		maxPooled:  st.MaxPooledChips,
-		simWorkers: st.SimWorkers,
 		simLanes:   st.SimLanes,
 		cache:      cache,
 	}

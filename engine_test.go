@@ -212,7 +212,8 @@ func TestLookupModel(t *testing.T) {
 
 // TestSessionReuseKeying: SessionFor must reuse one Session per name, and
 // run-behavior options (cycle limit, pool cap) must key distinct Sessions
-// instead of silently returning one built with different values.
+// instead of silently returning one built with different values; an option
+// that changes nothing must not.
 func TestSessionReuseKeying(t *testing.T) {
 	engine, err := cimflow.NewEngine(cimflow.DefaultConfig())
 	if err != nil {
@@ -228,6 +229,14 @@ func TestSessionReuseKeying(t *testing.T) {
 	}
 	if a != b {
 		t.Error("SessionFor returned distinct sessions for the same name")
+	}
+	// The deprecated worker count is a no-op and must not split the pool.
+	workers, err := engine.SessionFor("tinymlp", cimflow.WithSimWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workers != a {
+		t.Error("the deprecated worker count keyed a separate session")
 	}
 	limited, err := engine.SessionFor("tinymlp", cimflow.WithCycleLimit(10))
 	if err != nil {

@@ -57,15 +57,13 @@ func assertResultsEqual(t *testing.T, label string, ref, got *Result) {
 }
 
 // TestInterpreterEquivalence is the differential proof behind the
-// predecoded execution pipeline and the conservative-window parallel
-// scheduler: every model-zoo graph under every compilation strategy is
-// simulated on the legacy instruction-at-a-time interpreter (the
-// reference), on the serial predecoded dispatch loop, and on the windowed
-// parallel scheduler at two pool sizes — and all runs must agree byte for
-// byte on the output tensor and exactly on cycles, instruction counts,
-// MACs, the full energy breakdown and every per-core stat. In -short mode
-// the four large benchmark DNNs are skipped; the tiny networks still cover
-// every operator lowering.
+// predecoded execution pipeline: every model-zoo graph under every
+// compilation strategy is simulated on the legacy instruction-at-a-time
+// interpreter (the reference) and on the predecoded dispatch loop, and the
+// two runs must agree byte for byte on the output tensor and exactly on
+// cycles, instruction counts, MACs, the full energy breakdown and every
+// per-core stat. In -short mode the four large benchmark DNNs are skipped;
+// the tiny networks still cover every operator lowering.
 func TestInterpreterEquivalence(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	large := map[string]bool{"resnet18": true, "vgg19": true, "mobilenetv2": true, "efficientnetb0": true}
@@ -80,7 +78,7 @@ func TestInterpreterEquivalence(t *testing.T) {
 		} {
 			t.Run(name+"/"+strat.String(), func(t *testing.T) {
 				t.Parallel()
-				// One compile feeds every scheduler: predecoded programs
+				// One compile feeds both interpreters: predecoded programs
 				// ride along in the artifact and the legacy chip ignores them.
 				compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: strat})
 				if err != nil {
@@ -94,29 +92,20 @@ func TestInterpreterEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy interpreter: %v", err)
 				}
-				serial, err := Simulate(context.Background(), compiled, ws, input,
-					Options{SimWorkers: 1})
+				predecoded, err := Simulate(context.Background(), compiled, ws, input, Options{})
 				if err != nil {
-					t.Fatalf("serial predecoded: %v", err)
+					t.Fatalf("predecoded: %v", err)
 				}
-				assertResultsEqual(t, "serial", legacy, serial)
-				golden.check(t, name+"/"+strat.String(), serial.Stats)
-				for _, w := range []int{2, 8} {
-					parallel, err := Simulate(context.Background(), compiled, ws, input,
-						Options{SimWorkers: w})
-					if err != nil {
-						t.Fatalf("parallel workers=%d: %v", w, err)
-					}
-					assertResultsEqual(t, fmt.Sprintf("parallel(workers=%d)", w), legacy, parallel)
-				}
+				assertResultsEqual(t, "predecoded", legacy, predecoded)
+				golden.check(t, name+"/"+strat.String(), predecoded.Stats)
 			})
 		}
 	}
 }
 
 // TestInterpreterEquivalencePooled proves the equivalence holds on reused
-// (pooled, Reset) chips as well as fresh ones: a session run twice under
-// each scheduler must reproduce the first run exactly, and all schedulers
+// (pooled, Reset) chips as well as fresh ones: a session run twice on each
+// interpreter must reproduce the first run exactly, and the two interpreters
 // must agree with each other.
 func TestInterpreterEquivalencePooled(t *testing.T) {
 	cfg := arch.DefaultConfig()
@@ -128,14 +117,8 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 	ws := model.NewSeededWeights(g, 1)
 	input := model.SeededInput(g.Nodes[0].OutShape, 2)
 	var ref *Result
-	for _, opt := range []Options{
-		{LegacyInterpreter: true},
-		{SimWorkers: 1},
-		{SimWorkers: 2},
-		{SimWorkers: 8},
-	} {
-		opt.MaxPooledChips = 1
-		s, err := NewSession(compiled, ws, opt)
+	for _, legacy := range []bool{true, false} {
+		s, err := NewSession(compiled, ws, Options{LegacyInterpreter: legacy, MaxPooledChips: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +130,7 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("legacy=%v workers=%d", opt.LegacyInterpreter, opt.SimWorkers)
+		label := fmt.Sprintf("legacy=%v", legacy)
 		if !reflect.DeepEqual(first.Output.Data, second.Output.Data) ||
 			first.Stats.Cycles != second.Stats.Cycles {
 			t.Errorf("pooled rerun diverged (%s)", label)
@@ -204,11 +187,11 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy interpreter, input %d: %v", l, err)
 				}
-				serial, err := Simulate(context.Background(), compiled, ws, in, Options{SimWorkers: 1})
+				predecoded, err := Simulate(context.Background(), compiled, ws, in, Options{})
 				if err != nil {
-					t.Fatalf("serial predecoded, input %d: %v", l, err)
+					t.Fatalf("predecoded, input %d: %v", l, err)
 				}
-				assertResultsEqual(t, fmt.Sprintf("serial input %d", l), legacy, serial)
+				assertResultsEqual(t, fmt.Sprintf("predecoded input %d", l), legacy, predecoded)
 				assertResultsEqual(t, fmt.Sprintf("lane %d", l), legacy, batch[l])
 			}
 		})

@@ -59,9 +59,11 @@ type Options struct {
 	// pipeline. The two are bit-identical; this is the reference escape
 	// hatch the differential equivalence suite runs against.
 	LegacyInterpreter bool
-	// SimWorkers sets the simulator's conservative-window worker-pool size
-	// (sim.WithWorkers): 0 and 1 are the serial scheduler. Results are
-	// bit-identical at any setting.
+	// SimWorkers is ignored: the simulator has one scheduler, the serial
+	// loop.
+	//
+	// Deprecated: kept only because the frozen bench/layers.go sets it; it
+	// goes with that line in the next benchmark PR.
 	SimWorkers int
 	// SimLanes sets the session's lane-batch capacity (sim.WithLanes, at
 	// most sim.MaxLanes): InferBatch fills up to SimLanes inputs into one

@@ -18,8 +18,7 @@ import (
 // each lane's Result must agree byte for byte — output tensor, cycles,
 // instructions, MACs, energy breakdown, per-core stats and NoC counters —
 // with a serial per-input run of the same compiled model. Occupancy varies
-// (1, 2, full) on the same pooled chip, covering SetLanes shrink/regrow,
-// and the grid crosses the serial and windowed parallel schedulers. In
+// (1, 2, full) on the same pooled chip, covering SetLanes shrink/regrow. In
 // -short and -race modes the four large benchmark DNNs are skipped; the
 // tiny networks still cover every operator lowering.
 func TestLaneEquivalence(t *testing.T) {
@@ -59,29 +58,25 @@ func TestLaneEquivalence(t *testing.T) {
 					}
 				}
 
-				for _, workers := range []int{1, 2} {
-					s, err := NewSession(compiled, ws, Options{
-						MaxPooledChips: 1, SimWorkers: workers, SimLanes: lanes,
-					})
+				s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: lanes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				// Occupancies 1, 2 and full reuse the one pooled chip, so
+				// stale lane state from a wider run must never leak into a
+				// narrower or regrown one.
+				for _, b := range []int{1, 2, lanes, lanes} {
+					res, err := s.InferBatch(context.Background(), inputs[:b])
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("lanes=%d: %v", b, err)
 					}
-					// Occupancies 1, 2 and full reuse the one pooled chip, so
-					// stale lane state from a wider run must never leak into a
-					// narrower or regrown one.
-					for _, b := range []int{1, 2, lanes, lanes} {
-						res, err := s.InferBatch(context.Background(), inputs[:b])
-						if err != nil {
-							t.Fatalf("workers=%d lanes=%d: %v", workers, b, err)
-						}
-						for l := 0; l < b; l++ {
-							assertResultsEqual(t, fmt.Sprintf("workers=%d lanes=%d lane=%d", workers, b, l), refs[l], res[l])
-						}
+					for l := 0; l < b; l++ {
+						assertResultsEqual(t, fmt.Sprintf("lanes=%d lane=%d", b, l), refs[l], res[l])
 					}
-					if n := s.LaneFallbacks(); n != 0 {
-						t.Errorf("workers=%d: %d unexpected divergence fallbacks", workers, n)
-					}
-					s.Close()
+				}
+				if n := s.LaneFallbacks(); n != 0 {
+					t.Errorf("%d unexpected divergence fallbacks", n)
 				}
 			})
 		}

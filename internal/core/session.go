@@ -165,9 +165,6 @@ func (s *Session) newChip() (*sim.Chip, error) {
 	if s.opt.LegacyInterpreter {
 		chipOpts = append(chipOpts, sim.WithLegacyInterpreter())
 	}
-	if s.opt.SimWorkers != 0 {
-		chipOpts = append(chipOpts, sim.WithWorkers(s.opt.SimWorkers))
-	}
 	if s.opt.SimLanes > 1 {
 		chipOpts = append(chipOpts, sim.WithLanes(s.opt.SimLanes))
 	}

@@ -296,8 +296,8 @@ func int8Bytes(t tensor.Tensor) []byte {
 }
 
 // cancelAfter is a context whose Err turns Canceled at the n-th poll. The
-// serial scheduler polls every few thousand steps, so a run under it is
-// abandoned part-way at the same instruction on any host.
+// scheduler polls every few thousand steps, so a run under it is abandoned
+// part-way at the same instruction on any host.
 type cancelAfter struct {
 	context.Context
 	polls atomic.Int64
@@ -319,11 +319,11 @@ func (c *cancelAfter) Err() error {
 // be another inference's bytes under this one.
 //
 // A run is abandoned two ways. The cycle limit, set on the pooled chip to
-// half the model's cycle count, stops either scheduler at the same cycle on
-// any host. Cancellation does too under the serial scheduler and cancelAfter,
-// but only in a model that outlasts a poll interval: a tiny model's whole run
-// (under 8,200 instructions) fits inside one, so it can be cancelled before
-// it starts or not at all, and those steps are skipped for it.
+// half the model's cycle count, stops it at the same cycle on any host.
+// Cancellation does too under cancelAfter, but only in a model that outlasts
+// a poll interval: a tiny model's whole run (under 8,200 instructions) fits
+// inside one, so it can be cancelled before it starts or not at all, and
+// those steps are skipped for it.
 func TestPooledResetDifferential(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	for _, tc := range []struct {
@@ -341,68 +341,66 @@ func TestPooledResetDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws := model.NewSeededWeights(g, 1)
-			for _, workers := range []int{1, 2} {
-				s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimWorkers: workers, SimLanes: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				seed := uint64(100 * workers)
-				var ran *sim.Stats // of the first batch: how long the model runs
-				for step, st := range []struct {
-					lanes int
-					abort string
-				}{{8, ""}, {2, ""}, {8, "limit"}, {8, ""}, {8, "cancel"}, {2, ""}, {8, ""}} {
-					inputs := make([]tensor.Tensor, st.lanes)
-					for i := range inputs {
-						seed++
-						inputs[i] = model.SeededInput(g.Nodes[0].OutShape, seed)
-					}
-					label := fmt.Sprintf("workers=%d step %d lanes %d %s", workers, step, st.lanes, st.abort)
-					switch st.abort {
-					case "limit":
-						ch := <-s.free
-						ch.CycleLimit = ran.Cycles / 2
-						s.free <- ch
-						if _, err := s.InferBatch(context.Background(), inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
-							t.Fatalf("%s: InferBatch = %v, want a cycle-limit abort", label, err)
-						}
-						ch = <-s.free
-						ch.CycleLimit = 0
-						s.free <- ch
-						continue
-					case "cancel":
-						if workers != 1 || ran.Instructions < 1<<20 {
-							continue
-						}
-						// Polls 1 and 2 are the entry checks of the session and
-						// of Run; the scheduler's follow every 8192 steps.
-						_, err := s.InferBatch(&cancelAfter{Context: context.Background(), n: 5}, inputs)
-						if !errors.Is(err, context.Canceled) {
-							t.Fatalf("%s: InferBatch = %v, want context.Canceled", label, err)
-						}
-						continue
-					}
-					res, err := s.InferBatch(context.Background(), inputs)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					ran = res[0].Stats
-					for l, in := range inputs {
-						fresh, err := Simulate(context.Background(), compiled, ws, in, Options{SimWorkers: 1})
-						if err != nil {
-							t.Fatalf("%s: fresh chip: %v", label, err)
-						}
-						assertResultsEqual(t, fmt.Sprintf("%s lane %d", label, l), fresh, res[l])
-					}
-				}
-				if n := s.PooledChips(); n != 1 {
-					t.Errorf("workers=%d: pool holds %d chips, want the one every run reused", workers, n)
-				}
-				if n := s.LaneFallbacks(); n != 0 {
-					t.Errorf("workers=%d: %d unexpected divergence fallbacks", workers, n)
-				}
-				s.Close()
+			s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: 8})
+			if err != nil {
+				t.Fatal(err)
 			}
+			seed := uint64(100)
+			var ran *sim.Stats // of the first batch: how long the model runs
+			for step, st := range []struct {
+				lanes int
+				abort string
+			}{{8, ""}, {2, ""}, {8, "limit"}, {8, ""}, {8, "cancel"}, {2, ""}, {8, ""}} {
+				inputs := make([]tensor.Tensor, st.lanes)
+				for i := range inputs {
+					seed++
+					inputs[i] = model.SeededInput(g.Nodes[0].OutShape, seed)
+				}
+				label := fmt.Sprintf("step %d lanes %d %s", step, st.lanes, st.abort)
+				switch st.abort {
+				case "limit":
+					ch := <-s.free
+					ch.CycleLimit = ran.Cycles / 2
+					s.free <- ch
+					if _, err := s.InferBatch(context.Background(), inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+						t.Fatalf("%s: InferBatch = %v, want a cycle-limit abort", label, err)
+					}
+					ch = <-s.free
+					ch.CycleLimit = 0
+					s.free <- ch
+					continue
+				case "cancel":
+					if ran.Instructions < 1<<20 {
+						continue
+					}
+					// Polls 1 and 2 are the entry checks of the session and
+					// of Run; the scheduler's follow every 8192 steps.
+					_, err := s.InferBatch(&cancelAfter{Context: context.Background(), n: 5}, inputs)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: InferBatch = %v, want context.Canceled", label, err)
+					}
+					continue
+				}
+				res, err := s.InferBatch(context.Background(), inputs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				ran = res[0].Stats
+				for l, in := range inputs {
+					fresh, err := Simulate(context.Background(), compiled, ws, in, Options{})
+					if err != nil {
+						t.Fatalf("%s: fresh chip: %v", label, err)
+					}
+					assertResultsEqual(t, fmt.Sprintf("%s lane %d", label, l), fresh, res[l])
+				}
+			}
+			if n := s.PooledChips(); n != 1 {
+				t.Errorf("pool holds %d chips, want the one every run reused", n)
+			}
+			if n := s.LaneFallbacks(); n != 0 {
+				t.Errorf("%d unexpected divergence fallbacks", n)
+			}
+			s.Close()
 		})
 	}
 }

@@ -151,12 +151,14 @@ func TestStalledBodyClosed(t *testing.T) {
 				<-served
 			}()
 
+			// Before Dial: the server's read deadline starts when it begins
+			// reading the request, which may come before Dial returns.
+			start := time.Now()
 			conn, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			start := time.Now()
 			if _, err := fmt.Fprint(conn, "POST /v1/models/tinymlp/infer HTTP/1.1\r\nHost: test\r\n"+
 				"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"seed\": "); err != nil {
 				t.Fatal(err)

@@ -15,8 +15,9 @@ package isa
 // and the potentially-global SC_LD/SC_ST/MEMCPY forms (whose operand
 // registers decide local vs global at run time) are excluded, so a fused
 // run is invisible to the NoC, the mailboxes, the barrier and global
-// memory. That property is what lets the windowed parallel scheduler treat
-// a whole run as one local step.
+// memory. That property is what lets the simulator's (time, core-id)
+// scheduler execute a whole run as one step even when the core's clock
+// passes another core's inside it: no other core can observe the order.
 
 // maxFuseRun caps a fused run's length to what SubN can hold.
 const maxFuseRun = 255

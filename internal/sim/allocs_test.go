@@ -67,10 +67,7 @@ func TestStepDecodedZeroAllocs(t *testing.T) {
 // per-run fixed overhead (the stats report), not per message.
 func TestMessagingAllocsBounded(t *testing.T) {
 	cfg := testConfig() // 2x2 cores
-	// Pin the serial scheduler: this bound is about the messaging fast
-	// path, and the parallel scheduler's per-run pool setup (goroutines,
-	// channels, profiler labels) would drown the budget on multicore hosts.
-	ch, err := NewChip(&cfg, WithWorkers(1))
+	ch, err := NewChip(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,44 +15,47 @@ import (
 // interpreters now report barrier arrivals as a distinct step status.
 func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 	cfg := testConfig() // 2x2 mesh, cores 2 and 3 idle
-	// Both cores are active, so the windows leg names its worker count: the
-	// default is the serial scheduler.
-	for name, opts := range map[string][]ChipOption{
-		"serial": nil, "windows": {WithWorkers(2)}, "legacy": {WithLegacyInterpreter()},
+	for _, ex := range []struct {
+		name string
+		opts []ChipOption
+	}{
+		{"fused", nil}, {"unfused", []ChipOption{traced}}, {"legacy", []ChipOption{WithLegacyInterpreter()}},
 	} {
-		ch, err := NewChip(&cfg, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Run(ex.name, func(t *testing.T) {
+			ch, err := NewChip(&cfg, ex.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		receiver := []isa.Instruction{}
-		receiver = append(receiver, isa.LI(1, 0)...)  // landing addr
-		receiver = append(receiver, isa.LI(2, 16)...) // size
-		receiver = append(receiver, isa.LI(3, 1)...)  // source core
-		receiver = append(receiver,
-			isa.Barrier(1),
-			isa.Recv(1, 2, 3, 5), // blocks here, right after the barrier
-			isa.Halt(),
-		)
-		sender := []isa.Instruction{}
-		sender = append(sender, isa.LI(1, 64)...)
-		sender = append(sender, isa.LI(2, 16)...)
-		sender = append(sender, isa.LI(3, 0)...) // destination core
-		sender = append(sender,
-			isa.Barrier(1),
-			// Delay past the barrier so the receiver's RECV blocks first.
-			isa.Nop(), isa.Nop(), isa.Nop(), isa.Nop(),
-			isa.Send(1, 2, 3, 5),
-			isa.Halt(),
-		)
-		if err := ch.LoadProgram(Program{Core: 0, Code: receiver}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ch.LoadProgram(Program{Core: 1, Code: sender}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ch.Run(context.Background()); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+			receiver := []isa.Instruction{}
+			receiver = append(receiver, isa.LI(1, 0)...)  // landing addr
+			receiver = append(receiver, isa.LI(2, 16)...) // size
+			receiver = append(receiver, isa.LI(3, 1)...)  // source core
+			receiver = append(receiver,
+				isa.Barrier(1),
+				isa.Recv(1, 2, 3, 5), // blocks here, right after the barrier
+				isa.Halt(),
+			)
+			sender := []isa.Instruction{}
+			sender = append(sender, isa.LI(1, 64)...)
+			sender = append(sender, isa.LI(2, 16)...)
+			sender = append(sender, isa.LI(3, 0)...) // destination core
+			sender = append(sender,
+				isa.Barrier(1),
+				// Delay past the barrier so the receiver's RECV blocks first.
+				isa.Nop(), isa.Nop(), isa.Nop(), isa.Nop(),
+				isa.Send(1, 2, 3, 5),
+				isa.Halt(),
+			)
+			if err := ch.LoadProgram(Program{Core: 0, Code: receiver}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.LoadProgram(Program{Core: 1, Code: sender}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ch.Run(context.Background()); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

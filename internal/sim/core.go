@@ -73,8 +73,7 @@ type core struct {
 	// power-on state. Bit p of dirty is page p (1<<dirtyShift bytes) of local
 	// memory, marked by hazardIssue for every window an operation reads or
 	// writes; bit g of mgDirty is macro group g, marked by CIM_LOAD. Addresses
-	// come from the lane-shared registers, so one record serves every lane,
-	// and it is per core, so window workers mark without synchronisation.
+	// come from the lane-shared registers, so one record serves every lane.
 	dirty   []uint64
 	mgDirty uint32
 
@@ -111,14 +110,6 @@ type core struct {
 	barrierID uint16 // valid while blocked on a barrier
 	blockSrc  int    // valid while blocked on a recv
 	blockTag  int32
-
-	// Parallel-scheduler state (see parallel.go). parkErr holds an error a
-	// window ran into early; it is surfaced only when this core's park
-	// becomes the schedule minimum, so the first error reported matches the
-	// serial order. lbTime is the core's release-time snapshot: a lower
-	// bound on the key of its next park while the core is running.
-	parkErr error
-	lbTime  int64
 
 	stats CoreStats
 }
@@ -197,8 +188,6 @@ func (c *core) reset(lanes int) {
 	c.barrierID = 0
 	c.blockSrc = 0
 	c.blockTag = 0
-	c.parkErr = nil
-	c.lbTime = 0
 	c.sregs[isa.SRegCoreID] = int32(c.id)
 	c.sregs[isa.SRegSegCount] = 1
 	c.sregs[isa.SRegVecStrideA] = 1

@@ -95,9 +95,9 @@ func (c *core) stepDecodedUnfused() (stepStatus, error) {
 // predecode time (isa.Fuse) as one dispatch: the head via its preserved
 // Sub kind, then each successor via its own kind. Per-component stats and
 // energy are accumulated in the same order and with the same float
-// additions as unfused stepping, so the two are bit-exact; the run
-// touches no cross-core state by construction, which also makes it a
-// single local step for the windowed parallel scheduler.
+// additions as unfused stepping, so the two are bit-exact. The run touches
+// no cross-core state by construction, so executing it inside one
+// scheduler step cannot reorder any interaction between cores.
 func decFusedRun(c *core, d *isa.Decoded) (stepStatus, error) {
 	st, err := decHandlers[d.Sub](c, d)
 	if st != stepOK || err != nil {
@@ -253,7 +253,7 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 			for m := c.live() &^ 1; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				if loadScalar(c.plane(l, global)[addr:], size) != v {
-					c.chip.divergeLane(l)
+					c.chip.divergedMask |= 1 << l // sticky until SetLanes or Reset
 				}
 			}
 		}
@@ -746,7 +746,7 @@ func (c *core) vecBulk(d *isa.Decoded, rA, rB, rD memRange) bool {
 // SRegActOutScale) pair. It is filled by calling tensor.Sigmoid8/SiLU8 on
 // all 256 inputs, so a lookup is bit-identical to the per-element loop by
 // construction. Each core holds the one table of the activation it ran
-// last; a core is stepped by one goroutine at a time, so there is no lock.
+// last; a chip runs on one goroutine, so there is no lock.
 type actTable struct {
 	funct             uint8 // 0 is VFnAdd8, no activation: the zero value matches nothing
 	inScale, outScale int32 // float32 bits, as the special registers hold them

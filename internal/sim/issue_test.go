@@ -265,13 +265,12 @@ func flattenStats(out []uint64, v reflect.Value) []uint64 {
 }
 
 var streamExecutors = []struct {
-	name   string
-	opts   []ChipOption
-	traced bool // a Trace hook: one instruction per step, fused runs through stepDecodedUnfused
+	name string
+	opts []ChipOption
 }{
-	{"fused", nil, false},
-	{"unfused", nil, true},
-	{"legacy", []ChipOption{WithLegacyInterpreter()}, false},
+	{"fused", nil},
+	{"unfused", []ChipOption{traced}},
+	{"legacy", []ChipOption{WithLegacyInterpreter()}},
 }
 
 // runStream runs the stream data describes on every executor, from power-on
@@ -296,9 +295,6 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) string {
 		load(t, ch, 0, code)
 		if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: global}); err != nil {
 			t.Fatal(err)
-		}
-		if ex.traced {
-			ch.Trace = func(int, int, isa.Instruction, int64) {}
 		}
 		c := ch.cores[0]
 		if seed&1 != 0 {

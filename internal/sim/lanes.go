@@ -32,7 +32,7 @@ import (
 // run of its own, so results are always bit-identical to per-input runs.
 
 // MaxLanes bounds the lane capacity of one chip; the divergence mask is a
-// single 64-bit atomic word.
+// single 64-bit word.
 const MaxLanes = 64
 
 // image is one lane's data plane of a core.
@@ -66,7 +66,7 @@ func (ch *Chip) SetLanes(b int) error {
 		return fmt.Errorf("sim: %d lanes exceed chip capacity %d", b, ch.lanesCap)
 	}
 	ch.activeLanes = b
-	ch.divergedMask.Store(0)
+	ch.divergedMask = 0
 	return nil
 }
 
@@ -108,7 +108,7 @@ func (ch *Chip) ReadGlobalLane(l, addr, size int) ([]byte, error) {
 // DivergedLanes returns the lanes (ascending) that diverged during the last
 // Run; their outputs are invalid and must be re-run on their own.
 func (ch *Chip) DivergedLanes() []int {
-	mask := ch.divergedMask.Load()
+	mask := ch.divergedMask
 	if mask == 0 {
 		return nil
 	}
@@ -117,19 +117,6 @@ func (ch *Chip) DivergedLanes() []int {
 		out = append(out, bits.TrailingZeros64(mask))
 	}
 	return out
-}
-
-// divergeLane stickily flags lane l as diverged. It is a CAS loop because
-// window workers (local scalar loads) and the commit goroutine (global
-// scalar loads) can flag lanes concurrently under the parallel scheduler.
-func (ch *Chip) divergeLane(l int) {
-	bit := uint64(1) << uint(l)
-	for {
-		old := ch.divergedMask.Load()
-		if old&bit != 0 || ch.divergedMask.CompareAndSwap(old, old|bit) {
-			return
-		}
-	}
 }
 
 // live returns the bitmap of lanes whose data plane the next micro-op must
@@ -141,7 +128,7 @@ func (ch *Chip) divergeLane(l int) {
 //		l := bits.TrailingZeros64(m)
 func (c *core) live() uint64 {
 	ch := c.chip
-	return ^uint64(0) >> (64 - uint(ch.activeLanes)) &^ ch.divergedMask.Load()
+	return ^uint64(0) >> (64 - uint(ch.activeLanes)) &^ ch.divergedMask
 }
 
 // plane returns lane l's image of the memory an address resolved to: its

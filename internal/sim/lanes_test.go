@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -402,18 +401,19 @@ func (lc *laneCase) runLanes(t *testing.T, ch *Chip, inputs, want [][]byte, want
 // inputs run as one 3-lane batch on a 4-lane chip, and every lane must equal
 // a fresh one-lane chip and a reference-interpreter chip on the same input,
 // byte for byte and cycle for cycle (the full report: energy, per-core
-// stats, NoC traffic), under the serial and the parallel scheduler. A pooled
-// rerun at shrunk occupancy with swapped inputs must reproduce them again.
+// stats, NoC traffic), whether the predecoded pipeline steps fused or
+// unfused. A pooled rerun at shrunk occupancy with swapped inputs must
+// reproduce them again.
 func TestLaneDataEquivalence(t *testing.T) {
 	cfg := testConfig()
 	inputs := [][]byte{laneInput(0), laneInput(1), laneInput(2)}
 	for _, lc := range laneCases() {
-		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", lc.name, workers), func(t *testing.T) {
+		for _, m := range decodedModes {
+			t.Run(lc.name+"/"+m.name, func(t *testing.T) {
 				want := make([][]byte, len(inputs))
 				var wantStats *Stats
 				for l, in := range inputs {
-					out, stats := lc.runAlone(t, &cfg, in, WithWorkers(workers))
+					out, stats := lc.runAlone(t, &cfg, in, m.opts...)
 					refOut, refStats := lc.runAlone(t, &cfg, in, WithLegacyInterpreter())
 					if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
 						t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v\nstats %+v\nref   %+v",
@@ -426,7 +426,7 @@ func TestLaneDataEquivalence(t *testing.T) {
 				}
 
 				// Spare capacity covers occupancy < capacity.
-				ch := lc.stage(t, &cfg, WithLanes(4), WithWorkers(workers))
+				ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(4)}, m.opts...)...)
 				lc.runLanes(t, ch, inputs, want, wantStats)
 
 				// Pooled rerun: no stale lane state may survive Reset.

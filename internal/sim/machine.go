@@ -8,7 +8,9 @@
 // local time always steps next (ties broken by core id), which keeps NoC
 // link reservations in global time order and makes simulations fully
 // deterministic. Cores block on RECV (until the matching message is
-// delivered) and on BARRIER (until all cores arrive).
+// delivered) and on BARRIER (until all cores arrive). Run is that one loop
+// on the caller's goroutine; parallelism lives above the chip, across DSE
+// points and pooled chips, and within it across lanes (lanes.go).
 package sim
 
 import (
@@ -16,7 +18,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"cimflow/internal/arch"
 	"cimflow/internal/isa"
@@ -131,14 +132,6 @@ type Chip struct {
 	payloads [][]byte
 	ready    coreHeap
 
-	// workers is the parallel-scheduler pool size (see WithWorkers and
-	// parallel.go); <= 1 is the serial scheduler. limit, parked and runList
-	// are the Run in flight's cycle limit and the scheduler's reusable
-	// scratch.
-	workers int
-	limit   int64
-	parked  coreHeap
-	runList []*core
 	// barrier bookkeeping: arrivals for the currently forming barrier.
 	barrierWait  []*core
 	barrierMax   int64
@@ -149,12 +142,11 @@ type Chip struct {
 	// (WithLanes); activeLanes is the occupancy of the Run in flight
 	// (SetLanes); dirtyLanes is the widest occupancy of any Run since the
 	// last Reset, the lanes Reset has to clear; divergedMask is the sticky
-	// per-lane divergence bitmap, atomic because window workers and the
-	// commit loop flag divergence concurrently.
+	// per-lane divergence bitmap.
 	lanesCap     int
 	activeLanes  int
 	dirtyLanes   int
-	divergedMask atomic.Uint64
+	divergedMask uint64
 
 	// CycleLimit aborts runaway simulations; 0 means the default.
 	CycleLimit int64
@@ -176,15 +168,14 @@ func WithLegacyInterpreter() ChipOption {
 	return func(ch *Chip) { ch.legacy = true }
 }
 
-// WithWorkers sets the simulation worker-pool size for the
-// conservative-window parallel scheduler (parallel.go). n <= 1 (the
-// default) selects the exact serial scheduler loop: windows measured
-// 0.76-0.85x its speed at n = 2 on every full-size zoo model (EXPERIMENTS.md
-// "PR 21"), so they run only where a caller asks for them. The schedulers
-// are bit-identical — the worker count changes throughput only, never
-// results.
-func WithWorkers(n int) ChipOption {
-	return func(ch *Chip) { ch.workers = n }
+// WithWorkers does nothing: Run has one scheduler, the serial loop.
+//
+// Deprecated: the windowed parallel scheduler it sized was slower than the
+// serial loop on every zoo model (EXPERIMENTS.md) and is gone. Kept only
+// because the frozen bench/layers.go calls it; it goes with that call in the
+// next benchmark PR.
+func WithWorkers(int) ChipOption {
+	return func(*Chip) {}
 }
 
 // NewChip builds a chip with zeroed global memory and idle cores.
@@ -336,7 +327,7 @@ func (ch *Chip) Reset() {
 		q.msgs = q.msgs[:0]
 		q.head = 0
 	}
-	ch.divergedMask.Store(0)
+	ch.divergedMask = 0
 	ch.ready = ch.ready[:0]
 	ch.barrierWait = ch.barrierWait[:0]
 	ch.barrierMax = 0
@@ -488,23 +479,12 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	if active == 0 {
 		return nil, fmt.Errorf("sim: no programs loaded")
 	}
-	ch.limit = limit
 
 	// The legacy interpreter executes lane 0 only.
 	if ch.legacy && ch.activeLanes > 1 {
 		return nil, fmt.Errorf("sim: lane-batched execution requires the predecoded pipeline")
 	}
 	ch.dirtyLanes = max(ch.dirtyLanes, ch.activeLanes)
-
-	// Route to the conservative-window parallel scheduler when the caller
-	// asked for it and it can run: it needs the predecoded pipeline (the
-	// legacy interpreter and the per-instruction Trace hook are inherently
-	// serial) and at least two active cores to overlap. A single-core chip
-	// degenerates to the serial fast path below regardless of the worker
-	// setting.
-	if ch.workers > 1 && active > 1 && !ch.legacy && ch.Trace == nil {
-		return ch.runParallel(ctx, active, ch.workers)
-	}
 
 	legacy := ch.legacy
 	var steps uint64
@@ -524,7 +504,7 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 				}
 			}
 			if c.time > limit {
-				return nil, ch.limitErr(c)
+				return nil, fmt.Errorf("sim: core %d exceeded the cycle limit %d at pc %d", c.id, limit, c.pc)
 			}
 			if ch.Trace != nil && c.pc < len(c.code) {
 				ch.Trace(c.id, c.pc, c.code[c.pc], c.time)
@@ -572,17 +552,10 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	return ch.collect(), nil
 }
 
-// limitErr is the runaway-guard error, worded identically whichever
-// scheduler (serial loop or parallel windows) trips it.
-func (ch *Chip) limitErr(c *core) error {
-	return fmt.Errorf("sim: core %d exceeded the cycle limit %d at pc %d", c.id, ch.limit, c.pc)
-}
-
 // deadlockErr reports the cores still blocked after the schedule drained,
 // or nil when every core with a program halted. The report lists stuck
 // cores in ascending core-id order — sorted explicitly rather than relying
-// on ch.cores's layout, so the report is stable for both schedulers and
-// any future core ordering.
+// on ch.cores's layout, so the report is stable for any core ordering.
 func (ch *Chip) deadlockErr(active int) error {
 	var ids []int
 	for _, c := range ch.cores {
@@ -664,6 +637,6 @@ func (ch *Chip) collect() *Stats {
 	s.NoCByteHops = ch.mesh.TotalByteHops
 	s.GlobalBytes = ch.mesh.MemBytes
 	s.Lanes = ch.activeLanes
-	s.DivergedLanes = bits.OnesCount64(ch.divergedMask.Load())
+	s.DivergedLanes = bits.OnesCount64(ch.divergedMask)
 	return s
 }

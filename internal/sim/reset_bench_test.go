@@ -48,7 +48,7 @@ func BenchmarkChipReset(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ch, err := sim.NewChip(&cfg, sim.WithLanes(bc.lanes), sim.WithWorkers(1))
+			ch, err := sim.NewChip(&cfg, sim.WithLanes(bc.lanes))
 			if err != nil {
 				b.Fatal(err)
 			}

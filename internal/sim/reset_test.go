@@ -98,16 +98,30 @@ func runOccupancy(t *testing.T, ch *Chip, b int) error {
 	return err
 }
 
+// traced installs a no-op Trace hook, under which Run steps the predecoded
+// pipeline one architectural instruction at a time (stepDecodedUnfused)
+// instead of through fused runs.
+func traced(ch *Chip) { ch.Trace = func(int, int, isa.Instruction, int64) {} }
+
+// decodedModes are the two ways Run steps the predecoded pipeline.
+var decodedModes = []struct {
+	name string
+	opts []ChipOption
+}{
+	{"fused", nil},
+	{"unfused", []ChipOption{traced}},
+}
+
 // resetExecutors are the ways a program reaches a data plane: the predecoded
-// handlers under the serial and the windowed scheduler, at up to 8 lanes, and
-// the reference interpreter, which runs lane 0 of the same 8-lane chip.
+// handlers, fused and unfused, at up to 8 lanes, and the reference
+// interpreter, which runs lane 0 of the same 8-lane chip.
 var resetExecutors = []struct {
 	name  string
 	opts  []ChipOption
 	lanes int // widest occupancy the executor runs
 }{
-	{"decoded/workers=1", []ChipOption{WithWorkers(1)}, 8},
-	{"decoded/workers=2", []ChipOption{WithWorkers(2)}, 8},
+	{"decoded/fused", nil, 8},
+	{"decoded/unfused", []ChipOption{traced}, 8},
 	{"legacy", []ChipOption{WithLegacyInterpreter()}, 1},
 }
 
@@ -270,7 +284,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 	}
 
 	// A run cancelled in the middle of loops that fill, copy and load on four
-	// cores: the windows are abandoned wherever they were.
+	// cores: the loops are abandoned wherever they were.
 	loop := seq(copyIn(0, laneIn, 64),
 		isa.LI(1, 1<<dirtyShift-6), isa.LI(2, 20), isa.LI(3, 300000), isa.LI(4, 5000),
 		isa.LI(5, 2), isa.LI(6, 4), isa.LI(7, 8), isa.LI(8, 0),
@@ -281,9 +295,9 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 			isa.CimLoad(5, 8, 6, 7),
 			isa.Jmp(-5),
 		))
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("cancelled/workers=%d", workers), func(t *testing.T) {
-			ch, err := NewChip(&cfg, WithLanes(4), WithWorkers(workers))
+	for _, m := range decodedModes {
+		t.Run("cancelled/"+m.name, func(t *testing.T) {
+			ch, err := NewChip(&cfg, append([]ChipOption{WithLanes(4)}, m.opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +372,8 @@ func fuzzResetProgram(path uint8, a, n, stride int32, wide bool) []Program {
 }
 
 // FuzzResetClean: whatever one store does — every kind of store, at any
-// address, size, stride and occupancy, on either executor, faulting or not —
+// address, size, stride and occupancy, fused, unfused or on the reference
+// interpreter, faulting or not —
 // Reset returns the whole chip to power-on state.
 func FuzzResetClean(f *testing.F) {
 	cfg := testConfig()
@@ -376,7 +391,10 @@ func FuzzResetClean(f *testing.F) {
 	f.Fuzz(func(t *testing.T, path uint8, addr uint32, size uint16, stride int8, mode uint8) {
 		// A little past the end of memory, so that some windows fault.
 		a, n := int32(addr%(mem+64)), int32(size%600)
-		opts, lanes := []ChipOption{WithLanes(4), WithWorkers(1 + int(mode>>2&1))}, 1+int(mode&3)
+		opts, lanes := []ChipOption{WithLanes(4)}, 1+int(mode&3)
+		if mode&4 != 0 {
+			opts = append(opts, traced)
+		}
 		if mode&8 != 0 {
 			opts, lanes = []ChipOption{WithLanes(4), WithLegacyInterpreter()}, 1
 		}
