@@ -104,15 +104,12 @@ func Run(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (*Re
 }
 
 // Simulate executes an already-compiled model with the given weights and
-// input tensor: a one-shot Session. Callers running the same compiled
-// model repeatedly should hold a Session instead, which stages weights
-// once and pools chips across runs.
+// input tensor on a fresh chip: a Rig used once. Callers running the same
+// compiled model repeatedly should hold a Session instead, which stages
+// weights once and pools chips across runs; callers running many programs
+// of one architecture should hold a Rig, which builds its chip once.
 func Simulate(ctx context.Context, compiled *compiler.Compiled, ws model.WeightStore, input tensor.Tensor, opt Options) (*Result, error) {
-	s, err := NewSession(compiled, ws, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Infer(ctx, input)
+	return new(Rig).Simulate(ctx, compiled, ws, input, opt)
 }
 
 // Validate runs the model end to end and compares the simulated output with

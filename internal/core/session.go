@@ -42,10 +42,13 @@ type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore
 	opt      Options
-	cfg      arch.Config // stable copy referenced by every pooled chip
-	static   []sim.GlobalSegment
-	scratch  [][2]int
-	free     chan *sim.Chip
+	// cfg is a stable copy referenced by every chip the session builds. It is
+	// allocated on its own so that a chip outliving the session (a Rig's)
+	// keeps the copy alive, not the session with its weights.
+	cfg     *arch.Config
+	static  []sim.GlobalSegment
+	scratch [][2]int
+	free    chan *sim.Chip
 
 	// Lane-batch observability: laneRuns[b] counts chip runs that carried
 	// b lanes of occupancy, laneFallbacks counts lanes that diverged and
@@ -84,11 +87,12 @@ func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) 
 	if opt.SimLanes > sim.MaxLanes {
 		return nil, fmt.Errorf("core: SimLanes %d exceeds sim.MaxLanes %d", opt.SimLanes, sim.MaxLanes)
 	}
+	cfg := *compiled.Cfg
 	return &Session{
 		compiled: compiled,
 		ws:       ws,
 		opt:      opt,
-		cfg:      *compiled.Cfg,
+		cfg:      &cfg,
 		static:   static,
 		scratch:  compiled.ScratchRanges(),
 		free:     make(chan *sim.Chip, poolCap),
@@ -168,25 +172,30 @@ func (s *Session) newChip() (*sim.Chip, error) {
 	if s.opt.SimLanes > 1 {
 		chipOpts = append(chipOpts, sim.WithLanes(s.opt.SimLanes))
 	}
-	ch, err := sim.NewChip(&s.cfg, chipOpts...)
+	ch, err := sim.NewChip(s.cfg, chipOpts...)
 	if err != nil {
 		return nil, err
 	}
+	return ch, s.stage(ch)
+}
+
+// stage readies a chip built with the session's chip options for its
+// program: global memory grown to the layout, the cycle limit, every core's
+// program and the weights. That is all a new chip needs; a chip that ran
+// another program also needs what acquire does to a pooled one, and global
+// memory past this layout zeroed (Rig.Simulate).
+func (s *Session) stage(ch *sim.Chip) error {
 	ch.EnsureGlobal(s.compiled.GlobalBytes())
-	if s.opt.CycleLimit != 0 {
-		ch.CycleLimit = s.opt.CycleLimit
-	}
-	for _, p := range s.compiled.Programs {
-		if err := ch.LoadProgram(p); err != nil {
-			return nil, err
-		}
+	ch.CycleLimit = s.opt.CycleLimit
+	if err := ch.LoadPrograms(s.compiled.Programs); err != nil {
+		return err
 	}
 	for _, seg := range s.static {
 		if err := ch.InitGlobal(seg); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ch, nil
+	return nil
 }
 
 // acquire returns a ready-to-run chip with the requested lane occupancy

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
+	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/core"
 	"cimflow/internal/model"
@@ -19,7 +22,10 @@ type Estimate = compiler.CostEstimate
 // Evaluator runs individual sweep points at either fidelity. It is the
 // unit the sweep runner and the search strategies share: Run wraps it in a
 // worker pool over a fixed point list, while internal/search calls it
-// point-by-point as strategies navigate the space. Safe for concurrent use.
+// point-by-point as strategies navigate the space. It keeps the chips of
+// finished simulations for the next points of the same architecture
+// (core.Rig), so the chips it holds are as many as ran at once. Safe for
+// concurrent use; not to be copied.
 type Evaluator struct {
 	// Cache deduplicates compilation; required.
 	Cache *CompileCache
@@ -28,6 +34,45 @@ type Evaluator struct {
 	Checkpoint *Checkpoint
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
+
+	rigs rigPool
+}
+
+// rigPool holds the chips of finished evaluations for the next ones. It
+// never holds more rigs than evaluations ran at once, so a sweep builds a
+// chip per worker and architecture rather than one per point.
+type rigPool struct {
+	mu   sync.Mutex
+	idle []*core.Rig
+}
+
+// get takes an idle rig, one whose chip fits cfg when there is one: workers
+// moving through the points of one architecture keep their chips. Any other
+// idle rig rebuilds its chip for cfg, so the pool does not grow with the
+// number of architectures a sweep visits.
+func (p *rigPool) get(cfg *arch.Config) *core.Rig {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.idle)
+	if n == 0 {
+		return new(core.Rig)
+	}
+	i := n - 1
+	for j, r := range p.idle {
+		if r.Fits(cfg) {
+			i = j
+			break
+		}
+	}
+	r := p.idle[i]
+	p.idle = slices.Delete(p.idle, i, i+1)
+	return r
+}
+
+func (p *rigPool) put(r *core.Rig) {
+	p.mu.Lock()
+	p.idle = append(p.idle, r)
+	p.mu.Unlock()
 }
 
 // Key identifies a point outcome for resume: the point identity (model,
@@ -114,11 +159,13 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	ws := model.NewSeededWeights(g, p.Seed)
 	input := model.SeededInput(g.Nodes[0].OutShape, p.Seed+1)
 	start = time.Now()
-	res, err := core.Simulate(ctx, compiled, ws, input, core.Options{
+	rig := ev.rigs.get(compiled.Cfg)
+	res, err := rig.Simulate(ctx, compiled, ws, input, core.Options{
 		Strategy:   p.Strategy,
 		Seed:       p.Seed,
 		CycleLimit: ev.CycleLimit,
 	})
+	ev.rigs.put(rig)
 	r.SimTime = time.Since(start)
 	if err != nil {
 		r.Err = fmt.Errorf("dse: simulate %s: %w", p.Label(), err)

@@ -2,10 +2,15 @@ package dse
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cimflow/internal/arch"
+	"cimflow/internal/compiler"
+	"cimflow/internal/core"
+	"cimflow/internal/model"
 )
 
 // tinySpec is a small but non-trivial sweep used across runner tests:
@@ -279,6 +284,73 @@ func TestRunReportsCompileSimSplit(t *testing.T) {
 		}
 		if r.CompileTime != 0 || r.SimTime != 0 {
 			t.Errorf("restored point %d reports timing %v/%v", i, r.CompileTime, r.SimTime)
+		}
+	}
+}
+
+// TestSweepBuildsChipPerArchitecture: a one-worker sweep of eight points on
+// one architecture builds one chip, not eight. A default chip is 80 MB of
+// data plane (64 cores x 512 KB of local memory and 512 KB of macro groups,
+// plus 16 MB of global memory); the whole sweep, compiles included, must
+// allocate less than two of them.
+func TestSweepBuildsChipPerArchitecture(t *testing.T) {
+	points, err := (&Spec{Models: []string{"tinycnn", "tinymlp", "tinyresnet", "tinymobile"},
+		Strategies: []string{"generic", "dp"}}).Expand(arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := arch.DefaultConfig()
+	chip := uint64(cfg.NumCores()*(cfg.Core.LocalMemBytes+cfg.Core.NumMacroGroups*cfg.Unit.MacroRows*cfg.GroupChannels()) +
+		cfg.Chip.GlobalMemBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	results, err := Run(context.Background(), points, RunOptions{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("point %d: %v", i, r.Err)
+		}
+	}
+	t.Logf("8 points allocated %.1f MB; one chip is %.1f MB", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(chip)/(1<<20))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*chip {
+		t.Errorf("8 points allocated %d bytes, want under two chips (%d)", got, 2*chip)
+	}
+}
+
+// TestSweepMatchesFreshChips: points that reuse a worker's chip, across
+// models, strategies and two architectures in alternation, report what a
+// fresh chip reports for each: output, cycles, energy and per-core stats.
+func TestSweepMatchesFreshChips(t *testing.T) {
+	points, err := (&Spec{Models: []string{"tinycnn", "tinyresnet"}, Strategies: []string{"generic", "dp"},
+		FlitBytes: []int{8, 16}}).Expand(arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCompileCache()
+	results, err := Run(context.Background(), points, RunOptions{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("point %d: %v", i, r.Err)
+		}
+		p := r.Point
+		g := model.Zoo(p.Model)
+		compiled, err := cache.Compile(g, &p.Config, compiler.Options{Strategy: p.Strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := core.Simulate(context.Background(), compiled, model.NewSeededWeights(g, p.Seed),
+			model.SeededInput(g.Nodes[0].OutShape, p.Seed+1), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh.Output.Data, r.Result.Output.Data) || !reflect.DeepEqual(fresh.Stats, r.Result.Stats) {
+			t.Errorf("point %s differs from a fresh chip: cycles %d vs %d", p.Label(), r.Result.Stats.Cycles, fresh.Stats.Cycles)
 		}
 	}
 }

@@ -246,6 +246,24 @@ func (ch *Chip) LoadProgram(p Program) error {
 	return nil
 }
 
+// LoadPrograms installs a whole chip's instruction streams, replacing every
+// program loaded before: a core that ps does not name is left without one and
+// halts at once in the next Run. After Reset, with global memory re-staged,
+// this makes a chip that ran one program the chip NewChip + LoadProgram would
+// build for another of the same architecture, so a caller running many
+// programs on one architecture builds the chip once.
+func (ch *Chip) LoadPrograms(ps []Program) error {
+	for _, c := range ch.cores {
+		c.code, c.prog = nil, nil
+	}
+	for _, p := range ps {
+		if err := ch.LoadProgram(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // checkSpan reports whether [addr, addr+size) lies inside an n-byte memory,
 // rejecting negative sizes and spans whose end would overflow.
 func checkSpan(what string, addr, size, n int) error {

@@ -411,3 +411,43 @@ func FuzzResetClean(f *testing.F) {
 		assertPowerOn(t, ch, "Reset")
 	})
 }
+
+// TestLoadProgramsRebindsChip: a chip that ran one program, once Reset and
+// given another program's streams and global memory, runs that program as a
+// chip built for it does, output and full report. The pairs include a program
+// on two cores followed by one on a single core: the core the second program
+// does not name must hold no program and halt at once, not rerun the old one.
+func TestLoadProgramsRebindsChip(t *testing.T) {
+	cfg := testConfig()
+	cases := laneCases()
+	in := laneInput(1)
+	for i, prev := range cases {
+		next := cases[(i+1)%len(cases)]
+		t.Run(prev.name+"/then/"+next.name, func(t *testing.T) {
+			want, wantStats := next.runAlone(t, &cfg, in)
+			ch := prev.stage(t, &cfg)
+			if err := runOccupancy(t, ch, 1); err != nil {
+				t.Fatal(err)
+			}
+			ch.Reset()
+			if err := ch.ZeroGlobal(0, laneMemBytes); err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.LoadPrograms(next.progs); err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.InitGlobal(GlobalSegment{Addr: laneUniform, Data: next.uniform}); err != nil {
+				t.Fatal(err)
+			}
+			next.runLanes(t, ch, [][]byte{in}, [][]byte{want}, wantStats)
+		})
+	}
+
+	ch := cases[0].stage(t, &cfg)
+	if err := ch.LoadPrograms(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Run(context.Background()); err == nil || err.Error() != "sim: no programs loaded" {
+		t.Fatalf("Run after LoadPrograms(nil) = %v, want no programs loaded", err)
+	}
+}
