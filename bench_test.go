@@ -39,7 +39,10 @@ func runOnce(b *testing.B, g *cimflow.Graph, cfg cimflow.Config, s cimflow.Strat
 func BenchmarkFig5(b *testing.B) {
 	cfg := cimflow.DefaultConfig()
 	for _, name := range cimflow.Fig5Models {
-		g := cimflow.Model(name)
+		g, err := cimflow.LookupModel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var base *cimflow.Result
 		for _, s := range []cimflow.Strategy{cimflow.StrategyGeneric, cimflow.StrategyDuplication, cimflow.StrategyDP} {
 			b.Run(fmt.Sprintf("%s/%v", name, s), func(b *testing.B) {
@@ -66,7 +69,10 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	base := cimflow.DefaultConfig()
 	for _, name := range []string{"resnet18", "efficientnetb0"} {
-		g := cimflow.Model(name)
+		g, err := cimflow.LookupModel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, mg := range cimflow.Fig6MGSizes {
 			for _, flit := range cimflow.Fig6Flits {
 				b.Run(fmt.Sprintf("%s/mg%d/flit%d", name, mg, flit), func(b *testing.B) {
@@ -90,7 +96,10 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	base := cimflow.DefaultConfig()
 	for _, name := range []string{"resnet18", "efficientnetb0"} {
-		g := cimflow.Model(name)
+		g, err := cimflow.LookupModel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range []cimflow.Strategy{cimflow.StrategyGeneric, cimflow.StrategyDP} {
 			for _, mg := range cimflow.Fig6MGSizes {
 				for _, flit := range cimflow.Fig6Flits {

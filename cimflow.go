@@ -89,14 +89,6 @@ func DefaultConfig() Config { return arch.DefaultConfig() }
 // LoadConfig reads a JSON architecture description.
 func LoadConfig(path string) (Config, error) { return arch.Load(path) }
 
-// Model returns a benchmark network by name: resnet18, vgg19, mobilenetv2,
-// efficientnetb0, or one of the tiny validation networks. It returns nil
-// for unknown names; ModelNames lists the options.
-//
-// Deprecated: the nil return forces a check at every caller; use
-// LookupModel, which returns a descriptive error naming the known models.
-func Model(name string) *Graph { return model.Zoo(name) }
-
 // ModelNames lists the built-in models.
 func ModelNames() []string { return model.ZooNames() }
 

@@ -29,9 +29,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(cimflow.ModelNames()) < 4 {
 		t.Fatal("model zoo too small")
 	}
-	g := cimflow.Model("tinyresnet")
-	if g == nil {
-		t.Fatal("tinyresnet missing")
+	g, err := cimflow.LookupModel("tinyresnet")
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := cimflow.DefaultConfig()
 	compiled, err := cimflow.Compile(g, cfg, cimflow.StrategyDP)
@@ -78,7 +78,10 @@ func TestCustomGraphViaFacade(t *testing.T) {
 // TestRunDeterministic: two identical runs, each compiled and simulated from
 // scratch, must agree cycle-for-cycle.
 func TestRunDeterministic(t *testing.T) {
-	g := cimflow.Model("tinycnn")
+	g, err := cimflow.LookupModel("tinycnn")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := cimflow.DefaultConfig()
 	run := func() *cimflow.Result {
 		sess := freshSession(t, g, cfg, cimflow.StrategyDP, 7)

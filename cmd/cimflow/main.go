@@ -34,7 +34,10 @@ func main() {
 	switch cmd {
 	case "models":
 		for _, n := range cimflow.ModelNames() {
-			g := cimflow.Model(n)
+			var g *cimflow.Graph
+			if g, err = cimflow.LookupModel(n); err != nil {
+				break
+			}
 			fmt.Printf("%-16s %3d nodes  %8.2f MB weights  %6.0f MMACs\n",
 				n, len(g.Nodes), float64(g.TotalWeightBytes())/(1<<20), float64(g.TotalMACs())/1e6)
 		}

@@ -441,9 +441,10 @@ func (s *Session) Validate(ctx context.Context, input Tensor) (int, error) {
 	return s.inner.Validate(ctx, input)
 }
 
-// LookupModel returns a built-in benchmark network by name, or an error
-// naming the known models. It replaces nil-returning Model for callers
-// that want a diagnosable failure.
+// LookupModel returns a built-in benchmark network by name: resnet18,
+// vgg19, mobilenetv2, efficientnetb0, or one of the tiny validation
+// networks. An unknown name is an error naming the known models;
+// ModelNames lists them.
 func LookupModel(name string) (*Graph, error) {
 	if g := model.Zoo(name); g != nil {
 		return g, nil

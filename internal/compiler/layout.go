@@ -175,11 +175,21 @@ func (c *Compiled) GlobalInit(ws model.WeightStore, input tensor.Tensor) ([]sim.
 
 // InputSegment builds the input-tensor segment for one inference.
 func (c *Compiled) InputSegment(input tensor.Tensor) (sim.GlobalSegment, error) {
+	addr, err := c.InputAddr(input)
+	if err != nil {
+		return sim.GlobalSegment{}, err
+	}
+	return sim.GlobalSegment{Addr: addr, Data: int8ToBytes(input.Data)}, nil
+}
+
+// InputAddr returns the global-memory address the input tensor is staged
+// at, after checking that input has as many elements as the graph's input.
+func (c *Compiled) InputAddr(input tensor.Tensor) (int, error) {
 	in := c.Graph.Nodes[0].OutShape
 	if input.Len() != in.Elems() {
-		return sim.GlobalSegment{}, fmt.Errorf("compiler: input has %d elements, graph needs %d", input.Len(), in.Elems())
+		return 0, fmt.Errorf("compiler: input has %d elements, graph needs %d", input.Len(), in.Elems())
 	}
-	return sim.GlobalSegment{Addr: int(c.layout.inputAddr), Data: int8ToBytes(input.Data)}, nil
+	return int(c.layout.inputAddr), nil
 }
 
 // StaticInit builds the write-once global segments: every node's weights

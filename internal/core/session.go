@@ -275,19 +275,18 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 		return nil, err
 	}
 	b := len(inputs)
-	segs := make([]sim.GlobalSegment, b)
-	for l, in := range inputs {
-		seg, err := s.compiled.InputSegment(in)
-		if err != nil {
+	addr := 0
+	for _, in := range inputs {
+		var err error
+		if addr, err = s.compiled.InputAddr(in); err != nil {
 			return nil, err
 		}
-		segs[l] = seg
 	}
 	ch, err := s.acquire(b)
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.runLanes(ctx, ch, segs)
+	results, err := s.runLanes(ctx, ch, addr, inputs)
 	s.release(ch)
 	if err != nil {
 		return nil, err
@@ -311,17 +310,17 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 	return results, nil
 }
 
-// runLanes stages one input segment per lane on an acquired chip, runs it
+// runLanes stages one input per lane at addr on an acquired chip, runs it
 // and reads the outputs back; the entries of diverged lanes stay nil. It
 // owns no part of the chip's lifetime: inferLanes releases the chip after
 // every exit from here, early errors included.
-func (s *Session) runLanes(ctx context.Context, ch *sim.Chip, segs []sim.GlobalSegment) ([]*Result, error) {
+func (s *Session) runLanes(ctx context.Context, ch *sim.Chip, addr int, inputs []tensor.Tensor) ([]*Result, error) {
 	if s.testStageErr != nil {
 		return nil, s.testStageErr
 	}
-	b := len(segs)
-	for l, seg := range segs {
-		if err := ch.InitGlobalLane(l, seg); err != nil {
+	b := len(inputs)
+	for l, in := range inputs {
+		if err := ch.InitGlobalLaneInt8(l, addr, in.Data); err != nil {
 			return nil, err
 		}
 	}

@@ -347,6 +347,16 @@ func TestPooledResetDifferential(t *testing.T) {
 			}
 			seed := uint64(100)
 			var ran *sim.Stats // of the first batch: how long the model runs
+			// Whatever the last step did, aborts included, Reset gives back
+			// every payload buffer the chip ever allocated.
+			checkPool := func(label string) {
+				ch := <-s.free
+				ch.Reset()
+				if err := ch.CheckPayloadPool(); err != nil {
+					t.Fatalf("before %s: %v", label, err)
+				}
+				s.free <- ch
+			}
 			for step, st := range []struct {
 				lanes int
 				abort string
@@ -357,6 +367,9 @@ func TestPooledResetDifferential(t *testing.T) {
 					inputs[i] = model.SeededInput(g.Nodes[0].OutShape, seed)
 				}
 				label := fmt.Sprintf("step %d lanes %d %s", step, st.lanes, st.abort)
+				if step > 0 {
+					checkPool(label)
+				}
 				switch st.abort {
 				case "limit":
 					ch := <-s.free
@@ -396,6 +409,8 @@ func TestPooledResetDifferential(t *testing.T) {
 			}
 			if n := s.PooledChips(); n != 1 {
 				t.Errorf("pool holds %d chips, want the one every run reused", n)
+			} else {
+				checkPool("the end")
 			}
 			if n := s.LaneFallbacks(); n != 0 {
 				t.Errorf("%d unexpected divergence fallbacks", n)

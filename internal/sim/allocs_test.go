@@ -60,63 +60,106 @@ func TestStepDecodedZeroAllocs(t *testing.T) {
 	}
 }
 
+// messageStream builds a two-core message stream: core 0 sends rounds
+// rounds of one message of each of sizes, in order, to core 1, which receives
+// them in the same order. With hold, the sender sends everything before a
+// barrier that the receiver waits on before its first RECV, so the whole
+// stream is in flight at once.
+func messageStream(sizes []int32, rounds int32, hold bool) []Program {
+	body := func(op func(rsAddr, rtSize, rdCore uint8, tag int32) isa.Instruction, addr, peer int32, barrierFirst bool) []isa.Instruction {
+		var p []isa.Instruction
+		if barrierFirst {
+			p = append(p, isa.Barrier(1))
+		}
+		p = append(p, isa.LI(1, addr)...)
+		p = append(p, isa.LI(3, peer)...)
+		p = append(p, isa.LI(5, rounds)...)
+		loop := len(p)
+		for _, n := range sizes {
+			p = append(p, isa.LI(2, n)...)
+			p = append(p, op(1, 2, 3, 7))
+		}
+		p = append(p, isa.ALUI(isa.FnAdd, 5, 5, -1))
+		p = append(p, isa.Branch(isa.OpBNE, 5, 0, int32(loop-len(p)-1)))
+		if hold && !barrierFirst {
+			p = append(p, isa.Barrier(1))
+		}
+		return append(p, isa.Halt())
+	}
+	return []Program{
+		{Core: 0, Code: body(isa.Send, 0, 1, false)},
+		{Core: 1, Code: body(isa.Recv, 1<<16, 0, hold)},
+	}
+}
+
 // TestMessagingAllocsBounded covers the send/recv path, which cannot be
 // allocation-free on a cold chip (mailbox queues and payload buffers are
-// built on first use) but must recycle everything afterwards: a warmed,
-// Reset chip re-running a 200-message stream may allocate only the
-// per-run fixed overhead (the stats report), not per message.
+// built on first use) but must recycle everything afterwards: once a chip
+// has run a stream, Reset and a rerun of it allocate what the stats report
+// does and nothing more — no payload buffer, whatever the stream. The
+// streams after the first are the ones a pool of at most 256 buffers that
+// scanned only its last 8 lost: more than 256 messages in flight; nine
+// sizes in rotation, so that small sends take the large buffers and large
+// sends find only small ones in the last 8; and 200 messages in flight at
+// 2 lanes and then at 8, whose buffers are four times larger.
 func TestMessagingAllocsBounded(t *testing.T) {
 	cfg := testConfig() // 2x2 cores
-	ch, err := NewChip(&cfg)
-	if err != nil {
-		t.Fatal(err)
+	small := []int32{64}
+	var interleaved []int32 // nine sizes, 64 B to 16 KB, smallest first
+	for n := int32(64); n <= 16<<10; n *= 2 {
+		interleaved = append(interleaved, n)
 	}
-	const msgs = 200
-	sender := []isa.Instruction{}
-	sender = append(sender, isa.LI(1, 0)...)    // payload addr
-	sender = append(sender, isa.LI(2, 64)...)   // payload size
-	sender = append(sender, isa.LI(3, 1)...)    // destination core
-	sender = append(sender, isa.LI(5, msgs)...) // counter
-	loop := len(sender)
-	sender = append(sender,
-		isa.Send(1, 2, 3, 7),
-		isa.ALUI(isa.FnAdd, 5, 5, -1),
-	)
-	sender = append(sender, isa.Branch(isa.OpBNE, 5, 0, int32(loop-len(sender)-1)), isa.Halt())
-
-	receiver := []isa.Instruction{}
-	receiver = append(receiver, isa.LI(1, 128)...) // landing addr
-	receiver = append(receiver, isa.LI(2, 64)...)  // size
-	receiver = append(receiver, isa.LI(3, 0)...)   // source core
-	receiver = append(receiver, isa.LI(5, msgs)...)
-	loop = len(receiver)
-	receiver = append(receiver,
-		isa.Recv(1, 2, 3, 7),
-		isa.ALUI(isa.FnAdd, 5, 5, -1),
-	)
-	receiver = append(receiver, isa.Branch(isa.OpBNE, 5, 0, int32(loop-len(receiver)-1)), isa.Halt())
-
-	load := func() {
-		if err := ch.LoadProgram(Program{Core: 0, Code: sender}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ch.LoadProgram(Program{Core: 1, Code: receiver}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	load()
-	if _, err := ch.Run(context.Background()); err != nil { // warm queues and payload pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		ch.Reset()
-		if _, err := ch.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// collect() builds the per-run Stats report (a handful of allocations);
-	// anything scaling with the 200 messages means recycling regressed.
-	if allocs > 25 {
-		t.Errorf("warmed messaging run allocates %.1f objects/run, want the fixed report overhead only (<= 25)", allocs)
+	for _, tc := range []struct {
+		name  string
+		progs []Program
+		warm  []int // lanes of the warm-up runs; the measured runs use the last
+	}{
+		{"200 in turn", messageStream(small, 200, false), []int{1}},
+		{"300 in flight", messageStream(small, 300, true), []int{1}},
+		{"interleaved sizes", messageStream(interleaved, 20, true), []int{1}},
+		{"2 lanes then 8", messageStream(small, 200, true), []int{2, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch, err := NewChip(&cfg, WithLanes(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tc.progs {
+				if err := ch.LoadProgram(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lanes := tc.warm[len(tc.warm)-1]
+			run := func() {
+				ch.Reset()
+				if err := ch.SetLanes(lanes); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ch.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, b := range tc.warm {
+				lanes = b
+				run()
+				ch.Reset()
+				if err := ch.CheckPayloadPool(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			warmed := ch.payloadAllocBytes
+			report := testing.AllocsPerRun(5, func() { ch.collect() })
+			allocs := testing.AllocsPerRun(5, run)
+			if allocs > report {
+				t.Errorf("warmed rerun allocates %.0f objects, the stats report %.0f: %.0f more", allocs, report, allocs-report)
+			}
+			if grown := ch.payloadAllocBytes - warmed; grown != 0 {
+				t.Errorf("warmed reruns allocated %d payload bytes", grown)
+			}
+			ch.Reset()
+			if err := ch.CheckPayloadPool(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

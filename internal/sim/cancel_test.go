@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -64,6 +65,100 @@ func TestRunCancelsMidSimulation(t *testing.T) {
 	_, err = ch.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+}
+
+// cancelAfter is a context whose Err turns Canceled at the n-th poll, so a
+// run is cancelled at the same scheduler step on any host.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAbortedRunReturnsPayloads: a run abandoned with messages still in the
+// mailbox — by cancellation or by the cycle limit — leaves their payload
+// buffers outside the pool until Reset, which returns every one of them to
+// its size class, on both executors.
+func TestAbortedRunReturnsPayloads(t *testing.T) {
+	const spin = `
+		SC_ADDI G10, G0, 500
+	s1:	SC_ADDI G11, G0, 500
+	s2:	SC_ADDI G12, G0, 20
+	s3:	SC_ADDI G12, G12, -1
+		BNE G12, G0, %s3
+		SC_ADDI G11, G11, -1
+		BNE G11, G0, %s2
+		SC_ADDI G10, G10, -1
+		BNE G10, G0, %s1
+		HALT
+	`
+	// Core 0 sends 20 rounds of a 64-byte and a 500-byte message; core 1
+	// takes the first 10 rounds. Both then spin for ~10M instructions.
+	sender := asm(t, `
+		SC_ADDI G1, G0, 0
+		SC_ADDI G3, G0, 1
+		SC_ADDI G5, G0, 20
+	loop:	SC_ADDI G2, G0, 64
+		SEND G1, G2, G3, 7
+		SC_ADDI G2, G0, 500
+		SEND G1, G2, G3, 7
+		SC_ADDI G5, G5, -1
+		BNE G5, G0, %loop
+	`+spin)
+	receiver := asm(t, `
+		SC_ADDI G1, G0, 0
+		SC_ADDI G3, G0, 0
+		SC_ADDI G5, G0, 10
+	loop:	SC_ADDI G2, G0, 64
+		RECV G1, G2, G3, 7
+		SC_ADDI G2, G0, 500
+		RECV G1, G2, G3, 7
+		SC_ADDI G5, G5, -1
+		BNE G5, G0, %loop
+	`+spin)
+	cfg := testConfig()
+	for _, ex := range resetExecutors {
+		for _, abort := range []string{"cancel", "limit"} {
+			t.Run(ex.name+"/"+abort, func(t *testing.T) {
+				ch, err := NewChip(&cfg, ex.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []Program{{Core: 0, Code: sender}, {Core: 1, Code: receiver}} {
+					if err := ch.LoadProgram(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for run := 0; run < 2; run++ {
+					// Poll 1 is Run's entry check; the scheduler's follow
+					// every 8192 steps, long after the last SEND.
+					var err error
+					if abort == "cancel" {
+						_, err = ch.Run(&cancelAfter{Context: context.Background(), n: 3})
+					} else {
+						ch.CycleLimit = 50_000
+						_, err = ch.Run(context.Background())
+					}
+					if want := map[string]string{"cancel": "canceled", "limit": "cycle limit"}[abort]; err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("run %d: Run = %v, want an error naming the %s", run, err, want)
+					}
+					if ch.CheckPayloadPool() == nil {
+						t.Fatalf("run %d: pool accounts for every buffer with 20 messages undelivered", run)
+					}
+					ch.Reset()
+					if err := ch.CheckPayloadPool(); err != nil {
+						t.Fatalf("run %d: after Reset: %v", run, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -94,6 +94,20 @@ func (ch *Chip) InitGlobalLane(l int, seg GlobalSegment) error {
 	return nil
 }
 
+// InitGlobalLaneInt8 writes data, as bytes, into lane l's global memory at
+// addr: InitGlobalLane for an int8 tensor, without building the segment.
+func (ch *Chip) InitGlobalLaneInt8(l, addr int, data []int8) error {
+	g, err := ch.laneGlobal(l, addr, len(data))
+	if err != nil {
+		return err
+	}
+	g = g[addr : addr+len(data)]
+	for i, v := range data {
+		g[i] = byte(v)
+	}
+	return nil
+}
+
 // ReadGlobalLane copies a region of lane l's global memory after execution.
 func (ch *Chip) ReadGlobalLane(l, addr, size int) ([]byte, error) {
 	g, err := ch.laneGlobal(l, addr, size)

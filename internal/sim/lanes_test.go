@@ -431,6 +431,9 @@ func TestLaneDataEquivalence(t *testing.T) {
 
 				// Pooled rerun: no stale lane state may survive Reset.
 				ch.Reset()
+				if err := ch.CheckPayloadPool(); err != nil {
+					t.Fatal(err)
+				}
 				lc.runLanes(t, ch, [][]byte{inputs[2], inputs[1]}, [][]byte{want[2], want[1]}, wantStats)
 			})
 		}
@@ -625,6 +628,12 @@ func TestAccessorBounds(t *testing.T) {
 			}
 			return ch.InitGlobalLane(1, GlobalSegment{Addr: addr, Data: make([]byte, size)})
 		}},
+		{"InitGlobalLaneInt8", cfg.Chip.GlobalMemBytes, func(addr, size int) error {
+			if size < 0 || size > 64 {
+				return errNotASegment // the size is len(data)
+			}
+			return ch.InitGlobalLaneInt8(1, addr, make([]int8, size))
+		}},
 	}
 	for _, a := range accessors {
 		spans := []struct {
@@ -659,6 +668,18 @@ func TestAccessorBounds(t *testing.T) {
 		}
 		if err := ch.InitGlobalLane(l, GlobalSegment{Data: []byte{1}}); err == nil {
 			t.Errorf("InitGlobalLane accepted lane %d of 2", l)
+		}
+		if err := ch.InitGlobalLaneInt8(l, 0, []int8{1}); err == nil {
+			t.Errorf("InitGlobalLaneInt8 accepted lane %d of 2", l)
+		}
+	}
+	// InitGlobalLaneInt8 writes the two's-complement bytes into its lane only.
+	if err := ch.InitGlobalLaneInt8(1, 8, []int8{-128, -1, 0, 127}); err != nil {
+		t.Fatal(err)
+	}
+	for l, want := range [][]byte{{0, 0, 0, 0, 0, 0}, {0, 0x80, 0xff, 0, 0x7f, 0}} {
+		if got, _ := ch.ReadGlobalLane(l, 7, 6); !bytes.Equal(got, want) {
+			t.Errorf("lane %d after InitGlobalLaneInt8 = %v, want %v", l, got, want)
 		}
 	}
 }

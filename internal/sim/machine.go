@@ -79,38 +79,36 @@ func (q *msgQueue) pop() message {
 	return m
 }
 
-// maxPooledPayloads bounds the chip's payload free-list so a burst does not
-// pin its peak buffer count forever; the steady-state working set of a
-// streaming simulation is far below this.
-const maxPooledPayloads = 256
+// payloadClass is the size class of an n-byte payload: buffers of class k
+// have capacity 1<<k, the smallest power of two that holds n.
+func payloadClass(n int32) int { return bits.Len32(uint32(max(n, 1) - 1)) }
 
-// getPayload returns a payload buffer of the given size, reusing a pooled
-// buffer when one is large enough. Only the last few entries are scanned so
-// the lookup stays O(1); steady-state traffic repeats the same sizes and
-// hits immediately.
+// getPayload returns an n-byte payload buffer, the last one returned to
+// its size class when there is one.
 func (ch *Chip) getPayload(n int32) []byte {
-	p := ch.payloads
-	lo := len(p) - 8
-	if lo < 0 {
-		lo = 0
+	k := payloadClass(n)
+	free := ch.payloads[k]
+	if len(free) == 0 {
+		ch.payloadAllocBytes += 1 << k
+		return make([]byte, n, 1<<k)
 	}
-	for i := len(p) - 1; i >= lo; i-- {
-		if int32(cap(p[i])) >= n {
-			b := p[i][:n]
-			p[i] = p[len(p)-1]
-			ch.payloads = p[:len(p)-1]
-			return b
-		}
-	}
-	return make([]byte, n)
+	b := free[len(free)-1]
+	ch.payloads[k] = free[:len(free)-1]
+	ch.pooledBytes -= cap(b)
+	return b[:n]
 }
 
-// putPayload recycles a delivered payload buffer.
+// putPayload returns a payload buffer to its size class, or drops it when
+// pooling it would hold more than payloadBound bytes.
 func (ch *Chip) putPayload(b []byte) {
-	if b == nil || len(ch.payloads) >= maxPooledPayloads {
+	n := cap(b)
+	if ch.pooledBytes+n > ch.payloadBound {
+		ch.payloadDroppedBytes += n
 		return
 	}
-	ch.payloads = append(ch.payloads, b)
+	k := payloadClass(int32(n))
+	ch.payloads[k] = append(ch.payloads[k], b)
+	ch.pooledBytes += n
 }
 
 // Chip is one simulation instance.
@@ -126,11 +124,20 @@ type Chip struct {
 	legacy bool
 
 	mailbox map[msgKey]*msgQueue
-	// payloads is the free-list delivered message buffers are recycled
-	// through; it survives Reset so pooled sessions stop allocating once
-	// the first inference has warmed it.
-	payloads [][]byte
-	ready    coreHeap
+	// payloads[k] is the LIFO free list of message buffers of capacity
+	// 1<<k: SEND takes from it, RECV and Reset give back to it. It survives
+	// Reset, so after one run every later run of the same traffic finds all
+	// its buffers here. pooledBytes is what the lists hold; payloadBound
+	// caps it at the chip's aggregate local memory (NumCores x
+	// LocalMemBytes, 32 MB in the default configuration).
+	// payloadAllocBytes and payloadDroppedBytes count what getPayload
+	// allocated and putPayload dropped at the bound, for CheckPayloadPool.
+	payloads            [32][][]byte
+	pooledBytes         int
+	payloadBound        int
+	payloadAllocBytes   int
+	payloadDroppedBytes int
+	ready               coreHeap
 
 	// barrier bookkeeping: arrivals for the currently forming barrier.
 	barrierWait  []*core
@@ -191,6 +198,8 @@ func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 		mesh:    noc.New(cfg),
 		mailbox: make(map[msgKey]*msgQueue, 64),
 		ready:   make(coreHeap, 0, cfg.NumCores()),
+
+		payloadBound: cfg.NumCores() * cfg.Core.LocalMemBytes,
 	}
 	for _, opt := range opts {
 		opt(ch)
@@ -334,9 +343,8 @@ func (ch *Chip) ZeroGlobal(addr, size int) error {
 // the one NewChip built; the cost is what the runs since the last Reset
 // touched, not what the chip allocates.
 func (ch *Chip) Reset() {
-	// Keep the mailbox keys and queue storage: recycling them (plus the
-	// payload free-list) is what makes pooled re-runs allocation-free in
-	// steady state. Undelivered payloads go back to the pool.
+	// Mailbox keys and queue storage are kept for the next run; a message
+	// an aborted run left undelivered returns its payload to the pool.
 	for _, q := range ch.mailbox {
 		for i := q.head; i < len(q.msgs); i++ {
 			ch.putPayload(q.msgs[i].payload)
@@ -356,6 +364,39 @@ func (ch *Chip) Reset() {
 		c.reset(ch.dirtyLanes)
 	}
 	ch.dirtyLanes = 0
+}
+
+// CheckPayloadPool reports the first break in the payload pool's
+// accounting, or nil. Between Reset and the next Run no message is in
+// flight, so every buffer getPayload ever allocated is either in the free
+// list of its size class, once, or was dropped at the byte bound; and the
+// lists hold no more than the bound. Tests call it after Reset.
+func (ch *Chip) CheckPayloadPool() error {
+	seen := make(map[*byte]bool)
+	held := 0
+	for k, free := range ch.payloads {
+		for _, b := range free {
+			if cap(b) != 1<<k {
+				return fmt.Errorf("sim: a %d-byte payload buffer sits in size class %d", cap(b), k)
+			}
+			p := &b[:1][0]
+			if seen[p] {
+				return fmt.Errorf("sim: a payload buffer of class %d is pooled twice", k)
+			}
+			seen[p] = true
+			held += cap(b)
+		}
+	}
+	switch {
+	case held != ch.pooledBytes:
+		return fmt.Errorf("sim: payload free lists hold %d bytes, the pool counts %d", held, ch.pooledBytes)
+	case held > ch.payloadBound:
+		return fmt.Errorf("sim: payload pool holds %d bytes, bound %d", held, ch.payloadBound)
+	case held != ch.payloadAllocBytes-ch.payloadDroppedBytes:
+		return fmt.Errorf("sim: %d payload bytes allocated, %d dropped, %d pooled: %d unaccounted for",
+			ch.payloadAllocBytes, ch.payloadDroppedBytes, held, ch.payloadAllocBytes-ch.payloadDroppedBytes-held)
+	}
+	return nil
 }
 
 // ReadGlobal copies a region of lane 0's global memory after execution.

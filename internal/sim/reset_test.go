@@ -80,6 +80,9 @@ func assertPowerOn(t *testing.T, ch *Chip, when string) {
 	if diff := powerOnDiff(ch); diff != "" {
 		t.Fatalf("%s: not power-on state: %s", when, diff)
 	}
+	if err := ch.CheckPayloadPool(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
 }
 
 // runOccupancy stages one laneInput per lane at occupancy b and runs the

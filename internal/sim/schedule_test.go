@@ -296,6 +296,9 @@ func TestSchedulePooledRerun(t *testing.T) {
 	}
 	for rerun := 0; rerun < 3; rerun++ {
 		ch.Reset()
+		if err := ch.CheckPayloadPool(); err != nil {
+			t.Fatal(err)
+		}
 		again, err := ch.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
