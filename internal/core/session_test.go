@@ -347,15 +347,22 @@ func TestPooledResetDifferential(t *testing.T) {
 			}
 			seed := uint64(100)
 			var ran *sim.Stats // of the first batch: how long the model runs
-			// Whatever the last step did, aborts included, Reset gives back
-			// every payload buffer the chip ever allocated.
-			checkPool := func(label string) {
+			// checkPool looks at the pooled chip's payload accounting as the
+			// step left it, with no Reset of its own. A finished run drains
+			// every mailbox, so each buffer the chip ever allocated is back
+			// in its size class; that includes the ones an earlier abort
+			// left undelivered, which only acquire's Reset gives back. An
+			// aborted run must leave some out, or the step after it proves
+			// nothing about that Reset.
+			checkPool := func(label string, aborted bool) {
 				ch := <-s.free
-				ch.Reset()
-				if err := ch.CheckPayloadPool(); err != nil {
-					t.Fatalf("before %s: %v", label, err)
+				defer func() { s.free <- ch }()
+				switch err := ch.CheckPayloadPool(); {
+				case aborted && err == nil:
+					t.Fatalf("%s: no payload buffer left out by the aborted run", label)
+				case !aborted && err != nil:
+					t.Fatalf("%s: %v", label, err)
 				}
-				s.free <- ch
 			}
 			for step, st := range []struct {
 				lanes int
@@ -367,9 +374,6 @@ func TestPooledResetDifferential(t *testing.T) {
 					inputs[i] = model.SeededInput(g.Nodes[0].OutShape, seed)
 				}
 				label := fmt.Sprintf("step %d lanes %d %s", step, st.lanes, st.abort)
-				if step > 0 {
-					checkPool(label)
-				}
 				switch st.abort {
 				case "limit":
 					ch := <-s.free
@@ -381,6 +385,7 @@ func TestPooledResetDifferential(t *testing.T) {
 					ch = <-s.free
 					ch.CycleLimit = 0
 					s.free <- ch
+					checkPool(label, true)
 					continue
 				case "cancel":
 					if ran.Instructions < 1<<20 {
@@ -392,6 +397,7 @@ func TestPooledResetDifferential(t *testing.T) {
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s: InferBatch = %v, want context.Canceled", label, err)
 					}
+					checkPool(label, true)
 					continue
 				}
 				res, err := s.InferBatch(context.Background(), inputs)
@@ -399,6 +405,7 @@ func TestPooledResetDifferential(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				ran = res[0].Stats
+				checkPool(label, false)
 				for l, in := range inputs {
 					fresh, err := Simulate(context.Background(), compiled, ws, in, Options{})
 					if err != nil {
@@ -409,8 +416,6 @@ func TestPooledResetDifferential(t *testing.T) {
 			}
 			if n := s.PooledChips(); n != 1 {
 				t.Errorf("pool holds %d chips, want the one every run reused", n)
-			} else {
-				checkPool("the end")
 			}
 			if n := s.LaneFallbacks(); n != 0 {
 				t.Errorf("%d unexpected divergence fallbacks", n)

@@ -131,7 +131,8 @@ type Chip struct {
 	// caps it at the chip's aggregate local memory (NumCores x
 	// LocalMemBytes, 32 MB in the default configuration).
 	// payloadAllocBytes and payloadDroppedBytes count what getPayload
-	// allocated and putPayload dropped at the bound, for CheckPayloadPool.
+	// allocated and putPayload dropped at the bound; only the test hook
+	// CheckPayloadPool reads them.
 	payloads            [32][][]byte
 	pooledBytes         int
 	payloadBound        int
@@ -366,11 +367,13 @@ func (ch *Chip) Reset() {
 	ch.dirtyLanes = 0
 }
 
-// CheckPayloadPool reports the first break in the payload pool's
-// accounting, or nil. Between Reset and the next Run no message is in
-// flight, so every buffer getPayload ever allocated is either in the free
-// list of its size class, once, or was dropped at the byte bound; and the
-// lists hold no more than the bound. Tests call it after Reset.
+// CheckPayloadPool is a test and debug hook with no production caller: it
+// reports the first break in the payload pool's accounting, or nil. When no
+// message is in flight — after Reset, or after a run that finished — every
+// buffer getPayload ever allocated is either in the free list of its size
+// class, once, or was dropped at the byte bound; and the lists hold no more
+// than the bound. It is exported, not in export_test.go, because the pooled
+// session tests of internal/core call it on a session's chip.
 func (ch *Chip) CheckPayloadPool() error {
 	seen := make(map[*byte]bool)
 	held := 0
