@@ -56,6 +56,19 @@ func assertResultsEqual(t *testing.T, label string, ref, got *Result) {
 	}
 }
 
+// assertMatchesExecute requires a run's output to be the golden executor's,
+// model.Execute of the graph on the same weights and input, byte for byte.
+func assertMatchesExecute(t *testing.T, label string, compiled *compiler.Compiled, ws model.WeightStore, input tensor.Tensor, res *Result) {
+	t.Helper()
+	refs, err := model.Execute(compiled.Graph, input, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(refs[compiled.OutputNode].Data, res.Output.Data) {
+		t.Errorf("%s: output differs from model.Execute", label)
+	}
+}
+
 // TestInterpreterEquivalence is the differential proof behind the
 // predecoded execution pipeline: every model-zoo graph under every
 // compilation strategy is simulated on the legacy instruction-at-a-time
@@ -97,6 +110,7 @@ func TestInterpreterEquivalence(t *testing.T) {
 					t.Fatalf("predecoded: %v", err)
 				}
 				assertResultsEqual(t, "predecoded", legacy, predecoded)
+				assertMatchesExecute(t, "predecoded", compiled, ws, input, predecoded)
 				golden.check(t, name+"/"+strat.String(), predecoded.Stats)
 			})
 		}
@@ -135,6 +149,7 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 			first.Stats.Cycles != second.Stats.Cycles {
 			t.Errorf("pooled rerun diverged (%s)", label)
 		}
+		assertMatchesExecute(t, label, compiled, ws, input, first)
 		if ref == nil {
 			ref = first
 		} else {
@@ -193,6 +208,7 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 				}
 				assertResultsEqual(t, fmt.Sprintf("predecoded input %d", l), legacy, predecoded)
 				assertResultsEqual(t, fmt.Sprintf("lane %d", l), legacy, batch[l])
+				assertMatchesExecute(t, fmt.Sprintf("input %d", l), compiled, ws, in, predecoded)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"strconv"
@@ -48,6 +49,10 @@ type goldenStats struct {
 	// CoresDigest is SHA-256 over every core's id, halt cycle and five
 	// unit-busy counts, in core order.
 	CoresDigest string `json:"cores_digest"`
+	// StatsDigest is SHA-256 over every field of every core's stats, in core
+	// order, printed: instructions, MACs, stall cycles and the per-core
+	// energy breakdown too.
+	StatsDigest string `json:"stats_digest"`
 }
 
 func goldenOf(s *sim.Stats) goldenStats {
@@ -69,6 +74,8 @@ func goldenOf(s *sim.Stats) goldenStats {
 		binary.Write(h, binary.LittleEndian, c.UnitBusy)
 	}
 	g.CoresDigest = hex.EncodeToString(h.Sum(nil))
+	all := sha256.Sum256(fmt.Appendf(nil, "%v", s.Cores))
+	g.StatsDigest = hex.EncodeToString(all[:])
 	return g
 }
 

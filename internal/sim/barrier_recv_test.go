@@ -47,15 +47,16 @@ func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 				isa.Send(1, 2, 3, 5),
 				isa.Halt(),
 			)
-			if err := ch.LoadProgram(Program{Core: 0, Code: receiver}); err != nil {
-				t.Fatal(err)
+			progs := []Program{{Core: 0, Code: receiver}, {Core: 1, Code: sender}}
+			for _, p := range progs {
+				load(t, ch, p.Core, p.Code)
 			}
-			if err := ch.LoadProgram(Program{Core: 1, Code: sender}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ch.Run(context.Background()); err != nil {
+			stats, err := ch.Run(context.Background())
+			if err != nil {
 				t.Error(err)
 			}
+			checkGolden(t, "schedule/recv immediately after barrier", stats, err)
+			matchRef(t, ch, 0, err, progs, nil)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -275,9 +276,10 @@ var streamExecutors = []struct {
 
 // runStream runs the stream data describes on every executor, from power-on
 // state or — a bit of data's first eight bytes decides — from a timing state
-// scrambled alike on each, and holds the unfused and the legacy outcome to the
-// fused one. It returns the fused run's error text, "" when it halted.
-func runStream(t *testing.T, cfg *arch.Config, data []byte) string {
+// scrambled alike on each, holds the fused run's data to the reference
+// executor and the other outcomes to the fused one, and returns the fused
+// outcome (its error text "" when it halted).
+func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 	t.Helper()
 	code := scalarStream(data)
 	global := make([]byte, streamGlobal)
@@ -301,8 +303,12 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) string {
 			scrambleTiming(c, rand.New(rand.NewSource(seed)), streamMem)
 		}
 		o := &outcomes[i]
-		if _, err := ch.Run(context.Background()); err != nil {
+		_, err = ch.Run(context.Background())
+		if err != nil {
 			o.err = err.Error()
+		}
+		if i == 0 {
+			matchRef(t, ch, 0, err, []Program{{Code: code}}, global)
 		}
 		o.pc, o.time, o.regs, o.sregs = c.pc, c.time, c.regs, c.sregs
 		o.stats = flattenStats(nil, reflect.ValueOf(c.stats))
@@ -327,7 +333,7 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) string {
 	if t.Failed() {
 		t.Fatalf("stream of %d bytes, %d instructions:\n%s", len(data), len(code), isa.DisassembleProgram(code))
 	}
-	return want.err
+	return want
 }
 
 func streamConfig() arch.Config {
@@ -351,12 +357,18 @@ func streamBytes(i int) []byte {
 // handlers, the same handlers stepped one instruction at a time and the
 // legacy interpreter end with the same registers, special registers, memory,
 // core statistics and — when the stream faults — the same error at the same
-// pc and cycle.
+// pc and cycle; the registers and memory are the reference executor's, and
+// the pc, cycle, registers, statistics and error hash to the golden row.
+// Most streams start from a scrambled timing state, which is how the table
+// pins timing that no program reaches from power-on.
 func TestScalarStreamDifferential(t *testing.T) {
 	cfg := streamConfig()
 	kinds := map[string]int{}
 	for i := 0; i < 600; i++ {
-		fault := runStream(t, &cfg, streamBytes(i))
+		o := runStream(t, &cfg, streamBytes(i))
+		checkGoldenRow(t, fmt.Sprintf("stream/%03d", i),
+			goldenRow{Digest: digest([]any{o.err, o.pc, o.time, o.regs, o.sregs, o.stats})})
+		fault := o.err
 		kind := "halted"
 		for _, known := range []string{"division by zero", "remainder by zero", "local access", "global access"} {
 			if strings.Contains(fault, known) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -331,18 +332,21 @@ func (lc *laneCase) stage(t *testing.T, cfg *arch.Config, opts ...ChipOption) *C
 	return ch
 }
 
-// runAlone runs one input through a one-lane chip built with opts and
-// returns its output bytes and report.
+// runAlone runs one input through a one-lane chip built with opts, holds
+// what it computed to the reference executor, and returns its output bytes
+// and report.
 func (lc *laneCase) runAlone(t *testing.T, cfg *arch.Config, in []byte, opts ...ChipOption) ([]byte, *Stats) {
 	t.Helper()
 	ch := lc.stage(t, cfg, opts...)
 	if err := ch.InitGlobal(GlobalSegment{Addr: laneIn, Data: in}); err != nil {
 		t.Fatal(err)
 	}
+	staged := slices.Clone(ch.global[0][:laneMemBytes])
 	stats, err := ch.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchRef(t, ch, 0, nil, lc.progs, staged)
 	if err := stats.Check(); err != nil {
 		t.Errorf("inconsistent report: %v", err)
 	}
@@ -399,11 +403,11 @@ func (lc *laneCase) runLanes(t *testing.T, ch *Chip, inputs, want [][]byte, want
 // hand-assembled case — together they drive every handler with a per-lane
 // data effect, both MAC kernels and the strided message payload — three
 // inputs run as one 3-lane batch on a 4-lane chip, and every lane must equal
-// a fresh one-lane chip and a reference-interpreter chip on the same input,
-// byte for byte and cycle for cycle (the full report: energy, per-core
-// stats, NoC traffic), whether the predecoded pipeline steps fused or
-// unfused. A pooled rerun at shrunk occupancy with swapped inputs must
-// reproduce them again.
+// a fresh one-lane chip on the same input, byte for byte and cycle for cycle
+// (the full report: energy, per-core stats, NoC traffic), whether the
+// predecoded pipeline steps fused or unfused; each one-lane run equals the
+// reference executor's memory and the golden row "lane/"+name. A pooled
+// rerun at shrunk occupancy with swapped inputs must reproduce them again.
 func TestLaneDataEquivalence(t *testing.T) {
 	cfg := testConfig()
 	inputs := [][]byte{laneInput(0), laneInput(1), laneInput(2)}
@@ -414,6 +418,7 @@ func TestLaneDataEquivalence(t *testing.T) {
 				var wantStats *Stats
 				for l, in := range inputs {
 					out, stats := lc.runAlone(t, &cfg, in, m.opts...)
+					checkGolden(t, "lane/"+lc.name, stats, nil)
 					refOut, refStats := lc.runAlone(t, &cfg, in, WithLegacyInterpreter())
 					if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
 						t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v\nstats %+v\nref   %+v",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -86,19 +87,27 @@ func assertPowerOn(t *testing.T, ch *Chip, when string) {
 }
 
 // runOccupancy stages one laneInput per lane at occupancy b and runs the
-// chip; the run's error, if any, is the caller's business.
-func runOccupancy(t *testing.T, ch *Chip, b int) error {
+// chip; the run's error, if any, is the caller's business. With progs, the
+// programs ch runs, it holds every lane to the reference executor.
+func runOccupancy(t *testing.T, ch *Chip, b int, progs []Program) (*Stats, error) {
 	t.Helper()
 	if err := ch.SetLanes(b); err != nil {
 		t.Fatal(err)
 	}
-	for l := 0; l < b; l++ {
+	staged := make([][]byte, b)
+	for l := range staged {
 		if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: laneInput(l)}); err != nil {
 			t.Fatal(err)
 		}
+		staged[l] = slices.Clone(ch.global[l][:laneMemBytes])
 	}
-	_, err := ch.Run(context.Background())
-	return err
+	stats, err := ch.Run(context.Background())
+	for l := range staged {
+		if progs != nil {
+			matchRef(t, ch, l, err, progs, staged[l])
+		}
+	}
+	return stats, err
 }
 
 // traced installs a no-op Trace hook, under which Run steps the predecoded
@@ -218,11 +227,17 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 			t.Run(lc.name+"/"+ex.name, func(t *testing.T) {
 				ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(8)}, ex.opts...)...)
 				assertPowerOn(t, ch, "fresh chip")
-				for _, b := range []int{8, 2, 8} {
+				for i, b := range []int{8, 2, 8} {
 					b = min(b, ex.lanes)
-					if err := runOccupancy(t, ch, b); err != nil {
+					progs := lc.progs
+					if i > 0 {
+						progs = nil // the first run's lanes are the reference's
+					}
+					stats, err := runOccupancy(t, ch, b, progs)
+					if err != nil {
 						t.Fatal(err)
 					}
+					checkGolden(t, "lane/"+lc.name, stats, nil)
 					if powerOnDiff(ch) == "" {
 						t.Fatal("the run left nothing to clear: the case proves nothing")
 					}
@@ -230,7 +245,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 					assertPowerOn(t, ch, fmt.Sprintf("Reset after %d lanes", b))
 				}
 				for _, b := range []int{8, 2} {
-					if err := runOccupancy(t, ch, min(b, ex.lanes)); err != nil {
+					if _, err := runOccupancy(t, ch, min(b, ex.lanes), nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -249,9 +264,11 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 				t.Run(c.name+"/"+lc.name+"/"+ex.name, func(t *testing.T) {
 					ch := lc.stage(t, c.cfg, append([]ChipOption{WithLanes(3)}, ex.opts...)...)
 					assertPowerOn(t, ch, "fresh chip")
-					if err := runOccupancy(t, ch, min(3, ex.lanes)); err != nil {
+					stats, err := runOccupancy(t, ch, min(3, ex.lanes), lc.progs)
+					if err != nil {
 						t.Fatal(err)
 					}
+					checkGolden(t, "reset/"+c.name+"/"+lc.name, stats, nil)
 					ch.Reset()
 					assertPowerOn(t, ch, "Reset")
 				})
@@ -274,11 +291,24 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 						break
 					}
 				}
-				if err == nil {
-					err = runOccupancy(t, ch, min(2, ex.lanes))
+				// The legacy interpreter faults at run time on what the
+				// predecoder rejects at load time, in other words.
+				rejected := false
+				for _, p := range lc.progs {
+					_, perr := isa.Predecode(p.Code)
+					rejected = rejected || perr != nil
+				}
+				var stats *Stats
+				if err == nil && rejected {
+					stats, err = runOccupancy(t, ch, min(2, ex.lanes), nil)
+				} else if err == nil {
+					stats, err = runOccupancy(t, ch, min(2, ex.lanes), lc.progs)
 				}
 				if err == nil {
 					t.Fatal("the program did not fault")
+				}
+				if !rejected || ex.name != "legacy" {
+					checkGolden(t, "reset/fault/"+lc.name, stats, err)
 				}
 				ch.Reset()
 				assertPowerOn(t, ch, "Reset after "+err.Error())
@@ -406,10 +436,11 @@ func FuzzResetClean(f *testing.F) {
 			t.Fatal(err)
 		}
 		ch.EnsureGlobal(laneMemBytes)
-		for _, p := range fuzzResetProgram(path, a, n, int32(stride)%4, path >= 7) {
+		progs := fuzzResetProgram(path, a, n, int32(stride)%4, path >= 7)
+		for _, p := range progs {
 			load(t, ch, p.Core, p.Code)
 		}
-		_ = runOccupancy(t, ch, lanes) // a fault is as good as a halt
+		_, _ = runOccupancy(t, ch, lanes, progs) // a fault is as good as a halt
 		ch.Reset()
 		assertPowerOn(t, ch, "Reset")
 	})
@@ -429,7 +460,7 @@ func TestLoadProgramsRebindsChip(t *testing.T) {
 		t.Run(prev.name+"/then/"+next.name, func(t *testing.T) {
 			want, wantStats := next.runAlone(t, &cfg, in)
 			ch := prev.stage(t, &cfg)
-			if err := runOccupancy(t, ch, 1); err != nil {
+			if _, err := runOccupancy(t, ch, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			ch.Reset()

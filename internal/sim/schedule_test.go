@@ -28,15 +28,17 @@ func runChip(t *testing.T, cfg arch.Config, opts []ChipOption, progs ...Program)
 	return ch, stats, err
 }
 
-// checkSchedulerEquivalence runs the programs on the predecoded pipeline
-// and on the legacy interpreter, requiring identical error text and full
-// reports — cycles, instructions, energy, every per-core stat, NoC traffic
-// — that are deep-equal. This is the sim-level arm of the bit-exactness
-// contract on cross-core schedules; the model-level differential lives in
-// internal/core. It returns the predecoded chip, report and error.
-func checkSchedulerEquivalence(t *testing.T, cfg arch.Config, progs ...Program) (*Chip, *Stats, error) {
+// checkSchedule runs the programs and holds the full report — cycles,
+// instructions, energy, every per-core stat, NoC traffic — and the error text
+// to the golden row "schedule/"+name, and what the cores computed to the
+// reference executor. This is the sim-level arm of the contract on cross-core
+// schedules; the model-level one lives in internal/core. It returns the chip,
+// report and error.
+func checkSchedule(t *testing.T, name string, cfg arch.Config, progs ...Program) (*Chip, *Stats, error) {
 	t.Helper()
 	ch, got, err := runChip(t, cfg, nil, progs...)
+	checkGolden(t, "schedule/"+name, got, err)
+	matchRef(t, ch, 0, err, progs, nil)
 	_, want, wantErr := runChip(t, cfg, []ChipOption{WithLegacyInterpreter()}, progs...)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Errorf("error = %v, legacy interpreter's = %v", err, wantErr)
@@ -64,7 +66,7 @@ func TestScheduleMessagingRing(t *testing.T) {
 		prog = append(prog, isa.Halt())
 		progs = append(progs, Program{Core: core, Code: prog})
 	}
-	if _, _, err := checkSchedulerEquivalence(t, cfg, progs...); err != nil {
+	if _, _, err := checkSchedule(t, "ring", cfg, progs...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +95,7 @@ func TestScheduleBarrierWithMessageInFlight(t *testing.T) {
 		RECV G1, G2, G3, 4
 		HALT
 	`)
-	if _, _, err := checkSchedulerEquivalence(t, cfg,
+	if _, _, err := checkSchedule(t, "barrier with message in flight", cfg,
 		Program{Core: 0, Code: sender}, Program{Core: 1, Code: receiver}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestSchedulePingPong(t *testing.T) {
 		BNE G5, G0, %loop
 		HALT
 	`)
-	if _, _, err := checkSchedulerEquivalence(t, cfg,
+	if _, _, err := checkSchedule(t, "ping-pong", cfg,
 		Program{Core: 0, Code: ping}, Program{Core: 1, Code: pong}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestScheduleFusedRunStopsBeforeSend(t *testing.T) {
 		RECV G1, G2, G4, 1
 		HALT
 	`)
-	if _, _, err := checkSchedulerEquivalence(t, cfg,
+	if _, _, err := checkSchedule(t, "fused run stops before send", cfg,
 		Program{Core: 0, Code: late}, Program{Core: 1, Code: early}, Program{Core: 3, Code: sink}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestScheduleSingleCore(t *testing.T) {
 		SC_ST G2, G3, 0
 		HALT
 	`)}
-	if _, _, err := checkSchedulerEquivalence(t, cfg, prog); err != nil {
+	if _, _, err := checkSchedule(t, "single core", cfg, prog); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,7 +203,7 @@ func TestScheduleDeadlockReportSorted(t *testing.T) {
 			HALT
 		`, src))
 	}
-	_, _, err := checkSchedulerEquivalence(t, cfg,
+	_, _, err := checkSchedule(t, "deadlock report", cfg,
 		Program{Core: 0, Code: hang(2)},
 		Program{Core: 1, Code: asm(t, "HALT")},
 		Program{Core: 2, Code: hang(3)},
@@ -243,6 +245,7 @@ func TestScheduleCycleLimit(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "core 0 exceeded the cycle limit") {
 		t.Fatalf("Run = %v, want core 0's cycle limit error", err)
 	}
+	checkGolden(t, "schedule/cycle limit", nil, err)
 	if legacyErr := run(WithLegacyInterpreter()); fmt.Sprint(legacyErr) != err.Error() {
 		t.Errorf("legacy interpreter's limit error = %v, want %v", legacyErr, err)
 	}
@@ -265,7 +268,7 @@ func TestScheduleFirstError(t *testing.T) {
 		SC_DIV G2, G1, G0
 		HALT
 	`)
-	_, _, err := checkSchedulerEquivalence(t, cfg, Program{Core: 0, Code: late}, Program{Core: 1, Code: early})
+	_, _, err := checkSchedule(t, "first error", cfg, Program{Core: 0, Code: late}, Program{Core: 1, Code: early})
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("Run = %v, want division by zero", err)
 	}
@@ -290,7 +293,7 @@ func TestSchedulePooledRerun(t *testing.T) {
 		prog = append(prog, isa.Halt())
 		progs = append(progs, Program{Core: core, Code: prog})
 	}
-	ch, first, err := checkSchedulerEquivalence(t, cfg, progs...)
+	ch, first, err := checkSchedule(t, "pooled rerun", cfg, progs...)
 	if err != nil {
 		t.Fatal(err)
 	}

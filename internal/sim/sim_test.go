@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -549,20 +550,26 @@ func TestRuntimeErrors(t *testing.T) {
 	cfg := testConfig()
 	for _, tc := range runtimeErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Illegal encodings are rejected when the program is loaded (by
-			// the reference interpreter, when it reaches them),
-			// data-dependent faults when it runs — as errors, never panics,
-			// under both interpreters.
-			for _, opts := range [][]ChipOption{nil, {WithLegacyInterpreter()}} {
-				ch, _ := NewChip(&cfg, opts...)
-				err := ch.LoadProgram(Program{Core: 0, Code: asm(t, tc.src)})
-				if err == nil {
-					_, err = ch.Run(context.Background())
-				}
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("load+Run (legacy=%v) = %v, want %q", opts != nil, err, tc.want)
+			// Illegal encodings are rejected when the program is loaded,
+			// data-dependent faults when it runs — as errors, never panics —
+			// and a fault is the reference executor's, at the same core and
+			// pc, with the golden row's text.
+			ch, _ := NewChip(&cfg)
+			prog := Program{Core: 0, Code: asm(t, tc.src)}
+			err := ch.LoadProgram(prog)
+			if err == nil {
+				_, err = ch.Run(context.Background())
+				matchRef(t, ch, 0, err, []Program{prog}, nil)
+				legacy, _ := NewChip(&cfg, WithLegacyInterpreter())
+				load(t, legacy, 0, prog.Code)
+				if _, legacyErr := legacy.Run(context.Background()); fmt.Sprint(legacyErr) != fmt.Sprint(err) {
+					t.Errorf("legacy interpreter's error = %v, want %v", legacyErr, err)
 				}
 			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("load+Run = %v, want %q", err, tc.want)
+			}
+			checkGolden(t, "error/"+tc.name, nil, err)
 		})
 	}
 }

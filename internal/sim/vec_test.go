@@ -357,15 +357,16 @@ func TestActTable(t *testing.T) {
 }
 
 // laneDifferential runs each input through a one-lane chip, which must equal
-// the reference interpreter on it (bytes and report), then all of them as
+// the reference executor on it and the golden row key, then all of them as
 // one full batch, each lane of which must equal its one-lane run. It returns
 // the one-lane outputs.
-func (lc *laneCase) laneDifferential(t *testing.T, cfg *arch.Config, inputs [][]byte) [][]byte {
+func (lc *laneCase) laneDifferential(t *testing.T, key string, cfg *arch.Config, inputs [][]byte) [][]byte {
 	t.Helper()
 	want := make([][]byte, len(inputs))
 	var wantStats *Stats
 	for l, in := range inputs {
 		out, stats := lc.runAlone(t, cfg, in)
+		checkGolden(t, key, stats, nil)
 		refOut, refStats := lc.runAlone(t, cfg, in, WithLegacyInterpreter())
 		if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
 			t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v", l, out, refOut)
@@ -387,8 +388,8 @@ func laneInputs(n int) [][]byte {
 
 // TestWritebackPartialGroup runs the partial-group writeback case (5 of the
 // group's channels, raw / requantized / requantized+ReLU, guard bytes behind
-// each window) at one lane against the reference interpreter and as a full
-// 8-lane batch against the one-lane runs.
+// each window) at one lane against the reference executor and the golden
+// table, and as a full 8-lane batch against the one-lane runs.
 func TestWritebackPartialGroup(t *testing.T) {
 	cfg := testConfig()
 	var lc *laneCase
@@ -400,7 +401,7 @@ func TestWritebackPartialGroup(t *testing.T) {
 	if lc == nil {
 		t.Fatal("lane case not found")
 	}
-	want := lc.laneDifferential(t, &cfg, laneInputs(8))
+	want := lc.laneDifferential(t, "lane/"+lc.name, &cfg, laneInputs(8))
 	if relu, noRelu := want[0][40:45], want[0][32:37]; bytes.Equal(relu, noRelu) {
 		t.Fatalf("the case does not tell ReLU from no ReLU: both %v", relu)
 	}
@@ -414,8 +415,8 @@ func TestWritebackPartialGroup(t *testing.T) {
 // 64 input bytes are its 1x64 weights, multiplied by one of them, so every
 // lane writes back accumulators of its own; the window is pre-filled with
 // 0x55 and read back with eight bytes behind it. Each one-lane run must equal
-// the reference interpreter, and each lane of an 8-lane batch its one-lane
-// run, bytes and report.
+// the reference executor and its golden row, and each lane of an 8-lane batch
+// its one-lane run, bytes and report.
 func TestWritebackTable(t *testing.T) {
 	cfg := testConfig()
 	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 1
@@ -461,7 +462,7 @@ func TestWritebackTable(t *testing.T) {
 				}
 				t.Run(lc.name, func(t *testing.T) {
 					distinct := map[byte]bool{}
-					for l, out := range lc.laneDifferential(t, &cfg, inputs) {
+					for l, out := range lc.laneDifferential(t, "writeback/"+lc.name, &cfg, inputs) {
 						if tail := out[len(out)-8:]; !bytes.Equal(tail, bytes.Repeat([]byte{0x55}, 8)) {
 							t.Fatalf("input %d: bytes behind the window overwritten: %v", l, tail)
 						}
