@@ -69,14 +69,14 @@ func assertMatchesExecute(t *testing.T, label string, compiled *compiler.Compile
 	}
 }
 
-// TestInterpreterEquivalence is the differential proof behind the
-// predecoded execution pipeline: every model-zoo graph under every
-// compilation strategy is simulated on the legacy instruction-at-a-time
-// interpreter (the reference) and on the predecoded dispatch loop, and the
-// two runs must agree byte for byte on the output tensor and exactly on
-// cycles, instruction counts, MACs, the full energy breakdown and every
-// per-core stat. In -short mode the four large benchmark DNNs are skipped;
-// the tiny networks still cover every operator lowering.
+// TestInterpreterEquivalence is the proof behind the simulator on compiled
+// programs: every model-zoo graph under every compilation strategy is
+// simulated, and the output tensor must be the golden executor's
+// (model.Execute) byte for byte, the report consistent (Stats.Check) and
+// exactly the golden row — cycles, instruction counts, MACs, the full energy
+// breakdown, NoC traffic and, through its digests, every per-core stat. In
+// -short mode the four large benchmark DNNs are skipped; the tiny networks
+// still cover every operator lowering.
 func TestInterpreterEquivalence(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	large := map[string]bool{"resnet18": true, "vgg19": true, "mobilenetv2": true, "efficientnetb0": true}
@@ -91,8 +91,6 @@ func TestInterpreterEquivalence(t *testing.T) {
 		} {
 			t.Run(name+"/"+strat.String(), func(t *testing.T) {
 				t.Parallel()
-				// One compile feeds both interpreters: predecoded programs
-				// ride along in the artifact and the legacy chip ignores them.
 				compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: strat})
 				if err != nil {
 					t.Fatal(err)
@@ -100,27 +98,24 @@ func TestInterpreterEquivalence(t *testing.T) {
 				ws := model.NewSeededWeights(g, 1)
 				input := model.SeededInput(g.Nodes[0].OutShape, 2)
 
-				legacy, err := Simulate(context.Background(), compiled, ws, input,
-					Options{LegacyInterpreter: true})
+				res, err := Simulate(context.Background(), compiled, ws, input, Options{})
 				if err != nil {
-					t.Fatalf("legacy interpreter: %v", err)
+					t.Fatal(err)
 				}
-				predecoded, err := Simulate(context.Background(), compiled, ws, input, Options{})
-				if err != nil {
-					t.Fatalf("predecoded: %v", err)
+				if err := res.Stats.Check(); err != nil {
+					t.Errorf("inconsistent report: %v", err)
 				}
-				assertResultsEqual(t, "predecoded", legacy, predecoded)
-				assertMatchesExecute(t, "predecoded", compiled, ws, input, predecoded)
-				golden.check(t, name+"/"+strat.String(), predecoded.Stats)
+				assertMatchesExecute(t, "simulated", compiled, ws, input, res)
+				golden.check(t, name+"/"+strat.String(), res.Stats)
 			})
 		}
 	}
 }
 
 // TestInterpreterEquivalencePooled proves the equivalence holds on reused
-// (pooled, Reset) chips as well as fresh ones: a session run twice on each
-// interpreter must reproduce the first run exactly, and the two interpreters
-// must agree with each other.
+// (pooled, Reset) chips as well as fresh ones: a session's first and second
+// run on its one pooled chip must each be a fresh chip's run exactly, and the
+// golden executor's output.
 func TestInterpreterEquivalencePooled(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyResNet()
@@ -130,32 +125,22 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 	}
 	ws := model.NewSeededWeights(g, 1)
 	input := model.SeededInput(g.Nodes[0].OutShape, 2)
-	var ref *Result
-	for _, legacy := range []bool{true, false} {
-		s, err := NewSession(compiled, ws, Options{LegacyInterpreter: legacy, MaxPooledChips: 1})
+	fresh, err := Simulate(context.Background(), compiled, ws, input, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesExecute(t, "fresh chip", compiled, ws, input, fresh)
+	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, label := range []string{"first run", "pooled rerun"} {
+		res, err := s.Infer(context.Background(), input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := s.Infer(context.Background(), input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, err := s.Infer(context.Background(), input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("legacy=%v", legacy)
-		if !reflect.DeepEqual(first.Output.Data, second.Output.Data) ||
-			first.Stats.Cycles != second.Stats.Cycles {
-			t.Errorf("pooled rerun diverged (%s)", label)
-		}
-		assertMatchesExecute(t, label, compiled, ws, input, first)
-		if ref == nil {
-			ref = first
-		} else {
-			assertResultsEqual(t, label, ref, first)
-		}
-		s.Close()
+		assertResultsEqual(t, label, fresh, res)
 	}
 }
 
@@ -163,9 +148,9 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 // widths that between them use every channel tile of the MVM kernel: 9 (3
 // macros of 24/8 channels: one 8-wide tile and a channel the kernel blocks do
 // not cover), 32, 40 (32 + 8), 72 (64 + 8) and 128 (two 64-wide tiles); the
-// default 64 is every other test. At each width the legacy interpreter, the
-// predecoded handlers and every lane of an eight-lane batch must agree
-// exactly, outputs and full Stats.
+// default 64 is every other test. At each width every lane of an eight-lane
+// batch must be a one-lane run of its input exactly, outputs and full Stats,
+// and the output the golden executor's.
 func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 	for _, shape := range []struct{ macros, cols, chans int }{
 		{3, 24, 9}, {4, 64, 32}, {5, 64, 40}, {9, 64, 72}, {16, 64, 128},
@@ -198,17 +183,12 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l, in := range inputs {
-				legacy, err := Simulate(context.Background(), compiled, ws, in, Options{LegacyInterpreter: true})
+				alone, err := Simulate(context.Background(), compiled, ws, in, Options{})
 				if err != nil {
-					t.Fatalf("legacy interpreter, input %d: %v", l, err)
+					t.Fatalf("input %d: %v", l, err)
 				}
-				predecoded, err := Simulate(context.Background(), compiled, ws, in, Options{})
-				if err != nil {
-					t.Fatalf("predecoded, input %d: %v", l, err)
-				}
-				assertResultsEqual(t, fmt.Sprintf("predecoded input %d", l), legacy, predecoded)
-				assertResultsEqual(t, fmt.Sprintf("lane %d", l), legacy, batch[l])
-				assertMatchesExecute(t, fmt.Sprintf("input %d", l), compiled, ws, in, predecoded)
+				assertResultsEqual(t, fmt.Sprintf("lane %d", l), alone, batch[l])
+				assertMatchesExecute(t, fmt.Sprintf("input %d", l), compiled, ws, in, alone)
 			}
 		})
 	}

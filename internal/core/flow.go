@@ -54,11 +54,6 @@ type Options struct {
 	FullBufferLimit int32
 	// MaxPooledChips caps a Session's idle-chip pool (0 = GOMAXPROCS).
 	MaxPooledChips int
-	// LegacyInterpreter runs simulations on the original
-	// instruction-at-a-time interpreter instead of the predecoded micro-op
-	// pipeline. The two are bit-identical; this is the reference escape
-	// hatch the differential equivalence suite runs against.
-	LegacyInterpreter bool
 	// SimWorkers is ignored: the simulator has one scheduler, the serial
 	// loop.
 	//

@@ -28,20 +28,19 @@ type Rig struct {
 
 // rigKey is everything a chip's construction depends on.
 type rigKey struct {
-	cfg    arch.Config // Name cleared: it never reaches the chip
-	lanes  int
-	legacy bool
+	cfg   arch.Config // Name cleared: it never reaches the chip
+	lanes int
 }
 
-func newRigKey(cfg arch.Config, lanes int, legacy bool) rigKey {
+func newRigKey(cfg arch.Config, lanes int) rigKey {
 	cfg.Name = ""
-	return rigKey{cfg, lanes, legacy}
+	return rigKey{cfg, lanes}
 }
 
 // Fits reports whether the rig holds a chip of cfg's architecture, so that
 // its next one-lane run on cfg builds none.
 func (r *Rig) Fits(cfg *arch.Config) bool {
-	return r.ch != nil && r.key == newRigKey(*cfg, 1, false)
+	return r.ch != nil && r.key == newRigKey(*cfg, 1)
 }
 
 // Simulate is core.Simulate on the rig's chip.
@@ -51,7 +50,7 @@ func (r *Rig) Simulate(ctx context.Context, compiled *compiler.Compiled, ws mode
 	if err != nil {
 		return nil, err
 	}
-	key := newRigKey(*s.cfg, s.opt.SimLanes, s.opt.LegacyInterpreter)
+	key := newRigKey(*s.cfg, s.opt.SimLanes)
 	// The rig lets go of its chip first: a chip of another architecture is
 	// garbage before Infer builds the next one, and one that fails to re-stage
 	// is not kept.

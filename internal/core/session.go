@@ -166,9 +166,6 @@ func (s *Session) Close() error {
 // newChip builds a fresh chip with programs loaded and weights staged.
 func (s *Session) newChip() (*sim.Chip, error) {
 	var chipOpts []sim.ChipOption
-	if s.opt.LegacyInterpreter {
-		chipOpts = append(chipOpts, sim.WithLegacyInterpreter())
-	}
 	if s.opt.SimLanes > 1 {
 		chipOpts = append(chipOpts, sim.WithLanes(s.opt.SimLanes))
 	}

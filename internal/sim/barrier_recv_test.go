@@ -12,14 +12,14 @@ import (
 // must park the core as a receiver (woken by the later SEND), not be
 // mistaken for a second barrier arrival. The scheduler used to classify
 // stepBlocked by peeking at code[pc-1], which this adjacency defeats; the
-// interpreters now report barrier arrivals as a distinct step status.
+// handlers now report barrier arrivals as a distinct step status.
 func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 	cfg := testConfig() // 2x2 mesh, cores 2 and 3 idle
 	for _, ex := range []struct {
 		name string
 		opts []ChipOption
 	}{
-		{"fused", nil}, {"unfused", []ChipOption{traced}}, {"legacy", []ChipOption{WithLegacyInterpreter()}},
+		{"fused", nil}, {"unfused", []ChipOption{traced}},
 	} {
 		t.Run(ex.name, func(t *testing.T) {
 			ch, err := NewChip(&cfg, ex.opts...)

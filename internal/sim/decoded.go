@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -14,10 +15,10 @@ import (
 // handler validates its operands and computes timing, energy and scoreboard
 // state once from the shared registers, then applies its data effect to the
 // image of every live lane (lanes.go); a one-lane run walks those loops
-// once. The handlers are semantically bit-identical to the reference step*
-// family in core.go — the differential equivalence suite asserts outputs,
-// cycles, energy and per-core stats match on every zoo model × strategy —
-// and the steady-state loop does no per-step decoding, no slice allocation
+// once. What they compute is held to the timing-free reference executor of
+// the tests (refexec_test.go) and to model.Execute on every zoo model ×
+// strategy, what they cost to the golden Stats tables of internal/sim and
+// internal/core; the steady-state loop does no per-step decoding, no slice allocation
 // (scoreboard ranges live in core.rangeBuf, message payloads come from the
 // chip's pool) and no repeated configuration lookups (latency, bandwidth and
 // energy constants are hoisted onto the core at construction).
@@ -29,8 +30,7 @@ import (
 // table for the activations, straight Go loops for the rest of what the zoo
 // executes) and anything else element by element (vecApply, also the kernels'
 // test reference); CIM_MVM picks raw stores or the requant kernel VEC_QNT
-// shares; VFILL is a memclr or a doubling copy. The reference interpreter
-// keeps its own per-element loops as the independent oracle.
+// shares; VFILL is a memclr or a doubling copy.
 
 // decHandler executes one predecoded micro-op.
 type decHandler func(*core, *isa.Decoded) (stepStatus, error)
@@ -175,6 +175,56 @@ func decScALU(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.time = issue + 1
 	c.pc++
 	return stepOK, nil
+}
+
+// scalarALU is the scalar unit's arithmetic, shared by SC_ALU and SC_ALUI.
+func scalarALU(fn uint8, a, b int32) (int32, error) {
+	switch fn {
+	case isa.FnAdd:
+		return a + b, nil
+	case isa.FnSub:
+		return a - b, nil
+	case isa.FnMul:
+		return a * b, nil
+	case isa.FnDiv:
+		if b == 0 {
+			return 0, fmt.Errorf("division by zero")
+		}
+		return a / b, nil
+	case isa.FnRem:
+		if b == 0 {
+			return 0, fmt.Errorf("remainder by zero")
+		}
+		return a % b, nil
+	case isa.FnAnd:
+		return a & b, nil
+	case isa.FnOr:
+		return a | b, nil
+	case isa.FnXor:
+		return a ^ b, nil
+	case isa.FnSlt:
+		if a < b {
+			return 1, nil
+		}
+		return 0, nil
+	case isa.FnSll:
+		return a << (uint32(b) & 31), nil
+	case isa.FnSrl:
+		return int32(uint32(a) >> (uint32(b) & 31)), nil
+	case isa.FnSra:
+		return a >> (uint32(b) & 31), nil
+	case isa.FnMin:
+		if a < b {
+			return a, nil
+		}
+		return b, nil
+	case isa.FnMax:
+		if a > b {
+			return a, nil
+		}
+		return b, nil
+	}
+	return 0, fmt.Errorf("unknown scalar funct %d", fn)
 }
 
 func decScALUI(c *core, d *isa.Decoded) (stepStatus, error) {
@@ -502,8 +552,8 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 }
 
 // decCimMVM is the hot path of every DNN simulation. Beyond the predecoded
-// flags it differs from the reference interpreter in four
-// measured-equivalent ways: the gather copy is skipped when the input is one
+// flags it differs from a plain per-row loop in four measured-equivalent
+// ways: the gather copy is skipped when the input is one
 // contiguous segment (the MAC loop only reads it, so aliasing local memory
 // is safe), the accumulator clear is a memclr, the whole MAC loop is one
 // mvmLaneKernel call per lane that skips zero input rows (an AVX2 kernel

@@ -15,12 +15,11 @@ import (
 	"cimflow/internal/isa"
 )
 
-// The predecoded handlers issue an operation that names no local window
-// through regIssue, the legacy interpreter through hazardIssue with nil
-// ranges. The zoo differentials in internal/core compare the two on compiled
-// programs from power-on state; the tests here compare them on the function
-// itself and on generated scalar streams, from timing states no compiled
-// program reaches (a busy control unit, a scalar unit free only later).
+// The handlers issue an operation that names no local window through
+// regIssue, hazardIssue's windowless form. The tests here hold the one to the
+// other on the function itself, and the handlers to the golden table on
+// generated scalar streams, from timing states no compiled program reaches (a
+// busy control unit, a scalar unit free only later).
 
 // scrambleTiming fills a core's timing plane from rng: a local time, and
 // register-ready cycles, unit-free cycles and in-flight completions on both
@@ -265,19 +264,10 @@ func flattenStats(out []uint64, v reflect.Value) []uint64 {
 	return out
 }
 
-var streamExecutors = []struct {
-	name string
-	opts []ChipOption
-}{
-	{"fused", nil},
-	{"unfused", []ChipOption{traced}},
-	{"legacy", []ChipOption{WithLegacyInterpreter()}},
-}
-
-// runStream runs the stream data describes on every executor, from power-on
+// runStream runs the stream data describes fused and unfused, from power-on
 // state or — a bit of data's first eight bytes decides — from a timing state
 // scrambled alike on each, holds the fused run's data to the reference
-// executor and the other outcomes to the fused one, and returns the fused
+// executor and the unfused outcome to the fused one, and returns the fused
 // outcome (its error text "" when it halted).
 func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 	t.Helper()
@@ -288,8 +278,8 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 	for _, b := range data[:min(len(data), 8)] {
 		seed = seed<<8 | int64(b)
 	}
-	outcomes := make([]streamOutcome, len(streamExecutors))
-	for i, ex := range streamExecutors {
+	outcomes := make([]streamOutcome, len(decodedModes))
+	for i, ex := range decodedModes {
 		ch, err := NewChip(cfg, ex.opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +306,7 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 	}
 	want := &outcomes[0]
 	for i, got := range outcomes[1:] {
-		name := streamExecutors[i+1].name
+		name := decodedModes[i+1].name
 		if got.err != want.err || got.pc != want.pc || got.time != want.time {
 			t.Errorf("%s ended at pc %d t=%d with error %q, fused at pc %d t=%d with %q", name, got.pc, got.time, got.err, want.pc, want.time, want.err)
 		}
@@ -354,13 +344,13 @@ func streamBytes(i int) []byte {
 }
 
 // TestScalarStreamDifferential: on generated scalar streams the fused
-// handlers, the same handlers stepped one instruction at a time and the
-// legacy interpreter end with the same registers, special registers, memory,
-// core statistics and — when the stream faults — the same error at the same
-// pc and cycle; the registers and memory are the reference executor's, and
-// the pc, cycle, registers, statistics and error hash to the golden row.
-// Most streams start from a scrambled timing state, which is how the table
-// pins timing that no program reaches from power-on.
+// handlers and the same handlers stepped one instruction at a time end with
+// the same registers, special registers, memory, core statistics and — when
+// the stream faults — the same error at the same pc and cycle; the registers
+// and memory are the reference executor's, and the pc, cycle, registers,
+// statistics and error hash to the golden row. Half the streams start from a
+// scrambled timing state, which is how the table pins timing no program
+// reaches from power-on.
 func TestScalarStreamDifferential(t *testing.T) {
 	cfg := streamConfig()
 	kinds := map[string]int{}

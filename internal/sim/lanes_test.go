@@ -419,11 +419,6 @@ func TestLaneDataEquivalence(t *testing.T) {
 				for l, in := range inputs {
 					out, stats := lc.runAlone(t, &cfg, in, m.opts...)
 					checkGolden(t, "lane/"+lc.name, stats, nil)
-					refOut, refStats := lc.runAlone(t, &cfg, in, WithLegacyInterpreter())
-					if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
-						t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v\nstats %+v\nref   %+v",
-							l, out, refOut, stats, refStats)
-					}
 					if l > 0 && !reflect.DeepEqual(stats, wantStats) {
 						t.Fatalf("input %d: one-lane timing depends on the data; the case is not lane-uniform", l)
 					}

@@ -119,9 +119,6 @@ type Chip struct {
 	// the same size.
 	global [][]byte
 	cores  []*core
-	// legacy selects the original instruction-at-a-time interpreter over
-	// the predecoded dispatch loop (see WithLegacyInterpreter).
-	legacy bool
 
 	mailbox map[msgKey]*msgQueue
 	// payloads[k] is the LIFO free list of message buffers of capacity
@@ -165,16 +162,6 @@ type Chip struct {
 
 // ChipOption configures a Chip at construction time.
 type ChipOption func(*Chip)
-
-// WithLegacyInterpreter selects the original instruction-at-a-time
-// interpreter (nested opcode switches, per-step re-validation) instead of
-// the predecoded micro-op dispatch loop. The two execute bit-identically —
-// the differential equivalence suite asserts outputs, cycles, energy and
-// per-core stats match on every zoo model — so this exists as the reference
-// escape hatch for that proof, not as a user-facing mode.
-func WithLegacyInterpreter() ChipOption {
-	return func(ch *Chip) { ch.legacy = true }
-}
 
 // WithWorkers does nothing: Run has one scheduler, the serial loop.
 //
@@ -224,13 +211,12 @@ func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 }
 
 // LoadProgram installs a core's instruction stream, checking it fits the
-// instruction memory. Unless the chip runs the legacy interpreter the
-// stream is lowered to its predecoded micro-op form here, so illegal
-// encodings fail at load time instead of mid-simulation. A caller-supplied
-// p.Decoded is trusted to be isa.Predecode(p.Code) — the compiler attaches
-// exactly that, letting every chip built from one artifact share one
-// immutable decoded program — and is ignored when its length does not
-// match.
+// instruction memory, and lowers it to its predecoded micro-op form — the
+// form the core executes — so illegal encodings fail at load time instead of
+// mid-simulation. A caller-supplied p.Decoded is trusted to be
+// isa.Predecode(p.Code) — the compiler attaches exactly that, letting every
+// chip built from one artifact share one immutable decoded program — and is
+// ignored when its length does not match.
 func (ch *Chip) LoadProgram(p Program) error {
 	if p.Core < 0 || p.Core >= len(ch.cores) {
 		return fmt.Errorf("sim: program for core %d out of range", p.Core)
@@ -239,17 +225,14 @@ func (ch *Chip) LoadProgram(p Program) error {
 		return fmt.Errorf("sim: core %d program is %d bytes, instruction memory holds %d",
 			p.Core, size, ch.cfg.Core.InstMemBytes)
 	}
-	var dec []isa.Decoded
-	if !ch.legacy {
-		dec = p.Decoded
-		if len(dec) != len(p.Code) {
-			var err error
-			dec, err = isa.Predecode(p.Code)
-			if err != nil {
-				return fmt.Errorf("sim: core %d: %w", p.Core, err)
-			}
-			isa.Fuse(dec)
+	dec := p.Decoded
+	if len(dec) != len(p.Code) {
+		var err error
+		dec, err = isa.Predecode(p.Code)
+		if err != nil {
+			return fmt.Errorf("sim: core %d: %w", p.Core, err)
 		}
+		isa.Fuse(dec)
 	}
 	c := ch.cores[p.Core]
 	c.code, c.prog = p.Code, dec
@@ -541,14 +524,8 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 	if active == 0 {
 		return nil, fmt.Errorf("sim: no programs loaded")
 	}
-
-	// The legacy interpreter executes lane 0 only.
-	if ch.legacy && ch.activeLanes > 1 {
-		return nil, fmt.Errorf("sim: lane-batched execution requires the predecoded pipeline")
-	}
 	ch.dirtyLanes = max(ch.dirtyLanes, ch.activeLanes)
 
-	legacy := ch.legacy
 	var steps uint64
 	for len(ch.ready) > 0 {
 		c := ch.ready.popMin()
@@ -573,14 +550,11 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 			}
 			var st stepStatus
 			var err error
-			switch {
-			case legacy:
-				st, err = c.step()
-			case ch.Trace != nil:
+			if ch.Trace != nil {
 				// One architectural instruction per step so the trace hook
 				// fires per instruction, fused runs included.
 				st, err = c.stepDecodedUnfused()
-			default:
+			} else {
 				st, err = c.stepDecoded()
 			}
 			if err != nil {

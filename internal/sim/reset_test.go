@@ -125,16 +125,13 @@ var decodedModes = []struct {
 }
 
 // resetExecutors are the ways a program reaches a data plane: the predecoded
-// handlers, fused and unfused, at up to 8 lanes, and the reference
-// interpreter, which runs lane 0 of the same 8-lane chip.
+// handlers, fused and unfused, at up to 8 lanes.
 var resetExecutors = []struct {
-	name  string
-	opts  []ChipOption
-	lanes int // widest occupancy the executor runs
+	name string
+	opts []ChipOption
 }{
-	{"decoded/fused", nil, 8},
-	{"decoded/unfused", []ChipOption{traced}, 8},
-	{"legacy", []ChipOption{WithLegacyInterpreter()}, 1},
+	{"decoded/fused", nil},
+	{"decoded/unfused", []ChipOption{traced}},
 }
 
 // boundaryCases write windows placed against the dirty record's edges on a
@@ -175,7 +172,7 @@ func boundaryCases(mem int32) []laneCase {
 // and a macro group, then each TestRuntimeErrors program — or one of three
 // that fault in the middle of an instruction's work — runs behind it.
 //
-// Audit (both executors, every handler): validation — the last error return
+// Audit (every handler): validation — the last error return
 // — comes before the first store to local memory or to a macro group, and
 // nothing between that store and the handler's hazardIssue (which marks the
 // window; CIM_MVM alone stores first) or mgDirty mark can fail, so a faulting
@@ -228,7 +225,6 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 				ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(8)}, ex.opts...)...)
 				assertPowerOn(t, ch, "fresh chip")
 				for i, b := range []int{8, 2, 8} {
-					b = min(b, ex.lanes)
 					progs := lc.progs
 					if i > 0 {
 						progs = nil // the first run's lanes are the reference's
@@ -245,7 +241,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 					assertPowerOn(t, ch, fmt.Sprintf("Reset after %d lanes", b))
 				}
 				for _, b := range []int{8, 2} {
-					if _, err := runOccupancy(t, ch, min(b, ex.lanes), nil); err != nil {
+					if _, err := runOccupancy(t, ch, b, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -264,7 +260,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 				t.Run(c.name+"/"+lc.name+"/"+ex.name, func(t *testing.T) {
 					ch := lc.stage(t, c.cfg, append([]ChipOption{WithLanes(3)}, ex.opts...)...)
 					assertPowerOn(t, ch, "fresh chip")
-					stats, err := runOccupancy(t, ch, min(3, ex.lanes), lc.progs)
+					stats, err := runOccupancy(t, ch, 3, lc.progs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -291,25 +287,14 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 						break
 					}
 				}
-				// The legacy interpreter faults at run time on what the
-				// predecoder rejects at load time, in other words.
-				rejected := false
-				for _, p := range lc.progs {
-					_, perr := isa.Predecode(p.Code)
-					rejected = rejected || perr != nil
-				}
 				var stats *Stats
-				if err == nil && rejected {
-					stats, err = runOccupancy(t, ch, min(2, ex.lanes), nil)
-				} else if err == nil {
-					stats, err = runOccupancy(t, ch, min(2, ex.lanes), lc.progs)
+				if err == nil {
+					stats, err = runOccupancy(t, ch, 2, lc.progs)
 				}
 				if err == nil {
 					t.Fatal("the program did not fault")
 				}
-				if !rejected || ex.name != "legacy" {
-					checkGolden(t, "reset/fault/"+lc.name, stats, err)
-				}
+				checkGolden(t, "reset/fault/"+lc.name, stats, err)
 				ch.Reset()
 				assertPowerOn(t, ch, "Reset after "+err.Error())
 			})
@@ -405,9 +390,9 @@ func fuzzResetProgram(path uint8, a, n, stride int32, wide bool) []Program {
 }
 
 // FuzzResetClean: whatever one store does — every kind of store, at any
-// address, size, stride and occupancy, fused, unfused or on the reference
-// interpreter, faulting or not —
-// Reset returns the whole chip to power-on state.
+// address, size, stride and occupancy, fused or unfused, faulting or not —
+// the lanes end as the reference executor's, and Reset returns the whole chip
+// to power-on state.
 func FuzzResetClean(f *testing.F) {
 	cfg := testConfig()
 	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 2
@@ -427,9 +412,6 @@ func FuzzResetClean(f *testing.F) {
 		opts, lanes := []ChipOption{WithLanes(4)}, 1+int(mode&3)
 		if mode&4 != 0 {
 			opts = append(opts, traced)
-		}
-		if mode&8 != 0 {
-			opts, lanes = []ChipOption{WithLanes(4), WithLegacyInterpreter()}, 1
 		}
 		ch, err := NewChip(&cfg, opts...)
 		if err != nil {

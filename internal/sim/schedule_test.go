@@ -39,13 +39,6 @@ func checkSchedule(t *testing.T, name string, cfg arch.Config, progs ...Program)
 	ch, got, err := runChip(t, cfg, nil, progs...)
 	checkGolden(t, "schedule/"+name, got, err)
 	matchRef(t, ch, 0, err, progs, nil)
-	_, want, wantErr := runChip(t, cfg, []ChipOption{WithLegacyInterpreter()}, progs...)
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-		t.Errorf("error = %v, legacy interpreter's = %v", err, wantErr)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("stats diverge from the legacy interpreter\npredecoded: %+v\nlegacy:     %+v", got, want)
-	}
 	return ch, got, err
 }
 
@@ -246,9 +239,6 @@ func TestScheduleCycleLimit(t *testing.T) {
 		t.Fatalf("Run = %v, want core 0's cycle limit error", err)
 	}
 	checkGolden(t, "schedule/cycle limit", nil, err)
-	if legacyErr := run(WithLegacyInterpreter()); fmt.Sprint(legacyErr) != err.Error() {
-		t.Errorf("legacy interpreter's limit error = %v, want %v", legacyErr, err)
-	}
 }
 
 func TestScheduleFirstError(t *testing.T) {
@@ -279,7 +269,7 @@ func TestScheduleFirstError(t *testing.T) {
 
 func TestSchedulePooledRerun(t *testing.T) {
 	// Reset + rerun on the same chip (the pooled-serving pattern) must
-	// stay bit-identical run over run, and to the legacy interpreter.
+	// stay bit-identical run over run, and to the golden row.
 	cfg := testConfig()
 	var progs []Program
 	for core := 0; core < 4; core++ {

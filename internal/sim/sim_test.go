@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -560,11 +559,6 @@ func TestRuntimeErrors(t *testing.T) {
 			if err == nil {
 				_, err = ch.Run(context.Background())
 				matchRef(t, ch, 0, err, []Program{prog}, nil)
-				legacy, _ := NewChip(&cfg, WithLegacyInterpreter())
-				load(t, legacy, 0, prog.Code)
-				if _, legacyErr := legacy.Run(context.Background()); fmt.Sprint(legacyErr) != fmt.Sprint(err) {
-					t.Errorf("legacy interpreter's error = %v, want %v", legacyErr, err)
-				}
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("load+Run = %v, want %q", err, tc.want)

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -367,10 +366,6 @@ func (lc *laneCase) laneDifferential(t *testing.T, key string, cfg *arch.Config,
 	for l, in := range inputs {
 		out, stats := lc.runAlone(t, cfg, in)
 		checkGolden(t, key, stats, nil)
-		refOut, refStats := lc.runAlone(t, cfg, in, WithLegacyInterpreter())
-		if !bytes.Equal(out, refOut) || !reflect.DeepEqual(stats, refStats) {
-			t.Fatalf("input %d: one-lane run differs from the reference interpreter\nout %v\nref %v", l, out, refOut)
-		}
 		want[l], wantStats = out, stats
 	}
 	lc.runLanes(t, lc.stage(t, cfg, WithLanes(len(inputs))), inputs, want, wantStats)
