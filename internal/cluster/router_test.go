@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -502,6 +503,47 @@ func TestInferAfterClose(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close must be idempotent: %v", err)
 	}
+}
+
+// TestCloseLeavesNoGoroutines: Close while hedged requests are in flight and
+// the health checker is running lets every request finish and leaves no
+// goroutine behind — not the checker, not an attempt, not a hedge timer.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	waitFor := func(what string, pred func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !pred(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	before := runtime.NumGoroutine()
+	r := New(WithCheckInterval(time.Millisecond), WithHedgeBudget(1), WithHedgeDelay(time.Millisecond))
+	for _, name := range []string{"replica-a", "replica-b"} {
+		f := newFake(name)
+		f.delay = 100 * time.Millisecond
+		if err := r.AddBackend(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const requests = 8
+	errs := make(chan error, requests)
+	for i := 0; i < requests; i++ {
+		go func() {
+			_, err := r.Infer(context.Background(), "", "m", input4())
+			errs <- err
+		}()
+	}
+	waitFor("every request to hedge", func() bool { return r.Metrics().HedgesLaunched == requests })
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < requests; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("request in flight at Close: %v", err)
+		}
+	}
+	waitFor("goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func TestDeadlineExpiryRecorded(t *testing.T) {
