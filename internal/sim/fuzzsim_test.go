@@ -16,16 +16,19 @@ import (
 // special-register traffic, local and global loads and stores, MEM_CPY,
 // VFILL, every VEC_* funct at strides -3..3 over overlapping windows,
 // CIM_LOAD and CIM_MVM, forward branches, counted loops, SEND/RECV rings and
-// pairs and barriers — and runs each fused, unfused and as an eight-lane
-// batch whose every lane has global input of its own. Every run must match
-// the reference executor on every register and every byte of every memory
-// (a lane that diverged is exempt), report a Stats that passes Check and is
-// the same in all three, leave its mailboxes empty, and go back to power-on
-// state on Reset with its payload pool intact.
+// pairs, barriers — and runs each fused, unfused and as an eight-lane batch
+// whose every lane has global input of its own. Every run must match the
+// reference executor on every register and every byte of every memory (a
+// lane that diverged is exempt), report a Stats that passes Check and is the
+// same in all three, leave its mailboxes empty, and go back to power-on state
+// on Reset with its payload pool intact. Plain go test runs the 240 seeds.
 func FuzzSimDifferential(f *testing.F) {
 	shapes := map[string]int{}
 	for i := 0; i < 240; i++ {
-		data := simSeed(i)
+		rng := rand.New(rand.NewSource(int64(i)))
+		data := make([]byte, 400+rng.Intn(1200))
+		rng.Read(data)
+		data[0] = byte(i) // the ending: a fault for i%8 == 0, a deadlock for 1
 		_, kinds := simProgram(data)
 		for _, k := range kinds {
 			shapes[k]++
@@ -35,29 +38,16 @@ func FuzzSimDifferential(f *testing.F) {
 	if shapes["fault"] == 0 || shapes["deadlock"] == 0 || shapes["ring"] == 0 || shapes["barrier"] == 0 {
 		f.Fatalf("thin seed corpus: %v", shapes)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runSimDifferential(t, data) })
+	f.Fuzz(runSimDifferential)
 }
 
-// simSeed is seed corpus entry i: its first byte picks the shape (a fault or
-// a deadlock at the end, or neither), the rest are random choices.
-func simSeed(i int) []byte {
-	rng := rand.New(rand.NewSource(int64(i)))
-	data := make([]byte, 400+rng.Intn(1200))
-	rng.Read(data)
-	data[0] = byte(i)
-	return data
-}
+// Each core has local windows A, B, D and A plus 0..7 in G20-G23 (at stride
+// ±3 an operand of 64 words stays clear of the scalar scratch below 256),
+// lengths in G24 (vector, copy, fill, message) and G25 (MVM rows), and a
+// global window of simWindow bytes at G26: lane input, then from G27 on a
+// lane-uniform half.
+const simWindow = 512
 
-const (
-	simLocal  = 8 << 10 // local memory per core
-	simWindow = 512     // global bytes per core: lane input, then lane-uniform scratch
-)
-
-// Local windows: G20-G23 hold A, B, D and A plus 0..7; at stride ±3 an
-// operand of 64 words stays clear of the scalar scratch below 256.
-var simWindows = []int32{1024, 3072, 5120}
-
-// simLengths are G24, the length of vector, copy, fill and message operands.
 var simLengths = []int32{0, 1, 7, 8, 9, 17, 31, 32, 33, 63, 64, 40, 5, 0, 3, 0}
 
 // simGen turns choice bytes into instructions; an exhausted input reads as
@@ -81,12 +71,11 @@ func simProgram(data []byte) ([]Program, []string) {
 	code := make([][]isa.Instruction, 4)
 	for c := range code {
 		base := GlobalBase + int32(c)*simWindow
-		code[c] = seq(isa.LI(20, simWindows[0]), isa.LI(21, simWindows[1]), isa.LI(22, simWindows[2]),
-			isa.LI(23, simWindows[0]+int32(g.next()%8)), isa.LI(24, simLengths[g.next()%16]),
-			isa.LI(25, 2+2*int32(g.next()%16)), isa.LI(26, base), isa.LI(27, base+simWindow/2),
+		code[c] = seq(isa.LI(20, 1024), isa.LI(21, 3072), isa.LI(22, 5120), isa.LI(23, 1024+int32(g.next()%8)),
+			isa.LI(24, simLengths[g.next()%16]), isa.LI(25, 2+2*int32(g.next()%16)),
+			isa.LI(26, base), isa.LI(27, base+simWindow/2), isa.LI(9, simWindow/2),
 			isa.LI(28, int32(g.next()%2)), isa.LI(29, 1+int32(g.next()%8)), isa.LI(30, 1+int32(g.next()%8)),
-			isa.LI(7, []int32{1, 2, 3, -5}[g.next()%4]), isa.LI(9, simWindow/2),
-			one(isa.MemCpy(20, 26, 9, 0), isa.MemCpy(21, 26, 9, 0)))
+			isa.LI(7, []int32{1, 2, 3, -5}[g.next()%4]), one(isa.MemCpy(20, 26, 9, 0), isa.MemCpy(21, 26, 9, 0)))
 		for r := uint8(1); r <= 6; r++ {
 			code[c] = seq(code[c], isa.LI(r, int32(int16(g.next()|g.next()<<8))))
 		}
@@ -94,22 +83,20 @@ func simProgram(data []byte) ([]Program, []string) {
 	var kinds []string
 	for phase, phases := int32(1), 3+int32(g.next()%8); phase <= phases; phase++ {
 		size, src, dst := simLengths[g.next()%16], uint8(20+g.next()%4), uint8(20+g.next()%4)
-		switch k := g.next() % 8; {
-		case k == 0: // each core sends to its successor, then receives from its predecessor
+		switch g.next() % 8 {
+		case 0: // each core sends to its successor, then receives from its predecessor
 			kinds = append(kinds, "ring")
 			for c := range code {
 				code[c] = seq(code[c], isa.LI(11, int32(c+1)%4), isa.LI(12, int32(c+3)%4), isa.LI(13, size),
 					one(isa.Send(src, 13, 11, phase), isa.Recv(dst, 13, 12, phase)))
 			}
-		case k == 1:
+		case 1:
 			kinds = append(kinds, "pair")
-			from, to := g.next()%4, g.next()%4
-			if from == to {
-				to = (to + 1) % 4
-			}
+			from := g.next() % 4
+			to := (from + 1 + g.next()%3) % 4
 			code[from] = seq(code[from], isa.LI(11, int32(to)), isa.LI(13, size), one(isa.Send(src, 13, 11, phase)))
 			code[to] = seq(code[to], isa.LI(12, int32(from)), isa.LI(13, size), one(isa.Recv(dst, 13, 12, phase)))
-		case k == 2:
+		case 2:
 			kinds = append(kinds, "barrier")
 			for c := range code {
 				code[c] = seq(code[c], one(isa.Barrier(uint16(phase))))
@@ -122,13 +109,11 @@ func simProgram(data []byte) ([]Program, []string) {
 			}
 		}
 	}
-	if ending < 2 {
+	if ending < 2 { // a division by zero, or a RECV nothing sends
 		kinds = append(kinds, []string{"fault", "deadlock"}[ending])
 		c := g.next() % 4
-		code[c] = seq(code[c], [][]isa.Instruction{
-			one(isa.ALU(isa.FnDiv, 1, 1, 0)),
-			seq(isa.LI(12, int32(c+1)%4), one(isa.Recv(20, 24, 12, 999))),
-		}[ending])
+		code[c] = seq(code[c], [][]isa.Instruction{one(isa.ALU(isa.FnDiv, 1, 1, 0)),
+			seq(isa.LI(12, int32(c+1)%4), one(isa.Recv(20, 24, 12, 999)))}[ending])
 	}
 	progs := make([]Program, 4)
 	for c := range progs {
@@ -136,11 +121,6 @@ func simProgram(data []byte) ([]Program, []string) {
 	}
 	return progs, kinds
 }
-
-// simSRegs are the special registers op writes from a data register: the
-// ones that change values, not operand windows.
-var simSRegs = []int{isa.SRegQuantMul, isa.SRegQuantShift, isa.SRegQMulA, isa.SRegQMulB, isa.SRegActInScale,
-	isa.SRegActOutScale, isa.SRegOutChans, isa.SRegMGMask, isa.SRegRowTiles, isa.SRegCoreID}
 
 // op is one generated operation of a core, one or a few instructions; loops
 // says whether it may be a counted loop (loops do not nest).
@@ -159,8 +139,9 @@ func (g *simGen) op(loops bool) []isa.Instruction {
 		return one(isa.ALUI(uint8(a)%(isa.FnMax+1), data(b), data(b>>3), int32(c)-128))
 	case 3:
 		return one(isa.LUI(data(a), int32(int16(b|c<<8))))
-	case 4:
-		return one(isa.MTS(simSRegs[a%len(simSRegs)], data(b)))
+	case 4: // the special registers that change values, not operand windows
+		return one(isa.MTS([]int{isa.SRegQuantMul, isa.SRegQuantShift, isa.SRegQMulA, isa.SRegQMulB, isa.SRegActInScale,
+			isa.SRegActOutScale, isa.SRegOutChans, isa.SRegMGMask, isa.SRegRowTiles, isa.SRegCoreID}[a%10], data(b)))
 	case 5:
 		return one(isa.Instruction{Op: isa.OpScMFS, RT: data(a), Imm: int32(b % isa.NumSRegs)})
 	case 6: // an operand-window register, in bounds
@@ -168,22 +149,19 @@ func (g *simGen) op(loops bool) []isa.Instruction {
 			{isa.SRegVecStrideD, int32(b%7) - 3}, {isa.SRegSegCount, 1 + int32(b%2)},
 			{isa.SRegSegStride, int32(b%81) - 40}, {isa.SRegLoadRow, int32(b % 25)}, {isa.SRegLoadChan, int32(b % 57)}}[a%7]
 		return seq(isa.LI(8, set[1]), one(isa.MTS(int(set[0]), 8)))
-	case 7: // a load or store of the scratch below 256, or a store into a window
-		op := streamMemOps[a>>1&1][a&1]
-		if a>>2&1 == 1 {
-			return one(isa.Instruction{Op: streamMemOps[1][a&1], RT: data(b), RS: win(c), Imm: int32(b % 200)})
+	case 7, 8: // a load or store of the scratch or the global uniform half, a store into a window
+		in := isa.Instruction{Op: streamMemOps[a>>1&1][a&1], RT: data(b), RS: []uint8{0, 27, win(c)}[a>>2%3], Imm: int32(c % 200)}
+		if in.RS != 0 && in.RS != 27 {
+			in.Op = streamMemOps[1][a&1]
 		}
-		return one(isa.Instruction{Op: op, RT: data(b), Imm: int32(c % 252)})
-	case 8: // the same in the lane-uniform half of the core's global window
-		return one(isa.Instruction{Op: streamMemOps[a>>1&1][a&1], RT: data(b), RS: 27, Imm: int32(c % 252)})
+		return one(in)
 	case 9:
 		return one([]isa.Instruction{isa.MemCpy(win(b), 26, 24, 0), isa.MemCpy(win(b), win(c), 24, int32(c%32)),
 			isa.MemCpy(26, win(b), 24, int32(c%192))}[a%3])
 	case 10:
 		return one(isa.VFill(win(a), 24, int8(b)))
 	case 11, 12:
-		fn := uint8(a) % (isa.VFnRMax8 + 1)
-		rt := win(c)
+		fn, rt := uint8(a)%(isa.VFnRMax8+1), win(c)
 		if _, sizeB, _, _ := isa.VecElemSizes(fn); sizeB == 0 {
 			rt = data(c) // a scalar operand, or unused
 		}
@@ -195,21 +173,17 @@ func (g *simGen) op(loops bool) []isa.Instruction {
 			uint16(b>>2)&(isa.MVMFlagAccumulate|isa.MVMFlagRelu)
 		return one(isa.CimMVM(win(a), 25, win(a>>2), isa.MVMFlags(c%2, flags)))
 	}
-	switch a % 4 {
-	case 0: // a forward branch over one or both of the next two operations
+	switch {
+	case a%4 == 0: // a forward branch over one or both of the next two operations
 		first, second := g.op(loops), g.op(loops)
 		skip := len(first) + b%2*len(second)
 		return seq(one(isa.Branch(isa.OpBEQ+isa.Opcode(b%4), data(c), data(c>>3), int32(skip))), first, second)
-	case 1: // a load of lane-varying bytes: most lanes of the batch diverge
-		if b < 32 {
-			return one(isa.Load(data(c), win(c), int32(c%64)))
-		}
-	case 2:
-		if loops {
-			body := seq(g.op(false), g.op(false))
-			return seq(isa.LI(14, 1+int32(b%3)), body,
-				one(isa.ALUI(isa.FnAdd, 14, 14, -1), isa.Branch(isa.OpBNE, 14, 0, -int32(len(body)+2))))
-		}
+	case a%4 == 1 && b < 32: // a load of lane-varying bytes: most lanes of the batch diverge
+		return one(isa.Load(data(c), win(c), int32(c%64)))
+	case a%4 == 2 && loops:
+		body := seq(g.op(false), g.op(false))
+		return seq(isa.LI(14, 1+int32(b%3)), body,
+			one(isa.ALUI(isa.FnAdd, 14, 14, -1), isa.Branch(isa.OpBNE, 14, 0, -int32(len(body)+2))))
 	}
 	return one(isa.Nop())
 }
@@ -218,77 +192,68 @@ func (g *simGen) op(loops bool) []isa.Instruction {
 // says.
 func runSimDifferential(t *testing.T, data []byte) {
 	cfg := testConfig()
-	cfg.Chip.GlobalMemBytes = 4 * simWindow
-	cfg.Core.LocalMemBytes = simLocal
-	cfg.Core.NumMacroGroups = 2
+	cfg.Chip.GlobalMemBytes, cfg.Core.LocalMemBytes, cfg.Core.NumMacroGroups = 4*simWindow, 8<<10, 2
 	progs, kinds := simProgram(data)
 	rng := rand.New(rand.NewSource(int64(len(data))))
 	globals := make([][]byte, 8)
 	for l := range globals {
 		globals[l] = make([]byte, cfg.Chip.GlobalMemBytes)
 		rng.Read(globals[l])
-		if l > 0 { // the upper half of each core's window is lane-uniform
-			for c := 0; c < 4; c++ {
-				w := c*simWindow + simWindow/2
-				copy(globals[l][w:w+simWindow/2], globals[0][w:])
-			}
+		for w := simWindow / 2; l > 0 && w < len(globals[l]); w += simWindow {
+			copy(globals[l][w:w+simWindow/2], globals[0][w:])
 		}
 	}
 	var want *Stats
 	var wantErr string
-	for _, run := range []struct {
-		name  string
-		opts  []ChipOption
-		lanes int
-	}{{"fused", nil, 1}, {"unfused", []ChipOption{traced}, 1}, {"8 lanes", []ChipOption{WithLanes(8)}, 8}} {
-		ch, err := NewChip(&cfg, run.opts...)
+	for i, opts := range [][]ChipOption{nil, {traced}, {WithLanes(8)}} {
+		name, lanes := []string{"fused", "unfused", "8 lanes"}[i], 1+7*(i/2)
+		ch, err := NewChip(&cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range progs {
 			load(t, ch, p.Core, p.Code)
 		}
-		if err := ch.SetLanes(run.lanes); err != nil {
+		if err := ch.SetLanes(lanes); err != nil {
 			t.Fatal(err)
 		}
-		for l := range run.lanes {
+		for l := range lanes {
 			if err := ch.InitGlobalLane(l, GlobalSegment{Data: globals[l]}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		stats, err := ch.Run(context.Background())
-		for l := range run.lanes {
+		for l := range lanes {
 			if !slices.Contains(ch.DivergedLanes(), l) {
 				matchRef(t, ch, l, err, progs, globals[l])
 			}
 		}
+		if i == 0 {
+			wantErr = fmt.Sprint(err)
+		} else if fmt.Sprint(err) != wantErr {
+			t.Errorf("%s: Run = %v, the fused run's %s", name, err, wantErr)
+		}
+		for k, q := range ch.mailbox {
+			if err == nil && !q.empty() {
+				t.Errorf("%s: mailbox %+v holds a message at halt", name, k)
+			}
+		}
 		if err == nil {
 			if err := stats.Check(); err != nil {
-				t.Errorf("%s: %v", run.name, err)
-			}
-			for k, q := range ch.mailbox {
-				if !q.empty() {
-					t.Errorf("%s: mailbox %+v holds a message at halt", run.name, k)
-				}
+				t.Errorf("%s: %v", name, err)
 			}
 			one := *stats
 			one.Lanes, one.DivergedLanes = 1, 0
 			if want == nil {
 				want = &one
 			} else if !reflect.DeepEqual(&one, want) {
-				t.Errorf("%s: report differs from the fused run's:\n%+v\n%+v", run.name, &one, want)
+				t.Errorf("%s: report differs from the fused run's:\n%+v\n%+v", name, &one, want)
 			}
 		}
-		if run.name == "fused" {
-			wantErr = fmt.Sprint(err)
-		} else if fmt.Sprint(err) != wantErr {
-			t.Errorf("%s: Run = %v, the fused run's %s", run.name, err, wantErr)
-		}
 		ch.Reset()
-		assertPowerOn(t, ch, run.name+": Reset")
+		assertPowerOn(t, ch, name+": Reset")
 	}
-	for _, k := range kinds {
-		// A generated immediate divisor of zero may fault a program first.
+	for _, k := range kinds { // a generated immediate divisor of zero may fault a program first
 		if k == "fault" && wantErr == "<nil>" || k == "deadlock" && !strings.Contains(wantErr, "deadlock") && !strings.Contains(wantErr, "by zero") {
 			t.Errorf("a %s program ended with %s", k, wantErr)
 		}

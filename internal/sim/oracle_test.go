@@ -7,11 +7,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -37,12 +36,10 @@ type goldenRow struct {
 }
 
 // golden is the table as read at start-up (want) and, under -update, the rows
-// this invocation produced (got), written over it when the tests are done.
+// this invocation produced (got), merged into it when the tests are done.
 var golden struct {
-	want    map[string]json.RawMessage
-	loadErr error
-	mu      sync.Mutex
-	got     map[string][]byte
+	want, got map[string]json.RawMessage
+	err       error
 }
 
 func TestMain(m *testing.M) {
@@ -52,48 +49,27 @@ func TestMain(m *testing.M) {
 		err = json.Unmarshal(data, &golden.want)
 	}
 	if err != nil && !*updateGolden {
-		golden.loadErr = fmt.Errorf("%v (regenerate with: go test ./internal/sim -update)", err)
+		golden.err = fmt.Errorf("%v (regenerate with: go test ./internal/sim -update)", err)
 	}
-	golden.got = map[string][]byte{}
+	golden.got = map[string]json.RawMessage{}
 	code := m.Run()
-	if *updateGolden && len(golden.got) > 0 {
-		if err := writeGolden(); err != nil {
+	if *updateGolden && len(golden.got) > 0 { // one row a line, keys sorted
+		rows := maps.Clone(golden.got)
+		for k, v := range golden.want {
+			if _, ok := rows[k]; !ok {
+				rows[k] = v
+			}
+		}
+		var lines []string
+		for _, k := range slices.Sorted(maps.Keys(rows)) {
+			lines = append(lines, fmt.Sprintf("  %q: %s", k, rows[k]))
+		}
+		if err := os.WriteFile(goldenStatsPath, []byte("{\n"+strings.Join(lines, ",\n")+"\n}\n"), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
 		}
 	}
 	os.Exit(code)
-}
-
-// writeGolden merges this invocation's rows into the table, one row a line.
-func writeGolden() error {
-	rows := golden.want
-	if rows == nil {
-		rows = map[string]json.RawMessage{}
-	}
-	for k, v := range golden.got {
-		rows[k] = v
-	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b bytes.Buffer
-	b.WriteString("{\n")
-	for i, k := range keys {
-		var row bytes.Buffer
-		if err := json.Compact(&row, rows[k]); err != nil {
-			return err
-		}
-		fmt.Fprintf(&b, "  %q: %s", k, row.Bytes())
-		if i < len(keys)-1 {
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("}\n")
-	return os.WriteFile(goldenStatsPath, b.Bytes(), 0o644)
 }
 
 // checkGolden holds one run's report and error to the table's row key. Runs
@@ -115,27 +91,23 @@ func checkGolden(t testing.TB, key string, s *Stats, runErr error) {
 
 func checkGoldenRow(t testing.TB, key string, row goldenRow) {
 	t.Helper()
+	if golden.err != nil {
+		t.Fatal(golden.err)
+	}
 	got, err := json.Marshal(row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if golden.loadErr != nil {
-		t.Fatal(golden.loadErr)
-	}
-	golden.mu.Lock()
-	defer golden.mu.Unlock()
-	if *updateGolden {
+	switch want, ok := golden.want[key]; {
+	case *updateGolden:
 		if prev, ok := golden.got[key]; ok && !bytes.Equal(prev, got) {
 			t.Errorf("%s: two runs disagree:\n%s\n%s", key, prev, got)
 		}
 		golden.got[key] = got
-		return
-	}
-	var want bytes.Buffer
-	if raw, ok := golden.want[key]; !ok {
+	case !ok:
 		t.Errorf("%s has no row in %s; run with -update", key, goldenStatsPath)
-	} else if json.Compact(&want, raw); !bytes.Equal(want.Bytes(), got) {
-		t.Errorf("%s: run moved off %s:\nwant %s\ngot  %s", key, goldenStatsPath, want.Bytes(), got)
+	case !bytes.Equal(want, got):
+		t.Errorf("%s: run moved off %s:\nwant %s\ngot  %s", key, goldenStatsPath, want, got)
 	}
 }
 
@@ -151,35 +123,31 @@ const refMaxSteps = 1 << 22
 // matchRef runs progs on the reference from lane l's global memory as it was
 // staged (global: its first bytes, or all of it) and holds the simulated
 // chip's outcome to it: runErr, the error Run returned, must be the fault of a
-// core at the pc the reference stopped it at, or the deadlock of the cores it
-// left blocked, or nil with every core halted and every FIFO drained; and then
-// every register and every byte of every memory must agree, core by core, in
-// lane l of ch.
+// core at the pc the reference stopped it at, or the deadlock of exactly the
+// cores it left blocked, or nil with every core halted and every FIFO
+// drained; and then every register and every byte of every memory must
+// agree, core by core, in lane l of ch.
 func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, global []byte) {
 	t.Helper()
 	r := newRefChip(ch.cfg, progs, slices.Clone(global))
 	if !r.run(refMaxSteps) {
 		t.Fatalf("lane %d: the reference did not finish in %d steps", l, refMaxSteps)
 	}
-	var faults, stuck []string
+	var faults, stuck []string // "core %d pc %d ", how the simulator's error for the core starts
+	var errs []error
 	for id, c := range r.cores {
-		switch {
-		case c.fault != nil:
-			faults = append(faults, fmt.Sprintf("core %d pc %d ", id, c.pc))
-		case c.live():
-			stuck = append(stuck, fmt.Sprintf("core %d pc %d ", id, c.pc))
+		if at := fmt.Sprintf("core %d pc %d ", id, c.pc); c.fault != nil {
+			faults, errs = append(faults, at), append(errs, c.fault)
+		} else if c.live() {
+			stuck = append(stuck, at)
 		}
 	}
 	msg := fmt.Sprint(runErr)
 	switch {
 	case strings.Contains(msg, "deadlock"):
-		for _, s := range stuck {
-			if !strings.Contains(msg, s) {
-				t.Errorf("lane %d: Run = %v; the reference has %q stuck", l, runErr, s)
-			}
-		}
-		if !strings.Contains(msg, fmt.Sprintf(" %d of", len(stuck))) || len(faults) > 0 {
-			t.Errorf("lane %d: Run = %v; the reference stopped with faults %q, stuck %q", l, runErr, faults, stuck)
+		if len(faults) > 0 || !strings.Contains(msg, fmt.Sprintf(" %d of", len(stuck))) ||
+			slices.ContainsFunc(stuck, func(s string) bool { return !strings.Contains(msg, s) }) {
+			t.Errorf("lane %d: Run = %v; the reference faulted at %q, stuck at %q", l, runErr, faults, stuck)
 		}
 		return
 	case runErr != nil:
@@ -188,12 +156,7 @@ func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, glob
 		}
 		return
 	case len(faults)+len(stuck) > 0:
-		for _, c := range r.cores {
-			if c.fault != nil {
-				t.Errorf("the reference: %v", c.fault)
-			}
-		}
-		t.Fatalf("lane %d: Run halted; the reference faulted at %q, stuck at %q", l, faults, stuck)
+		t.Fatalf("lane %d: Run halted; the reference faulted at %q %v, stuck at %q", l, faults, errs, stuck)
 	}
 	for k, q := range r.fifos {
 		if len(q) > 0 {
