@@ -18,10 +18,10 @@ import (
 // once. What they compute is held to the timing-free reference executor of
 // the tests (refexec_test.go) and to model.Execute on every zoo model ×
 // strategy, what they cost to the golden Stats tables of internal/sim and
-// internal/core; the steady-state loop does no per-step decoding, no slice allocation
-// (scoreboard ranges live in core.rangeBuf, message payloads come from the
-// chip's pool) and no repeated configuration lookups (latency, bandwidth and
-// energy constants are hoisted onto the core at construction).
+// internal/core. The steady-state loop does no per-step decoding, no slice
+// allocation (scoreboard ranges live in core.rangeBuf, message payloads come
+// from the chip's pool) and no repeated configuration lookups (latency,
+// bandwidth and energy constants are hoisted onto the core at construction).
 //
 // Data effects are decided once per instruction, not once per element. The
 // vector handler runs a unit-stride instruction whose destination is apart
@@ -553,12 +553,11 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 
 // decCimMVM is the hot path of every DNN simulation. Beyond the predecoded
 // flags it differs from a plain per-row loop in four measured-equivalent
-// ways: the gather copy is skipped when the input is one
-// contiguous segment (the MAC loop only reads it, so aliasing local memory
-// is safe), the accumulator clear is a memclr, the whole MAC loop is one
-// mvmLaneKernel call per lane that skips zero input rows (an AVX2 kernel
-// where the CPU has one), and the writeback mode is tested once, not per
-// channel. Every live lane runs those same loops over its own weights and
+// ways: the gather copy is skipped when the input is one contiguous segment
+// (the MAC loop only reads it, so aliasing local memory is safe), the
+// accumulator clear is a memclr, the whole MAC loop is one mvmLaneKernel
+// call per lane that skips zero input rows (an AVX2 kernel where the CPU has
+// one), and the writeback mode is tested once, not per channel. Every live lane runs those same loops over its own weights and
 // input, whatever the lane count.
 func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	e := &c.chip.cfg.Energy
