@@ -150,11 +150,11 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 // not cover), 32, 40 (32 + 8), 72 (64 + 8) and 128 (two 64-wide tiles); the
 // default 64 is every other test. At each width every lane of an eight-lane
 // batch must be a one-lane run of its input exactly, outputs and full Stats,
-// and the output the golden executor's.
+// the output the golden executor's, and the first input's report its
+// "grouptail/chans=N" row of the golden table.
 func TestInterpreterEquivalenceGroupTail(t *testing.T) {
-	for _, shape := range []struct{ macros, cols, chans int }{
-		{3, 24, 9}, {4, 64, 32}, {5, 64, 40}, {9, 64, 72}, {16, 64, 128},
-	} {
+	golden := newGoldenChecker(t)
+	for _, shape := range groupTailShapes {
 		t.Run(fmt.Sprintf("chans=%d", shape.chans), func(t *testing.T) {
 			t.Parallel()
 			cfg := arch.DefaultConfig()
@@ -189,7 +189,17 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 				}
 				assertResultsEqual(t, fmt.Sprintf("lane %d", l), alone, batch[l])
 				assertMatchesExecute(t, fmt.Sprintf("input %d", l), compiled, ws, in, alone)
+				if l == 0 {
+					golden.check(t, fmt.Sprintf("grouptail/chans=%d", shape.chans), alone.Stats)
+				}
 			}
 		})
 	}
+}
+
+// groupTailShapes are the macro-group geometries of
+// TestInterpreterEquivalenceGroupTail: macros per group, macro columns, and
+// the group width they make.
+var groupTailShapes = []struct{ macros, cols, chans int }{
+	{3, 24, 9}, {4, 64, 32}, {5, 64, 40}, {9, 64, 72}, {16, 64, 128},
 }

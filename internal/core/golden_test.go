@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -19,13 +18,14 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false,
-	"rewrite testdata/golden_stats.json from the runs of TestInterpreterEquivalence that this invocation selects")
+	"rewrite testdata/golden_stats.json from the runs of TestInterpreterEquivalence* that this invocation selects")
 
 const goldenStatsPath = "testdata/golden_stats.json"
 
 // goldenStats is what testdata/golden_stats.json pins of one program's
-// report at the default architecture, on TestInterpreterEquivalence's weights
-// and input. A change to the simulator's cycle or energy model shows up as a
+// report on TestInterpreterEquivalence's weights and input: every zoo model
+// under every strategy at the default architecture, and tinyresnet at each
+// macro-group width of TestInterpreterEquivalenceGroupTail. A change to the simulator's cycle or energy model shows up as a
 // diff of that file, and the diff is the review.
 type goldenStats struct {
 	Cycles       int64 `json:"cycles"`
@@ -46,12 +46,9 @@ type goldenStats struct {
 	NoCBytes    int64 `json:"noc_bytes"`
 	NoCByteHops int64 `json:"noc_byte_hops"`
 	GlobalBytes int64 `json:"global_bytes"`
-	// CoresDigest is SHA-256 over every core's id, halt cycle and five
-	// unit-busy counts, in core order.
-	CoresDigest string `json:"cores_digest"`
 	// StatsDigest is SHA-256 over every field of every core's stats, in core
-	// order, printed: instructions, MACs, stall cycles and the per-core
-	// energy breakdown too.
+	// order, printed: id, halt cycle, unit-busy counts, instructions, MACs,
+	// stall cycles and the per-core energy breakdown.
 	StatsDigest string `json:"stats_digest"`
 }
 
@@ -66,14 +63,6 @@ func goldenOf(s *sim.Stats) goldenStats {
 	g.Energy.Vector, g.Energy.Scalar = hexf(e.VectorPJ), hexf(e.ScalarPJ)
 	g.Energy.Frontend, g.Energy.Leakage = hexf(e.FrontendPJ), hexf(e.LeakagePJ)
 	g.Energy.LocalMem, g.Energy.NoC = hexf(e.LocalMemPJ), hexf(e.NoCPJ)
-	h := sha256.New()
-	for i := range s.Cores {
-		c := &s.Cores[i]
-		binary.Write(h, binary.LittleEndian, int64(c.CoreID))
-		binary.Write(h, binary.LittleEndian, c.HaltCycle)
-		binary.Write(h, binary.LittleEndian, c.UnitBusy)
-	}
-	g.CoresDigest = hex.EncodeToString(h.Sum(nil))
 	all := sha256.Sum256(fmt.Appendf(nil, "%v", s.Cores))
 	g.StatsDigest = hex.EncodeToString(all[:])
 	return g
@@ -90,7 +79,7 @@ func readGolden(t *testing.T) map[string]goldenStats {
 		err = json.Unmarshal(data, &table)
 	}
 	if err != nil {
-		t.Fatalf("%v (regenerate with: go test -run 'TestInterpreterEquivalence$' ./internal/core -update)", err)
+		t.Fatalf("%v (regenerate with: go test -run 'TestInterpreterEquivalence' ./internal/core -update)", err)
 	}
 	return table
 }
@@ -141,7 +130,8 @@ func (gc *goldenChecker) check(t *testing.T, key string, s *sim.Stats) {
 }
 
 // TestGoldenStatsTable: the checked-in table has a row for every zoo model
-// under every strategy, and its two rows that bench/verify.go also pins
+// under every strategy and for every group width of
+// TestInterpreterEquivalenceGroupTail, and nothing else, and its two rows that bench/verify.go also pins
 // (knownCycles) carry the same cycle counts.
 func TestGoldenStatsTable(t *testing.T) {
 	table := readGolden(t)
@@ -154,7 +144,12 @@ func TestGoldenStatsTable(t *testing.T) {
 			}
 		}
 	}
-	if want := len(model.ZooNames()) * 3; len(table) != want {
+	for _, shape := range groupTailShapes {
+		if _, ok := table[fmt.Sprintf("grouptail/chans=%d", shape.chans)]; !ok {
+			t.Errorf("no row for group width %d", shape.chans)
+		}
+	}
+	if want := len(model.ZooNames())*3 + len(groupTailShapes); len(table) != want {
 		t.Errorf("%d rows, want %d", len(table), want)
 	}
 	for key, cycles := range map[string]int64{"resnet18/generic": 1772322, "mobilenetv2/generic": 3658686} {

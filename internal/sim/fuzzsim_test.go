@@ -50,23 +50,17 @@ const simWindow = 512
 
 var simLengths = []int32{0, 1, 7, 8, 9, 17, 31, 32, 33, 63, 64, 40, 5, 0, 3, 0}
 
-// simGen turns choice bytes into instructions; an exhausted input reads as
-// zeros.
-type simGen struct{ data []byte }
+// simSRegs are the special registers a generated program writes by MTS: the
+// ones that change values, not operand windows.
+var simSRegs = append(streamSRegs[:len(streamSRegs):len(streamSRegs)], isa.SRegActInScale, isa.SRegActOutScale)
 
-func (g *simGen) next() int {
-	if len(g.data) == 0 {
-		return 0
-	}
-	b := g.data[0]
-	g.data = g.data[1:]
-	return int(b)
-}
+// simGen turns choice bytes into instructions.
+type simGen struct{ choices }
 
 // simProgram assembles the programs data describes and names their shapes:
 // "ring", "pair" and "barrier" phases, and a "fault" or "deadlock" ending.
 func simProgram(data []byte) ([]Program, []string) {
-	g := &simGen{data: data}
+	g := &simGen{choices(data)}
 	ending := g.next() % 8
 	code := make([][]isa.Instruction, 4)
 	for c := range code {
@@ -75,7 +69,7 @@ func simProgram(data []byte) ([]Program, []string) {
 			isa.LI(24, simLengths[g.next()%16]), isa.LI(25, 2+2*int32(g.next()%16)),
 			isa.LI(26, base), isa.LI(27, base+simWindow/2), isa.LI(9, simWindow/2),
 			isa.LI(28, int32(g.next()%2)), isa.LI(29, 1+int32(g.next()%8)), isa.LI(30, 1+int32(g.next()%8)),
-			isa.LI(7, []int32{1, 2, 3, -5}[g.next()%4]), one(isa.MemCpy(20, 26, 9, 0), isa.MemCpy(21, 26, 9, 0)))
+			isa.LI(streamDivisor, []int32{1, 2, 3, -5}[g.next()%4]), one(isa.MemCpy(20, 26, 9, 0), isa.MemCpy(21, 26, 9, 0)))
 		for r := uint8(1); r <= 6; r++ {
 			code[c] = seq(code[c], isa.LI(r, int32(int16(g.next()|g.next()<<8))))
 		}
@@ -129,21 +123,8 @@ func (g *simGen) op(loops bool) []isa.Instruction {
 	data := func(x int) uint8 { return uint8(1 + x%6) } // G1-G6
 	win := func(x int) uint8 { return uint8(20 + x%4) }
 	switch k % 16 {
-	case 0, 1:
-		fn, rt := uint8(a)%(isa.FnMax+1), data(c)
-		if fn == isa.FnDiv || fn == isa.FnRem {
-			rt = 7
-		}
-		return one(isa.ALU(fn, data(b), uint8(b>>3%7), rt))
-	case 2: // an immediate divisor is zero once in 256
-		return one(isa.ALUI(uint8(a)%(isa.FnMax+1), data(b), data(b>>3), int32(c)-128))
-	case 3:
-		return one(isa.LUI(data(a), int32(int16(b|c<<8))))
-	case 4: // the special registers that change values, not operand windows
-		return one(isa.MTS([]int{isa.SRegQuantMul, isa.SRegQuantShift, isa.SRegQMulA, isa.SRegQMulB, isa.SRegActInScale,
-			isa.SRegActOutScale, isa.SRegOutChans, isa.SRegMGMask, isa.SRegRowTiles, isa.SRegCoreID}[a%10], data(b)))
-	case 5:
-		return one(isa.Instruction{Op: isa.OpScMFS, RT: data(a), Imm: int32(b % isa.NumSRegs)})
+	case 0, 1, 2, 3, 4, 5:
+		return one(scalarOp([]int{0, 0, 1, 2, 3, 4}[k%16], a, b, c, data, data, simSRegs))
 	case 6: // an operand-window register, in bounds
 		set := [][2]int32{{isa.SRegVecStrideA, int32(b%7) - 3}, {isa.SRegVecStrideB, int32(b%7) - 3},
 			{isa.SRegVecStrideD, int32(b%7) - 3}, {isa.SRegSegCount, 1 + int32(b%2)},

@@ -144,14 +144,8 @@ var streamMemOps = [2][2]isa.Opcode{{isa.OpScLD, isa.OpScLB}, {isa.OpScST, isa.O
 // a value-preserving SC_ADDI rewrites, so memory operands stay in bounds
 // unless an operation is one of the rare deliberate faults.
 func scalarStream(data []byte) []isa.Instruction {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
+	rd := choices(data)
+	next := rd.next
 	code := seq(
 		setSReg(isa.SRegOutChans, 8), setSReg(isa.SRegQuantMul, 3), setSReg(isa.SRegQuantShift, 4),
 		copyIn(streamA, 0, 1024), loadWeights(streamA, 16),
@@ -165,24 +159,12 @@ func scalarStream(data []byte) []isa.Instruction {
 
 	src := func(b int) uint8 { return uint8(b % 8) } // G0-G7
 	dst := func(b int) uint8 { return uint8(b % 7) } // G0-G6
-	for ops := min(len(data)/4, 256); ops > 0; ops-- {
+	for ops := min(len(rd)/4, 256); ops > 0; ops-- {
 		k, a, b, c := next(), next(), next(), next()
 		var in isa.Instruction
 		switch k % 16 {
-		case 0, 1, 2:
-			fn, rt := uint8(a)%(isa.FnMax+1), src(c)
-			if fn == isa.FnDiv || fn == isa.FnRem {
-				rt = streamDivisor
-			}
-			in = isa.ALU(fn, dst(b), src(b>>3), rt)
-		case 3, 4, 5: // an immediate divisor is zero once in 256
-			in = isa.ALUI(uint8(a)%(isa.FnMax+1), dst(b), src(b>>3), int32(c)-128)
-		case 6:
-			in = isa.LUI(dst(a), int32(int16(b|c<<8)))
-		case 7:
-			in = isa.MTS(streamSRegs[a%len(streamSRegs)], src(b))
-		case 8:
-			in = isa.Instruction{Op: isa.OpScMFS, RT: dst(a), Imm: int32(b % isa.NumSRegs)}
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8:
+			in = scalarOp([]int{0, 0, 0, 1, 1, 1, 2, 3, 4}[k%16], a, b, c, dst, src, streamSRegs)
 		case 9, 10: // local load or store, word or byte, inside or beside windows A and B
 			store := k%16 - 9
 			in = isa.Instruction{Op: streamMemOps[store][a&1], RT: [2]uint8{dst(a >> 2), src(a >> 2)}[store],
@@ -230,6 +212,41 @@ func scalarStream(data []byte) []isa.Instruction {
 		code = append(code, isa.ALUI(isa.FnAdd, 1, 1, 1))
 	}
 	return seq(code, spinHalt())
+}
+
+// choices hands out the bytes that steer a generated program; an exhausted
+// input reads as zeros.
+type choices []byte
+
+func (ch *choices) next() int {
+	if len(*ch) == 0 {
+		return 0
+	}
+	b := (*ch)[0]
+	*ch = (*ch)[1:]
+	return int(b)
+}
+
+// scalarOp is a generated scalar operation of one of five kinds — ALU, ALUI,
+// LUI, MTS, MFS — from choice bytes a, b and c. dst and src map a byte to a
+// register the operation may write or read, sregs are the special registers
+// an MTS may write, and an SC_DIV or SC_REM divides by streamDivisor.
+func scalarOp(kind, a, b, c int, dst, src func(int) uint8, sregs []int) isa.Instruction {
+	switch kind {
+	case 0:
+		fn, rt := uint8(a)%(isa.FnMax+1), src(c)
+		if fn == isa.FnDiv || fn == isa.FnRem {
+			rt = streamDivisor
+		}
+		return isa.ALU(fn, dst(b), src(b>>3), rt)
+	case 1: // an immediate divisor is zero once in 256
+		return isa.ALUI(uint8(a)%(isa.FnMax+1), dst(b), src(b>>3), int32(c)-128)
+	case 2:
+		return isa.LUI(dst(a), int32(int16(b|c<<8)))
+	case 3:
+		return isa.MTS(sregs[a%len(sregs)], src(b))
+	}
+	return isa.Instruction{Op: isa.OpScMFS, RT: dst(a), Imm: int32(b % isa.NumSRegs)}
 }
 
 // streamOutcome is everything a finished or faulted stream leaves behind.
