@@ -101,8 +101,8 @@ func Run(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (*Re
 // Simulate executes an already-compiled model with the given weights and
 // input tensor on a fresh chip: a Rig used once. Callers running the same
 // compiled model repeatedly should hold a Session instead, which stages
-// weights once and pools chips across runs; callers running many programs
-// of one architecture should hold a Rig, which builds its chip once.
+// weights once and pools chips across runs; callers running many programs,
+// of one architecture or several, should hold a Rig, which builds one chip.
 func Simulate(ctx context.Context, compiled *compiler.Compiled, ws model.WeightStore, input tensor.Tensor, opt Options) (*Result, error) {
 	return new(Rig).Simulate(ctx, compiled, ws, input, opt)
 }

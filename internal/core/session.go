@@ -179,8 +179,8 @@ func (s *Session) newChip() (*sim.Chip, error) {
 // stage readies a chip built with the session's chip options for its
 // program: global memory grown to the layout, the cycle limit, every core's
 // program and the weights. That is all a new chip needs; a chip that ran
-// another program also needs what acquire does to a pooled one, and global
-// memory past this layout zeroed (Rig.Simulate).
+// another program also needs what acquire does to a pooled one, and a
+// Retarget or global memory past this layout zeroed (Rig.restage).
 func (s *Session) stage(ch *sim.Chip) error {
 	ch.EnsureGlobal(s.compiled.GlobalBytes())
 	ch.CycleLimit = s.opt.CycleLimit

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
-	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/core"
 	"cimflow/internal/model"
@@ -23,9 +21,11 @@ type Estimate = compiler.CostEstimate
 // unit the sweep runner and the search strategies share: Run wraps it in a
 // worker pool over a fixed point list, while internal/search calls it
 // point-by-point as strategies navigate the space. It keeps the chips of
-// finished simulations for the next points of the same architecture
-// (core.Rig), so the chips it holds are as many as ran at once. Safe for
-// concurrent use; not to be copied.
+// finished simulations for the next points (core.Rig), so the chips it holds
+// are as many as ran at once, and one read-only weight table per (model,
+// seed), generated by the first point that needs it and shared by every
+// later one. Both live as long as the evaluator: one Run, or the whole
+// search for internal/search. Safe for concurrent use; not to be copied.
 type Evaluator struct {
 	// Cache deduplicates compilation; required.
 	Cache *CompileCache
@@ -35,37 +35,28 @@ type Evaluator struct {
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
 
-	rigs rigPool
+	rigs    rigPool
+	weights sync.Map // weightKey -> func() weightTable, a sync.OnceValue
 }
 
-// rigPool holds the chips of finished evaluations for the next ones. It
-// never holds more rigs than evaluations ran at once, so a sweep builds a
-// chip per worker and architecture rather than one per point.
+// rigPool holds the rigs of finished evaluations for the next ones. It
+// never holds more rigs than evaluations ran at once, and a rig retargets
+// its chip to each point's architecture, so a sweep builds a chip per
+// worker.
 type rigPool struct {
 	mu   sync.Mutex
 	idle []*core.Rig
 }
 
-// get takes an idle rig, one whose chip fits cfg when there is one: workers
-// moving through the points of one architecture keep their chips. Any other
-// idle rig rebuilds its chip for cfg, so the pool does not grow with the
-// number of architectures a sweep visits.
-func (p *rigPool) get(cfg *arch.Config) *core.Rig {
+func (p *rigPool) get() *core.Rig {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.idle)
 	if n == 0 {
 		return new(core.Rig)
 	}
-	i := n - 1
-	for j, r := range p.idle {
-		if r.Fits(cfg) {
-			i = j
-			break
-		}
-	}
-	r := p.idle[i]
-	p.idle = slices.Delete(p.idle, i, i+1)
+	r := p.idle[n-1]
+	p.idle = p.idle[:n-1]
 	return r
 }
 
@@ -73,6 +64,33 @@ func (p *rigPool) put(r *core.Rig) {
 	p.mu.Lock()
 	p.idle = append(p.idle, r)
 	p.mu.Unlock()
+}
+
+// weightKey names the weights of a point: its model and seed.
+type weightKey struct {
+	model string
+	seed  uint64
+}
+
+// weightTable is a model's seeded weights by node ID. Sessions only read
+// weights, so every point of the model and seed shares one table.
+type weightTable [][]int8
+
+func (t weightTable) Weights(nodeID int) []int8 { return t[nodeID] }
+
+// weightsOf returns the weight table of p's model and seed, generating it
+// from g, p's graph, on first use.
+func (ev *Evaluator) weightsOf(p *Point, g *model.Graph) weightTable {
+	gen := sync.OnceValue(func() weightTable {
+		ws := model.NewSeededWeights(g, p.Seed)
+		t := make(weightTable, len(g.Nodes))
+		for id := range t {
+			t[id] = ws.Weights(id)
+		}
+		return t
+	})
+	v, _ := ev.weights.LoadOrStore(weightKey{p.Model, p.Seed}, gen)
+	return v.(func() weightTable)()
 }
 
 // Key identifies a point outcome for resume: the point identity (model,
@@ -108,6 +126,11 @@ func (ev *Evaluator) Estimate(p *Point) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
+	return ev.estimate(p, g)
+}
+
+// estimate is Estimate of p with its graph g resolved.
+func (ev *Evaluator) estimate(p *Point, g *model.Graph) (Estimate, error) {
 	cx, err := ev.Cache.Context(g)
 	if err != nil {
 		return Estimate{}, err
@@ -153,13 +176,13 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	// The estimate rides along on full evaluations so every result row can
 	// report predicted next to measured cycles. The planner is memoized in
 	// the shared context, so this re-prices an existing plan.
-	if est, err := ev.Estimate(&p); err == nil {
+	if est, err := ev.estimate(&p, g); err == nil {
 		r.CostEst = est.Cycles
 	}
-	ws := model.NewSeededWeights(g, p.Seed)
+	ws := ev.weightsOf(&p, g)
 	input := model.SeededInput(g.Nodes[0].OutShape, p.Seed+1)
 	start = time.Now()
-	rig := ev.rigs.get(compiled.Cfg)
+	rig := ev.rigs.get()
 	res, err := rig.Simulate(ctx, compiled, ws, input, core.Options{
 		Strategy:   p.Strategy,
 		Seed:       p.Seed,

@@ -288,20 +288,28 @@ func TestRunReportsCompileSimSplit(t *testing.T) {
 	}
 }
 
-// TestSweepBuildsChipPerArchitecture: a one-worker sweep of eight points on
-// one architecture builds one chip, not eight. A default chip is 80 MB of
-// data plane (64 cores x 512 KB of local memory and 512 KB of macro groups,
-// plus 16 MB of global memory); the whole sweep, compiles included, must
-// allocate less than two of them.
-func TestSweepBuildsChipPerArchitecture(t *testing.T) {
+// TestSweepBuildsChipPerWorker: a one-worker sweep over MG sizes 4, 8 and
+// 16 builds one chip and retargets it from point to point, growing its macro
+// groups when the MG size does. A chip is 64 cores x (512 KB of local memory
+// + 16 macro groups of 512 rows x 8·MG channels) + 16 MB of global memory:
+// 64, 80 and 112 MB at the three sizes. The whole sweep, compiles included,
+// must allocate less than those three chips together, which a sweep building
+// a chip per architecture allocates at the least. Measured on linux/amd64:
+// 168.6 MB (one 64 MB chip grown by 32 and 64 MB of macro groups); 2,060.8 MB
+// when every change of architecture built a new chip, as here at every point.
+func TestSweepBuildsChipPerWorker(t *testing.T) {
+	mgs := []int{4, 8, 16}
 	points, err := (&Spec{Models: []string{"tinycnn", "tinymlp", "tinyresnet", "tinymobile"},
-		Strategies: []string{"generic", "dp"}}).Expand(arch.DefaultConfig())
+		Strategies: []string{"generic", "dp"}, MGSizes: mgs}).Expand(arch.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := arch.DefaultConfig()
-	chip := uint64(cfg.NumCores()*(cfg.Core.LocalMemBytes+cfg.Core.NumMacroGroups*cfg.Unit.MacroRows*cfg.GroupChannels()) +
-		cfg.Chip.GlobalMemBytes)
+	var chips uint64
+	for _, mg := range mgs {
+		cfg := arch.DefaultConfig().WithMacrosPerGroup(mg)
+		chips += uint64(cfg.NumCores()*(cfg.Core.LocalMemBytes+cfg.Core.NumMacroGroups*cfg.Unit.MacroRows*cfg.GroupChannels()) +
+			cfg.Chip.GlobalMemBytes)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	results, err := Run(context.Background(), points, RunOptions{Workers: 1})
@@ -314,20 +322,28 @@ func TestSweepBuildsChipPerArchitecture(t *testing.T) {
 			t.Fatalf("point %d: %v", i, r.Err)
 		}
 	}
-	t.Logf("8 points allocated %.1f MB; one chip is %.1f MB", float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(chip)/(1<<20))
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*chip {
-		t.Errorf("8 points allocated %d bytes, want under two chips (%d)", got, 2*chip)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d points allocated %.1f MB; a chip per MG size is %.1f MB", len(points), float64(got)/(1<<20), float64(chips)/(1<<20))
+	if got >= chips {
+		t.Errorf("%d points allocated %d bytes, want under a chip per MG size (%d)", len(points), got, chips)
 	}
 }
 
 // TestSweepMatchesFreshChips: points that reuse a worker's chip, across
-// models, strategies and two architectures in alternation, report what a
-// fresh chip reports for each: output, cycles, energy and per-core stats.
+// models, strategies and four architectures in alternation — MG sizes 4 and
+// 16, so that two workers grow and shrink their macro groups, by flit widths
+// 8 and 16, every point at two seeds — report what a fresh chip with the
+// point's own seeded weights reports for each: output, cycles, energy and
+// per-core stats.
 func TestSweepMatchesFreshChips(t *testing.T) {
 	points, err := (&Spec{Models: []string{"tinycnn", "tinyresnet"}, Strategies: []string{"generic", "dp"},
-		FlitBytes: []int{8, 16}}).Expand(arch.DefaultConfig())
+		MGSizes: []int{4, 16}, FlitBytes: []int{8, 16}}).Expand(arch.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range points {
+		p.Seed++
+		points = append(points, p)
 	}
 	cache := NewCompileCache()
 	results, err := Run(context.Background(), points, RunOptions{Workers: 2, Cache: cache})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"cimflow/internal/arch"
 	"cimflow/internal/isa"
 )
 
@@ -73,8 +74,8 @@ type core struct {
 	dirty   []uint64
 	mgDirty uint32
 
-	// Constants hoisted out of the dispatch loop at construction time;
-	// all are derived from the immutable chip configuration.
+	// Constants hoisted out of the dispatch loop by configure; all are
+	// derived from the chip configuration.
 	frontPJ    float64 // per-instruction front-end energy
 	latScalar  int64   // scalar ALU latency
 	latMem     int64   // local memory latency
@@ -109,42 +110,57 @@ type core struct {
 	stats CoreStats
 }
 
+// newCore returns core id of chip with unsized lane images; configure sizes
+// them.
 func newCore(id int, chip *Chip) *core {
-	cfg := chip.cfg
-	groupChans := cfg.GroupChannels()
-	e := &cfg.Energy
-	c := &core{
-		id:         id,
-		chip:       chip,
-		images:     make([]image, chip.lanesCap),
-		dirty:      make([]uint64, (cfg.Core.LocalMemBytes+(64<<dirtyShift)-1)/(64<<dirtyShift)),
-		frontPJ:    e.InstFetchPJ + e.RegFilePJ,
-		latScalar:  int64(cfg.Core.ScalarLatency),
-		latMem:     int64(cfg.Core.LocalMemLatency),
-		bw:         int64(cfg.Core.LocalMemBandwidth),
-		vlanes:     int64(cfg.Core.VectorLanes),
-		vecDepth:   int64(cfg.Core.VectorPipelineDepth),
-		mvmOcc:     int64(cfg.MVMInterval()),
-		mvmLat:     int64(cfg.MVMLatency()),
-		groupChans: groupChans,
-		macroRows:  int32(cfg.Unit.MacroRows),
-	}
-	for l := range c.images {
-		im := &c.images[l]
-		im.local = make([]byte, cfg.Core.LocalMemBytes)
-		im.mg = make([][]byte, cfg.Core.NumMacroGroups)
-		for i := range im.mg {
-			im.mg[i] = make([]byte, cfg.Unit.MacroRows*groupChans)
-		}
-		im.cimAcc = make([]int32, groupChans)
-		im.gather = make([]byte, cfg.Unit.MacroRows)
-	}
+	c := &core{id: id, chip: chip, images: make([]image, chip.lanesCap)}
 	c.image = &c.images[0]
-	c.reset(0) // make returned zeroed memory: there is nothing to clear yet
 	return c
 }
 
-// reset restores the core to its power-on state (the state newCore leaves
+// configure readies a core at power-on state for cfg: it sizes every lane's
+// buffers, keeping each one whose capacity holds the new size (Reset left it
+// zero to its capacity) and allocating only those that must grow, drops the
+// program and derives the constants the handlers hoist out of the dispatch
+// loop. Afterwards the core is the one a chip newly built for cfg holds.
+func (c *core) configure(cfg *arch.Config) {
+	groupChans := cfg.GroupChannels()
+	e := &cfg.Energy
+	c.frontPJ = e.InstFetchPJ + e.RegFilePJ
+	c.latScalar = int64(cfg.Core.ScalarLatency)
+	c.latMem = int64(cfg.Core.LocalMemLatency)
+	c.bw = int64(cfg.Core.LocalMemBandwidth)
+	c.vlanes = int64(cfg.Core.VectorLanes)
+	c.vecDepth = int64(cfg.Core.VectorPipelineDepth)
+	c.mvmOcc = int64(cfg.MVMInterval())
+	c.mvmLat = int64(cfg.MVMLatency())
+	c.groupChans = groupChans
+	c.macroRows = int32(cfg.Unit.MacroRows)
+	c.dirty = fit(c.dirty, (cfg.Core.LocalMemBytes+(64<<dirtyShift)-1)/(64<<dirtyShift))
+	for l := range c.images {
+		im := &c.images[l]
+		im.local = fit(im.local, cfg.Core.LocalMemBytes)
+		im.mg = fit(im.mg, cfg.Core.NumMacroGroups)
+		for i := range im.mg {
+			im.mg[i] = fit(im.mg[i], cfg.Unit.MacroRows*groupChans)
+		}
+		im.cimAcc = fit(im.cimAcc, groupChans)
+		im.gather = fit(im.gather, cfg.Unit.MacroRows)
+	}
+	c.code, c.prog = nil, nil
+	c.reset(0) // nothing to clear: the record is empty
+}
+
+// fit returns s resized to n elements: in its own storage when that holds n,
+// else newly allocated.
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
+// reset restores the core to its power-on state (the state configure leaves
 // it in), keeping the loaded program and the allocated buffers. Only Run
 // writes a data plane, in the lanes of its occupancy, and every store names
 // its window to hazardIssue or is a CIM_LOAD, so what it wrote lies inside

@@ -175,39 +175,84 @@ func WithWorkers(int) ChipOption {
 
 // NewChip builds a chip with zeroed global memory and idle cores.
 func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Core.NumMacroGroups > 32 {
-		return nil, fmt.Errorf("sim: %d macro groups exceed the 32-bit MG mask", cfg.Core.NumMacroGroups)
-	}
-	ch := &Chip{
-		cfg:     cfg,
-		mesh:    noc.New(cfg),
-		mailbox: make(map[msgKey]*msgQueue, 64),
-		ready:   make(coreHeap, 0, cfg.NumCores()),
-
-		payloadBound: cfg.NumCores() * cfg.Core.LocalMemBytes,
-	}
+	ch := &Chip{mailbox: make(map[msgKey]*msgQueue, 64)}
 	for _, opt := range opts {
 		opt(ch)
 	}
-	if ch.lanesCap < 1 {
-		ch.lanesCap = 1
-	}
+	ch.lanesCap = max(ch.lanesCap, 1)
 	if ch.lanesCap > MaxLanes {
 		return nil, fmt.Errorf("sim: %d lanes exceed the %d-lane divergence mask", ch.lanesCap, MaxLanes)
 	}
-	ch.activeLanes = 1
 	ch.global = make([][]byte, ch.lanesCap)
-	for l := range ch.global {
-		ch.global[l] = make([]byte, cfg.Chip.GlobalMemBytes)
-	}
-	ch.cores = make([]*core, 0, cfg.NumCores())
-	for i := 0; i < cfg.NumCores(); i++ {
-		ch.cores = append(ch.cores, newCore(i, ch))
-	}
+	ch.configure(cfg)
 	return ch, nil
+}
+
+// checkConfig rejects the configurations a chip cannot be built for.
+func checkConfig(cfg *arch.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Core.NumMacroGroups > 32 {
+		return fmt.Errorf("sim: %d macro groups exceed the 32-bit MG mask", cfg.Core.NumMacroGroups)
+	}
+	return nil
+}
+
+// Retarget makes the chip the one NewChip(cfg) builds with the same lane
+// capacity, in every byte and every size: it is reset, its global memory
+// zeroed, its programs dropped, and every buffer whose capacity holds cfg's
+// size is kept — local memories, macro groups, accumulators, global memory,
+// the dirty record, the mailboxes, and the payload free lists trimmed to
+// cfg's bound. Only buffers that must grow are allocated. CycleLimit and
+// Trace stay. On error the chip is unchanged.
+func (ch *Chip) Retarget(cfg *arch.Config) error {
+	if err := checkConfig(cfg); err != nil {
+		return err
+	}
+	ch.Reset()
+	for _, g := range ch.global {
+		clear(g)
+	}
+	ch.configure(cfg)
+	return nil
+}
+
+// configure sizes a chip at power-on state for cfg: the mesh, the payload
+// bound, global memory and the cores. Every buffer it keeps is zero to its
+// capacity — nothing writes past a buffer's length, and Reset and Retarget
+// clear what runs wrote — so resliced it reads as a new one.
+func (ch *Chip) configure(cfg *arch.Config) {
+	ch.cfg = cfg
+	ch.mesh = noc.New(cfg)
+	ch.payloadBound = cfg.NumCores() * cfg.Core.LocalMemBytes
+	if ch.pooledBytes > ch.payloadBound {
+		// Pool again what fits the new bound, small buffers first.
+		pooled := ch.payloads
+		ch.payloads, ch.pooledBytes = [32][][]byte{}, 0
+		for _, free := range pooled {
+			for _, b := range free {
+				ch.putPayload(b)
+			}
+		}
+	}
+	ch.activeLanes = 1
+	for l, g := range ch.global {
+		ch.global[l] = fit(g, cfg.Chip.GlobalMemBytes)
+	}
+	n := cfg.NumCores()
+	ch.ready = fit(ch.ready, n)[:0]
+	for len(ch.cores) < n {
+		ch.cores = append(ch.cores, newCore(len(ch.cores), ch))
+	}
+	clear(ch.cores[n:])
+	ch.cores = ch.cores[:n]
+	for _, c := range ch.cores {
+		c.configure(cfg)
+	}
 }
 
 // LoadProgram installs a core's instruction stream, checking it fits the
@@ -243,8 +288,8 @@ func (ch *Chip) LoadProgram(p Program) error {
 // program loaded before: a core that ps does not name is left without one and
 // halts at once in the next Run. After Reset, with global memory re-staged,
 // this makes a chip that ran one program the chip NewChip + LoadProgram would
-// build for another of the same architecture, so a caller running many
-// programs on one architecture builds the chip once.
+// build for another of the same architecture (Retarget first serves one of
+// another), so a caller running many programs builds the chip once.
 func (ch *Chip) LoadPrograms(ps []Program) error {
 	for _, c := range ch.cores {
 		c.code, c.prog = nil, nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -37,15 +38,16 @@ func firstNonzero(b []byte) int {
 }
 
 // powerOnDiff scans the whole data plane — every allocated lane's local
-// memory, macro groups, accumulator and gather buffer on every core — and
-// the dirty records, and names the first thing that is not as NewChip leaves
-// it; "" when the chip is in power-on state.
+// memory, macro groups, accumulator and gather buffer on every core, each to
+// its capacity, which a retargeted chip may reslice into — and the dirty
+// records, and names the first thing that is not as NewChip leaves it; ""
+// when the chip is in power-on state.
 func powerOnDiff(ch *Chip) string {
 	if ch.dirtyLanes != 0 {
 		return fmt.Sprintf("chip records %d dirty lanes", ch.dirtyLanes)
 	}
 	for _, c := range ch.cores {
-		for w, word := range c.dirty {
+		for w, word := range c.dirty[:cap(c.dirty)] {
 			if word != 0 {
 				return fmt.Sprintf("core %d: dirty word %d = %#x", c.id, w, word)
 			}
@@ -55,21 +57,21 @@ func powerOnDiff(ch *Chip) string {
 		}
 		for l := range c.images {
 			im := &c.images[l]
-			if i := firstNonzero(im.local); i >= 0 {
-				return fmt.Sprintf("core %d lane %d: local[%d] = %#x", c.id, l, i, im.local[i])
+			if i := firstNonzero(im.local[:cap(im.local)]); i >= 0 {
+				return fmt.Sprintf("core %d lane %d: local[%d] = %#x", c.id, l, i, im.local[:i+1][i])
 			}
 			for g, m := range im.mg {
-				if i := firstNonzero(m); i >= 0 {
-					return fmt.Sprintf("core %d lane %d: macro group %d byte %d = %#x", c.id, l, g, i, m[i])
+				if i := firstNonzero(m[:cap(m)]); i >= 0 {
+					return fmt.Sprintf("core %d lane %d: macro group %d byte %d = %#x", c.id, l, g, i, m[:i+1][i])
 				}
 			}
-			for i, v := range im.cimAcc {
+			for i, v := range im.cimAcc[:cap(im.cimAcc)] {
 				if v != 0 {
 					return fmt.Sprintf("core %d lane %d: cimAcc[%d] = %d", c.id, l, i, v)
 				}
 			}
-			if i := firstNonzero(im.gather); i >= 0 {
-				return fmt.Sprintf("core %d lane %d: gather[%d] = %#x", c.id, l, i, im.gather[i])
+			if i := firstNonzero(im.gather[:cap(im.gather)]); i >= 0 {
+				return fmt.Sprintf("core %d lane %d: gather[%d] = %#x", c.id, l, i, im.gather[:i+1][i])
 			}
 		}
 	}
@@ -464,4 +466,141 @@ func TestLoadProgramsRebindsChip(t *testing.T) {
 	if _, err := ch.Run(context.Background()); err == nil || err.Error() != "sim: no programs loaded" {
 		t.Fatalf("Run after LoadPrograms(nil) = %v, want no programs loaded", err)
 	}
+}
+
+// TestRetargetMatchesNewChip: a chip that ran, with global memory grown past
+// its configuration and a full payload pool, is retargeted through MG sizes
+// 8 -> 16 -> 4 -> 16, flit widths 8 -> 16, and last to a larger mesh with
+// less local and global memory, whose payload bound is below what the pool
+// holds. After every Retarget it is the chip NewChip builds for the step's
+// configuration: every size and derived constant the same, every byte zero
+// to the capacity of every buffer it kept, global memory included, and the
+// payload pool within the new bound. Each lane case then runs on both with
+// the same report and leaves the same memory behind, and the chip is
+// retargeted again before the next.
+func TestRetargetMatchesNewChip(t *testing.T) {
+	base := testConfig()
+	base.Chip.GlobalMemBytes = 64 << 10
+	mg16 := base.WithMacrosPerGroup(16)
+	last := mg16.WithFlitBytes(16).WithCoreMesh(3, 2).WithLocalMemBytes(64 << 10)
+	last.Chip.GlobalMemBytes = 32 << 10
+	steps := []arch.Config{mg16, base.WithMacrosPerGroup(4), mg16, mg16.WithFlitBytes(16), last}
+
+	cases := laneCases()
+	ch := cases[1].stage(t, &base, WithLanes(2)) // send/recv: the pool gets its payload
+	if _, err := runOccupancy(t, ch, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	grown := 2 * base.Chip.GlobalMemBytes
+	ch.EnsureGlobal(grown)
+	if err := ch.InitGlobal(GlobalSegment{Addr: grown - 4, Data: []byte{1, 2, 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	var bufs [][]byte
+	for range 64 {
+		bufs = append(bufs, ch.getPayload(8<<10))
+	}
+	for _, b := range bufs {
+		ch.putPayload(b)
+	}
+	if ch.pooledBytes <= last.NumCores()*last.Core.LocalMemBytes {
+		t.Fatalf("the pool holds %d bytes, within the last bound: the trim is untested", ch.pooledBytes)
+	}
+
+	for _, cfg := range steps {
+		for _, lc := range cases {
+			label := cfg.Name + "/" + lc.name
+			if err := ch.Retarget(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			assertPowerOn(t, ch, label)
+			for l, g := range ch.global {
+				if i := firstNonzero(g[:cap(g)]); i >= 0 {
+					t.Fatalf("%s: lane %d global byte %d is %#x after Retarget", label, l, i, g[:i+1][i])
+				}
+			}
+			fresh, err := NewChip(&cfg, WithLanes(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := chipDiff(ch, fresh); diff != "" {
+				t.Fatalf("%s: retargeted chip unlike a new one: %s", label, diff)
+			}
+
+			ch.EnsureGlobal(laneMemBytes)
+			if err := ch.LoadPrograms(lc.progs); err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.InitGlobal(GlobalSegment{Addr: laneUniform, Data: lc.uniform}); err != nil {
+				t.Fatal(err)
+			}
+			fresh = lc.stage(t, &cfg, WithLanes(2))
+			got, err := runOccupancy(t, ch, 2, nil)
+			want, wantErr := runOccupancy(t, fresh, 2, nil)
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s: retargeted chip %v, new chip %v", label, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: retargeted chip reports\n%+v\nnew chip\n%+v", label, got, want)
+			}
+			if diff := chipDiff(ch, fresh); diff != "" {
+				t.Fatalf("%s: after the run: %s", label, diff)
+			}
+		}
+	}
+	if err := ch.Retarget(&arch.Config{}); err == nil {
+		t.Fatal("Retarget accepted an invalid configuration")
+	}
+}
+
+// chipDiff names the first difference between a and b in the configuration,
+// anything NewChip sizes or derives from it, the mesh, the cores' programs,
+// registers and stats, or the bytes of any memory; "" when there is none.
+func chipDiff(a, b *Chip) string {
+	switch {
+	case *a.cfg != *b.cfg:
+		return "configurations differ"
+	case a.lanesCap != b.lanesCap || a.activeLanes != b.activeLanes || a.payloadBound != b.payloadBound:
+		return fmt.Sprintf("lanes %d/%d and payload bound %d vs %d/%d and %d",
+			a.lanesCap, a.activeLanes, a.payloadBound, b.lanesCap, b.activeLanes, b.payloadBound)
+	case !reflect.DeepEqual(a.mesh, b.mesh):
+		return "meshes differ"
+	case len(a.global) != len(b.global) || len(a.cores) != len(b.cores):
+		return fmt.Sprintf("%d lanes and %d cores vs %d and %d", len(a.global), len(a.cores), len(b.global), len(b.cores))
+	}
+	for l := range a.global {
+		if !bytes.Equal(a.global[l], b.global[l]) {
+			return fmt.Sprintf("lane %d: global memory differs (%d vs %d bytes)", l, len(a.global[l]), len(b.global[l]))
+		}
+	}
+	for i, ca := range a.cores {
+		cb := b.cores[i]
+		shape := func(c *core) [15]any {
+			return [...]any{c.id, c.frontPJ, c.latScalar, c.latMem, c.bw, c.vlanes, c.vecDepth, c.mvmOcc, c.mvmLat,
+				c.groupChans, c.macroRows, len(c.dirty), len(c.images), len(c.code), len(c.prog)}
+		}
+		if sa, sb := shape(ca), shape(cb); sa != sb {
+			return fmt.Sprintf("core %d: id, constants, record and program sizes %v vs %v", i, sa, sb)
+		}
+		if ca.pc != cb.pc || ca.regs != cb.regs || ca.sregs != cb.sregs || !reflect.DeepEqual(ca.stats, cb.stats) {
+			return fmt.Sprintf("core %d: registers or stats differ", i)
+		}
+		for l := range ca.images {
+			ia, ib := &ca.images[l], &cb.images[l]
+			sa := [...]int{len(ia.local), len(ia.mg), len(ia.cimAcc), len(ia.gather)}
+			sb := [...]int{len(ib.local), len(ib.mg), len(ib.cimAcc), len(ib.gather)}
+			if sa != sb {
+				return fmt.Sprintf("core %d lane %d: local, groups, accumulator and gather sizes %v vs %v", i, l, sa, sb)
+			}
+			for g := range ia.mg {
+				if !bytes.Equal(ia.mg[g], ib.mg[g]) {
+					return fmt.Sprintf("core %d lane %d: macro group %d differs (%d vs %d bytes)", i, l, g, len(ia.mg[g]), len(ib.mg[g]))
+				}
+			}
+			if !bytes.Equal(ia.local, ib.local) || !slices.Equal(ia.cimAcc, ib.cimAcc) || !bytes.Equal(ia.gather, ib.gather) {
+				return fmt.Sprintf("core %d lane %d: data plane differs", i, l)
+			}
+		}
+	}
+	return ""
 }
