@@ -231,7 +231,8 @@ func BenchmarkReferenceExecutor(b *testing.B) {
 	}
 }
 
-// --- Ablations of the design choices called out in DESIGN.md ---
+// --- Ablations: each turns off one compiler design choice (closure
+// enumeration in the Alg. 1 DP, streaming, the IR optimizer) ---
 
 // BenchmarkAblationClosureEnumeration compares the Alg. 1 DP over full
 // dependency-closure enumeration against the linear-prefix fallback

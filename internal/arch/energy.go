@@ -7,7 +7,7 @@ import "fmt"
 // by the paper reports 27.38 TOPS/W signed-INT8, i.e. ~36.5 fJ/op or
 // ~73 fJ/MAC; SRAM and NoC figures follow typical 28 nm memory-compiler and
 // Noxim-class router numbers. Absolute joules are a substitution for the
-// authors' post-layout flow (see DESIGN.md); component ratios are preserved.
+// authors' post-layout flow; component ratios are preserved.
 type EnergyParams struct {
 	// CIMMACpJ is the energy of one INT8 multiply-accumulate inside a macro.
 	CIMMACpJ float64 `json:"cim_mac_pj"`

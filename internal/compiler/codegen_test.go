@@ -111,7 +111,8 @@ func TestGlobalInitCoversWeights(t *testing.T) {
 // TestScratchRangesComplementStatic: ScratchRanges plus the StaticInit
 // segments must tile [0, GlobalBytes) exactly, with no overlap — the
 // invariant that makes "zero scratch + rewrite input" equivalent to a fresh
-// chip's zeroed global memory.
+// chip's zeroed global memory — and the segments come highest address
+// first, so that staging them backs a chip's global memory at once.
 func TestScratchRangesComplementStatic(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyCNN()
@@ -120,6 +121,11 @@ func TestScratchRangesComplementStatic(t *testing.T) {
 	static, err := c.StaticInit(ws)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i < len(static); i++ {
+		if static[i].Addr > static[i-1].Addr {
+			t.Fatalf("static segment %d at %d follows one at %d", i, static[i].Addr, static[i-1].Addr)
+		}
 	}
 	covered := make([]int, c.GlobalBytes())
 	for _, s := range static {

@@ -195,7 +195,11 @@ func (c *Compiled) InputAddr(input tensor.Tensor) (int, error) {
 // StaticInit builds the write-once global segments: every node's weights
 // (pre-tiled into the CIM macro-group layout) and the per-core constant
 // pools — everything in global memory that does not change between
-// inferences of the same compiled model.
+// inferences of the same compiled model. They do not overlap and come
+// highest address first: a chip backs global memory as far as it is
+// touched, so staged in this order the first segment backs the whole static
+// extent in one allocation per lane, not in a growth that copies at every
+// step.
 func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error) {
 	var segs []sim.GlobalSegment
 	gc := c.Cfg.GroupChannels()
@@ -236,7 +240,9 @@ func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error)
 			segs = append(segs, sim.GlobalSegment{Addr: int(base), Data: int8ToBytes(w)})
 		}
 	}
-	return append(segs, c.poolSegs...), nil
+	segs = append(segs, c.poolSegs...)
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Addr > segs[j].Addr })
+	return segs, nil
 }
 
 // ScratchRanges returns the global-memory byte ranges NOT covered by

@@ -74,3 +74,37 @@ func TestWarmInferAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestChipBacksWhatRuns guards the chip's footprint: a chip backs a macro
+// group at the first CIM_LOAD into it and global memory as far as it is
+// touched, so a default-architecture session's first tinymlp inference —
+// chip build, weight staging and the run — costs its cores' 32 MB of local
+// memory and little more, not the 32 MB of macro groups and 16 MB of global
+// memory the architecture holds. Measured on linux/amd64: 32.3 MB; 80.2 MB
+// when a chip backed all of them at build.
+func TestChipBacksWhatRuns(t *testing.T) {
+	const bound = 48 << 20
+	cfg := arch.DefaultConfig()
+	g := model.Zoo("tinymlp")
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, input := model.NewSeededWeights(g, 1), model.SeededInput(g.Nodes[0].OutShape, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Infer(context.Background(), input); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a session's first tinymlp inference allocates %.1f MB", float64(got)/(1<<20))
+	if got >= bound {
+		t.Errorf("a session's first tinymlp inference allocates %d bytes, want under %d", got, bound)
+	}
+}

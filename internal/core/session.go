@@ -35,9 +35,11 @@ var ErrClosed = errors.New("core: session closed")
 // would rewrite. Reset restores the cores' data planes to power-on state by
 // clearing what the chip's runs since the last Reset touched — pages of
 // local memory, macro groups, in the lanes that ran — so an acquire costs
-// what the previous inference wrote, not what the chip allocates (64 MB per
-// lane at the default architecture); a chip that errored or was cancelled
-// mid-run is covered by the same record.
+// what the previous inference wrote, not what the chip allocates (32 MB of
+// local memory per lane at the default architecture, plus the macro groups
+// and global memory the chip's programs have touched, which it backs on
+// first touch); a chip that errored or was cancelled mid-run is covered by
+// the same record.
 type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore

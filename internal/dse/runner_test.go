@@ -289,14 +289,16 @@ func TestRunReportsCompileSimSplit(t *testing.T) {
 }
 
 // TestSweepBuildsChipPerWorker: a one-worker sweep over MG sizes 4, 8 and
-// 16 builds one chip and retargets it from point to point, growing its macro
-// groups when the MG size does. A chip is 64 cores x (512 KB of local memory
-// + 16 macro groups of 512 rows x 8·MG channels) + 16 MB of global memory:
-// 64, 80 and 112 MB at the three sizes. The whole sweep, compiles included,
-// must allocate less than those three chips together, which a sweep building
-// a chip per architecture allocates at the least. Measured on linux/amd64:
-// 168.6 MB (one 64 MB chip grown by 32 and 64 MB of macro groups); 2,060.8 MB
-// when every change of architecture built a new chip, as here at every point.
+// 16 builds one chip and retargets it from point to point, backing again the
+// macro groups that must grow when the MG size does. A chip holds 64 cores x
+// (512 KB of local memory + 16 macro groups of 512 rows x 8·MG channels) +
+// 16 MB of global memory: 64, 80 and 112 MB at the three sizes. The whole
+// sweep, compiles included, must allocate less than those three chips
+// together, which a sweep building a chip per architecture allocates at the
+// least. Measured on linux/amd64: 42.2 MB (32 MB of local memory, and the
+// macro groups and global memory the tiny models touch); 168.6 MB when a
+// chip backed its whole capacity at build; 2,060.8 MB when, on top of that,
+// every change of architecture built a new chip, as here at every point.
 func TestSweepBuildsChipPerWorker(t *testing.T) {
 	mgs := []int{4, 8, 16}
 	points, err := (&Spec{Models: []string{"tinycnn", "tinymlp", "tinyresnet", "tinymobile"},

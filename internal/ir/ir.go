@@ -2,8 +2,8 @@
 // conventional late optimization passes applied during code generation:
 // dead-write elimination, trivial-move elimination, and NOP compaction with
 // relative-branch retargeting. It substitutes for the MLIR pass plumbing
-// the paper builds on (see DESIGN.md): the transformations themselves are
-// implemented directly over CIMFlow ISA instruction streams.
+// the paper builds on: the transformations themselves are implemented
+// directly over CIMFlow ISA instruction streams.
 package ir
 
 import (

@@ -15,7 +15,8 @@ type WeightStore interface {
 }
 
 // SeededWeights deterministically generates small INT8 weights per node from
-// a seed, standing in for trained parameters (see DESIGN.md substitutions).
+// a seed, standing in for trained parameters, which this implementation does
+// not ship.
 type SeededWeights struct {
 	g    *Graph
 	seed uint64

@@ -1,7 +1,7 @@
 // Package noc models the chip's mesh network-on-chip: XY dimension-ordered
 // routing, flit-level link serialization with contention, and per-hop
-// energy. It substitutes for the Noxim cost model the paper uses (see
-// DESIGN.md): hop latency, serialization by configurable flit width — the
+// energy. It substitutes for the Noxim cost model the paper uses: hop
+// latency, serialization by configurable flit width — the
 // bandwidth knob of Fig. 6/7 — and link congestion are all represented.
 //
 // The model is conservative-deterministic: transfers must be issued in

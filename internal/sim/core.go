@@ -120,9 +120,11 @@ func newCore(id int, chip *Chip) *core {
 
 // configure readies a core at power-on state for cfg: it sizes every lane's
 // buffers, keeping each one whose capacity holds the new size (Reset left it
-// zero to its capacity) and allocating only those that must grow, drops the
-// program and derives the constants the handlers hoist out of the dispatch
-// loop. Afterwards the core is the one a chip newly built for cfg holds.
+// zero to its capacity) and allocating only those that must grow — a macro
+// group that must grow is dropped instead, as it is backed on first load —,
+// drops the program and derives the constants the handlers hoist out of the
+// dispatch loop. Afterwards the core reads as the one a chip newly built for
+// cfg holds.
 func (c *core) configure(cfg *arch.Config) {
 	groupChans := cfg.GroupChannels()
 	e := &cfg.Energy
@@ -141,8 +143,12 @@ func (c *core) configure(cfg *arch.Config) {
 		im := &c.images[l]
 		im.local = fit(im.local, cfg.Core.LocalMemBytes)
 		im.mg = fit(im.mg, cfg.Core.NumMacroGroups)
-		for i := range im.mg {
-			im.mg[i] = fit(im.mg[i], cfg.Unit.MacroRows*groupChans)
+		for i, g := range im.mg {
+			if n := cfg.Unit.MacroRows * groupChans; cap(g) >= n {
+				im.mg[i] = g[:n]
+			} else {
+				im.mg[i] = nil // backed again by its next CIM_LOAD
+			}
 		}
 		im.cimAcc = fit(im.cimAcc, groupChans)
 		im.gather = fit(im.gather, cfg.Unit.MacroRows)

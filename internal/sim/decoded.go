@@ -283,7 +283,7 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 		issue = c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 		done = c.chip.mesh.MemAccess(c.id, int(size), issue)
 		addr -= GlobalBase
-		if int(addr)+int(size) > len(c.chip.global[0]) {
+		if end := int(addr) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
 			return stepOK, c.errf("global access %d out of bounds", addr)
 		}
 	} else {
@@ -395,16 +395,15 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], ranges)
 
 	// Functional copy, lane by lane.
-	globalSize := len(c.chip.global[0])
 	if srcGlobal {
 		src -= GlobalBase
-		if int(src)+int(size) > globalSize {
+		if end := int(src) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
 			return stepOK, c.errf("global read [%d+%d) out of bounds", src, size)
 		}
 	}
 	if dstGlobal {
 		dst -= GlobalBase
-		if int(dst)+int(size) > globalSize {
+		if end := int(dst) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
 			return stepOK, c.errf("global write [%d+%d) out of bounds", dst, size)
 		}
 	}
@@ -536,6 +535,10 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	for m := c.live(); m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
 		w := im.mg[mgIdx]
+		if w == nil { // first load into this group in this lane
+			w = make([]byte, int(c.macroRows)*c.groupChans)
+			im.mg[mgIdx] = w
+		}
 		for row := int32(0); row < rows; row++ {
 			base := (rowOff+row)*groupChans + chanOff
 			srcBase := src + row*chans
@@ -608,7 +611,10 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		if !d.Accumulate {
 			clear(im.cimAcc)
 		}
-		mvmLaneKernel(in, im.mg[d.MG], im.cimAcc, groupChans)
+		// A group never loaded holds zeros, which would add nothing.
+		if w := im.mg[d.MG]; w != nil {
+			mvmLaneKernel(in, w, im.cimAcc, groupChans)
+		}
 	}
 	macs := int64(rows) * int64(groupChans)
 	c.stats.MACs += macs

@@ -39,3 +39,12 @@ func (ch *Chip) ResetFootprint() ResetFootprint {
 	}
 	return f
 }
+
+// group returns lane 0's macro group g, backing it as a first CIM_LOAD
+// would, for the white-box tests that write weights in directly.
+func (c *core) group(g int) []byte {
+	if c.mg[g] == nil {
+		c.mg[g] = make([]byte, int(c.macroRows)*c.groupChans)
+	}
+	return c.mg[g]
+}

@@ -40,8 +40,11 @@ type image struct {
 	local []byte
 	// mg holds the per-macro-group weight matrices (rows x groupChans,
 	// row-major INT8 values stored as raw bytes, so the MVM row kernel can
-	// load eight of them at a time). cimAcc is the unit-level accumulator fed
-	// by the inter-macro adder tree, gather the reusable MVM input buffer.
+	// load eight of them at a time). A group is nil, reading as zeros, until
+	// the first CIM_LOAD into it in this lane backs it: a program names a few
+	// of a chip's groups, and backing all of them would cost 32 MB a lane at
+	// the default architecture. cimAcc is the unit-level accumulator fed by
+	// the inter-macro adder tree, gather the reusable MVM input buffer.
 	mg     [][]byte
 	cimAcc []int32
 	gather []byte
@@ -70,17 +73,18 @@ func (ch *Chip) SetLanes(b int) error {
 	return nil
 }
 
-// laneGlobal returns lane l's global memory after checking that l is
-// allocated and [addr, addr+size) lies inside it.
+// laneGlobal returns lane l's global memory, backed through [addr,
+// addr+size), after checking that l is allocated and the span lies inside
+// the logical size.
 func (ch *Chip) laneGlobal(l, addr, size int) ([]byte, error) {
 	if l < 0 || l >= len(ch.global) {
 		return nil, fmt.Errorf("sim: lane %d out of range [0, %d)", l, len(ch.global))
 	}
-	g := ch.global[l]
-	if err := checkSpan("global", addr, size, len(g)); err != nil {
+	if err := checkSpan("global", addr, size, ch.globalSize); err != nil {
 		return nil, err
 	}
-	return g, nil
+	ch.backGlobal(addr + size)
+	return ch.global[l], nil
 }
 
 // InitGlobalLane writes an initialization segment into lane l's global

@@ -341,7 +341,7 @@ func (lc *laneCase) runAlone(t *testing.T, cfg *arch.Config, in []byte, opts ...
 	if err := ch.InitGlobal(GlobalSegment{Addr: laneIn, Data: in}); err != nil {
 		t.Fatal(err)
 	}
-	staged := slices.Clone(ch.global[0][:laneMemBytes])
+	staged := slices.Clone(readsAs(ch.global[0], laneMemBytes))
 	stats, err := ch.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

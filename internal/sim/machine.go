@@ -115,10 +115,13 @@ func (ch *Chip) putPayload(b []byte) {
 type Chip struct {
 	cfg  *arch.Config
 	mesh *noc.Mesh
-	// global[l] is lane l's global memory (see lanes.go); all lanes are
-	// the same size.
-	global [][]byte
-	cores  []*core
+	// global[l] is the backed prefix of lane l's global memory (see
+	// lanes.go), all lanes backed alike; past it the memory reads as zeros
+	// up to its logical size, globalSize, which backGlobal backs on first
+	// touch.
+	global     [][]byte
+	globalSize int
+	cores      []*core
 
 	mailbox map[msgKey]*msgQueue
 	// payloads[k] is the LIFO free list of message buffers of capacity
@@ -173,7 +176,8 @@ func WithWorkers(int) ChipOption {
 	return func(*Chip) {}
 }
 
-// NewChip builds a chip with zeroed global memory and idle cores.
+// NewChip builds a chip with zeroed global memory and idle cores. Global
+// memory and macro groups are backed on first touch, not here.
 func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
@@ -202,13 +206,15 @@ func checkConfig(cfg *arch.Config) error {
 	return nil
 }
 
-// Retarget makes the chip the one NewChip(cfg) builds with the same lane
-// capacity, in every byte and every size: it is reset, its global memory
-// zeroed, its programs dropped, and every buffer whose capacity holds cfg's
-// size is kept — local memories, macro groups, accumulators, global memory,
-// the dirty record, the mailboxes, and the payload free lists trimmed to
-// cfg's bound. Only buffers that must grow are allocated. CycleLimit and
-// Trace stay. On error the chip is unchanged.
+// Retarget makes the chip read as the one NewChip(cfg) builds with the same
+// lane capacity, in every byte and every logical size: it is reset, its
+// global memory zeroed, its programs dropped, and every buffer whose capacity
+// holds cfg's size is kept — local memories, backed macro groups,
+// accumulators, global memory's backing, the dirty record, the mailboxes,
+// and the payload free lists trimmed to cfg's bound. Only buffers that must
+// grow are allocated; a macro group that no longer fits is dropped, to be
+// backed again by its next CIM_LOAD. CycleLimit and Trace stay. On error the
+// chip is unchanged.
 func (ch *Chip) Retarget(cfg *arch.Config) error {
 	if err := checkConfig(cfg); err != nil {
 		return err
@@ -224,7 +230,8 @@ func (ch *Chip) Retarget(cfg *arch.Config) error {
 // configure sizes a chip at power-on state for cfg: the mesh, the payload
 // bound, global memory and the cores. Every buffer it keeps is zero to its
 // capacity — nothing writes past a buffer's length, and Reset and Retarget
-// clear what runs wrote — so resliced it reads as a new one.
+// clear what runs wrote — so resliced it reads as a new one. Global memory
+// keeps its backing but backs nothing, as NewChip's does.
 func (ch *Chip) configure(cfg *arch.Config) {
 	ch.cfg = cfg
 	ch.mesh = noc.New(cfg)
@@ -240,8 +247,9 @@ func (ch *Chip) configure(cfg *arch.Config) {
 		}
 	}
 	ch.activeLanes = 1
+	ch.globalSize = cfg.Chip.GlobalMemBytes
 	for l, g := range ch.global {
-		ch.global[l] = fit(g, cfg.Chip.GlobalMemBytes)
+		ch.global[l] = g[:0]
 	}
 	n := cfg.NumCores()
 	ch.ready = fit(ch.ready, n)[:0]
@@ -311,25 +319,43 @@ func checkSpan(what string, addr, size, n int) error {
 	return nil
 }
 
-// EnsureGlobal grows global memory to at least size bytes. The paper's
-// 16 MB global memory is modeled as the on-chip tier of a memory system
-// whose capacity extends into DRAM behind the same port; bandwidth and
-// latency follow the configuration either way (see DESIGN.md).
+// EnsureGlobal raises global memory's logical size to at least size bytes;
+// it allocates nothing, as the memory is backed on first touch. The
+// configured global memory (16 MB by default) is modeled as the on-chip tier
+// of a memory system whose capacity extends into DRAM behind the same port:
+// a layout larger than the configuration still runs, with the configured
+// bandwidth and latency.
 func (ch *Chip) EnsureGlobal(size int) {
-	for l, g := range ch.global {
-		if size > len(g) {
-			grown := make([]byte, size)
-			copy(grown, g)
-			ch.global[l] = grown
+	ch.globalSize = max(ch.globalSize, size)
+}
+
+// backGlobal backs every lane's global memory through byte end-1, reporting
+// false when end lies past the logical size. The backing at least doubles on
+// growth, capped at the logical size, so a chip whose programs touch more
+// and more of it reallocates a few times, not at every touch.
+func (ch *Chip) backGlobal(end int) bool {
+	if end > ch.globalSize {
+		return false
+	}
+	if n := len(ch.global[0]); end > n {
+		n = min(max(end, 2*n), ch.globalSize)
+		for l, g := range ch.global {
+			if cap(g) < n {
+				grown := make([]byte, n)
+				copy(grown, g)
+				g = grown
+			}
+			ch.global[l] = g[:n]
 		}
 	}
+	return true
 }
 
 // InitGlobal writes an initialization segment into every allocated lane's
 // global memory, so that uniform data (weights, a default input) is visible
 // to all lanes; per-lane inputs are staged on top with InitGlobalLane.
 func (ch *Chip) InitGlobal(seg GlobalSegment) error {
-	if err := checkSpan("global", seg.Addr, len(seg.Data), len(ch.global[0])); err != nil {
+	if _, err := ch.laneGlobal(0, seg.Addr, len(seg.Data)); err != nil {
 		return err
 	}
 	for _, g := range ch.global {
@@ -342,16 +368,17 @@ func (ch *Chip) InitGlobal(seg GlobalSegment) error {
 // pooled runs to wipe the input and activation scratch regions while the
 // staged weights stay resident.
 func (ch *Chip) ZeroGlobal(addr, size int) error {
-	if err := checkSpan("global", addr, size, len(ch.global[0])); err != nil {
+	if err := checkSpan("global", addr, size, ch.globalSize); err != nil {
 		return err
 	}
-	// Every allocated lane is wiped, not just the active ones: a pooled chip
-	// may shrink and regrow its occupancy between runs, and a lane left
-	// dirty by an earlier wider run must not leak into a later one. Unlike
-	// Reset this keeps no record of what ran: the host stages into the region
-	// outside Run, and clearing it is a few tenths of a millisecond per batch.
+	// Past the backed prefix the memory holds nothing to clear. Every
+	// allocated lane is wiped, not just the active ones: a pooled chip may
+	// shrink and regrow its occupancy between runs, and a lane left dirty by
+	// an earlier wider run must not leak into a later one. Unlike Reset this
+	// keeps no record of what ran: the host stages into the region outside
+	// Run, and clearing it is a few tenths of a millisecond per batch.
 	for _, g := range ch.global {
-		clear(g[addr : addr+size])
+		clear(g[min(addr, len(g)):min(addr+size, len(g))])
 	}
 	return nil
 }

@@ -17,10 +17,12 @@ import (
 // benchmark workloads run them (generic). The inference itself and the
 // session's ZeroGlobal are outside the timer. Beside ns/op it reports what
 // the reset cleared — dirty pages and macro groups over all 64 cores, and
-// megabytes over all lanes — against the 64 MB per allocated lane that
-// clearing by size costs, and the local memory per lane that one dirty
-// [first, last] window per core would span instead of a page bitmap (layouts
-// use both ends of local memory). Each iteration re-runs the model:
+// megabytes over all lanes — against the up to 64 MB per allocated lane
+// (32 MB of local memory, and 32 MB of macro groups once a program has
+// loaded them all) that clearing by size costs, and the local memory per
+// lane that one dirty [first, last] window per core would span instead of a
+// page bitmap (layouts use both ends of local memory). Each iteration re-runs
+// the model:
 //
 //	go test -run '^$' -bench ChipReset -benchtime 20x ./internal/sim
 func BenchmarkChipReset(b *testing.B) {

@@ -37,11 +37,18 @@ func firstNonzero(b []byte) int {
 	return -1
 }
 
+// sameReads reports whether a and b read as the same memory: equal where
+// both are backed, and zero where only one of them is.
+func sameReads(a, b []byte) bool {
+	n := min(len(a), len(b))
+	return bytes.Equal(a[:n], b[:n]) && firstNonzero(a[n:]) < 0 && firstNonzero(b[n:]) < 0
+}
+
 // powerOnDiff scans the whole data plane — every allocated lane's local
-// memory, macro groups, accumulator and gather buffer on every core, each to
-// its capacity, which a retargeted chip may reslice into — and the dirty
-// records, and names the first thing that is not as NewChip leaves it; ""
-// when the chip is in power-on state.
+// memory, backed macro groups, accumulator and gather buffer on every core,
+// each to its capacity, which a retargeted chip may reslice into — and the
+// dirty records, and names the first thing that is not as NewChip leaves
+// it; "" when the chip is in power-on state.
 func powerOnDiff(ch *Chip) string {
 	if ch.dirtyLanes != 0 {
 		return fmt.Sprintf("chip records %d dirty lanes", ch.dirtyLanes)
@@ -101,7 +108,7 @@ func runOccupancy(t *testing.T, ch *Chip, b int, progs []Program) (*Stats, error
 		if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: laneInput(l)}); err != nil {
 			t.Fatal(err)
 		}
-		staged[l] = slices.Clone(ch.global[l][:laneMemBytes])
+		staged[l] = slices.Clone(readsAs(ch.global[l], laneMemBytes))
 	}
 	stats, err := ch.Run(context.Background())
 	for l := 0; progs != nil && l < b; l++ {
@@ -555,7 +562,10 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 
 // chipDiff names the first difference between a and b in the configuration,
 // anything NewChip sizes or derives from it, the mesh, the cores' programs,
-// registers and stats, or the bytes of any memory; "" when there is none.
+// registers and stats, or what any memory reads as — a macro group never
+// loaded and global memory past its backed prefix read as zeros, to the
+// group's size and the logical size — or a memory backed past that size; ""
+// when there is none.
 func chipDiff(a, b *Chip) string {
 	switch {
 	case *a.cfg != *b.cfg:
@@ -565,12 +575,16 @@ func chipDiff(a, b *Chip) string {
 			a.lanesCap, a.activeLanes, a.payloadBound, b.lanesCap, b.activeLanes, b.payloadBound)
 	case !reflect.DeepEqual(a.mesh, b.mesh):
 		return "meshes differ"
-	case len(a.global) != len(b.global) || len(a.cores) != len(b.cores):
-		return fmt.Sprintf("%d lanes and %d cores vs %d and %d", len(a.global), len(a.cores), len(b.global), len(b.cores))
+	case len(a.global) != len(b.global) || len(a.cores) != len(b.cores) || a.globalSize != b.globalSize:
+		return fmt.Sprintf("%d lanes, %d cores, %d global bytes vs %d, %d and %d",
+			len(a.global), len(a.cores), a.globalSize, len(b.global), len(b.cores), b.globalSize)
 	}
 	for l := range a.global {
-		if !bytes.Equal(a.global[l], b.global[l]) {
-			return fmt.Sprintf("lane %d: global memory differs (%d vs %d bytes)", l, len(a.global[l]), len(b.global[l]))
+		switch {
+		case max(len(a.global[l]), len(b.global[l])) > a.globalSize:
+			return fmt.Sprintf("lane %d: %d and %d global bytes backed of %d", l, len(a.global[l]), len(b.global[l]), a.globalSize)
+		case !sameReads(a.global[l], b.global[l]):
+			return fmt.Sprintf("lane %d: global memory differs (%d vs %d bytes backed)", l, len(a.global[l]), len(b.global[l]))
 		}
 	}
 	for i, ca := range a.cores {
@@ -592,9 +606,11 @@ func chipDiff(a, b *Chip) string {
 			if sa != sb {
 				return fmt.Sprintf("core %d lane %d: local, groups, accumulator and gather sizes %v vs %v", i, l, sa, sb)
 			}
+			n := int(ca.macroRows) * ca.groupChans
 			for g := range ia.mg {
-				if !bytes.Equal(ia.mg[g], ib.mg[g]) {
-					return fmt.Sprintf("core %d lane %d: macro group %d differs (%d vs %d bytes)", i, l, g, len(ia.mg[g]), len(ib.mg[g]))
+				ga, gb := ia.mg[g], ib.mg[g]
+				if (ga != nil && len(ga) != n) || (gb != nil && len(gb) != n) || !sameReads(ga, gb) {
+					return fmt.Sprintf("core %d lane %d: macro group %d differs (%d vs %d bytes backed of %d)", i, l, g, len(ga), len(gb), n)
 				}
 			}
 			if !bytes.Equal(ia.local, ib.local) || !slices.Equal(ia.cimAcc, ib.cimAcc) || !bytes.Equal(ia.gather, ib.gather) {

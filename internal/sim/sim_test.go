@@ -319,7 +319,7 @@ func TestCimMVMAccumulateAcrossGroups(t *testing.T) {
 	c.sregs[isa.SRegOutChans] = 1
 	for mg := 0; mg < 2; mg++ {
 		for r := 0; r < rows; r++ {
-			c.mg[mg][r*cfg.GroupChannels()] = 1
+			c.group(mg)[r*cfg.GroupChannels()] = 1
 		}
 	}
 	total := 2 * rows
@@ -355,7 +355,7 @@ func TestCimMVMGatherSegments(t *testing.T) {
 	c.sregs[isa.SRegOutChans] = 1
 	// Weight column of ones; input = 2 segments of 3 bytes at 0 and 100.
 	for r := 0; r < 6; r++ {
-		c.mg[0][r*cfg.GroupChannels()] = 1
+		c.group(0)[r*cfg.GroupChannels()] = 1
 	}
 	for i := 0; i < 3; i++ {
 		c.local[i] = byte(i + 1)  // 1 2 3
@@ -383,8 +383,8 @@ func TestCimMVMRawWriteback(t *testing.T) {
 	c := ch.cores[0]
 	c.sregs[isa.SRegOutChans] = 2
 	for r := 0; r < 4; r++ {
-		c.mg[0][r*cfg.GroupChannels()] = 100 // chan 0: large accumulation
-		c.mg[0][r*cfg.GroupChannels()+1] = 1
+		c.group(0)[r*cfg.GroupChannels()] = 100 // chan 0: large accumulation
+		c.group(0)[r*cfg.GroupChannels()+1] = 1
 	}
 	for i := 0; i < 4; i++ {
 		c.local[i] = 100
