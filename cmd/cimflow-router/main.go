@@ -96,7 +96,7 @@ func main() {
 	flag.StringVar(&f.archPath, "arch", "", "architecture JSON (default: paper Table I)")
 	flag.StringVar(&f.strategy, "strategy", "dp", "compilation strategy: generic | duplication | dp")
 	flag.Uint64Var(&f.seed, "seed", 1, "synthetic-weight seed (replicas must agree for byte-identical outputs)")
-	flag.IntVar(&f.pool, "pool", 2, "pooled chips per replica session")
+	flag.IntVar(&f.pool, "pool", 2, "live chips per replica, shared by its models")
 	flag.StringVar(&f.artDir, "artifact-dir", "", "shared compile-artifact store: replicas load compiled models from disk")
 	flag.IntVar(&f.workers, "workers", 2, "per-replica dispatch workers")
 	flag.IntVar(&f.maxBatch, "max-batch", 8, "per-replica dynamic batcher: max requests per dispatch")
@@ -177,7 +177,7 @@ func (fl *fleet) Close() {
 
 // buildFleet materializes the replicas: HTTP backends when -backends is
 // set, otherwise in-process servers each with its own engine and chip
-// pools (the shared -artifact-dir makes every replica after the first
+// pool (the shared -artifact-dir makes every replica after the first
 // load compiled models from disk instead of recompiling).
 func buildFleet(f *routerFlags, models []string) (*fleet, error) {
 	fl := &fleet{}

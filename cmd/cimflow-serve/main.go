@@ -48,7 +48,7 @@ func main() {
 		workers  = flag.Int("workers", 4, "dispatch worker-pool size (unit of chip parallelism)")
 		maxBatch = flag.Int("max-batch", 8, "dynamic batcher: max requests per dispatch")
 		queue    = flag.Int("queue", 64, "per-model admission queue depth")
-		pool     = flag.Int("pool", 0, "pooled chips per session (0 = GOMAXPROCS)")
+		pool     = flag.Int("pool", 0, "live chips shared by every served model (0 = GOMAXPROCS)")
 		simLanes = flag.Int("sim-lanes", 1, "lane-batch capacity per chip: coalesced batches run up to this many inferences through one cycle-accurate schedule (1 = off)")
 		artDir   = flag.String("artifact-dir", "", "compile-artifact store directory: restarts load compiled models from disk instead of recompiling")
 
@@ -107,7 +107,8 @@ func main() {
 		total := time.Since(start)
 		// The facade Session carries the compile provenance (fresh compile
 		// vs artifact-store load vs in-memory hit) and its cost; the rest of
-		// the serve time is weight staging and chip-pool construction.
+		// the serve time is weight staging; chips are built or restaged by
+		// the first requests.
 		if sess, err := engine.SessionFor(name); err == nil {
 			info := sess.CompileInfo()
 			log.Printf("serving %s (%s in %v, staged in %v)", name, info.Source,

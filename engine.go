@@ -17,7 +17,7 @@ import (
 // Lifecycle errors, matched with errors.Is.
 var (
 	// ErrSessionClosed is returned by Session methods after Session.Close
-	// (or Engine.Close): the pooled chips are released and the session
+	// (or Engine.Close): its pooled chips are released and the session
 	// accepts no further work.
 	ErrSessionClosed = core.ErrClosed
 	// ErrEngineClosed is returned by Engine.Session/SessionFor after
@@ -60,10 +60,13 @@ func WithFullBufferLimit(bytes int32) Option {
 	return func(o *settings) { o.FullBufferLimit = bytes }
 }
 
-// WithMaxPooledChips caps how many idle pre-initialized chips a Session
-// keeps for reuse (0 = GOMAXPROCS). More pooled chips serve more
-// concurrent Infer calls without re-staging weights, at the price of
-// memory: each chip holds the model's full global-memory image.
+// WithMaxPooledChips bounds the engine's live chips, idle or running, in the
+// one pool all its Sessions share (0 = GOMAXPROCS); an inference that finds
+// them all busy waits. An idle chip goes first to the session it was last
+// staged for, else it is restaged for another, so a larger n buys fewer
+// restages and more concurrent inferences with memory (32 MB of local
+// memory per lane at the default architecture). Engine-level only: Session
+// ignores it.
 func WithMaxPooledChips(n int) Option {
 	return func(o *settings) { o.MaxPooledChips = n }
 }
@@ -112,49 +115,47 @@ func WithArtifactStore(s *ArtifactStore) Option {
 }
 
 // Engine is the reusable entry point of the framework: one architecture
-// plus a compile cache and per-(model, strategy) inference Sessions. An
-// Engine compiles each (model, strategy, …) combination exactly
-// once — reusing the DSE fingerprint cache, so sweeps and serving share
-// artifacts — and Sessions pool pre-initialized chips (weights staged
-// once, activation state reset between runs) for compile-once/infer-many
-// workloads. Compilation is context-aware: the cache keys on the graph's
-// frontend artifact, so all strategies and option variants of one model
-// share a single CompileContext and recompile only the planning and
-// codegen stages. An Engine is safe for concurrent use.
+// plus a compile cache, per-(model, strategy) inference Sessions and one
+// bounded chip pool they share (WithMaxPooledChips). An Engine compiles
+// each (model, strategy, …) combination exactly once — reusing the DSE
+// fingerprint cache, so sweeps and serving share artifacts — and a chip
+// stays staged for the session that last ran on it until another needs it,
+// for compile-once/infer-many workloads. Compilation is context-aware: the
+// cache keys on the graph's frontend artifact, so all strategies and option
+// variants of one model share a single CompileContext and recompile only the
+// planning and codegen stages. An Engine is safe for concurrent use.
 type Engine struct {
 	cfg      Config
 	defaults settings
 	cache    *dse.CompileCache
 	store    *artifact.Store
+	pool     *core.Pool
 
 	mu       sync.Mutex
 	sessions map[sessionKey]*sessionEntry
 	closed   bool
 }
 
-// sessionEntry is one singleflight Session slot: the first caller stages
-// weights and builds the chip pool, concurrent callers share the result
-// (mirroring the CompileCache pattern one layer up). ready closes when the
-// build finished, letting Close and PooledChips inspect entries without
-// blocking behind an in-flight build.
+// sessionEntry is one singleflight Session slot: the first caller compiles
+// and stages weights, concurrent callers share the result (mirroring the
+// CompileCache pattern one layer up).
 type sessionEntry struct {
-	once  sync.Once
-	ready chan struct{}
-	s     *Session
-	err   error
+	once sync.Once
+	s    *Session
+	err  error
 }
 
 // sessionKey identifies a cached Session: the graph's structural
 // fingerprint plus every option that changes compilation, weights or run
-// behavior. Structural identity (not pointer identity) means a serving
-// loop may re-look a model up per request and still reuse one Session.
+// behavior (the chip bound is the engine's, not a session's). Structural
+// identity (not pointer identity) means a serving loop may re-look a model
+// up per request and still reuse one Session.
 type sessionKey struct {
 	graph      string // dse.GraphFingerprint
 	strategy   Strategy
 	fbl        int32
 	seed       uint64
 	cycleLimit int64
-	maxPooled  int
 	simLanes   int
 	cache      *CompileCache
 }
@@ -173,6 +174,7 @@ func NewEngine(cfg Config, opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&e.defaults)
 	}
+	e.pool = core.NewPool(e.defaults.MaxPooledChips)
 	e.cache = e.defaults.cache
 	if e.cache == nil {
 		e.cache = dse.NewCompileCache()
@@ -207,20 +209,9 @@ func (e *Engine) ArtifactStore() *ArtifactStore { return e.store }
 // CompileContext (condensation once, planning memoized per architecture).
 func (e *Engine) CompileContexts() int { return e.cache.Contexts() }
 
-// PooledChips sums the idle pre-initialized chips held across all of the
-// engine's live sessions — the engine-level pool introspection a serving
-// layer reports in its metrics.
-func (e *Engine) PooledChips() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	total := 0
-	for _, entry := range e.sessions {
-		if s := entry.session(); s != nil {
-			total += s.PooledChips()
-		}
-	}
-	return total
-}
+// PooledChips reports the idle chips in the engine's pool — the pool
+// introspection a serving layer reports in its metrics.
+func (e *Engine) PooledChips() int { return e.pool.Idle() }
 
 // Sessions reports how many distinct (model, options) sessions the engine
 // currently holds.
@@ -230,11 +221,11 @@ func (e *Engine) Sessions() int {
 	return len(e.sessions)
 }
 
-// Close closes every session the engine built — draining and releasing
-// their pooled chips — marks the engine closed (Session and SessionFor
-// fail with ErrEngineClosed, and in-flight inferences on existing sessions
-// finish before their chips are dropped), and closes the attached artifact
-// store, releasing its directory lock. Close is idempotent.
+// Close closes the engine's chip pool, dropping every idle chip, which closes
+// every session the engine built (in-flight inferences finish before their
+// chips are dropped); marks the engine closed (Session and SessionFor fail
+// with ErrEngineClosed); and closes the attached artifact store, releasing
+// its directory lock. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -242,11 +233,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	for _, entry := range e.sessions {
-		if s := entry.session(); s != nil {
-			s.Close()
-		}
-	}
+	e.pool.Close()
 	e.mu.Unlock()
 	// Outside the engine lock: a store close waits on nothing internal,
 	// but keeping lock scopes minimal mirrors the rest of the engine.
@@ -256,20 +243,9 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// session returns the entry's built session without blocking on an
-// in-flight build: nil when the build has not completed (or failed).
-func (en *sessionEntry) session() *Session {
-	select {
-	case <-en.ready:
-		return en.s
-	default:
-		return nil
-	}
-}
-
 // Session returns the compile-once/infer-many handle for a model:
 // repeated calls with a structurally identical graph and the same options
-// return the same Session, so its compiled artifact and chip pool are
+// return the same Session, so its compiled artifact and staged chips are
 // shared — re-looking a model up per request is safe and stays
 // compile-once.
 func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
@@ -290,7 +266,6 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 		fbl:        st.FullBufferLimit,
 		seed:       st.Seed,
 		cycleLimit: st.CycleLimit,
-		maxPooled:  st.MaxPooledChips,
 		simLanes:   st.SimLanes,
 		cache:      cache,
 	}
@@ -302,14 +277,13 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 		}
 		entry, ok := e.sessions[key]
 		if !ok {
-			entry = &sessionEntry{ready: make(chan struct{})}
+			entry = new(sessionEntry)
 			e.sessions[key] = entry
 		}
 		e.mu.Unlock()
 		// Build outside the map lock: concurrent first-time callers of one
 		// key await a single compilation and a single weight-staging pass.
 		entry.once.Do(func() {
-			defer close(entry.ready)
 			compiled, info, err := cache.CompileWithInfo(g, &e.cfg, compiler.Options{
 				Strategy:        st.Strategy,
 				FullBufferLimit: st.FullBufferLimit,
@@ -318,30 +292,19 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 				entry.err = fmt.Errorf("cimflow: compile %s: %w", g.Name, err)
 				return
 			}
-			inner, err := core.NewSession(compiled, model.NewSeededWeights(g, st.Seed), st.Options)
+			inner, err := e.pool.NewSession(compiled, model.NewSeededWeights(g, st.Seed), st.Options)
 			if err != nil {
 				entry.err = err
 				return
 			}
 			entry.s = &Session{inner: inner, graph: g, compileInfo: info}
 		})
-		<-entry.ready
-		// The engine may have closed while this entry was building; its
-		// session missed Engine.Close's sweep, so release it here.
-		e.mu.Lock()
-		closedNow := e.closed
-		e.mu.Unlock()
-		if closedNow {
-			if entry.err == nil {
-				entry.s.inner.Close()
-			}
-			return nil, ErrEngineClosed
-		}
-		// A session closed by the caller (not by Engine.Close) is stale:
-		// drop the entry and retry instead of handing out a handle that
-		// only returns ErrSessionClosed. When a concurrent caller already
-		// replaced the entry, retry as well — the next iteration picks up
-		// the fresh one (or ErrEngineClosed if the engine closed meanwhile).
+		// A closed session is stale: drop the entry and retry instead of
+		// handing out a handle that only returns ErrSessionClosed. When a
+		// concurrent caller already replaced the entry, retry as well — the
+		// next iteration picks up the fresh one, or ErrEngineClosed if the
+		// engine closed, closing the sessions, meanwhile (or while this one
+		// was building).
 		if entry.err == nil && entry.s.inner.Closed() {
 			e.mu.Lock()
 			if e.sessions[key] == entry {
@@ -366,7 +329,7 @@ func (e *Engine) SessionFor(name string, opts ...Option) (*Session, error) {
 }
 
 // Session is a compiled model bound to an Engine: per-core programs built
-// once, weights staged once, chips pooled and reset between runs. It is
+// once, weights staged once, runs on the engine's pooled chips. It is
 // safe for concurrent use — the serving pattern is one Session shared by
 // many goroutines, each calling Infer with its own input.
 type Session struct {
@@ -389,7 +352,8 @@ func (s *Session) Compiled() *Compiled { return s.inner.Compiled() }
 // InputShape returns the tensor shape Infer expects.
 func (s *Session) InputShape() Shape { return s.inner.InputShape() }
 
-// PooledChips reports how many idle pre-initialized chips the session holds.
+// PooledChips reports how many idle chips of the engine's pool were last
+// staged for the session.
 func (s *Session) PooledChips() int { return s.inner.PooledChips() }
 
 // SimLanes reports the session's lane-batch capacity (>= 1, see
@@ -407,7 +371,7 @@ func (s *Session) LaneFallbacks() int64 { return s.inner.LaneFallbacks() }
 // Closed reports whether the session has been closed.
 func (s *Session) Closed() bool { return s.inner.Closed() }
 
-// Close drains and releases the session's pooled chips and marks it
+// Close drops the idle chips last staged for the session and marks it
 // closed: further Infer/InferBatch/Validate calls fail with
 // ErrSessionClosed. In-flight inferences finish normally; their chips are
 // dropped instead of re-pooled. Close is idempotent, and the engine builds

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cimflow"
 )
@@ -138,6 +142,128 @@ func TestEngineConcurrentInfer(t *testing.T) {
 	}
 }
 
+// TestEnginePoolStress: 64 goroutines share one engine whose pool holds at
+// most 3 chips, each running batches of one of four models, two at lane
+// capacity 1 and two at 8, on a small architecture (a 4x4 mesh with 128 KB
+// of local memory a core, so an 8-lane chip is 16 MB). Live chips never
+// exceed the bound, every result — output and full Stats — equals a fresh
+// session's run of the same batch, and no goroutine outlives Engine.Close.
+func TestEnginePoolStress(t *testing.T) {
+	const bound, goroutines, rounds, maxBatch = 3, 64, 2, 4
+	cfg := cimflow.DefaultConfig().WithCoreMesh(4, 4).WithLocalMemBytes(128 << 10)
+	models := []struct {
+		name  string
+		lanes int
+	}{{"tinymlp", 1}, {"tinycnn", 8}, {"tinyresnet", 1}, {"tinymobile", 8}}
+	ctx := context.Background()
+	opts := func(lanes int) []cimflow.Option {
+		return []cimflow.Option{cimflow.WithStrategy(cimflow.StrategyDP), cimflow.WithSeed(1), cimflow.WithSimLanes(lanes)}
+	}
+	batch := func(sess *cimflow.Session, n int) []cimflow.Tensor {
+		ins := make([]cimflow.Tensor, n)
+		for i := range ins {
+			ins[i] = sess.SeededInput(uint64(10 + i))
+		}
+		return ins
+	}
+	// want[m][n-1] is a fresh session's run of model m's batch of n.
+	want := make([][][]*cimflow.Result, len(models))
+	for m, md := range models {
+		engine, err := cimflow.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= maxBatch; n++ {
+			fresh, err := engine.SessionFor(md.name, opts(md.lanes)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fresh.InferBatch(ctx, batch(fresh, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[m] = append(want[m], res)
+			fresh.Close()
+		}
+		engine.Close()
+	}
+
+	before := runtime.NumGoroutine()
+	engine, err := cimflow.NewEngine(cfg, cimflow.WithMaxPooledChips(bound))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var over atomic.Int64 // a sample of live chips past the bound
+	sample := func() {
+		if n := engine.LiveChips(); n > bound {
+			over.Store(int64(n))
+		}
+	}
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				sample()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := w % len(models)
+			sess, err := engine.SessionFor(models[m].name, opts(models[m].lanes)...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for r := range rounds {
+				n := 1 + (w/len(models)+r)%maxBatch
+				res, err := sess.InferBatch(ctx, batch(sess, n))
+				sample()
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %v", w, r, err)
+					return
+				}
+				for i, got := range res {
+					ref := want[m][n-1][i]
+					if !reflect.DeepEqual(got.Output, ref.Output) || !reflect.DeepEqual(got.Stats, ref.Stats) {
+						t.Errorf("goroutine %d round %d: %s input %d of %d differs from a fresh session's run",
+							w, r, models[m].name, i, n)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-sampled
+	if n := over.Load(); n != 0 {
+		t.Errorf("%d live chips, want at most %d", n, bound)
+	}
+	if err := engine.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := engine.LiveChips(); n != 0 {
+		t.Errorf("%d live chips after Close", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the engine", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestEngineInferBatch: batch results carry per-run stats and match the
 // input order.
 func TestEngineInferBatch(t *testing.T) {
@@ -211,9 +337,10 @@ func TestLookupModel(t *testing.T) {
 }
 
 // TestSessionReuseKeying: SessionFor must reuse one Session per name, and
-// run-behavior options (cycle limit, pool cap) must key distinct Sessions
-// instead of silently returning one built with different values; an option
-// that changes nothing must not.
+// run-behavior options (cycle limit) must key distinct Sessions instead of
+// silently returning one built with different values; an option that
+// changes nothing for a session must not — the deprecated worker count, or
+// a chip bound, which is the engine's.
 func TestSessionReuseKeying(t *testing.T) {
 	engine, err := cimflow.NewEngine(cimflow.DefaultConfig())
 	if err != nil {
@@ -237,6 +364,13 @@ func TestSessionReuseKeying(t *testing.T) {
 	}
 	if workers != a {
 		t.Error("the deprecated worker count keyed a separate session")
+	}
+	pooled, err := engine.SessionFor("tinymlp", cimflow.WithMaxPooledChips(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pooled != a {
+		t.Error("a session-level chip bound keyed a separate session")
 	}
 	limited, err := engine.SessionFor("tinymlp", cimflow.WithCycleLimit(10))
 	if err != nil {

@@ -52,7 +52,8 @@ type Options struct {
 	CycleLimit int64
 	// FullBufferLimit forwards the compiler's streaming threshold override.
 	FullBufferLimit int32
-	// MaxPooledChips caps a Session's idle-chip pool (0 = GOMAXPROCS).
+	// MaxPooledChips bounds the live chips of the private Pool NewSession
+	// builds (0 = GOMAXPROCS); a session built on a shared Pool ignores it.
 	MaxPooledChips int
 	// SimWorkers is ignored: the simulator has one scheduler, the serial
 	// loop.
@@ -99,12 +100,17 @@ func Run(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (*Re
 }
 
 // Simulate executes an already-compiled model with the given weights and
-// input tensor on a fresh chip: a Rig used once. Callers running the same
-// compiled model repeatedly should hold a Session instead, which stages
-// weights once and pools chips across runs; callers running many programs,
-// of one architecture or several, should hold a Rig, which builds one chip.
+// input tensor on a fresh chip. Callers running the same compiled model
+// repeatedly should hold a Session instead, which stages weights once and
+// pools chips across runs; callers running many programs, of one
+// architecture or several, should build their sessions on one Pool, which
+// restages its chips from program to program.
 func Simulate(ctx context.Context, compiled *compiler.Compiled, ws model.WeightStore, input tensor.Tensor, opt Options) (*Result, error) {
-	return new(Rig).Simulate(ctx, compiled, ws, input, opt)
+	s, err := NewSession(compiled, ws, opt)
+	if err != nil {
+		return nil, err
+	}
+	return s.Infer(ctx, input)
 }
 
 // Validate runs the model end to end and compares the simulated output with

@@ -1,0 +1,257 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"cimflow/internal/arch"
+	"cimflow/internal/compiler"
+	"cimflow/internal/model"
+	"cimflow/internal/sim"
+	"cimflow/internal/tensor"
+)
+
+// idleChip returns the idle chip of s's pool last staged for s; it stays in
+// the pool.
+func idleChip(t testing.TB, s *Session) *sim.Chip {
+	t.Helper()
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	for _, c := range s.pool.idle {
+		if c.owner == s.id {
+			return c.ch
+		}
+	}
+	t.Fatal("no idle chip staged for the session")
+	return nil
+}
+
+// TestPoolMatchesFreshChips: one pool of one chip runs a sequence of
+// programs, each through a session of its own — models and strategies whose
+// global layouts shrink and grow, MG sizes 8 -> 16 -> 4 -> 16 and flit widths
+// 8 -> 16, a run aborted at the cycle limit just before the architecture
+// changes — and every run equals the first run of a fresh session, outputs
+// and full Stats or error text. After each run the pool's chip holds in
+// global memory byte for byte what the fresh chip holds: nothing a larger
+// program left past a smaller one's layout survives. The pool builds one
+// chip and restages it.
+func TestPoolMatchesFreshChips(t *testing.T) {
+	def := arch.DefaultConfig()
+	mg16, mg4 := def.WithMacrosPerGroup(16), def.WithMacrosPerGroup(4)
+	flit16 := mg16.WithFlitBytes(16)
+	dp, generic := compiler.StrategyDP, compiler.StrategyGeneric
+	steps := []struct {
+		model string
+		strat compiler.Strategy
+		cfg   *arch.Config
+		limit int64
+	}{
+		{"tinyresnet", dp, &def, 0},
+		{"tinymlp", generic, &def, 0},
+		{"tinycnn", dp, &def, 200},
+		{"tinycnn", dp, &mg16, 0},
+		{"tinymobile", generic, &mg4, 0},
+		{"tinyresnet", dp, &mg16, 0},
+		{"tinymlp", dp, &mg16, 0},
+		{"tinycnn", generic, &flit16, 0},
+	}
+	ctx := context.Background()
+	pool := NewPool(1)
+	var first *sim.Chip
+	span, shrunk := 0, false
+	for i, st := range steps {
+		label := fmt.Sprintf("step %d %s/%v/mg%d", i, st.model, st.strat, st.cfg.Core.MacrosPerGroup)
+		g := model.Zoo(st.model)
+		compiled, err := compiler.Compile(g, st.cfg, compiler.Options{Strategy: st.strat})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		ws := model.NewSeededWeights(g, 1)
+		input := model.SeededInput(g.Nodes[0].OutShape, uint64(2+i))
+		opt := Options{CycleLimit: st.limit}
+
+		s, err := pool.NewSession(compiled, ws, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Infer(ctx, input)
+		fresh, ferr := NewSession(compiled, ws, Options{CycleLimit: st.limit, MaxPooledChips: 1})
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		want, wantErr := fresh.Infer(ctx, input)
+		if st.limit != 0 {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !strings.Contains(err.Error(), "cycle limit") {
+				t.Fatalf("%s: pooled error %v, fresh error %v, want the same cycle-limit abort", label, err, wantErr)
+			}
+		} else {
+			if err != nil || wantErr != nil {
+				t.Fatalf("%s: pooled %v, fresh %v", label, err, wantErr)
+			}
+			assertResultsEqual(t, label, want, got)
+		}
+
+		ch := idleChip(t, s)
+		if i == 0 {
+			first = ch
+		} else if ch != first {
+			t.Errorf("%s: the pool built another chip", label)
+		}
+		if i > 0 && st.cfg == steps[i-1].cfg && compiled.GlobalBytes() < span {
+			shrunk = true
+		}
+		span = max(span, compiled.GlobalBytes())
+
+		// Both chips hold the default 16 MB of global memory; every tiny layout
+		// fits it, so [0, span) covers all the pool's programs ever wrote.
+		a, err := ch.ReadGlobal(0, span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := idleChip(t, fresh).ReadGlobal(0, span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(a, b); i >= 0 {
+			t.Errorf("%s: global byte %d is %#x on the pool's chip, %#x on a fresh one (layout %d bytes)",
+				label, i, a[i], b[i], compiled.GlobalBytes())
+		}
+	}
+	if !shrunk {
+		t.Fatal("no program reused a chip after a larger layout: the scrub is untested")
+	}
+}
+
+// TestPoolFailuresGiveSlotsBack: every way an acquire or a run fails — an
+// input staging error, a chip that cannot be retargeted or built, a run
+// aborted at its cycle limit, a wait for a chip cancelled by its context —
+// gives the pool its slot back. Afterwards the pool still runs bound
+// inferences at once, each on a chip of its own, a further one must wait, and
+// every chip is counted once.
+func TestPoolFailuresGiveSlotsBack(t *testing.T) {
+	const bound = 2
+	cfg := arch.DefaultConfig()
+	g := model.Zoo("tinymlp")
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := model.NewSeededWeights(g, 1)
+	input := model.SeededInput(g.Nodes[0].OutShape, 2)
+	pool := NewPool(bound)
+	session := func(opt Options) *Session {
+		s, err := pool.NewSession(compiled, ws, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	s := session(Options{})
+	counted := func(step string, want int) {
+		t.Helper()
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		seen := make(map[*sim.Chip]bool)
+		for _, c := range pool.idle {
+			if seen[c.ch] {
+				t.Fatalf("after %s: a chip is pooled twice", step)
+			}
+			seen[c.ch] = true
+		}
+		if pool.live != len(pool.idle) || pool.live != want {
+			t.Fatalf("after %s: %d live chips, %d idle, want %d of each", step, pool.live, len(pool.idle), want)
+		}
+	}
+
+	s.testStageErr = errors.New("forced staging error")
+	if _, err := s.Infer(ctx, input); err == nil {
+		t.Fatal("a failing input staging succeeded")
+	}
+	s.testStageErr = nil
+	counted("a staging error", 1)
+
+	// An invalid architecture fails Retarget on the idle chip, then NewChip.
+	bad := session(Options{})
+	bad.cfg.Chip.CoreRows = 0
+	for _, step := range []string{"a failed retarget", "a failed build"} {
+		if _, err := bad.Infer(ctx, input); err == nil {
+			t.Fatalf("%s succeeded", step)
+		}
+		counted(step, 0)
+	}
+
+	limited := session(Options{CycleLimit: 10})
+	if _, err := limited.Infer(ctx, input); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+		t.Fatalf("run under a 10-cycle limit = %v, want a cycle-limit abort", err)
+	}
+	counted("a run error", 1)
+
+	held := make([]*pooled, bound)
+	for i := range held {
+		if held[i], err = s.acquire(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waiting, stop := context.WithCancel(ctx)
+	errc := make(chan error)
+	go func() {
+		_, err := s.acquire(waiting, 1)
+		errc <- err
+	}()
+	stop()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("acquire on a full pool = %v, want context.Canceled", err)
+	}
+	for _, c := range held {
+		s.release(c)
+	}
+	counted("a cancelled wait", bound)
+
+	// A cancelled context fails an acquire only if it has to wait.
+	for i := range held {
+		if held[i], err = s.acquire(cancelled, 1); err != nil {
+			t.Fatalf("acquire %d of %d: %v", i+1, bound, err)
+		}
+	}
+	if held[0].ch == held[1].ch {
+		t.Fatal("two acquires hold one chip")
+	}
+	if _, err := s.acquire(cancelled, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("acquire past the bound = %v, want to wait", err)
+	}
+	for _, c := range held {
+		s.release(c)
+	}
+	counted("the full pool", bound)
+	want, err := Simulate(ctx, compiled, ws, input, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.InferBatch(ctx, []tensor.Tensor{input, input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range res {
+		assertResultsEqual(t, fmt.Sprintf("run %d after the failures", i), want, got)
+	}
+	counted("the last runs", bound)
+}
+
+func firstDiff(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return -1
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -18,39 +17,39 @@ import (
 	"cimflow/internal/tensor"
 )
 
-// ErrClosed is returned by every Session method after Close: the pooled
-// chips are released and the session accepts no further work. Callers
-// detect it with errors.Is.
+// ErrClosed is returned by every Session method after Close: the session's
+// pooled chips are released and it accepts no further work. Callers detect
+// it with errors.Is.
 var ErrClosed = errors.New("core: session closed")
 
 // Session is a compiled model prepared for repeated inference: the
-// pre-tiled weight segments are built once, and simulated chips are pooled
-// and reset between runs instead of rebuilt, so the cost of one Infer is
-// just the cycle-accurate simulation itself. A Session is safe for
-// concurrent use; each in-flight Infer owns one chip.
+// pre-tiled weight segments are built once, and its runs take chips from a
+// Pool — an Engine's or a sweep's, shared by all their sessions, or a private
+// one — so the cost of one Infer is just the cycle-accurate simulation
+// itself. A Session is safe for concurrent use; each in-flight Infer owns one
+// chip.
 //
-// Pooled runs are byte-identical to fresh-chip runs: Chip.Reset clears all
-// core/NoC state, the scratch ranges (input, activations, padding) are
-// zeroed, and the resident weight segments are exactly what StaticInit
-// would rewrite. Reset restores the cores' data planes to power-on state by
-// clearing what the chip's runs since the last Reset touched — pages of
-// local memory, macro groups, in the lanes that ran — so an acquire costs
-// what the previous inference wrote, not what the chip allocates (32 MB of
-// local memory per lane at the default architecture, plus the macro groups
-// and global memory the chip's programs have touched, which it backs on
-// first touch); a chip that errored or was cancelled mid-run is covered by
-// the same record.
+// Pooled runs are byte-identical to fresh-chip runs. A chip that ran another
+// session is first restaged (restage). Then Chip.Reset restores its cores'
+// data planes to power-on state by clearing what its runs since the last
+// Reset touched — pages of local memory, macro groups, in the lanes that ran,
+// a run that errored or was cancelled included — and the scratch ranges
+// (input, activations, padding) are zeroed; the resident weight segments are
+// exactly what StaticInit would rewrite. So an acquire costs what the last
+// inference wrote, not the chip's 32 MB of local memory per lane.
 type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore
 	opt      Options
-	// cfg is a stable copy referenced by every chip the session builds. It is
-	// allocated on its own so that a chip outliving the session (a Rig's)
+	// cfg is a stable copy referenced by every chip the session stages. It
+	// is allocated on its own so that a pooled chip outliving the session
 	// keeps the copy alive, not the session with its weights.
 	cfg     *arch.Config
 	static  []sim.GlobalSegment
 	scratch [][2]int
-	free    chan *sim.Chip
+	pool    *Pool
+	// id names the session to the pool's chips; see pooled.owner.
+	id uint64
 
 	// Lane-batch observability: laneRuns[b] counts chip runs that carried
 	// b lanes of occupancy, laneFallbacks counts lanes that diverged and
@@ -71,17 +70,20 @@ type Session struct {
 	closed bool
 }
 
-// NewSession stages a compiled model for inference with the given weights.
+// NewSession stages a compiled model for inference with the given weights,
+// on a private Pool of at most Options.MaxPooledChips live chips.
 // Options.Strategy and FullBufferLimit are ignored here (they were consumed
-// at compile time); CycleLimit and MaxPooledChips apply per run.
+// at compile time); CycleLimit applies per run.
 func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) (*Session, error) {
+	return NewPool(opt.MaxPooledChips).NewSession(compiled, ws, opt)
+}
+
+// NewSession is core.NewSession on the pool's chips; Options.MaxPooledChips
+// is ignored.
+func (p *Pool) NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) (*Session, error) {
 	static, err := compiled.StaticInit(ws)
 	if err != nil {
 		return nil, err
-	}
-	poolCap := opt.MaxPooledChips
-	if poolCap <= 0 {
-		poolCap = runtime.GOMAXPROCS(0)
 	}
 	if opt.SimLanes < 1 {
 		opt.SimLanes = 1
@@ -90,6 +92,7 @@ func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) 
 		return nil, fmt.Errorf("core: SimLanes %d exceeds sim.MaxLanes %d", opt.SimLanes, sim.MaxLanes)
 	}
 	cfg := *compiled.Cfg
+	cfg.Name = "" // so that restage compares hardware only
 	return &Session{
 		compiled: compiled,
 		ws:       ws,
@@ -97,7 +100,8 @@ func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) 
 		cfg:      &cfg,
 		static:   static,
 		scratch:  compiled.ScratchRanges(),
-		free:     make(chan *sim.Chip, poolCap),
+		pool:     p,
+		id:       sessionIDs.Add(1),
 		laneRuns: make([]atomic.Int64, opt.SimLanes+1),
 	}, nil
 }
@@ -130,48 +134,44 @@ func (s *Session) Weights() model.WeightStore { return s.ws }
 // InputShape returns the tensor shape Infer expects.
 func (s *Session) InputShape() model.Shape { return s.compiled.Graph.Nodes[0].OutShape }
 
-// PooledChips reports how many idle pre-initialized chips the session
-// currently holds.
-func (s *Session) PooledChips() int { return len(s.free) }
+// PooledChips reports how many idle chips in the session's pool were last
+// staged for it: the ones its next runs take as they are.
+func (s *Session) PooledChips() int {
+	return s.pool.count(func(c *pooled) bool { return c.owner == s.id })
+}
 
-// PoolCap reports the session's chip-pool capacity: the maximum number of
-// idle chips kept for reuse, and the default fan-out of InferBatch.
-func (s *Session) PoolCap() int { return cap(s.free) }
+// PoolCap reports the bound of the session's chip pool: the most chips live
+// at once across every session sharing it, and the default fan-out of
+// InferBatch.
+func (s *Session) PoolCap() int { return s.pool.Bound() }
 
-// Closed reports whether Close has been called.
+// Closed reports whether Close has been called, on the session or on its
+// pool.
 func (s *Session) Closed() bool {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	return s.closed
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	return s.closed || s.pool.closed
 }
 
-// Close releases every pooled chip and marks the session closed: further
-// Infer/InferBatch/Validate calls fail with ErrClosed. In-flight runs
-// complete normally; their chips are dropped instead of re-pooled. Close is
-// idempotent.
+// Close drops the pooled chips last staged for the session and marks it
+// closed: further Infer/InferBatch/Validate calls fail with ErrClosed.
+// In-flight runs complete normally; their chips are dropped instead of
+// re-pooled. Close is idempotent.
 func (s *Session) Close() error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if s.closed {
-		return nil
+	if !s.closed {
+		s.closed = true
+		s.pool.drop(func(c *pooled) bool { return c.owner == s.id })
 	}
-	s.closed = true
-	for {
-		select {
-		case <-s.free:
-		default:
-			return nil
-		}
-	}
+	return nil
 }
 
 // newChip builds a fresh chip with programs loaded and weights staged.
 func (s *Session) newChip() (*sim.Chip, error) {
-	var chipOpts []sim.ChipOption
-	if s.opt.SimLanes > 1 {
-		chipOpts = append(chipOpts, sim.WithLanes(s.opt.SimLanes))
-	}
-	ch, err := sim.NewChip(s.cfg, chipOpts...)
+	ch, err := sim.NewChip(s.cfg, sim.WithLanes(s.opt.SimLanes))
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +181,7 @@ func (s *Session) newChip() (*sim.Chip, error) {
 // stage readies a chip built with the session's chip options for its
 // program: global memory grown to the layout, the cycle limit, every core's
 // program and the weights. That is all a new chip needs; a chip that ran
-// another program also needs what acquire does to a pooled one, and a
-// Retarget or global memory past this layout zeroed (Rig.restage).
+// another program also needs restage first and a Reset after.
 func (s *Session) stage(ch *sim.Chip) error {
 	ch.EnsureGlobal(s.compiled.GlobalBytes())
 	ch.CycleLimit = s.opt.CycleLimit
@@ -197,52 +196,75 @@ func (s *Session) stage(ch *sim.Chip) error {
 	return nil
 }
 
-// acquire returns a ready-to-run chip with the requested lane occupancy
-// set: a pooled one reset to pristine state, or a freshly built one when
-// the pool is empty. A chip it cannot make ready goes back to the pool — the
-// next acquire resets it again — so an error here costs no rebuild.
-func (s *Session) acquire(lanes int) (*sim.Chip, error) {
+// restage readies c, a chip last staged for another session, for s. A chip
+// of another architecture is retargeted, which leaves it as newChip builds
+// it; on one of the same, the last program's global memory past s's layout
+// is zeroed. Session.stage then loads the programs and weights, and after
+// acquire's Reset and scratch zeroing every byte is what newChip would have
+// left.
+func (s *Session) restage(c *pooled) error {
+	if *s.cfg != *c.cfg {
+		if err := c.ch.Retarget(s.cfg); err != nil {
+			return err
+		}
+	} else if n := s.compiled.GlobalBytes(); n < c.span {
+		if err := c.ch.ZeroGlobal(n, c.span-n); err != nil {
+			return err
+		}
+	}
+	return s.stage(c.ch)
+}
+
+// acquire returns a ready-to-run chip from the pool with the requested lane
+// occupancy set: one last staged for s reset to pristine state, one of
+// another session restaged and reset, or a freshly built one, waiting while
+// the pool is at its bound until a chip is released or ctx is done. A chip
+// that cannot be restaged or built is dropped; one staged for s that it
+// cannot make ready goes back to the pool — the next acquire resets it
+// again — so such an error costs no rebuild.
+func (s *Session) acquire(ctx context.Context, lanes int) (*pooled, error) {
 	if s.Closed() {
 		return nil, ErrClosed
 	}
-	var ch *sim.Chip
-	var err error
-	select {
-	case ch = <-s.free:
-		ch.Reset()
+	c, how, err := s.pool.take(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	if how == takeNew {
+		c.ch, err = s.newChip()
+	} else if how == takeOther {
+		err = s.restage(c)
+	}
+	if err != nil {
+		s.pool.put(c, false)
+		return nil, err
+	}
+	c.owner, c.cfg, c.span = s.id, s.cfg, s.compiled.GlobalBytes()
+	if how != takeNew {
+		c.ch.Reset()
 		for _, r := range s.scratch {
-			if err = ch.ZeroGlobal(r[0], r[1]); err != nil {
+			if err = c.ch.ZeroGlobal(r[0], r[1]); err != nil {
 				break
 			}
 		}
-	default:
-		if ch, err = s.newChip(); err != nil {
-			return nil, err
-		}
 	}
 	if err == nil {
-		err = ch.SetLanes(lanes)
+		err = c.ch.SetLanes(lanes)
 	}
 	if err != nil {
-		s.release(ch)
+		s.release(c)
 		return nil, err
 	}
-	return ch, nil
+	return c, nil
 }
 
-// release returns a chip to the pool, dropping it when the pool is full or
-// the session closed. Chips that errored or were cancelled mid-run are safe
-// to return: acquire resets all dynamic state before reuse.
-func (s *Session) release(ch *sim.Chip) {
+// release returns a chip to the pool, dropping it when the session closed.
+// Chips that errored or were cancelled mid-run are safe to return: acquire
+// resets all dynamic state before reuse.
+func (s *Session) release(c *pooled) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case s.free <- ch:
-	default:
-	}
+	s.pool.put(c, !s.closed)
 }
 
 // Infer executes one inference with the given input tensor on a pooled
@@ -281,12 +303,12 @@ func (s *Session) inferLanes(ctx context.Context, inputs []tensor.Tensor) ([]*Re
 			return nil, err
 		}
 	}
-	ch, err := s.acquire(b)
+	c, err := s.acquire(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.runLanes(ctx, ch, addr, inputs)
-	s.release(ch)
+	results, err := s.runLanes(ctx, c.ch, addr, inputs)
+	s.release(c)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +385,7 @@ func (s *Session) runLanes(ctx context.Context, ch *sim.Chip, addr int, inputs [
 // cancelled and the root-cause error is returned (entries that did not
 // complete stay nil).
 func (s *Session) InferBatch(ctx context.Context, inputs []tensor.Tensor) ([]*Result, error) {
-	return s.InferBatchN(ctx, inputs, cap(s.free))
+	return s.InferBatchN(ctx, inputs, s.PoolCap())
 }
 
 // InferBatchN is the batch dispatch hook behind InferBatch: it runs one
@@ -380,23 +402,11 @@ func (s *Session) InferBatchN(ctx context.Context, inputs []tensor.Tensor, paral
 	if len(inputs) == 0 {
 		return results, ctx.Err()
 	}
+	// Lane groups are consecutive input spans.
 	lanes := s.opt.SimLanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	// Lane groups are consecutive input spans; group g covers
-	// inputs[g*lanes : min((g+1)*lanes, len)].
 	groups := (len(inputs) + lanes - 1) / lanes
-	span := func(g int) (int, int) {
-		lo := g * lanes
-		hi := lo + lanes
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		return lo, hi
-	}
 	runGroup := func(ctx context.Context, g int) error {
-		lo, hi := span(g)
+		lo, hi := g*lanes, min((g+1)*lanes, len(inputs))
 		res, err := s.inferLanes(ctx, inputs[lo:hi])
 		if err != nil {
 			return err
@@ -404,13 +414,10 @@ func (s *Session) InferBatchN(ctx context.Context, inputs []tensor.Tensor, paral
 		copy(results[lo:hi], res)
 		return nil
 	}
-	workers := parallel
-	if workers <= 0 {
-		workers = cap(s.free)
+	if parallel <= 0 {
+		parallel = s.PoolCap()
 	}
-	if workers > groups {
-		workers = groups
-	}
+	workers := min(parallel, groups)
 	if workers <= 1 {
 		for g := 0; g < groups; g++ {
 			if err := runGroup(ctx, g); err != nil {

@@ -185,8 +185,7 @@ func TestEarlyErrorKeepsPooledChip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pooled := <-s.free
-			s.free <- pooled
+			pooled := idleChip(t, s)
 			if err := c.infer(s); err == nil {
 				t.Fatalf("inference with a failing %s succeeded", c.failing)
 			}
@@ -198,16 +197,16 @@ func TestEarlyErrorKeepsPooledChip(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertResultsEqual(t, "after failed "+c.failing, ref, got)
-			if after := <-s.free; after != pooled {
+			if after := idleChip(t, s); after != pooled {
 				t.Errorf("the pool holds a rebuilt chip after a failed %s", c.failing)
 			}
 		})
 	}
 }
 
-// TestSessionClose: Close drains the pool, further use fails with the
-// typed ErrClosed, chips released after Close are dropped, and Close is
-// idempotent.
+// TestSessionClose: Close drops the session's pooled chips, further use
+// fails with the typed ErrClosed, a chip released after Close is dropped,
+// and Close is idempotent.
 func TestSessionClose(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyMLP()
@@ -227,6 +226,10 @@ func TestSessionClose(t *testing.T) {
 	if s.PooledChips() == 0 {
 		t.Fatal("no chip pooled after a successful Infer")
 	}
+	held, err := s.acquire(ctx, 1) // in flight across Close
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +246,9 @@ func TestSessionClose(t *testing.T) {
 		t.Errorf("InferBatch after Close = %v, want ErrClosed", err)
 	}
 	// A chip finishing its run after Close must be dropped, not re-pooled.
-	s.release(nil)
-	if n := s.PooledChips(); n != 0 {
-		t.Errorf("release after Close re-pooled a chip: PooledChips() = %d", n)
+	s.release(held)
+	if n := s.pool.Live(); n != 0 {
+		t.Errorf("release after Close kept a chip: %d live", n)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
@@ -355,9 +358,7 @@ func TestPooledResetDifferential(t *testing.T) {
 			// aborted run must leave some out, or the step after it proves
 			// nothing about that Reset.
 			checkPool := func(label string, aborted bool) {
-				ch := <-s.free
-				defer func() { s.free <- ch }()
-				switch err := ch.CheckPayloadPool(); {
+				switch err := idleChip(t, s).CheckPayloadPool(); {
 				case aborted && err == nil:
 					t.Fatalf("%s: no payload buffer left out by the aborted run", label)
 				case !aborted && err != nil:
@@ -376,15 +377,11 @@ func TestPooledResetDifferential(t *testing.T) {
 				label := fmt.Sprintf("step %d lanes %d %s", step, st.lanes, st.abort)
 				switch st.abort {
 				case "limit":
-					ch := <-s.free
-					ch.CycleLimit = ran.Cycles / 2
-					s.free <- ch
+					idleChip(t, s).CycleLimit = ran.Cycles / 2
 					if _, err := s.InferBatch(context.Background(), inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
 						t.Fatalf("%s: InferBatch = %v, want a cycle-limit abort", label, err)
 					}
-					ch = <-s.free
-					ch.CycleLimit = 0
-					s.free <- ch
+					idleChip(t, s).CycleLimit = 0
 					checkPool(label, true)
 					continue
 				case "cancel":

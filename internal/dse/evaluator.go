@@ -20,11 +20,12 @@ type Estimate = compiler.CostEstimate
 // Evaluator runs individual sweep points at either fidelity. It is the
 // unit the sweep runner and the search strategies share: Run wraps it in a
 // worker pool over a fixed point list, while internal/search calls it
-// point-by-point as strategies navigate the space. It keeps the chips of
-// finished simulations for the next points (core.Rig), so the chips it holds
-// are as many as ran at once, and one read-only weight table per (model,
-// seed), generated by the first point that needs it and shared by every
-// later one. Both live as long as the evaluator: one Run, or the whole
+// point-by-point as strategies navigate the space. It runs every point on
+// one core.Pool, which restages the chips of finished simulations for the
+// next points, so the chips it holds are as many as ran at once (at most
+// GOMAXPROCS), and it keeps one read-only weight table per (model, seed),
+// generated by the first point that needs it and shared by every later
+// one. Both live as long as the evaluator: one Run, or the whole
 // search for internal/search. Safe for concurrent use; not to be copied.
 type Evaluator struct {
 	// Cache deduplicates compilation; required.
@@ -35,35 +36,8 @@ type Evaluator struct {
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
 
-	rigs    rigPool
+	chips   core.Pool
 	weights sync.Map // weightKey -> func() weightTable, a sync.OnceValue
-}
-
-// rigPool holds the rigs of finished evaluations for the next ones. It
-// never holds more rigs than evaluations ran at once, and a rig retargets
-// its chip to each point's architecture, so a sweep builds a chip per
-// worker.
-type rigPool struct {
-	mu   sync.Mutex
-	idle []*core.Rig
-}
-
-func (p *rigPool) get() *core.Rig {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.idle)
-	if n == 0 {
-		return new(core.Rig)
-	}
-	r := p.idle[n-1]
-	p.idle = p.idle[:n-1]
-	return r
-}
-
-func (p *rigPool) put(r *core.Rig) {
-	p.mu.Lock()
-	p.idle = append(p.idle, r)
-	p.mu.Unlock()
 }
 
 // weightKey names the weights of a point: its model and seed.
@@ -182,13 +156,11 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	ws := ev.weightsOf(&p, g)
 	input := model.SeededInput(g.Nodes[0].OutShape, p.Seed+1)
 	start = time.Now()
-	rig := ev.rigs.get()
-	res, err := rig.Simulate(ctx, compiled, ws, input, core.Options{
-		Strategy:   p.Strategy,
-		Seed:       p.Seed,
-		CycleLimit: ev.CycleLimit,
-	})
-	ev.rigs.put(rig)
+	s, err := ev.chips.NewSession(compiled, ws, core.Options{CycleLimit: ev.CycleLimit})
+	var res *core.Result
+	if err == nil {
+		res, err = s.Infer(ctx, input)
+	}
 	r.SimTime = time.Since(start)
 	if err != nil {
 		r.Err = fmt.Errorf("dse: simulate %s: %w", p.Label(), err)

@@ -111,7 +111,9 @@ type ModelMetrics struct {
 	QueueWaitP50Ms float64 `json:"queue_wait_p50_ms"`
 	QueueWaitP95Ms float64 `json:"queue_wait_p95_ms"`
 	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
-	// Session pool state.
+	// Chip pool state: idle chips last staged for this model's session, and
+	// the bound on live chips of the pool it shares with the engine's other
+	// sessions.
 	PooledChips int `json:"pooled_chips"`
 	PoolCap     int `json:"pool_cap"`
 	// Lane batching: the session's lane capacity, a histogram of chip
