@@ -124,84 +124,113 @@ func run() error {
 		opt.Checkpoint = ckpt
 	}
 
-	if *searchName != "" {
-		return runSearch(spec, opt, searchArgs{
-			strategy: *searchName,
-			budget:   *budget,
-			seed:     *seed,
-			shard:    *shardSpec,
-			quiet:    *quiet,
-			pareto:   *paretoOnly,
-			csvPath:  *csvPath,
-		})
-	}
+	var shard, shardCount int
 	if *shardSpec != "" {
-		return fmt.Errorf("-shard requires -search")
+		if *searchName == "" {
+			return fmt.Errorf("-shard requires -search")
+		}
+		if shard, shardCount, err = parseShard(*shardSpec); err != nil {
+			return err
+		}
+	}
+	tag := fmt.Sprintf("[%%3d/%3d]", len(points))
+	if *searchName != "" {
+		tag = "[sim %3d]"
 	}
 	done := 0
-	if !*quiet {
-		opt.OnResult = func(r cimflow.SweepResult) {
-			done++
-			status := fmt.Sprintf("%8d cyc  %6.3f TOPS  %8.4f mJ",
-				r.Metrics.Cycles, r.Metrics.TOPS, r.Metrics.EnergyMJ)
-			if r.Err != nil {
-				status = "ERROR " + r.Err.Error()
-			} else if r.Cached {
-				status += "  (checkpoint)"
-			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-40s %s\n", done, len(points), r.Point.Label(), status)
+	progress := func(r cimflow.SweepResult) {
+		done++
+		status := fmt.Sprintf("%8d cyc  %6.3f TOPS  %8.4f mJ",
+			r.Metrics.Cycles, r.Metrics.TOPS, r.Metrics.EnergyMJ)
+		if r.Err != nil {
+			status = "ERROR " + r.Err.Error()
+		} else if r.Cached {
+			status += "  (checkpoint)"
 		}
+		fmt.Fprintf(os.Stderr, tag+" %-40s %s\n", done, r.Point.Label(), status)
+	}
+	if *quiet {
+		progress = nil
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	start := time.Now()
-	results, runErr := cimflow.RunSweep(ctx, points, opt)
-	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "cimflow-dse:", err)
+	kind, title, summary := "sweep", spec.Name, fmt.Sprintf("%d point(s)", len(points))
+	var rows, front []cimflow.SweepResult
+	if *searchName == "" {
+		opt.OnResult = progress
+		rows, err = cimflow.RunSweep(ctx, points, opt)
+		front = cimflow.ParetoFront(rows)
+		saveCheckpoint(opt.Checkpoint)
+	} else {
+		kind = "search"
+		var res *cimflow.SearchResult
+		res, err = cimflow.Search(ctx, spec, cimflow.SearchOptions{
+			Strategy:   *searchName,
+			Budget:     *budget,
+			Seed:       *seed,
+			Workers:    opt.Workers,
+			Cache:      opt.Cache,
+			Checkpoint: opt.Checkpoint,
+			OnSim:      progress,
+			Shard:      shard,
+			ShardCount: shardCount,
+		})
+		if shardCount == 0 {
+			saveCheckpoint(opt.Checkpoint) // a shard saves its own file
+		}
+		if err == nil {
+			rows, front = res.Trajectory, res.Frontier
+			title += fmt.Sprintf(" (%s)", res.Strategy)
+			summary = fmt.Sprintf("%d/%d points simulated (%d estimates, hypervolume %.4g)",
+				res.Sims, res.SpaceSize, res.Estimates, res.Hypervolume)
 		}
 	}
-	if runErr != nil {
-		return fmt.Errorf("sweep interrupted: %w (progress saved, re-run to resume)", runErr)
+	if err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("%s interrupted: %w (progress saved, re-run to resume)", kind, err)
+		}
+		return err
 	}
 
-	title := spec.Name
-	if title == "" {
-		title = "design-space sweep"
+	if spec.Name == "" {
+		title = "design-space " + kind + title
 	}
-	rows := results
+	shown := rows
 	if *paretoOnly {
-		rows = cimflow.ParetoFront(results)
-		title += " (Pareto frontier)"
+		shown, title = front, title+" (Pareto frontier)"
 	}
-	table := cimflow.SweepTable(title, rows)
+	table := cimflow.SweepTable(title, shown)
 	table.Write(os.Stdout)
 
 	failed := 0
-	for _, r := range results {
+	for _, r := range rows {
 		if r.Err != nil {
 			failed++
 		}
 	}
 	cache := opt.Cache
-	fmt.Printf("\n%d point(s) in %v: %d compiles, %d cache hits, %d failed\n",
-		len(results), time.Since(start).Round(time.Millisecond),
-		cache.CompileCalls(), cache.Hits(), failed)
+	fmt.Printf("\n%s in %v: %d frontier point(s), %d compiles, %d cache hits, %d failed\n",
+		summary, time.Since(start).Round(time.Millisecond), len(front), cache.CompileCalls(), cache.Hits(), failed)
 	if store := cache.Store(); store != nil {
 		st := store.Stats()
 		fmt.Printf("artifact store %s: %d loaded, %d saved, %d evicted\n",
 			store.Dir(), st.Loads, st.Saves, st.Evictions)
 	}
-	printBest := func(name string, score func(cimflow.SweepMetrics) float64) {
-		if b, ok := cimflow.BestPoint(results, score); ok {
+	for _, b := range []struct {
+		name  string
+		score func(cimflow.SweepMetrics) float64
+	}{{"tops", dse.ScoreTOPS}, {"energy", dse.ScoreEnergy}, {"edp", dse.ScoreEDP}} {
+		if r, ok := cimflow.BestPoint(rows, b.score); ok {
 			fmt.Printf("best %-7s %-40s %8.3f TOPS  %10.4f mJ\n",
-				name, b.Point.Label(), b.Metrics.TOPS, b.Metrics.EnergyMJ)
+				b.name, r.Point.Label(), r.Metrics.TOPS, r.Metrics.EnergyMJ)
 		}
 	}
-	printBest("tops", dse.ScoreTOPS)
-	printBest("energy", dse.ScoreEnergy)
-	printBest("edp", dse.ScoreEDP)
+	for _, r := range front {
+		fmt.Printf("frontier %-40s %8.3f TOPS  %10.4f mJ\n",
+			r.Point.Label(), r.Metrics.TOPS, r.Metrics.EnergyMJ)
+	}
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -216,21 +245,10 @@ func run() error {
 			return err
 		}
 	}
-	if failed == len(results) && len(results) > 0 {
+	if failed == len(rows) && len(rows) > 0 {
 		return fmt.Errorf("every point failed")
 	}
 	return nil
-}
-
-// searchArgs carries the -search flag group into runSearch.
-type searchArgs struct {
-	strategy string
-	budget   int
-	seed     int64
-	shard    string
-	quiet    bool
-	pareto   bool
-	csvPath  string
 }
 
 // parseShard parses "i/n" with 0 <= i < n and n >= 2.
@@ -248,95 +266,13 @@ func parseShard(s string) (shard, count int, err error) {
 	return shard, count, nil
 }
 
-// runSearch explores the spec's space under a simulation budget instead of
-// sweeping it exhaustively.
-func runSearch(spec *cimflow.SweepSpec, opt cimflow.SweepOptions, args searchArgs) error {
-	sopt := cimflow.SearchOptions{
-		Strategy:   args.strategy,
-		Budget:     args.budget,
-		Seed:       args.seed,
-		Workers:    opt.Workers,
-		Cache:      opt.Cache,
-		Checkpoint: opt.Checkpoint,
+// saveCheckpoint writes a checkpoint, if any, reporting but not failing on
+// an error: the results are still worth printing.
+func saveCheckpoint(ckpt *dse.Checkpoint) {
+	if ckpt == nil {
+		return
 	}
-	if args.shard != "" {
-		shard, count, err := parseShard(args.shard)
-		if err != nil {
-			return err
-		}
-		sopt.Shard, sopt.ShardCount = shard, count
+	if err := ckpt.Save(); err != nil {
+		fmt.Fprintln(os.Stderr, "cimflow-dse:", err)
 	}
-	if !args.quiet {
-		sims := 0
-		sopt.OnSim = func(r cimflow.SweepResult) {
-			sims++
-			status := fmt.Sprintf("%8d cyc  %6.3f TOPS  %8.4f mJ",
-				r.Metrics.Cycles, r.Metrics.TOPS, r.Metrics.EnergyMJ)
-			if r.Err != nil {
-				status = "ERROR " + r.Err.Error()
-			} else if r.Cached {
-				status += "  (checkpoint)"
-			}
-			fmt.Fprintf(os.Stderr, "[sim %3d] %-40s %s\n", sims, r.Point.Label(), status)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	start := time.Now()
-	res, err := cimflow.Search(ctx, spec, sopt)
-	if opt.Checkpoint != nil && sopt.ShardCount <= 1 {
-		if serr := opt.Checkpoint.Save(); serr != nil {
-			fmt.Fprintln(os.Stderr, "cimflow-dse:", serr)
-		}
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("search interrupted: %w (progress saved, re-run to resume)", err)
-		}
-		return err
-	}
-
-	title := spec.Name
-	if title == "" {
-		title = "design-space search"
-	}
-	title += fmt.Sprintf(" (%s)", res.Strategy)
-	rows := res.Trajectory
-	if args.pareto {
-		rows = res.Frontier
-		title += " (Pareto frontier)"
-	}
-	table := cimflow.SweepTable(title, rows)
-	table.Write(os.Stdout)
-
-	fmt.Printf("\n%d/%d points simulated (%d estimates) in %v: %d frontier point(s), hypervolume %.4g\n",
-		res.Sims, res.SpaceSize, res.Estimates,
-		time.Since(start).Round(time.Millisecond), len(res.Frontier), res.Hypervolume)
-	cache := sopt.Cache
-	fmt.Printf("%d compiles, %d cache hits\n", cache.CompileCalls(), cache.Hits())
-	if store := cache.Store(); store != nil {
-		st := store.Stats()
-		fmt.Printf("artifact store %s: %d loaded, %d saved, %d evicted\n",
-			store.Dir(), st.Loads, st.Saves, st.Evictions)
-	}
-	for _, r := range res.Frontier {
-		fmt.Printf("frontier %-40s %8.3f TOPS  %10.4f mJ\n",
-			r.Point.Label(), r.Metrics.TOPS, r.Metrics.EnergyMJ)
-	}
-
-	if args.csvPath != "" {
-		f, err := os.Create(args.csvPath)
-		if err != nil {
-			return err
-		}
-		if err := table.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

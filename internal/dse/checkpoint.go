@@ -2,6 +2,7 @@ package dse
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,6 +16,15 @@ type SavedResult struct {
 	Metrics Metrics `json:"metrics"`
 	CostEst float64 `json:"cost_est,omitempty"`
 	Err     string  `json:"err,omitempty"`
+}
+
+// restore rebuilds the result of p from its saved form, marked Cached.
+func (s SavedResult) restore(p Point) PointResult {
+	r := PointResult{Point: p, Metrics: s.Metrics, CostEst: s.CostEst, Cached: true}
+	if s.Err != "" {
+		r.Err = errors.New(s.Err)
+	}
+	return r
 }
 
 // checkpointFile is the on-disk JSON layout.
@@ -60,7 +70,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 
 // DecodeCheckpoint parses checkpoint bytes into a memory-only checkpoint.
 // It is the single entry point for untrusted checkpoint data (LoadCheckpoint,
-// the search shard runner reading peer files, and the fuzz target): it either
+// a search shard reading its peers' files, and the fuzz target): it either
 // returns an error or a checkpoint whose encoding round-trips.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c := NewCheckpoint("")
@@ -77,6 +87,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 func (c *Checkpoint) Encode() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.encodeLocked()
+}
+
+// encodeLocked is Encode with c.mu held.
+func (c *Checkpoint) encodeLocked() ([]byte, error) {
 	data, err := json.MarshalIndent(&c.data, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("dse: encoding checkpoint: %w", err)
@@ -95,8 +110,8 @@ func (c *Checkpoint) Lookup(key string) (SavedResult, bool) {
 	return s, ok
 }
 
-// Entries returns a copy of every recorded entry, keyed as recorded. The
-// search shard runner uses it to fold peer checkpoints into a merged view.
+// Entries returns a copy of every recorded entry, keyed as recorded, so a
+// test can compare two checkpoints entry by entry.
 func (c *Checkpoint) Entries() map[string]SavedResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -141,15 +156,15 @@ func (c *Checkpoint) flushLocked() error {
 	if c.path == "" {
 		return nil
 	}
-	data, err := json.MarshalIndent(&c.data, "", "  ")
+	data, err := c.encodeLocked()
 	if err != nil {
-		return fmt.Errorf("dse: encoding checkpoint: %w", err)
+		return err
 	}
 	tmp := c.path + ".tmp"
 	if err := os.MkdirAll(filepath.Dir(c.path), 0o755); err != nil {
 		return fmt.Errorf("dse: checkpoint dir: %w", err)
 	}
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("dse: writing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, c.path); err != nil {

@@ -18,15 +18,15 @@ import (
 type Estimate = compiler.CostEstimate
 
 // Evaluator runs individual sweep points at either fidelity. It is the
-// unit the sweep runner and the search strategies share: Run wraps it in a
-// worker pool over a fixed point list, while internal/search calls it
-// point-by-point as strategies navigate the space. It runs every point on
-// one core.Pool, which restages the chips of finished simulations for the
-// next points, so the chips it holds are as many as ran at once (at most
-// GOMAXPROCS), and it keeps one read-only weight table per (model, seed),
-// generated by the first point that needs it and shared by every later
-// one. Both live as long as the evaluator: one Run, or the whole
-// search for internal/search. Safe for concurrent use; not to be copied.
+// unit the sweep runner and the search strategies share: Run evaluates a
+// fixed point list, a search the batches its strategy asks for, both on
+// the same worker pool. It runs every point on one core.Pool, which
+// restages the chips of finished simulations for the next points, so the
+// chips it holds are as many as ran at once (at most GOMAXPROCS), and it
+// keeps one read-only weight table per (model, seed), generated by the
+// first point that needs it and shared by every later one. Both live as
+// long as the evaluator: one Run, or one whole search. Safe for concurrent
+// use; not to be copied.
 type Evaluator struct {
 	// Cache deduplicates compilation; required.
 	Cache *CompileCache
@@ -128,11 +128,7 @@ func (ev *Evaluator) Evaluate(ctx context.Context, p Point) PointResult {
 func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	if ev.Checkpoint != nil {
 		if saved, ok := ev.Checkpoint.Lookup(ev.Key(&p)); ok {
-			r := PointResult{Point: p, Metrics: saved.Metrics, CostEst: saved.CostEst, Cached: true}
-			if saved.Err != "" {
-				r.Err = errors.New(saved.Err)
-			}
-			return r
+			return saved.restore(p)
 		}
 	}
 	g, err := ev.graph(&p)

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -97,5 +98,99 @@ func TestResultTable(t *testing.T) {
 	}
 	if tbl.Rows[1][4] != "4x4" {
 		t.Errorf("mesh column = %q, want 4x4", tbl.Rows[1][4])
+	}
+}
+
+// TestRanks: hand-built set with three nondomination layers.
+func TestRanks(t *testing.T) {
+	objs := []Objective{
+		{TOPS: 3, EnergyMJ: 1}, // rank 0 (best energy, ties best TOPS)
+		{TOPS: 2, EnergyMJ: 2}, // rank 2: dominated by 3, which is rank 1
+		{TOPS: 1, EnergyMJ: 3}, // rank 3: dominated by 1
+		{TOPS: 3, EnergyMJ: 2}, // rank 1: dominated by 0 only
+		{TOPS: 4, EnergyMJ: 4}, // rank 0: best TOPS overall
+	}
+	want := []int{0, 2, 3, 1, 0}
+	got := Ranks(objs)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("rank[%d] = %d, want %d (all: %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestRanksDuplicates: identical points share a rank (neither dominates).
+func TestRanksDuplicates(t *testing.T) {
+	objs := []Objective{{TOPS: 1, EnergyMJ: 1}, {TOPS: 1, EnergyMJ: 1}}
+	got := Ranks(objs)
+	if got[0] != 0 || got[1] != 0 {
+		t.Errorf("duplicate points ranked %v, want [0 0]", got)
+	}
+}
+
+// TestHypervolume: two-point frontier against a hand-computed reference.
+func TestHypervolume(t *testing.T) {
+	ref := Objective{TOPS: 0, EnergyMJ: 10}
+	objs := []Objective{
+		{TOPS: 2, EnergyMJ: 4},
+		{TOPS: 4, EnergyMJ: 6},
+		{TOPS: 1, EnergyMJ: 8}, // dominated: contributes nothing
+	}
+	// Sweep: (4-0)*(10-6) = 16, then (2-0)*(6-4) = 4 → 20.
+	if hv := Hypervolume(objs, ref); math.Abs(hv-20) > 1e-12 {
+		t.Errorf("hypervolume = %v, want 20", hv)
+	}
+	if hv := Hypervolume(nil, ref); hv != 0 {
+		t.Errorf("empty hypervolume = %v", hv)
+	}
+	// Points outside the reference box are ignored.
+	if hv := Hypervolume([]Objective{{TOPS: -1, EnergyMJ: 5}, {TOPS: 1, EnergyMJ: 11}}, ref); hv != 0 {
+		t.Errorf("out-of-box hypervolume = %v", hv)
+	}
+}
+
+// TestHypervolumeMonotone: adding a nondominated point never shrinks the
+// hypervolume; recovering a better frontier strictly grows it.
+func TestHypervolumeMonotone(t *testing.T) {
+	ref := Objective{TOPS: 0, EnergyMJ: 10}
+	base := []Objective{{TOPS: 2, EnergyMJ: 4}}
+	hv1 := Hypervolume(base, ref)
+	hv2 := Hypervolume(append(base, Objective{TOPS: 4, EnergyMJ: 6}), ref)
+	if hv2 <= hv1 {
+		t.Errorf("hypervolume did not grow: %v -> %v", hv1, hv2)
+	}
+}
+
+// TestSelectBest: truncation keeps the frontier first and breaks rank ties
+// by crowding, deterministically.
+func TestSelectBest(t *testing.T) {
+	objs := []Objective{
+		{TOPS: 1, EnergyMJ: 9}, // rank 1
+		{TOPS: 5, EnergyMJ: 5}, // rank 0
+		{TOPS: 2, EnergyMJ: 2}, // rank 0
+		{TOPS: 1, EnergyMJ: 1}, // rank 0
+	}
+	got := selectBest(objs, 3)
+	want := []int{1, 2, 3}
+	if len(got) != len(want) {
+		t.Fatalf("selectBest = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("selectBest = %v, want %v", got, want)
+		}
+	}
+	// n >= len: identity.
+	if got := selectBest(objs, 10); len(got) != len(objs) {
+		t.Errorf("selectBest over-length = %v", got)
+	}
+	// Determinism: repeated calls agree.
+	for trial := 0; trial < 5; trial++ {
+		again := selectBest(objs, 3)
+		for i := range got {
+			if again[i] != got[i] {
+				t.Fatalf("selectBest unstable: %v vs %v", again, got)
+			}
+		}
 	}
 }

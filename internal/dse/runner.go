@@ -82,71 +82,58 @@ type RunOptions struct {
 // the returned error is non-nil only when ctx is cancelled (points not yet
 // started then carry the context error).
 func Run(ctx context.Context, points []Point, opt RunOptions) ([]PointResult, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	ev := opt.evaluator()
+	ev := newEvaluator(opt.Cache, opt.Checkpoint, opt.CycleLimit)
 	// Results are indexed by slice position, not Point.Index, so Run also
 	// works on subsets or hand-built point lists.
 	results := make([]PointResult, len(points))
-	emit := func(i int, r PointResult) {
+	var emitMu sync.Mutex
+	parallel(len(points), opt.Workers, func(i int) {
+		r := PointResult{Point: points[i], Err: ctx.Err()}
+		if r.Err == nil {
+			r = ev.Evaluate(ctx, points[i])
+		}
 		results[i] = r
 		if opt.OnResult != nil {
+			emitMu.Lock()
 			opt.OnResult(r)
+			emitMu.Unlock()
 		}
-	}
-
-	if workers <= 1 {
-		for i, p := range points {
-			if err := ctx.Err(); err != nil {
-				results[i] = PointResult{Point: p, Err: err}
-				continue
-			}
-			emit(i, ev.Evaluate(ctx, p))
-		}
-		return results, ctx.Err()
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var emitMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				var r PointResult
-				if err := ctx.Err(); err != nil {
-					r = PointResult{Point: points[i], Err: err}
-				} else {
-					r = ev.Evaluate(ctx, points[i])
-				}
-				emitMu.Lock()
-				emit(i, r)
-				emitMu.Unlock()
-			}
-		}()
-	}
-	for i := range points {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	})
 	return results, ctx.Err()
 }
 
-// evaluator builds the point evaluator a Run (or a search) uses, supplying
-// a private compile cache when the options carry none.
-func (opt *RunOptions) evaluator() *Evaluator {
-	cache := opt.Cache
+// parallel runs f(0..n-1) on a pool of workers goroutines (<= 0 means
+// GOMAXPROCS), handing out indices in ascending order. f must touch
+// disjoint state per call.
+func parallel(n, workers int, f func(int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
+// newEvaluator builds the point evaluator of one Run or one search,
+// supplying a private compile cache when the caller passes none.
+func newEvaluator(cache *CompileCache, ckpt *Checkpoint, cycleLimit int64) *Evaluator {
 	if cache == nil {
 		cache = NewCompileCache()
 	}
-	return &Evaluator{Cache: cache, Checkpoint: opt.Checkpoint, CycleLimit: opt.CycleLimit}
+	return &Evaluator{Cache: cache, Checkpoint: ckpt, CycleLimit: cycleLimit}
 }
 
 // Sweep expands a spec against its base configuration and runs it: the

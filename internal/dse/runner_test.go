@@ -140,7 +140,8 @@ func TestPerPointErrorCapture(t *testing.T) {
 }
 
 // TestRunCancellation: a cancelled context stops the sweep, marks the
-// unstarted points with the context error and reports it.
+// unstarted points with the context error and reports it; serial or not,
+// OnResult still hears of every point once.
 func TestRunCancellation(t *testing.T) {
 	points, err := tinySpec().Expand(arch.DefaultConfig())
 	if err != nil {
@@ -148,20 +149,27 @@ func TestRunCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ckpt := NewCheckpoint("")
-	results, err := Run(ctx, points, RunOptions{Workers: 2, Checkpoint: ckpt})
-	if err == nil {
-		t.Fatal("cancelled sweep returned nil error")
-	}
-	for i, r := range results {
-		if r.Err == nil {
-			t.Errorf("point %d ran despite cancelled context", i)
+	for _, workers := range []int{1, 2} {
+		ckpt := NewCheckpoint("")
+		calls := 0
+		results, err := Run(ctx, points, RunOptions{Workers: workers, Checkpoint: ckpt,
+			OnResult: func(PointResult) { calls++ }})
+		if err == nil {
+			t.Fatal("cancelled sweep returned nil error")
 		}
-	}
-	// Cancellation must not be persisted as a point failure: a resumed
-	// sweep has to re-run these points, not restore "context canceled".
-	if n := ckpt.Len(); n != 0 {
-		t.Errorf("checkpoint recorded %d cancelled points, want 0", n)
+		for i, r := range results {
+			if r.Err == nil {
+				t.Errorf("point %d ran despite cancelled context", i)
+			}
+		}
+		if calls != len(points) {
+			t.Errorf("workers=%d: OnResult called %d times, want %d", workers, calls, len(points))
+		}
+		// Cancellation must not be persisted as a point failure: a resumed
+		// sweep has to re-run these points, not restore "context canceled".
+		if n := ckpt.Len(); n != 0 {
+			t.Errorf("checkpoint recorded %d cancelled points, want 0", n)
+		}
 	}
 }
 

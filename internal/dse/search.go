@@ -1,18 +1,14 @@
-package search
+package dse
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-
-	"cimflow/internal/dse"
 )
 
-// Options configures a search run.
-type Options struct {
+// SearchOptions configures a search run.
+type SearchOptions struct {
 	// Strategy picks the algorithm: "halving", "hillclimb" or "evolve".
 	Strategy string
 	// Budget is the maximum number of full cycle-accurate simulations the
@@ -26,25 +22,15 @@ type Options struct {
 	Workers int
 	// Cache deduplicates compilation; nil uses a private cache. Attach an
 	// artifact store to share compiles across shard processes.
-	Cache *dse.CompileCache
+	Cache *CompileCache
 	// Checkpoint, when non-nil, records completed simulations for resume.
 	// Sharded runs derive per-shard files from its path (see shard.go).
-	Checkpoint *dse.Checkpoint
+	Checkpoint *Checkpoint
 	// CycleLimit forwards the simulator's runaway guard (0 = default).
 	CycleLimit int64
 	// OnSim, when non-nil, observes each charged simulation in trajectory
 	// order (serialized).
-	OnSim func(dse.PointResult)
-
-	// Eta is the successive-halving cull factor (default 4): each screening
-	// rung keeps 1/eta of its candidates until the budget rung is reached.
-	Eta int
-	// Restarts caps hill-climbing restarts (0 = restart until the budget
-	// runs out).
-	Restarts int
-	// Mu and Lambda size the evolutionary loop (defaults 4 and 8): mu
-	// parents survive, lambda offspring are bred per generation.
-	Mu, Lambda int
+	OnSim func(PointResult)
 
 	// Shard and ShardCount distribute the simulation budget across
 	// cooperating processes: this process simulates the asks whose global
@@ -55,8 +41,8 @@ type Options struct {
 	Shard, ShardCount int
 }
 
-// Result is the outcome of a search run.
-type Result struct {
+// SearchResult is the outcome of a search run.
+type SearchResult struct {
 	Strategy  string
 	SpaceSize int
 	// Sims is the charged simulation count (<= Budget); Estimates counts
@@ -65,41 +51,43 @@ type Result struct {
 	// Trajectory lists every charged simulation in ask order — the
 	// deterministic spine of the run (byte-identical across worker counts
 	// and shards).
-	Trajectory []dse.PointResult
+	Trajectory []PointResult
 	// Frontier is the Pareto-optimal subset of the trajectory.
-	Frontier []dse.PointResult
+	Frontier []PointResult
 	// Hypervolume is the frontier's dominated area against a reference at
 	// (0 TOPS, 1.05x worst observed energy).
 	Hypervolume float64
 }
 
-// Strategy navigates a space through a Tour. Implementations must drive
-// all randomness through the tour's RNG and stop when the budget is spent.
-type Strategy interface {
-	Name() string
-	Search(t *Tour) error
-}
+// strategy navigates a space through a tour. It must drive all randomness
+// through the tour's RNG and stop when the budget is spent.
+type strategy func(t *tour)
 
-// New resolves a strategy by name.
-func New(name string, opt Options) (Strategy, error) {
+// strategyNamed resolves a strategy by name or alias to its canonical name.
+func strategyNamed(name string) (string, strategy, error) {
 	switch name {
 	case "halving", "sh":
-		return &Halving{Eta: opt.Eta}, nil
+		return "halving", halving, nil
 	case "hillclimb", "hc":
-		return &HillClimb{Restarts: opt.Restarts}, nil
+		return "hillclimb", hillClimb, nil
 	case "evolve", "ea":
-		return &Evolve{Mu: opt.Mu, Lambda: opt.Lambda}, nil
+		return "evolve", evolve, nil
 	}
-	return nil, fmt.Errorf("search: unknown strategy %q (have halving, hillclimb, evolve)", name)
+	return "", nil, fmt.Errorf("dse: unknown strategy %q (have halving, hillclimb, evolve)", name)
 }
 
-// Run searches a spec's design space and returns the found frontier.
-func Run(ctx context.Context, spec *dse.Spec, opt Options) (*Result, error) {
-	space, err := NewSpace(spec)
+// Search explores a spec's design space under opt.Budget full simulations
+// and returns the found frontier.
+func Search(ctx context.Context, spec *Spec, opt SearchOptions) (*SearchResult, error) {
+	base, err := spec.BaseConfig()
 	if err != nil {
 		return nil, err
 	}
-	strat, err := New(opt.Strategy, opt)
+	space, err := NewSpace(spec, base)
+	if err != nil {
+		return nil, err
+	}
+	name, strat, err := strategyNamed(opt.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -111,38 +99,67 @@ func Run(ctx context.Context, spec *dse.Spec, opt Options) (*Result, error) {
 		return nil, err
 	}
 	defer t.close()
-	if err := strat.Search(t); err != nil && !errors.Is(err, errBudget) {
-		return nil, err
-	}
-	return t.result(strat.Name()), ctx.Err()
+	strat(t)
+	return t.result(name), ctx.Err()
 }
 
-// errBudget signals the budget ran out mid-batch; Run treats it as normal
-// termination so strategies may simply propagate it.
-var errBudget = errors.New("search: simulation budget exhausted")
+// errBudget marks the asks of a batch that the spent budget left
+// unsimulated.
+var errBudget = errors.New("dse: simulation budget exhausted")
 
-// EstResult is one low-fidelity evaluation.
-type EstResult struct {
+// estResult is one low-fidelity evaluation.
+type estResult struct {
 	Index int
-	Est   dse.Estimate
+	Est   Estimate
 	Err   error
 }
 
-// Tour is a strategy's handle on one search run: batched evaluation at
+// objective extracts fitness coordinates from a low-fidelity estimate.
+func (e *estResult) objective() Objective {
+	return Objective{TOPS: e.Est.TOPS, EnergyMJ: e.Est.EnergyMJ}
+}
+
+// fittest drops the failed estimates and returns the n fittest of the rest
+// by (nondomination rank, crowding distance), in their original order.
+func fittest(ests []estResult, n int) []estResult {
+	var alive []estResult
+	var objs []Objective
+	for _, e := range ests {
+		if e.Err == nil {
+			alive = append(alive, e)
+			objs = append(objs, e.objective())
+		}
+	}
+	out := make([]estResult, 0, min(n, len(alive)))
+	for _, i := range selectBest(objs, n) {
+		out = append(out, alive[i])
+	}
+	return out
+}
+
+// indices lists the space indices of estimates.
+func indices(ests []estResult) []int {
+	out := make([]int, len(ests))
+	for i, e := range ests {
+		out[i] = e.Index
+	}
+	return out
+}
+
+// tour is a strategy's handle on one search run: batched evaluation at
 // both fidelities, budget accounting, memoization and the seeded RNG.
 // Strategies call its methods sequentially; parallelism lives inside a
 // batch, and batch results are assembled in ask order, which is what makes
 // a trajectory reproducible at any worker count.
-type Tour struct {
-	ctx     context.Context
-	space   *Space
-	ev      *dse.Evaluator
-	rng     *rand.Rand
-	opt     Options
-	workers int
+type tour struct {
+	ctx   context.Context
+	space *Space
+	ev    *Evaluator
+	rng   *rand.Rand // single-goroutine use only
+	opt   SearchOptions
 
-	estMemo    map[int]EstResult
-	simMemo    map[int]dse.PointResult
+	estMemo    map[int]estResult
+	simMemo    map[int]PointResult
 	keyIndex   map[string]int // evaluator key -> first simulated index
 	trajectory []int
 	sims       int
@@ -150,73 +167,58 @@ type Tour struct {
 	shard      *shardState
 }
 
-func newTour(ctx context.Context, space *Space, opt Options) (*Tour, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = dse.NewCompileCache()
-	}
-	t := &Tour{
+func newTour(ctx context.Context, space *Space, opt SearchOptions) (*tour, error) {
+	t := &tour{
 		ctx:      ctx,
 		space:    space,
-		ev:       &dse.Evaluator{Cache: cache, Checkpoint: opt.Checkpoint, CycleLimit: opt.CycleLimit},
 		rng:      rand.New(rand.NewSource(opt.Seed)),
 		opt:      opt,
-		workers:  workers,
-		estMemo:  map[int]EstResult{},
-		simMemo:  map[int]dse.PointResult{},
+		estMemo:  map[int]estResult{},
+		simMemo:  map[int]PointResult{},
 		keyIndex: map[string]int{},
 	}
+	ckpt := opt.Checkpoint
 	if opt.ShardCount > 1 {
 		sh, err := newShardState(opt)
 		if err != nil {
 			return nil, err
 		}
-		t.shard = sh
-		t.ev.Checkpoint = sh.own
+		t.shard, ckpt = sh, sh.own
 	}
+	t.ev = newEvaluator(opt.Cache, ckpt, opt.CycleLimit)
 	return t, nil
 }
 
-func (t *Tour) close() {
+func (t *tour) close() {
 	if t.shard != nil {
 		t.shard.close()
 	}
 }
 
-// Space returns the indexed design space.
-func (t *Tour) Space() *Space { return t.space }
-
-// Rng is the run's seeded random source. Single-goroutine use only.
-func (t *Tour) Rng() *rand.Rand { return t.rng }
-
 // Remaining reports how many budgeted simulations are left.
-func (t *Tour) Remaining() int { return t.opt.Budget - t.sims }
+func (t *tour) Remaining() int { return t.opt.Budget - t.sims }
 
 // Simulated reports whether index i has already been charged.
-func (t *Tour) Simulated(i int) bool {
+func (t *tour) Simulated(i int) bool {
 	_, ok := t.simMemo[i]
 	return ok
 }
 
 // EstimateBatch prices points at low fidelity (free), memoized by index.
 // Results align with idx.
-func (t *Tour) EstimateBatch(idx []int) []EstResult {
-	out := make([]EstResult, len(idx))
+func (t *tour) EstimateBatch(idx []int) []estResult {
+	out := make([]estResult, len(idx))
 	var fresh []int
 	for _, i := range idx {
 		if _, ok := t.estMemo[i]; !ok {
-			t.estMemo[i] = EstResult{Index: i} // reserve to dedupe in-batch
+			t.estMemo[i] = estResult{Index: i} // reserve to dedupe in-batch
 			fresh = append(fresh, i)
 		}
 	}
-	freshRes := make([]EstResult, len(fresh))
-	t.forEach(len(fresh), func(k int) {
+	freshRes := make([]estResult, len(fresh))
+	parallel(len(fresh), t.opt.Workers, func(k int) {
 		i := fresh[k]
-		r := EstResult{Index: i}
+		r := estResult{Index: i}
 		p, err := t.space.Point(i)
 		if err != nil {
 			r.Err = err
@@ -240,12 +242,11 @@ func (t *Tour) EstimateBatch(idx []int) []EstResult {
 // by configuration identity) are returned from memory for free. When the
 // budget runs out mid-batch the remaining entries carry errBudget and the
 // batch result is still aligned with idx.
-func (t *Tour) SimBatch(idx []int) []dse.PointResult {
-	out := make([]dse.PointResult, len(idx))
+func (t *tour) SimBatch(idx []int) []PointResult {
+	out := make([]PointResult, len(idx))
 	type job struct {
-		pos   int // position in `fresh`
 		index int
-		point dse.Point
+		point Point
 	}
 	var fresh []job
 	seen := map[int]bool{}
@@ -257,7 +258,7 @@ func (t *Tour) SimBatch(idx []int) []dse.PointResult {
 		p, err := t.space.Point(i)
 		if err != nil {
 			// Dead cell: memoize the failure, never charge.
-			t.simMemo[i] = dse.PointResult{Point: p, Err: err}
+			t.simMemo[i] = PointResult{Point: p, Err: err}
 			continue
 		}
 		if alias, ok := t.keyIndex[t.ev.Key(&p)]; ok {
@@ -269,31 +270,29 @@ func (t *Tour) SimBatch(idx []int) []dse.PointResult {
 		if t.Remaining() <= len(fresh) {
 			continue // budget exhausted; leave unmemoized so a later run could try
 		}
-		fresh = append(fresh, job{pos: len(fresh), index: i, point: p})
+		fresh = append(fresh, job{index: i, point: p})
 	}
 
-	results := make([]dse.PointResult, len(fresh))
-	if t.shard == nil {
-		t.forEach(len(fresh), func(k int) {
-			results[k] = t.ev.Evaluate(t.ctx, fresh[k].point)
-		})
-	} else {
-		// Split the batch by global ask ordinal: ours run locally, peers'
-		// results are awaited from their shard checkpoints.
-		var mine []int
-		for k := range fresh {
-			if (t.sims+k)%t.opt.ShardCount == t.opt.Shard {
-				mine = append(mine, k)
-			}
+	// Split the batch by global ask ordinal: this shard's asks (all of them
+	// when unsharded) run locally, peers' results are awaited from their
+	// shard checkpoints.
+	mine := func(k int) bool {
+		return t.shard == nil || (t.sims+k)%t.opt.ShardCount == t.opt.Shard
+	}
+	var local []int
+	for k := range fresh {
+		if mine(k) {
+			local = append(local, k)
 		}
-		t.forEach(len(mine), func(m int) {
-			k := mine[m]
-			results[k] = t.ev.Evaluate(t.ctx, fresh[k].point)
-		})
-		for k := range fresh {
-			if (t.sims+k)%t.opt.ShardCount != t.opt.Shard {
-				results[k] = t.shard.await(t.ctx, t.ev, fresh[k].point)
-			}
+	}
+	results := make([]PointResult, len(fresh))
+	parallel(len(local), t.opt.Workers, func(m int) {
+		k := local[m]
+		results[k] = t.ev.Evaluate(t.ctx, fresh[k].point)
+	})
+	for k := range fresh {
+		if !mine(k) {
+			results[k] = t.shard.await(t.ctx, t.ev, fresh[k].point)
 		}
 	}
 
@@ -314,59 +313,15 @@ func (t *Tour) SimBatch(idx []int) []dse.PointResult {
 			out[k] = r
 		} else {
 			p, _ := t.space.Point(i)
-			out[k] = dse.PointResult{Point: p, Err: errBudget}
+			out[k] = PointResult{Point: p, Err: errBudget}
 		}
 	}
 	return out
 }
 
-// forEach runs f(0..n-1) on the tour's worker pool. f must touch disjoint
-// state per call.
-func (t *Tour) forEach(n int, f func(int)) {
-	if n == 0 {
-		return
-	}
-	workers := t.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// objective extracts the fitness coordinates of a successful result.
-func objective(r *dse.PointResult) Objective {
-	return Objective{TOPS: r.Metrics.TOPS, EnergyMJ: r.Metrics.EnergyMJ}
-}
-
-// estObjective extracts fitness coordinates from a low-fidelity estimate.
-func estObjective(e *EstResult) Objective {
-	return Objective{TOPS: e.Est.TOPS, EnergyMJ: e.Est.EnergyMJ}
-}
-
 // result assembles the run summary from the trajectory.
-func (t *Tour) result(strategy string) *Result {
-	res := &Result{
+func (t *tour) result(strategy string) *SearchResult {
+	res := &SearchResult{
 		Strategy:  strategy,
 		SpaceSize: t.space.Size(),
 		Sims:      t.sims,
@@ -375,7 +330,7 @@ func (t *Tour) result(strategy string) *Result {
 	for _, i := range t.trajectory {
 		res.Trajectory = append(res.Trajectory, t.simMemo[i])
 	}
-	res.Frontier = dse.ParetoFront(res.Trajectory)
+	res.Frontier = ParetoFront(res.Trajectory)
 	var objs []Objective
 	worstE := 0.0
 	for i := range res.Trajectory {
@@ -383,7 +338,7 @@ func (t *Tour) result(strategy string) *Result {
 		if r.Err != nil {
 			continue
 		}
-		objs = append(objs, objective(r))
+		objs = append(objs, r.objective())
 		if r.Metrics.EnergyMJ > worstE {
 			worstE = r.Metrics.EnergyMJ
 		}

@@ -1,4 +1,4 @@
-package search
+package dse
 
 import (
 	"context"
@@ -7,15 +7,25 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"cimflow/internal/dse"
 )
+
+// searchSpec is the shared tiny search space: 2 models x 1 strategy x 2 MG
+// x 2 flit = 8 points on the fast test networks.
+func searchSpec() *Spec {
+	return &Spec{
+		Name:       "tiny-search",
+		Models:     []string{"tinycnn", "tinymlp"},
+		Strategies: []string{"generic"},
+		MGSizes:    []int{4, 8},
+		FlitBytes:  []int{8, 16},
+	}
+}
 
 // renderRun flattens a result's trajectory and frontier into a canonical
 // byte string: the determinism contract is that two runs with the same
 // seed, budget and space render identically no matter the worker count or
 // shard layout.
-func renderRun(r *Result) string {
+func renderRun(r *SearchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy=%s space=%d sims=%d\n", r.Strategy, r.SpaceSize, r.Sims)
 	b.WriteString("trajectory:\n")
@@ -34,11 +44,11 @@ func renderRun(r *Result) string {
 // TestSearchDeterminism: same seed + same budget ⇒ byte-identical
 // trajectory and frontier at 1, 2 and 8 workers, for every strategy.
 func TestSearchDeterminism(t *testing.T) {
-	cache := dse.NewCompileCache()
+	cache := NewCompileCache()
 	for _, strat := range []string{"halving", "hillclimb", "evolve"} {
 		var baseline string
 		for _, workers := range []int{1, 2, 8} {
-			res, err := Run(context.Background(), testSpec(), Options{
+			res, err := Search(context.Background(), searchSpec(), SearchOptions{
 				Strategy: strat,
 				Budget:   4,
 				Seed:     7,
@@ -68,10 +78,10 @@ func TestSearchDeterminism(t *testing.T) {
 // TestSearchSeedMatters: different seeds explore differently (sanity check
 // that determinism is not degeneracy) for the stochastic strategies.
 func TestSearchSeedMatters(t *testing.T) {
-	cache := dse.NewCompileCache()
+	cache := NewCompileCache()
 	runs := map[int64]string{}
 	for _, seed := range []int64{1, 2, 3, 4} {
-		res, err := Run(context.Background(), testSpec(), Options{
+		res, err := Search(context.Background(), searchSpec(), SearchOptions{
 			Strategy: "hillclimb", Budget: 3, Seed: seed, Cache: cache,
 		})
 		if err != nil {
@@ -93,7 +103,7 @@ func TestSearchSeedMatters(t *testing.T) {
 // budget, successive halving (whose screen covers the whole tiny space)
 // must still recover it — the multi-fidelity contract in miniature.
 func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
-	spec := testSpec()
+	spec := searchSpec()
 	base, err := spec.BaseConfig()
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +112,13 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := dse.NewCompileCache()
-	exhaustive, err := dse.Run(context.Background(), points, dse.RunOptions{Cache: cache})
+	cache := NewCompileCache()
+	exhaustive, err := Run(context.Background(), points, RunOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantFront := map[string]bool{}
-	for _, r := range dse.ParetoFront(exhaustive) {
+	for _, r := range ParetoFront(exhaustive) {
 		wantFront[r.Point.Key()] = true
 	}
 	if len(wantFront) == 0 {
@@ -116,7 +126,7 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 	}
 
 	check := func(name string, budget int) {
-		res, err := Run(context.Background(), spec, Options{
+		res, err := Search(context.Background(), spec, SearchOptions{
 			Strategy: name, Budget: budget, Seed: 11, Cache: cache,
 		})
 		if err != nil {
@@ -144,8 +154,8 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 // TestSearchBudgetEnforced: the trajectory never exceeds the budget, and
 // repeat asks of the same point are not double-charged.
 func TestSearchBudgetEnforced(t *testing.T) {
-	res, err := Run(context.Background(), testSpec(), Options{
-		Strategy: "evolve", Budget: 3, Seed: 5, Cache: dse.NewCompileCache(),
+	res, err := Search(context.Background(), searchSpec(), SearchOptions{
+		Strategy: "evolve", Budget: 3, Seed: 5, Cache: NewCompileCache(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +175,7 @@ func TestSearchBudgetEnforced(t *testing.T) {
 
 // TestSearchUnknownStrategy: typos fail fast with the valid names.
 func TestSearchUnknownStrategy(t *testing.T) {
-	_, err := Run(context.Background(), testSpec(), Options{Strategy: "anneal"})
+	_, err := Search(context.Background(), searchSpec(), SearchOptions{Strategy: "anneal"})
 	if err == nil || !strings.Contains(err.Error(), "unknown strategy") {
 		t.Fatalf("err = %v, want unknown strategy", err)
 	}
@@ -176,8 +186,8 @@ func TestSearchUnknownStrategy(t *testing.T) {
 // as the single-process run. The shards share a compile cache the way real
 // deployments share an artifact store.
 func TestShardMergeEquivalence(t *testing.T) {
-	cache := dse.NewCompileCache()
-	single, err := Run(context.Background(), testSpec(), Options{
+	cache := NewCompileCache()
+	single, err := Search(context.Background(), searchSpec(), SearchOptions{
 		Strategy: "halving", Budget: 4, Seed: 9, Cache: cache,
 	})
 	if err != nil {
@@ -186,19 +196,19 @@ func TestShardMergeEquivalence(t *testing.T) {
 	want := renderRun(single)
 
 	base := filepath.Join(t.TempDir(), "search.ckpt")
-	results := make([]*Result, 2)
+	results := make([]*SearchResult, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for shard := 0; shard < 2; shard++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			ckpt, err := dse.LoadCheckpoint(base)
+			ckpt, err := LoadCheckpoint(base)
 			if err != nil {
 				errs[shard] = err
 				return
 			}
-			results[shard], errs[shard] = Run(context.Background(), testSpec(), Options{
+			results[shard], errs[shard] = Search(context.Background(), searchSpec(), SearchOptions{
 				Strategy:   "halving",
 				Budget:     4,
 				Seed:       9,
@@ -224,16 +234,16 @@ func TestShardMergeEquivalence(t *testing.T) {
 // TestShardValidation: a sharded run without a file-backed checkpoint, or
 // with an out-of-range shard id, fails fast.
 func TestShardValidation(t *testing.T) {
-	if _, err := Run(context.Background(), testSpec(), Options{
+	if _, err := Search(context.Background(), searchSpec(), SearchOptions{
 		Strategy: "halving", Budget: 2, Shard: 0, ShardCount: 2,
 	}); err == nil {
 		t.Error("sharded run without checkpoint accepted")
 	}
-	ckpt, err := dse.LoadCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"))
+	ckpt, err := LoadCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), testSpec(), Options{
+	if _, err := Search(context.Background(), searchSpec(), SearchOptions{
 		Strategy: "halving", Budget: 2, Checkpoint: ckpt, Shard: 2, ShardCount: 2,
 	}); err == nil {
 		t.Error("out-of-range shard id accepted")

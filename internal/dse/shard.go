@@ -1,4 +1,4 @@
-package search
+package dse
 
 import (
 	"context"
@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"cimflow/internal/dse"
 )
 
 // shardPollInterval is how often a shard re-reads a peer's checkpoint file
@@ -27,27 +25,27 @@ func ShardPath(base string, shard, count int) string {
 	return fmt.Sprintf("%s.shard%dof%d", base, shard, count)
 }
 
-// shardState is a Tour's view of a sharded run: its own checkpoint (the
+// shardState is a tour's view of a sharded run: its own checkpoint (the
 // evaluator records into it, flushing after every point) and its peers'
 // file paths.
 type shardState struct {
 	shard, count int
-	own          *dse.Checkpoint
+	own          *Checkpoint
 	peers        map[int]string // shard id -> checkpoint path
 }
 
 // newShardState validates the shard options and opens this shard's
 // checkpoint. The shared base path comes from the run checkpoint, which is
 // required when sharding (it is the coordination medium).
-func newShardState(opt Options) (*shardState, error) {
+func newShardState(opt SearchOptions) (*shardState, error) {
 	if opt.Shard < 0 || opt.Shard >= opt.ShardCount {
-		return nil, fmt.Errorf("search: shard %d outside 0..%d", opt.Shard, opt.ShardCount-1)
+		return nil, fmt.Errorf("dse: shard %d outside 0..%d", opt.Shard, opt.ShardCount-1)
 	}
 	if opt.Checkpoint == nil || opt.Checkpoint.Path() == "" {
-		return nil, errors.New("search: sharded runs need a file-backed checkpoint as the coordination medium")
+		return nil, errors.New("dse: sharded runs need a file-backed checkpoint as the coordination medium")
 	}
 	base := opt.Checkpoint.Path()
-	own, err := dse.LoadCheckpoint(ShardPath(base, opt.Shard, opt.ShardCount))
+	own, err := LoadCheckpoint(ShardPath(base, opt.Shard, opt.ShardCount))
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +73,7 @@ func (st *shardState) close() {
 // unless it crashed — which surfaces here as a timeout error result,
 // keeping the failure visible in this shard's trajectory rather than
 // hanging the run.
-func (st *shardState) await(ctx context.Context, ev *dse.Evaluator, p dse.Point) dse.PointResult {
+func (st *shardState) await(ctx context.Context, ev *Evaluator, p Point) PointResult {
 	key := ev.Key(&p)
 	deadline := time.Now().Add(shardTimeout)
 	for {
@@ -84,25 +82,21 @@ func (st *shardState) await(ctx context.Context, ev *dse.Evaluator, p dse.Point)
 			if err != nil {
 				continue // peer not started yet
 			}
-			cp, err := dse.DecodeCheckpoint(data)
+			cp, err := DecodeCheckpoint(data)
 			if err != nil {
 				continue // torn write loses one poll round, not the run
 			}
 			if saved, ok := cp.Lookup(key); ok {
-				r := dse.PointResult{Point: p, Metrics: saved.Metrics, CostEst: saved.CostEst, Cached: true}
-				if saved.Err != "" {
-					r.Err = errors.New(saved.Err)
-				}
-				return r
+				return saved.restore(p)
 			}
 		}
 		if time.Now().After(deadline) {
-			return dse.PointResult{Point: p,
-				Err: fmt.Errorf("search: shard %d/%d: timed out waiting for peer result of %s", st.shard, st.count, p.Label())}
+			return PointResult{Point: p,
+				Err: fmt.Errorf("dse: shard %d/%d: timed out waiting for peer result of %s", st.shard, st.count, p.Label())}
 		}
 		select {
 		case <-ctx.Done():
-			return dse.PointResult{Point: p, Err: ctx.Err()}
+			return PointResult{Point: p, Err: ctx.Err()}
 		case <-time.After(shardPollInterval):
 		}
 	}

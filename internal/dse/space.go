@@ -1,22 +1,10 @@
-// Package search finds the Pareto frontier of a design space in a small
-// fraction of the exhaustive sweep's evaluations. It navigates the same
-// declarative dse.Spec axes the sweep engine enumerates, but instead of
-// simulating the whole cross-product it runs a pluggable search strategy —
-// successive halving, hill climbing with random restarts, or a (mu+lambda)
-// evolutionary loop — over a two-tier multi-fidelity evaluator: planning
-// stage cost-model estimates (milliseconds, free) to rank and prune
-// candidates, cycle-accurate simulation (seconds, budgeted) only for the
-// survivors. Every run is reproducible from its seed, and a shard runner
-// splits the simulation work across cooperating processes that converge to
-// one merged frontier.
-package search
+package dse
 
 import (
 	"fmt"
 
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
-	"cimflow/internal/dse"
 	"cimflow/internal/model"
 )
 
@@ -26,14 +14,13 @@ type Axis struct {
 	Size int
 }
 
-// Space is a dse.Spec indexed for navigation: every point of the spec's
-// cross-product is addressable by a dense index in [0, Size), with the same
-// lexicographic ordering Spec.Expand produces — index i here is point i of
-// the exhaustive sweep — so search results and sweep results key
-// identically. Unlike Expand, a Space materializes points one at a time,
-// which is what lets a strategy walk spaces too large to enumerate.
+// Space is a Spec indexed for navigation: every point of the spec's
+// cross-product is addressable by a dense index in [0, Size). Axis order is
+// fixed — models (outermost), strategies, MG sizes, flit widths, core
+// meshes, local memory — so the same spec always yields the same point at
+// the same index. Expand is every index in order; a search materializes
+// points one at a time, which lets it walk spaces too large to enumerate.
 type Space struct {
-	spec   *dse.Spec
 	base   arch.Config
 	seed   uint64
 	models []string
@@ -45,24 +32,23 @@ type Space struct {
 	size   int
 }
 
-// NewSpace indexes a spec over its resolved base configuration.
-func NewSpace(spec *dse.Spec) (*Space, error) {
+// NewSpace indexes a spec over a base configuration. An empty model list,
+// an unknown model and an unknown strategy are errors; an invalid derived
+// configuration is reported by Point.
+func NewSpace(spec *Spec, base arch.Config) (*Space, error) {
 	if len(spec.Models) == 0 {
-		return nil, fmt.Errorf("search: spec %q lists no models", spec.Name)
+		return nil, fmt.Errorf("dse: spec %q lists no models", spec.Name)
 	}
 	for _, m := range spec.Models {
 		if model.Zoo(m) == nil {
-			return nil, fmt.Errorf("search: unknown model %q (have %v)", m, model.ZooNames())
+			return nil, fmt.Errorf("dse: unknown model %q (have %v)", m, model.ZooNames())
 		}
-	}
-	base, err := spec.BaseConfig()
-	if err != nil {
-		return nil, err
 	}
 	strats := []compiler.Strategy{compiler.StrategyDP}
 	if len(spec.Strategies) > 0 {
 		strats = make([]compiler.Strategy, len(spec.Strategies))
 		for i, name := range spec.Strategies {
+			var err error
 			if strats[i], err = compiler.ParseStrategy(name); err != nil {
 				return nil, err
 			}
@@ -73,7 +59,6 @@ func NewSpace(spec *dse.Spec) (*Space, error) {
 		seed = 1
 	}
 	s := &Space{
-		spec:   spec,
 		base:   base,
 		seed:   seed,
 		models: spec.Models,
@@ -90,8 +75,7 @@ func NewSpace(spec *dse.Spec) (*Space, error) {
 	return s, nil
 }
 
-// orBase turns an empty axis into the "keep base value" sentinel,
-// mirroring Spec.Expand.
+// orBase turns an empty axis into the single "keep base value" sentinel.
 func orBase(axis []int) []int {
 	if len(axis) == 0 {
 		return []int{0}
@@ -102,15 +86,21 @@ func orBase(axis []int) []int {
 // Size is the cardinality of the full cross-product.
 func (s *Space) Size() int { return s.size }
 
+// radix is the cardinality of each axis, in index order.
+func (s *Space) radix() [6]int {
+	return [6]int{len(s.models), len(s.strats), len(s.mgs), len(s.flits), len(s.meshes), len(s.lms)}
+}
+
 // Axes describes the swept dimensions in index order (models outermost).
 func (s *Space) Axes() []Axis {
+	r := s.radix()
 	return []Axis{
-		{"model", len(s.models)},
-		{"strategy", len(s.strats)},
-		{"mg_size", len(s.mgs)},
-		{"flit_B", len(s.flits)},
-		{"mesh", len(s.meshes)},
-		{"localmem_KB", len(s.lms)},
+		{"model", r[0]},
+		{"strategy", r[1]},
+		{"mg_size", r[2]},
+		{"flit_B", r[3]},
+		{"mesh", r[4]},
+		{"localmem_KB", r[5]},
 	}
 }
 
@@ -118,7 +108,7 @@ func (s *Space) Axes() []Axis {
 // outermost — the digit order of Axes).
 func (s *Space) Coords(i int) [6]int {
 	var c [6]int
-	radix := [6]int{len(s.models), len(s.strats), len(s.mgs), len(s.flits), len(s.meshes), len(s.lms)}
+	radix := s.radix()
 	for a := 5; a >= 0; a-- {
 		c[a] = i % radix[a]
 		i /= radix[a]
@@ -128,7 +118,7 @@ func (s *Space) Coords(i int) [6]int {
 
 // Index encodes per-axis digits back into a point index.
 func (s *Space) Index(c [6]int) int {
-	radix := [6]int{len(s.models), len(s.strats), len(s.mgs), len(s.flits), len(s.meshes), len(s.lms)}
+	radix := s.radix()
 	i := 0
 	for a := 0; a < 6; a++ {
 		i = i*radix[a] + c[a]
@@ -136,12 +126,11 @@ func (s *Space) Index(c [6]int) int {
 	return i
 }
 
-// Point materializes point i, identical to Spec.Expand's point i (same
-// knobs, same Index, same derived configuration). The configuration is
-// validated; strategies treat an invalid point as a dead cell of the grid.
-func (s *Space) Point(i int) (dse.Point, error) {
+// Point materializes point i. The configuration is validated: Expand fails
+// on an invalid point, a search treats it as a dead cell of the grid.
+func (s *Space) Point(i int) (Point, error) {
 	if i < 0 || i >= s.size {
-		return dse.Point{}, fmt.Errorf("search: point index %d outside space of %d", i, s.size)
+		return Point{}, fmt.Errorf("dse: point index %d outside space of %d", i, s.size)
 	}
 	c := s.Coords(i)
 	mg, flit := s.mgs[c[2]], s.flits[c[3]]
@@ -159,7 +148,7 @@ func (s *Space) Point(i int) (dse.Point, error) {
 	if lm != 0 {
 		cfg = cfg.WithLocalMemBytes(lm << 10)
 	}
-	p := dse.Point{
+	p := Point{
 		Index:      i,
 		Model:      s.models[c[0]],
 		Strategy:   s.strats[c[1]],
@@ -171,7 +160,7 @@ func (s *Space) Point(i int) (dse.Point, error) {
 		Config:     cfg,
 	}
 	if err := cfg.Validate(); err != nil {
-		return p, fmt.Errorf("search: point %s: %w", p.Label(), err)
+		return p, fmt.Errorf("dse: point %s: %w", p.Label(), err)
 	}
 	return p, nil
 }
@@ -180,7 +169,7 @@ func (s *Space) Point(i int) (dse.Point, error) {
 // axis digit, in deterministic order (axis-major, ascending digit).
 func (s *Space) Neighbors(i int) []int {
 	c := s.Coords(i)
-	radix := [6]int{len(s.models), len(s.strats), len(s.mgs), len(s.flits), len(s.meshes), len(s.lms)}
+	radix := s.radix()
 	var out []int
 	for a := 0; a < 6; a++ {
 		for d := 0; d < radix[a]; d++ {

@@ -9,6 +9,13 @@
 // compilation strategies. A Spec names the axes, Expand turns it into a
 // deterministic list of Points, Run simulates them on a worker pool, and
 // ParetoFront/Best summarize the result.
+//
+// Search finds the same frontier in a fraction of the sweep's simulations:
+// a strategy (successive halving, hill climbing with random restarts, or a
+// (mu+lambda) evolutionary loop) walks the spec's Space, ranks candidates
+// by free planning-stage estimates and simulates only the survivors. Every
+// search is reproducible from its seed, and shards split its simulations
+// across cooperating processes that converge to one merged frontier.
 package dse
 
 import (
@@ -20,7 +27,6 @@ import (
 
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
-	"cimflow/internal/model"
 )
 
 // Spec is a declarative sweep: the cross-product of every listed axis.
@@ -100,102 +106,22 @@ func (s *Spec) BaseConfig() (arch.Config, error) {
 	return arch.Parse(s.Base)
 }
 
-// strategies resolves the strategy axis, defaulting to DP.
-func (s *Spec) strategies() ([]compiler.Strategy, error) {
-	if len(s.Strategies) == 0 {
-		return []compiler.Strategy{compiler.StrategyDP}, nil
-	}
-	out := make([]compiler.Strategy, len(s.Strategies))
-	for i, name := range s.Strategies {
-		st, err := compiler.ParseStrategy(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
 // Expand resolves the spec against a base configuration into the
-// deterministic cross-product of its axes. Axis order is fixed — models
-// (outer), strategies, MG sizes, flit widths, core meshes, local memory —
-// so the same spec always yields the same point list in the same order.
-// Every derived configuration is validated before it is returned.
+// deterministic cross-product of its axes: point i is Space.Point(i), so
+// the order is the Space's. Every derived configuration is validated; one
+// invalid point fails the whole spec.
 func (s *Spec) Expand(base arch.Config) ([]Point, error) {
-	if len(s.Models) == 0 {
-		return nil, fmt.Errorf("dse: spec %q lists no models", s.Name)
-	}
-	for _, m := range s.Models {
-		if model.Zoo(m) == nil {
-			return nil, fmt.Errorf("dse: unknown model %q (have %v)", m, model.ZooNames())
-		}
-	}
-	strats, err := s.strategies()
+	space, err := NewSpace(s, base)
 	if err != nil {
 		return nil, err
 	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	mgs := orBase(s.MGSizes)
-	flits := orBase(s.FlitBytes)
-	meshes := s.CoreMeshes
-	if len(meshes) == 0 {
-		meshes = [][2]int{{}}
-	}
-	lms := orBase(s.LocalMemKB)
-
-	var pts []Point
-	for _, m := range s.Models {
-		for _, st := range strats {
-			for _, mg := range mgs {
-				for _, flit := range flits {
-					for _, mesh := range meshes {
-						for _, lm := range lms {
-							cfg := base
-							if mg != 0 {
-								cfg = cfg.WithMacrosPerGroup(mg)
-							}
-							if flit != 0 {
-								cfg = cfg.WithFlitBytes(flit)
-							}
-							if mesh != ([2]int{}) {
-								cfg = cfg.WithCoreMesh(mesh[0], mesh[1])
-							}
-							if lm != 0 {
-								cfg = cfg.WithLocalMemBytes(lm << 10)
-							}
-							p := Point{
-								Index:      len(pts),
-								Model:      m,
-								Strategy:   st,
-								MGSize:     mg,
-								FlitBytes:  flit,
-								Mesh:       mesh,
-								LocalMemKB: lm,
-								Seed:       seed,
-								Config:     cfg,
-							}
-							if err := cfg.Validate(); err != nil {
-								return nil, fmt.Errorf("dse: point %s: %w", p.Label(), err)
-							}
-							pts = append(pts, p)
-						}
-					}
-				}
-			}
+	pts := make([]Point, space.Size())
+	for i := range pts {
+		if pts[i], err = space.Point(i); err != nil {
+			return nil, err
 		}
 	}
 	return pts, nil
-}
-
-// orBase turns an empty axis into the single "keep base value" sentinel.
-func orBase(axis []int) []int {
-	if len(axis) == 0 {
-		return []int{0}
-	}
-	return axis
 }
 
 // ParseSpec decodes a sweep spec from JSON.

@@ -107,8 +107,8 @@ func TestExpandMeshAndLocalMem(t *testing.T) {
 	}
 }
 
-// TestExpandErrors: unknown models, strategies and invalid derived
-// configs fail expansion with a descriptive error.
+// TestExpandErrors: empty specs, unknown models, strategies and invalid
+// derived configs fail expansion with a descriptive error.
 func TestExpandErrors(t *testing.T) {
 	base := arch.DefaultConfig()
 	if _, err := (&Spec{}).Expand(base); err == nil {
@@ -123,6 +123,70 @@ func TestExpandErrors(t *testing.T) {
 	bad := &Spec{Models: []string{"tinycnn"}, LocalMemKB: []int{-1}} // negative capacity
 	if _, err := bad.Expand(base); err == nil {
 		t.Error("invalid derived config accepted")
+	}
+	// A search walks the same space point by point: there the invalid point
+	// is a dead cell, and an index outside the space errors, not wraps.
+	space, err := NewSpace(bad, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, -1, space.Size()} {
+		if _, err := space.Point(i); err == nil {
+			t.Errorf("point %d of %d accepted", i, space.Size())
+		}
+	}
+}
+
+// TestCoordsIndexRoundTrip: Coords and Index are inverse bijections over
+// the whole space.
+func TestCoordsIndexRoundTrip(t *testing.T) {
+	space, err := NewSpace(searchSpec(), arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < space.Size(); i++ {
+		if back := space.Index(space.Coords(i)); back != i {
+			t.Errorf("Index(Coords(%d)) = %d", i, back)
+		}
+	}
+}
+
+// TestNeighbors: the one-axis neighborhood has sum(size_a - 1) members,
+// all distinct, none equal to the origin, each differing in one digit.
+func TestNeighbors(t *testing.T) {
+	space, err := NewSpace(searchSpec(), arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, ax := range space.Axes() {
+		want += ax.Size - 1
+	}
+	for i := 0; i < space.Size(); i++ {
+		nbrs := space.Neighbors(i)
+		if len(nbrs) != want {
+			t.Fatalf("point %d has %d neighbors, want %d", i, len(nbrs), want)
+		}
+		seen := map[int]bool{}
+		for _, n := range nbrs {
+			if n == i {
+				t.Errorf("point %d neighbors itself", i)
+			}
+			if seen[n] {
+				t.Errorf("point %d neighbor %d repeated", i, n)
+			}
+			seen[n] = true
+			a, b := space.Coords(i), space.Coords(n)
+			diff := 0
+			for k := range a {
+				if a[k] != b[k] {
+					diff++
+				}
+			}
+			if diff != 1 {
+				t.Errorf("neighbor %d of %d differs in %d axes", n, i, diff)
+			}
+		}
 	}
 }
 

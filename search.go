@@ -4,10 +4,9 @@ import (
 	"context"
 
 	"cimflow/internal/dse"
-	"cimflow/internal/search"
 )
 
-// Search-based design-space exploration re-exported from internal/search:
+// Search-based design-space exploration re-exported from internal/dse:
 // instead of simulating the full cross-product of a SweepSpec, a search
 // strategy navigates the space under a simulation budget, pruning with free
 // planning-stage cost estimates and spending cycle-accurate simulations
@@ -17,13 +16,10 @@ type (
 	// SearchOptions configures a search run: strategy name ("halving",
 	// "hillclimb", "evolve"), simulation budget, seed, worker pool,
 	// caching/checkpointing and the distributed shard layout.
-	SearchOptions = search.Options
+	SearchOptions = dse.SearchOptions
 	// SearchResult summarizes a run: the charged trajectory in ask order,
 	// its Pareto frontier, simulation/estimate counts and hypervolume.
-	SearchResult = search.Result
-	// SearchStrategy is the navigation interface behind the named
-	// strategies; custom strategies drive a search.Tour directly.
-	SearchStrategy = search.Strategy
+	SearchResult = dse.SearchResult
 	// CostEstimate is the low-fidelity prediction of a point: planning-stage
 	// cycles from the compiler's memoized DP tables plus an analytical
 	// energy model — no codegen, no simulation.
@@ -33,14 +29,14 @@ type (
 // Search explores a sweep spec's design space under opt.Budget full
 // simulations (default: 25% of the space) and returns the found frontier.
 func Search(ctx context.Context, spec *SweepSpec, opt SearchOptions) (*SearchResult, error) {
-	return search.Run(ctx, spec, opt)
+	return dse.Search(ctx, spec, opt)
 }
 
 // SearchShardPath derives the per-shard checkpoint path a sharded search
 // (SearchOptions.Shard/ShardCount) writes beside the base checkpoint file.
 // Cooperating shard processes exchange results through these files.
 func SearchShardPath(base string, shard, count int) string {
-	return search.ShardPath(base, shard, count)
+	return dse.ShardPath(base, shard, count)
 }
 
 // PointEstimate prices a sweep point at planning fidelity — the compiler's
