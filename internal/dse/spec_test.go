@@ -107,8 +107,8 @@ func TestExpandMeshAndLocalMem(t *testing.T) {
 	}
 }
 
-// TestExpandErrors: empty specs, unknown models, strategies and invalid
-// derived configs fail expansion with a descriptive error.
+// TestExpandErrors: unknown models, strategies and invalid derived
+// configs fail expansion with a descriptive error.
 func TestExpandErrors(t *testing.T) {
 	base := arch.DefaultConfig()
 	if _, err := (&Spec{}).Expand(base); err == nil {
@@ -124,16 +124,36 @@ func TestExpandErrors(t *testing.T) {
 	if _, err := bad.Expand(base); err == nil {
 		t.Error("invalid derived config accepted")
 	}
-	// A search walks the same space point by point: there the invalid point
-	// is a dead cell, and an index outside the space errors, not wraps.
-	space, err := NewSpace(bad, base)
+}
+
+// TestSpaceErrors: NewSpace rejects empty specs and unknown models; a
+// search walks the space point by point, so an invalid derived config is
+// a dead cell and an index outside the space errors, not wraps.
+func TestSpaceErrors(t *testing.T) {
+	base := arch.DefaultConfig()
+	if _, err := NewSpace(&Spec{}, base); err == nil {
+		t.Error("empty spec accepted")
+	}
+	if _, err := NewSpace(&Spec{Models: []string{"no-such-net"}}, base); err == nil {
+		t.Error("unknown model accepted")
+	}
+	space, err := NewSpace(searchSpec(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{0, -1, space.Size()} {
-		if _, err := space.Point(i); err == nil {
-			t.Errorf("point %d of %d accepted", i, space.Size())
-		}
+	if _, err := space.Point(-1); err == nil {
+		t.Error("negative index accepted")
+	}
+	if _, err := space.Point(space.Size()); err == nil {
+		t.Error("out-of-range index accepted")
+	}
+	bad := &Spec{Models: []string{"tinycnn"}, LocalMemKB: []int{-1}} // negative capacity
+	dead, err := NewSpace(bad, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dead.Point(0); err == nil {
+		t.Error("invalid derived config accepted as a point")
 	}
 }
 
