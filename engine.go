@@ -64,9 +64,10 @@ func WithFullBufferLimit(bytes int32) Option {
 // one pool all its Sessions share (0 = GOMAXPROCS); an inference that finds
 // them all busy waits. An idle chip goes first to the session it was last
 // staged for, else it is restaged for another, so a larger n buys fewer
-// restages and more concurrent inferences with memory (32 MB of local
-// memory per lane at the default architecture). Engine-level only: Session
-// ignores it.
+// restages and more concurrent inferences with memory (per lane, what a
+// chip's programs touch: about 9 MB of local memory on mobilenetv2 at the
+// default architecture, of the 32 MB it addresses). Engine-level only:
+// Session ignores it.
 func WithMaxPooledChips(n int) Option {
 	return func(o *settings) { o.MaxPooledChips = n }
 }

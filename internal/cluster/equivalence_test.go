@@ -91,9 +91,10 @@ func TestRouterEquivalence(t *testing.T) {
 	for _, replicas := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
 			servers := replicaFleet(t, graphs, seed, replicas)
-			// A 1ms hedge delay fires on nearly every simulated inference,
-			// so the hedging path itself is proven output-neutral.
-			r := testRouter(t, WithHedgeDelay(time.Millisecond))
+			// A 1µs hedge delay fires on nearly every simulated inference
+			// (a tiny model's takes tens of microseconds and more), so the
+			// hedging path itself is proven output-neutral.
+			r := testRouter(t, WithHedgeDelay(time.Microsecond))
 			for i, srv := range servers {
 				if err := r.AddBackend(NewLocalBackend(fmt.Sprintf("replica-%d", i), srv)); err != nil {
 					t.Fatal(err)
@@ -136,7 +137,7 @@ func TestRouterEquivalence(t *testing.T) {
 				t.Fatal("no placements recorded")
 			}
 			if replicas > 1 && m.HedgesLaunched == 0 {
-				t.Error("hedging never fired despite the 1ms hedge delay — the test no longer exercises the hedged path")
+				t.Error("hedging never fired despite the 1µs hedge delay — the test no longer exercises the hedged path")
 			}
 		})
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // Pool holds the simulated chips its sessions run on and bounds how many
-// exist at once: a chip is 32 MB of local memory per lane at the default
-// architecture, so live chips are what a serving or sweep loop's memory
-// follows. Every run is byte-identical to one on a fresh chip. A Pool is safe
+// exist at once: a chip holds, per lane, the local memory, macro groups and
+// global memory its programs touched — megabytes on a zoo model — so live
+// chips are what a serving or sweep loop's memory follows. Every run is byte-identical to one on a fresh chip. A Pool is safe
 // for concurrent use; its zero value is ready and bounded by GOMAXPROCS.
 type Pool struct {
 	bound int // live chips at most; 0 means GOMAXPROCS

@@ -36,7 +36,7 @@ var ErrClosed = errors.New("core: session closed")
 // a run that errored or was cancelled included — and the scratch ranges
 // (input, activations, padding) are zeroed; the resident weight segments are
 // exactly what StaticInit would rewrite. So an acquire costs what the last
-// inference wrote, not the chip's 32 MB of local memory per lane.
+// inference wrote, not what the chip backs.
 type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore

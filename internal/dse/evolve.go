@@ -51,7 +51,13 @@ func evolve(t *tour) {
 		// Estimate gate: promote only the predicted-fittest lambda.
 		cand := fittest(t.EstimateBatch(brood), evolveLambda)
 		if len(cand) == 0 {
-			continue
+			// The whole brood is dead or unplannable: take in the first
+			// point left instead, if there is one.
+			i := t.open()
+			if i < 0 {
+				break
+			}
+			cand = t.EstimateBatch([]int{i})
 		}
 		absorb(indices(cand))
 

@@ -10,17 +10,21 @@ const hillClimbProbes = 2
 // neighbors (by estimated Pareto fitness) to simulation, and moves to the
 // first one the current point does not dominate. A step that only finds
 // dominated neighbors is a local optimum and triggers a restart; restarts
-// go on until the budget is spent. Because every step simulates a
-// never-before-charged point, the walk cannot cycle and the budget bounds
-// it exactly.
+// go on until the budget is spent or no point is left to simulate
+// (tour.open). Because every step simulates a never-before-charged point,
+// the walk cannot cycle and the budget bounds it exactly.
 func hillClimb(t *tour) {
 	size := t.space.Size()
 	for t.Remaining() > 0 {
-		// Pick an unvisited start (a few redraws; a crowded small space may
-		// land on a visited point, which costs nothing).
+		// Pick an unvisited start: a few redraws, then the first point left.
 		cur := t.rng.Intn(size)
 		for tries := 0; t.Simulated(cur) && tries < 2*size; tries++ {
 			cur = t.rng.Intn(size)
+		}
+		if t.Simulated(cur) {
+			if cur = t.open(); cur < 0 {
+				return
+			}
 		}
 		res := t.SimBatch([]int{cur})[0]
 		if res.Err != nil {

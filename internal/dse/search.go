@@ -204,6 +204,19 @@ func (t *tour) Simulated(i int) bool {
 	return ok
 }
 
+// open returns the first point, by index, left to simulate — neither
+// simulated nor failing its estimate (a dead or unplannable cell) — or -1
+// when there is none. It prices unsimulated points in index order up to
+// that one, so it costs little while much of the space is open.
+func (t *tour) open() int {
+	for i := range t.space.Size() {
+		if !t.Simulated(i) && t.EstimateBatch([]int{i})[0].Err == nil {
+			return i
+		}
+	}
+	return -1
+}
+
 // EstimateBatch prices points at low fidelity (free), memoized by index.
 // Results align with idx.
 func (t *tour) EstimateBatch(idx []int) []estResult {

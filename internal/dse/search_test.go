@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // searchSpec is the shared tiny search space: 2 models x 1 strategy x 2 MG
@@ -228,6 +229,75 @@ func TestShardMergeEquivalence(t *testing.T) {
 			t.Errorf("shard %d diverged from single-process run:\n--- single ---\n%s--- shard %d ---\n%s",
 				shard, want, shard, got)
 		}
+		// The split of the work: a shard's own checkpoint holds what it
+		// simulated, its half of the four asks.
+		own, err := LoadCheckpoint(ShardPath(base, shard, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own.Len() != 2 {
+			t.Errorf("shard %d simulated %d of the 4 asks, want 2", shard, own.Len())
+		}
+	}
+}
+
+// deadCellSpec is searchSpec with a second core mesh of zero rows: half its
+// 16 cells are dead (their configuration is invalid), so their estimates
+// fail, and 8 are live.
+func deadCellSpec() *Spec {
+	spec := searchSpec()
+	spec.CoreMeshes = [][2]int{{2, 2}, {0, 2}}
+	return spec
+}
+
+// TestSearchStopsWhenSpaceExhausted: with a budget twice the space, every
+// strategy simulates each live point once and returns, on a space of live
+// cells only and on one with dead cells; none simulates a dead cell.
+// Halving, whose rung is budget-sized, is also held to the budget exactly.
+func TestSearchStopsWhenSpaceExhausted(t *testing.T) {
+	cache := NewCompileCache()
+	for _, sc := range []struct {
+		name       string
+		spec       *Spec
+		size, live int
+	}{{"live", searchSpec(), 8, 8}, {"dead cells", deadCellSpec(), 16, 8}} {
+		for _, strat := range []string{"halving", "hillclimb", "evolve"} {
+			for _, budget := range []int{sc.live, 2 * sc.size} {
+				label := fmt.Sprintf("%s/%s/budget %d", sc.name, strat, budget)
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				done := make(chan struct{})
+				var res *SearchResult
+				var err error
+				go func() {
+					defer close(done)
+					res, err = Search(ctx, sc.spec, SearchOptions{Strategy: strat, Budget: budget, Seed: 3, Cache: cache})
+				}()
+				select {
+				case <-done:
+				case <-ctx.Done():
+					t.Fatalf("%s: still searching after %v", label, time.Minute)
+				}
+				cancel()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if strat == "halving" || budget > sc.live {
+					if res.Sims != sc.live || len(res.Trajectory) != sc.live {
+						t.Errorf("%s: %d sims, %d in the trajectory, want %d", label, res.Sims, len(res.Trajectory), sc.live)
+					}
+				}
+				for _, r := range res.Trajectory {
+					if r.Err != nil {
+						t.Errorf("%s: simulated %s: %v", label, r.Point.Label(), r.Err)
+					}
+				}
+			}
+		}
+	}
+	// A halving rung smaller than the space: the trajectory is the budget.
+	res, err := Search(context.Background(), searchSpec(), SearchOptions{Strategy: "halving", Budget: 3, Seed: 3, Cache: cache})
+	if err != nil || res.Sims != 3 || len(res.Trajectory) != 3 {
+		t.Errorf("halving at budget 3 of 8: %d sims, %d in the trajectory, %v", res.Sims, len(res.Trajectory), err)
 	}
 }
 

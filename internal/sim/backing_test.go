@@ -12,12 +12,15 @@ import (
 	"cimflow/internal/isa"
 )
 
-// backEagerly backs every macro group and the whole of global memory in
-// every lane with zeros, as a chip that allocated its capacity at build
-// would hold them.
+// backEagerly backs every macro group, the whole of every core's local
+// memory and the whole of global memory in every lane with zeros, as a chip
+// that allocated its capacity at build would hold them.
 func backEagerly(ch *Chip) {
 	ch.backGlobal(ch.globalSize)
 	for _, c := range ch.cores {
+		if _, err := c.localRange(0, c.localSize); err != nil {
+			panic(err)
+		}
 		for l := range c.images {
 			for g := range c.images[l].mg {
 				c.images[l].mg[g] = make([]byte, int(c.macroRows)*c.groupChans)
@@ -227,6 +230,163 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		}
 		if _, err := ch.ReadGlobal(2*size, 1); err == nil {
 			t.Error("ReadGlobal past the raised size succeeded")
+		}
+	})
+}
+
+// lazyLocalCases are programs on a core of mem bytes of local memory, mem a
+// whole number of pages past the third. Each reads a lane's 64 input bytes
+// into local[0:64], which backs the first page; most then fill the last 64
+// bytes ("open"), which backs the last page and leaves the hole [page,
+// mem-page) between, and put a window of one kind of access at, below, above
+// or across an edge of that hole, across all of it, or inside it to read.
+// The rest touch the middle of untouched memory first, and one faults after
+// the hole grew.
+func lazyLocalCases(mem int32) []laneCase {
+	const page = 1 << dirtyShift
+	lo, hi := int32(page), mem-page // the hole "open" leaves
+	in, halt := copyIn(0, laneIn, 64), spinHalt()
+	fill := func(at, n int32) []isa.Instruction {
+		return seq(isa.LI(1, at), isa.LI(2, n), one(isa.VFill(1, 2, 0x5a)))
+	}
+	open := seq(in, fill(mem-64, 64))
+	opened := func(name string, body ...[]isa.Instruction) laneCase {
+		return laneCase{name: name, progs: []Program{{Core: 0, Code: seq(open, seq(body...), halt)}}}
+	}
+	storeByte := func(at int32) isa.Instruction { return isa.Instruction{Op: isa.OpScSB, RT: 2, RS: 1, Imm: at} }
+	return []laneCase{
+		opened("fill from the low edge", fill(lo, 16)),
+		opened("fill up to the low edge", fill(lo-16, 16)),
+		opened("fill up to the high edge", fill(hi-16, 16)),
+		opened("fill from the high edge", fill(hi, 16)),
+		opened("fill across the whole hole", fill(100, mem-200)),
+		opened("empty fill inside the hole", fill(mem/2, 0)),
+		opened("byte stores either side of both edges", isa.LI(1, 0), isa.LI(2, 0x77),
+			one(storeByte(lo-1), storeByte(lo), storeByte(hi-1), storeByte(hi))),
+		opened("word store across the low edge", isa.LI(1, lo-2), isa.LI(2, 0x01020304), one(isa.Store(2, 1, 0))),
+		opened("vector copy across the low edge", vec(isa.VFnMov8, lo-20, 0, 0, 64)),
+		opened("local copy across the high edge", isa.LI(1, hi-30), isa.LI(2, 0), isa.LI(3, 64), one(isa.MemCpy(1, 2, 3, 0))),
+		opened("strided vector backwards across the high edge", setSReg(isa.SRegVecStrideD, -3), vec(isa.VFnMov8, hi+40, 0, 0, 40)),
+		opened("word load from the hole", isa.LI(1, mem/2), one(isa.Load(2, 1, 0), isa.Store(2, 0, 200))),
+		opened("vector reads the hole", vec(isa.VFnAdd8, 128, mem/2, 0, 64), vec(isa.VFnRSum8, 256, mem/2+page, 0, 64)),
+		opened("mvm segments on both sides, writeback across the high edge", quant8(), loadWeights(0, 4),
+			setSReg(isa.SRegSegCount, 2), setSReg(isa.SRegSegStride, hi-lo), mvm(lo-1, 4, hi-3, isa.MVMFlagWriteRaw)),
+		opened("cim load across the low edge", vec(isa.VFnMov8, lo-8, 0, 0, 32), loadWeights(lo-8, 4)),
+		{name: "send across the low edge, receive in the middle first", progs: []Program{
+			{Core: 0, Code: seq(open, vec(isa.VFnMov8, lo-10, 0, 0, 64),
+				isa.LI(1, lo-10), isa.LI(2, 64), isa.LI(3, 1), one(isa.Send(1, 2, 3, 7)), halt)},
+			{Core: 1, Code: seq(isa.LI(1, mem/2-20), isa.LI(2, 64), isa.LI(3, 0), one(isa.Recv(1, 2, 3, 7)), halt)},
+		}},
+		{name: "middle first, then the low end and across the high edge", progs: []Program{{Core: 0, Code: seq(
+			fill(mem/4*3+100, 16), in, fill(mem/4*3-8, 16), halt)}}},
+		{name: "middle first below the midpoint", progs: []Program{{Core: 0, Code: seq(
+			fill(mem/2-page-8, 16), in, vec(isa.VFnMov8, mem/2-page, 0, 0, 64), halt)}}},
+		opened("fault after the hole grew", fill(lo, 2*page), isa.LI(1, hi+page-2), one(isa.Store(0, 1, 0), isa.Halt())),
+	}
+}
+
+// TestLazyLocalMatchesEager holds a chip that backs local memory on first
+// touch to the reference executor and to a chip backed in full: for every
+// lazyLocalCases program at 1 and 8 lanes, every lane's registers and memory
+// are the reference's, and the run's error, report and whole chip state the
+// eager chip's, untouched cores backing nothing. The lazy chip is then Reset
+// — to power-on state, keeping its hole — and runs at 2 and 8 lanes again
+// (the one-lane chip at 1),
+// held to the reference each time. Last, one chip is retargeted to half and
+// back to the full local memory, reading as a new chip each time, and runs
+// every case as a new chip does, regrowing inside the backing it kept.
+func TestLazyLocalMatchesEager(t *testing.T) {
+	cfg := lazyConfig()
+	cfg.Core.LocalMemBytes = 64 << 10
+	mem := int32(cfg.Core.LocalMemBytes)
+	for _, lc := range lazyLocalCases(mem) {
+		for _, lanes := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/%d lanes", lc.name, lanes), func(t *testing.T) {
+				lazy, eager := lc.stage(t, &cfg, WithLanes(lanes)), lc.stage(t, &cfg, WithLanes(lanes))
+				backEagerly(eager)
+				got, err := runOccupancy(t, lazy, lanes, lc.progs)
+				want, wantErr := runOccupancy(t, eager, lanes, nil)
+				switch {
+				case fmt.Sprint(err) != fmt.Sprint(wantErr):
+					t.Fatalf("lazy chip fails with %v, eager chip with %v", err, wantErr)
+				case (err == nil) != !strings.Contains(lc.name, "fault"):
+					t.Fatalf("Run = %v", err)
+				case !reflect.DeepEqual(got, want):
+					t.Fatalf("lazy chip reports\n%+v\neager chip\n%+v", got, want)
+				}
+				if diff := chipDiff(lazy, eager); diff != "" {
+					t.Fatal(diff)
+				}
+				c := lazy.cores[0]
+				if len(lazy.cores[3].local) != 0 || c.holeLo == c.holeHi && !strings.Contains(lc.name, "whole hole") {
+					t.Fatalf("core 0 backs %d of %d bytes (hole [%d, %d)), core 3 %d", len(c.local), mem, c.holeLo, c.holeHi, len(lazy.cores[3].local))
+				}
+				lazy.Reset()
+				assertPowerOn(t, lazy, "Reset")
+				hole := [...]int32{c.holeLo, c.holeHi, int32(len(c.local))}
+				for _, b := range []int{max(1, lanes/4), lanes} {
+					if _, err := runOccupancy(t, lazy, b, lc.progs); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("rerun at %d lanes: %v, first run %v", b, err, wantErr)
+					}
+					if now := [...]int32{c.holeLo, c.holeHi, int32(len(c.local))}; now != hole {
+						t.Fatalf("rerun at %d lanes: hole and backing %v, first run's %v", b, now, hole)
+					}
+					lazy.Reset()
+					assertPowerOn(t, lazy, fmt.Sprintf("Reset after %d lanes", b))
+				}
+			})
+		}
+	}
+
+	t.Run("retarget", func(t *testing.T) {
+		half := cfg.WithLocalMemBytes(int(mem / 2))
+		cases := lazyLocalCases(mem)
+		ch := cases[len(cases)-2].stage(t, &cfg, WithLanes(2)) // backs both ends and the middle
+		if _, err := runOccupancy(t, ch, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		backing := cap(ch.cores[0].local)
+		for _, step := range []arch.Config{half, cfg} {
+			if err := ch.Retarget(&step); err != nil {
+				t.Fatal(err)
+			}
+			assertPowerOn(t, ch, "Retarget")
+			fresh, err := NewChip(&step, WithLanes(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := chipDiff(ch, fresh); diff != "" {
+				t.Fatalf("%d bytes: retargeted chip unlike a new one: %s", step.Core.LocalMemBytes, diff)
+			}
+			if c := ch.cores[0]; cap(c.local) != backing || c.holeLo != 0 || c.holeHi != int32(step.Core.LocalMemBytes) {
+				t.Fatalf("%d bytes: backing %d of %d kept, hole [%d, %d)", step.Core.LocalMemBytes, cap(c.local), backing, c.holeLo, c.holeHi)
+			}
+			for _, lc := range lazyLocalCases(int32(step.Core.LocalMemBytes)) {
+				ch.EnsureGlobal(laneMemBytes)
+				if err := ch.LoadPrograms(lc.progs); err != nil {
+					t.Fatal(err)
+				}
+				fresh := lc.stage(t, &step, WithLanes(2))
+				got, err := runOccupancy(t, ch, 2, lc.progs)
+				want, wantErr := runOccupancy(t, fresh, 2, nil)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: retargeted chip %v\n%+v\nnew chip %v\n%+v", lc.name, err, got, wantErr, want)
+				}
+				if diff := chipDiff(ch, fresh); diff != "" {
+					t.Fatalf("%s: %s", lc.name, diff)
+				}
+				if err := ch.Retarget(&step); err != nil { // reopen the hole for the next case
+					t.Fatal(err)
+				}
+			}
+			if c := ch.cores[0]; cap(c.local) != backing && step.Core.LocalMemBytes < backing {
+				t.Fatalf("%d bytes: the backing grew from %d to %d bytes", step.Core.LocalMemBytes, backing, cap(c.local))
+			}
+		}
+		// Local addresses stop where the global window starts.
+		huge := cfg.WithLocalMemBytes(GlobalBase + 4)
+		if err := ch.Retarget(&huge); err == nil || !strings.Contains(err.Error(), "global window") {
+			t.Fatalf("Retarget to local memory past GlobalBase = %v", err)
 		}
 	})
 }

@@ -74,6 +74,19 @@ type core struct {
 	dirty   []uint64
 	mgDirty uint32
 
+	// Local memory is backed on first touch. Every lane's image.local holds
+	// the logical memory's [0, holeLo), then, at the end of the backing,
+	// [holeHi, localSize); the hole between reads as zeros, and so does
+	// whatever of the backing lies between the two parts, which nothing
+	// writes. The hole is lane-shared, as addresses come from the shared
+	// registers, and every lane's backing is as long. localRange and vecSpan
+	// shrink the hole (backLocal) when a window they validate enters it, and
+	// a validated window's base resolves to its place in the backing through
+	// phys: localGap is what it subtracts at or above holeHi.
+	localSize      int32
+	holeLo, holeHi int32
+	localGap       int32
+
 	// Constants hoisted out of the dispatch loop by configure; all are
 	// derived from the chip configuration.
 	frontPJ    float64 // per-instruction front-end energy
@@ -122,9 +135,11 @@ func newCore(id int, chip *Chip) *core {
 // buffers, keeping each one whose capacity holds the new size (Reset left it
 // zero to its capacity) and allocating only those that must grow — a macro
 // group that must grow is dropped instead, as it is backed on first load —,
-// drops the program and derives the constants the handlers hoist out of the
-// dispatch loop. Afterwards the core reads as the one a chip newly built for
-// cfg holds.
+// reopens the local-memory hole over the whole memory while keeping the
+// backing (up to the new size) for the next run to grow into, drops the
+// program and derives the constants the handlers hoist out of the dispatch
+// loop. Afterwards the core reads as the one a chip newly built for cfg
+// holds.
 func (c *core) configure(cfg *arch.Config) {
 	groupChans := cfg.GroupChannels()
 	e := &cfg.Energy
@@ -139,9 +154,13 @@ func (c *core) configure(cfg *arch.Config) {
 	c.groupChans = groupChans
 	c.macroRows = int32(cfg.Unit.MacroRows)
 	c.dirty = fit(c.dirty, (cfg.Core.LocalMemBytes+(64<<dirtyShift)-1)/(64<<dirtyShift))
+	c.localSize = int32(cfg.Core.LocalMemBytes)
+	c.holeLo, c.holeHi = 0, c.localSize
+	backed := min(cap(c.local), cfg.Core.LocalMemBytes)
+	c.localGap = c.localSize - int32(backed)
 	for l := range c.images {
 		im := &c.images[l]
-		im.local = fit(im.local, cfg.Core.LocalMemBytes)
+		im.local = im.local[:backed]
 		im.mg = fit(im.mg, cfg.Core.NumMacroGroups)
 		for i, g := range im.mg {
 			if n := cfg.Unit.MacroRows * groupChans; cap(g) >= n {
@@ -183,8 +202,9 @@ func (c *core) reset(lanes int) {
 		im := &c.images[l]
 		for w, word := range c.dirty {
 			for ; word != 0; word &= word - 1 {
-				lo := (w<<6 | bits.TrailingZeros64(word)) << dirtyShift
-				clear(im.local[lo:min(lo+1<<dirtyShift, len(im.local))])
+				lo := int32(w<<6|bits.TrailingZeros64(word)) << dirtyShift
+				p := c.phys(lo) // a page lies wholly on one side of the hole
+				clear(im.local[p : p+min(1<<dirtyShift, c.localSize-lo)])
 			}
 		}
 		for m := c.mgDirty; m != 0; m &= m - 1 {
@@ -319,10 +339,13 @@ func (c *core) retire(unit isa.Unit, issue, occupancy, completion int64, ranges 
 	c.stats.UnitBusy[unit] += occupancy
 }
 
-// localRange validates a [addr, addr+size) local window.
+// localRange validates a [addr, addr+size) local window and backs it.
 func (c *core) localRange(addr, size int32) (memRange, error) {
-	if size < 0 || addr < 0 || int(addr)+int(size) > len(c.local) {
-		return memRange{}, fmt.Errorf("local access [%d, %d+%d) out of bounds (%d)", addr, addr, size, len(c.local))
+	if size < 0 || addr < 0 || int(addr)+int(size) > int(c.localSize) {
+		return memRange{}, fmt.Errorf("local access [%d, %d+%d) out of bounds (%d)", addr, addr, size, c.localSize)
+	}
+	if addr < c.holeHi && addr+size > c.holeLo {
+		c.backLocal(addr, addr+size)
 	}
 	return memRange{addr, addr + size}, nil
 }
@@ -335,7 +358,7 @@ func (c *core) vecSpan(base, stride, size, n int32) (memRange, error) {
 	if n == 0 {
 		return memRange{base, base}, nil
 	}
-	mem := int64(len(c.local))
+	mem := int64(c.localSize)
 	// The last element's offset, clamped to the memory size: such an operand
 	// is out of bounds either way, and the size multiply cannot wrap int64.
 	ext := min(max(int64(n-1)*int64(stride), -mem), mem) * int64(size)
@@ -348,5 +371,69 @@ func (c *core) vecSpan(base, stride, size, n int32) (memRange, error) {
 	if lo < 0 || hi > mem {
 		return memRange{}, fmt.Errorf("local access of %d x %d bytes at %d, stride %d, out of bounds (%d)", n, size, base, stride, mem)
 	}
-	return memRange{int32(lo), int32(hi)}, nil
+	r := memRange{int32(lo), int32(hi)}
+	if r.lo < c.holeHi && r.hi > c.holeLo {
+		c.backLocal(r.lo, r.hi)
+	}
+	return r, nil
+}
+
+// phys returns where the local address of a window localRange or vecSpan
+// validated sits in every lane's backing; an element at a fixed offset from
+// it sits as far from that. It is on every local access and kept small
+// enough to inline (CI checks).
+func (c *core) phys(addr int32) int32 {
+	if addr >= c.holeHi {
+		return addr - c.localGap
+	}
+	return addr
+}
+
+// backLocal shrinks the hole to the larger of the two pieces a window [lo,
+// hi) inside the logical size leaves of it — an empty window enters the hole
+// only strictly inside it — and backs the other side through the window in
+// every lane, in whole pages: edges are multiples of the page or the logical
+// size, so a page of the dirty record lies wholly on one side. Growth that
+// fits the backing only moves an edge; past it every lane moves to a backing
+// at least twice as long, up to the logical size, its high part at the end,
+// so a core whose programs touch more and more of either end reallocates a
+// few times, and a retargeted chip's next programs regrow inside what it
+// kept. Doubling each side instead, and allocating just what that backs,
+// made cold_dse allocate about 4% more: every growth of one side copied the
+// other.
+func (c *core) backLocal(lo, hi int32) {
+	const page = 1 << dirtyShift
+	size, holeLo, holeHi := int(c.localSize), int(c.holeLo), int(c.holeHi)
+	if lo-c.holeLo >= c.holeHi-hi { // keep [holeLo, lo) unbacked
+		holeHi = max(holeLo, int(lo)&^(page-1))
+	} else { // keep [hi, holeHi)
+		holeLo = min(holeHi, (int(hi)+page-1)&^(page-1))
+	}
+	if n := holeLo + size - holeHi; n > len(c.local) {
+		n = min(max(n, 2*len(c.local)), size)
+		top := size - int(c.holeHi)
+		for l := range c.images {
+			im := &c.images[l]
+			grown := make([]byte, n)
+			copy(grown, im.local[:c.holeLo])
+			copy(grown[n-top:], im.local[len(im.local)-top:])
+			im.local = grown
+		}
+	}
+	c.holeLo, c.holeHi = int32(holeLo), int32(holeHi)
+	c.localGap = c.localSize - int32(len(c.local))
+}
+
+// readLocal copies lane l's local memory at [addr, addr+len(out)), inside
+// the logical size, into out, the hole reading as zeros.
+func (c *core) readLocal(out []byte, l int, addr int32) {
+	local := c.images[l].local
+	end := addr + int32(len(out))
+	clear(out)
+	if addr < c.holeLo {
+		copy(out, local[addr:min(end, c.holeLo)])
+	}
+	if lo := max(addr, c.holeHi); lo < end {
+		copy(out[lo-addr:], local[lo-c.localGap:end-c.localGap])
+	}
 }

@@ -296,6 +296,7 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 		issue = c.hazardIssue(isa.UnitScalar, d.Srcs[:d.NSrc], ranges)
 		c.stats.Energy.LocalMemPJ += float64(size) * c.chip.cfg.Energy.LocalMemPJPerByte
 		done = issue + c.latMem
+		addr = c.phys(addr)
 	}
 	if d.IsLoad {
 		v := loadScalar(c.plane(0, global)[addr:], size)
@@ -346,6 +347,7 @@ func decVFill(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], c.rangeBuf[:1])
 	fill := byte(int8(d.Imm))
+	dst = c.phys(dst)
 	for m := c.live(); m != 0; m &= m - 1 {
 		region := c.images[bits.TrailingZeros64(m)].local[dst : dst+size]
 		if fill == 0 { // all the compiler emits, padding rows aside
@@ -400,12 +402,16 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 		if end := int(src) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
 			return stepOK, c.errf("global read [%d+%d) out of bounds", src, size)
 		}
+	} else {
+		src = c.phys(src)
 	}
 	if dstGlobal {
 		dst -= GlobalBase
 		if end := int(dst) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
 			return stepOK, c.errf("global write [%d+%d) out of bounds", dst, size)
 		}
+	} else {
+		dst = c.phys(dst)
 	}
 	for m := c.live(); m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
@@ -445,6 +451,7 @@ func decSend(c *core, d *isa.Decoded) (stepStatus, error) {
 	// A diverged lane's stride keeps whatever the pooled buffer held: its
 	// receiver is just as diverged and never reads it.
 	payload := c.chip.getPayload(size * int32(c.chip.activeLanes))
+	src = c.phys(src)
 	for m := c.live(); m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		copy(payload[int32(l)*size:], c.images[l].local[src:src+size])
@@ -486,6 +493,7 @@ func decRecv(c *core, d *isa.Decoded) (stepStatus, error) {
 		issue = msg.arrival
 	}
 	c.chip.pop(src, c.id, tag)
+	dst = c.phys(dst)
 	for m := c.live(); m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		copy(c.images[l].local[dst:dst+want], msg.payload[int32(l)*want:])
@@ -532,6 +540,7 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], c.rangeBuf[:1])
 	c.mgDirty |= 1 << mgIdx
+	src = c.phys(src)
 	for m := c.live(); m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
 		w := im.mg[mgIdx]
@@ -600,10 +609,11 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		im := &c.images[bits.TrailingZeros64(m)]
 		var in []byte
 		if segCount == 1 {
-			in = im.local[inAddr : inAddr+rows]
+			base := c.phys(inAddr)
+			in = im.local[base : base+rows]
 		} else {
 			for s := int32(0); s < segCount; s++ {
-				base := inAddr + s*segStride
+				base := c.phys(inAddr + s*segStride)
 				copy(im.gather[s*segLen:], im.local[base:base+segLen])
 			}
 			in = im.gather[:rows]
@@ -642,9 +652,10 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		nr++
 		qmul := c.sregs[isa.SRegQuantMul]
 		qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
+		out := c.phys(outAddr)
 		for m := live; m != 0; m &= m - 1 {
 			im := &c.images[bits.TrailingZeros64(m)]
-			mvmWriteback(d, im.cimAcc[:outChans], im.local[outAddr:outAddr+wbBytes], qmul, qshift)
+			mvmWriteback(d, im.cimAcc[:outChans], im.local[out:out+wbBytes], qmul, qshift)
 		}
 		c.stats.Energy.LocalMemPJ += float64(wbBytes) * e.LocalMemPJPerByte
 	}
@@ -736,10 +747,11 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	issue := c.hazardIssue(isa.UnitVector, d.Srcs[:d.NSrc], ranges)
 
 	bulk := c.vecBulk(d, rA, rB, rD)
+	a, b, dst := c.phys(rA.lo), c.phys(rB.lo), c.phys(rD.lo)
 	for m := c.live(); m != 0; m &= m - 1 {
 		local := c.images[bits.TrailingZeros64(m)].local
 		if bulk {
-			vecApplyBulk(c, d, local[rA.lo:rA.hi], local[rB.lo:rB.hi], local[rD.lo:rD.hi])
+			vecApplyBulk(c, d, local[a:a+rA.hi-rA.lo], local[b:b+rB.hi-rB.lo], local[dst:dst+rD.hi-rD.lo])
 		} else {
 			vecApply(c, d, local)
 		}
@@ -897,15 +909,15 @@ func vecClamp8Generic(dst, src []byte, hi int8) {
 
 // vecApply performs decVec's functional effect element by element — the
 // loops of the validated SIMD operation at any stride and any operand
-// overlap — against one lane's local memory. Operands and strides come from
-// the core's lane-shared registers. It is what runs when vecBulk declines,
-// and the reference the bulk kernels are tested against.
+// overlap — against one lane's local memory backing. Operands and strides
+// come from the core's lane-shared registers. It is what runs when vecBulk
+// declines, and the reference the bulk kernels are tested against.
 func vecApply(c *core, d *isa.Decoded, local []byte) {
 	n := c.reg(d.RE)
 	strideA := c.sregs[isa.SRegVecStrideA]
 	strideB := c.sregs[isa.SRegVecStrideB]
 	strideD := c.sregs[isa.SRegVecStrideD]
-	aAddr, bAddr, dAddr := c.reg(d.RS), c.reg(d.RT), c.reg(d.RD)
+	aAddr, bAddr, dAddr := c.phys(c.reg(d.RS)), c.phys(c.reg(d.RT)), c.phys(c.reg(d.RD))
 	qmul := c.sregs[isa.SRegQuantMul]
 	qshift := uint(c.sregs[isa.SRegQuantShift]) & 31
 	switch d.Funct {

@@ -4,21 +4,23 @@ package sim
 // external test package: the dirty pages and macro groups summed over the
 // cores, the lanes they are cleared in, the bytes that makes (accumulators
 // and gather buffers included), and — for comparison — the local-memory
-// bytes per lane a single [first, last] dirty window per core would span.
+// bytes per lane a single [first, last] dirty window per core would span,
+// and those the chip backs per lane.
 type ResetFootprint struct {
-	Pages, Groups, Lanes int
-	Bytes, HullBytes     int64
+	Pages, Groups, Lanes     int
+	Bytes, HullBytes, Backed int64
 }
 
 func (ch *Chip) ResetFootprint() ResetFootprint {
 	f := ResetFootprint{Lanes: ch.dirtyLanes}
 	for _, c := range ch.cores {
+		f.Backed += int64(len(c.local))
 		var perLane int64
 		first, last := -1, -1
-		for pg := 0; pg<<dirtyShift < len(c.local); pg++ {
+		for pg := 0; pg<<dirtyShift < int(c.localSize); pg++ {
 			if c.dirty[pg>>6]>>(pg&63)&1 != 0 {
 				f.Pages++
-				perLane += int64(min((pg+1)<<dirtyShift, len(c.local)) - pg<<dirtyShift)
+				perLane += int64(min((pg+1)<<dirtyShift, int(c.localSize)) - pg<<dirtyShift)
 				if first < 0 {
 					first = pg
 				}
@@ -26,7 +28,7 @@ func (ch *Chip) ResetFootprint() ResetFootprint {
 			}
 		}
 		if first >= 0 {
-			f.HullBytes += int64(min((last+1)<<dirtyShift, len(c.local)) - first<<dirtyShift)
+			f.HullBytes += int64(min((last+1)<<dirtyShift, int(c.localSize)) - first<<dirtyShift)
 		}
 		for g, m := range c.mg {
 			if c.mgDirty>>g&1 != 0 {
@@ -47,4 +49,16 @@ func (c *core) group(g int) []byte {
 		c.mg[g] = make([]byte, int(c.macroRows)*c.groupChans)
 	}
 	return c.mg[g]
+}
+
+// mem returns lane 0's local memory of c up to the first page boundary (or
+// its end), backed as a window there would be, for the white-box tests that
+// write operands in and read results out directly: addresses below the hole
+// index the backing as they are.
+func (c *core) mem() []byte {
+	n := min(1<<dirtyShift, c.localSize)
+	if _, err := c.localRange(0, n); err != nil {
+		panic(err)
+	}
+	return c.local[:n]
 }

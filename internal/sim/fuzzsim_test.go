@@ -16,12 +16,14 @@ import (
 // special-register traffic, local and global loads and stores, MEM_CPY,
 // VFILL, every VEC_* funct at strides -3..3 over overlapping windows,
 // CIM_LOAD and CIM_MVM, forward branches, counted loops, SEND/RECV rings and
-// pairs, barriers — and runs each fused, unfused and as an eight-lane batch
-// whose every lane has global input of its own. Every run must match the
-// reference executor on every register and every byte of every memory (a
-// lane that diverged is exempt), report a Stats that passes Check and is the
-// same in all three, leave its mailboxes empty, and go back to power-on state
-// on Reset with its payload pool intact. Plain go test runs the 240 seeds.
+// pairs, barriers, over local windows at and across the edges of the hole
+// in a lazily backed local memory — and runs each fused, unfused and as an
+// eight-lane batch whose every lane has global input of its own. Every run
+// must match the reference executor on every register and every byte of
+// every memory (a lane that diverged is exempt), report a Stats that passes
+// Check and is the same in all three, leave its mailboxes empty, and go back
+// to power-on state on Reset with its payload pool intact. Plain go test
+// runs the 240 seeds.
 func FuzzSimDifferential(f *testing.F) {
 	shapes := map[string]int{}
 	for i := 0; i < 240; i++ {
@@ -48,6 +50,22 @@ func FuzzSimDifferential(f *testing.F) {
 // lane-uniform half.
 const simWindow = 512
 
+// simLocalBytes is a generated program's local memory: eight pages, which a
+// chip backs on first touch.
+const simLocalBytes = 32 << 10
+
+// simLayouts are the windows A, B and D, picked by bits 3-4 of the first
+// choice byte. A program's first stores are to A and then B, so in all but
+// the first layout they leave a hole in the backing between the first page
+// and the last, whose low edge D straddles in the second layout and whose
+// high edge it straddles in the third; the fourth touches the middle first.
+var simLayouts = [4][3]int32{
+	{1024, 3072, 5120},
+	{1024, simLocalBytes - 3072, 1<<dirtyShift - 100},
+	{1024, simLocalBytes - 3072, simLocalBytes - 1<<dirtyShift - 100},
+	{simLocalBytes / 2, 1024, simLocalBytes - 3072},
+}
+
 var simLengths = []int32{0, 1, 7, 8, 9, 17, 31, 32, 33, 63, 64, 40, 5, 0, 3, 0}
 
 // simSRegs are the special registers a generated program writes by MTS: the
@@ -61,11 +79,12 @@ type simGen struct{ choices }
 // "ring", "pair" and "barrier" phases, and a "fault" or "deadlock" ending.
 func simProgram(data []byte) ([]Program, []string) {
 	g := &simGen{choices(data)}
-	ending := g.next() % 8
+	first := g.next()
+	ending, win := first%8, simLayouts[first/8%4]
 	code := make([][]isa.Instruction, 4)
 	for c := range code {
 		base := GlobalBase + int32(c)*simWindow
-		code[c] = seq(isa.LI(20, 1024), isa.LI(21, 3072), isa.LI(22, 5120), isa.LI(23, 1024+int32(g.next()%8)),
+		code[c] = seq(isa.LI(20, win[0]), isa.LI(21, win[1]), isa.LI(22, win[2]), isa.LI(23, win[0]+int32(g.next()%8)),
 			isa.LI(24, simLengths[g.next()%16]), isa.LI(25, 2+2*int32(g.next()%16)),
 			isa.LI(26, base), isa.LI(27, base+simWindow/2), isa.LI(9, simWindow/2),
 			isa.LI(28, int32(g.next()%2)), isa.LI(29, 1+int32(g.next()%8)), isa.LI(30, 1+int32(g.next()%8)),
@@ -173,7 +192,7 @@ func (g *simGen) op(loops bool) []isa.Instruction {
 // says.
 func runSimDifferential(t *testing.T, data []byte) {
 	cfg := testConfig()
-	cfg.Chip.GlobalMemBytes, cfg.Core.LocalMemBytes, cfg.Core.NumMacroGroups = 4*simWindow, 8<<10, 2
+	cfg.Chip.GlobalMemBytes, cfg.Core.LocalMemBytes, cfg.Core.NumMacroGroups = 4*simWindow, simLocalBytes, 2
 	progs, kinds := simProgram(data)
 	rng := rand.New(rand.NewSource(int64(len(data))))
 	globals := make([][]byte, 8)

@@ -58,7 +58,7 @@ func TestRegIssueMatchesHazardIssue(t *testing.T) {
 	var noStall, byReg, byUnit, pendingLater int
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		scrambleTiming(c, rng, int32(len(c.local)))
+		scrambleTiming(c, rng, c.localSize)
 		for w := range c.dirty {
 			c.dirty[w] = rng.Uint64()
 		}
@@ -319,7 +319,7 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 		}
 		o.pc, o.time, o.regs, o.sregs = c.pc, c.time, c.regs, c.sregs
 		o.stats = flattenStats(nil, reflect.ValueOf(c.stats))
-		o.local, o.global = c.local, ch.global[0]
+		o.local, o.global = localReads(c, 0), ch.global[0]
 	}
 	want := &outcomes[0]
 	for i, got := range outcomes[1:] {

@@ -10,7 +10,8 @@ import (
 // Registers, program counters, the scoreboard, the scheduler, the NoC and
 // all cycle/energy accounting exist once per core — the timing plane. The
 // data plane exists once per lane: core.images[l] holds lane l's local
-// memory, macro-group weights, accumulator and gather buffer, Chip.global[l]
+// memory (backed where the programs touch it: the hole is lane-shared, see
+// core), macro-group weights, accumulator and gather buffer, Chip.global[l]
 // its global memory, and a message payload carries every lane's bytes
 // strided at the message size. Each handler in decoded.go validates and
 // times its micro-op once from the shared registers, then applies the data
@@ -42,9 +43,10 @@ type image struct {
 	// row-major INT8 values stored as raw bytes, so the MVM row kernel can
 	// load eight of them at a time). A group is nil, reading as zeros, until
 	// the first CIM_LOAD into it in this lane backs it: a program names a few
-	// of a chip's groups, and backing all of them would cost 32 MB a lane at
-	// the default architecture. cimAcc is the unit-level accumulator fed by
-	// the inter-macro adder tree, gather the reusable MVM input buffer.
+	// of a chip's groups, and backing all of them would cost 32 MB of macro
+	// groups a lane at the default architecture. cimAcc is the unit-level
+	// accumulator fed by the inter-macro adder tree, gather the reusable MVM
+	// input buffer.
 	mg     [][]byte
 	cimAcc []int32
 	gather []byte
@@ -150,7 +152,8 @@ func (c *core) live() uint64 {
 }
 
 // plane returns lane l's image of the memory an address resolved to: its
-// global memory, or its local memory on this core.
+// global memory, or its local memory's backing on this core, indexed at
+// phys of a validated address.
 func (c *core) plane(l int, global bool) []byte {
 	if global {
 		return c.chip.global[l]

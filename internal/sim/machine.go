@@ -128,8 +128,9 @@ type Chip struct {
 	// 1<<k: SEND takes from it, RECV and Reset give back to it. It survives
 	// Reset, so after one run every later run of the same traffic finds all
 	// its buffers here. pooledBytes is what the lists hold; payloadBound
-	// caps it at the chip's aggregate local memory (NumCores x
-	// LocalMemBytes, 32 MB in the default configuration).
+	// caps it at the chip's aggregate local memory in logical size (NumCores
+	// x LocalMemBytes, 32 MB in the default configuration), however little
+	// of it the cores back: messages are sized by what programs send.
 	// payloadAllocBytes and payloadDroppedBytes count what getPayload
 	// allocated and putPayload dropped at the bound; only the test hook
 	// CheckPayloadPool reads them.
@@ -202,6 +203,9 @@ func checkConfig(cfg *arch.Config) error {
 	}
 	if cfg.Core.NumMacroGroups > 32 {
 		return fmt.Errorf("sim: %d macro groups exceed the 32-bit MG mask", cfg.Core.NumMacroGroups)
+	}
+	if cfg.Core.LocalMemBytes > GlobalBase {
+		return fmt.Errorf("sim: %d bytes of local memory reach past the global window at %d", cfg.Core.LocalMemBytes, GlobalBase)
 	}
 	return nil
 }
@@ -469,11 +473,11 @@ func (ch *Chip) ReadLocal(coreID, addr, size int) ([]byte, error) {
 		return nil, fmt.Errorf("sim: core %d out of range", coreID)
 	}
 	c := ch.cores[coreID]
-	if err := checkSpan("local", addr, size, len(c.local)); err != nil {
+	if err := checkSpan("local", addr, size, int(c.localSize)); err != nil {
 		return nil, err
 	}
 	out := make([]byte, size)
-	copy(out, c.local[addr:])
+	c.readLocal(out, 0, int32(addr))
 	return out, nil
 }
 

@@ -169,8 +169,9 @@ func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, glob
 			t.Errorf("lane %d core %d: pc %d registers %v %v, the reference's pc %d %v %v",
 				l, id, sc.pc, sc.regs, sc.sregs, c.pc, c.regs, c.sregs)
 		}
-		if i := diffAt(im.local, c.local); i >= 0 {
-			t.Errorf("lane %d core %d: local[%d] = %#x, the reference's %#x", l, id, i, im.local[i], c.local[i])
+		local := localReads(sc, l)
+		if i := diffAt(local, c.local); i >= 0 {
+			t.Errorf("lane %d core %d: local[%d] = %#x, the reference's %#x", l, id, i, local[i], c.local[i])
 		}
 		for g := range c.mg {
 			w := readsAs(im.mg[g], len(c.mg[g]))
@@ -195,6 +196,14 @@ func readsAs(b []byte, n int) []byte {
 		return b[:n]
 	}
 	return append(slices.Clone(b), make([]byte, n-len(b))...)
+}
+
+// localReads returns what lane l's local memory of c reads as, the whole
+// logical size of it: the backed parts, and zeros in the hole between them.
+func localReads(c *core, l int) []byte {
+	out := make([]byte, c.localSize)
+	c.readLocal(out, l, 0)
+	return out
 }
 
 // diffAt returns the first index at which equal-length a and b differ, or -1.

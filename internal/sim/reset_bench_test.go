@@ -17,12 +17,12 @@ import (
 // benchmark workloads run them (generic). The inference itself and the
 // session's ZeroGlobal are outside the timer. Beside ns/op it reports what
 // the reset cleared — dirty pages and macro groups over all 64 cores, and
-// megabytes over all lanes — against the up to 64 MB per allocated lane
-// (32 MB of local memory, and 32 MB of macro groups once a program has
-// loaded them all) that clearing by size costs, and the local memory per
+// megabytes over all lanes — against the up to 64 MB per lane (32 MB of
+// local memory and 32 MB of macro groups, once a program has backed them
+// all) that clearing by size could cost, and the local memory per
 // lane that one dirty [first, last] window per core would span instead of a
-// page bitmap (layouts use both ends of local memory). Each iteration re-runs
-// the model:
+// page bitmap (layouts use both ends of local memory), and the local memory
+// per lane the chip backs of its 32 MB. Each iteration re-runs the model:
 //
 //	go test -run '^$' -bench ChipReset -benchtime 20x ./internal/sim
 func BenchmarkChipReset(b *testing.B) {
@@ -99,6 +99,7 @@ func BenchmarkChipReset(b *testing.B) {
 			b.ReportMetric(float64(fp.Groups), "groups")
 			b.ReportMetric(float64(fp.Bytes)/(1<<20), "MB-cleared")
 			b.ReportMetric(float64(fp.HullBytes)/(1<<20), "MB-hull/lane")
+			b.ReportMetric(float64(fp.Backed)/(1<<20), "MB-backed/lane")
 		})
 	}
 }

@@ -408,7 +408,10 @@ func FuzzResetClean(f *testing.F) {
 	cfg.Core.LocalMemBytes = 3<<dirtyShift + 1000
 	mem := uint32(cfg.Core.LocalMemBytes)
 	for path := uint8(0); path < 7; path++ {
-		for _, addr := range []uint32{0, 1<<dirtyShift - 3, 2 << dirtyShift, mem - 40, mem - 1, mem, mem + 9} {
+		// The input backs the first page: windows at the hole's low edge,
+		// across it, inside it and across the last page edge.
+		for _, addr := range []uint32{0, 1<<dirtyShift - 3, 1 << dirtyShift, 2<<dirtyShift - 3, 2 << dirtyShift,
+			3<<dirtyShift - 5, mem - 40, mem - 1, mem, mem + 9} {
 			f.Add(path, addr, uint16(40), int8(1), path+uint8(addr))
 			f.Add(path+7, addr, uint16(599), int8(-2), uint8(addr))
 		}
@@ -563,9 +566,9 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 // chipDiff names the first difference between a and b in the configuration,
 // anything NewChip sizes or derives from it, the mesh, the cores' programs,
 // registers and stats, or what any memory reads as — a macro group never
-// loaded and global memory past its backed prefix read as zeros, to the
-// group's size and the logical size — or a memory backed past that size; ""
-// when there is none.
+// loaded, global memory past its backed prefix and local memory in its hole
+// read as zeros, to the group's size and the logical sizes — or a memory
+// backed past that size; "" when there is none.
 func chipDiff(a, b *Chip) string {
 	switch {
 	case *a.cfg != *b.cfg:
@@ -589,9 +592,9 @@ func chipDiff(a, b *Chip) string {
 	}
 	for i, ca := range a.cores {
 		cb := b.cores[i]
-		shape := func(c *core) [15]any {
+		shape := func(c *core) [16]any {
 			return [...]any{c.id, c.frontPJ, c.latScalar, c.latMem, c.bw, c.vlanes, c.vecDepth, c.mvmOcc, c.mvmLat,
-				c.groupChans, c.macroRows, len(c.dirty), len(c.images), len(c.code), len(c.prog)}
+				c.groupChans, c.macroRows, c.localSize, len(c.dirty), len(c.images), len(c.code), len(c.prog)}
 		}
 		if sa, sb := shape(ca), shape(cb); sa != sb {
 			return fmt.Sprintf("core %d: id, constants, record and program sizes %v vs %v", i, sa, sb)
@@ -601,10 +604,13 @@ func chipDiff(a, b *Chip) string {
 		}
 		for l := range ca.images {
 			ia, ib := &ca.images[l], &cb.images[l]
-			sa := [...]int{len(ia.local), len(ia.mg), len(ia.cimAcc), len(ia.gather)}
-			sb := [...]int{len(ib.local), len(ib.mg), len(ib.cimAcc), len(ib.gather)}
-			if sa != sb {
-				return fmt.Sprintf("core %d lane %d: local, groups, accumulator and gather sizes %v vs %v", i, l, sa, sb)
+			sa := [...]int{len(ia.mg), len(ia.cimAcc), len(ia.gather)}
+			sb := [...]int{len(ib.mg), len(ib.cimAcc), len(ib.gather)}
+			switch {
+			case sa != sb:
+				return fmt.Sprintf("core %d lane %d: groups, accumulator and gather sizes %v vs %v", i, l, sa, sb)
+			case max(len(ia.local), len(ib.local)) > int(ca.localSize):
+				return fmt.Sprintf("core %d lane %d: %d and %d local bytes backed of %d", i, l, len(ia.local), len(ib.local), ca.localSize)
 			}
 			n := int(ca.macroRows) * ca.groupChans
 			for g := range ia.mg {
@@ -613,7 +619,7 @@ func chipDiff(a, b *Chip) string {
 					return fmt.Sprintf("core %d lane %d: macro group %d differs (%d vs %d bytes backed of %d)", i, l, g, len(ga), len(gb), n)
 				}
 			}
-			if !bytes.Equal(ia.local, ib.local) || !slices.Equal(ia.cimAcc, ib.cimAcc) || !bytes.Equal(ia.gather, ib.gather) {
+			if !bytes.Equal(localReads(ca, l), localReads(cb, l)) || !slices.Equal(ia.cimAcc, ib.cimAcc) || !bytes.Equal(ia.gather, ib.gather) {
 				return fmt.Sprintf("core %d lane %d: data plane differs", i, l)
 			}
 		}

@@ -183,8 +183,8 @@ func TestVectorOps(t *testing.T) {
 	a := []int8{-2, -1, 0, 1, 2, 3, 4, 5}
 	b := []int8{1, 1, 1, 1, -1, -1, -1, -1}
 	for i := range a {
-		ch.cores[0].local[i] = byte(a[i])
-		ch.cores[0].local[16+i] = byte(b[i])
+		ch.cores[0].mem()[i] = byte(a[i])
+		ch.cores[0].mem()[16+i] = byte(b[i])
 	}
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestVectorQuantAndReduction(t *testing.T) {
 	`)
 	load(t, ch, 0, code)
 	for i, v := range []int32{100, -100, 8, 515} {
-		binary.LittleEndian.PutUint32(ch.cores[0].local[i*4:], uint32(v))
+		binary.LittleEndian.PutUint32(ch.cores[0].mem()[i*4:], uint32(v))
 	}
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestVectorStrides(t *testing.T) {
 	`)
 	load(t, ch, 0, code)
 	for i := 0; i < 8; i++ {
-		ch.cores[0].local[i] = byte(i + 1)
+		ch.cores[0].mem()[i] = byte(i + 1)
 	}
 	if _, err := ch.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -292,10 +292,10 @@ func TestCimMVMSingleGroup(t *testing.T) {
 	load(t, ch, 0, code)
 	w := []int8{1, 1, 2, 1, 3, 1, 4, 1} // row-major rows x 2
 	for i, v := range w {
-		ch.cores[0].local[i] = byte(v)
+		ch.cores[0].mem()[i] = byte(v)
 	}
 	for i, v := range []int8{1, 2, 3, 4} {
-		ch.cores[0].local[64+i] = byte(v)
+		ch.cores[0].mem()[64+i] = byte(v)
 	}
 	_, err := ch.Run(context.Background())
 	if err != nil {
@@ -324,7 +324,7 @@ func TestCimMVMAccumulateAcrossGroups(t *testing.T) {
 	}
 	total := 2 * rows
 	for i := 0; i < total; i++ {
-		c.local[i] = 1
+		c.mem()[i] = 1
 	}
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
@@ -358,8 +358,8 @@ func TestCimMVMGatherSegments(t *testing.T) {
 		c.group(0)[r*cfg.GroupChannels()] = 1
 	}
 	for i := 0; i < 3; i++ {
-		c.local[i] = byte(i + 1)  // 1 2 3
-		c.local[100+i] = byte(10) // 10 10 10
+		c.mem()[i] = byte(i + 1)  // 1 2 3
+		c.mem()[100+i] = byte(10) // 10 10 10
 	}
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
@@ -387,7 +387,7 @@ func TestCimMVMRawWriteback(t *testing.T) {
 		c.group(0)[r*cfg.GroupChannels()+1] = 1
 	}
 	for i := 0; i < 4; i++ {
-		c.local[i] = 100
+		c.mem()[i] = 100
 	}
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
@@ -429,7 +429,7 @@ func TestSendRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		ch.cores[0].local[i] = byte(i * 3)
+		ch.cores[0].mem()[i] = byte(i * 3)
 	}
 	ch.LoadProgram(Program{Core: 0, Code: sender})
 	ch.LoadProgram(Program{Core: 1, Code: receiver})
@@ -465,7 +465,7 @@ func TestRecvBeforeSend(t *testing.T) {
 		HALT
 	`)
 	ch, _ := NewChip(&cfg)
-	ch.cores[0].local[0] = 77
+	ch.cores[0].mem()[0] = 77
 	ch.LoadProgram(Program{Core: 0, Code: sender})
 	ch.LoadProgram(Program{Core: 1, Code: receiver})
 	if _, err := ch.Run(context.Background()); err != nil {

@@ -34,6 +34,7 @@ func newVecRig(t testing.TB) *vecRig {
 		t.Fatal(err)
 	}
 	r := &vecRig{c: ch.cores[0], init: make([]byte, vecRigMem), ref: make([]byte, vecRigMem)}
+	r.c.mem() // one page, the whole memory: the backing is the logical memory
 	for i := range r.init {
 		r.init[i] = byte(i*37 + 11)
 	}
@@ -319,7 +320,7 @@ func TestActTable(t *testing.T) {
 	prog = seq(prog, one(isa.Halt()))
 	stage := func(ch *Chip) {
 		for x := 0; x < 256; x++ {
-			ch.cores[0].local[x] = byte(x)
+			ch.cores[0].mem()[x] = byte(x)
 		}
 	}
 	check := func(ch *Chip, what string) {

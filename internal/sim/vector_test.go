@@ -37,8 +37,8 @@ func TestVectorMulMinMov(t *testing.T) {
 	a := []int8{3, -3, 100, 0}
 	b := []int8{4, 4, 100, -7}
 	for i := range a {
-		c.local[i] = byte(a[i])
-		c.local[16+i] = byte(b[i])
+		c.mem()[i] = byte(a[i])
+		c.mem()[16+i] = byte(b[i])
 	}
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
@@ -75,8 +75,8 @@ func TestVectorQAddMatchesTensor(t *testing.T) {
 	a := []int8{10, -10, 127, -128}
 	b := []int8{6, 6, 127, -128}
 	for i := range a {
-		c.local[i] = byte(a[i])
-		c.local[16+i] = byte(b[i])
+		c.mem()[i] = byte(a[i])
+		c.mem()[16+i] = byte(b[i])
 	}
 	c.sregs[isa.SRegQMulA] = 3
 	c.sregs[isa.SRegQMulB] = 2
@@ -107,8 +107,8 @@ func TestVectorQMulMatchesTensor(t *testing.T) {
 	a := []int8{10, -10, 127}
 	b := []int8{12, 12, 127}
 	for i := range a {
-		c.local[i] = byte(a[i])
-		c.local[16+i] = byte(b[i])
+		c.mem()[i] = byte(a[i])
+		c.mem()[16+i] = byte(b[i])
 	}
 	c.sregs[isa.SRegQuantMul] = 5
 	c.sregs[isa.SRegQuantShift] = 4
@@ -138,12 +138,12 @@ func TestVectorMacAndAcc(t *testing.T) {
 	a := []int8{2, 3}
 	b := []int8{5, -5}
 	for i := range a {
-		c.local[i] = byte(a[i])
-		c.local[16+i] = byte(b[i])
+		c.mem()[i] = byte(a[i])
+		c.mem()[16+i] = byte(b[i])
 	}
 	// Destination starts at 100 each.
-	binary.LittleEndian.PutUint32(c.local[32:], 100)
-	binary.LittleEndian.PutUint32(c.local[36:], 100)
+	binary.LittleEndian.PutUint32(c.mem()[32:], 100)
+	binary.LittleEndian.PutUint32(c.mem()[36:], 100)
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
 	prog = append(prog, isa.LI(2, 16)...)
@@ -171,8 +171,8 @@ func TestVectorAdd32AndRSum32(t *testing.T) {
 	ch, _ := NewChip(&cfg)
 	c := ch.cores[0]
 	for i, v := range []int32{1000, -2000, 300000} {
-		binary.LittleEndian.PutUint32(c.local[i*4:], uint32(v))
-		binary.LittleEndian.PutUint32(c.local[32+i*4:], uint32(v*2))
+		binary.LittleEndian.PutUint32(c.mem()[i*4:], uint32(v))
+		binary.LittleEndian.PutUint32(c.mem()[32+i*4:], uint32(v*2))
 	}
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
@@ -198,7 +198,7 @@ func TestVectorRMax(t *testing.T) {
 	ch, _ := NewChip(&cfg)
 	c := ch.cores[0]
 	for i, v := range []int8{-10, 40, -128, 39} {
-		c.local[i] = byte(v)
+		c.mem()[i] = byte(v)
 	}
 	prog := []isa.Instruction{}
 	prog = append(prog, isa.LI(1, 0)...)
@@ -221,7 +221,7 @@ func TestVectorSigmoidSiluMatchTensor(t *testing.T) {
 	c := ch.cores[0]
 	vals := []int8{-100, -1, 0, 1, 100}
 	for i, v := range vals {
-		c.local[i] = byte(v)
+		c.mem()[i] = byte(v)
 	}
 	inS, outS := float32(0.05), float32(1.0/64)
 	c.sregs[isa.SRegActInScale] = int32(math.Float32bits(inS))
@@ -301,7 +301,7 @@ func TestCimLoadOffsets(t *testing.T) {
 	cfg := testConfig()
 	ch, _ := NewChip(&cfg)
 	c := ch.cores[0]
-	c.local[0] = 7
+	c.mem()[0] = 7
 	c.sregs[isa.SRegLoadRow] = 5
 	c.sregs[isa.SRegLoadChan] = 3
 	prog := []isa.Instruction{}
