@@ -131,11 +131,23 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		if _, err := ch.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		ch.Reset()
 		c := ch.cores[0]
-		if c.images[0].mg[0] == nil || c.images[1].mg[0] != nil {
-			t.Fatal("a one-lane run should back group 0 in lane 0 only")
+		noOwnGroups := func(when string) {
+			t.Helper()
+			for l := 1; l < len(c.images); l++ {
+				for g, w := range c.images[l].mg {
+					if w != nil && !sameBuffer(w, c.mg[g]) {
+						t.Fatalf("%s: lane %d holds a buffer of its own for group %d", when, l, g)
+					}
+				}
+			}
 		}
+		noOwnGroups("after a one-lane run")
+		ch.Reset()
+		if c.mg[0] == nil {
+			t.Fatal("a one-lane run should back group 0 in lane 0")
+		}
+		noOwnGroups("after Reset")
 		if err := ch.SetLanes(8); err != nil {
 			t.Fatal(err)
 		}

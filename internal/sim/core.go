@@ -133,8 +133,9 @@ func newCore(id int, chip *Chip) *core {
 
 // configure readies a core at power-on state for cfg: it sizes every lane's
 // buffers, keeping each one whose capacity holds the new size (Reset left it
-// zero to its capacity) and allocating only those that must grow — a macro
-// group that must grow is dropped instead, as it is backed on first load —,
+// zero to its capacity) and allocating only those that must grow — macro
+// groups are lane 0's, which every lane then shares, and one that must grow
+// is dropped instead, as it is backed on first load —,
 // reopens the local-memory hole over the whole memory while keeping the
 // backing (up to the new size) for the next run to grow into, drops the
 // program and derives the constants the handlers hoist out of the dispatch
@@ -162,18 +163,18 @@ func (c *core) configure(cfg *arch.Config) {
 		im := &c.images[l]
 		im.local = im.local[:backed]
 		im.mg = fit(im.mg, cfg.Core.NumMacroGroups)
-		for i, g := range im.mg {
-			if n := cfg.Unit.MacroRows * groupChans; cap(g) >= n {
-				im.mg[i] = g[:n]
-			} else {
-				im.mg[i] = nil // backed again by its next CIM_LOAD
-			}
-		}
 		im.cimAcc = fit(im.cimAcc, groupChans)
 		im.gather = fit(im.gather, cfg.Unit.MacroRows)
 	}
+	for i, g := range c.mg {
+		if n := cfg.Unit.MacroRows * groupChans; cap(g) >= n {
+			c.mg[i] = g[:n]
+		} else {
+			c.mg[i] = nil // backed again by its next CIM_LOAD
+		}
+	}
 	c.code, c.prog = nil, nil
-	c.reset(0) // nothing to clear: the record is empty
+	c.reset(0) // the record is empty: this only points every lane at lane 0's groups
 }
 
 // fit returns s resized to n elements: in its own storage when that holds n,
@@ -186,14 +187,15 @@ func fit[S ~[]E, E any](s S, n int) S {
 }
 
 // reset restores the core to its power-on state (the state configure leaves
-// it in), keeping the loaded program and the allocated buffers. Only Run
-// writes a data plane, in the lanes of its occupancy, and every store names
-// its window to hazardIssue or is a CIM_LOAD, so what it wrote lies inside
-// the pages and macro groups of the dirty record. Clearing those in the
+// it in), keeping the loaded program and lane 0's buffers. Only Run writes a
+// data plane, in the lanes of its occupancy, and every store names its
+// window to hazardIssue or is a CIM_LOAD, so what it wrote lies inside the
+// pages and macro groups of the dirty record. Clearing the pages in the
 // first lanes images — the widest occupancy of any Run since the last reset,
 // not the last one's: a pooled chip shrinks and regrows its occupancy
-// between runs — plus each one's accumulator and gather buffer leaves every
-// allocated byte zero.
+// between runs — plus each one's accumulator and gather buffer, and the
+// groups once, in lane 0's buffers, leaves every allocated byte zero; every
+// lane then shares lane 0's groups again, and private copies are dropped.
 func (c *core) reset(lanes int) {
 	c.pc = 0
 	c.regs = [isa.NumGRegs]int32{}
@@ -207,11 +209,14 @@ func (c *core) reset(lanes int) {
 				clear(im.local[p : p+min(1<<dirtyShift, c.localSize-lo)])
 			}
 		}
-		for m := c.mgDirty; m != 0; m &= m - 1 {
-			clear(im.mg[bits.TrailingZeros32(m)])
-		}
 		clear(im.cimAcc)
 		clear(im.gather)
+	}
+	for m := c.mgDirty; m != 0; m &= m - 1 {
+		clear(c.mg[bits.TrailingZeros32(m)])
+	}
+	for l := 1; l < len(c.images); l++ {
+		copy(c.images[l].mg, c.mg)
 	}
 	clear(c.dirty)
 	c.mgDirty = 0

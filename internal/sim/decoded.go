@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -514,7 +515,11 @@ func decBarrier(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepBarrier, nil
 }
 
-// decCimLoad writes a weight tile into every live lane's macro group.
+// decCimLoad writes a weight tile into every live lane's macro group. Lanes
+// share lane 0's group buffer while their loads agree (see image.mg): a lane
+// that shares it keeps sharing when its source rows equal lane 0's, and
+// otherwise first takes a private copy of the group as lane 0 held it before
+// this load. Lane 0 writes last, so those copies see the old weights.
 func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	cfg := c.chip.cfg
 	mgIdx := int(c.reg(d.RT))
@@ -541,19 +546,28 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], c.rangeBuf[:1])
 	c.mgDirty |= 1 << mgIdx
 	src = c.phys(src)
-	for m := c.live(); m != 0; m &= m - 1 {
+	tile := c.local[src : src+size]
+	old, w0 := c.mg[mgIdx], c.mg[mgIdx]
+	if w0 == nil { // no load has backed lane 0's group yet
+		w0 = make([]byte, int(c.macroRows)*c.groupChans)
+		c.mg[mgIdx] = w0
+	}
+	at := rowOff*groupChans + chanOff
+	for m := c.live() &^ 1; m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
-		w := im.mg[mgIdx]
-		if w == nil { // first load into this group in this lane
-			w = make([]byte, int(c.macroRows)*c.groupChans)
+		w, own := im.mg[mgIdx], im.local[src:src+size]
+		if w == nil || sameBuffer(w, old) { // reads as lane 0's
+			if bytes.Equal(own, tile) {
+				im.mg[mgIdx] = w0
+				continue
+			}
+			w = make([]byte, len(w0))
+			copy(w, old)
 			im.mg[mgIdx] = w
 		}
-		for row := int32(0); row < rows; row++ {
-			base := (rowOff+row)*groupChans + chanOff
-			srcBase := src + row*chans
-			copy(w[base:base+chans], im.local[srcBase:srcBase+chans])
-		}
+		putTile(w, own, rows, chans, at, groupChans)
 	}
+	putTile(w0, tile, rows, chans, at, groupChans)
 	occ := c.latMem + (int64(size)+c.bw-1)/c.bw
 	c.stats.Energy.CIMLoadPJ += float64(size) * cfg.Energy.CIMLoadPJPerByte
 	c.stats.Energy.LocalMemPJ += float64(size) * cfg.Energy.LocalMemPJPerByte
@@ -561,6 +575,15 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	c.time = issue + 1
 	c.pc++
 	return stepOK, nil
+}
+
+// putTile writes a CIM_LOAD tile of rows x chans bytes, row-major in src,
+// into macro group w at byte offset at, rows groupChans apart.
+func putTile(w, src []byte, rows, chans, at, groupChans int32) {
+	for row := int32(0); row < rows; row++ {
+		base := at + row*groupChans
+		copy(w[base:base+chans], src[row*chans:])
+	}
 }
 
 // decCimMVM is the hot path of every DNN simulation. Beyond the predecoded

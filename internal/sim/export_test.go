@@ -2,13 +2,14 @@ package sim
 
 // ResetFootprint is what the next Reset will clear, for the benchmark in the
 // external test package: the dirty pages and macro groups summed over the
-// cores, the lanes they are cleared in, the bytes that makes (accumulators
-// and gather buffers included), and — for comparison — the local-memory
-// bytes per lane a single [first, last] dirty window per core would span,
-// and those the chip backs per lane.
+// cores, the lanes the pages are cleared in, the bytes that makes (pages,
+// accumulators and gather buffers in every lane, the lane-shared groups
+// once), and — for comparison — the local-memory bytes per lane a single
+// [first, last] dirty window per core would span, those the chip backs per
+// lane, and the distinct macro-group bytes it backs over all lanes.
 type ResetFootprint struct {
-	Pages, Groups, Lanes     int
-	Bytes, HullBytes, Backed int64
+	Pages, Groups, Lanes                 int
+	Bytes, HullBytes, Backed, GroupBytes int64
 }
 
 func (ch *Chip) ResetFootprint() ResetFootprint {
@@ -33,11 +34,18 @@ func (ch *Chip) ResetFootprint() ResetFootprint {
 		for g, m := range c.mg {
 			if c.mgDirty>>g&1 != 0 {
 				f.Groups++
-				perLane += int64(len(m))
+				f.Bytes += int64(len(m))
 			}
 		}
 		perLane += int64(4*len(c.cimAcc) + len(c.gather))
 		f.Bytes += perLane * int64(ch.dirtyLanes)
+		for l := range c.images {
+			for g, m := range c.images[l].mg {
+				if l == 0 || !sameBuffer(m, c.mg[g]) {
+					f.GroupBytes += int64(len(m))
+				}
+			}
+		}
 	}
 	return f
 }

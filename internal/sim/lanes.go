@@ -11,15 +11,19 @@ import (
 // all cycle/energy accounting exist once per core — the timing plane. The
 // data plane exists once per lane: core.images[l] holds lane l's local
 // memory (backed where the programs touch it: the hole is lane-shared, see
-// core), macro-group weights, accumulator and gather buffer, Chip.global[l]
-// its global memory, and a message payload carries every lane's bytes
-// strided at the message size. Each handler in decoded.go validates and
-// times its micro-op once from the shared registers, then applies the data
-// effect to every live lane (core.live); a one-lane run is the B = 1 case of
-// the same loops. What Reset must clear follows the same split: which pages
-// and macro groups were touched is timing-plane state, one dirty record per
-// core (addresses come from the shared registers), and Reset clears them in
-// the images of the widest occupancy run since the last one, not in all B.
+// core), accumulator and gather buffer, Chip.global[l] its global memory,
+// and a message payload carries every lane's bytes strided at the message
+// size. Macro groups are the exception: the chip is weight-stationary and a
+// batch runs every lane on the same weights, so lanes share lane 0's group
+// buffers until a CIM_LOAD gives one lane bytes unlike lane 0's (image.mg).
+// Each handler in decoded.go validates and times its micro-op once from the
+// shared registers, then applies the data effect to every live lane
+// (core.live); a one-lane run is the B = 1 case of the same loops. What
+// Reset must clear follows the same split: which pages and macro groups were
+// touched is timing-plane state, one dirty record per core (addresses come
+// from the shared registers), and Reset clears the pages in the images of
+// the widest occupancy run since the last one, not in all B, and the groups
+// once, in lane 0's buffers, which every lane then shares again.
 //
 // Correctness rests on a shared-register invariant: the only instruction
 // that can move lane-private data into a register is a scalar load
@@ -42,11 +46,17 @@ type image struct {
 	// mg holds the per-macro-group weight matrices (rows x groupChans,
 	// row-major INT8 values stored as raw bytes, so the MVM row kernel can
 	// load eight of them at a time). A group is nil, reading as zeros, until
-	// the first CIM_LOAD into it in this lane backs it: a program names a few
-	// of a chip's groups, and backing all of them would cost 32 MB of macro
-	// groups a lane at the default architecture. cimAcc is the unit-level
-	// accumulator fed by the inter-macro adder tree, gather the reusable MVM
-	// input buffer.
+	// the first CIM_LOAD into it backs it: a program names a few of a chip's
+	// groups, and backing all of them would cost 32 MB of macro groups at
+	// the default architecture. Lane l > 0's group g is either lane 0's
+	// buffer (sameBuffer: it reads as lane 0's) or, once a CIM_LOAD gave it
+	// a tile unlike lane 0's, a private copy (decCimLoad); Reset and
+	// configure point every lane at lane 0's again. Loads skip lanes that
+	// are not live, so such a lane may read lane 0's new weights, or hold
+	// nil where lane 0 backed the group (a later load takes that for lane
+	// 0's), but nothing reads a lane that was not live before the next
+	// Reset. cimAcc is the unit-level accumulator fed by the inter-macro
+	// adder tree, gather the reusable MVM input buffer.
 	mg     [][]byte
 	cimAcc []int32
 	gather []byte
@@ -149,6 +159,12 @@ func (ch *Chip) DivergedLanes() []int {
 func (c *core) live() uint64 {
 	ch := c.chip
 	return ^uint64(0) >> (64 - uint(ch.activeLanes)) &^ ch.divergedMask
+}
+
+// sameBuffer reports whether macro groups a and b are one buffer, or both
+// unbacked: whether a lane holding a reads as one holding b.
+func sameBuffer(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // plane returns lane l's image of the memory an address resolved to: its

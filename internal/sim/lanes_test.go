@@ -540,6 +540,104 @@ func TestLaneDivergenceDetection(t *testing.T) {
 	}
 }
 
+// TestLaneSharedMacroGroups holds the lane-shared macro groups to the ISA on
+// an 8-lane chip: a CIM_LOAD every lane agrees on leaves one group buffer for
+// all lanes; a tile from lane-written local memory gives only the lanes whose
+// bytes differ from lane 0's a buffer of their own, which keeps the earlier
+// uniform tile, and a later uniform tile lands in it too; every lane's
+// memory, the MVM output included, matches the reference executor. Reset
+// clears the groups and every lane shares lane 0's again, and a one-lane run
+// afterwards gives lanes 1-7 no buffer of their own.
+func TestLaneSharedMacroGroups(t *testing.T) {
+	cfg := testConfig()
+	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 1
+	lc := laneCase{
+		progs: []Program{{Core: 0, Code: seq(
+			copyIn(64, laneUniform, 128),
+			loadWeights(64, 16),                        // group 0: 16x8 uniform weights
+			isa.LI(4, 1), one(isa.CimLoad(4, 1, 2, 3)), // group 1: the same
+			copyIn(0, laneIn, 64),
+			setSReg(isa.SRegLoadRow, 4), setSReg(isa.SRegLoadChan, 2),
+			isa.LI(1, 32), isa.LI(2, 2), isa.LI(3, 4), one(isa.CimLoad(0, 1, 2, 3)), // 2x4 lane bytes at (4, 2)
+			setSReg(isa.SRegLoadRow, 8),
+			isa.LI(1, 64), one(isa.CimLoad(0, 1, 2, 3)), // 2x4 uniform bytes at (8, 2)
+			quant8(),
+			mvm(0, 16, 192, isa.MVMFlagWriteback),
+			copyOut(laneOut, 192, 8),
+			spinHalt(),
+		)}},
+		uniform: laneWeights(),
+	}
+	// Even lanes' tile bytes (input bytes 32-39) are lane 0's, odd lanes'
+	// their own.
+	inputs := laneInputs(8)
+	for l := 2; l < len(inputs); l += 2 {
+		copy(inputs[l][32:40], inputs[0][32:40])
+	}
+	inTile := func(i, gc int) bool { r, k := i/gc, i%gc; return r >= 4 && r < 6 && k >= 2 && k < 6 }
+
+	for _, m := range decodedModes {
+		t.Run(m.name, func(t *testing.T) {
+			ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(8)}, m.opts...)...)
+			c := ch.cores[0]
+			run := func(b int) {
+				t.Helper()
+				if err := ch.SetLanes(b); err != nil {
+					t.Fatal(err)
+				}
+				staged := make([][]byte, b)
+				for l := range staged {
+					if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: inputs[l]}); err != nil {
+						t.Fatal(err)
+					}
+					staged[l] = slices.Clone(readsAs(ch.global[l], laneMemBytes))
+				}
+				_, err := ch.Run(context.Background())
+				for l := range staged {
+					matchRef(t, ch, l, err, lc.progs, staged[l])
+				}
+			}
+			allShare := func(when string) {
+				t.Helper()
+				for l := 1; l < len(c.images); l++ {
+					for g, w := range c.images[l].mg {
+						if !sameBuffer(w, c.mg[g]) {
+							t.Fatalf("%s: lane %d holds a buffer of its own for group %d", when, l, g)
+						}
+					}
+				}
+			}
+
+			run(8)
+			if c.mg[0] == nil || c.mg[1] == nil {
+				t.Fatal("groups 0 and 1 not backed in lane 0")
+			}
+			for l := 1; l < 8; l++ {
+				w := c.images[l].mg[0]
+				if !sameBuffer(c.images[l].mg[1], c.mg[1]) {
+					t.Errorf("lane %d: uniformly loaded group 1 has a buffer of its own", l)
+				}
+				if private := !sameBuffer(w, c.mg[0]); private != (l%2 == 1) {
+					t.Errorf("lane %d: group 0 private = %v, want %v", l, private, l%2 == 1)
+					continue
+				}
+				for i := range w {
+					if !inTile(i, c.groupChans) && w[i] != c.mg[0][i] {
+						t.Errorf("lane %d: group 0 byte %d = %#x outside the lane's tile, lane 0's %#x", l, i, w[i], c.mg[0][i])
+						break
+					}
+				}
+			}
+
+			ch.Reset()
+			assertPowerOn(t, ch, "after Reset")
+			allShare("after Reset")
+			run(1)
+			allShare("after a one-lane run")
+		})
+	}
+}
+
 // TestLaneStepAllocs is the 4-lane twin of TestStepDecodedZeroAllocs:
 // once warm, stepping the full 4-lane data plane through the vector,
 // transfer and CIM units must not allocate — every per-lane slice is a view

@@ -213,8 +213,8 @@ func checkConfig(cfg *arch.Config) error {
 // Retarget makes the chip read as the one NewChip(cfg) builds with the same
 // lane capacity, in every byte and every logical size: it is reset, its
 // global memory zeroed, its programs dropped, and every buffer whose capacity
-// holds cfg's size is kept — local memories, backed macro groups,
-// accumulators, global memory's backing, the dirty record, the mailboxes,
+// holds cfg's size is kept — local memories, lane 0's backed macro groups
+// (which every lane shares again), accumulators, global memory's backing, the dirty record, the mailboxes,
 // and the payload free lists trimmed to cfg's bound. Only buffers that must
 // grow are allocated; a macro group that no longer fits is dropped, to be
 // backed again by its next CIM_LOAD. CycleLimit and Trace stay. On error the
@@ -397,8 +397,10 @@ func (ch *Chip) ZeroGlobal(addr, size int) error {
 //
 // Local memories and macro groups are cleared by record, not by size: each
 // core notes the 4 KB pages and the macro groups its operations touch, the
-// chip the widest lane occupancy it ran, and Reset zeroes exactly those (see
-// core.reset). Nothing but Run writes them, so everything outside the record
+// chip the widest lane occupancy it ran, and Reset zeroes exactly those
+// pages in those lanes and those groups once per chip, in lane 0's buffers,
+// which every lane shares again afterwards (see core.reset). Nothing but Run
+// writes them, so everything outside the record
 // still holds the zeros it was allocated with, and the chip is byte for byte
 // the one NewChip built; the cost is what the runs since the last Reset
 // touched, not what the chip allocates.
