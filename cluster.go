@@ -48,7 +48,7 @@ type (
 	// Burst is a bounded rate spike inside a trace.
 	Burst = cluster.Burst
 	// ReplayReport is a finished replay: per-tenant SLO attainment and
-	// latency quantiles plus the router's own counters.
+	// latency quantiles, the generator's lag, and the router's own counters.
 	ReplayReport = cluster.ReplayReport
 	// TenantSLO is one tenant's replay outcome.
 	TenantSLO = cluster.TenantSLO
@@ -113,7 +113,8 @@ func DelayedBackend(b ClusterBackend, d time.Duration) ClusterBackend {
 }
 
 // ReplayTrace replays a synthetic trace against the router open-loop
-// and reports per-tenant SLO attainment.
+// and reports per-tenant SLO attainment; latency is measured from each
+// request's due time.
 func ReplayTrace(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, error) {
 	return cluster.Replay(ctx, r, spec)
 }

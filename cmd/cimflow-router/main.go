@@ -23,7 +23,10 @@
 // against the fleet open-loop and reports SLO attainment per tenant.
 // -slow-replica injects extra latency into one replica to demonstrate
 // hedging; -compare-hedge replays the same trace with hedging disabled
-// and enabled and prints the per-tenant tail-latency comparison.
+// and enabled and prints the per-tenant tail-latency comparison. A replay
+// exits non-zero when a routed output differs from -check's reference or
+// a request fails for any reason but a quota rejection, a shed or an
+// expiry.
 //
 //	cimflow-router -replay -replicas 3 -models tinymlp \
 //	    -tenants "gold:interactive:0:1:500ms,free:batch:50:3:1s" \
@@ -430,6 +433,7 @@ func runReplay(f *routerFlags, models []string, tenants []tenantSpec) error {
 		hedges = []time.Duration{0, f.hedgeDelay}
 	}
 	reports := make([]*cimflow.ReplayReport, 0, len(hedges))
+	var failed int64
 	for _, hedge := range hedges {
 		rep, err := replayOnce(f, models, tenants, spec, hedge)
 		if err != nil {
@@ -442,13 +446,19 @@ func runReplay(f *routerFlags, models []string, tenants []tenantSpec) error {
 		if err := rep.Table(label).Write(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Printf("sent %d, completed %d (%.1f inf/s over %v); hedges %d launched / %d won, retries %d, fallbacks %d\n\n",
-			rep.Sent, rep.Completed, rep.Throughput, rep.Elapsed.Round(time.Millisecond),
+		fmt.Printf("sent %d, completed %d (%.1f inf/s over %v, generator lag p99 %.2f ms); hedges %d launched / %d won, retries %d, fallbacks %d\n\n",
+			rep.Sent, rep.Completed, rep.Throughput, rep.Elapsed.Round(time.Millisecond), rep.LagP99Ms,
 			rep.Router.HedgesLaunched, rep.Router.HedgesWon, rep.Router.Retries, rep.Router.Fallbacks)
 		reports = append(reports, rep)
+		for _, slo := range rep.Tenants {
+			failed += slo.Failed
+		}
 	}
 	if f.compareHedge {
 		printHedgeComparison(reports[0], reports[1])
+	}
+	if failed > 0 {
+		return fmt.Errorf("replay: %d requests failed (not a quota rejection, a shed or an expiry)", failed)
 	}
 	return nil
 }

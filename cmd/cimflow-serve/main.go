@@ -1,8 +1,6 @@
-// Command cimflow-serve fronts a cimflow.Server with an HTTP JSON API, or
-// drives it with a built-in open-loop load generator:
+// Command cimflow-serve fronts a cimflow.Server with an HTTP JSON API:
 //
 //	cimflow-serve -models tinyresnet,tinymlp -addr :8080
-//	cimflow-serve -loadgen -models tinymlp -rps 100 -duration 10s -workers 4
 //
 // HTTP API (the first two routes are internal/httpapi's, as on cimflow-router):
 //
@@ -13,24 +11,14 @@
 //	GET  /metrics                  queue depth, batch-size histogram,
 //	                               p50/p95/p99 latency, cache/pool counters
 //
-// The load generator fires requests at a fixed arrival rate regardless of
-// completions (open loop), so queueing and shedding behave like production
-// traffic rather than a closed benchmark loop; it verifies served outputs
-// byte-for-byte against direct Session.Infer and prints the batch-size
-// histogram and latency quantiles that demonstrate dynamic batching.
+// To offer it load, point cimflow-router -replay -backends at it.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
-	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cimflow"
@@ -51,12 +39,6 @@ func main() {
 		pool     = flag.Int("pool", 0, "live chips shared by every served model (0 = GOMAXPROCS)")
 		simLanes = flag.Int("sim-lanes", 1, "lane-batch capacity per chip: coalesced batches run up to this many inferences through one cycle-accurate schedule (1 = off)")
 		artDir   = flag.String("artifact-dir", "", "compile-artifact store directory: restarts load compiled models from disk instead of recompiling")
-
-		loadgen  = flag.Bool("loadgen", false, "run the open-loop load generator instead of listening")
-		rps      = flag.Int("rps", 50, "loadgen: offered arrival rate, requests/second")
-		duration = flag.Duration("duration", 10*time.Second, "loadgen: how long to offer load")
-		timeout  = flag.Duration("timeout", 5*time.Second, "loadgen: per-request deadline")
-		check    = flag.Int("check", 16, "loadgen: verify this many distinct inputs byte-for-byte against Session.Infer")
 	)
 	flag.Parse()
 
@@ -94,8 +76,7 @@ func main() {
 		cimflow.WithWorkers(*workers),
 		cimflow.WithMaxBatch(*maxBatch),
 		cimflow.WithQueueDepth(*queue))
-	names := strings.Split(*models, ",")
-	for _, name := range names {
+	for _, name := range strings.Split(*models, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -117,13 +98,6 @@ func main() {
 		} else {
 			log.Printf("serving %s (compiled and staged in %v)", name, total.Round(time.Millisecond))
 		}
-	}
-
-	if *loadgen {
-		if err := runLoadgen(engine, srv, names[0], *rps, *duration, *timeout, *check); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	log.Printf("listening on %s (workers=%d max-batch=%d queue=%d)", *addr, *workers, *maxBatch, *queue)
@@ -171,108 +145,4 @@ func wantsPrometheus(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	return strings.Contains(accept, "text/plain") ||
 		strings.Contains(accept, "application/openmetrics-text")
-}
-
-// --- open-loop load generator ---
-
-func runLoadgen(engine *cimflow.Engine, srv *cimflow.Server, model string,
-	rps int, duration, timeout time.Duration, check int) error {
-	if rps <= 0 {
-		return fmt.Errorf("loadgen: -rps must be positive")
-	}
-	if check < 0 {
-		return fmt.Errorf("loadgen: -check must be non-negative")
-	}
-	shape, err := srv.InputShape(model)
-	if err != nil {
-		return err
-	}
-	// References for the byte-identical check come from the engine's own
-	// session — the same compiled artifact the server dispatches onto.
-	sess, err := engine.SessionFor(model)
-	if err != nil {
-		return err
-	}
-	refs := make([][]int8, check)
-	for i := range refs {
-		res, err := sess.Infer(context.Background(), cimflow.SeededInput(shape, uint64(i)))
-		if err != nil {
-			return fmt.Errorf("loadgen reference %d: %w", i, err)
-		}
-		refs[i] = res.Output.Data
-	}
-
-	fmt.Printf("loadgen: %s, %d req/s offered for %v (deadline %v per request)\n",
-		model, rps, duration, timeout)
-	var (
-		sent, completed, shed, expired, failed, mismatched atomic.Int64
-		wg                                                 sync.WaitGroup
-	)
-	interval := time.Second / time.Duration(rps)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	stop := time.After(duration)
-	start := time.Now()
-	var n uint64
-arrivals:
-	for {
-		select {
-		case <-stop:
-			break arrivals
-		case <-ticker.C:
-			seq := n
-			n++
-			sent.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				seed := seq % uint64(max(check, 1024))
-				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				defer cancel()
-				res, err := srv.Infer(ctx, model, cimflow.SeededInput(shape, seed))
-				switch {
-				case err == nil:
-					completed.Add(1)
-					if int(seed) < check && !slices.Equal(res.Output.Data, refs[seed]) {
-						mismatched.Add(1)
-					}
-				case errors.Is(err, cimflow.ErrOverloaded):
-					shed.Add(1)
-				case errors.Is(err, context.DeadlineExceeded):
-					expired.Add(1)
-				default:
-					failed.Add(1)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := srv.Close(); err != nil {
-		return err
-	}
-
-	m := srv.Metrics()
-	mm := m.Models[model]
-	fmt.Printf("\nsent %d: %d completed, %d shed, %d deadline-expired, %d failed\n",
-		sent.Load(), completed.Load(), shed.Load(), expired.Load(), failed.Load())
-	fmt.Printf("throughput: %.1f inf/s wall-clock over %v (workers=%d)\n",
-		float64(completed.Load())/elapsed.Seconds(), elapsed.Round(time.Millisecond), m.Workers)
-	fmt.Printf("latency: p50 %.1f ms, p95 %.1f ms, p99 %.1f ms (%d samples)\n",
-		mm.P50Ms, mm.P95Ms, mm.P99Ms, mm.LatencySamples)
-	fmt.Printf("batch-size histogram (%d dispatches):\n", mm.Batches)
-	for size := 1; size <= mm.MaxBatch; size++ {
-		if count, ok := mm.BatchHist[size]; ok {
-			fmt.Printf("  %2d: %s %d\n", size, strings.Repeat("#", int(min(count, 60))), count)
-		}
-	}
-	fmt.Printf("compilations: %d (cache hits %d), pooled chips: %d\n",
-		m.CompileCalls, m.CacheHits, m.PooledChips)
-	if check > 0 {
-		if mismatched.Load() != 0 {
-			return fmt.Errorf("loadgen: %d served outputs differ from direct Session.Infer", mismatched.Load())
-		}
-		fmt.Printf("verified: served outputs byte-identical to Session.Infer on %d reference inputs\n", check)
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,8 +23,9 @@ type TraceTenant struct {
 	Name string
 	// Weight is the tenant's share of arrivals (relative to the others).
 	Weight float64
-	// Deadline is the per-request context deadline — the SLO target p99 is
-	// judged against (default 1s).
+	// Deadline is the per-request context deadline, counted from the time
+	// the request was due — the SLO target p99 is judged against (default
+	// 1s).
 	Deadline time.Duration
 }
 
@@ -111,8 +113,12 @@ type ReplayReport struct {
 	Sent       int64         `json:"sent"`
 	Completed  int64         `json:"completed"`
 	Throughput float64       `json:"throughput"` // completed/s wall-clock
-	Tenants    []TenantSLO   `json:"tenants"`    // sorted by tenant name
-	Router     Metrics       `json:"router"`
+	// LagP99Ms is the p99 of how late arrivals left the generator: a
+	// generator that fell behind its schedule shows here, and its lag is
+	// already inside every latency quantile.
+	LagP99Ms float64     `json:"lag_p99_ms"`
+	Tenants  []TenantSLO `json:"tenants"` // sorted by tenant name
+	Router   Metrics     `json:"router"`
 }
 
 // tenantAcc accumulates one tenant's replay outcomes.
@@ -128,12 +134,72 @@ type tenantAcc struct {
 	lat      []time.Duration
 }
 
+// clock is the replay's time source; tests substitute a fake one to check
+// the schedule arithmetic.
+type clock interface {
+	Now() time.Time
+	// Wait blocks for d or until ctx is done, and returns ctx's error in
+	// the latter case.
+	Wait(ctx context.Context, d time.Duration) error
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+func (wallClock) Wait(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// schedule offers the spec's arrivals open loop from the calling
+// goroutine: the next arrival is 1/rate(t) after the current one, and
+// arrival i is due at start + its offset whether or not earlier ones
+// completed. A generator that falls behind sends the backlog at once
+// rather than skipping it. send gets each arrival's due time and must not
+// block. Cancelling ctx stops new arrivals. It returns the start and how
+// late each arrival left.
+func (s *TraceSpec) schedule(ctx context.Context, clk clock, send func(due time.Time)) (time.Time, []time.Duration) {
+	start := clk.Now()
+	var lags []time.Duration
+	for t := time.Duration(0); t < s.Duration && ctx.Err() == nil; {
+		rate := s.rate(t)
+		if rate <= 0 {
+			t += time.Millisecond
+			continue
+		}
+		t += time.Duration(float64(time.Second) / rate)
+		due := start.Add(t)
+		if wait := due.Sub(clk.Now()); wait > 0 {
+			if clk.Wait(ctx, wait) != nil {
+				break
+			}
+		}
+		lags = append(lags, clk.Now().Sub(due))
+		send(due)
+	}
+	return start, lags
+}
+
 // Replay drives the router with the spec's traffic, open loop: arrivals
 // fire at the trace's instantaneous rate regardless of completions, each
-// under its tenant's deadline. It returns per-tenant SLO attainment and
-// the router's own metrics snapshot. Cancelling ctx stops offering load
-// early; in-flight requests still drain into the report.
+// under its tenant's deadline. A request's latency and deadline run from
+// the time it was due, not from when it left, so a generator that falls
+// behind charges its stall to the requests it delays. It returns per-tenant
+// SLO attainment and the router's own metrics snapshot. Cancelling ctx
+// stops offering load early; in-flight requests still drain into the
+// report.
 func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, error) {
+	return replay(ctx, wallClock{}, r, spec)
+}
+
+func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayReport, error) {
 	if spec.Duration <= 0 {
 		return nil, fmt.Errorf("cluster: trace duration must be positive")
 	}
@@ -143,7 +209,7 @@ func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, erro
 	if len(spec.Models) == 0 {
 		return nil, fmt.Errorf("cluster: trace needs at least one model")
 	}
-	tenants := spec.Tenants
+	tenants := slices.Clone(spec.Tenants)
 	if len(tenants) == 0 {
 		tenants = []TraceTenant{{Name: "default", Weight: 1}}
 	}
@@ -151,6 +217,9 @@ func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, erro
 	tenantWeights := make([]float64, len(tenants))
 	var tenantTotal float64
 	for i, tt := range tenants {
+		if _, dup := accs[tt.Name]; dup {
+			return nil, fmt.Errorf("cluster: trace tenant %q named twice", tt.Name)
+		}
 		if tt.Weight <= 0 {
 			tt.Weight = 1
 		}
@@ -194,26 +263,8 @@ func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, erro
 
 	rng := rand.New(rand.NewSource(int64(spec.Seed)))
 	var wg sync.WaitGroup
-	start := time.Now()
 	var seq uint64
-	// Open loop over virtual time: the next arrival is 1/rate(t) after the
-	// current one, slept against the wall clock so completions never gate
-	// arrivals.
-	for t := time.Duration(0); t < spec.Duration; {
-		rate := spec.rate(t)
-		if rate <= 0 {
-			t += time.Millisecond
-			continue
-		}
-		t += time.Duration(float64(time.Second) / rate)
-		if d := time.Until(start.Add(t)); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				t = spec.Duration
-				continue
-			}
-		}
+	start, lags := spec.schedule(ctx, clk, func(due time.Time) {
 		tt := tenants[pick(rng, tenantWeights, tenantTotal)]
 		mdl := spec.Models[pick(rng, modelWeights, modelTotal)]
 		inputSeed := seq % 1024
@@ -222,14 +273,14 @@ func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, erro
 		acc.mu.Lock()
 		acc.sent++
 		acc.mu.Unlock()
+		timeout := acc.deadline - clk.Now().Sub(due)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rctx, cancel := context.WithTimeout(context.Background(), acc.deadline)
+			rctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
-			reqStart := time.Now()
 			_, err := r.Infer(rctx, tt.Name, mdl, model.SeededInput(shapes[mdl], inputSeed))
-			lat := time.Since(reqStart)
+			lat := clk.Now().Sub(due)
 			acc.mu.Lock()
 			defer acc.mu.Unlock()
 			switch {
@@ -246,11 +297,12 @@ func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, erro
 				acc.failed++
 			}
 		}()
-	}
+	})
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := clk.Now().Sub(start)
 
 	rep := &ReplayReport{Elapsed: elapsed, Router: r.Metrics()}
+	_, _, rep.LagP99Ms = serve.Quantiles(lags)
 	for _, tt := range tenants {
 		acc := accs[tt.Name]
 		slo := TenantSLO{
