@@ -2,7 +2,6 @@ package cimflow
 
 import (
 	"cimflow/internal/artifact"
-	"cimflow/internal/compiler"
 	"cimflow/internal/dse"
 )
 
@@ -67,25 +66,3 @@ func OpenArtifactStore(dir string, opts ...StoreOption) (*ArtifactStore, error) 
 // WithStoreMaxBytes caps an artifact store's total size; saves past the
 // cap evict least-recently-used artifacts (default: unbounded).
 func WithStoreMaxBytes(n int64) StoreOption { return artifact.WithMaxBytes(n) }
-
-// EncodeArtifact serializes a compiled model into the versioned,
-// deterministic artifact format (encode→decode→re-encode is byte-stable).
-// The strategy must be the one the model was compiled with — it is part of
-// the artifact's content address.
-func EncodeArtifact(c *Compiled, strategy Strategy) ([]byte, error) {
-	return artifact.Encode(c, compiler.Options{Strategy: strategy})
-}
-
-// DecodeArtifact validates and rebuilds a compiled model from encoded
-// bytes: the whole-file checksum is verified, derived state (geometries,
-// plan indexes, predecoded micro-ops) is recomputed rather than trusted
-// from the encoding, and the decoded content's fingerprints must match the
-// header's claim. Damage surfaces as ErrArtifactCorrupt/ErrArtifactVersion.
-func DecodeArtifact(data []byte) (*Compiled, ArtifactMeta, error) {
-	return artifact.Decode(data)
-}
-
-// ArtifactKey returns the content address a compile would be stored under.
-func ArtifactKey(g *Graph, cfg *Config, strategy Strategy) string {
-	return artifact.Key(g, cfg, compiler.Options{Strategy: strategy})
-}

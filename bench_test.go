@@ -15,6 +15,7 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/core"
+	"cimflow/internal/dse"
 	"cimflow/internal/isa"
 	"cimflow/internal/model"
 	"cimflow/internal/noc"
@@ -38,7 +39,7 @@ func runOnce(b *testing.B, g *cimflow.Graph, cfg cimflow.Config, s cimflow.Strat
 // three compilation strategies on the four benchmark DNNs.
 func BenchmarkFig5(b *testing.B) {
 	cfg := cimflow.DefaultConfig()
-	for _, name := range cimflow.Fig5Models {
+	for _, name := range dse.Fig5Models {
 		g, err := cimflow.LookupModel(name)
 		if err != nil {
 			b.Fatal(err)
@@ -73,8 +74,8 @@ func BenchmarkFig6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mg := range cimflow.Fig6MGSizes {
-			for _, flit := range cimflow.Fig6Flits {
+		for _, mg := range dse.Fig6MGSizes {
+			for _, flit := range dse.Fig6Flits {
 				b.Run(fmt.Sprintf("%s/mg%d/flit%d", name, mg, flit), func(b *testing.B) {
 					cfg := base.WithMacrosPerGroup(mg).WithFlitBytes(flit)
 					var res *cimflow.Result
@@ -101,8 +102,8 @@ func BenchmarkFig7(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, s := range []cimflow.Strategy{cimflow.StrategyGeneric, cimflow.StrategyDP} {
-			for _, mg := range cimflow.Fig6MGSizes {
-				for _, flit := range cimflow.Fig6Flits {
+			for _, mg := range dse.Fig6MGSizes {
+				for _, flit := range dse.Fig6Flits {
 					b.Run(fmt.Sprintf("%s/%v/mg%d/flit%d", name, s, mg, flit), func(b *testing.B) {
 						cfg := base.WithMacrosPerGroup(mg).WithFlitBytes(flit)
 						var res *cimflow.Result

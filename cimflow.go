@@ -60,14 +60,6 @@ type (
 	Compiled = compiler.Compiled
 	// Plan is the CG-level partitioning and mapping decision.
 	Plan = compiler.Plan
-	// CompileContext is a graph's reusable compiler frontend: condensation
-	// and linearization run once, then Compile lowers the graph for any
-	// architecture and strategy with memoized planning. Engines and sweeps
-	// manage contexts automatically (keyed on the graph fingerprint);
-	// NewCompileContext is for callers driving the compiler directly.
-	CompileContext = compiler.CompileContext
-	// CompileOptions configures a direct CompileContext.Compile call.
-	CompileOptions = compiler.Options
 	// Result is a completed run: statistics, output tensor, metrics.
 	Result = core.Result
 	// Stats is the simulator's chip-level report.
@@ -96,20 +88,11 @@ func ModelNames() []string { return model.ZooNames() }
 func NewGraph(name string, input Shape) (*Graph, int) { return model.NewGraph(name, input) }
 
 // Compile lowers a model onto an architecture, returning the per-core
-// CIMFlow ISA programs and the partitioning/mapping plan. One-shot; to
-// compile the same model repeatedly (several strategies or architecture
-// points), build a CompileContext once and call its Compile.
+// CIMFlow ISA programs and the partitioning/mapping plan. One-shot; an
+// Engine or a sweep compiles the same model repeatedly (several strategies
+// or architecture points) through one cached frontend.
 func Compile(g *Graph, cfg Config, strategy Strategy) (*Compiled, error) {
 	return compiler.Compile(g, &cfg, compiler.Options{Strategy: strategy})
-}
-
-// NewCompileContext runs the compiler frontend (validation, condensation,
-// linearization) once for a graph and returns the reusable context the
-// staged pipeline compiles from. The context is safe for concurrent use
-// and memoizes planning per architecture; artifacts are byte-identical to
-// one-shot Compile calls.
-func NewCompileContext(g *Graph) (*CompileContext, error) {
-	return compiler.NewContext(g)
 }
 
 // --- Design-space exploration (internal/dse) ---
@@ -172,48 +155,20 @@ func SweepTable(title string, results []SweepResult) *Table {
 	return dse.ResultTable(title, results)
 }
 
-// ConfigFingerprint returns the stable hardware identity hash used by the
-// compile cache and sweep checkpoints.
-func ConfigFingerprint(cfg *Config) string { return dse.Fingerprint(cfg) }
-
-// Experiment runners regenerating the paper's evaluation (Sec. IV), built
-// on the DSE engine: parallel underneath, rows identical to the historical
-// serial implementation.
-var (
-	// Fig5Models / Fig6MGSizes / Fig6Flits are the paper's sweep axes.
-	Fig5Models  = dse.Fig5Models
-	Fig6MGSizes = dse.Fig6MGSizes
-	Fig6Flits   = dse.Fig6Flits
-)
-
-// RunFig5 regenerates Fig. 5 (compilation strategies comparison).
-func RunFig5(cfg Config, models []string) ([]dse.Fig5Row, error) {
-	return dse.RunFig5(context.Background(), cfg, models, dse.RunOptions{})
-}
-
-// RunFig6 regenerates Fig. 6 (MG size x flit width exploration).
-func RunFig6(cfg Config, models []string) ([]dse.Fig6Row, error) {
-	return dse.RunFig6(context.Background(), cfg, models, dse.RunOptions{})
-}
-
-// RunFig7 regenerates Fig. 7 (SW/HW co-design space).
-func RunFig7(cfg Config, models []string) ([]dse.Fig7Row, error) {
-	return dse.RunFig7(context.Background(), cfg, models, dse.RunOptions{})
-}
-
-// RunFig5With / RunFig6With / RunFig7With expose the sweep engine's
-// parallelism, cache sharing, checkpointing and cancellation to figure
-// regeneration (cimflow-bench -j); cancelling ctx aborts mid-simulation.
+// RunFig5With / RunFig6With / RunFig7With regenerate the paper's evaluation
+// (Sec. IV) on the DSE engine, with the sweep's parallelism, cache sharing,
+// checkpointing and cancellation (cimflow-bench -j); cancelling ctx aborts
+// mid-simulation. RunFig5With is Fig. 5, the compilation strategies.
 func RunFig5With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig5Row, error) {
 	return dse.RunFig5(ctx, cfg, models, opt)
 }
 
-// RunFig6With regenerates Fig. 6 with explicit sweep options.
+// RunFig6With regenerates Fig. 6 (MG size x flit width exploration).
 func RunFig6With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig6Row, error) {
 	return dse.RunFig6(ctx, cfg, models, opt)
 }
 
-// RunFig7With regenerates Fig. 7 with explicit sweep options.
+// RunFig7With regenerates Fig. 7 (SW/HW co-design space).
 func RunFig7With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig7Row, error) {
 	return dse.RunFig7(ctx, cfg, models, opt)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cimflow"
+	"cimflow/internal/dse"
 )
 
 // freshSession builds a new engine and compiles g on it: everything a
@@ -110,7 +111,7 @@ func TestFigureTablesRender(t *testing.T) {
 		t.Skip("sweep in -short mode")
 	}
 	cfg := cimflow.DefaultConfig()
-	rows5, err := cimflow.RunFig5(cfg, []string{"mobilenetv2"})
+	rows5, err := cimflow.RunFig5With(context.Background(), cfg, []string{"mobilenetv2"}, cimflow.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +134,10 @@ func TestFigureTablesRender(t *testing.T) {
 	}
 }
 
-// TestSearchFacade: the search entry points work through the public API —
-// a budgeted run returns a frontier drawn from its trajectory, the
-// planning-stage estimate prices a point without simulating it, and the
-// shard path helper matches the documented layout.
+// TestSearchFacade: a budgeted Search through the public API returns a
+// frontier drawn from its trajectory; beneath it, the planning-stage
+// estimate prices a point without simulating it, and the shard checkpoint
+// path matches the documented layout.
 func TestSearchFacade(t *testing.T) {
 	spec := &cimflow.SweepSpec{
 		Models:     []string{"tinymlp"},
@@ -174,7 +175,7 @@ func TestSearchFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := cimflow.PointEstimate(cache, &points[0])
+	est, err := (&dse.Evaluator{Cache: cache}).Estimate(&points[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestSearchFacade(t *testing.T) {
 		t.Errorf("degenerate estimate: %+v", est)
 	}
 
-	if got := cimflow.SearchShardPath("ck.json", 2, 4); got != "ck.json.shard2of4" {
-		t.Errorf("SearchShardPath = %q", got)
+	if got := dse.ShardPath("ck.json", 2, 4); got != "ck.json.shard2of4" {
+		t.Errorf("ShardPath = %q", got)
 	}
 }

@@ -87,7 +87,6 @@ var (
 	WithReadmitAfter          = cluster.WithReadmitAfter
 	WithPriorityShedThreshold = cluster.WithPriorityShedThreshold
 	WithTenant                = cluster.WithTenant
-	WithDefaultTenant         = cluster.WithDefaultTenant
 )
 
 // NewRouter builds a cluster router. Register replicas with AddBackend,

@@ -92,45 +92,50 @@ type routerFlags struct {
 
 func main() {
 	var f routerFlags
-	flag.StringVar(&f.addr, "addr", ":8090", "HTTP listen address")
-	flag.StringVar(&f.backends, "backends", "", "comma-separated cimflow-serve base URLs; empty spawns in-process replicas")
-	flag.IntVar(&f.replicas, "replicas", 3, "in-process replica count (when -backends is empty)")
-	flag.StringVar(&f.models, "models", "tinymlp", "comma-separated models each replica serves")
-	flag.StringVar(&f.archPath, "arch", "", "architecture JSON (default: paper Table I)")
-	flag.StringVar(&f.strategy, "strategy", "dp", "compilation strategy: generic | duplication | dp")
-	flag.Uint64Var(&f.seed, "seed", 1, "synthetic-weight seed (replicas must agree for byte-identical outputs)")
-	flag.IntVar(&f.pool, "pool", 2, "live chips per replica, shared by its models")
-	flag.StringVar(&f.artDir, "artifact-dir", "", "shared compile-artifact store: replicas load compiled models from disk")
-	flag.IntVar(&f.workers, "workers", 2, "per-replica dispatch workers")
-	flag.IntVar(&f.maxBatch, "max-batch", 8, "per-replica dynamic batcher: max requests per dispatch")
-	flag.IntVar(&f.queue, "queue", 64, "per-replica per-model admission queue depth")
-	flag.DurationVar(&f.hedgeDelay, "hedge-delay", 25*time.Millisecond, "hedge a request on the successor replica after this long without a reply (0 disables)")
-	flag.Float64Var(&f.hedgeBudget, "hedge-budget", 0.1, "hedge tokens earned per admitted request (bounds extra load)")
-	flag.IntVar(&f.backendConc, "backend-concurrency", 64, "inflight ceiling per backend before the least-loaded fallback engages")
-	flag.DurationVar(&f.checkInterval, "check-interval", time.Second, "active health-check period (0 disables)")
-	flag.IntVar(&f.ejectAfter, "eject-after", 3, "consecutive failed checks before a backend is ejected")
-	flag.IntVar(&f.readmitAfter, "readmit-after", 2, "consecutive passing checks before re-admission")
-	flag.Float64Var(&f.shedThreshold, "shed-threshold", 0.75, "fleet load fraction above which batch-priority traffic is shed")
-	flag.IntVar(&f.vnodes, "vnodes", 64, "virtual nodes per backend on the hash ring")
-	flag.StringVar(&f.tenants, "tenants", "", `tenant contracts "name:priority[:rate[:weight[:deadline]]]",... (priority: batch|standard|interactive; rate 0 = unmetered; weight and deadline feed -replay)`)
-	flag.BoolVar(&f.replay, "replay", false, "replay a synthetic trace against the fleet instead of listening")
-	flag.DurationVar(&f.duration, "duration", 10*time.Second, "replay: trace length")
-	flag.Float64Var(&f.rps, "rps", 100, "replay: base offered arrival rate, requests/second")
-	flag.Float64Var(&f.diurnalAmp, "diurnal-amplitude", 0.3, "replay: sinusoidal rate swing as a fraction of -rps")
-	flag.DurationVar(&f.diurnalPer, "diurnal-period", 0, "replay: diurnal period (default: the trace duration)")
-	flag.StringVar(&f.bursts, "bursts", "", `replay: rate spikes "at/duration/multiplier",... e.g. "2s/1s/3"`)
-	flag.Float64Var(&f.modelSkew, "model-skew", 1, "replay: Zipf exponent for hot-model skew across -models")
-	flag.Uint64Var(&f.traceSeed, "trace-seed", 1, "replay: trace RNG seed")
-	flag.DurationVar(&f.timeout, "timeout", 2*time.Second, "replay: default per-request deadline for tenants without one")
-	flag.StringVar(&f.slowReplica, "slow-replica", "", "replay: inject -slow-delay extra latency into this backend (by name)")
-	flag.DurationVar(&f.slowDelay, "slow-delay", 30*time.Millisecond, "replay: injected latency for -slow-replica")
-	flag.BoolVar(&f.compareHedge, "compare-hedge", false, "replay: run the trace with hedging off then on and compare tail latency")
-	flag.IntVar(&f.check, "check", 8, "replay: byte-verify this many routed outputs per model against a direct session (local replicas only)")
+	f.register(flag.CommandLine)
 	flag.Parse()
 
 	if err := run(&f); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// register defines the command's flags on fs, with their defaults.
+func (f *routerFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.addr, "addr", ":8090", "HTTP listen address")
+	fs.StringVar(&f.backends, "backends", "", "comma-separated cimflow-serve base URLs; empty spawns in-process replicas")
+	fs.IntVar(&f.replicas, "replicas", 3, "in-process replica count (when -backends is empty)")
+	fs.StringVar(&f.models, "models", "tinymlp", "comma-separated models each replica serves")
+	fs.StringVar(&f.archPath, "arch", "", "architecture JSON (default: paper Table I)")
+	fs.StringVar(&f.strategy, "strategy", "dp", "compilation strategy: generic | duplication | dp")
+	fs.Uint64Var(&f.seed, "seed", 1, "synthetic-weight seed (replicas must agree for byte-identical outputs)")
+	fs.IntVar(&f.pool, "pool", 2, "live chips per replica, shared by its models")
+	fs.StringVar(&f.artDir, "artifact-dir", "", "shared compile-artifact store: replicas load compiled models from disk")
+	fs.IntVar(&f.workers, "workers", 2, "per-replica dispatch workers")
+	fs.IntVar(&f.maxBatch, "max-batch", 8, "per-replica dynamic batcher: max requests per dispatch")
+	fs.IntVar(&f.queue, "queue", 64, "per-replica per-model admission queue depth")
+	fs.DurationVar(&f.hedgeDelay, "hedge-delay", 25*time.Millisecond, "hedge a request on the successor replica after this long without a reply (0 disables)")
+	fs.Float64Var(&f.hedgeBudget, "hedge-budget", 0.1, "hedge tokens earned per admitted request (bounds extra load)")
+	fs.IntVar(&f.backendConc, "backend-concurrency", 64, "inflight ceiling per backend before the least-loaded fallback engages")
+	fs.DurationVar(&f.checkInterval, "check-interval", time.Second, "active health-check period (0 disables)")
+	fs.IntVar(&f.ejectAfter, "eject-after", 3, "consecutive failed checks before a backend is ejected")
+	fs.IntVar(&f.readmitAfter, "readmit-after", 2, "consecutive passing checks before re-admission")
+	fs.Float64Var(&f.shedThreshold, "shed-threshold", 0.75, "fleet load fraction above which batch-priority traffic is shed")
+	fs.IntVar(&f.vnodes, "vnodes", 64, "virtual nodes per backend on the hash ring")
+	fs.StringVar(&f.tenants, "tenants", "", `tenant contracts "name:priority[:rate[:weight[:deadline]]]",... (priority: batch|standard|interactive; rate 0 = unmetered; weight and deadline feed -replay)`)
+	fs.BoolVar(&f.replay, "replay", false, "replay a synthetic trace against the fleet instead of listening")
+	fs.DurationVar(&f.duration, "duration", 10*time.Second, "replay: trace length")
+	fs.Float64Var(&f.rps, "rps", 100, "replay: base offered arrival rate, requests/second")
+	fs.Float64Var(&f.diurnalAmp, "diurnal-amplitude", 0.3, "replay: sinusoidal rate swing as a fraction of -rps")
+	fs.DurationVar(&f.diurnalPer, "diurnal-period", 0, "replay: diurnal period (default: the trace duration)")
+	fs.StringVar(&f.bursts, "bursts", "", `replay: rate spikes "at/duration/multiplier",... e.g. "2s/1s/3"`)
+	fs.Float64Var(&f.modelSkew, "model-skew", 1, "replay: Zipf exponent for hot-model skew across -models")
+	fs.Uint64Var(&f.traceSeed, "trace-seed", 1, "replay: trace RNG seed")
+	fs.DurationVar(&f.timeout, "timeout", 2*time.Second, "replay: default per-request deadline for tenants without one")
+	fs.StringVar(&f.slowReplica, "slow-replica", "", "replay: inject -slow-delay extra latency into this backend (by name)")
+	fs.DurationVar(&f.slowDelay, "slow-delay", 30*time.Millisecond, "replay: injected latency for -slow-replica")
+	fs.BoolVar(&f.compareHedge, "compare-hedge", false, "replay: run the trace with hedging off then on and compare tail latency")
+	fs.IntVar(&f.check, "check", 8, "replay: byte-verify this many routed outputs per model against a direct session (local replicas only)")
 }
 
 func run(f *routerFlags) error {
@@ -463,8 +468,8 @@ func runReplay(f *routerFlags, models []string, tenants []tenantSpec) error {
 	return nil
 }
 
-// replayOnce builds a fresh fleet and router with the given hedge delay,
-// optionally byte-verifies routed outputs, and replays the trace.
+// replayOnce builds a fresh fleet, optionally byte-verifies routed outputs,
+// then builds a router with the given hedge delay and replays the trace.
 func replayOnce(f *routerFlags, models []string, tenants []tenantSpec,
 	spec cimflow.TraceSpec, hedge time.Duration) (*cimflow.ReplayReport, error) {
 	fl, err := buildFleet(f, models)
@@ -472,23 +477,29 @@ func replayOnce(f *routerFlags, models []string, tenants []tenantSpec,
 		return nil, err
 	}
 	defer fl.Close()
+	if f.check > 0 && f.backends == "" {
+		if err := verifyRouted(f, fl, models); err != nil {
+			return nil, err
+		}
+	}
 	r, err := buildRouter(f, fl, tenants, hedge)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	if f.check > 0 && f.backends == "" {
-		if err := verifyRouted(r, models, f); err != nil {
-			return nil, err
-		}
-	}
 	return cimflow.ReplayTrace(context.Background(), r, spec)
 }
 
 // verifyRouted proves the routed path output-neutral: for each model,
-// -check seeded inputs through the router must match a dedicated
-// reference session byte for byte.
-func verifyRouted(r *cimflow.Router, models []string, f *routerFlags) error {
+// -check seeded inputs routed over the fleet must match a dedicated
+// reference session byte for byte. They go through a router of their own,
+// closed on return, so the replay's report counts replayed requests only.
+func verifyRouted(f *routerFlags, fl *fleet, models []string) error {
+	r, err := buildRouter(f, fl, nil, 0)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
 	cfg, strat, err := archAndStrategy(f)
 	if err != nil {
 		return err

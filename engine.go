@@ -32,7 +32,6 @@ type Option func(*settings)
 // settings is the resolved option set; it reuses the internal flat struct.
 type settings struct {
 	core.Options
-	cache *dse.CompileCache
 	store *artifact.Store
 }
 
@@ -46,18 +45,6 @@ func WithStrategy(s Strategy) Option {
 // its model parameters from (default 0).
 func WithSeed(seed uint64) Option {
 	return func(o *settings) { o.Seed = seed }
-}
-
-// WithCycleLimit overrides the simulator's runaway guard (0 = default).
-func WithCycleLimit(cycles int64) Option {
-	return func(o *settings) { o.CycleLimit = cycles }
-}
-
-// WithFullBufferLimit forwards the compiler's streaming threshold override
-// (0 = default): activations larger than this stream through ring buffers
-// instead of being staged whole in local memory.
-func WithFullBufferLimit(bytes int32) Option {
-	return func(o *settings) { o.FullBufferLimit = bytes }
 }
 
 // WithMaxPooledChips bounds the engine's live chips, idle or running, in the
@@ -93,15 +80,6 @@ func WithSimWorkers(int) Option {
 // flow diverges and is transparently re-run alone. 0 or 1 means one lane.
 func WithSimLanes(n int) Option {
 	return func(o *settings) { o.SimLanes = n }
-}
-
-// WithCompileCache shares a compile cache with the engine — e.g. one a DSE
-// sweep over the same architecture already populated, so serving reuses
-// the sweep's artifacts. Passed to NewEngine it becomes the engine's
-// cache; passed to Session it applies to that session's compilation only
-// (engine-level CompileCalls/CacheHits keep reporting the engine's cache).
-func WithCompileCache(c *CompileCache) Option {
-	return func(o *settings) { o.cache = c }
 }
 
 // WithArtifactStore attaches an on-disk artifact store as the engine
@@ -152,13 +130,10 @@ type sessionEntry struct {
 // identity (not pointer identity) means a serving loop may re-look a model
 // up per request and still reuse one Session.
 type sessionKey struct {
-	graph      string // dse.GraphFingerprint
-	strategy   Strategy
-	fbl        int32
-	seed       uint64
-	cycleLimit int64
-	simLanes   int
-	cache      *CompileCache
+	graph    string // dse.GraphFingerprint
+	strategy Strategy
+	seed     uint64
+	simLanes int
 }
 
 // NewEngine validates the architecture and returns an Engine whose
@@ -176,10 +151,7 @@ func NewEngine(cfg Config, opts ...Option) (*Engine, error) {
 		opt(&e.defaults)
 	}
 	e.pool = core.NewPool(e.defaults.MaxPooledChips)
-	e.cache = e.defaults.cache
-	if e.cache == nil {
-		e.cache = dse.NewCompileCache()
-	}
+	e.cache = dse.NewCompileCache()
 	if e.defaults.store != nil {
 		e.store = e.defaults.store
 		e.cache.SetStore(e.store)
@@ -197,30 +169,12 @@ func (e *Engine) CompileCalls() int64 { return e.cache.CompileCalls() }
 // CacheHits reports how many compilations were served from the cache.
 func (e *Engine) CacheHits() int64 { return e.cache.Hits() }
 
-// StoreLoads reports how many compilations were satisfied by decoding an
-// artifact from the attached store (0 without WithArtifactStore).
-func (e *Engine) StoreLoads() int64 { return e.cache.StoreLoads() }
-
 // ArtifactStore returns the store attached with WithArtifactStore, or nil.
 func (e *Engine) ArtifactStore() *ArtifactStore { return e.store }
-
-// CompileContexts reports how many distinct graph frontends the engine's
-// compile cache holds: compilations are keyed on the frontend artifact, so
-// every strategy or option variant of one model shares a single
-// CompileContext (condensation once, planning memoized per architecture).
-func (e *Engine) CompileContexts() int { return e.cache.Contexts() }
 
 // PooledChips reports the idle chips in the engine's pool — the pool
 // introspection a serving layer reports in its metrics.
 func (e *Engine) PooledChips() int { return e.pool.Idle() }
-
-// Sessions reports how many distinct (model, options) sessions the engine
-// currently holds.
-func (e *Engine) Sessions() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sessions)
-}
 
 // Close closes the engine's chip pool, dropping every idle chip, which closes
 // every session the engine built (in-flight inferences finish before their
@@ -257,18 +211,11 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 	for _, opt := range opts {
 		opt(&st)
 	}
-	cache := st.cache
-	if cache == nil {
-		cache = e.cache
-	}
 	key := sessionKey{
-		graph:      dse.GraphFingerprint(g),
-		strategy:   st.Strategy,
-		fbl:        st.FullBufferLimit,
-		seed:       st.Seed,
-		cycleLimit: st.CycleLimit,
-		simLanes:   st.SimLanes,
-		cache:      cache,
+		graph:    dse.GraphFingerprint(g),
+		strategy: st.Strategy,
+		seed:     st.Seed,
+		simLanes: st.SimLanes,
 	}
 	for {
 		e.mu.Lock()
@@ -285,10 +232,7 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 		// Build outside the map lock: concurrent first-time callers of one
 		// key await a single compilation and a single weight-staging pass.
 		entry.once.Do(func() {
-			compiled, info, err := cache.CompileWithInfo(g, &e.cfg, compiler.Options{
-				Strategy:        st.Strategy,
-				FullBufferLimit: st.FullBufferLimit,
-			})
+			compiled, info, err := e.cache.CompileWithInfo(g, &e.cfg, compiler.Options{Strategy: st.Strategy})
 			if err != nil {
 				entry.err = fmt.Errorf("cimflow: compile %s: %w", g.Name, err)
 				return

@@ -337,10 +337,8 @@ func TestLookupModel(t *testing.T) {
 }
 
 // TestSessionReuseKeying: SessionFor must reuse one Session per name, and
-// run-behavior options (cycle limit) must key distinct Sessions instead of
-// silently returning one built with different values; an option that
-// changes nothing for a session must not — the deprecated worker count, or
-// a chip bound, which is the engine's.
+// an option that changes nothing for a session must not key a new one —
+// the deprecated worker count, or a chip bound, which is the engine's.
 func TestSessionReuseKeying(t *testing.T) {
 	engine, err := cimflow.NewEngine(cimflow.DefaultConfig())
 	if err != nil {
@@ -372,21 +370,8 @@ func TestSessionReuseKeying(t *testing.T) {
 	if pooled != a {
 		t.Error("a session-level chip bound keyed a separate session")
 	}
-	limited, err := engine.SessionFor("tinymlp", cimflow.WithCycleLimit(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limited == a {
-		t.Error("a different cycle limit returned the unlimited session")
-	}
-	// The tiny limit must actually bind: the simulation aborts.
-	if _, err := limited.Infer(context.Background(), limited.SeededInput(1)); err == nil ||
-		!strings.Contains(err.Error(), "cycle limit") {
-		t.Errorf("cycle-limited session ran to completion: %v", err)
-	}
-	// Both sessions compiled the same artifact: still one compilation.
 	if calls := engine.CompileCalls(); calls != 1 {
-		t.Errorf("%d compilations across keyed sessions, want 1 (cache shared)", calls)
+		t.Errorf("%d compilations for one session, want 1", calls)
 	}
 }
 
@@ -429,25 +414,6 @@ func TestEngineSharesCompileContexts(t *testing.T) {
 	}
 	if got := engine.CompileContexts(); got != 1 {
 		t.Errorf("CompileContexts after re-lookup = %d, want 1", got)
-	}
-	// NewCompileContext drives the staged pipeline directly and matches
-	// the engine's artifact.
-	cx, err := cimflow.NewCompileContext(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cimflow.DefaultConfig()
-	direct, err := cx.Compile(&cfg, cimflow.CompileOptions{Strategy: cimflow.StrategyDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneShot, err := cimflow.Compile(g, cfg, cimflow.StrategyDP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.InstructionCount() != oneShot.InstructionCount() || direct.GlobalBytes() != oneShot.GlobalBytes() {
-		t.Errorf("context compile diverges from one-shot: %d/%d instructions, %d/%d global bytes",
-			direct.InstructionCount(), oneShot.InstructionCount(), direct.GlobalBytes(), oneShot.GlobalBytes())
 	}
 }
 

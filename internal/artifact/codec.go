@@ -83,17 +83,17 @@ func (m Meta) Key() string { return keyFrom(m.GraphFP, m.ConfigFP, m.Options()) 
 
 type writer struct{ buf []byte }
 
-func (w *writer) u16(v uint16)    { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32)    { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)    { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) u8(v uint8)      { w.buf = append(w.buf, v) }
-func (w *writer) uv(v uint64)     { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) sv(v int64)      { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *writer) bool(v bool)     { w.u8(map[bool]uint8{false: 0, true: 1}[v]) }
-func (w *writer) bytes(b []byte)  { w.uv(uint64(len(b))); w.buf = append(w.buf, b...) }
-func (w *writer) str(s string)    { w.uv(uint64(len(s))); w.buf = append(w.buf, s...) }
-func (w *writer) f32(v float32)   { w.u32(math.Float32bits(v)) }
-func (w *writer) f64(v float64)   { w.u64(math.Float64bits(v)) }
+func (w *writer) u16(v uint16)   { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) u8(v uint8)     { w.buf = append(w.buf, v) }
+func (w *writer) uv(v uint64)    { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *writer) sv(v int64)     { w.buf = binary.AppendVarint(w.buf, v) }
+func (w *writer) bool(v bool)    { w.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (w *writer) bytes(b []byte) { w.uv(uint64(len(b))); w.buf = append(w.buf, b...) }
+func (w *writer) str(s string)   { w.uv(uint64(len(s))); w.buf = append(w.buf, s...) }
+func (w *writer) f32(v float32)  { w.u32(math.Float32bits(v)) }
+func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
 
 // --- reader ---
 

@@ -31,7 +31,6 @@ type routerOptions struct {
 	readmitAfter       int
 	shedThreshold      float64
 	tenants            []TenantConfig
-	defaultTenant      TenantConfig
 	now                func() time.Time
 }
 
@@ -80,14 +79,6 @@ func WithPriorityShedThreshold(frac float64) Option {
 // WithTenant registers a tenant's priority class and quota.
 func WithTenant(cfg TenantConfig) Option {
 	return func(o *routerOptions) { o.tenants = append(o.tenants, cfg) }
-}
-
-// WithDefaultTenant sets the admission contract applied to tenants not
-// registered with WithTenant, including the anonymous "" tenant (default:
-// PriorityStandard, unmetered). Each unknown tenant still gets its own
-// quota bucket and metrics under its own name.
-func WithDefaultTenant(cfg TenantConfig) Option {
-	return func(o *routerOptions) { o.defaultTenant = cfg }
 }
 
 // withClock injects a fake clock for quota tests.
@@ -156,7 +147,6 @@ func New(opts ...Option) *Router {
 		ejectAfter:         3,
 		readmitAfter:       2,
 		shedThreshold:      0.75,
-		defaultTenant:      TenantConfig{Priority: PriorityStandard},
 		now:                time.Now,
 	}
 	for _, opt := range opts {
@@ -294,8 +284,9 @@ func (r *Router) InputShape(name string) (model.Shape, error) {
 }
 
 // tenant resolves (and lazily creates) a tenant's state: registered
-// tenants keep their WithTenant contract, unknown ones get the default
-// contract under their own name so quotas and metrics stay per-tenant.
+// tenants keep their WithTenant contract, unknown ones (the anonymous ""
+// tenant too) are PriorityStandard and unmetered under their own name, so
+// quotas and metrics stay per-tenant.
 func (r *Router) tenant(name string) *tenantState {
 	r.mu.RLock()
 	ts := r.tenants[name]
@@ -308,9 +299,7 @@ func (r *Router) tenant(name string) *tenantState {
 	if ts = r.tenants[name]; ts != nil {
 		return ts
 	}
-	cfg := r.opt.defaultTenant
-	cfg.Name = name
-	ts = r.newTenantState(cfg.withDefaults())
+	ts = r.newTenantState(TenantConfig{Name: name, Priority: PriorityStandard}.withDefaults())
 	r.tenants[name] = ts
 	return ts
 }

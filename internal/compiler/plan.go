@@ -79,8 +79,6 @@ type Options struct {
 	// GOMAXPROCS, 1 = sequential). The emitted artifact is byte-identical
 	// at any setting; only compile latency changes.
 	CodegenWorkers int
-	// Verbose enables plan dumping.
-	Verbose bool
 }
 
 // unit is a condensed computation-graph node: an anchor operator (conv,

@@ -126,6 +126,24 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 	}
 }
 
+// poolCounted fails t unless every one of pool's want live chips is idle and
+// pooled once.
+func poolCounted(t *testing.T, pool *Pool, step string, want int) {
+	t.Helper()
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	seen := make(map[*sim.Chip]bool)
+	for _, c := range pool.idle {
+		if seen[c.ch] {
+			t.Fatalf("after %s: a chip is pooled twice", step)
+		}
+		seen[c.ch] = true
+	}
+	if pool.live != len(pool.idle) || pool.live != want {
+		t.Fatalf("after %s: %d live chips, %d idle, want %d of each", step, pool.live, len(pool.idle), want)
+	}
+}
+
 // TestPoolFailuresGiveSlotsBack: every way an acquire or a run fails — an
 // input staging error, a chip that cannot be retargeted or built, a run
 // aborted at its cycle limit, a wait for a chip cancelled by its context —
@@ -156,18 +174,7 @@ func TestPoolFailuresGiveSlotsBack(t *testing.T) {
 	s := session(Options{})
 	counted := func(step string, want int) {
 		t.Helper()
-		pool.mu.Lock()
-		defer pool.mu.Unlock()
-		seen := make(map[*sim.Chip]bool)
-		for _, c := range pool.idle {
-			if seen[c.ch] {
-				t.Fatalf("after %s: a chip is pooled twice", step)
-			}
-			seen[c.ch] = true
-		}
-		if pool.live != len(pool.idle) || pool.live != want {
-			t.Fatalf("after %s: %d live chips, %d idle, want %d of each", step, pool.live, len(pool.idle), want)
-		}
+		poolCounted(t, pool, step, want)
 	}
 
 	s.testStageErr = errors.New("forced staging error")
@@ -242,6 +249,74 @@ func TestPoolFailuresGiveSlotsBack(t *testing.T) {
 		assertResultsEqual(t, fmt.Sprintf("run %d after the failures", i), want, got)
 	}
 	counted("the last runs", bound)
+}
+
+// TestLaneGroupFailuresGiveSlotsBack: a lane-batched InferBatch (12 inputs,
+// groups of 4) that fails part-way returns the root cause to its caller —
+// one group's run aborted at its cycle limit on the parallel path, or ctx
+// cancelled in the second group's run on the serial one — and gives every
+// chip back.
+func TestLaneGroupFailuresGiveSlotsBack(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	g := model.Zoo("tinymlp")
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := model.NewSeededWeights(g, 1)
+	inputs := make([]tensor.Tensor, 12)
+	for i := range inputs {
+		inputs[i] = model.SeededInput(g.Nodes[0].OutShape, uint64(i))
+	}
+	ctx := context.Background()
+	session := func(bound int) (*Pool, *Session) {
+		pool := NewPool(bound)
+		s, err := pool.NewSession(compiled, ws, Options{SimLanes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool, s
+	}
+
+	t.Run("cycle limit", func(t *testing.T) {
+		// Two workers, one chip free: the limited chip runs a group while
+		// the other worker waits for a chip until the failure cancels it.
+		pool, s := session(2)
+		limited, err := s.acquire(ctx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limited.ch.CycleLimit = 10
+		held, err := s.acquire(ctx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.release(limited)
+		if _, err := s.InferBatch(ctx, inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+			t.Fatalf("InferBatch = %v, want the cycle-limit abort", err)
+		}
+		s.release(held)
+		poolCounted(t, pool, "a group's cycle-limit abort", 2)
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		// One chip, so the groups run in turn on ctx itself. Count the polls
+		// of one group, then cancel at the second poll of the second: the
+		// run's, on the chip the group holds.
+		pool, s := session(1)
+		probe := &cancelAfter{Context: ctx, n: 1 << 62}
+		if _, err := s.InferBatch(probe, inputs[:4]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.InferBatch(&cancelAfter{Context: ctx, n: probe.polls.Load() + 2}, inputs)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("InferBatch = %v, want context.Canceled", err)
+		}
+		if res[0] == nil || res[4] != nil {
+			t.Fatal("the cancellation did not land in the second group")
+		}
+		poolCounted(t, pool, "a cancellation in the second group", 1)
+	})
 }
 
 func firstDiff(a, b []byte) int {

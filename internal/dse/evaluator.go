@@ -33,8 +33,6 @@ type Evaluator struct {
 	// Checkpoint, when non-nil, is consulted before fully evaluating a
 	// point and updated after each completion.
 	Checkpoint *Checkpoint
-	// CycleLimit forwards the simulator's runaway guard (0 = default).
-	CycleLimit int64
 
 	chips   core.Pool
 	weights sync.Map // weightKey -> func() weightTable, a sync.OnceValue
@@ -65,19 +63,6 @@ func (ev *Evaluator) weightsOf(p *Point, g *model.Graph) weightTable {
 	})
 	v, _ := ev.weights.LoadOrStore(weightKey{p.Model, p.Seed}, gen)
 	return v.(func() weightTable)()
-}
-
-// Key identifies a point outcome for resume: the point identity (model,
-// strategy, hardware fingerprint, seed — never axis positions, so a spec
-// whose axes were reordered resumes cleanly) plus every evaluator knob that
-// can change the outcome (a raised CycleLimit must re-run a point that
-// previously hit the runaway guard, not restore its stale failure).
-func (ev *Evaluator) Key(p *Point) string {
-	key := p.Key()
-	if ev.CycleLimit != 0 {
-		key += fmt.Sprintf("|cl%d", ev.CycleLimit)
-	}
-	return key
 }
 
 // graph resolves a point's model from the zoo.
@@ -120,14 +105,14 @@ func (ev *Evaluator) Evaluate(ctx context.Context, p Point) PointResult {
 	r := ev.evaluate(ctx, p)
 	cancelled := errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)
 	if ev.Checkpoint != nil && !r.Cached && !cancelled {
-		ev.Checkpoint.Record(ev.Key(&r.Point), &r)
+		ev.Checkpoint.Record(r.Point.Key(), &r)
 	}
 	return r
 }
 
 func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	if ev.Checkpoint != nil {
-		if saved, ok := ev.Checkpoint.Lookup(ev.Key(&p)); ok {
+		if saved, ok := ev.Checkpoint.Lookup(p.Key()); ok {
 			return saved.restore(p)
 		}
 	}
@@ -152,7 +137,7 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	ws := ev.weightsOf(&p, g)
 	input := model.SeededInput(g.Nodes[0].OutShape, p.Seed+1)
 	start = time.Now()
-	s, err := ev.chips.NewSession(compiled, ws, core.Options{CycleLimit: ev.CycleLimit})
+	s, err := ev.chips.NewSession(compiled, ws, core.Options{})
 	var res *core.Result
 	if err == nil {
 		res, err = s.Infer(ctx, input)

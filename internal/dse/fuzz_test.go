@@ -25,14 +25,13 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ev := &Evaluator{}
 	for i := range points[:2] {
 		r := PointResult{Point: points[i], CostEst: 12345.5,
 			Metrics: Metrics{Cycles: int64(1000 * (i + 1)), TOPS: 1.5, EnergyMJ: 0.25}}
-		full.Record(ev.Key(&points[i]), &r)
+		full.Record(points[i].Key(), &r)
 	}
 	fail := PointResult{Point: points[2], Err: errTest("simulate blew up")}
-	full.Record(ev.Key(&points[2]), &fail)
+	full.Record(points[2].Key(), &fail)
 	seed, err = full.Encode()
 	if err != nil {
 		f.Fatal(err)

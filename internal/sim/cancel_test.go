@@ -127,15 +127,11 @@ func TestAbortedRunReturnsPayloads(t *testing.T) {
 	for _, ex := range resetExecutors {
 		for _, abort := range []string{"cancel", "limit"} {
 			t.Run(ex.name+"/"+abort, func(t *testing.T) {
-				ch, err := NewChip(&cfg, ex.opts...)
+				ch, err := NewChip(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range []Program{{Core: 0, Code: sender}, {Core: 1, Code: receiver}} {
-					if err := ch.LoadProgram(p); err != nil {
-						t.Fatal(err)
-					}
-				}
+				ex.load(t, ch, Program{Core: 0, Code: sender}, Program{Core: 1, Code: receiver})
 				for run := 0; run < 2; run++ {
 					// Poll 1 is Run's entry check; the scheduler's follow
 					// every 8192 steps, long after the last SEND.

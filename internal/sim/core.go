@@ -51,7 +51,7 @@ type core struct {
 	chip *Chip
 	code []isa.Instruction
 	// prog is the predecoded micro-op form of code, what the core executes;
-	// code stays for error messages and the Trace hook. prog is immutable
+	// code stays for error messages. prog is immutable
 	// and may be shared between chips executing the same compiled artifact.
 	prog []isa.Decoded
 

@@ -73,30 +73,12 @@ func (c *core) stepDecoded() (stepStatus, error) {
 	return decHandlers[d.Kind](c, d)
 }
 
-// stepDecodedUnfused executes exactly one architectural instruction,
-// dispatching fused-run heads to their original handler via Sub. The
-// scheduler uses it when a Trace hook is installed, so the hook keeps
-// firing once per instruction; fused and unfused stepping are bit-exact
-// because decFusedRun replays the same component handlers in order.
-func (c *core) stepDecodedUnfused() (stepStatus, error) {
-	if c.pc >= len(c.prog) {
-		return stepHalted, c.errf("fell off the end of the program")
-	}
-	d := &c.prog[c.pc]
-	k := d.Kind
-	if k == isa.KindFusedRun {
-		k = d.Sub
-	}
-	c.stats.Energy.FrontendPJ += c.frontPJ
-	c.stats.Instructions++
-	return decHandlers[k](c, d)
-}
-
 // decFusedRun executes a run of statically core-local micro-ops fused at
 // predecode time (isa.Fuse) as one dispatch: the head via its preserved
 // Sub kind, then each successor via its own kind. Per-component stats and
 // energy are accumulated in the same order and with the same float
-// additions as unfused stepping, so the two are bit-exact. The run touches
+// additions as stepping the unfused program one micro-op at a time, so the
+// two are bit-exact. The run touches
 // no cross-core state by construction, so executing it inside one
 // scheduler step cannot reorder any interaction between cores.
 func decFusedRun(c *core, d *isa.Decoded) (stepStatus, error) {

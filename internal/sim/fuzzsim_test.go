@@ -205,15 +205,13 @@ func runSimDifferential(t *testing.T, data []byte) {
 	}
 	var want *Stats
 	var wantErr string
-	for i, opts := range [][]ChipOption{nil, {traced}, {WithLanes(8)}} {
-		name, lanes := []string{"fused", "unfused", "8 lanes"}[i], 1+7*(i/2)
-		ch, err := NewChip(&cfg, opts...)
+	for i, name := range []string{"fused", "unfused", "8 lanes"} {
+		lanes := 1 + 7*(i/2)
+		ch, err := NewChip(&cfg, WithLanes(lanes))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range progs {
-			load(t, ch, p.Core, p.Code)
-		}
+		decodedModes[i%2].load(t, ch, progs...)
 		if err := ch.SetLanes(lanes); err != nil {
 			t.Fatal(err)
 		}

@@ -297,11 +297,11 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 	}
 	outcomes := make([]streamOutcome, len(decodedModes))
 	for i, ex := range decodedModes {
-		ch, err := NewChip(cfg, ex.opts...)
+		ch, err := NewChip(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		load(t, ch, 0, code)
+		ex.load(t, ch, Program{Code: code})
 		if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: global}); err != nil {
 			t.Fatal(err)
 		}

@@ -414,10 +414,11 @@ func TestLaneDataEquivalence(t *testing.T) {
 	for _, lc := range laneCases() {
 		for _, m := range decodedModes {
 			t.Run(lc.name+"/"+m.name, func(t *testing.T) {
+				lc := lc.in(m)
 				want := make([][]byte, len(inputs))
 				var wantStats *Stats
 				for l, in := range inputs {
-					out, stats := lc.runAlone(t, &cfg, in, m.opts...)
+					out, stats := lc.runAlone(t, &cfg, in)
 					checkGolden(t, "lane/"+lc.name, stats, nil)
 					if l > 0 && !reflect.DeepEqual(stats, wantStats) {
 						t.Fatalf("input %d: one-lane timing depends on the data; the case is not lane-uniform", l)
@@ -426,7 +427,7 @@ func TestLaneDataEquivalence(t *testing.T) {
 				}
 
 				// Spare capacity covers occupancy < capacity.
-				ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(4)}, m.opts...)...)
+				ch := lc.stage(t, &cfg, WithLanes(4))
 				lc.runLanes(t, ch, inputs, want, wantStats)
 
 				// Pooled rerun: no stale lane state may survive Reset.
@@ -437,55 +438,6 @@ func TestLaneDataEquivalence(t *testing.T) {
 				lc.runLanes(t, ch, [][]byte{inputs[2], inputs[1]}, [][]byte{want[2], want[1]}, wantStats)
 			})
 		}
-	}
-}
-
-// TestLaneTraceMatchesUntraced: the Trace hook observes the shared timing
-// plane, so a traced 2-lane run returns the same per-lane outputs and
-// report as the untraced one and fires once per architectural instruction.
-func TestLaneTraceMatchesUntraced(t *testing.T) {
-	cfg := testConfig()
-	inputs := [][]byte{laneInput(0), laneInput(1)}
-	for _, lc := range laneCases() {
-		t.Run(lc.name, func(t *testing.T) {
-			run := func(traced bool) ([][]byte, *Stats, int64) {
-				ch := lc.stage(t, &cfg, WithLanes(2))
-				var calls int64
-				if traced {
-					ch.Trace = func(int, int, isa.Instruction, int64) { calls++ }
-				}
-				if err := ch.SetLanes(2); err != nil {
-					t.Fatal(err)
-				}
-				for l, in := range inputs {
-					if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: in}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				stats, err := ch.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				outs := make([][]byte, 2)
-				for l := range outs {
-					if outs[l], err = ch.ReadGlobalLane(l, laneOut, lc.outSize); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return outs, stats, calls
-			}
-			outs, stats, _ := run(false)
-			tracedOuts, tracedStats, calls := run(true)
-			if !reflect.DeepEqual(outs, tracedOuts) {
-				t.Errorf("traced outputs differ:\nuntraced %v\ntraced   %v", outs, tracedOuts)
-			}
-			if !reflect.DeepEqual(stats, tracedStats) {
-				t.Errorf("traced report differs:\nuntraced %+v\ntraced   %+v", stats, tracedStats)
-			}
-			if calls != stats.Instructions {
-				t.Errorf("trace hook fired %d times for %d instructions", calls, stats.Instructions)
-			}
-		})
 	}
 }
 
@@ -578,7 +530,8 @@ func TestLaneSharedMacroGroups(t *testing.T) {
 
 	for _, m := range decodedModes {
 		t.Run(m.name, func(t *testing.T) {
-			ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(8)}, m.opts...)...)
+			lc := lc.in(m)
+			ch := lc.stage(t, &cfg, WithLanes(8))
 			c := ch.cores[0]
 			run := func(b int) {
 				t.Helper()

@@ -159,9 +159,6 @@ type Chip struct {
 
 	// CycleLimit aborts runaway simulations; 0 means the default.
 	CycleLimit int64
-
-	// Trace, when set, is called for every executed instruction.
-	Trace func(coreID, pc int, in isa.Instruction, time int64)
 }
 
 // ChipOption configures a Chip at construction time.
@@ -217,7 +214,7 @@ func checkConfig(cfg *arch.Config) error {
 // (which every lane shares again), accumulators, global memory's backing, the dirty record, the mailboxes,
 // and the payload free lists trimmed to cfg's bound. Only buffers that must
 // grow are allocated; a macro group that no longer fits is dropped, to be
-// backed again by its next CIM_LOAD. CycleLimit and Trace stay. On error the
+// backed again by its next CIM_LOAD. CycleLimit stays. On error the
 // chip is unchanged.
 func (ch *Chip) Retarget(cfg *arch.Config) error {
 	if err := checkConfig(cfg); err != nil {
@@ -623,18 +620,7 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 			if c.time > limit {
 				return nil, fmt.Errorf("sim: core %d exceeded the cycle limit %d at pc %d", c.id, limit, c.pc)
 			}
-			if ch.Trace != nil && c.pc < len(c.code) {
-				ch.Trace(c.id, c.pc, c.code[c.pc], c.time)
-			}
-			var st stepStatus
-			var err error
-			if ch.Trace != nil {
-				// One architectural instruction per step so the trace hook
-				// fires per instruction, fused runs included.
-				st, err = c.stepDecodedUnfused()
-			} else {
-				st, err = c.stepDecoded()
-			}
+			st, err := c.stepDecoded()
 			if err != nil {
 				return nil, err
 			}

@@ -117,29 +117,52 @@ func runOccupancy(t *testing.T, ch *Chip, b int, progs []Program) (*Stats, error
 	return stats, err
 }
 
-// traced installs a no-op Trace hook, under which Run steps the predecoded
-// pipeline one architectural instruction at a time (stepDecodedUnfused)
-// instead of through fused runs.
-func traced(ch *Chip) { ch.Trace = func(int, int, isa.Instruction, int64) {} }
-
-// decodedModes are the two ways Run steps the predecoded pipeline.
-var decodedModes = []struct {
-	name string
-	opts []ChipOption
-}{
-	{"fused", nil},
-	{"unfused", []ChipOption{traced}},
+// decodedMode is a form a predecoded program takes: fused, as LoadProgram
+// leaves it, or unfused, predecoded without isa.Fuse. LoadProgram trusts a
+// Program's Decoded, so an unfused program runs one architectural
+// instruction a step, and a fused run must execute exactly as it does.
+type decodedMode struct {
+	name  string
+	fused bool
 }
+
+// progs returns ps in mode m.
+func (m decodedMode) progs(ps []Program) []Program {
+	if m.fused {
+		return ps
+	}
+	ps = slices.Clone(ps)
+	for i := range ps {
+		// An illegal encoding keeps Decoded nil: LoadProgram reports it.
+		if dec, err := isa.Predecode(ps[i].Code); err == nil {
+			ps[i].Decoded = dec
+		}
+	}
+	return ps
+}
+
+// load installs ps on ch in mode m.
+func (m decodedMode) load(t *testing.T, ch *Chip, ps ...Program) {
+	t.Helper()
+	for _, p := range m.progs(ps) {
+		if err := ch.LoadProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// in returns lc with its programs in mode m.
+func (lc laneCase) in(m decodedMode) *laneCase {
+	lc.progs = m.progs(lc.progs)
+	return &lc
+}
+
+// decodedModes are the two forms the one stepper runs.
+var decodedModes = []decodedMode{{"fused", true}, {"unfused", false}}
 
 // resetExecutors are the ways a program reaches a data plane: the predecoded
 // handlers, fused and unfused, at up to 8 lanes.
-var resetExecutors = []struct {
-	name string
-	opts []ChipOption
-}{
-	{"decoded/fused", nil},
-	{"decoded/unfused", []ChipOption{traced}},
-}
+var resetExecutors = []decodedMode{{"decoded/fused", true}, {"decoded/unfused", false}}
 
 // boundaryCases write windows placed against the dirty record's edges on a
 // core with mem bytes of local memory: straddling a page boundary through
@@ -229,7 +252,8 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 	for _, lc := range laneCases() {
 		for _, ex := range resetExecutors {
 			t.Run(lc.name+"/"+ex.name, func(t *testing.T) {
-				ch := lc.stage(t, &cfg, append([]ChipOption{WithLanes(8)}, ex.opts...)...)
+				lc := lc.in(ex)
+				ch := lc.stage(t, &cfg, WithLanes(8))
 				assertPowerOn(t, ch, "fresh chip")
 				for i, b := range []int{8, 2, 8} {
 					progs := lc.progs
@@ -265,7 +289,8 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 		for _, lc := range boundaryCases(int32(c.cfg.Core.LocalMemBytes)) {
 			for _, ex := range resetExecutors {
 				t.Run(c.name+"/"+lc.name+"/"+ex.name, func(t *testing.T) {
-					ch := lc.stage(t, c.cfg, append([]ChipOption{WithLanes(3)}, ex.opts...)...)
+					lc := lc.in(ex)
+					ch := lc.stage(t, c.cfg, WithLanes(3))
 					assertPowerOn(t, ch, "fresh chip")
 					stats, err := runOccupancy(t, ch, 3, lc.progs)
 					if err != nil {
@@ -282,14 +307,14 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 	for _, lc := range faultCases(t, int32(cfg.Chip.GlobalMemBytes)) {
 		for _, ex := range resetExecutors {
 			t.Run("fault/"+lc.name+"/"+ex.name, func(t *testing.T) {
-				ch, err := NewChip(&cfg, append([]ChipOption{WithLanes(2)}, ex.opts...)...)
+				ch, err := NewChip(&cfg, WithLanes(2))
 				if err != nil {
 					t.Fatal(err)
 				}
 				ch.EnsureGlobal(laneMemBytes)
 				// An illegal encoding already fails to load on the predecoded
 				// pipeline; the chip it leaves behind must be as clean.
-				for _, p := range lc.progs {
+				for _, p := range ex.progs(lc.progs) {
 					if err = ch.LoadProgram(p); err != nil {
 						break
 					}
@@ -322,13 +347,13 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 		))
 	for _, m := range decodedModes {
 		t.Run("cancelled/"+m.name, func(t *testing.T) {
-			ch, err := NewChip(&cfg, append([]ChipOption{WithLanes(4)}, m.opts...)...)
+			ch, err := NewChip(&cfg, WithLanes(4))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ch.EnsureGlobal(laneMemBytes)
 			for core := 0; core < 4; core++ {
-				load(t, ch, core, loop)
+				m.load(t, ch, Program{Core: core, Code: loop})
 			}
 			if err := ch.SetLanes(3); err != nil {
 				t.Fatal(err)
@@ -419,19 +444,14 @@ func FuzzResetClean(f *testing.F) {
 	f.Fuzz(func(t *testing.T, path uint8, addr uint32, size uint16, stride int8, mode uint8) {
 		// A little past the end of memory, so that some windows fault.
 		a, n := int32(addr%(mem+64)), int32(size%600)
-		opts, lanes := []ChipOption{WithLanes(4)}, 1+int(mode&3)
-		if mode&4 != 0 {
-			opts = append(opts, traced)
-		}
-		ch, err := NewChip(&cfg, opts...)
+		lanes := 1 + int(mode&3)
+		ch, err := NewChip(&cfg, WithLanes(4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ch.EnsureGlobal(laneMemBytes)
 		progs := fuzzResetProgram(path, a, n, int32(stride)%4, path >= 7)
-		for _, p := range progs {
-			load(t, ch, p.Core, p.Code)
-		}
+		decodedModes[mode>>2&1].load(t, ch, progs...)
 		_, _ = runOccupancy(t, ch, lanes, progs) // a fault is as good as a halt
 		ch.Reset()
 		assertPowerOn(t, ch, "Reset")

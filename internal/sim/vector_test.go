@@ -283,11 +283,11 @@ func TestZeroLengthOperandMarksNothing(t *testing.T) {
 		))
 	for _, ex := range resetExecutors {
 		t.Run(ex.name, func(t *testing.T) {
-			ch, err := NewChip(&cfg, ex.opts...)
+			ch, err := NewChip(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			load(t, ch, 0, prog)
+			ex.load(t, ch, Program{Code: prog})
 			if _, err := ch.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}

@@ -20,32 +20,10 @@ type (
 	// SearchResult summarizes a run: the charged trajectory in ask order,
 	// its Pareto frontier, simulation/estimate counts and hypervolume.
 	SearchResult = dse.SearchResult
-	// CostEstimate is the low-fidelity prediction of a point: planning-stage
-	// cycles from the compiler's memoized DP tables plus an analytical
-	// energy model — no codegen, no simulation.
-	CostEstimate = dse.Estimate
 )
 
 // Search explores a sweep spec's design space under opt.Budget full
 // simulations (default: 25% of the space) and returns the found frontier.
 func Search(ctx context.Context, spec *SweepSpec, opt SearchOptions) (*SearchResult, error) {
 	return dse.Search(ctx, spec, opt)
-}
-
-// SearchShardPath derives the per-shard checkpoint path a sharded search
-// (SearchOptions.Shard/ShardCount) writes beside the base checkpoint file.
-// Cooperating shard processes exchange results through these files.
-func SearchShardPath(base string, shard, count int) string {
-	return dse.ShardPath(base, shard, count)
-}
-
-// PointEstimate prices a sweep point at planning fidelity — the compiler's
-// DP cost model plus the analytical energy model, no simulation. This is
-// the low-fidelity signal search strategies prune with; CostEstimate.Cycles
-// also lands in the cost_est column of sweep tables.
-func PointEstimate(cache *CompileCache, p *SweepPoint) (CostEstimate, error) {
-	if cache == nil {
-		cache = NewCompileCache()
-	}
-	return (&dse.Evaluator{Cache: cache}).Estimate(p)
 }

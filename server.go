@@ -45,9 +45,8 @@ type ServerMetrics struct {
 type ServeOption func(*serveSettings)
 
 type serveSettings struct {
-	workers     int
-	model       serve.ModelConfig
-	sessionOpts []Option
+	workers int
+	model   serve.ModelConfig
 }
 
 // WithWorkers sets the server's dispatch worker-pool size (default 1).
@@ -80,12 +79,6 @@ func WithQueueDepth(n int) ServeOption {
 	return func(s *serveSettings) { s.model.QueueDepth = n }
 }
 
-// WithSessionOptions forwards engine options (WithStrategy, WithSeed, …)
-// to the Session a served model is built on.
-func WithSessionOptions(opts ...Option) ServeOption {
-	return func(s *serveSettings) { s.sessionOpts = append(s.sessionOpts, opts...) }
-}
-
 // Server is the multi-model inference serving front of the framework,
 // layered on an Engine: each served model gets a bounded request queue
 // with deadline-aware admission control and a dynamic batcher, and a
@@ -111,12 +104,10 @@ func NewServer(e *Engine, opts ...ServeOption) *Server {
 	return s
 }
 
-// Engine returns the engine the server runs on.
-func (s *Server) Engine() *Engine { return s.engine }
-
-// ServeModel compiles the named zoo model through the engine (reusing its
-// cache and session pool) and registers it for serving. Options override
-// the server-wide defaults for this model only.
+// ServeModel compiles the named zoo model through the engine, with the
+// engine's options (WithStrategy, WithSeed, …), reusing its cache and chip
+// pool, and registers it for serving. Options override the server-wide
+// defaults for this model only.
 func (s *Server) ServeModel(name string, opts ...ServeOption) error {
 	g, err := LookupModel(name)
 	if err != nil {
@@ -135,7 +126,7 @@ func (s *Server) ServeGraph(name string, g *Graph, opts ...ServeOption) error {
 	for _, opt := range opts {
 		opt(&st)
 	}
-	sess, err := s.engine.Session(g, st.sessionOpts...)
+	sess, err := s.engine.Session(g)
 	if err != nil {
 		return err
 	}

@@ -78,7 +78,8 @@ func TestSessionAndEngineClose(t *testing.T) {
 // options, concurrent requests, byte-identical outputs, metrics with
 // engine counters, and graceful close.
 func TestServerFacade(t *testing.T) {
-	engine, err := cimflow.NewEngine(cimflow.DefaultConfig(), cimflow.WithSeed(5))
+	engine, err := cimflow.NewEngine(cimflow.DefaultConfig(),
+		cimflow.WithSeed(5), cimflow.WithStrategy(cimflow.StrategyDP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +88,7 @@ func TestServerFacade(t *testing.T) {
 		cimflow.WithWorkers(2),
 		cimflow.WithMaxBatch(4),
 		cimflow.WithQueueDepth(32))
-	if err := srv.ServeModel("tinymlp",
-		cimflow.WithSessionOptions(cimflow.WithStrategy(cimflow.StrategyDP))); err != nil {
+	if err := srv.ServeModel("tinymlp"); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.ServeModel("tinymlp"); err == nil {
@@ -101,7 +101,7 @@ func TestServerFacade(t *testing.T) {
 
 	// The served session is the engine's: direct Session.Infer gives the
 	// byte-identical reference for every request.
-	sess, err := engine.SessionFor("tinymlp", cimflow.WithStrategy(cimflow.StrategyDP))
+	sess, err := engine.SessionFor("tinymlp")
 	if err != nil {
 		t.Fatal(err)
 	}
