@@ -11,6 +11,7 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
+	"cimflow/internal/sim"
 )
 
 // File layout (all multi-byte integers little-endian; "uv" is an unsigned
@@ -20,8 +21,8 @@ import (
 //	magic   [4]byte "CFAR"
 //	version u16
 //	header  bytes       — Meta fields (fingerprints, options, summary)
-//	body                — config JSON, graph, plan, programs, layout,
-//	                      pool segments, output node (to EOF-32)
+//	body                — config JSON, graph, plan, programs and memory maps,
+//	                      layout, pool segments, output node (to EOF-32)
 //	sha256  [32]byte    — digest of every preceding byte
 //
 // The header is separately length-prefixed so ReadMeta can describe an
@@ -34,7 +35,7 @@ var magic = [4]byte{'C', 'F', 'A', 'R'}
 
 // Version is the current codec version. Decoders refuse other versions
 // with ErrVersion; any change to the byte layout must bump it.
-const Version = 1
+const Version = 2
 
 const checksumLen = sha256.Size
 
@@ -325,13 +326,16 @@ func encodeBody(w *writer, img *compiler.Image) error {
 		}
 	}
 
-	// Programs: raw 32-bit ISA words; micro-ops are re-derived on load.
+	// Programs: raw 32-bit ISA words and the core's memory map, whose pool
+	// end is the length of the core's pool segment.
 	w.uv(uint64(len(img.Programs)))
-	for _, words := range img.Programs {
+	for i, words := range img.Programs {
 		w.uv(uint64(len(words)))
 		for _, word := range words {
 			w.u32(word)
 		}
+		w.uv(uint64(img.Maps[i].ArenaMin))
+		w.uv(uint64(img.Maps[i].Groups))
 	}
 
 	// Global-memory layout.
@@ -557,8 +561,8 @@ func decodeBody(r *reader) (*compiler.Image, error) {
 	}
 
 	// Programs stay raw words here; FromImage decodes and predecodes them
-	// in one fused pass (and rejects unknown opcodes or bad targets).
-	progs := r.count(1)
+	// in one fused pass (and rejects unknown opcodes, bad targets or maps).
+	progs := r.count(3)
 	for i := 0; i < progs && r.err == nil; i++ {
 		words := r.count(4)
 		raw := r.take(4 * words)
@@ -570,6 +574,11 @@ func decodeBody(r *reader) (*compiler.Image, error) {
 			code[j] = binary.LittleEndian.Uint32(raw[4*j:])
 		}
 		img.Programs = append(img.Programs, code)
+		arena, groups := r.uv(), r.uv()
+		if arena > math.MaxInt32 || groups > math.MaxUint32 {
+			r.fail("core %d: memory map %d, %#x out of range", i, arena, groups)
+		}
+		img.Maps = append(img.Maps, sim.MemMap{ArenaMin: int32(arena), Groups: uint32(groups)})
 	}
 
 	// Layout.

@@ -2,12 +2,16 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
+	"cimflow/internal/sim"
 )
 
 func compileTiny(t testing.TB, name string, strat compiler.Strategy) (*compiler.Compiled, compiler.Options) {
@@ -137,5 +141,63 @@ func TestDecodeRejectsVersions(t *testing.T) {
 	}
 	if _, err := ReadMeta([]byte("ELF\x7f junk")); !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadMeta non-artifact: %v", err)
+	}
+}
+
+// TestDecodeRejectsBadMaps: a memory map that cannot describe a core of the
+// artifact's configuration — an arena starting below the core's constant
+// pool (the length of its pool segment) or past local memory, a macro group
+// the core does not have, or a field that would wrap into a valid one — is
+// corruption, however well the file checksums.
+func TestDecodeRejectsBadMaps(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	for name, bad := range map[string]func(m *sim.MemMap){
+		"arena below the pool":    func(m *sim.MemMap) { m.ArenaMin = m.PoolEnd - 1 },
+		"arena past local memory": func(m *sim.MemMap) { m.ArenaMin = int32(cfg.Core.LocalMemBytes) + 1 },
+		"group past the last one": func(m *sim.MemMap) { m.Groups |= 1 << cfg.Core.NumMacroGroups },
+	} {
+		c, opt := compileTiny(t, "tinycnn", compiler.StrategyGeneric)
+		m := *c.Programs[1].Map
+		if m.PoolEnd == 0 {
+			t.Fatal("core 1 has no constant pool")
+		}
+		bad(&m)
+		c.Programs[1].Map = &m
+		data, err := Encode(c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// An arena past int32 must not wrap into a valid one.
+	c, opt := compileTiny(t, "tinycnn", compiler.StrategyGeneric)
+	data, err := Encode(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Programs[1].Map
+	pair := func(arena uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(nil, arena), uint64(m.Groups))
+	}
+	at := bytes.Index(data, pair(uint64(m.ArenaMin)))
+	if at < 0 || bytes.Index(data[at+1:], pair(uint64(m.ArenaMin))) >= 0 {
+		t.Fatal("core 1's memory map is not found once in the file")
+	}
+	body := slices.Concat(data[:at], pair(1<<32|uint64(m.ArenaMin)), data[at+len(pair(uint64(m.ArenaMin))):len(data)-checksumLen])
+	if _, _, err := decodeVerified(body); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("an arena of 2^32 + %d: decode = %v, want ErrCorrupt", m.ArenaMin, err)
+	}
+}
+
+// TestEncodeRejectsMaplessProgram: a hand-built program with no memory map
+// has none to store, so encoding it is an error, not a panic.
+func TestEncodeRejectsMaplessProgram(t *testing.T) {
+	c, opt := compileTiny(t, "tinycnn", compiler.StrategyGeneric)
+	c.Programs[1].Map = nil
+	if _, err := Encode(c, opt); err == nil || !strings.Contains(err.Error(), "core 1 has no memory map") {
+		t.Fatalf("Encode = %v, want core 1's missing map named", err)
 	}
 }

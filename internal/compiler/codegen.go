@@ -31,8 +31,9 @@ type generator struct {
 type coregen struct {
 	e        *emitter
 	pool     *pool
-	arenaTop int32 // next free byte, growing down from local memory top
-	arenaMin int32 // low-water mark across ops
+	arenaTop int32  // next free byte, growing down from local memory top
+	arenaMin int32  // low-water mark across ops
+	groups   uint32 // the macro groups the core loads
 }
 
 func (cg *coregen) arenaAlloc(size int32) int32 {
@@ -195,7 +196,7 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 			return fmt.Errorf("compiler: core %d: %w", id, err)
 		}
 		isa.Fuse(dec)
-		programs[id] = sim.Program{Core: id, Code: code, Decoded: dec}
+		programs[id] = sim.Program{Core: id, Code: code, Decoded: dec, Map: &sim.MemMap{PoolEnd: cg.pool.size(), ArenaMin: cg.arenaMin, Groups: cg.groups}}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -359,6 +360,7 @@ func (gen *generator) emitWeightLoad(cg *coregen, gm *mvmGeom, wstg int32, ctGlo
 	sz := e.constReg(int32(t.Rows * chans))
 	e.emit(isa.MemCpy(dst, src, sz, 0))
 	mg := e.constReg(int32(mgIdx))
+	cg.groups |= 1 << mgIdx
 	rowsR := e.constReg(int32(t.Rows))
 	chansR := e.constReg(int32(chans))
 	e.setSReg(isa.SRegLoadRow, 0)

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -112,7 +113,7 @@ func TestGlobalInitCoversWeights(t *testing.T) {
 // segments must tile [0, GlobalBytes) exactly, with no overlap — the
 // invariant that makes "zero scratch + rewrite input" equivalent to a fresh
 // chip's zeroed global memory — and the segments come highest address
-// first, so that staging them backs a chip's global memory at once.
+// first.
 func TestScratchRangesComplementStatic(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyCNN()
@@ -242,5 +243,40 @@ func TestEmitterRegisterDiscipline(t *testing.T) {
 		if _, err := Compile(model.Zoo(name), &cfg, Options{Strategy: StrategyDP}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestImageKeepsMemoryMaps: FromImage gives every core the map the compiler
+// declared, its pool end taken from the core's pool segment, and refuses an
+// image whose pool address names no segment.
+func TestImageKeepsMemoryMaps(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	c := compileOrDie(t, model.TinyCNN(), &cfg, StrategyGeneric)
+	img, err := c.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range img.Maps {
+		img.Maps[i].PoolEnd = 0 // as decoded: an artifact does not store it
+	}
+	back, err := FromImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := 0
+	for i, p := range back.Programs {
+		if *p.Map != *c.Programs[i].Map {
+			t.Errorf("core %d: map %+v after the image, %+v compiled", i, *p.Map, *c.Programs[i].Map)
+		}
+		if p.Map.PoolEnd > 0 {
+			pools++
+		}
+	}
+	if pools == 0 {
+		t.Fatal("no core has a constant pool")
+	}
+	img.PoolSegs = img.PoolSegs[1:]
+	if _, err := FromImage(img); err == nil || !strings.Contains(err.Error(), "no pool segment") {
+		t.Fatalf("FromImage without a pool segment = %v", err)
 	}
 }

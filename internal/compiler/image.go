@@ -35,8 +35,10 @@ type Image struct {
 	// Programs holds each core's final (post-optimization) instruction
 	// stream in core-id order, as raw 32-bit ISA words — the architectural
 	// encoding, not Go structs, so an image is exactly what a binary would
-	// carry.
+	// carry — and Maps its memory map. FromImage takes a map's PoolEnd from
+	// the length of the core's pool segment, not from Maps.
 	Programs [][]uint32
+	Maps     []sim.MemMap
 
 	// Global-memory layout.
 	InputAddr  int32
@@ -82,7 +84,7 @@ type SegImage struct {
 // form. The snapshot shares backing storage (graph nodes, pool data) with
 // the Compiled; treat it as read-only. Encoding a program the compiler
 // itself produced cannot fail, so the error return only fires on
-// hand-built instruction streams with out-of-range fields.
+// hand-built instruction streams with out-of-range fields or no memory map.
 func (c *Compiled) Image() (*Image, error) {
 	img := &Image{
 		Cfg:                c.Cfg,
@@ -114,7 +116,11 @@ func (c *Compiled) Image() (*Image, error) {
 		if err != nil {
 			return nil, fmt.Errorf("compiler: encoding core %d: %w", p.Core, err)
 		}
+		if p.Map == nil {
+			return nil, fmt.Errorf("compiler: core %d has no memory map", p.Core)
+		}
 		img.Programs = append(img.Programs, words)
+		img.Maps = append(img.Maps, *p.Map)
 	}
 	img.WeightAddr = sortedAddrs(c.layout.weightAddr)
 	img.ActAddr = sortedAddrs(c.layout.actAddr)
@@ -152,8 +158,8 @@ func FromImage(img *Image) (*Compiled, error) {
 		return nil, fmt.Errorf("compiler: image graph: %w", err)
 	}
 	numCores := cfg.NumCores()
-	if len(img.Programs) != numCores {
-		return nil, fmt.Errorf("compiler: image has %d programs for %d cores", len(img.Programs), numCores)
+	if len(img.Programs) != numCores || len(img.Maps) != numCores {
+		return nil, fmt.Errorf("compiler: image has %d programs and %d memory maps for %d cores", len(img.Programs), len(img.Maps), numCores)
 	}
 	if len(img.PoolAddr) != numCores {
 		return nil, fmt.Errorf("compiler: image has %d pool addresses for %d cores", len(img.PoolAddr), numCores)
@@ -237,11 +243,13 @@ func FromImage(img *Image) (*Compiled, error) {
 	if !nodeInRange(img.OutputNode) {
 		return nil, fmt.Errorf("compiler: image output node %d of %d", img.OutputNode, len(g.Nodes))
 	}
+	poolEnd := map[int32]int32{} // pool segment address -> length
 	for _, s := range img.PoolSegs {
 		if s.Addr < 0 || int(s.Addr)+len(s.Data) > int(layout.size) {
 			return nil, fmt.Errorf("compiler: image pool segment [%d, %d) exceeds global size %d",
 				s.Addr, int(s.Addr)+len(s.Data), layout.size)
 		}
+		poolEnd[s.Addr] = int32(len(s.Data))
 		c.poolSegs = append(c.poolSegs, sim.GlobalSegment{Addr: int(s.Addr), Data: s.Data})
 	}
 	for id, words := range img.Programs {
@@ -254,7 +262,16 @@ func FromImage(img *Image) (*Compiled, error) {
 			return nil, fmt.Errorf("compiler: image core %d: %w", id, err)
 		}
 		isa.Fuse(dec)
-		c.Programs = append(c.Programs, sim.Program{Core: id, Code: code, Decoded: dec})
+		m := img.Maps[id]
+		end, ok := poolEnd[img.PoolAddr[id]]
+		if !ok && img.PoolAddr[id] >= 0 {
+			return nil, fmt.Errorf("compiler: image core %d: no pool segment at %d", id, img.PoolAddr[id])
+		}
+		m.PoolEnd = end
+		if err := m.Check(cfg); err != nil {
+			return nil, fmt.Errorf("compiler: image core %d: %w", id, err)
+		}
+		c.Programs = append(c.Programs, sim.Program{Core: id, Code: code, Decoded: dec, Map: &m})
 	}
 	return c, nil
 }

@@ -195,11 +195,8 @@ func (c *Compiled) InputAddr(input tensor.Tensor) (int, error) {
 // StaticInit builds the write-once global segments: every node's weights
 // (pre-tiled into the CIM macro-group layout) and the per-core constant
 // pools — everything in global memory that does not change between
-// inferences of the same compiled model. They do not overlap and come
-// highest address first: a chip backs global memory as far as it is
-// touched, so staged in this order the first segment backs the whole static
-// extent in one allocation per lane, not in a growth that copies at every
-// step.
+// inferences of the same compiled model. They do not overlap and come in
+// one order, highest address first.
 func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error) {
 	var segs []sim.GlobalSegment
 	gc := c.Cfg.GroupChannels()

@@ -75,9 +75,9 @@ func TestWarmInferAllocs(t *testing.T) {
 	}
 }
 
-// TestChipBacksWhatRuns guards the chip's footprint: a chip backs a macro
-// group at the first CIM_LOAD into it, global memory as far as it is touched
-// and a core's local memory where its programs touch it, so a
+// TestChipBacksWhatRuns guards the chip's footprint: a chip backs the local
+// memory and macro groups each core's program declares and global memory as
+// long as the layout, so a
 // default-architecture session's first tinymlp inference — chip build,
 // weight staging and the run — costs well under a megabyte, not the 32 MB
 // of local memory, 32 MB of macro groups and 16 MB of global memory the

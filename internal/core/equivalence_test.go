@@ -112,6 +112,62 @@ func TestInterpreterEquivalence(t *testing.T) {
 	}
 }
 
+// TestInterpreterEquivalenceSmallChip runs every zoo graph the compiler
+// fits on a 4x4 mesh of 4-macro groups, where plans have many stages and
+// cores reuse their memory most, under every strategy: each compiled core
+// declares the memory it touches, so no run may fault: the output must be
+// the golden executor's, the report consistent, and lane 0 of an eight-lane
+// batch the one-lane run exactly. vgg19 does not
+// fit (a weight-swapping dense layer must hold one channel tile). Skipped in
+// -short mode.
+func TestInterpreterEquivalenceSmallChip(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("large models on a constrained chip")
+	}
+	cfg := arch.DefaultConfig().WithCoreMesh(4, 4).WithMacrosPerGroup(4)
+	for _, name := range model.ZooNames() {
+		if name == "vgg19" {
+			continue
+		}
+		g := model.Zoo(name)
+		for _, strat := range []compiler.Strategy{
+			compiler.StrategyGeneric, compiler.StrategyDuplication, compiler.StrategyDP,
+		} {
+			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+				t.Parallel()
+				compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: strat})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws := model.NewSeededWeights(g, 1)
+				input := model.SeededInput(g.Nodes[0].OutShape, 2)
+				res, err := Simulate(context.Background(), compiled, ws, input, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := res.Stats.Check(); err != nil {
+					t.Errorf("inconsistent report: %v", err)
+				}
+				assertMatchesExecute(t, "simulated", compiled, ws, input, res)
+				inputs := []tensor.Tensor{input}
+				for i := 1; i < 8; i++ {
+					inputs = append(inputs, model.SeededInput(g.Nodes[0].OutShape, uint64(2+i)))
+				}
+				s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: len(inputs)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				batch, err := s.InferBatch(context.Background(), inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResultsEqual(t, "lane 0 of 8", res, batch[0])
+			})
+		}
+	}
+}
+
 // TestInterpreterEquivalencePooled proves the equivalence holds on reused
 // (pooled, Reset) chips as well as fresh ones: a session's first and second
 // run on its one pooled chip must each be a fresh chip's run exactly, and the

@@ -13,7 +13,7 @@ import (
 
 // Pool holds the simulated chips its sessions run on and bounds how many
 // exist at once: a chip holds, per lane, the local memory, macro groups and
-// global memory its programs touched — megabytes on a zoo model — so live
+// global memory its programs declare — megabytes on a zoo model — so live
 // chips are what a serving or sweep loop's memory follows. Every run is byte-identical to one on a fresh chip. A Pool is safe
 // for concurrent use; its zero value is ready and bounded by GOMAXPROCS.
 type Pool struct {
@@ -33,9 +33,6 @@ type pooled struct {
 	ch    *sim.Chip
 	owner uint64       // the id of the session it was last staged for
 	cfg   *arch.Config // that session's architecture
-	// span is that session's global layout: compiled programs stay inside
-	// theirs, so past span the chip's global memory is zero.
-	span int
 }
 
 // sessionIDs numbers sessions for chip affinity.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -36,9 +35,8 @@ func idleChip(t testing.TB, s *Session) *sim.Chip {
 // 8 -> 16, a run aborted at the cycle limit just before the architecture
 // changes — and every run equals the first run of a fresh session, outputs
 // and full Stats or error text. After each run the pool's chip holds in
-// global memory byte for byte what the fresh chip holds: nothing a larger
-// program left past a smaller one's layout survives. The pool builds one
-// chip and restages it.
+// global memory, as long as the layout, byte for byte what the fresh chip
+// holds. The pool builds one chip and restages it.
 func TestPoolMatchesFreshChips(t *testing.T) {
 	def := arch.DefaultConfig()
 	mg16, mg4 := def.WithMacrosPerGroup(16), def.WithMacrosPerGroup(4)
@@ -62,7 +60,6 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 	ctx := context.Background()
 	pool := NewPool(1)
 	var first *sim.Chip
-	span, shrunk := 0, false
 	for i, st := range steps {
 		label := fmt.Sprintf("step %d %s/%v/mg%d", i, st.model, st.strat, st.cfg.Core.MacrosPerGroup)
 		g := model.Zoo(st.model)
@@ -85,7 +82,7 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 		}
 		want, wantErr := fresh.Infer(ctx, input)
 		if st.limit != 0 {
-			if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !strings.Contains(err.Error(), "cycle limit") {
+			if !errors.Is(err, sim.ErrCycleLimit) || wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("%s: pooled error %v, fresh error %v, want the same cycle-limit abort", label, err, wantErr)
 			}
 		} else {
@@ -101,18 +98,14 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 		} else if ch != first {
 			t.Errorf("%s: the pool built another chip", label)
 		}
-		if i > 0 && st.cfg == steps[i-1].cfg && compiled.GlobalBytes() < span {
-			shrunk = true
-		}
-		span = max(span, compiled.GlobalBytes())
-
-		// Both chips hold the default 16 MB of global memory; every tiny layout
-		// fits it, so [0, span) covers all the pool's programs ever wrote.
-		a, err := ch.ReadGlobal(0, span)
+		// Both chips hold global memory as long as the layout. That a shrink
+		// zeroes what it drops, so that a later larger layout grows into
+		// zeros, is TestLazyBackingMatchesZeros's to see.
+		a, err := ch.ReadGlobal(0, compiled.GlobalBytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := idleChip(t, fresh).ReadGlobal(0, span)
+		b, err := idleChip(t, fresh).ReadGlobal(0, compiled.GlobalBytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +113,6 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 			t.Errorf("%s: global byte %d is %#x on the pool's chip, %#x on a fresh one (layout %d bytes)",
 				label, i, a[i], b[i], compiled.GlobalBytes())
 		}
-	}
-	if !shrunk {
-		t.Fatal("no program reused a chip after a larger layout: the scrub is untested")
 	}
 }
 
@@ -195,7 +185,7 @@ func TestPoolFailuresGiveSlotsBack(t *testing.T) {
 	}
 
 	limited := session(Options{CycleLimit: 10})
-	if _, err := limited.Infer(ctx, input); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+	if _, err := limited.Infer(ctx, input); !errors.Is(err, sim.ErrCycleLimit) {
 		t.Fatalf("run under a 10-cycle limit = %v, want a cycle-limit abort", err)
 	}
 	counted("a run error", 1)
@@ -292,7 +282,7 @@ func TestLaneGroupFailuresGiveSlotsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.release(limited)
-		if _, err := s.InferBatch(ctx, inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+		if _, err := s.InferBatch(ctx, inputs); !errors.Is(err, sim.ErrCycleLimit) {
 			t.Fatalf("InferBatch = %v, want the cycle-limit abort", err)
 		}
 		s.release(held)

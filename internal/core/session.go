@@ -179,9 +179,9 @@ func (s *Session) newChip() (*sim.Chip, error) {
 }
 
 // stage readies a chip built with the session's chip options for its
-// program: global memory grown to the layout, the cycle limit, every core's
-// program and the weights. That is all a new chip needs; a chip that ran
-// another program also needs restage first and a Reset after.
+// program: global memory sized to the layout, the cycle limit, every core's
+// program and memory, and the weights. That is all a new chip needs; a chip
+// that ran another program also needs restage first and a Reset after.
 func (s *Session) stage(ch *sim.Chip) error {
 	ch.EnsureGlobal(s.compiled.GlobalBytes())
 	ch.CycleLimit = s.opt.CycleLimit
@@ -196,19 +196,11 @@ func (s *Session) stage(ch *sim.Chip) error {
 	return nil
 }
 
-// restage readies c, a chip last staged for another session, for s. A chip
-// of another architecture is retargeted, which leaves it as newChip builds
-// it; on one of the same, the last program's global memory past s's layout
-// is zeroed. Session.stage then loads the programs and weights, and after
-// acquire's Reset and scratch zeroing every byte is what newChip would have
-// left.
+// restage readies c, a chip last staged for another session, for s: one of
+// another architecture is retargeted, which leaves it as newChip builds it.
 func (s *Session) restage(c *pooled) error {
 	if *s.cfg != *c.cfg {
 		if err := c.ch.Retarget(s.cfg); err != nil {
-			return err
-		}
-	} else if n := s.compiled.GlobalBytes(); n < c.span {
-		if err := c.ch.ZeroGlobal(n, c.span-n); err != nil {
 			return err
 		}
 	}
@@ -239,7 +231,7 @@ func (s *Session) acquire(ctx context.Context, lanes int) (*pooled, error) {
 		s.pool.put(c, false)
 		return nil, err
 	}
-	c.owner, c.cfg, c.span = s.id, s.cfg, s.compiled.GlobalBytes()
+	c.owner, c.cfg = s.id, s.cfg
 	if how != takeNew {
 		c.ch.Reset()
 		for _, r := range s.scratch {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -378,7 +377,7 @@ func TestPooledResetDifferential(t *testing.T) {
 				switch st.abort {
 				case "limit":
 					idleChip(t, s).CycleLimit = ran.Cycles / 2
-					if _, err := s.InferBatch(context.Background(), inputs); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+					if _, err := s.InferBatch(context.Background(), inputs); !errors.Is(err, sim.ErrCycleLimit) {
 						t.Fatalf("%s: InferBatch = %v, want a cycle-limit abort", label, err)
 					}
 					idleChip(t, s).CycleLimit = 0

@@ -3,8 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,49 +14,69 @@ import (
 	"cimflow/internal/isa"
 )
 
-// backEagerly backs every macro group, the whole of every core's local
-// memory and the whole of global memory in every lane with zeros, as a chip
-// that allocated its capacity at build would hold them.
-func backEagerly(ch *Chip) {
-	ch.backGlobal(ch.globalSize)
-	for _, c := range ch.cores {
-		if _, err := c.localRange(0, c.localSize); err != nil {
-			panic(err)
-		}
-		for l := range c.images {
-			for g := range c.images[l].mg {
-				c.images[l].mg[g] = make([]byte, int(c.macroRows)*c.groupChans)
-			}
-		}
+// mapped returns progs, each declaring the map m.
+func mapped(progs []Program, m MemMap) []Program {
+	out := slices.Clone(progs)
+	for i := range out {
+		out[i].Map = &m
 	}
+	return out
 }
 
-// lazyConfig is the test configuration with 64 KB of global memory.
-func lazyConfig() arch.Config {
+// footprint returns the map a compiler would declare for what each of progs
+// touched on ch, a chip that ran them with no map: the longest run of pages
+// no window named is the hole, and the groups are those CIM_LOAD wrote.
+func footprint(ch *Chip, progs []Program) []MemMap {
+	const page = 1 << dirtyShift
+	var maps []MemMap
+	for _, p := range progs {
+		c := ch.cores[p.Core]
+		pages := int((c.localSize + page - 1) / page)
+		best, bestLen := 0, 0
+		for pg := 0; pg < pages; {
+			end := pg
+			for end < pages && c.dirty[end>>6]>>(end&63)&1 == 0 {
+				end++
+			}
+			if end-pg > bestLen {
+				best, bestLen = pg, end-pg
+			}
+			pg = end + 1
+		}
+		maps = append(maps, MemMap{
+			PoolEnd:  int32(best * page),
+			ArenaMin: min(int32((best+bestLen)*page), c.localSize),
+			Groups:   c.mgDirty,
+		})
+	}
+	return maps
+}
+
+// smallGlobalConfig is the test configuration with 64 KB of global memory.
+func smallGlobalConfig() arch.Config {
 	cfg := testConfig()
 	cfg.Chip.GlobalMemBytes = 64 << 10
 	return cfg
 }
 
-// runBoth runs progs at the given lanes on a new, lazily backed chip and on
-// an eagerly backed one, and reports under label the first difference in the
-// run's error, report or any chip state. It returns the lazy chip, its report
-// and its error text.
-func runBoth(t *testing.T, label string, lanes int, progs []Program) (*Chip, *Stats, string) {
+// runBoth runs progs at the given lanes on a new chip that loads them with
+// the map m and on one that loads them with none, both with 64 KB of global
+// memory declared, and reports under label the first difference in the
+// run's error, report or any chip state. It returns the mapped chip, its
+// report and its error text.
+func runBoth(t *testing.T, label string, lanes int, progs []Program, m MemMap) (*Chip, *Stats, string) {
 	t.Helper()
-	cfg := lazyConfig()
+	cfg := smallGlobalConfig()
 	var chips [2]*Chip
 	var stats [2]*Stats
 	var errs [2]string
-	for i := range chips {
+	for i, ps := range [][]Program{mapped(progs, m), progs} {
 		ch, err := NewChip(&cfg, WithLanes(lanes))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 1 {
-			backEagerly(ch)
-		}
-		if err := ch.LoadPrograms(progs); err != nil {
+		ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
+		if err := ch.LoadPrograms(ps); err != nil {
 			t.Fatal(err)
 		}
 		if err := ch.SetLanes(lanes); err != nil {
@@ -68,9 +90,9 @@ func runBoth(t *testing.T, label string, lanes int, progs []Program) (*Chip, *St
 	}
 	switch {
 	case errs[0] != errs[1]:
-		t.Errorf("%s: lazy chip fails with %q, eager chip with %q", label, errs[0], errs[1])
+		t.Errorf("%s: mapped chip fails with %q, whole chip with %q", label, errs[0], errs[1])
 	case !reflect.DeepEqual(stats[0], stats[1]):
-		t.Errorf("%s: lazy chip reports\n%+v\neager chip\n%+v", label, stats[0], stats[1])
+		t.Errorf("%s: mapped chip reports\n%+v\nwhole chip\n%+v", label, stats[0], stats[1])
 	default:
 		if diff := chipDiff(chips[0], chips[1]); diff != "" {
 			t.Errorf("%s: %s", label, diff)
@@ -79,16 +101,18 @@ func runBoth(t *testing.T, label string, lanes int, progs []Program) (*Chip, *St
 	return chips[0], stats[0], errs[0]
 }
 
-// TestLazyBackingMatchesZeros holds a chip that backs its macro groups and
-// global memory on first touch to one that backs them in full with zeros: a
-// never-loaded group multiplies as zeros, global memory past the backed
-// prefix reads and writes as zeros up to the logical size and faults one
-// byte past it with the same error, and the host reads it as zeros.
+// TestLazyBackingMatchesZeros holds a chip that backs only the macro groups
+// its program declares to one whose program declares the whole core, and
+// global memory to the size EnsureGlobal declares: a declared group never
+// loaded multiplies as zeros, and an undeclared one is not backed; global
+// memory reads and writes up to its declared size and faults one byte past
+// it with the same error on both; the host reads it, and EnsureGlobal grows
+// it keeping its bytes and shrinks it zeroing the rest.
 func TestLazyBackingMatchesZeros(t *testing.T) {
 	halt := spinHalt()
 	// preload leaves a nonzero accumulator: -2 weights in macro group 0
 	// times an input of 3s, so a later MVM that clears it or adds to it
-	// shows which it did. Group 1 is never loaded.
+	// shows which it did. Group 1 is declared and never loaded.
 	preload := seq(
 		isa.LI(1, 0), isa.LI(2, 16), one(isa.VFill(1, 2, 3)),
 		isa.LI(1, 64), isa.LI(2, 16*8), one(isa.VFill(1, 2, -2)),
@@ -96,6 +120,7 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		mvm(0, 16, 0, 0),
 		quant8(),
 	)
+	groups := MemMap{PoolEnd: 1 << dirtyShift, ArenaMin: 1 << 19, Groups: 0b11}
 	unloaded := func(flags uint16) []Program {
 		return []Program{{Core: 0, Code: seq(preload,
 			isa.LI(1, 0), isa.LI(2, 16), isa.LI(3, 512),
@@ -111,20 +136,22 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 	for name, flags := range wb {
 		for _, acc := range []uint16{0, isa.MVMFlagAccumulate} {
 			label := fmt.Sprintf("mvm on an unloaded group, %s, accumulate=%v", name, acc != 0)
-			ch, _, _ := runBoth(t, label, 1, unloaded(flags|acc))
-			if ch.cores[0].mg[1] != nil {
-				t.Errorf("%s: group 1 backed without a CIM_LOAD", label)
+			ch, _, _ := runBoth(t, label, 1, unloaded(flags|acc), groups)
+			if len(ch.cores[0].mg[1]) == 0 || len(ch.cores[0].mg[2]) != 0 {
+				t.Errorf("%s: groups 1 and 2 back %d and %d bytes; the map declares 1, not 2",
+					label, len(ch.cores[0].mg[1]), len(ch.cores[0].mg[2]))
 			}
 		}
 	}
 
 	t.Run("eight lanes after one", func(t *testing.T) {
-		progs := unloaded(isa.MVMFlagAccumulate | isa.MVMFlagWriteback)
-		cfg := lazyConfig()
+		progs := mapped(unloaded(isa.MVMFlagAccumulate|isa.MVMFlagWriteback), groups)
+		cfg := smallGlobalConfig()
 		ch, err := NewChip(&cfg, WithLanes(8))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
 		if err := ch.LoadPrograms(progs); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +163,7 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 			t.Helper()
 			for l := 1; l < len(c.images); l++ {
 				for g, w := range c.images[l].mg {
-					if w != nil && !sameBuffer(w, c.mg[g]) {
+					if !sameBuffer(w, c.mg[g]) {
 						t.Fatalf("%s: lane %d holds a buffer of its own for group %d", when, l, g)
 					}
 				}
@@ -144,9 +171,6 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		}
 		noOwnGroups("after a one-lane run")
 		ch.Reset()
-		if c.mg[0] == nil {
-			t.Fatal("a one-lane run should back group 0 in lane 0")
-		}
 		noOwnGroups("after Reset")
 		if err := ch.SetLanes(8); err != nil {
 			t.Fatal(err)
@@ -155,7 +179,7 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, want, _ := runBoth(t, "eight lanes on new chips", 8, progs)
+		fresh, want, _ := runBoth(t, "eight lanes on new chips", 8, progs, groups)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("after a one-lane run:\n%+v\na new chip:\n%+v", got, want)
 		}
@@ -164,7 +188,7 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		}
 	})
 
-	// Global memory: 64 KB logical, nothing backed before the run.
+	// Global memory: 64 KB declared.
 	const size = 64 << 10
 	at := func(addr int32) []isa.Instruction { return isa.LI(1, GlobalBase+addr) }
 	global := []struct {
@@ -190,31 +214,35 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 			fmt.Sprintf("global write [%d+2) out of bounds", size-1)},
 	}
 	for _, gc := range global {
-		_, _, err := runBoth(t, gc.name, 2, []Program{{Core: 0, Code: seq(gc.code, halt)}})
+		_, _, err := runBoth(t, gc.name, 2, []Program{{Core: 0, Code: seq(gc.code, halt)}}, MemMap{PoolEnd: 8, ArenaMin: 1 << 19})
 		if (gc.fault == "") != (err == "") || !strings.Contains(err, gc.fault) {
 			t.Errorf("%s: Run fails with %q, want the fault %q", gc.name, err, gc.fault)
 		}
 	}
 
 	t.Run("host reads", func(t *testing.T) {
-		cfg := lazyConfig()
+		cfg := smallGlobalConfig()
 		ch, err := NewChip(&cfg, WithLanes(2))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: []byte{1}}); err == nil {
+			t.Fatal("a new chip declares global memory")
+		}
+		ch.EnsureGlobal(size)
 		if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: []byte{1, 2, 3}}); err != nil {
 			t.Fatal(err)
 		}
-		if len(ch.global[0]) >= size-8 {
-			t.Fatalf("a 3-byte segment backed %d bytes", len(ch.global[0]))
+		if err := ch.InitGlobalLane(1, GlobalSegment{Addr: size - 16, Data: []byte{9, 9}}); err != nil {
+			t.Fatal(err)
 		}
 		if err := ch.ZeroGlobal(size-16, 16); err != nil {
 			t.Fatal(err)
 		}
 		for l := range 2 {
-			b, err := ch.ReadGlobalLane(l, size-8, 8)
-			if err != nil || !bytes.Equal(b, make([]byte, 8)) {
-				t.Errorf("lane %d: the last 8 bytes read %v, %v", l, b, err)
+			b, err := ch.ReadGlobalLane(l, size-16, 16)
+			if err != nil || !bytes.Equal(b, make([]byte, 16)) {
+				t.Errorf("lane %d: the last 16 bytes read %v, %v", l, b, err)
 			}
 		}
 		if err := ch.ZeroGlobal(0, 3); err != nil {
@@ -228,7 +256,11 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 			t.Errorf("ReadGlobal across the end = %v, want %q", err, want)
 		}
 
-		// EnsureGlobal raises the logical size past the configuration.
+		// EnsureGlobal grows the memory past the configuration, keeping
+		// what it held.
+		if err := ch.InitGlobal(GlobalSegment{Addr: size - 4, Data: []byte{5, 6, 7, 8}}); err != nil {
+			t.Fatal(err)
+		}
 		ch.EnsureGlobal(2 * size)
 		if err := ch.InitGlobal(GlobalSegment{Addr: 2*size - 4, Data: []byte{1, 2, 3, 4}}); err != nil {
 			t.Fatal(err)
@@ -237,24 +269,39 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 		if _, err := ch.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if b, err := ch.ReadGlobal(2*size-8, 4); err != nil || !bytes.Equal(b, []byte{1, 2, 3, 4}) {
-			t.Errorf("a word copied below the raised size reads %v, %v", b, err)
+		if b, err := ch.ReadGlobal(2*size-8, 8); err != nil || !bytes.Equal(b, []byte{1, 2, 3, 4, 1, 2, 3, 4}) {
+			t.Errorf("a word copied below the grown size reads %v, %v", b, err)
+		}
+		if b, err := ch.ReadGlobal(size-4, 4); err != nil || !bytes.Equal(b, []byte{5, 6, 7, 8}) {
+			t.Errorf("growing lost the old tail: %v, %v", b, err)
 		}
 		if _, err := ch.ReadGlobal(2*size, 1); err == nil {
-			t.Error("ReadGlobal past the raised size succeeded")
+			t.Error("ReadGlobal past the grown size succeeded")
+		}
+
+		// Shrinking zeroes what it drops: grown again, it reads as zeros.
+		ch.EnsureGlobal(size)
+		for l, g := range ch.global {
+			if i := firstNonzero(g[size:cap(g)]); i >= 0 {
+				t.Fatalf("lane %d: byte %d past the shrunk size is %#x", l, size+i, g[size:][i])
+			}
+		}
+		ch.EnsureGlobal(2 * size)
+		if b, err := ch.ReadGlobal(2*size-8, 8); err != nil || !bytes.Equal(b, make([]byte, 8)) {
+			t.Errorf("shrunk and grown again, the tail reads %v, %v", b, err)
 		}
 	})
 }
 
-// lazyLocalCases are programs on a core of mem bytes of local memory, mem a
+// holeCases are programs on a core of mem bytes of local memory, mem a
 // whole number of pages past the third. Each reads a lane's 64 input bytes
-// into local[0:64], which backs the first page; most then fill the last 64
-// bytes ("open"), which backs the last page and leaves the hole [page,
-// mem-page) between, and put a window of one kind of access at, below, above
-// or across an edge of that hole, across all of it, or inside it to read.
-// The rest touch the middle of untouched memory first, and one faults after
-// the hole grew.
-func lazyLocalCases(mem int32) []laneCase {
+// into local[0:64], in the first page; most then fill the last 64 bytes
+// ("open"), in the last page, which leaves the hole [page, mem-page) between
+// when nothing else is touched, and put a window of one kind of access at,
+// below, above or across an edge of that hole, across all of it, or inside
+// it to read. The rest touch the middle of memory first, and one faults past
+// the end of memory. footprint declares each one's map.
+func holeCases(mem int32) []laneCase {
 	const page = 1 << dirtyShift
 	lo, hi := int32(page), mem-page // the hole "open" leaves
 	in, halt := copyIn(0, laneIn, 64), spinHalt()
@@ -297,54 +344,104 @@ func lazyLocalCases(mem int32) []laneCase {
 	}
 }
 
-// TestLazyLocalMatchesEager holds a chip that backs local memory on first
-// touch to the reference executor and to a chip backed in full: for every
-// lazyLocalCases program at 1 and 8 lanes, every lane's registers and memory
-// are the reference's, and the run's error, report and whole chip state the
-// eager chip's, untouched cores backing nothing. The lazy chip is then Reset
-// — to power-on state, keeping its hole — and runs at 2 and 8 lanes again
-// (the one-lane chip at 1),
-// held to the reference each time. Last, one chip is retargeted to half and
-// back to the full local memory, reading as a new chip each time, and runs
-// every case as a new chip does, regrowing inside the backing it kept.
+// declared returns lc with each program declaring the map footprint finds
+// for it, from a run of lc at one lane on a chip of cfg with no maps.
+func (lc laneCase) declared(t *testing.T, cfg *arch.Config) *laneCase {
+	t.Helper()
+	whole := lc.stage(t, cfg)
+	runOccupancy(t, whole, 1, nil)
+	lc.progs = slices.Clone(lc.progs)
+	for i, m := range footprint(whole, lc.progs) {
+		lc.progs[i].Map = &m
+	}
+	return &lc
+}
+
+// TestLazyLocalMatchesEager holds a chip whose programs declare the local
+// memory they touch (footprint) to the reference executor and to a chip
+// whose programs declare the whole core: for every holeCases program
+// at 1 and 8 lanes, every lane's registers and memory are the reference's,
+// and the run's error, report and whole chip state the whole chip's,
+// untouched cores backing nothing. The mapped chip is then Reset — to
+// power-on state, keeping its map — and runs at 2 and 8 lanes again (the
+// one-lane chip at 1), held to the reference each time. A map one page
+// short at either end the program touches, loaded right after a run (whose
+// record the re-mapping clears), faults with ErrUnmapped, as does an empty
+// window strictly inside the hole. Last, one chip is retargeted to
+// half and back to the full local memory, reading as a new chip each time,
+// and runs every case as a new chip does, mapped inside the backing it kept.
 func TestLazyLocalMatchesEager(t *testing.T) {
-	cfg := lazyConfig()
+	const page = 1 << dirtyShift
+	cfg := smallGlobalConfig()
 	cfg.Core.LocalMemBytes = 64 << 10
 	mem := int32(cfg.Core.LocalMemBytes)
-	for _, lc := range lazyLocalCases(mem) {
+	for _, lc := range holeCases(mem) {
 		for _, lanes := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/%d lanes", lc.name, lanes), func(t *testing.T) {
-				lazy, eager := lc.stage(t, &cfg, WithLanes(lanes)), lc.stage(t, &cfg, WithLanes(lanes))
-				backEagerly(eager)
-				got, err := runOccupancy(t, lazy, lanes, lc.progs)
-				want, wantErr := runOccupancy(t, eager, lanes, nil)
+				dc := lc.declared(t, &cfg)
+				tight, whole := dc.stage(t, &cfg, WithLanes(lanes)), lc.stage(t, &cfg, WithLanes(lanes))
+				if strings.Contains(lc.name, "empty") {
+					if _, err := runOccupancy(t, tight, lanes, nil); !errors.Is(err, ErrUnmapped) {
+						t.Fatalf("an empty window inside the hole: Run = %v, want ErrUnmapped", err)
+					}
+					tight.Reset()
+					assertPowerOn(t, tight, "Reset")
+					return
+				}
+				got, err := runOccupancy(t, tight, lanes, lc.progs)
+				want, wantErr := runOccupancy(t, whole, lanes, nil)
 				switch {
 				case fmt.Sprint(err) != fmt.Sprint(wantErr):
-					t.Fatalf("lazy chip fails with %v, eager chip with %v", err, wantErr)
+					t.Fatalf("mapped chip fails with %v, whole chip with %v", err, wantErr)
 				case (err == nil) != !strings.Contains(lc.name, "fault"):
 					t.Fatalf("Run = %v", err)
 				case !reflect.DeepEqual(got, want):
-					t.Fatalf("lazy chip reports\n%+v\neager chip\n%+v", got, want)
+					t.Fatalf("mapped chip reports\n%+v\nwhole chip\n%+v", got, want)
 				}
-				if diff := chipDiff(lazy, eager); diff != "" {
+				if diff := chipDiff(tight, whole); diff != "" {
 					t.Fatal(diff)
 				}
-				c := lazy.cores[0]
-				if len(lazy.cores[3].local) != 0 || c.holeLo == c.holeHi && !strings.Contains(lc.name, "whole hole") {
-					t.Fatalf("core 0 backs %d of %d bytes (hole [%d, %d)), core 3 %d", len(c.local), mem, c.holeLo, c.holeHi, len(lazy.cores[3].local))
+				c := tight.cores[0]
+				if len(tight.cores[3].local) != 0 || c.holeLo == c.holeHi && !strings.Contains(lc.name, "whole hole") {
+					t.Fatalf("core 0 backs %d of %d bytes (hole [%d, %d)), core 3 %d", len(c.local), mem, c.holeLo, c.holeHi, len(tight.cores[3].local))
 				}
-				lazy.Reset()
-				assertPowerOn(t, lazy, "Reset")
+				tight.Reset()
+				assertPowerOn(t, tight, "Reset")
 				hole := [...]int32{c.holeLo, c.holeHi, int32(len(c.local))}
 				for _, b := range []int{max(1, lanes/4), lanes} {
-					if _, err := runOccupancy(t, lazy, b, lc.progs); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					if _, err := runOccupancy(t, tight, b, lc.progs); fmt.Sprint(err) != fmt.Sprint(wantErr) {
 						t.Fatalf("rerun at %d lanes: %v, first run %v", b, err, wantErr)
 					}
 					if now := [...]int32{c.holeLo, c.holeHi, int32(len(c.local))}; now != hole {
 						t.Fatalf("rerun at %d lanes: hole and backing %v, first run's %v", b, now, hole)
 					}
-					lazy.Reset()
-					assertPowerOn(t, lazy, fmt.Sprintf("Reset after %d lanes", b))
+					tight.Reset()
+					assertPowerOn(t, tight, fmt.Sprintf("Reset after %d lanes", b))
+				}
+
+				m := *dc.progs[0].Map
+				for _, short := range []MemMap{{m.PoolEnd - page, m.ArenaMin, m.Groups}, {m.PoolEnd, m.ArenaMin + page, m.Groups}} {
+					if short.PoolEnd < 0 || short.ArenaMin > mem {
+						continue
+					}
+					// Re-mapped right after a run, the chip clears that run's
+					// record where the old map placed it.
+					if err := tight.LoadPrograms(dc.progs); err != nil {
+						t.Fatal(err)
+					}
+					runOccupancy(t, tight, lanes, nil)
+					ps := slices.Clone(dc.progs)
+					ps[0].Map = &short
+					if err := tight.LoadPrograms(ps); err != nil {
+						t.Fatal(err)
+					}
+					tight.Reset()
+					assertPowerOn(t, tight, "Reset after re-mapping a chip that ran")
+					if _, err := runOccupancy(t, tight, lanes, nil); !errors.Is(err, ErrUnmapped) {
+						t.Fatalf("map %+v, a page short of %+v: Run = %v, want ErrUnmapped", short, m, err)
+					}
+					tight.Reset()
+					assertPowerOn(t, tight, "Reset after the fault")
 				}
 			})
 		}
@@ -352,8 +449,8 @@ func TestLazyLocalMatchesEager(t *testing.T) {
 
 	t.Run("retarget", func(t *testing.T) {
 		half := cfg.WithLocalMemBytes(int(mem / 2))
-		cases := lazyLocalCases(mem)
-		ch := cases[len(cases)-2].stage(t, &cfg, WithLanes(2)) // backs both ends and the middle
+		cases := holeCases(mem)
+		ch := cases[len(cases)-2].declared(t, &cfg).stage(t, &cfg, WithLanes(2)) // backs both ends and the middle
 		if _, err := runOccupancy(t, ch, 2, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -373,12 +470,16 @@ func TestLazyLocalMatchesEager(t *testing.T) {
 			if c := ch.cores[0]; cap(c.local) != backing || c.holeLo != 0 || c.holeHi != int32(step.Core.LocalMemBytes) {
 				t.Fatalf("%d bytes: backing %d of %d kept, hole [%d, %d)", step.Core.LocalMemBytes, cap(c.local), backing, c.holeLo, c.holeHi)
 			}
-			for _, lc := range lazyLocalCases(int32(step.Core.LocalMemBytes)) {
+			for _, lc := range holeCases(int32(step.Core.LocalMemBytes)) {
+				if strings.Contains(lc.name, "empty") {
+					continue
+				}
+				dc := lc.declared(t, &step)
 				ch.EnsureGlobal(laneMemBytes)
-				if err := ch.LoadPrograms(lc.progs); err != nil {
+				if err := ch.LoadPrograms(dc.progs); err != nil {
 					t.Fatal(err)
 				}
-				fresh := lc.stage(t, &step, WithLanes(2))
+				fresh := dc.stage(t, &step, WithLanes(2))
 				got, err := runOccupancy(t, ch, 2, lc.progs)
 				want, wantErr := runOccupancy(t, fresh, 2, nil)
 				if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
@@ -387,7 +488,7 @@ func TestLazyLocalMatchesEager(t *testing.T) {
 				if diff := chipDiff(ch, fresh); diff != "" {
 					t.Fatalf("%s: %s", lc.name, diff)
 				}
-				if err := ch.Retarget(&step); err != nil { // reopen the hole for the next case
+				if err := ch.Retarget(&step); err != nil { // unmap for the next case
 					t.Fatal(err)
 				}
 			}
@@ -401,4 +502,79 @@ func TestLazyLocalMatchesEager(t *testing.T) {
 			t.Fatalf("Retarget to local memory past GlobalBase = %v", err)
 		}
 	})
+}
+
+// TestMemMapEdge runs a program laid out as the compiler lays one out — a
+// constant pool copied to the bottom of local memory, an arena allocated
+// down from its top whose lowest buffer stages the weights of macro group 2,
+// an MVM on that group — against the map that declares exactly that, at 1
+// and 8 lanes, holding every lane to the reference executor and the report
+// to the same program's with no map. A map whose arena starts one page
+// higher, so that the arena reaches a page below it, faults with
+// ErrUnmapped, as do a CIM_LOAD into and a CIM_MVM on a group it does not
+// declare; with no map, the program with the undeclared MVM runs and matches
+// the reference.
+func TestMemMapEdge(t *testing.T) {
+	const page = 1 << dirtyShift
+	cfg := testConfig()
+	mem := int32(cfg.Core.LocalMemBytes)
+	arenaMin := mem - page - 256
+	in, wts, out := mem-64, arenaMin, mem-128
+	program := func(group int) []Program {
+		return []Program{{Core: 0, Code: seq(
+			copyIn(0, laneIn+32, 16), // the constant pool
+			copyIn(in, laneIn, 16), copyIn(wts, laneUniform, 128),
+			isa.LI(6, 0), isa.LI(7, 16), one(isa.Vec(isa.VFnAdd8, 6, 6, 6, 7)), // reads the pool
+			quant8(), isa.LI(1, wts), isa.LI(2, 16), isa.LI(3, 8), isa.LI(4, 2), one(isa.CimLoad(4, 1, 2, 3)),
+			isa.LI(1, in), isa.LI(2, 16), isa.LI(3, out),
+			one(isa.CimMVM(1, 2, 3, isa.MVMFlags(group, isa.MVMFlagWriteback))),
+			copyOut(laneOut, out, 8), spinHalt(),
+		)}}
+	}
+	declared := MemMap{PoolEnd: 16, ArenaMin: arenaMin, Groups: 1 << 2}
+	run := func(lanes int, progs []Program, ref bool) (*Stats, error) {
+		lc := laneCase{progs: progs, uniform: laneWeights()}
+		ch := lc.stage(t, &cfg, WithLanes(lanes))
+		if !ref {
+			progs = nil // a fault the reference does not know
+		}
+		return runOccupancy(t, ch, lanes, progs)
+	}
+	for _, lanes := range []int{1, 8} {
+		want, err := run(lanes, program(2), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := run(lanes, mapped(program(2), declared), true); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d lanes: mapped run %v\n%+v\nunmapped\n%+v", lanes, err, got, want)
+		}
+		if _, err := run(lanes, program(3), true); err != nil {
+			t.Fatalf("%d lanes: with no map, an MVM on a group never loaded = %v", lanes, err)
+		}
+		for name, tc := range map[string]struct {
+			progs []Program
+			what  string
+		}{
+			"arena a page below the map":      {mapped(program(2), MemMap{16, arenaMin + page, 1 << 2}), "MEM_CPY"},
+			"cim_load on an undeclared group": {mapped(program(2), MemMap{16, arenaMin, 1 << 3}), "CIM_LOAD"},
+			"mvm on an undeclared group":      {mapped(program(3), declared), "CIM_MVM"},
+		} {
+			_, err := run(lanes, tc.progs, false)
+			if !errors.Is(err, ErrUnmapped) || !strings.Contains(err.Error(), tc.what) {
+				t.Errorf("%d lanes, %s: Run = %v, want ErrUnmapped at %s", lanes, name, err, tc.what)
+			}
+		}
+	}
+
+	// A pool and an arena that meet inside a page leave no hole.
+	ch, err := NewChip(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.LoadProgram(Program{Code: spinHalt(), Map: &MemMap{PoolEnd: page + 900, ArenaMin: page + 1000}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.cores[0].localRange(page-100, 200); err != nil {
+		t.Errorf("a window across the page the pool and arena share: %v", err)
+	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -142,7 +141,7 @@ func TestAbortedRunReturnsPayloads(t *testing.T) {
 						ch.CycleLimit = 50_000
 						_, err = ch.Run(context.Background())
 					}
-					if want := map[string]string{"cancel": "canceled", "limit": "cycle limit"}[abort]; err == nil || !strings.Contains(err.Error(), want) {
+					if want := map[string]error{"cancel": context.Canceled, "limit": ErrCycleLimit}[abort]; !errors.Is(err, want) {
 						t.Fatalf("run %d: Run = %v, want an error naming the %s", run, err, want)
 					}
 					if ch.CheckPayloadPool() == nil {
@@ -212,6 +211,7 @@ func TestZeroGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
 	if err := ch.InitGlobal(GlobalSegment{Addr: 8, Data: []byte{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}

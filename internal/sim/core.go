@@ -74,18 +74,16 @@ type core struct {
 	dirty   []uint64
 	mgDirty uint32
 
-	// Local memory is backed on first touch. Every lane's image.local holds
-	// the logical memory's [0, holeLo), then, at the end of the backing,
-	// [holeHi, localSize); the hole between reads as zeros, and so does
-	// whatever of the backing lies between the two parts, which nothing
-	// writes. The hole is lane-shared, as addresses come from the shared
-	// registers, and every lane's backing is as long. localRange and vecSpan
-	// shrink the hole (backLocal) when a window they validate enters it, and
-	// a validated window's base resolves to its place in the backing through
-	// phys: localGap is what it subtracts at or above holeHi.
+	// The program's map (mapMemory), lane-shared as addresses come from the
+	// shared registers: every lane's image.local holds local memory's [0,
+	// holeLo), then [holeHi, localSize) at its end. A window in the hole
+	// between is an ErrUnmapped fault (localRange, vecSpan), and phys places
+	// a validated one in the backing, subtracting localGap at or above
+	// holeHi. mgMask sets the declared macro groups.
 	localSize      int32
 	holeLo, holeHi int32
 	localGap       int32
+	mgMask         uint32
 
 	// Constants hoisted out of the dispatch loop by configure; all are
 	// derived from the chip configuration.
@@ -133,14 +131,9 @@ func newCore(id int, chip *Chip) *core {
 
 // configure readies a core at power-on state for cfg: it sizes every lane's
 // buffers, keeping each one whose capacity holds the new size (Reset left it
-// zero to its capacity) and allocating only those that must grow — macro
-// groups are lane 0's, which every lane then shares, and one that must grow
-// is dropped instead, as it is backed on first load —,
-// reopens the local-memory hole over the whole memory while keeping the
-// backing (up to the new size) for the next run to grow into, drops the
-// program and derives the constants the handlers hoist out of the dispatch
-// loop. Afterwards the core reads as the one a chip newly built for cfg
-// holds.
+// zero to its capacity), unmaps its memory, drops the program and derives
+// the constants the handlers hoist out of the dispatch loop. Afterwards the
+// core reads as the one a chip newly built for cfg holds.
 func (c *core) configure(cfg *arch.Config) {
 	groupChans := cfg.GroupChannels()
 	e := &cfg.Energy
@@ -156,25 +149,46 @@ func (c *core) configure(cfg *arch.Config) {
 	c.macroRows = int32(cfg.Unit.MacroRows)
 	c.dirty = fit(c.dirty, (cfg.Core.LocalMemBytes+(64<<dirtyShift)-1)/(64<<dirtyShift))
 	c.localSize = int32(cfg.Core.LocalMemBytes)
-	c.holeLo, c.holeHi = 0, c.localSize
-	backed := min(cap(c.local), cfg.Core.LocalMemBytes)
-	c.localGap = c.localSize - int32(backed)
+	c.holeLo, c.holeHi, c.localGap, c.mgMask = 0, c.localSize, c.localSize, 0
 	for l := range c.images {
 		im := &c.images[l]
-		im.local = im.local[:backed]
+		im.local = im.local[:0]
 		im.mg = fit(im.mg, cfg.Core.NumMacroGroups)
 		im.cimAcc = fit(im.cimAcc, groupChans)
 		im.gather = fit(im.gather, cfg.Unit.MacroRows)
 	}
 	for i, g := range c.mg {
-		if n := cfg.Unit.MacroRows * groupChans; cap(g) >= n {
-			c.mg[i] = g[:n]
-		} else {
-			c.mg[i] = nil // backed again by its next CIM_LOAD
-		}
+		c.mg[i] = g[:0]
 	}
 	c.code, c.prog = nil, nil
-	c.reset(0) // the record is empty: this only points every lane at lane 0's groups
+	c.reset(0) // the record is empty: this clears no data
+}
+
+// mapMemory backs what m declares in every lane, the hole's edges rounded
+// outwards to pages so that a page lies wholly on one side, and the groups
+// in lane 0's buffers, which every lane shares. A new map first clears the
+// dirty record where the old one placed it; every buffer is then zero to
+// its capacity, and resliced when that holds the new size.
+func (c *core) mapMemory(m MemMap) {
+	const page = 1 << dirtyShift
+	lo, hi := (m.PoolEnd+page-1)&^(page-1), m.ArenaMin&^(page-1)
+	if lo >= hi {
+		lo, hi = 0, 0 // no page lies between pool and arena
+	}
+	if lo == c.holeLo && hi == c.holeHi && m.Groups == c.mgMask {
+		return
+	}
+	c.clearRecord(c.chip.dirtyLanes)
+	c.holeLo, c.holeHi, c.localGap, c.mgMask = lo, hi, hi-lo, m.Groups
+	for l := range c.images {
+		c.images[l].local = fit(c.images[l].local, int(c.localSize-c.localGap))
+	}
+	for g := range c.mg { // an undeclared group is empty
+		c.mg[g] = fit(c.mg[g], int(m.Groups>>g&1)*int(c.macroRows)*c.groupChans)
+	}
+	for l := 1; l < len(c.images); l++ {
+		copy(c.images[l].mg, c.mg)
+	}
 }
 
 // fit returns s resized to n elements: in its own storage when that holds n,
@@ -187,19 +201,39 @@ func fit[S ~[]E, E any](s S, n int) S {
 }
 
 // reset restores the core to its power-on state (the state configure leaves
-// it in), keeping the loaded program and lane 0's buffers. Only Run writes a
-// data plane, in the lanes of its occupancy, and every store names its
-// window to hazardIssue or is a CIM_LOAD, so what it wrote lies inside the
-// pages and macro groups of the dirty record. Clearing the pages in the
-// first lanes images — the widest occupancy of any Run since the last reset,
-// not the last one's: a pooled chip shrinks and regrows its occupancy
-// between runs — plus each one's accumulator and gather buffer, and the
-// groups once, in lane 0's buffers, leaves every allocated byte zero; every
-// lane then shares lane 0's groups again, and private copies are dropped.
+// it in), keeping the loaded program, its map and lane 0's buffers.
 func (c *core) reset(lanes int) {
+	c.clearRecord(lanes)
 	c.pc = 0
 	c.regs = [isa.NumGRegs]int32{}
 	c.sregs = [isa.NumSRegs]int32{}
+	c.time = 0
+	c.regReady = [isa.NumGRegs]int64{}
+	c.unitFree = [5]int64{}
+	c.pending = [5]outstanding{}
+	c.halted = false
+	c.blocked = false
+	c.inBarrier = false
+	c.barrierID = 0
+	c.blockSrc = 0
+	c.blockTag = 0
+	c.sregs[isa.SRegCoreID] = int32(c.id)
+	c.sregs[isa.SRegSegCount] = 1
+	c.sregs[isa.SRegVecStrideA] = 1
+	c.sregs[isa.SRegVecStrideB] = 1
+	c.sregs[isa.SRegVecStrideD] = 1
+	c.sregs[isa.SRegRowTiles] = 1
+	c.stats = CoreStats{CoreID: c.id}
+}
+
+// clearRecord zeroes what Runs wrote: only Run writes a data plane, in the
+// lanes of its occupancy, and every store names its window to hazardIssue or
+// is a CIM_LOAD, so it lies in the record's pages and groups. Clearing the
+// pages in the first lanes images — the widest occupancy since the last
+// reset: a pooled chip shrinks and regrows its occupancy — with their
+// accumulators and gather buffers, and the groups once, in lane 0's buffers,
+// leaves every allocated byte zero; every lane then shares lane 0's groups.
+func (c *core) clearRecord(lanes int) {
 	for l := range c.images[:lanes] {
 		im := &c.images[l]
 		for w, word := range c.dirty {
@@ -220,32 +254,16 @@ func (c *core) reset(lanes int) {
 	}
 	clear(c.dirty)
 	c.mgDirty = 0
-	c.time = 0
-	c.regReady = [isa.NumGRegs]int64{}
-	c.unitFree = [5]int64{}
-	c.pending = [5]outstanding{}
-	c.halted = false
-	c.blocked = false
-	c.inBarrier = false
-	c.barrierID = 0
-	c.blockSrc = 0
-	c.blockTag = 0
-	c.sregs[isa.SRegCoreID] = int32(c.id)
-	c.sregs[isa.SRegSegCount] = 1
-	c.sregs[isa.SRegVecStrideA] = 1
-	c.sregs[isa.SRegVecStrideB] = 1
-	c.sregs[isa.SRegVecStrideD] = 1
-	c.sregs[isa.SRegRowTiles] = 1
-	c.stats = CoreStats{CoreID: c.id}
 }
 
+// errf reports a fault at the core's instruction; %w wraps an error.
 func (c *core) errf(format string, args ...any) error {
 	pc := c.pc
 	var cur string
 	if pc < len(c.code) {
 		cur = c.code[pc].String()
 	}
-	return fmt.Errorf("core %d pc %d [%s] t=%d: %s", c.id, pc, cur, c.time, fmt.Sprintf(format, args...))
+	return fmt.Errorf("core %d pc %d [%s] t=%d: "+format, append([]any{c.id, pc, cur, c.time}, args...)...)
 }
 
 // reg reads a general register (G0 reads as zero).
@@ -344,13 +362,14 @@ func (c *core) retire(unit isa.Unit, issue, occupancy, completion int64, ranges 
 	c.stats.UnitBusy[unit] += occupancy
 }
 
-// localRange validates a [addr, addr+size) local window and backs it.
+// localRange validates a [addr, addr+size) local window: inside memory and
+// outside the hole, which an empty window enters only strictly inside.
 func (c *core) localRange(addr, size int32) (memRange, error) {
 	if size < 0 || addr < 0 || int(addr)+int(size) > int(c.localSize) {
 		return memRange{}, fmt.Errorf("local access [%d, %d+%d) out of bounds (%d)", addr, addr, size, c.localSize)
 	}
 	if addr < c.holeHi && addr+size > c.holeLo {
-		c.backLocal(addr, addr+size)
+		return memRange{}, fmt.Errorf("local access [%d, %d+%d) %w (hole [%d, %d))", addr, addr, size, ErrUnmapped, c.holeLo, c.holeHi)
 	}
 	return memRange{addr, addr + size}, nil
 }
@@ -376,11 +395,7 @@ func (c *core) vecSpan(base, stride, size, n int32) (memRange, error) {
 	if lo < 0 || hi > mem {
 		return memRange{}, fmt.Errorf("local access of %d x %d bytes at %d, stride %d, out of bounds (%d)", n, size, base, stride, mem)
 	}
-	r := memRange{int32(lo), int32(hi)}
-	if r.lo < c.holeHi && r.hi > c.holeLo {
-		c.backLocal(r.lo, r.hi)
-	}
-	return r, nil
+	return c.localRange(int32(lo), int32(hi-lo))
 }
 
 // phys returns where the local address of a window localRange or vecSpan
@@ -392,41 +407,6 @@ func (c *core) phys(addr int32) int32 {
 		return addr - c.localGap
 	}
 	return addr
-}
-
-// backLocal shrinks the hole to the larger of the two pieces a window [lo,
-// hi) inside the logical size leaves of it — an empty window enters the hole
-// only strictly inside it — and backs the other side through the window in
-// every lane, in whole pages: edges are multiples of the page or the logical
-// size, so a page of the dirty record lies wholly on one side. Growth that
-// fits the backing only moves an edge; past it every lane moves to a backing
-// at least twice as long, up to the logical size, its high part at the end,
-// so a core whose programs touch more and more of either end reallocates a
-// few times, and a retargeted chip's next programs regrow inside what it
-// kept. Doubling each side instead, and allocating just what that backs,
-// made cold_dse allocate about 4% more: every growth of one side copied the
-// other.
-func (c *core) backLocal(lo, hi int32) {
-	const page = 1 << dirtyShift
-	size, holeLo, holeHi := int(c.localSize), int(c.holeLo), int(c.holeHi)
-	if lo-c.holeLo >= c.holeHi-hi { // keep [holeLo, lo) unbacked
-		holeHi = max(holeLo, int(lo)&^(page-1))
-	} else { // keep [hi, holeHi)
-		holeLo = min(holeHi, (int(hi)+page-1)&^(page-1))
-	}
-	if n := holeLo + size - holeHi; n > len(c.local) {
-		n = min(max(n, 2*len(c.local)), size)
-		top := size - int(c.holeHi)
-		for l := range c.images {
-			im := &c.images[l]
-			grown := make([]byte, n)
-			copy(grown, im.local[:c.holeLo])
-			copy(grown[n-top:], im.local[len(im.local)-top:])
-			im.local = grown
-		}
-	}
-	c.holeLo, c.holeHi = int32(holeLo), int32(holeHi)
-	c.localGap = c.localSize - int32(len(c.local))
 }
 
 // readLocal copies lane l's local memory at [addr, addr+len(out)), inside

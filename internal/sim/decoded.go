@@ -151,7 +151,7 @@ func decScALU(c *core, d *isa.Decoded) (stepStatus, error) {
 	issue := c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 	v, err := scalarALU(d.Funct, c.reg(d.RS), c.reg(d.RT))
 	if err != nil {
-		return stepOK, c.errf("%v", err)
+		return stepOK, c.errf("%w", err)
 	}
 	c.setReg(d.RD, v, issue+c.latScalar)
 	c.retire(isa.UnitScalar, issue, 1, issue+c.latScalar, nil)
@@ -215,7 +215,7 @@ func decScALUI(c *core, d *isa.Decoded) (stepStatus, error) {
 	issue := c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 	v, err := scalarALU(d.Funct, c.reg(d.RS), d.Imm)
 	if err != nil {
-		return stepOK, c.errf("%v", err)
+		return stepOK, c.errf("%w", err)
 	}
 	c.setReg(d.RT, v, issue+c.latScalar)
 	c.retire(isa.UnitScalar, issue, 1, issue+c.latScalar, nil)
@@ -266,13 +266,13 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 		issue = c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 		done = c.chip.mesh.MemAccess(c.id, int(size), issue)
 		addr -= GlobalBase
-		if end := int(addr) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
+		if int(addr)+int(size) > len(c.chip.global[0]) {
 			return stepOK, c.errf("global access %d out of bounds", addr)
 		}
 	} else {
 		r, err := c.localRange(addr, size)
 		if err != nil {
-			return stepOK, c.errf("%v", err)
+			return stepOK, c.errf("%w", err)
 		}
 		c.rangeBuf[0] = r
 		ranges = c.rangeBuf[:1]
@@ -325,7 +325,7 @@ func decVFill(c *core, d *isa.Decoded) (stepStatus, error) {
 	dst := c.reg(d.RS)
 	r, err := c.localRange(dst, size)
 	if err != nil {
-		return stepOK, c.errf("%v", err)
+		return stepOK, c.errf("%w", err)
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], c.rangeBuf[:1])
@@ -363,7 +363,7 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	if !srcGlobal {
 		r, err := c.localRange(src, size)
 		if err != nil {
-			return stepOK, c.errf("%v", err)
+			return stepOK, c.errf("%w", err)
 		}
 		c.rangeBuf[nr] = r
 		nr++
@@ -371,7 +371,7 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	if !dstGlobal {
 		r, err := c.localRange(dst, size)
 		if err != nil {
-			return stepOK, c.errf("%v", err)
+			return stepOK, c.errf("%w", err)
 		}
 		c.rangeBuf[nr] = r
 		nr++
@@ -382,7 +382,7 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	// Functional copy, lane by lane.
 	if srcGlobal {
 		src -= GlobalBase
-		if end := int(src) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
+		if int(src)+int(size) > len(c.chip.global[0]) {
 			return stepOK, c.errf("global read [%d+%d) out of bounds", src, size)
 		}
 	} else {
@@ -390,7 +390,7 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	if dstGlobal {
 		dst -= GlobalBase
-		if end := int(dst) + int(size); end > len(c.chip.global[0]) && !c.chip.backGlobal(end) {
+		if int(dst)+int(size) > len(c.chip.global[0]) {
 			return stepOK, c.errf("global write [%d+%d) out of bounds", dst, size)
 		}
 	} else {
@@ -427,7 +427,7 @@ func decSend(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	r, err := c.localRange(src, size)
 	if err != nil {
-		return stepOK, c.errf("%v", err)
+		return stepOK, c.errf("%w", err)
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], c.rangeBuf[:1])
@@ -467,7 +467,7 @@ func decRecv(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	r, err := c.localRange(dst, want)
 	if err != nil {
-		return stepOK, c.errf("%v", err)
+		return stepOK, c.errf("%w", err)
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], c.rangeBuf[:1])
@@ -511,6 +511,9 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	if mgIdx < 0 || mgIdx >= len(c.mg) {
 		return stepOK, c.errf("macro group %d out of range [0,%d)", mgIdx, len(c.mg))
 	}
+	if c.mgMask>>mgIdx&1 == 0 {
+		return stepOK, c.errf("cim_load into macro group %d %w", mgIdx, ErrUnmapped)
+	}
 	groupChans := int32(c.groupChans)
 	rowOff := c.sregs[isa.SRegLoadRow]
 	chanOff := c.sregs[isa.SRegLoadChan]
@@ -522,29 +525,24 @@ func decCimLoad(c *core, d *isa.Decoded) (stepStatus, error) {
 	size := rows * chans
 	r, err := c.localRange(src, size)
 	if err != nil {
-		return stepOK, c.errf("%v", err)
+		return stepOK, c.errf("%w", err)
 	}
 	c.rangeBuf[0] = r
 	issue := c.hazardIssue(isa.UnitCIM, d.Srcs[:d.NSrc], c.rangeBuf[:1])
 	c.mgDirty |= 1 << mgIdx
 	src = c.phys(src)
 	tile := c.local[src : src+size]
-	old, w0 := c.mg[mgIdx], c.mg[mgIdx]
-	if w0 == nil { // no load has backed lane 0's group yet
-		w0 = make([]byte, int(c.macroRows)*c.groupChans)
-		c.mg[mgIdx] = w0
-	}
+	w0 := c.mg[mgIdx]
 	at := rowOff*groupChans + chanOff
 	for m := c.live() &^ 1; m != 0; m &= m - 1 {
 		im := &c.images[bits.TrailingZeros64(m)]
 		w, own := im.mg[mgIdx], im.local[src:src+size]
-		if w == nil || sameBuffer(w, old) { // reads as lane 0's
+		if sameBuffer(w, w0) { // reads as lane 0's
 			if bytes.Equal(own, tile) {
-				im.mg[mgIdx] = w0
 				continue
 			}
 			w = make([]byte, len(w0))
-			copy(w, old)
+			copy(w, w0)
 			im.mg[mgIdx] = w
 		}
 		putTile(w, own, rows, chans, at, groupChans)
@@ -586,6 +584,9 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	if int(d.MG) >= len(c.mg) {
 		return stepOK, c.errf("mvm targets macro group %d of %d", d.MG, len(c.mg))
 	}
+	if c.mgMask>>d.MG&1 == 0 {
+		return stepOK, c.errf("mvm on macro group %d %w", d.MG, ErrUnmapped)
+	}
 
 	// Validate the input segments; the scoreboard tracks the first and last.
 	segCount := c.sregs[isa.SRegSegCount]
@@ -598,7 +599,7 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 	for s := int32(0); s < segCount; s++ {
 		r, err := c.localRange(inAddr+s*segStride, segLen)
 		if err != nil {
-			return stepOK, c.errf("mvm segment %d: %v", s, err)
+			return stepOK, c.errf("mvm segment %d: %w", s, err)
 		}
 		if s == 0 || s == segCount-1 {
 			c.rangeBuf[nr] = r
@@ -626,10 +627,7 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		if !d.Accumulate {
 			clear(im.cimAcc)
 		}
-		// A group never loaded holds zeros, which would add nothing.
-		if w := im.mg[d.MG]; w != nil {
-			mvmLaneKernel(in, w, im.cimAcc, groupChans)
-		}
+		mvmLaneKernel(in, im.mg[d.MG], im.cimAcc, groupChans)
 	}
 	macs := int64(rows) * int64(groupChans)
 	c.stats.MACs += macs
@@ -651,7 +649,7 @@ func decCimMVM(c *core, d *isa.Decoded) (stepStatus, error) {
 		wbBytes = outChans * elem
 		r, err := c.localRange(outAddr, wbBytes)
 		if err != nil {
-			return stepOK, c.errf("mvm writeback: %v", err)
+			return stepOK, c.errf("mvm writeback: %w", err)
 		}
 		c.rangeBuf[nr] = r
 		nr++
@@ -724,14 +722,14 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 	var rB, rD memRange
 	rA, err := c.vecSpan(aAddr, strideA, sizeA, n)
 	if err != nil {
-		return stepOK, c.errf("vector src A: %v", err)
+		return stepOK, c.errf("vector src A: %w", err)
 	}
 	c.rangeBuf[nr] = rA
 	nr++
 	if sizeB != 0 {
 		rB, err = c.vecSpan(bAddr, strideB, sizeB, n)
 		if err != nil {
-			return stepOK, c.errf("vector src B: %v", err)
+			return stepOK, c.errf("vector src B: %w", err)
 		}
 		c.rangeBuf[nr] = rB
 		nr++
@@ -743,7 +741,7 @@ func decVec(c *core, d *isa.Decoded) (stepStatus, error) {
 			rD, err = c.vecSpan(dAddr, strideD, sizeD, n)
 		}
 		if err != nil {
-			return stepOK, c.errf("vector dst: %v", err)
+			return stepOK, c.errf("vector dst: %w", err)
 		}
 		c.rangeBuf[nr] = rD
 		nr++

@@ -50,23 +50,21 @@ func (ch *Chip) ResetFootprint() ResetFootprint {
 	return f
 }
 
-// group returns lane 0's macro group g, backing it as a first CIM_LOAD
-// would, for the white-box tests that write weights in directly.
+// whole maps all of c's memory, as loading a program with no map does, for
+// the white-box tests that write operands and weights in directly, before or
+// after they load one.
+func (c *core) whole() { c.mapMemory(MemMap{Groups: uint32(uint64(1)<<len(c.mg) - 1)}) }
+
+// group returns lane 0's macro group g of the whole-core map.
 func (c *core) group(g int) []byte {
-	if c.mg[g] == nil {
-		c.mg[g] = make([]byte, int(c.macroRows)*c.groupChans)
-	}
+	c.whole()
 	return c.mg[g]
 }
 
 // mem returns lane 0's local memory of c up to the first page boundary (or
-// its end), backed as a window there would be, for the white-box tests that
-// write operands in and read results out directly: addresses below the hole
-// index the backing as they are.
+// its end) under the whole-core map, where addresses index the backing as
+// they are.
 func (c *core) mem() []byte {
-	n := min(1<<dirtyShift, c.localSize)
-	if _, err := c.localRange(0, n); err != nil {
-		panic(err)
-	}
-	return c.local[:n]
+	c.whole()
+	return c.local[:min(1<<dirtyShift, c.localSize)]
 }

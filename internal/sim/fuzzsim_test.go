@@ -16,14 +16,15 @@ import (
 // special-register traffic, local and global loads and stores, MEM_CPY,
 // VFILL, every VEC_* funct at strides -3..3 over overlapping windows,
 // CIM_LOAD and CIM_MVM, forward branches, counted loops, SEND/RECV rings and
-// pairs, barriers, over local windows at and across the edges of the hole
-// in a lazily backed local memory — and runs each fused, unfused and as an
-// eight-lane batch whose every lane has global input of its own. Every run
-// must match the reference executor on every register and every byte of
-// every memory (a lane that diverged is exempt), report a Stats that passes
-// Check and is the same in all three, leave its mailboxes empty, and go back
-// to power-on state on Reset with its payload pool intact. Plain go test
-// runs the 240 seeds.
+// pairs, barriers, over local windows at and across the edges of the pages
+// they touch — and runs each on a chip that maps the whole core, then loaded
+// with the map a compiler would declare for what that run touched (simMaps),
+// whose hole the windows border: fused, unfused and as an eight-lane batch
+// whose every lane has global input of its own. Every run must match the
+// reference executor on every register and every byte of every memory (a
+// lane that diverged is exempt), report a Stats that passes Check and is the
+// same in all four, leave its mailboxes empty, and go back to power-on state
+// on Reset with its payload pool intact. Plain go test runs the 240 seeds.
 func FuzzSimDifferential(f *testing.F) {
 	shapes := map[string]int{}
 	for i := 0; i < 240; i++ {
@@ -50,15 +51,14 @@ func FuzzSimDifferential(f *testing.F) {
 // lane-uniform half.
 const simWindow = 512
 
-// simLocalBytes is a generated program's local memory: eight pages, which a
-// chip backs on first touch.
+// simLocalBytes is a generated program's local memory: eight pages.
 const simLocalBytes = 32 << 10
 
 // simLayouts are the windows A, B and D, picked by bits 3-4 of the first
-// choice byte. A program's first stores are to A and then B, so in all but
-// the first layout they leave a hole in the backing between the first page
-// and the last, whose low edge D straddles in the second layout and whose
-// high edge it straddles in the third; the fourth touches the middle first.
+// choice byte. In all but the first layout A and B lie in the first page and
+// the last, so that the declared map's hole lies between them, and D
+// straddles its low edge in the second layout and its high edge in the
+// third; in the fourth the hole lies on either side of A in the middle.
 var simLayouts = [4][3]int32{
 	{1024, 3072, 5120},
 	{1024, simLocalBytes - 3072, 1<<dirtyShift - 100},
@@ -205,13 +205,18 @@ func runSimDifferential(t *testing.T, data []byte) {
 	}
 	var want *Stats
 	var wantErr string
-	for i, name := range []string{"fused", "unfused", "8 lanes"} {
-		lanes := 1 + 7*(i/2)
+	run := progs
+	for i, leg := range []struct {
+		name        string
+		mode, lanes int
+	}{{"whole core", 0, 1}, {"fused", 0, 1}, {"unfused", 1, 1}, {"8 lanes", 0, 8}} {
+		name, lanes := leg.name, leg.lanes
 		ch, err := NewChip(&cfg, WithLanes(lanes))
 		if err != nil {
 			t.Fatal(err)
 		}
-		decodedModes[i%2].load(t, ch, progs...)
+		ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
+		decodedModes[leg.mode].load(t, ch, run...)
 		if err := ch.SetLanes(lanes); err != nil {
 			t.Fatal(err)
 		}
@@ -228,8 +233,9 @@ func runSimDifferential(t *testing.T, data []byte) {
 		}
 		if i == 0 {
 			wantErr = fmt.Sprint(err)
+			run = simMaps(ch, progs)
 		} else if fmt.Sprint(err) != wantErr {
-			t.Errorf("%s: Run = %v, the fused run's %s", name, err, wantErr)
+			t.Errorf("%s: Run = %v, the whole-core run's %s", name, err, wantErr)
 		}
 		for k, q := range ch.mailbox {
 			if err == nil && !q.empty() {
@@ -245,7 +251,7 @@ func runSimDifferential(t *testing.T, data []byte) {
 			if want == nil {
 				want = &one
 			} else if !reflect.DeepEqual(&one, want) {
-				t.Errorf("%s: report differs from the fused run's:\n%+v\n%+v", name, &one, want)
+				t.Errorf("%s: report differs from the whole-core run's:\n%+v\n%+v", name, &one, want)
 			}
 		}
 		ch.Reset()
@@ -257,9 +263,31 @@ func runSimDifferential(t *testing.T, data []byte) {
 		}
 	}
 	if t.Failed() {
-		for _, p := range progs {
-			t.Logf("core %d:\n%s", p.Core, isa.DisassembleProgram(p.Code))
+		for _, p := range run {
+			t.Logf("core %d, map %+v:\n%s", p.Core, *p.Map, isa.DisassembleProgram(p.Code))
 		}
 		t.FailNow()
 	}
+}
+
+// simMaps returns progs, each declaring the map a compiler would for what it
+// touched on ch, a chip that ran them with no map: footprint's hole, kept
+// clear of the 200 bytes from each window register on, where a zero-length
+// operand names an address but no page, and every macro group, as a
+// generated program may multiply by one it never loaded.
+func simMaps(ch *Chip, progs []Program) []Program {
+	out := slices.Clone(progs)
+	for _, p := range progs {
+		c := ch.cores[p.Core]
+		for _, w := range c.regs[20:24] {
+			for pg := w >> dirtyShift; pg <= min(w+200, c.localSize-1)>>dirtyShift; pg++ {
+				c.dirty[pg>>6] |= 1 << (pg & 63)
+			}
+		}
+	}
+	for i, m := range footprint(ch, progs) {
+		m.Groups = 1<<len(ch.cores[progs[i].Core].mg) - 1
+		out[i].Map = &m
+	}
+	return out
 }

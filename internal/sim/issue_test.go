@@ -301,6 +301,7 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
 		ex.load(t, ch, Program{Code: code})
 		if err := ch.InitGlobal(GlobalSegment{Addr: 0, Data: global}); err != nil {
 			t.Fatal(err)

@@ -10,12 +10,13 @@ import (
 // Registers, program counters, the scoreboard, the scheduler, the NoC and
 // all cycle/energy accounting exist once per core — the timing plane. The
 // data plane exists once per lane: core.images[l] holds lane l's local
-// memory (backed where the programs touch it: the hole is lane-shared, see
-// core), accumulator and gather buffer, Chip.global[l] its global memory,
-// and a message payload carries every lane's bytes strided at the message
-// size. Macro groups are the exception: the chip is weight-stationary and a
-// batch runs every lane on the same weights, so lanes share lane 0's group
-// buffers until a CIM_LOAD gives one lane bytes unlike lane 0's (image.mg).
+// memory (backed where the program's map declares it: the hole is
+// lane-shared, see core), accumulator and gather buffer, Chip.global[l]
+// its global memory, and a message payload carries every lane's bytes
+// strided at the message size. Macro groups are the exception: the chip is
+// weight-stationary and a batch runs every lane on the same weights, so
+// lanes share lane 0's group buffers until a CIM_LOAD gives one lane bytes
+// unlike lane 0's (image.mg).
 // Each handler in decoded.go validates and times its micro-op once from the
 // shared registers, then applies the data effect to every live lane
 // (core.live); a one-lane run is the B = 1 case of the same loops. What
@@ -45,18 +46,14 @@ type image struct {
 	local []byte
 	// mg holds the per-macro-group weight matrices (rows x groupChans,
 	// row-major INT8 values stored as raw bytes, so the MVM row kernel can
-	// load eight of them at a time). A group is nil, reading as zeros, until
-	// the first CIM_LOAD into it backs it: a program names a few of a chip's
-	// groups, and backing all of them would cost 32 MB of macro groups at
-	// the default architecture. Lane l > 0's group g is either lane 0's
-	// buffer (sameBuffer: it reads as lane 0's) or, once a CIM_LOAD gave it
-	// a tile unlike lane 0's, a private copy (decCimLoad); Reset and
-	// configure point every lane at lane 0's again. Loads skip lanes that
-	// are not live, so such a lane may read lane 0's new weights, or hold
-	// nil where lane 0 backed the group (a later load takes that for lane
-	// 0's), but nothing reads a lane that was not live before the next
-	// Reset. cimAcc is the unit-level accumulator fed by the inter-macro
-	// adder tree, gather the reusable MVM input buffer.
+	// load eight of them at a time); those the map does not declare are
+	// empty. Lane l > 0's group g is either lane 0's buffer (sameBuffer: it
+	// reads as lane 0's) or, once a CIM_LOAD gave it a tile unlike lane 0's,
+	// a private copy (decCimLoad); Reset and mapping point every lane at
+	// lane 0's again. Loads skip lanes that are not live, so such a lane may
+	// read lane 0's new weights, but nothing reads a lane that was not live
+	// before the next Reset. cimAcc is the unit-level accumulator fed by the
+	// inter-macro adder tree, gather the reusable MVM input buffer.
 	mg     [][]byte
 	cimAcc []int32
 	gather []byte
@@ -85,17 +82,15 @@ func (ch *Chip) SetLanes(b int) error {
 	return nil
 }
 
-// laneGlobal returns lane l's global memory, backed through [addr,
-// addr+size), after checking that l is allocated and the span lies inside
-// the logical size.
+// laneGlobal returns lane l's global memory after checking that l is
+// allocated and [addr, addr+size) lies inside the declared size.
 func (ch *Chip) laneGlobal(l, addr, size int) ([]byte, error) {
 	if l < 0 || l >= len(ch.global) {
 		return nil, fmt.Errorf("sim: lane %d out of range [0, %d)", l, len(ch.global))
 	}
-	if err := checkSpan("global", addr, size, ch.globalSize); err != nil {
+	if err := checkSpan("global", addr, size, len(ch.global[l])); err != nil {
 		return nil, err
 	}
-	ch.backGlobal(addr + size)
 	return ch.global[l], nil
 }
 
@@ -162,7 +157,7 @@ func (c *core) live() uint64 {
 }
 
 // sameBuffer reports whether macro groups a and b are one buffer, or both
-// unbacked: whether a lane holding a reads as one holding b.
+// empty: whether a lane holding a reads as one holding b.
 func sameBuffer(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -649,11 +649,12 @@ func TestLaneStepAllocs(t *testing.T) {
 // addr+size check into a panicking make) and overflowing ends included —
 // and a lane that is not allocated.
 func TestAccessorBounds(t *testing.T) {
-	cfg := testConfig()
+	cfg := smallGlobalConfig()
 	ch, err := NewChip(&cfg, WithLanes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
 	const maxInt = int(^uint(0) >> 1)
 	errNotASegment := errors.New("span not expressible as a GlobalSegment")
 	accessors := []struct {

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -34,7 +35,36 @@ type Program struct {
 	// program; when absent (or out of sync with Code), LoadProgram
 	// predecodes on the spot.
 	Decoded []isa.Decoded
+	// Map is the memory the program touches; nil is the whole core.
+	Map *MemMap
 }
+
+// MemMap is the memory of its core a program touches, as the compiler lays
+// it out: local memory's constant pool [0, PoolEnd) and arena [ArenaMin,
+// LocalMemBytes), and the macro groups set in Groups. Anything else is an
+// ErrUnmapped fault: the compiler placed something it did not declare.
+type MemMap struct {
+	PoolEnd, ArenaMin int32
+	Groups            uint32
+}
+
+// Check reports whether m maps a core of cfg: a pool ending at or below the
+// arena, which starts inside local memory, and groups the core has.
+func (m MemMap) Check(cfg *arch.Config) error {
+	if m.PoolEnd < 0 || m.PoolEnd > m.ArenaMin || int(m.ArenaMin) > cfg.Core.LocalMemBytes ||
+		uint64(m.Groups)>>cfg.Core.NumMacroGroups != 0 {
+		return fmt.Errorf("memory map %+v does not fit %d bytes of local memory and %d macro groups",
+			m, cfg.Core.LocalMemBytes, cfg.Core.NumMacroGroups)
+	}
+	return nil
+}
+
+// ErrUnmapped is an access outside the program's MemMap, and ErrCycleLimit
+// a Run past its CycleLimit.
+var (
+	ErrUnmapped   = errors.New("outside the declared memory map")
+	ErrCycleLimit = errors.New("cycle limit")
+)
 
 // GlobalSegment initializes a region of global memory before execution.
 type GlobalSegment struct {
@@ -115,13 +145,10 @@ func (ch *Chip) putPayload(b []byte) {
 type Chip struct {
 	cfg  *arch.Config
 	mesh *noc.Mesh
-	// global[l] is the backed prefix of lane l's global memory (see
-	// lanes.go), all lanes backed alike; past it the memory reads as zeros
-	// up to its logical size, globalSize, which backGlobal backs on first
-	// touch.
-	global     [][]byte
-	globalSize int
-	cores      []*core
+	// global[l] is lane l's global memory (see lanes.go), all lanes as long
+	// as EnsureGlobal declared.
+	global [][]byte
+	cores  []*core
 
 	mailbox map[msgKey]*msgQueue
 	// payloads[k] is the LIFO free list of message buffers of capacity
@@ -174,8 +201,8 @@ func WithWorkers(int) ChipOption {
 	return func(*Chip) {}
 }
 
-// NewChip builds a chip with zeroed global memory and idle cores. Global
-// memory and macro groups are backed on first touch, not here.
+// NewChip builds a chip with idle cores and no memory: LoadProgram backs a
+// core's local memory and macro groups, EnsureGlobal global memory.
 func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
@@ -208,22 +235,16 @@ func checkConfig(cfg *arch.Config) error {
 }
 
 // Retarget makes the chip read as the one NewChip(cfg) builds with the same
-// lane capacity, in every byte and every logical size: it is reset, its
-// global memory zeroed, its programs dropped, and every buffer whose capacity
-// holds cfg's size is kept — local memories, lane 0's backed macro groups
-// (which every lane shares again), accumulators, global memory's backing, the dirty record, the mailboxes,
-// and the payload free lists trimmed to cfg's bound. Only buffers that must
-// grow are allocated; a macro group that no longer fits is dropped, to be
-// backed again by its next CIM_LOAD. CycleLimit stays. On error the
-// chip is unchanged.
+// lane capacity, in every byte and every size: it is reset, its memory
+// unmapped and its programs dropped, and every buffer is kept for the next
+// LoadProgram or EnsureGlobal to reslice — memories, accumulators, the dirty
+// record, the mailboxes, and the payload free lists trimmed to cfg's bound.
+// CycleLimit stays. On error the chip is unchanged.
 func (ch *Chip) Retarget(cfg *arch.Config) error {
 	if err := checkConfig(cfg); err != nil {
 		return err
 	}
 	ch.Reset()
-	for _, g := range ch.global {
-		clear(g)
-	}
 	ch.configure(cfg)
 	return nil
 }
@@ -231,8 +252,8 @@ func (ch *Chip) Retarget(cfg *arch.Config) error {
 // configure sizes a chip at power-on state for cfg: the mesh, the payload
 // bound, global memory and the cores. Every buffer it keeps is zero to its
 // capacity — nothing writes past a buffer's length, and Reset and Retarget
-// clear what runs wrote — so resliced it reads as a new one. Global memory
-// keeps its backing but backs nothing, as NewChip's does.
+// clear what runs wrote — so resliced it reads as a new one. Memory keeps
+// its backing but is declared empty, as NewChip's is.
 func (ch *Chip) configure(cfg *arch.Config) {
 	ch.cfg = cfg
 	ch.mesh = noc.New(cfg)
@@ -248,10 +269,7 @@ func (ch *Chip) configure(cfg *arch.Config) {
 		}
 	}
 	ch.activeLanes = 1
-	ch.globalSize = cfg.Chip.GlobalMemBytes
-	for l, g := range ch.global {
-		ch.global[l] = g[:0]
-	}
+	ch.EnsureGlobal(0)
 	n := cfg.NumCores()
 	ch.ready = fit(ch.ready, n)[:0]
 	for len(ch.cores) < n {
@@ -270,7 +288,8 @@ func (ch *Chip) configure(cfg *arch.Config) {
 // mid-simulation. A caller-supplied p.Decoded is trusted to be
 // isa.Predecode(p.Code) — the compiler attaches exactly that, letting every
 // chip built from one artifact share one immutable decoded program — and is
-// ignored when its length does not match.
+// ignored when its length does not match. It then backs what p.Map declares,
+// the whole core for a nil one (core.mapMemory).
 func (ch *Chip) LoadProgram(p Program) error {
 	if p.Core < 0 || p.Core >= len(ch.cores) {
 		return fmt.Errorf("sim: program for core %d out of range", p.Core)
@@ -278,6 +297,13 @@ func (ch *Chip) LoadProgram(p Program) error {
 	if size := len(p.Code) * 4; size > ch.cfg.Core.InstMemBytes {
 		return fmt.Errorf("sim: core %d program is %d bytes, instruction memory holds %d",
 			p.Core, size, ch.cfg.Core.InstMemBytes)
+	}
+	m := p.Map
+	if m == nil {
+		m = &MemMap{Groups: uint32(uint64(1)<<ch.cfg.Core.NumMacroGroups - 1)}
+	}
+	if err := m.Check(ch.cfg); err != nil {
+		return fmt.Errorf("sim: core %d: %w", p.Core, err)
 	}
 	dec := p.Decoded
 	if len(dec) != len(p.Code) {
@@ -290,6 +316,7 @@ func (ch *Chip) LoadProgram(p Program) error {
 	}
 	c := ch.cores[p.Core]
 	c.code, c.prog = p.Code, dec
+	c.mapMemory(*m)
 	return nil
 }
 
@@ -320,36 +347,21 @@ func checkSpan(what string, addr, size, n int) error {
 	return nil
 }
 
-// EnsureGlobal raises global memory's logical size to at least size bytes;
-// it allocates nothing, as the memory is backed on first touch. The
-// configured global memory (16 MB by default) is modeled as the on-chip tier
-// of a memory system whose capacity extends into DRAM behind the same port:
-// a layout larger than the configuration still runs, with the configured
-// bandwidth and latency.
+// EnsureGlobal sizes every lane's global memory to size bytes, keeping its
+// bytes, zeroing what it drops and growing with zeros. The configured global
+// memory (16 MB by default) is modeled as the on-chip tier of a memory
+// system whose capacity extends into DRAM behind the same port: a layout
+// larger than the configuration still runs, with the configured bandwidth
+// and latency.
 func (ch *Chip) EnsureGlobal(size int) {
-	ch.globalSize = max(ch.globalSize, size)
-}
-
-// backGlobal backs every lane's global memory through byte end-1, reporting
-// false when end lies past the logical size. The backing at least doubles on
-// growth, capped at the logical size, so a chip whose programs touch more
-// and more of it reallocates a few times, not at every touch.
-func (ch *Chip) backGlobal(end int) bool {
-	if end > ch.globalSize {
-		return false
-	}
-	if n := len(ch.global[0]); end > n {
-		n = min(max(end, 2*n), ch.globalSize)
-		for l, g := range ch.global {
-			if cap(g) < n {
-				grown := make([]byte, n)
-				copy(grown, g)
-				g = grown
-			}
-			ch.global[l] = g[:n]
+	size = max(size, 0)
+	for l, g := range ch.global {
+		clear(g[min(size, len(g)):])
+		if cap(g) < size {
+			g = append(make([]byte, 0, size), g...)
 		}
+		ch.global[l] = g[:size]
 	}
-	return true
 }
 
 // InitGlobal writes an initialization segment into every allocated lane's
@@ -369,17 +381,16 @@ func (ch *Chip) InitGlobal(seg GlobalSegment) error {
 // pooled runs to wipe the input and activation scratch regions while the
 // staged weights stay resident.
 func (ch *Chip) ZeroGlobal(addr, size int) error {
-	if err := checkSpan("global", addr, size, ch.globalSize); err != nil {
+	if err := checkSpan("global", addr, size, len(ch.global[0])); err != nil {
 		return err
 	}
-	// Past the backed prefix the memory holds nothing to clear. Every
-	// allocated lane is wiped, not just the active ones: a pooled chip may
-	// shrink and regrow its occupancy between runs, and a lane left dirty by
-	// an earlier wider run must not leak into a later one. Unlike Reset this
-	// keeps no record of what ran: the host stages into the region outside
-	// Run, and clearing it is a few tenths of a millisecond per batch.
+	// Every allocated lane is wiped, not just the active ones: a pooled chip
+	// may shrink and regrow its occupancy between runs, and a lane left dirty
+	// by an earlier wider run must not leak into a later one. Unlike Reset
+	// this keeps no record of what ran: the host stages into the region
+	// outside Run, and clearing it is a few tenths of a millisecond per batch.
 	for _, g := range ch.global {
-		clear(g[min(addr, len(g)):min(addr+size, len(g))])
+		clear(g[addr : addr+size])
 	}
 	return nil
 }
@@ -618,7 +629,7 @@ func (ch *Chip) Run(ctx context.Context) (*Stats, error) {
 				}
 			}
 			if c.time > limit {
-				return nil, fmt.Errorf("sim: core %d exceeded the cycle limit %d at pc %d", c.id, limit, c.pc)
+				return nil, fmt.Errorf("sim: core %d exceeded the %w %d at pc %d", c.id, ErrCycleLimit, limit, c.pc)
 			}
 			st, err := c.stepDecoded()
 			if err != nil {

@@ -190,7 +190,7 @@ func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, glob
 }
 
 // readsAs returns the first n bytes a memory backed by b reads as: b's own
-// bytes, then zeros past its end (an unbacked macro group or global tail).
+// bytes, then zeros past its end (an undeclared macro group).
 func readsAs(b []byte, n int) []byte {
 	if len(b) >= n {
 		return b[:n]

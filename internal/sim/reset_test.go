@@ -585,10 +585,10 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 
 // chipDiff names the first difference between a and b in the configuration,
 // anything NewChip sizes or derives from it, the mesh, the cores' programs,
-// registers and stats, or what any memory reads as — a macro group never
-// loaded, global memory past its backed prefix and local memory in its hole
-// read as zeros, to the group's size and the logical sizes — or a memory
-// backed past that size; "" when there is none.
+// registers and stats, or what any memory reads as — an undeclared macro
+// group and local memory in its hole read as zeros, to the group's size and
+// the logical size — or a memory backed past that size; "" when there is
+// none.
 func chipDiff(a, b *Chip) string {
 	switch {
 	case *a.cfg != *b.cfg:
@@ -598,16 +598,12 @@ func chipDiff(a, b *Chip) string {
 			a.lanesCap, a.activeLanes, a.payloadBound, b.lanesCap, b.activeLanes, b.payloadBound)
 	case !reflect.DeepEqual(a.mesh, b.mesh):
 		return "meshes differ"
-	case len(a.global) != len(b.global) || len(a.cores) != len(b.cores) || a.globalSize != b.globalSize:
-		return fmt.Sprintf("%d lanes, %d cores, %d global bytes vs %d, %d and %d",
-			len(a.global), len(a.cores), a.globalSize, len(b.global), len(b.cores), b.globalSize)
+	case len(a.global) != len(b.global) || len(a.cores) != len(b.cores):
+		return fmt.Sprintf("%d lanes and %d cores vs %d and %d", len(a.global), len(a.cores), len(b.global), len(b.cores))
 	}
 	for l := range a.global {
-		switch {
-		case max(len(a.global[l]), len(b.global[l])) > a.globalSize:
-			return fmt.Sprintf("lane %d: %d and %d global bytes backed of %d", l, len(a.global[l]), len(b.global[l]), a.globalSize)
-		case !sameReads(a.global[l], b.global[l]):
-			return fmt.Sprintf("lane %d: global memory differs (%d vs %d bytes backed)", l, len(a.global[l]), len(b.global[l]))
+		if !bytes.Equal(a.global[l], b.global[l]) {
+			return fmt.Sprintf("lane %d: global memory differs (%d vs %d bytes)", l, len(a.global[l]), len(b.global[l]))
 		}
 	}
 	for i, ca := range a.cores {
@@ -635,7 +631,7 @@ func chipDiff(a, b *Chip) string {
 			n := int(ca.macroRows) * ca.groupChans
 			for g := range ia.mg {
 				ga, gb := ia.mg[g], ib.mg[g]
-				if (ga != nil && len(ga) != n) || (gb != nil && len(gb) != n) || !sameReads(ga, gb) {
+				if (len(ga) != 0 && len(ga) != n) || (len(gb) != 0 && len(gb) != n) || !sameReads(ga, gb) {
 					return fmt.Sprintf("core %d lane %d: macro group %d differs (%d vs %d bytes backed of %d)", i, l, g, len(ga), len(gb), n)
 				}
 			}

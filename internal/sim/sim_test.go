@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -135,6 +136,7 @@ func TestGlobalMemoryAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
 	if err := ch.InitGlobal(GlobalSegment{Addr: 64, Data: []byte{11, 22, 33, 44}}); err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +575,7 @@ func TestCycleLimit(t *testing.T) {
 	ch, _ := NewChip(&cfg)
 	ch.CycleLimit = 1000
 	ch.LoadProgram(Program{Core: 0, Code: asm(t, "spin: JMP %spin")})
-	if _, err := ch.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cycle limit") {
+	if _, err := ch.Run(context.Background()); !errors.Is(err, ErrCycleLimit) {
 		t.Errorf("Run = %v, want cycle limit error", err)
 	}
 }
