@@ -60,6 +60,10 @@ type (
 	Compiled = compiler.Compiled
 	// Plan is the CG-level partitioning and mapping decision.
 	Plan = compiler.Plan
+	// InfeasibleError is a compilation point the chip cannot hold: the
+	// operator, the resource it overflows, what it needs and what the chip
+	// has. Compile, Estimate and sweeps return it as a *InfeasibleError.
+	InfeasibleError = compiler.ErrInfeasible
 	// Result is a completed run: statistics, output tensor, metrics.
 	Result = core.Result
 	// Stats is the simulator's chip-level report.

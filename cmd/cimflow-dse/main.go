@@ -26,6 +26,11 @@
 // shard checkpoints (derived from -checkpoint). Each shard converges to the
 // identical merged frontier.
 //
+// A point the chip cannot hold is a class of its own, apart from failures:
+// its row reads "INFEASIBLE <resource> need N have M (operator)" and the
+// summary line counts it as infeasible, not failed. The planner finds
+// macro-group and core limits, so a search never simulates such a point.
+//
 // The spec format (all axes optional except models; empty axes keep the
 // base configuration's value):
 //
@@ -45,6 +50,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -143,7 +149,10 @@ func run() error {
 		status := fmt.Sprintf("%8d cyc  %6.3f TOPS  %8.4f mJ",
 			r.Metrics.Cycles, r.Metrics.TOPS, r.Metrics.EnergyMJ)
 		if r.Err != nil {
-			status = "ERROR " + r.Err.Error()
+			status = dse.ErrorCell(r.Err)
+			if !infeasible(r.Err) {
+				status = "ERROR " + status
+			}
 		} else if r.Cached {
 			status += "  (checkpoint)"
 		}
@@ -204,15 +213,18 @@ func run() error {
 	table := cimflow.SweepTable(title, shown)
 	table.Write(os.Stdout)
 
-	failed := 0
+	failed, unfit := 0, 0
 	for _, r := range rows {
-		if r.Err != nil {
+		switch {
+		case infeasible(r.Err):
+			unfit++
+		case r.Err != nil:
 			failed++
 		}
 	}
 	cache := opt.Cache
-	fmt.Printf("\n%s in %v: %d frontier point(s), %d compiles, %d cache hits, %d failed\n",
-		summary, time.Since(start).Round(time.Millisecond), len(front), cache.CompileCalls(), cache.Hits(), failed)
+	fmt.Printf("\n%s in %v: %d frontier point(s), %d compiles, %d cache hits, %d failed, %d infeasible\n",
+		summary, time.Since(start).Round(time.Millisecond), len(front), cache.CompileCalls(), cache.Hits(), failed, unfit)
 	if store := cache.Store(); store != nil {
 		st := store.Stats()
 		fmt.Printf("artifact store %s: %d loaded, %d saved, %d evicted\n",
@@ -245,10 +257,16 @@ func run() error {
 			return err
 		}
 	}
-	if failed == len(rows) && len(rows) > 0 {
-		return fmt.Errorf("every point failed")
+	if failed+unfit == len(rows) && len(rows) > 0 {
+		return fmt.Errorf("every point failed or was infeasible")
 	}
 	return nil
+}
+
+// infeasible reports whether err is a point the chip cannot hold.
+func infeasible(err error) bool {
+	var inf *cimflow.InfeasibleError
+	return errors.As(err, &inf)
 }
 
 // parseShard parses "i/n" with 0 <= i < n and n >= 2.

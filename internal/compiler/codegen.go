@@ -34,6 +34,10 @@ type coregen struct {
 	arenaTop int32  // next free byte, growing down from local memory top
 	arenaMin int32  // low-water mark across ops
 	groups   uint32 // the macro groups the core loads
+	// op is the node being emitted; lowOp the one that set arenaMin and
+	// bigOp the one that emitted the most code, named by ErrInfeasible.
+	op, lowOp, bigOp string
+	bigLen           int
 }
 
 func (cg *coregen) arenaAlloc(size int32) int32 {
@@ -41,6 +45,7 @@ func (cg *coregen) arenaAlloc(size int32) int32 {
 	cg.arenaTop -= size
 	if cg.arenaTop < cg.arenaMin {
 		cg.arenaMin = cg.arenaTop
+		cg.lowOp = cg.op
 	}
 	return cg.arenaTop
 }
@@ -94,7 +99,7 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 		fullLimit:   opt.FullBufferLimit,
 	}
 	if gen.fullLimit == 0 {
-		gen.fullLimit = fullBufferLimit
+		gen.fullLimit = stagingBudget(cfg)
 	}
 	for _, st := range plan.Stages {
 		for _, op := range st.Ops {
@@ -139,8 +144,9 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 	}
 	// Codegen stage, part 2 (serial): deterministic merge bookkeeping in
 	// core-id order — emission error checks, the constant-pool global
-	// addresses (layout.alloc is order-dependent) and the local-memory
-	// overflow check.
+	// addresses (layout.alloc is order-dependent) and each core's memory
+	// map, held to the check a chip applies when it loads the program.
+	maps := make([]sim.MemMap, len(gen.cores))
 	for id, cg := range gen.cores {
 		if cg.e.err != nil {
 			return nil, fmt.Errorf("core %d: %w", id, cg.e.err)
@@ -153,9 +159,13 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 		} else {
 			layout.poolAddr[id] = -1
 		}
-		if cg.pool.size() > cg.arenaMin {
-			return nil, fmt.Errorf("compiler: core %d local memory overflow: pool %d bytes, arena reaches down to %d",
-				id, cg.pool.size(), cg.arenaMin)
+		maps[id] = sim.MemMap{PoolEnd: cg.pool.size(), ArenaMin: cg.arenaMin, Groups: cg.groups}
+		if err := maps[id].Check(cfg); err != nil {
+			have := cfg.Core.LocalMemBytes
+			if need := int(cg.pool.size()) + have - int(cg.arenaMin); need > have {
+				return nil, &ErrInfeasible{Node: cg.lowOp, Resource: "local memory bytes", Need: need, Have: have}
+			}
+			return nil, fmt.Errorf("compiler: internal: core %d: %w", id, err)
 		}
 	}
 	// Codegen stage, part 3: per-core finalization — prelude (constant
@@ -181,8 +191,8 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 		if err != nil {
 			return fmt.Errorf("compiler: core %d: %w", id, err)
 		}
-		if len(code)*4 > cfg.Core.InstMemBytes {
-			return fmt.Errorf("compiler: core %d program %d instructions exceeds instruction memory", id, len(code))
+		if need := len(code) * 4; need > cfg.Core.InstMemBytes {
+			return &ErrInfeasible{Node: cg.bigOp, Resource: "instruction memory bytes", Need: need, Have: cfg.Core.InstMemBytes}
 		}
 		// Lower to the predecoded micro-op form once per artifact: every
 		// chip (session pool, DSE sweep worker) shares the immutable
@@ -196,7 +206,7 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 			return fmt.Errorf("compiler: core %d: %w", id, err)
 		}
 		isa.Fuse(dec)
-		programs[id] = sim.Program{Core: id, Code: code, Decoded: dec, Map: &sim.MemMap{PoolEnd: cg.pool.size(), ArenaMin: cg.arenaMin, Groups: cg.groups}}
+		programs[id] = sim.Program{Core: id, Code: code, Decoded: dec, Map: &maps[id]}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -218,8 +228,12 @@ func (gen *generator) emitCore(core int) error {
 					if op.Replicas[rI].Shards[sI].Core != core {
 						continue
 					}
+					start := len(cg.e.code)
 					if err := gen.emitOp(st, op, rI, sI); err != nil {
 						return err
+					}
+					if n := len(cg.e.code) - start; n > cg.bigLen {
+						cg.bigOp, cg.bigLen = op.Node.Name, n
 					}
 				}
 			}
@@ -279,6 +293,7 @@ func (gen *generator) emitOp(st *Stage, op *OpPlan, rI, sI int) error {
 	defer cg.arenaReset(arenaTop)
 
 	n := op.Node
+	cg.op = n.Name
 	rows := rep.RowEnd - rep.RowStart
 	if rows <= 0 || sh.ChanCount <= 0 {
 		return nil
@@ -379,14 +394,14 @@ func (gen *generator) emitConv(cg *coregen, op *OpPlan, rI, sI int, rowBuf int32
 	sh := rep.Shards[sI]
 	gm := gen.geoms[n.ID]
 	gc := gen.cfg.GroupChannels()
-	if gm.passes != 1 {
+	if op.Passes != 1 {
 		return gen.emitConvMultiPass(cg, op, rI, sI, rowBuf, distribute)
 	}
 	ctStart := sh.ChanStart / gc
 	nct := (sh.ChanCount + gc - 1) / gc
 	rt := len(gm.tiles)
 	if nct*rt > gen.cfg.Core.NumMacroGroups {
-		return fmt.Errorf("shard needs %d macro groups, core has %d", nct*rt, gen.cfg.Core.NumMacroGroups)
+		return fmt.Errorf("internal: resident shard needs %d macro groups, core has %d", nct*rt, gen.cfg.Core.NumMacroGroups)
 	}
 
 	sp := gen.buildInputSpec(cg, op, rI, 0)
@@ -518,8 +533,11 @@ func (gen *generator) emitConv(cg *coregen, op *OpPlan, rI, sI int, rowBuf int32
 	return nil
 }
 
-// emitDense lowers a fully-connected shard, including weight-swap passes
-// when the operator exceeds core residency.
+// emitDense lowers a fully-connected shard. A shard whose channel tiles x
+// row tiles fit the core's macro groups loads them all once (op.Passes ==
+// 1); a larger one swaps (mvmGeom.fit): for each channel tile it reloads the
+// row tiles into groups 0..mg-1, mg at a time, just before their MVMs. The
+// whole input is always held (a dense input is a full buffer).
 func (gen *generator) emitDense(cg *coregen, op *OpPlan, rI, sI int, rowBuf int32, distribute func(uint8)) error {
 	e := cg.e
 	n := op.Node
@@ -530,14 +548,9 @@ func (gen *generator) emitDense(cg *coregen, op *OpPlan, rI, sI int, rowBuf int3
 	ctStart := sh.ChanStart / gc
 	nct := (sh.ChanCount + gc - 1) / gc
 	rt := len(gm.tiles)
-	if gm.passes > 1 && nct != 1 {
-		return fmt.Errorf("weight-swapping dense must hold one channel tile (has %d)", nct)
-	}
+	swap := op.Passes > 1
 
 	sp := gen.buildInputSpec(cg, op, rI, 0)
-	if !sp.full {
-		return fmt.Errorf("dense input of %d rows does not fit local memory", sp.hin)
-	}
 	wstg := cg.arenaAlloc(gen.wstgBytes())
 	gen.emitAcquireAll(cg, sp)
 
@@ -552,7 +565,7 @@ func (gen *generator) emitDense(cg *coregen, op *OpPlan, rI, sI int, rowBuf int3
 		if (ctStart+ct+1)*gc > n.Cout {
 			chans = n.Cout - (ctStart+ct)*gc
 		}
-		if gm.passes == 1 {
+		if !swap {
 			for ti := 0; ti < rt; ti++ {
 				gen.emitWeightLoad(cg, &gm, wstg, ctStart+ct, ti, ct*rt+ti)
 			}
@@ -560,7 +573,7 @@ func (gen *generator) emitDense(cg *coregen, op *OpPlan, rI, sI int, rowBuf int3
 		rowOff := int32(0)
 		for ti, t := range gm.tiles {
 			mgSlot := ct*rt + ti
-			if gm.passes > 1 {
+			if swap {
 				mgSlot = ti % mgPerCore
 				gen.emitWeightLoad(cg, &gm, wstg, ctStart+ct, ti, mgSlot)
 			}

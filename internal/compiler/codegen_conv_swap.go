@@ -6,15 +6,13 @@ import (
 	"cimflow/internal/isa"
 )
 
-// rawChunkBudget bounds the INT32 partial-sum buffer of multi-pass
-// convolutions.
-const rawChunkBudget = 160 << 10
-
 // emitConvMultiPass lowers a convolution whose row tiles exceed the core's
 // macro groups: output rows are processed in chunks, each chunk revisited
 // once per weight-swap pass with partial sums accumulated in an INT32
-// buffer, then requantized and distributed. The input ring is sized to
-// retain a whole chunk's window so every pass can re-read it.
+// buffer of at most stagingBudget bytes, then requantized and distributed.
+// The input ring is sized to retain a whole chunk's window so every pass can
+// re-read it. The planner only hands it a shard of one channel tile of
+// single-segment row tiles (mvmGeom.fit).
 func (gen *generator) emitConvMultiPass(cg *coregen, op *OpPlan, rI, sI int, rowBuf int32, distribute func(uint8)) error {
 	e := cg.e
 	n := op.Node
@@ -25,20 +23,17 @@ func (gen *generator) emitConvMultiPass(cg *coregen, op *OpPlan, rI, sI int, row
 	mg := gen.cfg.Core.NumMacroGroups
 	sc := sh.ChanCount
 	if (sc+gc-1)/gc != 1 {
-		return fmt.Errorf("multi-pass convolution shard must hold one channel tile (has %d chans)", sc)
+		return fmt.Errorf("internal: multi-pass convolution shard must hold one channel tile (has %d chans)", sc)
 	}
 	ctGlobal := sh.ChanStart / gc
 	rt := len(gm.tiles)
 	outW := n.OutShape.W
-	// Gather configuration must be uniform (single-segment tiles); this
-	// holds whenever segBytes > macroRows, which is implied by rt > mg.
-	for _, t := range gm.tiles {
-		if t.SegCount != 1 {
-			return fmt.Errorf("multi-pass convolution requires single-segment tiles")
-		}
+	// Gather configuration must be uniform (single-segment tiles).
+	if gm.tiles[0].SegCount != 1 {
+		return fmt.Errorf("internal: multi-pass convolution requires single-segment tiles")
 	}
 
-	chunkRows := rawChunkBudget / (4 * outW * gc)
+	chunkRows := int(stagingBudget(gen.cfg)) / (4 * outW * gc)
 	rows := rep.RowEnd - rep.RowStart
 	if chunkRows > rows {
 		chunkRows = rows

@@ -29,9 +29,12 @@ type costModel struct {
 	// geoms maps conv/dense node ids to their CIM mapping geometry; it is
 	// read-only after construction and shared with the codegen stage.
 	geoms map[int]mvmGeom
-	// Flat per-unit tables, indexed by unit id.
+	// Flat per-unit tables, indexed by unit id. minCores, passes and unfit
+	// are place's answer for one replica.
 	perRow   []float64 // replica-independent per-output-row cost
 	minCores []int
+	passes   []int
+	unfit    []error // *ErrInfeasible, or nil when the unit fits
 	maxReps  []int
 	bedges   [][]bedge // input edges, in graph-walk order
 
@@ -72,6 +75,8 @@ func newCostModel(g *model.Graph, cfg *arch.Config, units []*unit) *costModel {
 		geoms:     make(map[int]mvmGeom, len(units)),
 		perRow:    make([]float64, len(units)),
 		minCores:  make([]int, len(units)),
+		passes:    make([]int, len(units)),
+		unfit:     make([]error, len(units)),
 		maxReps:   make([]int, len(units)),
 		bedges:    make([][]bedge, len(units)),
 		stageMemo: map[stageMemoKey]*stageAlloc{},
@@ -92,8 +97,8 @@ func newCostModel(g *model.Graph, cfg *arch.Config, units []*unit) *costModel {
 		}
 	}
 	for _, u := range units {
+		cm.minCores[u.id], cm.passes[u.id], cm.unfit[u.id] = cm.place(u)
 		cm.perRow[u.id] = cm.unitPerRow(u)
-		cm.minCores[u.id] = cm.unitMinCoresUncached(u)
 		cm.maxReps[u.id] = u.anchor.OutShape.H
 		for _, n := range u.nodes {
 			for _, inID := range n.Inputs {
@@ -160,21 +165,15 @@ func (cm *costModel) unitPerRow(u *unit) float64 {
 	switch anchor.Op {
 	case model.OpConv, model.OpDense:
 		gm := cm.geom(anchor)
-		ctPerCore := gm.chanTilesPerCore
-		if ctPerCore == 0 {
-			ctPerCore = 1
-		}
+		cores, passes := cm.minCores[u.id], cm.passes[u.id]
 		// Shards split channel tiles; the busiest core issues per pixel one
-		// MVM per resident (row tile x its channel tiles).
-		ctOnCore := (gm.chanTiles + gm.minCores - 1) / gm.minCores
-		if ctOnCore > ctPerCore {
-			ctOnCore = ctPerCore
-		}
+		// MVM per (row tile x its channel tiles), once per swap pass.
+		ctOnCore := (gm.chanTiles + cores - 1) / cores
 		var perPixel float64
 		for _, t := range gm.tiles {
 			perPixel += cm.mvmIssueCycles(t.Rows) * float64(ctOnCore)
 		}
-		perPixel *= float64(gm.passes)
+		perPixel *= float64(passes)
 		cimPerRow = perPixel * float64(out.W)
 		// Input staging: k rows of kw*cin copied per output row.
 		xferPerRow = float64(anchor.KH*gm.segBytes) / bw
@@ -182,7 +181,7 @@ func (cm *costModel) unitPerRow(u *unit) float64 {
 			// Gathering the whole input once; reloading weights per pass
 			// through the shared global port.
 			xferPerRow = float64(gm.rows) / bw
-			reload := float64(gm.passes-1) * float64(cm.cfg.CoreWeightBytes()) /
+			reload := float64(passes-1) * float64(cm.cfg.CoreWeightBytes()) /
 				float64(cm.cfg.Chip.GlobalMemBandwidth)
 			xferPerRow += reload
 		}
@@ -225,16 +224,23 @@ func (cm *costModel) unitCost(u *unit, replicas int) float64 {
 	return float64(rows) * cm.perRow[u.id]
 }
 
-// unitMinCoresUncached computes the minimum cores for one replica.
-func (cm *costModel) unitMinCoresUncached(u *unit) int {
+// place decides one replica of a unit: the cores it spans, its weight-swap
+// passes, and whether it fits at all. An MVM anchor takes the fewest cores
+// that hold it (mvmGeom.minCores), or the whole chip when that is more than
+// the chip has, and mvmGeom.fit judges the shard that leaves each core.
+// Depthwise and auxiliary anchors run on one core.
+func (cm *costModel) place(u *unit) (cores, passes int, err error) {
 	switch u.anchor.Op {
 	case model.OpConv, model.OpDense:
-		return cm.geom(u.anchor).minCores
+		gm := cm.geom(u.anchor)
+		cores = min(gm.minCores, cm.cfg.NumCores())
+		passes, err = gm.fit(cores, cm.cfg.Core.NumMacroGroups)
+		return cores, passes, err
 	}
-	return 1 // depthwise and aux run on one core minimum
+	return 1, 1, nil
 }
 
-// unitMinCores returns the minimum cores for one replica of the unit.
+// unitMinCores returns the cores one replica of the unit spans.
 func (cm *costModel) unitMinCores(u *unit) int { return cm.minCores[u.id] }
 
 // unitMaxReplicas bounds duplication by the output rows available to split.

@@ -138,8 +138,8 @@ func TestGeometryPadsPartialChannels(t *testing.T) {
 	if gm.chanTiles != 1 {
 		t.Errorf("chanTiles = %d, want 1 (16 chans pad into one 64-chan group)", gm.chanTiles)
 	}
-	if gm.minCores != 1 || gm.passes != 1 {
-		t.Errorf("minCores/passes = %d/%d, want 1/1", gm.minCores, gm.passes)
+	if passes, err := gm.fit(gm.minCores, cfg.Core.NumMacroGroups); gm.minCores != 1 || passes != 1 || err != nil {
+		t.Errorf("minCores/passes = %d/%d (%v), want 1/1", gm.minCores, passes, err)
 	}
 }
 

@@ -1,10 +1,6 @@
 package compiler
 
-import (
-	"fmt"
-
-	"cimflow/internal/model"
-)
+import "cimflow/internal/model"
 
 // stageAlloc is the mapping decision for one stage: a replica count per
 // unit (index-aligned with the units slice).
@@ -16,23 +12,18 @@ type stageAlloc struct {
 
 // mapStage implements OptimalMapping from Alg. 1: allocate each unit its
 // minimum cluster, then greedily duplicate the bottleneck unit's weights
-// into vacant cores while the cost model predicts a net gain. It returns an
-// infinite cost when the stage cannot fit the chip.
+// into vacant cores while the cost model predicts a net gain. It returns
+// false when the stage cannot fit the chip. A unit spread over the whole
+// chip (costModel.place) leaves no core for another.
 func (cm *costModel) mapStage(units []*unit, numCores int, inStage bmask, duplicate bool) (stageAlloc, bool) {
 	alloc := stageAlloc{units: units, replicas: make([]int, len(units))}
 	used := 0
 	for i, u := range units {
-		min := cm.unitMinCores(u)
-		if min > numCores {
-			// A single operator larger than the chip is only schedulable
-			// alone, with weight-swap passes over all cores.
-			if len(units) != 1 {
-				return alloc, false
-			}
-			min = numCores
+		if cm.unfit[u.id] != nil {
+			return alloc, false
 		}
 		alloc.replicas[i] = 1
-		used += min
+		used += cm.unitMinCores(u)
 	}
 	if used > numCores {
 		return alloc, false
@@ -97,13 +88,6 @@ func (cm *costModel) mapStage(units []*unit, numCores int, inStage bmask, duplic
 	return alloc, true
 }
 
-func geometryPasses(cm *costModel, u *unit) int {
-	if u.anchor.Op == model.OpConv || u.anchor.Op == model.OpDense {
-		return cm.geom(u.anchor).passes
-	}
-	return 1
-}
-
 // buildStage turns a stage allocation into concrete core assignments:
 // clusters are laid out on consecutive core ids (row-major mesh order, so
 // pipeline neighbors are mesh neighbors), each replica gets its minimum
@@ -117,15 +101,12 @@ func (cm *costModel) buildStage(id int, alloc stageAlloc) (*Stage, error) {
 	for ui, u := range alloc.units {
 		anchor := u.anchor
 		minCores := cm.unitMinCores(u)
-		if minCores > numCores {
-			minCores = numCores
-		}
 		replicas := alloc.replicas[ui]
-		if nextCore+minCores*replicas > numCores {
-			return nil, fmt.Errorf("compiler: stage %d overflows cores placing %s", id, anchor.Name)
+		if need := nextCore + minCores*replicas; need > numCores {
+			return nil, &ErrInfeasible{Node: anchor.Name, Resource: "cores", Need: need, Have: numCores}
 		}
 
-		plan := &OpPlan{Node: anchor, GlobalOut: -1, Passes: geometryPasses(cm, u)}
+		plan := &OpPlan{Node: anchor, GlobalOut: -1, Passes: cm.passes[u.id]}
 		rowRanges := splitRows(anchor.OutShape.H, replicas)
 		for _, rr := range rowRanges {
 			rep := Replica{RowStart: rr[0], RowEnd: rr[1]}

@@ -16,15 +16,11 @@ func mapStageReference(cm *costModel, units []*unit, numCores int, inStage bmask
 	alloc := stageAlloc{units: units, replicas: make([]int, len(units))}
 	used := 0
 	for i, u := range units {
-		min := cm.unitMinCores(u)
-		if min > numCores {
-			if len(units) != 1 {
-				return alloc, false
-			}
-			min = numCores
+		if cm.unfit[u.id] != nil {
+			return alloc, false
 		}
 		alloc.replicas[i] = 1
-		used += min
+		used += cm.unitMinCores(u)
 	}
 	if used > numCores {
 		return alloc, false

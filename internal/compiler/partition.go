@@ -35,7 +35,16 @@ func (cx *CompileContext) Partition(cfg *arch.Config, opt Options) (*Plan, error
 // Compile resolves the planner exactly once per call (a re-lookup could
 // rebuild the cost tables if the bounded planner cache evicted it
 // in between).
+//
+// A unit that fits no core count on the chip fails the whole point with its
+// *ErrInfeasible before any stage is costed; every other unit fits alone, so
+// each strategy then finds a partition.
 func (cx *CompileContext) partitionWith(cm *costModel, opt Options) (*Plan, error) {
+	for _, err := range cm.unfit {
+		if err != nil {
+			return nil, err
+		}
+	}
 	plan := &Plan{Strategy: opt.Strategy}
 	var (
 		stages [][]int // unit ids per stage
@@ -99,7 +108,7 @@ func greedyPartition(cm *costModel, units []*unit, duplicate bool) ([][]int, []s
 	for si, st := range stages {
 		alloc, ok := cm.stageCost(maskOf(st), duplicate)
 		if !ok {
-			return nil, nil, fmt.Errorf("compiler: stage %d (units %v) does not fit the chip even alone", si, st)
+			return nil, nil, fmt.Errorf("compiler: internal: greedy stage %d (units %v) does not map", si, st)
 		}
 		allocs[si] = *alloc
 	}
@@ -228,7 +237,7 @@ func dpPartition(cm *costModel, units []*unit, cs *closureSet) ([][]int, []stage
 		return nil, nil, fmt.Errorf("compiler: closure enumeration missed the full set")
 	}
 	if dp[full] >= inf {
-		return nil, nil, fmt.Errorf("compiler: no feasible partition found")
+		return nil, nil, fmt.Errorf("compiler: internal: no partition of units that each fit alone")
 	}
 
 	// Reconstruct stages back-to-front.

@@ -111,11 +111,12 @@ func TestGeometryResNetConv(t *testing.T) {
 	if gm.chanTiles != 8 {
 		t.Errorf("chan tiles = %d, want 8", gm.chanTiles)
 	}
-	if gm.chanTilesPerCore != 1 { // 16 MGs / 9 row tiles
-		t.Errorf("chanTilesPerCore = %d, want 1", gm.chanTilesPerCore)
+	// 16 MGs / 9 row tiles: one channel tile per core.
+	if passes, err := gm.fit(gm.minCores, 16); gm.minCores != 8 || passes != 1 || err != nil {
+		t.Errorf("minCores = %d passes = %d (%v), want 8/1", gm.minCores, passes, err)
 	}
-	if gm.minCores != 8 || gm.passes != 1 {
-		t.Errorf("minCores = %d passes = %d, want 8/1", gm.minCores, gm.passes)
+	if _, err := gm.fit(7, 16); err == nil {
+		t.Error("two channel tiles of 9 row tiles fit 16 macro groups")
 	}
 }
 
@@ -132,8 +133,8 @@ func TestGeometryVGGFC1RequiresSwapping(t *testing.T) {
 	if len(gm.tiles) != 49 {
 		t.Errorf("fc1 row tiles = %d, want 49 (25088/512)", len(gm.tiles))
 	}
-	if gm.passes != 4 { // ceil(49/16)
-		t.Errorf("fc1 passes = %d, want 4", gm.passes)
+	if passes, _ := gm.fit(gm.minCores, 16); passes != 4 { // ceil(49/16)
+		t.Errorf("fc1 passes = %d, want 4", passes)
 	}
 	if gm.minCores != 64 { // 4096/64 channel tiles
 		t.Errorf("fc1 minCores = %d, want 64", gm.minCores)

@@ -73,12 +73,30 @@ type Options struct {
 	// A plan built under the fallback reports it via Plan.ClosureCapHit.
 	MaxClosures int
 	// FullBufferLimit overrides the largest input buffer kept entirely in
-	// local memory (0 = default); smaller inputs avoid ring streaming.
+	// local memory (0 = 5/16 of the core's local memory); smaller inputs
+	// avoid ring streaming.
 	FullBufferLimit int32
 	// CodegenWorkers bounds the per-core code-generation workers (0 =
 	// GOMAXPROCS, 1 = sequential). The emitted artifact is byte-identical
 	// at any setting; only compile latency changes.
 	CodegenWorkers int
+}
+
+// ErrInfeasible is a compilation point the chip cannot hold: operator Node
+// needs Need of Resource ("macro groups" or "cores" per op, "local memory
+// bytes" or "instruction memory bytes" per core) where the chip has Have.
+// The planner finds macro-group and core limits, so Partition and Estimate
+// report them; local and instruction memory are codegen's findings, since
+// buffer sizes and code come from emission.
+type ErrInfeasible struct {
+	Node     string
+	Resource string
+	Need     int
+	Have     int
+}
+
+func (e *ErrInfeasible) Error() string {
+	return fmt.Sprintf("compiler: %s does not fit: needs %d %s, has %d", e.Node, e.Need, e.Resource, e.Have)
 }
 
 // unit is a condensed computation-graph node: an anchor operator (conv,

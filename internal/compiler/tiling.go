@@ -58,12 +58,9 @@ type mvmGeom struct {
 	segCount  int // kh (conv) or 1 (dense)
 	tiles     []RowTile
 	chanTiles int // ceil(Cout / groupChans)
-	// chanTilesPerCore is how many channel tiles fit one core with all row
-	// tiles resident; 0 means the row tiles alone exceed the core and
-	// weight-swap passes are required (dense only).
-	chanTilesPerCore int
-	minCores         int // cores for full residency (or ct cores when swapping)
-	passes           int // weight-swap passes per core (1 = resident)
+	// minCores is the fewest cores that hold the op resident, or one core
+	// per channel tile when its row tiles alone exceed a core's groups.
+	minCores int
 }
 
 // geometry computes the CIM mapping of an MVM node (conv or dense).
@@ -84,20 +81,40 @@ func geometry(g *model.Graph, cfg *arch.Config, n *model.Node) mvmGeom {
 	gm.tiles = rowTiles(gm.segCount, gm.segBytes, cfg.Unit.MacroRows)
 	gc := cfg.GroupChannels()
 	gm.chanTiles = (n.Cout + gc - 1) / gc
-	mg := cfg.Core.NumMacroGroups
-	rt := len(gm.tiles)
-	if rt <= mg {
-		gm.chanTilesPerCore = mg / rt
-		gm.minCores = (gm.chanTiles + gm.chanTilesPerCore - 1) / gm.chanTilesPerCore
-		gm.passes = 1
-	} else {
-		// Row tiles exceed one core's macro groups: hold one channel tile
-		// and swap row-tile sets through the macro groups.
-		gm.chanTilesPerCore = 0
-		gm.minCores = gm.chanTiles
-		gm.passes = (rt + mg - 1) / mg
+	gm.minCores = gm.chanTiles
+	if mg, rt := cfg.Core.NumMacroGroups, len(gm.tiles); rt <= mg {
+		perCore := mg / rt
+		gm.minCores = (gm.chanTiles + perCore - 1) / perCore
 	}
 	return gm
+}
+
+// fit is the one rule for what a core holds. Spreading the op's channel
+// tiles over c cores of mg macro groups leaves each core at most nct of
+// them; fit returns the weight-swap passes that shard needs (1 = resident)
+// or the *ErrInfeasible that says why it does not fit.
+//   - A shard is resident when its nct x rt tiles fit the groups.
+//   - Otherwise a dense op swaps: for each channel tile it reloads its row
+//     tiles mg at a time, so passes = nct x ceil(rt/mg).
+//   - A conv swaps only with one channel tile of single-segment row tiles,
+//     revisiting each chunk of output rows in ceil(rt/mg) passes. A
+//     resident conv that overflows the groups, or a multi-pass conv holding
+//     more than one channel tile, does not fit.
+func (gm *mvmGeom) fit(c, mg int) (int, error) {
+	nct := (gm.chanTiles + c - 1) / c
+	rt := len(gm.tiles)
+	swaps := (rt + mg - 1) / mg
+	switch {
+	case nct*rt <= mg:
+		return 1, nil
+	case gm.node.Op == model.OpDense:
+		return nct * swaps, nil
+	case rt <= mg || gm.tiles[0].SegCount > 1:
+		return 0, &ErrInfeasible{Node: gm.node.Name, Resource: "macro groups", Need: nct * rt, Have: mg}
+	case nct > 1:
+		return 0, &ErrInfeasible{Node: gm.node.Name, Resource: "cores", Need: gm.chanTiles, Have: c}
+	}
+	return swaps, nil
 }
 
 // shardChans splits cout channels across n cores in groupChans-aligned

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"cimflow/internal/arch"
 	"cimflow/internal/isa"
 	"cimflow/internal/model"
 	"cimflow/internal/sim"
@@ -85,9 +86,12 @@ type inputSpec struct {
 	consumerTag int32
 }
 
-// fullBufferLimit is the largest padded input buffer kept entirely in local
-// memory; larger inputs stream through a ring.
-const fullBufferLimit = 160 << 10
+// stagingBudget is the local memory one staging buffer of an op may take:
+// 5/16 of the core's (160 KB of the default 512 KB). A padded input buffer
+// up to it is held whole, a larger one streams through a ring
+// (Options.FullBufferLimit overrides that bound), and a multi-pass
+// convolution sizes its chunk of INT32 partial sums to it.
+func stagingBudget(cfg *arch.Config) int32 { return int32(cfg.Core.LocalMemBytes * 5 / 16) }
 
 // rowsOfFull returns the padded row range a full buffer must hold.
 func (sp *inputSpec) fullRange(oLo, oHi int) (padLo, padHi int) {

@@ -7,25 +7,42 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"cimflow/internal/compiler"
 )
 
 // SavedResult is the persisted form of one completed point: its metrics,
-// or the error message if it failed.
+// or the error message if it failed, with the ErrInfeasible behind it when
+// the chip could not hold the point.
 type SavedResult struct {
-	Label   string  `json:"label"`
-	Metrics Metrics `json:"metrics"`
-	CostEst float64 `json:"cost_est,omitempty"`
-	Err     string  `json:"err,omitempty"`
+	Label      string                  `json:"label"`
+	Metrics    Metrics                 `json:"metrics"`
+	CostEst    float64                 `json:"cost_est,omitempty"`
+	Err        string                  `json:"err,omitempty"`
+	Infeasible *compiler.ErrInfeasible `json:"infeasible,omitempty"`
 }
 
 // restore rebuilds the result of p from its saved form, marked Cached.
 func (s SavedResult) restore(p Point) PointResult {
 	r := PointResult{Point: p, Metrics: s.Metrics, CostEst: s.CostEst, Cached: true}
-	if s.Err != "" {
+	switch {
+	case s.Infeasible != nil:
+		r.Err = savedInfeasible{s.Err, s.Infeasible}
+	case s.Err != "":
 		r.Err = errors.New(s.Err)
 	}
 	return r
 }
+
+// savedInfeasible is a restored infeasible point's error: the saved text,
+// unwrapping to the ErrInfeasible so a resumed run classes it as before.
+type savedInfeasible struct {
+	msg string
+	inf *compiler.ErrInfeasible
+}
+
+func (e savedInfeasible) Error() string { return e.msg }
+func (e savedInfeasible) Unwrap() error { return e.inf }
 
 // checkpointFile is the on-disk JSON layout.
 type checkpointFile struct {
@@ -139,6 +156,7 @@ func (c *Checkpoint) Record(key string, r *PointResult) {
 	s := SavedResult{Label: r.Point.Label(), Metrics: r.Metrics, CostEst: r.CostEst}
 	if r.Err != nil {
 		s.Err = r.Err.Error()
+		errors.As(r.Err, &s.Infeasible)
 	}
 	c.data.Done[key] = s
 	_ = c.flushLocked()

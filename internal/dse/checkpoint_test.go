@@ -2,10 +2,12 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
 	"cimflow/internal/arch"
+	"cimflow/internal/compiler"
 )
 
 // TestCheckpointResume: an interrupted sweep's checkpoint lets the re-run
@@ -192,10 +194,12 @@ func TestCheckpointMissingFile(t *testing.T) {
 }
 
 // TestCheckpointRecordsErrors: failed points persist their error message
-// and are restored as failures, not silently retried as successes.
+// and are restored as failures, not silently retried as successes; an
+// infeasible point is restored as infeasible, with the same message.
 func TestCheckpointRecordsErrors(t *testing.T) {
 	base := arch.DefaultConfig()
-	points, err := (&Spec{Models: []string{"tinycnn"}, Strategies: []string{"generic"}}).Expand(base)
+	points, err := (&Spec{Models: []string{"tinycnn", "resnet18"}, Strategies: []string{"generic"},
+		MGSizes: []int{2}, CoreMeshes: [][2]int{{2, 2}}}).Expand(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +209,8 @@ func TestCheckpointRecordsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), points, RunOptions{Checkpoint: ckpt}); err != nil {
+	first, err := Run(context.Background(), points, RunOptions{Checkpoint: ckpt})
+	if err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := LoadCheckpoint(path)
@@ -216,8 +221,13 @@ func TestCheckpointRecordsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !results[0].Cached || results[0].Err == nil {
-		t.Errorf("failed point not restored as cached failure: cached=%v err=%v",
-			results[0].Cached, results[0].Err)
+	var inf *compiler.ErrInfeasible
+	for i, r := range results {
+		if !r.Cached || r.Err == nil || r.Err.Error() != first[i].Err.Error() {
+			t.Errorf("%s not restored as cached failure: cached=%v err=%v", r.Point.Label(), r.Cached, r.Err)
+		}
+		if errors.As(r.Err, &inf) != (i == 1) {
+			t.Errorf("%s: want infeasible %v, restored %v", r.Point.Label(), i == 1, r.Err)
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package dse
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 
+	"cimflow/internal/compiler"
 	"cimflow/internal/report"
 )
 
@@ -105,7 +108,7 @@ func ResultTable(title string, results []PointResult) *report.Table {
 			mark = "*"
 		}
 		if r.Err != nil {
-			errMsg = r.Err.Error()
+			errMsg = ErrorCell(r.Err)
 		}
 		mesh := ""
 		if p.Mesh != ([2]int{}) {
@@ -116,6 +119,17 @@ func ResultTable(title string, results []PointResult) *report.Table {
 			r.Metrics.TOPS, r.Metrics.EnergyMJ, mark, errMsg)
 	}
 	return t
+}
+
+// ErrorCell renders a failed point's error column. A point the chip cannot
+// hold is a class of its own, "INFEASIBLE <resource> need N have M (node)";
+// any other failure is its error text.
+func ErrorCell(err error) string {
+	var inf *compiler.ErrInfeasible
+	if errors.As(err, &inf) {
+		return fmt.Sprintf("INFEASIBLE %s need %d have %d (%s)", inf.Resource, inf.Need, inf.Have, inf.Node)
+	}
+	return err.Error()
 }
 
 // costEstCell renders the cost-model cycle estimate, blank when the point

@@ -2,12 +2,16 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cimflow/internal/arch"
+	"cimflow/internal/compiler"
 )
 
 // searchSpec is the shared tiny search space: 2 models x 1 strategy x 2 MG
@@ -317,5 +321,42 @@ func TestShardValidation(t *testing.T) {
 		Strategy: "halving", Budget: 2, Checkpoint: ckpt, Shard: 2, ShardCount: 2,
 	}); err == nil {
 		t.Error("out-of-range shard id accepted")
+	}
+}
+
+// TestInfeasiblePointNeverSimulated: resnet18 on a 2x2 mesh of 2-macro groups
+// needs more macro groups than a core has, which the planner finds, so the
+// point's estimate is an *ErrInfeasible and halving spends its simulations on
+// the tinymlp points alone.
+func TestInfeasiblePointNeverSimulated(t *testing.T) {
+	spec := &Spec{
+		Models:     []string{"tinymlp", "resnet18"},
+		Strategies: []string{"generic", "dp"},
+		MGSizes:    []int{2},
+		CoreMeshes: [][2]int{{2, 2}},
+	}
+	points, err := spec.Expand(arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &Evaluator{Cache: NewCompileCache()}
+	var inf *compiler.ErrInfeasible
+	for _, p := range points {
+		_, err := ev.Estimate(&p)
+		if unfit := errors.As(err, &inf); unfit != (p.Model == "resnet18") {
+			t.Errorf("%s: estimate error %v", p.Label(), err)
+		}
+	}
+	res, err := Search(context.Background(), spec, SearchOptions{Strategy: "halving", Budget: len(points), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sims != 2 {
+		t.Errorf("%d simulations, want the 2 tinymlp points", res.Sims)
+	}
+	for _, r := range res.Trajectory {
+		if r.Point.Model != "tinymlp" || r.Err != nil {
+			t.Errorf("simulated %s: %v", r.Point.Label(), r.Err)
+		}
 	}
 }
