@@ -232,66 +232,8 @@ func BenchmarkReferenceExecutor(b *testing.B) {
 	}
 }
 
-// --- Ablations: each turns off one compiler design choice (closure
-// enumeration in the Alg. 1 DP, streaming, the IR optimizer) ---
-
-// BenchmarkAblationClosureEnumeration compares the Alg. 1 DP over full
-// dependency-closure enumeration against the linear-prefix fallback
-// (MaxClosures=1 forces it): richer candidate stages should never lose
-// under the cost model, and the metric shows the gap.
-func BenchmarkAblationClosureEnumeration(b *testing.B) {
-	cfg := arch.DefaultConfig()
-	g := model.MobileNetV2()
-	for _, tc := range []struct {
-		name        string
-		maxClosures int
-	}{{"full_closures", 0}, {"prefix_fallback", 1}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var plan *compiler.Plan
-			var err error
-			for i := 0; i < b.N; i++ {
-				plan, err = compiler.Partition(g, &cfg, compiler.Options{
-					Strategy:    compiler.StrategyDP,
-					MaxClosures: tc.maxClosures,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(plan.EstimatedCycles, "est_cycles")
-			b.ReportMetric(float64(len(plan.Stages)), "stages")
-		})
-	}
-}
-
-// BenchmarkAblationStreaming compares full-buffer input staging against
-// forced ring streaming (tiny FullBufferLimit) — the local-memory
-// management choice for large activations.
-func BenchmarkAblationStreaming(b *testing.B) {
-	cfg := arch.DefaultConfig()
-	g := model.MobileNetV2()
-	for _, tc := range []struct {
-		name  string
-		limit int32
-	}{{"full_buffers", 0}, {"ring_streaming", 4096}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var res *core.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = core.Run(context.Background(), g, cfg, core.Options{
-					Strategy:        compiler.StrategyGeneric,
-					Seed:            1,
-					FullBufferLimit: tc.limit,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Stats.Cycles), "cycles")
-			b.ReportMetric(res.EnergyMJ, "mJ")
-		})
-	}
-}
+// --- Ablations: each turns off one compiler design choice (the IR
+// optimizer here; closure enumeration in internal/compiler) ---
 
 // BenchmarkAblationIROptimizer reports what the late linear-code passes
 // save on a real compiled model.

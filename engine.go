@@ -130,7 +130,7 @@ type sessionEntry struct {
 // identity (not pointer identity) means a serving loop may re-look a model
 // up per request and still reuse one Session.
 type sessionKey struct {
-	graph    string // dse.GraphFingerprint
+	graph    string // artifact.GraphFingerprint
 	strategy Strategy
 	seed     uint64
 	simLanes int
@@ -212,7 +212,7 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 		opt(&st)
 	}
 	key := sessionKey{
-		graph:    dse.GraphFingerprint(g),
+		graph:    artifact.GraphFingerprint(g),
 		strategy: st.Strategy,
 		seed:     st.Seed,
 		simLanes: st.SimLanes,

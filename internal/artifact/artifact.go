@@ -15,8 +15,7 @@
 //
 // The store (Open / Store) is a flat directory of <key>.cfa files where
 // the key is a hash of the compile inputs: writes are atomic
-// (temp file + rename), concurrent misses for one key are deduplicated
-// in-process (singleflight), reads refresh the file's LRU clock, and a
+// (temp file + rename), reads refresh the file's LRU clock, and a
 // size cap evicts least-recently-used artifacts. A shared flock marks the
 // directory in use, so exclusive maintenance (cimflow-artifact gc) cannot
 // run under a live reader; corrupt files are quarantined on load and
@@ -66,9 +65,8 @@ func corruptf(format string, args ...any) error {
 // ConfigFingerprint returns a stable hardware identity for a configuration:
 // the hex SHA-256 of its canonical JSON encoding with the cosmetic Name
 // field cleared. Two configs agree on the fingerprint iff every
-// architectural parameter agrees. (dse.Fingerprint delegates here; the
-// implementation lives in this package so the artifact codec does not
-// depend on the sweep engine.)
+// architectural parameter agrees, so it is safe as a compile-cache and
+// checkpoint key.
 func ConfigFingerprint(cfg *arch.Config) string {
 	c := *cfg
 	c.Name = ""
@@ -83,8 +81,11 @@ func ConfigFingerprint(cfg *arch.Config) string {
 
 // GraphFingerprint returns a stable structural identity for a model: the
 // hex SHA-256 over every node's printed field values (the cosmetic graph
-// Name is excluded, mirroring ConfigFingerprint). Unlike a JSON encoding,
-// fmt tolerates non-finite quantization scales in user-built graphs.
+// Name is excluded, mirroring ConfigFingerprint). Two graphs agree iff every
+// node, shape and quantization parameter agrees, so distinct models that
+// happen to share a Name never share a compiled artifact. Unlike a JSON
+// encoding, fmt tolerates non-finite quantization scales in user-built
+// graphs.
 func GraphFingerprint(g *model.Graph) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%d", len(g.Nodes))
@@ -94,17 +95,19 @@ func GraphFingerprint(g *model.Graph) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// Key returns the content address of a compile: the hex SHA-256 of the
-// graph fingerprint, the architecture fingerprint and every compiler
-// option that changes the emitted artifact. Worker-count and verbosity
-// options are excluded — they change compile latency, never the artifact.
+// Key returns the name of a compile: the hex SHA-256 of the codec
+// version, the graph fingerprint, the architecture fingerprint and the
+// strategy. Options.CodegenWorkers is excluded — it changes compile
+// latency, never the artifact.
 func Key(g *model.Graph, cfg *arch.Config, opt compiler.Options) string {
-	return keyFrom(GraphFingerprint(g), ConfigFingerprint(cfg), opt)
+	return keyFrom(Version, GraphFingerprint(g), ConfigFingerprint(cfg), opt.Strategy)
 }
 
-// keyFrom builds the store key from already-computed fingerprints.
-func keyFrom(graphFP, cfgFP string, opt compiler.Options) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|mc%d|fb%d",
-		graphFP, cfgFP, opt.Strategy, opt.MaxClosures, opt.FullBufferLimit)))
+// keyFrom builds the store key from already-computed fingerprints. The
+// codec version is part of it, so binaries of two versions sharing one
+// directory address different files instead of each dropping the other's
+// as undecodable.
+func keyFrom(version int, graphFP, cfgFP string, s compiler.Strategy) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s|%s|%d", version, graphFP, cfgFP, s)))
 	return hex.EncodeToString(sum[:16])
 }

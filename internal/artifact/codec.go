@@ -20,7 +20,7 @@ import (
 //
 //	magic   [4]byte "CFAR"
 //	version u16
-//	header  bytes       — Meta fields (fingerprints, options, summary)
+//	header  bytes       — Meta fields (fingerprints, strategy, summary)
 //	body                — config JSON, graph, plan, programs and memory maps,
 //	                      layout, pool segments, output node (to EOF-32)
 //	sha256  [32]byte    — digest of every preceding byte
@@ -35,7 +35,7 @@ var magic = [4]byte{'C', 'F', 'A', 'R'}
 
 // Version is the current codec version. Decoders refuse other versions
 // with ErrVersion; any change to the byte layout must bump it.
-const Version = 2
+const Version = 3
 
 const checksumLen = sha256.Size
 
@@ -58,27 +58,14 @@ type Meta struct {
 	GraphFP   string
 	ConfigFP  string
 	Strategy  compiler.Strategy
-	// MaxClosures and FullBufferLimit are the codegen-affecting compile
-	// options baked into the artifact (and its store key).
-	MaxClosures     int
-	FullBufferLimit int32
 	// Summary counters for listings.
 	Cores        int
 	Instructions int
 	GlobalBytes  int
 }
 
-// Options reconstructs the compiler options the artifact was built under.
-func (m Meta) Options() compiler.Options {
-	return compiler.Options{
-		Strategy:        m.Strategy,
-		MaxClosures:     m.MaxClosures,
-		FullBufferLimit: m.FullBufferLimit,
-	}
-}
-
 // Key returns the store key the artifact addresses itself under.
-func (m Meta) Key() string { return keyFrom(m.GraphFP, m.ConfigFP, m.Options()) }
+func (m Meta) Key() string { return keyFrom(m.Version, m.GraphFP, m.ConfigFP, m.Strategy) }
 
 // --- writer ---
 
@@ -226,13 +213,18 @@ func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // --- encode ---
 
-// Encode serializes a compiled artifact. The encoding is deterministic:
-// two structurally identical artifacts produce identical bytes, and
-// Encode(Decode(data)) == data.
+// Encode serializes a compiled artifact; opt are the options c was
+// compiled under, and a Strategy other than the one c's plan was built
+// with is refused (the file would sit under another compile's key). The
+// encoding is deterministic: two structurally identical artifacts produce
+// identical bytes, and Encode(Decode(data)) == data.
 func Encode(c *compiler.Compiled, opt compiler.Options) ([]byte, error) {
 	img, err := c.Image()
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
+	}
+	if opt.Strategy != img.Strategy {
+		return nil, fmt.Errorf("artifact: options name strategy %v, the plan was built under %v", opt.Strategy, img.Strategy)
 	}
 	w := &writer{buf: make([]byte, 0, 64<<10)}
 	w.buf = append(w.buf, magic[:]...)
@@ -248,8 +240,6 @@ func Encode(c *compiler.Compiled, opt compiler.Options) ([]byte, error) {
 	h.str(GraphFingerprint(img.Graph))
 	h.str(ConfigFingerprint(img.Cfg))
 	h.u8(uint8(img.Strategy))
-	h.sv(int64(opt.MaxClosures))
-	h.sv(int64(opt.FullBufferLimit))
 	h.uv(uint64(len(img.Programs)))
 	h.uv(uint64(insts))
 	h.uv(uint64(img.GlobalSize))
@@ -452,8 +442,6 @@ func readMeta(data []byte) (Meta, *reader, error) {
 		ConfigFP:  h.str(),
 		Strategy:  compiler.Strategy(h.u8()),
 	}
-	meta.MaxClosures = int(h.sv())
-	meta.FullBufferLimit = int32(h.sv())
 	meta.Cores = int(h.uv())
 	meta.Instructions = int(h.uv())
 	meta.GlobalBytes = int(h.uv())

@@ -47,7 +47,7 @@ func TestEncodeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		reencoded, err := Encode(decoded, meta.Options())
+		reencoded, err := Encode(decoded, compiler.Options{Strategy: meta.Strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,6 +141,39 @@ func TestDecodeRejectsVersions(t *testing.T) {
 	}
 	if _, err := ReadMeta([]byte("ELF\x7f junk")); !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadMeta non-artifact: %v", err)
+	}
+}
+
+// TestKeyCarriesVersion: one compile's key differs between codec versions,
+// so binaries of two versions sharing a store directory address different
+// files instead of each dropping the other's as undecodable (ErrVersion).
+func TestKeyCarriesVersion(t *testing.T) {
+	c, opt := compileTiny(t, "tinycnn", compiler.StrategyGeneric)
+	data, err := Encode(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := ReadMeta(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != Version || meta.Key() != Key(c.Graph, c.Cfg, opt) {
+		t.Fatalf("header key %s (version %d) != content key %s", meta.Key(), meta.Version, Key(c.Graph, c.Cfg, opt))
+	}
+	prev := meta
+	prev.Version = Version - 1
+	if prev.Key() == meta.Key() {
+		t.Fatalf("versions %d and %d share key %s", Version-1, Version, meta.Key())
+	}
+}
+
+// TestEncodeRefusesOtherStrategy: options naming a strategy other than
+// the plan's are refused, rather than encoded into a file whose key and
+// header disagree.
+func TestEncodeRefusesOtherStrategy(t *testing.T) {
+	c, _ := compileTiny(t, "tinycnn", compiler.StrategyGeneric)
+	if _, err := Encode(c, compiler.Options{Strategy: compiler.StrategyDP}); err == nil {
+		t.Fatal("a generic plan encoded under dp options")
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
-	"cimflow/internal/model"
 )
 
 // artifactExt is the on-disk file suffix for encoded artifacts.
@@ -61,10 +59,11 @@ type Entry struct {
 }
 
 // Store is a content-addressed artifact cache: a flat directory of
-// <key>.cfa files keyed by compile-input fingerprints. Writes are atomic
-// (temp file + rename into place), loads refresh the artifact's LRU clock,
-// concurrent in-process misses for one key compile once (singleflight),
-// and an optional size cap evicts least-recently-used entries. Two
+// <key>.cfa files keyed by compile-input fingerprints (Key). It is the disk
+// tier only — it never compiles; deduplicating concurrent compiles of one
+// key is dse.CompileCache's job. Writes are atomic (temp file + rename
+// into place), loads refresh the artifact's LRU clock, and an optional
+// size cap evicts least-recently-used entries. Two
 // processes may share a directory: each holds a shared advisory lock while
 // open, and because deletes only ever unlink (readers keep their open file;
 // a missing file is an ordinary miss) concurrent eviction is safe.
@@ -74,19 +73,10 @@ type Store struct {
 	maxBytes int64
 	lockf    *os.File
 
-	mu      sync.Mutex
-	closed  bool
-	flights map[string]*flight
+	mu     sync.Mutex
+	closed bool
 
 	loads, saves, misses, evictions, corrupt atomic.Int64
-}
-
-// flight deduplicates concurrent GetOrCompile calls for one key.
-type flight struct {
-	done      chan struct{}
-	c         *compiler.Compiled
-	fromStore bool
-	err       error
 }
 
 // Open opens (creating if needed) an artifact store rooted at dir, taking
@@ -120,7 +110,7 @@ func open(dir string, exclusive bool, opts ...StoreOption) (*Store, error) {
 		}
 		return nil, fmt.Errorf("artifact: locking store: %w", err)
 	}
-	s := &Store{dir: dir, lockf: lockf, flights: map[string]*flight{}}
+	s := &Store{dir: dir, lockf: lockf}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -176,10 +166,6 @@ func (s *Store) Load(key string) (*compiler.Compiled, Meta, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, Meta{}, err
 	}
-	return s.load(key)
-}
-
-func (s *Store) load(key string) (*compiler.Compiled, Meta, error) {
 	path := s.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -219,10 +205,6 @@ func (s *Store) Save(c *compiler.Compiled, opt compiler.Options) (string, error)
 	if err := s.checkOpen(); err != nil {
 		return "", err
 	}
-	return s.save(c, opt)
-}
-
-func (s *Store) save(c *compiler.Compiled, opt compiler.Options) (string, error) {
 	data, err := Encode(c, opt)
 	if err != nil {
 		return "", err
@@ -247,50 +229,6 @@ func (s *Store) save(c *compiler.Compiled, opt compiler.Options) (string, error)
 		s.enforceCap(key)
 	}
 	return key, nil
-}
-
-// GetOrCompile is the store's cache-aside path: load the artifact for
-// (g, cfg, opt) if stored, otherwise run compile and persist its result.
-// Concurrent in-process calls for one key share a single load-or-compile
-// (callers block on the first flight); distinct keys proceed in parallel.
-// The returned bool reports whether the artifact came from the store.
-// Store read or write failures never fail the compile — the store degrades
-// to a pass-through.
-func (s *Store) GetOrCompile(g *model.Graph, cfg *arch.Config, opt compiler.Options,
-	compile func() (*compiler.Compiled, error)) (*compiler.Compiled, bool, error) {
-	key := Key(g, cfg, opt)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, false, ErrClosed
-	}
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		return f.c, f.fromStore, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-
-	if c, _, err := s.load(key); err == nil {
-		f.c, f.fromStore = c, true
-		return c, true, nil
-	}
-	c, err := compile()
-	if err != nil {
-		f.err = err
-		return nil, false, err
-	}
-	s.save(c, opt) // best effort; a full disk must not fail the compile
-	f.c = c
-	return c, false, nil
 }
 
 // List describes every artifact in the store, sorted by key. Only file

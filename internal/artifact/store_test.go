@@ -5,14 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
-	"cimflow/internal/model"
 )
 
 func openTestStore(t *testing.T, opts ...StoreOption) *Store {
@@ -55,53 +51,6 @@ func TestStoreSaveLoad(t *testing.T) {
 	st := s.Stats()
 	if st.Saves != 1 || st.Loads != 1 || st.Misses != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestStoreGetOrCompile checks the cache-aside path end to end: first call
-// compiles and persists, second call loads without compiling, and N
-// concurrent first calls for one key share a single compile
-// (singleflight).
-func TestStoreGetOrCompile(t *testing.T) {
-	s := openTestStore(t)
-	cfg := arch.DefaultConfig()
-	g := model.Zoo("tinymlp")
-	opt := compiler.Options{Strategy: compiler.StrategyGeneric}
-	var compiles atomic.Int64
-	compile := func() (*compiler.Compiled, error) {
-		compiles.Add(1)
-		return compiler.Compile(g, &cfg, opt)
-	}
-
-	// Whether a given caller joins the leader's flight (hit=false) or
-	// arrives after it finished and loads from the store (hit=true) is a
-	// scheduling race; the invariant is that exactly one compile runs.
-	const callers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, _, err := s.GetOrCompile(g, &cfg, opt, compile)
-			if err != nil || c == nil {
-				t.Errorf("caller %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("%d concurrent misses ran %d compiles, want 1", callers, n)
-	}
-
-	c, hit, err := s.GetOrCompile(g, &cfg, opt, compile)
-	if err != nil || c == nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("second call did not load from store")
-	}
-	if compiles.Load() != 1 {
-		t.Fatal("second call recompiled")
 	}
 }
 
@@ -152,8 +101,9 @@ func TestStoreTwoProcess(t *testing.T) {
 }
 
 // TestStoreCorruptDrop checks the self-healing path: a damaged artifact
-// fails its load with a typed error, is removed so the next lookup is a
-// plain miss, and GetOrCompile transparently recompiles over it.
+// fails its load with a typed error and is removed, so the next lookup is
+// a plain miss. (dse.TestCompileCacheDedup checks that the compile cache
+// recompiles and re-saves over it.)
 func TestStoreCorruptDrop(t *testing.T) {
 	s := openTestStore(t)
 	c, opt := compileTiny(t, "tinycnn", compiler.StrategyGeneric)
@@ -178,13 +128,6 @@ func TestStoreCorruptDrop(t *testing.T) {
 	}
 	if _, _, err := s.Load(key); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("second load of dropped key: %v", err)
-	}
-	cfg := arch.DefaultConfig()
-	got, hit, err := s.GetOrCompile(model.Zoo("tinycnn"), &cfg, opt, func() (*compiler.Compiled, error) {
-		return compiler.Compile(model.Zoo("tinycnn"), &cfg, opt)
-	})
-	if err != nil || got == nil || hit {
-		t.Fatalf("recompile over dropped artifact: hit=%v err=%v", hit, err)
 	}
 	if s.Stats().Corrupt != 1 {
 		t.Fatalf("stats: %+v", s.Stats())
@@ -328,9 +271,5 @@ func TestStoreClosed(t *testing.T) {
 	}
 	if _, err := s.List(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("list after close: %v", err)
-	}
-	cfg := arch.DefaultConfig()
-	if _, _, err := s.GetOrCompile(c.Graph, &cfg, opt, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("getOrCompile after close: %v", err)
 	}
 }

@@ -15,13 +15,12 @@ import (
 // generator drives code generation: one emitter per core, walking the plan
 // stage by stage and lowering every (op, replica, shard) onto its core.
 type generator struct {
-	g         *model.Graph
-	cfg       *arch.Config
-	plan      *Plan
-	layout    *globalLayout
-	geoms     map[int]mvmGeom
-	cores     []*coregen
-	fullLimit int32
+	g      *model.Graph
+	cfg    *arch.Config
+	plan   *Plan
+	layout *globalLayout
+	geoms  map[int]mvmGeom
+	cores  []*coregen
 	// consumersOf lists the in-stage consumer edges of each node, in plan
 	// order (the order producers route and consumer cores execute).
 	consumersOf map[int][]edge
@@ -96,10 +95,6 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 		layout:      layout,
 		geoms:       cm.geoms,
 		consumersOf: map[int][]edge{},
-		fullLimit:   opt.FullBufferLimit,
-	}
-	if gen.fullLimit == 0 {
-		gen.fullLimit = stagingBudget(cfg)
 	}
 	for _, st := range plan.Stages {
 		for _, op := range st.Ops {

@@ -65,3 +65,30 @@ func BenchmarkCodegenSequential(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAblationClosureEnumeration compares the Alg. 1 DP over full
+// dependency-closure enumeration against the linear-prefix fallback (a
+// closure set enumerated under a cap of 1 forces it): richer candidate
+// stages should never lose under the cost model, and the metric shows the
+// gap.
+func BenchmarkAblationClosureEnumeration(b *testing.B) {
+	cfg := arch.DefaultConfig()
+	g := model.MobileNetV2()
+	for _, tc := range []struct {
+		name        string
+		maxClosures int
+	}{{"full_closures", defaultMaxClosures}, {"prefix_fallback", 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var plan *Plan
+			var err error
+			for i := 0; i < b.N; i++ {
+				plan, err = cappedContext(b, g, tc.maxClosures).Partition(&cfg, Options{Strategy: StrategyDP})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(plan.EstimatedCycles, "est_cycles")
+			b.ReportMetric(float64(len(plan.Stages)), "stages")
+		})
+	}
+}

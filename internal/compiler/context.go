@@ -29,7 +29,7 @@ type CompileContext struct {
 	units []*unit
 
 	mu       sync.Mutex
-	closures map[int]*closureSet
+	closures *closureSet // nil until the DP first asks
 	planners map[plannerKey]*costModel
 	order    []plannerKey // planner insertion order for bounded eviction
 }
@@ -42,8 +42,8 @@ type plannerKey struct{ cfg arch.Config }
 // maxPlanners bounds how many per-architecture planners one context
 // retains. Sweeps visit hundreds of architecture points; each point's
 // artifact is cached one level up (dse.CompileCache), so evicted planners
-// only cost recomputation when an old architecture is revisited with new
-// compile options.
+// only cost recomputation when an old architecture is revisited under
+// another strategy.
 const maxPlanners = 4
 
 // NewContext runs the frontend stage: graph validation and condensation
@@ -57,7 +57,6 @@ func NewContext(g *model.Graph) (*CompileContext, error) {
 	return &CompileContext{
 		g:        g,
 		units:    units,
-		closures: map[int]*closureSet{},
 		planners: map[plannerKey]*costModel{},
 	}, nil
 }
@@ -89,20 +88,15 @@ func (cx *CompileContext) planner(cfg *arch.Config) *costModel {
 	return cm
 }
 
-// closureSet returns the memoized dependency-closure enumeration for a
-// MaxClosures setting (0 normalizes to the default cap).
-func (cx *CompileContext) closureSet(maxClosures int) *closureSet {
-	if maxClosures <= 0 {
-		maxClosures = defaultMaxClosures
-	}
+// closureSet returns the graph's dependency-closure enumeration at the
+// fixed defaultMaxClosures cap, enumerating it on first use.
+func (cx *CompileContext) closureSet() *closureSet {
 	cx.mu.Lock()
 	defer cx.mu.Unlock()
-	if cs, ok := cx.closures[maxClosures]; ok {
-		return cs
+	if cx.closures == nil {
+		cx.closures = enumerateClosures(cx.units, defaultMaxClosures)
 	}
-	cs := enumerateClosures(cx.units, maxClosures)
-	cx.closures[maxClosures] = cs
-	return cs
+	return cx.closures
 }
 
 // codegenWorkers resolves the codegen worker count: the configured value,

@@ -55,7 +55,7 @@ func (cx *CompileContext) partitionWith(cm *costModel, opt Options) (*Plan, erro
 	case StrategyGeneric, StrategyDuplication:
 		stages, allocs, err = greedyPartition(cm, cx.units, opt.Strategy == StrategyDuplication)
 	case StrategyDP:
-		cs := cx.closureSet(opt.MaxClosures)
+		cs := cx.closureSet()
 		plan.ClosureCapHit = cs.capHit
 		plan.ClosuresEnumerated = cs.enumerated
 		stages, allocs, err = dpPartition(cm, cx.units, cs)

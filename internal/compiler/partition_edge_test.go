@@ -80,6 +80,19 @@ func TestDPPartitionAllNodesOneUnit(t *testing.T) {
 	}
 }
 
+// cappedContext returns a context for g whose closure set was enumerated
+// under a cap of n instead of defaultMaxClosures, so a small n forces the
+// DP onto the linear-prefix fallback.
+func cappedContext(tb testing.TB, g *model.Graph, n int) *CompileContext {
+	tb.Helper()
+	cx, err := NewContext(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cx.closures = enumerateClosures(cx.units, n)
+	return cx
+}
+
 // TestDPCapFallbackEquivalenceOnChain: on a chain graph the exhaustive
 // closure enumeration and the linear-prefix fallback describe the same
 // state space, so a forced-low cap must reproduce the uncapped plan exactly
@@ -91,7 +104,7 @@ func TestDPCapFallbackEquivalenceOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := Partition(g, &cfg, Options{Strategy: StrategyDP, MaxClosures: 1})
+	capped, err := cappedContext(t, g, 1).Partition(&cfg, Options{Strategy: StrategyDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +112,7 @@ func TestDPCapFallbackEquivalenceOnChain(t *testing.T) {
 		t.Error("uncapped run reported a cap hit")
 	}
 	if !capped.ClosureCapHit {
-		t.Fatal("MaxClosures=1 did not trigger the fallback")
+		t.Fatal("a cap of 1 did not trigger the fallback")
 	}
 	if capped.EstimatedCycles != free.EstimatedCycles {
 		t.Errorf("fallback estimate %f != uncapped %f", capped.EstimatedCycles, free.EstimatedCycles)
@@ -128,7 +141,8 @@ func TestDPCapFallbackEquivalenceOnChain(t *testing.T) {
 func TestDPCapFallbackSoundOnBranchyGraph(t *testing.T) {
 	g := model.ResNet18()
 	cfg := arch.DefaultConfig()
-	plan, err := Partition(g, &cfg, Options{Strategy: StrategyDP, MaxClosures: 5})
+	cx := cappedContext(t, g, 5)
+	plan, err := cx.Partition(&cfg, Options{Strategy: StrategyDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +170,7 @@ func TestDPCapFallbackSoundOnBranchyGraph(t *testing.T) {
 		}
 	}
 	// The capped plan must still compile end to end.
-	if _, err := Compile(g, &cfg, Options{Strategy: StrategyDP, MaxClosures: 5}); err != nil {
+	if _, err := cx.Compile(&cfg, Options{Strategy: StrategyDP}); err != nil {
 		t.Errorf("capped plan failed codegen: %v", err)
 	}
 }
@@ -166,7 +180,7 @@ func TestDPCapFallbackSoundOnBranchyGraph(t *testing.T) {
 func TestGreedyPlansReportNoCapHit(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	for _, s := range []Strategy{StrategyGeneric, StrategyDuplication} {
-		plan, err := Partition(model.TinyResNet(), &cfg, Options{Strategy: s, MaxClosures: 1})
+		plan, err := cappedContext(t, model.TinyResNet(), 1).Partition(&cfg, Options{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}

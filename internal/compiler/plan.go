@@ -68,14 +68,6 @@ func ParseStrategy(s string) (Strategy, error) {
 // Options configures compilation.
 type Options struct {
 	Strategy Strategy
-	// MaxClosures caps dependency-closure enumeration; beyond it the DP
-	// falls back to linear-prefix closures (always sound). 0 = default.
-	// A plan built under the fallback reports it via Plan.ClosureCapHit.
-	MaxClosures int
-	// FullBufferLimit overrides the largest input buffer kept entirely in
-	// local memory (0 = 5/16 of the core's local memory); smaller inputs
-	// avoid ring streaming.
-	FullBufferLimit int32
 	// CodegenWorkers bounds the per-core code-generation workers (0 =
 	// GOMAXPROCS, 1 = sequential). The emitted artifact is byte-identical
 	// at any setting; only compile latency changes.
@@ -166,9 +158,9 @@ type Plan struct {
 	// measures the truth).
 	EstimatedCycles float64
 	// ClosureCapHit reports that the DP's dependency-closure enumeration
-	// exceeded Options.MaxClosures and the partition was built on the
-	// linear-prefix fallback closures (sound, but no longer the exhaustive
-	// Alg. 1 search). Always false for the greedy strategies.
+	// exceeded its fixed cap of 4,096 closures and the partition was built
+	// on the linear-prefix fallback closures (sound, but no longer the
+	// exhaustive Alg. 1 search). Always false for the greedy strategies.
 	ClosureCapHit bool
 	// ClosuresEnumerated counts the distinct closures the enumeration
 	// visited before stopping (cap+1 or more when the cap was hit).

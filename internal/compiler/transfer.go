@@ -88,9 +88,9 @@ type inputSpec struct {
 
 // stagingBudget is the local memory one staging buffer of an op may take:
 // 5/16 of the core's (160 KB of the default 512 KB). A padded input buffer
-// up to it is held whole, a larger one streams through a ring
-// (Options.FullBufferLimit overrides that bound), and a multi-pass
-// convolution sizes its chunk of INT32 partial sums to it.
+// up to it is held whole, a larger one streams through a ring, and a
+// multi-pass convolution sizes its chunk of INT32 partial sums to it. It
+// depends on the chip alone: no compile option moves it.
 func stagingBudget(cfg *arch.Config) int32 { return int32(cfg.Core.LocalMemBytes * 5 / 16) }
 
 // rowsOfFull returns the padded row range a full buffer must hold.
@@ -150,7 +150,7 @@ func (gen *generator) buildInputSpecWindow(cg *coregen, op *OpPlan, rI, inputIdx
 
 	padLo, padHi := sp.fullRange(rep.RowStart, rep.RowEnd)
 	fullBytes := int32(padHi-padLo) * sp.rowBytes
-	if fullBytes <= gen.fullLimit || sp.ap.k < 0 || sp.ap.s == 0 {
+	if fullBytes <= stagingBudget(gen.cfg) || sp.ap.k < 0 || sp.ap.s == 0 {
 		sp.full = true
 		sp.padLo = padLo
 		sp.bufRows = int32(padHi - padLo)

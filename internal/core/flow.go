@@ -50,8 +50,6 @@ type Options struct {
 	Seed     uint64
 	// CycleLimit overrides the simulator's runaway guard (0 = default).
 	CycleLimit int64
-	// FullBufferLimit forwards the compiler's streaming threshold override.
-	FullBufferLimit int32
 	// MaxPooledChips bounds the live chips of the private Pool NewSession
 	// builds (0 = GOMAXPROCS); a session built on a shared Pool ignores it.
 	MaxPooledChips int
@@ -75,10 +73,7 @@ type Options struct {
 // stages it with deterministic synthetic weights; it also returns the
 // matching synthetic input.
 func session(g *model.Graph, cfg arch.Config, opt Options) (*Session, tensor.Tensor, error) {
-	compiled, err := compiler.Compile(g, &cfg, compiler.Options{
-		Strategy:        opt.Strategy,
-		FullBufferLimit: opt.FullBufferLimit,
-	})
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: opt.Strategy})
 	if err != nil {
 		return nil, tensor.Tensor{}, fmt.Errorf("core: compile %s: %w", g.Name, err)
 	}

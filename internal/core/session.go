@@ -72,8 +72,8 @@ type Session struct {
 
 // NewSession stages a compiled model for inference with the given weights,
 // on a private Pool of at most Options.MaxPooledChips live chips.
-// Options.Strategy and FullBufferLimit are ignored here (they were consumed
-// at compile time); CycleLimit applies per run.
+// Options.Strategy is ignored here (it was consumed at compile time);
+// CycleLimit applies per run.
 func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) (*Session, error) {
 	return NewPool(opt.MaxPooledChips).NewSession(compiled, ws, opt)
 }

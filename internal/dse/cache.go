@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,32 +12,6 @@ import (
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
 )
-
-// Fingerprint returns a stable hardware identity for a configuration: the
-// hex SHA-256 of its canonical JSON encoding with the cosmetic Name field
-// cleared. Two configs agree on the fingerprint iff every architectural
-// parameter agrees, so it is safe as a compile-cache and checkpoint key.
-// (The implementation lives in internal/artifact, which shares the
-// fingerprint as its on-disk content address.)
-func Fingerprint(cfg *arch.Config) string { return artifact.ConfigFingerprint(cfg) }
-
-// GraphFingerprint returns a stable structural identity for a model: the
-// hex SHA-256 over every node's printed field values (the cosmetic graph
-// Name is excluded, mirroring Fingerprint). Two graphs agree iff every
-// node, shape and quantization parameter agrees, so distinct models that
-// happen to share a Name (e.g. iterations of a user-built graph) never
-// share a compiled artifact. Unlike a JSON encoding, fmt tolerates
-// non-finite quantization scales in user-built graphs. (Implementation
-// shared with internal/artifact's content addressing.)
-func GraphFingerprint(g *model.Graph) string { return artifact.GraphFingerprint(g) }
-
-// cacheKey identifies one compiled artifact: the model's structural
-// fingerprint (name kept as a debuggable prefix), the hardware fingerprint
-// and every compiler option that affects code generation.
-func cacheKey(g *model.Graph, cfg *arch.Config, opt compiler.Options) string {
-	return fmt.Sprintf("%s@%s|%s|%v|mc%d|fb%d",
-		g.Name, GraphFingerprint(g), Fingerprint(cfg), opt.Strategy, opt.MaxClosures, opt.FullBufferLimit)
-}
 
 // CompileSource says where a compiled artifact came from.
 type CompileSource int
@@ -97,7 +72,9 @@ type ctxEntry struct {
 // distinct graph, so the compiler frontend runs once per model no matter
 // how many architecture points or strategies a sweep visits. It is safe
 // for concurrent use; a point compiled by one worker is awaited, not
-// recompiled, by the others.
+// recompiled, by the others. It is the only place a compile is
+// deduplicated: the attached artifact.Store is a plain disk tier it reads
+// and writes inside each key's one slot.
 type CompileCache struct {
 	mu         sync.Mutex
 	store      *artifact.Store
@@ -119,7 +96,7 @@ func NewCompileCache() *CompileCache {
 // Context returns the shared CompileContext for a graph, running the
 // compiler frontend at most once per structural fingerprint.
 func (c *CompileCache) Context(g *model.Graph) (*compiler.CompileContext, error) {
-	key := GraphFingerprint(g)
+	key := artifact.GraphFingerprint(g)
 	c.mu.Lock()
 	e, ok := c.ctxs[key]
 	if !ok {
@@ -160,9 +137,12 @@ func (c *CompileCache) Compile(g *model.Graph, cfg *arch.Config, opt compiler.Op
 // call (fresh compile, store load, or in-memory hit) and how long the
 // artifact originally took to produce. Lookup order is memory → store →
 // compile; fresh compiles are written back to the store when one is
-// attached.
+// attached. Entries are keyed by artifact.Key with the graph's name in
+// front, so a renamed copy of a graph gets a Compiled of its own name
+// (sharing the original's programs).
 func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt compiler.Options) (*compiler.Compiled, CompileInfo, error) {
-	key := cacheKey(g, cfg, opt)
+	storeKey := artifact.Key(g, cfg, opt)
+	key := g.Name + "@" + storeKey
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -177,24 +157,13 @@ func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt com
 	e.once.Do(func() {
 		leader = true
 		start := time.Now()
-		e.info.Source = SourceFresh
-		compile := func() (*compiler.Compiled, error) {
-			c.compiles.Add(1)
-			cx, err := c.Context(g)
-			if err != nil {
-				return nil, err
-			}
-			return cx.Compile(&e.cfg, opt)
-		}
-		if c.store != nil {
-			var fromStore bool
-			e.compiled, fromStore, e.err = c.store.GetOrCompile(g, &e.cfg, opt, compile)
-			if fromStore {
-				e.info.Source = SourceStore
-				c.storeLoads.Add(1)
-			}
-		} else {
-			e.compiled, e.err = compile()
+		e.compiled, e.info.Source, e.err = c.produce(g, &e.cfg, opt, storeKey)
+		if e.compiled != nil && e.compiled.Graph.Name != g.Name {
+			// The frontend and the store are shared by structure alone;
+			// an entry, keyed by name too, carries its caller's name.
+			named := *e.compiled
+			named.Graph = g
+			e.compiled = &named
 		}
 		e.info.Duration = time.Since(start)
 	})
@@ -203,6 +172,34 @@ func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt com
 		info.Source = SourceMemory
 	}
 	return e.compiled, info, e.err
+}
+
+// produce fills one entry: the attached store's artifact under key if it
+// holds a usable one, else a fresh compile, written back to the store.
+// Store read and write failures never fail the compile — the store
+// degrades to a pass-through — but a closed store fails with
+// artifact.ErrClosed.
+func (c *CompileCache) produce(g *model.Graph, cfg *arch.Config, opt compiler.Options, key string) (*compiler.Compiled, CompileSource, error) {
+	if c.store != nil {
+		compiled, _, err := c.store.Load(key)
+		if err == nil {
+			c.storeLoads.Add(1)
+			return compiled, SourceStore, nil
+		}
+		if errors.Is(err, artifact.ErrClosed) {
+			return nil, SourceFresh, err
+		}
+	}
+	c.compiles.Add(1)
+	cx, err := c.Context(g)
+	if err != nil {
+		return nil, SourceFresh, err
+	}
+	compiled, err := cx.Compile(cfg, opt)
+	if err == nil && c.store != nil {
+		c.store.Save(compiled, opt) // best effort; a full disk must not fail the compile
+	}
+	return compiled, SourceFresh, err
 }
 
 // CompileCalls reports how many real compiler.Compile invocations the

@@ -1,11 +1,15 @@
 package dse
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"cimflow/internal/arch"
+	"cimflow/internal/artifact"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
 )
@@ -16,12 +20,12 @@ import (
 func TestFingerprintStability(t *testing.T) {
 	base := arch.DefaultConfig()
 	same := arch.DefaultConfig()
-	if Fingerprint(&base) != Fingerprint(&same) {
+	if artifact.ConfigFingerprint(&base) != artifact.ConfigFingerprint(&same) {
 		t.Fatal("identical configs fingerprint differently")
 	}
 	renamed := base
 	renamed.Name = "other-name"
-	if Fingerprint(&base) != Fingerprint(&renamed) {
+	if artifact.ConfigFingerprint(&base) != artifact.ConfigFingerprint(&renamed) {
 		t.Error("config name must not affect the fingerprint")
 	}
 	variants := map[string]arch.Config{
@@ -30,9 +34,9 @@ func TestFingerprintStability(t *testing.T) {
 		"mesh":     base.WithCoreMesh(4, 4),
 		"localmem": base.WithLocalMemBytes(256 << 10),
 	}
-	seen := map[string]string{Fingerprint(&base): "base"}
+	seen := map[string]string{artifact.ConfigFingerprint(&base): "base"}
 	for knob, cfg := range variants {
-		fp := Fingerprint(&cfg)
+		fp := artifact.ConfigFingerprint(&cfg)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("%s variant collides with %s", knob, prev)
 		}
@@ -41,27 +45,43 @@ func TestFingerprintStability(t *testing.T) {
 	// Deep knobs must matter too, not just the With-helpers.
 	deep := base
 	deep.Unit.InputBits = 4
-	if Fingerprint(&base) == Fingerprint(&deep) {
+	if artifact.ConfigFingerprint(&base) == artifact.ConfigFingerprint(&deep) {
 		t.Error("unit-level knob change did not change the fingerprint")
 	}
 }
 
-// TestCacheKeyDiscriminates: the cache key separates models, strategies
-// and compiler options sharing one hardware config.
+// TestCacheKeyDiscriminates: the compile key separates models and
+// strategies sharing one hardware config, and the cache also keeps a
+// renamed copy of a graph apart, so no caller gets a Compiled carrying
+// another graph's name.
 func TestCacheKeyDiscriminates(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	tinycnn, tinymlp := model.TinyCNN(), model.TinyMLP()
 	keys := map[string]bool{}
 	for _, k := range []string{
-		cacheKey(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
-		cacheKey(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyDP}),
-		cacheKey(tinymlp, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
-		cacheKey(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric, FullBufferLimit: 4096}),
+		artifact.Key(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
+		artifact.Key(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyDP}),
+		artifact.Key(tinymlp, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
 	} {
 		if keys[k] {
-			t.Fatalf("duplicate cache key %q", k)
+			t.Fatalf("duplicate compile key %q", k)
 		}
 		keys[k] = true
+	}
+	renamed := *tinycnn
+	renamed.Name = "tinycnn-copy"
+	cache := NewCompileCache()
+	opt := compiler.Options{Strategy: compiler.StrategyGeneric}
+	a, err := cache.Compile(tinycnn, &cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cache.Compile(&renamed, &cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Graph.Name != tinycnn.Name || b.Graph.Name != renamed.Name {
+		t.Errorf("compiled names %q and %q, want %q and %q", a.Graph.Name, b.Graph.Name, tinycnn.Name, renamed.Name)
 	}
 }
 
@@ -76,10 +96,10 @@ func TestCacheDistinguishesSameNameGraphs(t *testing.T) {
 	g2, y := model.NewGraph("custom", model.Shape{H: 8, W: 8, C: 4})
 	y = g2.Conv("c1", y, 16, 3, 1, 1, true) // wider conv, same names
 	g2.Dense("fc", g2.Flatten("f", g2.GlobalAvgPool("gap", y)), 5, false)
-	if GraphFingerprint(g1) == GraphFingerprint(g2) {
+	if artifact.GraphFingerprint(g1) == artifact.GraphFingerprint(g2) {
 		t.Fatal("distinct graphs share a fingerprint")
 	}
-	if GraphFingerprint(g1) != GraphFingerprint(g1) {
+	if artifact.GraphFingerprint(g1) != artifact.GraphFingerprint(g1) {
 		t.Fatal("fingerprint is not stable")
 	}
 	// Non-finite quantization scales in user-built graphs must fingerprint
@@ -88,7 +108,7 @@ func TestCacheDistinguishesSameNameGraphs(t *testing.T) {
 	gNaN.Sigmoid("sig", z, float32(math.NaN()), 1)
 	gFin, z2 := model.NewGraph("custom", model.Shape{H: 4, W: 4, C: 2})
 	gFin.Sigmoid("sig", z2, 0.5, 1)
-	if GraphFingerprint(gNaN) == GraphFingerprint(gFin) {
+	if artifact.GraphFingerprint(gNaN) == artifact.GraphFingerprint(gFin) {
 		t.Fatal("NaN-scale graph shares a fingerprint with a finite one")
 	}
 	c := NewCompileCache()
@@ -116,38 +136,69 @@ func TestCacheDistinguishesSameNameGraphs(t *testing.T) {
 	}
 }
 
-// TestCompileCacheDedup: repeated and concurrent compiles of one key cost
-// exactly one compiler.Compile call.
+// TestCompileCacheDedup: the compile cache is the one place a compile is
+// deduplicated, its attached store a plain disk tier. Eight concurrent
+// first callers of one key run one compile and one Save; a second cache on
+// the same directory loads the artifact instead of compiling; a corrupt
+// file under the key is recompiled and re-saved; a closed store fails the
+// compile with artifact.ErrClosed.
 func TestCompileCacheDedup(t *testing.T) {
 	g := model.Zoo("tinycnn")
 	cfg := arch.DefaultConfig()
-	cache := NewCompileCache()
 	opt := compiler.Options{Strategy: compiler.StrategyGeneric}
-
-	first, err := cache.Compile(g, &cfg, opt)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	key := artifact.Key(g, &cfg, opt)
+	openStore := func() *artifact.Store {
+		t.Helper()
+		s, err := artifact.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
 	}
+	cacheOn := func(s *artifact.Store) *CompileCache {
+		c := NewCompileCache()
+		c.SetStore(s)
+		return c
+	}
+
+	store := openStore()
+	cache := cacheOn(store)
+	const callers = 8
+	got := make([]*compiler.Compiled, callers)
+	infos := make([]CompileInfo, callers)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := cache.Compile(g, &cfg, opt)
+			<-start
+			var err error
+			got[i], infos[i], err = cache.CompileWithInfo(g, &cfg, opt)
 			if err != nil {
 				t.Error(err)
 			}
-			if c != first {
-				t.Error("cache returned a different artifact for the same key")
-			}
 		}()
 	}
+	close(start)
 	wg.Wait()
-	if got := cache.CompileCalls(); got != 1 {
-		t.Errorf("CompileCalls = %d, want 1", got)
+	fresh := 0
+	for i := range callers {
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatalf("caller %d got a different artifact for the same key", i)
+		}
+		if infos[i].Source == SourceFresh {
+			fresh++
+		}
 	}
-	if hits := cache.Hits(); hits != 8 {
-		t.Errorf("Hits = %d, want 8", hits)
+	if cache.CompileCalls() != 1 || cache.Hits() != callers-1 || fresh != 1 {
+		t.Errorf("%d first callers: CompileCalls %d, Hits %d, %d fresh; want 1, %d, 1",
+			callers, cache.CompileCalls(), cache.Hits(), fresh, callers-1)
+	}
+	if st := store.Stats(); st.Saves != 1 || st.Loads != 0 {
+		t.Errorf("store after the first compile: %+v, want 1 save, 0 loads", st)
 	}
 	// A different strategy is a different artifact.
 	if _, err := cache.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyDP}); err != nil {
@@ -155,6 +206,45 @@ func TestCompileCacheDedup(t *testing.T) {
 	}
 	if got := cache.CompileCalls(); got != 2 {
 		t.Errorf("CompileCalls after second strategy = %d, want 2", got)
+	}
+
+	second := cacheOn(openStore())
+	if _, info, err := second.CompileWithInfo(g, &cfg, opt); err != nil || info.Source != SourceStore {
+		t.Fatalf("second cache on the directory: source %v, err %v", info.Source, err)
+	}
+	if second.StoreLoads() != 1 || second.CompileCalls() != 0 {
+		t.Errorf("second cache: StoreLoads %d, CompileCalls %d; want 1, 0", second.StoreLoads(), second.CompileCalls())
+	}
+
+	path := filepath.Join(dir, key+".cfa")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	healStore := openStore()
+	heal := cacheOn(healStore)
+	if _, info, err := heal.CompileWithInfo(g, &cfg, opt); err != nil || info.Source != SourceFresh {
+		t.Fatalf("over a corrupt file: source %v, err %v", info.Source, err)
+	}
+	if st := healStore.Stats(); heal.CompileCalls() != 1 || st.Corrupt != 1 || st.Saves != 1 {
+		t.Errorf("over a corrupt file: CompileCalls %d, store %+v; want 1 compile, 1 corrupt, 1 save", heal.CompileCalls(), st)
+	}
+	if _, _, err := healStore.Load(key); err != nil {
+		t.Errorf("re-saved artifact does not load: %v", err)
+	}
+
+	closedStore := openStore()
+	closedStore.Close()
+	closed := cacheOn(closedStore)
+	if _, err := closed.Compile(g, &cfg, opt); !errors.Is(err, artifact.ErrClosed) {
+		t.Errorf("compile on a closed store: %v, want ErrClosed", err)
+	}
+	if closed.CompileCalls() != 0 {
+		t.Errorf("a closed store ran %d compiles", closed.CompileCalls())
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"cimflow/internal/arch"
+	"cimflow/internal/artifact"
 	"cimflow/internal/compiler"
 )
 
@@ -94,7 +95,7 @@ func (p *Point) Label() string {
 // hardware configuration, so any knob change yields a different key while
 // cosmetic differences (config name) do not.
 func (p *Point) Key() string {
-	return fmt.Sprintf("%s|%v|%s|seed%d", p.Model, p.Strategy, Fingerprint(&p.Config), p.Seed)
+	return fmt.Sprintf("%s|%v|%s|seed%d", p.Model, p.Strategy, artifact.ConfigFingerprint(&p.Config), p.Seed)
 }
 
 // BaseConfig resolves the spec's base architecture: the Table I defaults

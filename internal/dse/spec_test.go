@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cimflow/internal/arch"
+	"cimflow/internal/artifact"
 	"cimflow/internal/compiler"
 )
 
@@ -78,7 +79,7 @@ func TestExpandEmptyAxesKeepBase(t *testing.T) {
 	if p.Seed != 1 {
 		t.Errorf("default seed = %d, want 1", p.Seed)
 	}
-	if Fingerprint(&p.Config) != Fingerprint(&base) {
+	if artifact.ConfigFingerprint(&p.Config) != artifact.ConfigFingerprint(&base) {
 		t.Error("empty axes changed the config")
 	}
 }
