@@ -426,22 +426,26 @@ func TestCloseDrainsFormingBatch(t *testing.T) {
 
 // TestFairnessAcrossModels: one worker, two hot models — the batch-level
 // round-robin at the dispatch gate must interleave them rather than serve
-// one model to completion first.
+// one model to completion first. The worker is parked until both models
+// hold a full batch at the gate with the rest of their requests queued, so
+// the interleaving is the gate's doing and not the order in which the
+// client goroutines happened to run.
 func TestFairnessAcrossModels(t *testing.T) {
 	sessA := newSession(t, model.TinyMLP(), 1, 1)
 	defer sessA.Close()
 	sessB := newSession(t, model.TinyCNN(), 2, 1)
 	defer sessB.Close()
 	srv := serve.NewServer(1)
-	cfg := serve.ModelConfig{MaxBatch: 2, QueueDepth: 16}
+	const perModel, maxBatch = 6, 2
+	cfg := serve.ModelConfig{MaxBatch: maxBatch, QueueDepth: 16}
 	if err := srv.AddModel("a", sessA, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.AddModel("b", sessB, cfg); err != nil {
 		t.Fatal(err)
 	}
+	release := parkWorker(t, srv)
 	ctx := context.Background()
-	const perModel = 6
 	type doneAt struct {
 		model string
 		at    time.Time
@@ -464,6 +468,13 @@ func TestFairnessAcrossModels(t *testing.T) {
 			}(m.name, m.sess, i)
 		}
 	}
+	for _, name := range []string{"a", "b"} {
+		waitFor(t, name+" batch held with the rest queued", func() bool {
+			m := srv.Metrics().Models[name]
+			return m.Accepted == perModel && m.QueueDepth == perModel-maxBatch
+		})
+	}
+	release()
 	wg.Wait()
 	close(times)
 	if err := srv.Close(); err != nil {
