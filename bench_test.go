@@ -257,7 +257,16 @@ func BenchmarkEndToEndValidation(b *testing.B) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyResNet()
 	for i := 0; i < b.N; i++ {
-		mism, err := core.Validate(context.Background(), g, cfg, core.Options{Strategy: compiler.StrategyDP, Seed: 1})
+		compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyDP})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := core.NewSession(compiled, model.NewSeededWeights(g, 1), core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mism, err := s.Validate(context.Background(), model.SeededInput(g.Nodes[0].OutShape, 2))
+		s.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,22 +29,25 @@ var (
 // options set defaults, and Session-level options override them per model.
 type Option func(*settings)
 
-// settings is the resolved option set; it reuses the internal flat struct.
+// settings is the resolved option set: what compiles a Session's model and
+// generates its weights, the internal session options, and the store.
 type settings struct {
 	core.Options
-	store *artifact.Store
+	strategy Strategy
+	seed     uint64
+	store    *artifact.Store
 }
 
 // WithStrategy selects the CG-level compilation strategy (default:
 // StrategyGeneric).
 func WithStrategy(s Strategy) Option {
-	return func(o *settings) { o.Strategy = s }
+	return func(o *settings) { o.strategy = s }
 }
 
 // WithSeed sets the deterministic synthetic-weight seed a Session loads
 // its model parameters from (default 0).
 func WithSeed(seed uint64) Option {
-	return func(o *settings) { o.Seed = seed }
+	return func(o *settings) { o.seed = seed }
 }
 
 // WithMaxPooledChips bounds the engine's live chips, idle or running, in the
@@ -213,8 +216,8 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 	}
 	key := sessionKey{
 		graph:    artifact.GraphFingerprint(g),
-		strategy: st.Strategy,
-		seed:     st.Seed,
+		strategy: st.strategy,
+		seed:     st.seed,
 		simLanes: st.SimLanes,
 	}
 	for {
@@ -232,12 +235,12 @@ func (e *Engine) Session(g *Graph, opts ...Option) (*Session, error) {
 		// Build outside the map lock: concurrent first-time callers of one
 		// key await a single compilation and a single weight-staging pass.
 		entry.once.Do(func() {
-			compiled, info, err := e.cache.CompileWithInfo(g, &e.cfg, compiler.Options{Strategy: st.Strategy})
+			compiled, info, err := e.cache.CompileWithInfo(g, &e.cfg, compiler.Options{Strategy: st.strategy})
 			if err != nil {
 				entry.err = fmt.Errorf("cimflow: compile %s: %w", g.Name, err)
 				return
 			}
-			inner, err := e.pool.NewSession(compiled, model.NewSeededWeights(g, st.Seed), st.Options)
+			inner, err := e.pool.NewSession(compiled, model.NewSeededWeights(g, st.seed), st.Options)
 			if err != nil {
 				entry.err = err
 				return

@@ -96,11 +96,11 @@ func GraphFingerprint(g *model.Graph) string {
 }
 
 // Key returns the name of a compile: the hex SHA-256 of the codec
-// version, the graph fingerprint, the architecture fingerprint and the
-// strategy. Options.CodegenWorkers is excluded — it changes compile
-// latency, never the artifact.
-func Key(g *model.Graph, cfg *arch.Config, opt compiler.Options) string {
-	return keyFrom(Version, GraphFingerprint(g), ConfigFingerprint(cfg), opt.Strategy)
+// version, the graph fingerprint (GraphFingerprint, which the caller
+// computes once for all its lookups of the graph), the architecture
+// fingerprint and the strategy.
+func Key(graphFP string, cfg *arch.Config, opt compiler.Options) string {
+	return keyFrom(Version, graphFP, ConfigFingerprint(cfg), opt.Strategy)
 }
 
 // keyFrom builds the store key from already-computed fingerprints. The

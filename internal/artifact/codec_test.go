@@ -86,7 +86,7 @@ func TestDecodeMeta(t *testing.T) {
 	if meta.Cores != len(c.Programs) || meta.GlobalBytes != c.GlobalBytes() {
 		t.Fatalf("meta summary wrong: %+v", meta)
 	}
-	if meta.Key() != Key(c.Graph, c.Cfg, opt) {
+	if meta.Key() != Key(GraphFingerprint(c.Graph), c.Cfg, opt) {
 		t.Fatal("meta key disagrees with content key")
 	}
 }
@@ -157,8 +157,8 @@ func TestKeyCarriesVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Version != Version || meta.Key() != Key(c.Graph, c.Cfg, opt) {
-		t.Fatalf("header key %s (version %d) != content key %s", meta.Key(), meta.Version, Key(c.Graph, c.Cfg, opt))
+	if meta.Version != Version || meta.Key() != Key(GraphFingerprint(c.Graph), c.Cfg, opt) {
+		t.Fatalf("header key %s (version %d) != content key %s", meta.Key(), meta.Version, Key(GraphFingerprint(c.Graph), c.Cfg, opt))
 	}
 	prev := meta
 	prev.Version = Version - 1

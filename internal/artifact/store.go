@@ -209,7 +209,7 @@ func (s *Store) Save(c *compiler.Compiled, opt compiler.Options) (string, error)
 	if err != nil {
 		return "", err
 	}
-	key := Key(c.Graph, c.Cfg, opt)
+	key := Key(GraphFingerprint(c.Graph), c.Cfg, opt)
 	tmp, err := os.CreateTemp(s.dir, "tmp-*"+artifactExt)
 	if err != nil {
 		return "", fmt.Errorf("artifact: staging %s: %w", key, err)

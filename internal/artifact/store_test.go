@@ -31,7 +31,7 @@ func TestStoreSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key != Key(c.Graph, c.Cfg, opt) {
+	if key != Key(GraphFingerprint(c.Graph), c.Cfg, opt) {
 		t.Fatalf("save key %s != content key", key)
 	}
 	loaded, meta, err := s.Load(key)

@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"cimflow/internal/arch"
@@ -74,10 +75,15 @@ func Compile(g *model.Graph, cfg *arch.Config, opt Options) (*Compiled, error) {
 // Compile lowers the context's graph onto an architecture: the planning
 // stage produces the CG-level plan (memoized per architecture), then the
 // codegen stage emits every core's instruction stream on an independent
-// worker (Options.CodegenWorkers, default GOMAXPROCS) and merges the
+// worker (GOMAXPROCS of them, at most one per core) and merges the
 // programs deterministically — the artifact is byte-identical at any
 // worker count.
 func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, error) {
+	return cx.compile(cfg, opt, runtime.GOMAXPROCS(0))
+}
+
+// compile is Compile on the given number of codegen workers.
+func (cx *CompileContext) compile(cfg *arch.Config, opt Options, workers int) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,7 +130,6 @@ func (cx *CompileContext) Compile(cfg *arch.Config, opt Options) (*Compiled, err
 	// independent workers; each worker walks the plan in the same nested
 	// order the sequential path uses, so a core's stream does not depend on
 	// the worker count.
-	workers := codegenWorkers(opt, len(gen.cores))
 	if err := forEachCore(len(gen.cores), workers, gen.emitCore); err != nil {
 		return nil, err
 	}
@@ -239,12 +244,12 @@ func (gen *generator) emitCore(core int) error {
 	return nil
 }
 
-// forEachCore runs fn for every core id on a bounded worker pool (workers
-// <= 1 runs inline). All cores are attempted; the error reported is the
-// lowest-core-id failure, keeping diagnostics deterministic under
-// parallelism.
+// forEachCore runs fn for every core id on at most workers workers, never
+// more than one per core (workers <= 1 runs inline). All cores are
+// attempted; the error reported is the lowest-core-id failure, keeping
+// diagnostics deterministic under parallelism.
 func forEachCore(numCores, workers int, fn func(core int) error) error {
-	if workers <= 1 {
+	if workers = min(workers, numCores); workers <= 1 {
 		for id := 0; id < numCores; id++ {
 			if err := fn(id); err != nil {
 				return err

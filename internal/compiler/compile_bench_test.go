@@ -60,7 +60,7 @@ func BenchmarkCodegenSequential(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := cx.Compile(&cfg, Options{Strategy: StrategyGeneric, CodegenWorkers: 1}); err != nil {
+		if _, err := cx.compile(&cfg, Options{Strategy: StrategyGeneric}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

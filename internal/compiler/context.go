@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"runtime"
 	"sync"
 
 	"cimflow/internal/arch"
@@ -97,17 +96,4 @@ func (cx *CompileContext) closureSet() *closureSet {
 		cx.closures = enumerateClosures(cx.units, defaultMaxClosures)
 	}
 	return cx.closures
-}
-
-// codegenWorkers resolves the codegen worker count: the configured value,
-// defaulting to GOMAXPROCS, never more than one worker per core.
-func codegenWorkers(opt Options, numCores int) int {
-	w := opt.CodegenWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > numCores {
-		w = numCores
-	}
-	return w
 }

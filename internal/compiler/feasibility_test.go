@@ -35,7 +35,7 @@ func TestProbeGridFeasibility(t *testing.T) {
 							t.Run(fmt.Sprintf("%s/%s/lm%d", point, strat, lm), func(t *testing.T) {
 								t.Parallel()
 								cfg := arch.DefaultConfig().WithCoreMesh(mesh, mesh).WithMacrosPerGroup(mg).WithLocalMemBytes(lm << 10)
-								c, err := Compile(model.Zoo(name), &cfg, Options{Strategy: strat, CodegenWorkers: 1})
+								c, err := Compile(model.Zoo(name), &cfg, Options{Strategy: strat})
 								var inf *ErrInfeasible
 								switch {
 								case err == nil:

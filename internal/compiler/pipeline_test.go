@@ -1,10 +1,7 @@
 package compiler
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -19,43 +16,24 @@ var zooModels = []string{
 
 var allStrategies = []Strategy{StrategyGeneric, StrategyDuplication, StrategyDP}
 
-// artifactHash digests everything observable about a compiled artifact:
-// per-core instruction streams, decoded programs, the global layout, the
-// static weight/constant segments, scratch ranges and the plan summary.
-func artifactHash(t *testing.T, c *Compiled) string {
+// image returns c's serialization image: every core's encoded program and
+// memory map, the plan, the global layout and the constant pools —
+// everything FromImage rebuilds an artifact from.
+func image(t *testing.T, c *Compiled) *Image {
 	t.Helper()
-	h := sha256.New()
-	fmt.Fprintf(h, "global=%d output=%d est=%.17g\nplan: %s\n",
-		c.GlobalBytes(), c.OutputNode, c.Plan.EstimatedCycles, c.Plan.Summary())
-	for _, p := range c.Programs {
-		fmt.Fprintf(h, "core %d (%d instructions)\n", p.Core, len(p.Code))
-		for _, ins := range p.Code {
-			fmt.Fprintf(h, "%+v\n", ins)
-		}
-		fmt.Fprintf(h, "decoded %d\n", len(p.Decoded))
-	}
-	ws := model.NewSeededWeights(c.Graph, 1)
-	segs, err := c.StaticInit(ws)
+	img, err := c.Image()
 	if err != nil {
-		t.Fatalf("StaticInit: %v", err)
+		t.Fatal(err)
 	}
-	// StaticInit walks a map; segment order is not part of the artifact.
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Addr < segs[j].Addr })
-	for _, seg := range segs {
-		fmt.Fprintf(h, "seg@%d %x\n", seg.Addr, sha256.Sum256(seg.Data))
-	}
-	for _, r := range c.ScratchRanges() {
-		fmt.Fprintf(h, "scratch %v\n", r)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return img
 }
 
 // TestPipelineParallelEquivalence is the differential proof of the staged
 // pipeline: for every zoo model and strategy, the parallel per-core codegen
-// produces an artifact byte-identical to the sequential path
-// (CodegenWorkers=1, which emits core by core exactly as the pre-pipeline
-// monolithic generator did), at several worker counts, both through
-// one-shot Compile and through a shared CompileContext.
+// produces an artifact identical to the sequential path (one worker, which
+// emits core by core exactly as the pre-pipeline monolithic generator did),
+// at several worker counts through a shared CompileContext and at the
+// default count through one-shot Compile.
 func TestPipelineParallelEquivalence(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	workerCounts := []int{2, 3, 8}
@@ -70,40 +48,34 @@ func TestPipelineParallelEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, s := range allStrategies {
-			opt := Options{Strategy: s, CodegenWorkers: 1}
-			ref, err := Compile(g, &cfg, opt)
+			opt := Options{Strategy: s}
+			fresh, err := NewContext(g)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ref, err := fresh.compile(&cfg, opt, 1)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", name, s, err)
 			}
-			want := artifactHash(t, ref)
+			want := image(t, ref)
 			for _, w := range workerCounts {
-				opt.CodegenWorkers = w
-				got, err := cx.Compile(&cfg, opt)
+				got, err := cx.compile(&cfg, opt, w)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", name, s, w, err)
 				}
-				if h := artifactHash(t, got); h != want {
+				if !reflect.DeepEqual(image(t, got), want) {
 					t.Errorf("%s/%s: artifact at %d workers diverges from sequential", name, s, w)
 				}
-				if !reflect.DeepEqual(programCodes(ref), programCodes(got)) {
-					t.Errorf("%s/%s: instruction streams differ at %d workers", name, s, w)
-				}
+			}
+			oneShot, err := Compile(g, &cfg, opt)
+			if err != nil {
+				t.Fatalf("%s/%s one-shot: %v", name, s, err)
+			}
+			if !reflect.DeepEqual(image(t, oneShot), want) {
+				t.Errorf("%s/%s: one-shot Compile diverges from sequential", name, s)
 			}
 		}
 	}
-}
-
-func programCodes(c *Compiled) [][]int32 {
-	out := make([][]int32, len(c.Programs))
-	for i, p := range c.Programs {
-		words := make([]int32, 0, len(p.Code)*8)
-		for _, ins := range p.Code {
-			words = append(words, int32(ins.Op), int32(ins.Funct), int32(ins.RS), int32(ins.RT),
-				int32(ins.RE), int32(ins.RD), ins.Imm, int32(ins.Flags))
-		}
-		out[i] = words
-	}
-	return out
 }
 
 // TestContextReuseAcrossStrategies: one context compiled under every
@@ -126,7 +98,7 @@ func TestContextReuseAcrossStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", s, err)
 			}
-			if artifactHash(t, shared) != artifactHash(t, fresh) {
+			if !reflect.DeepEqual(image(t, shared), image(t, fresh)) {
 				t.Errorf("%s @ %s: context-reusing compile diverges from one-shot", s, cfg.Name)
 			}
 		}
@@ -150,7 +122,7 @@ func TestPlannerEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := artifactHash(t, first)
+	want := image(t, first)
 	for _, mg := range []int{4, 8, 12, 16, 2} { // > maxPlanners distinct configs
 		cfg := base.WithMacrosPerGroup(mg)
 		if _, err := cx.Compile(&cfg, Options{Strategy: StrategyDP}); err != nil {
@@ -161,7 +133,7 @@ func TestPlannerEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if artifactHash(t, again) != want {
+	if !reflect.DeepEqual(image(t, again), want) {
 		t.Error("revisiting an evicted architecture produced a different artifact")
 	}
 }

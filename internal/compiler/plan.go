@@ -68,10 +68,6 @@ func ParseStrategy(s string) (Strategy, error) {
 // Options configures compilation.
 type Options struct {
 	Strategy Strategy
-	// CodegenWorkers bounds the per-core code-generation workers (0 =
-	// GOMAXPROCS, 1 = sequential). The emitted artifact is byte-identical
-	// at any setting; only compile latency changes.
-	CodegenWorkers int
 }
 
 // ErrInfeasible is a compilation point the chip cannot hold: operator Node

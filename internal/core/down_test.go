@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"testing"
 
 	"cimflow/internal/arch"
@@ -27,12 +25,5 @@ func TestSmokeDown(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := arch.DefaultConfig()
-	mism, err := Validate(context.Background(), g, cfg, Options{Strategy: compiler.StrategyGeneric, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mism != 0 {
-		t.Errorf("%d mismatches", mism)
-	}
+	assertValidates(t, g.Name, mustCompile(t, g, arch.DefaultConfig(), compiler.StrategyGeneric), 3)
 }

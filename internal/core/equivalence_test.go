@@ -9,7 +9,6 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
-	"cimflow/internal/tensor"
 )
 
 // assertResultsEqual requires two simulation runs to agree byte for byte on
@@ -56,59 +55,27 @@ func assertResultsEqual(t *testing.T, label string, ref, got *Result) {
 	}
 }
 
-// assertMatchesExecute requires a run's output to be the golden executor's,
-// model.Execute of the graph on the same weights and input, byte for byte.
-func assertMatchesExecute(t *testing.T, label string, compiled *compiler.Compiled, ws model.WeightStore, input tensor.Tensor, res *Result) {
-	t.Helper()
-	refs, err := model.Execute(compiled.Graph, input, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refs[compiled.OutputNode].Data, res.Output.Data) {
-		t.Errorf("%s: output differs from model.Execute", label)
-	}
-}
-
 // TestInterpreterEquivalence is the proof behind the simulator on compiled
 // programs: every model-zoo graph under every compilation strategy is
 // simulated, and the output tensor must be the golden executor's
 // (model.Execute) byte for byte, the report consistent (Stats.Check) and
 // exactly the golden row — cycles, instruction counts, MACs, the full energy
-// breakdown, NoC traffic and, through its digests, every per-core stat. In
-// -short mode the four large benchmark DNNs are skipped; the tiny networks
-// still cover every operator lowering.
+// breakdown, NoC traffic and, through its digests, every per-core stat. The
+// run is the case's first serial reference in the zoo fixture, input 0 on a
+// new chip, which TestLaneEquivalence holds its lanes to. In -short and
+// -race mode the four large benchmark DNNs are skipped.
 func TestInterpreterEquivalence(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	large := map[string]bool{"resnet18": true, "vgg19": true, "mobilenetv2": true, "efficientnetb0": true}
 	golden := newGoldenChecker(t)
-	for _, name := range model.ZooNames() {
-		if (testing.Short() || raceEnabled) && large[name] {
-			continue
-		}
-		g := model.Zoo(name)
-		for _, strat := range []compiler.Strategy{
-			compiler.StrategyGeneric, compiler.StrategyDuplication, compiler.StrategyDP,
-		} {
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
-				t.Parallel()
-				compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: strat})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ws := model.NewSeededWeights(g, 1)
-				input := model.SeededInput(g.Nodes[0].OutShape, 2)
-
-				res, err := Simulate(context.Background(), compiled, ws, input, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := res.Stats.Check(); err != nil {
-					t.Errorf("inconsistent report: %v", err)
-				}
-				assertMatchesExecute(t, "simulated", compiled, ws, input, res)
-				golden.check(t, name+"/"+strat.String(), res.Stats)
-			})
-		}
+	for _, c := range zooCases(arch.DefaultConfig()) {
+		t.Run(c.String(), func(t *testing.T) {
+			t.Parallel()
+			res := c.refs(t, zooLanes)[0]
+			if err := res.Stats.Check(); err != nil {
+				t.Errorf("inconsistent report: %v", err)
+			}
+			assertMatchesExecute(t, "simulated", c.compiled(t), 0, res)
+			golden.check(t, c.String(), res.Stats)
+		})
 	}
 }
 
@@ -123,78 +90,30 @@ func TestInterpreterEquivalenceSmallChip(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("large models on a constrained chip")
 	}
-	cfg := arch.DefaultConfig().WithCoreMesh(4, 4).WithMacrosPerGroup(4)
-	for _, name := range model.ZooNames() {
-		g := model.Zoo(name)
-		strats := []compiler.Strategy{compiler.StrategyGeneric, compiler.StrategyDuplication, compiler.StrategyDP}
-		if name == "vgg19" {
-			strats = strats[2:]
+	for _, c := range zooCases(arch.DefaultConfig().WithCoreMesh(4, 4).WithMacrosPerGroup(4)) {
+		if c.model == "vgg19" && c.strat != compiler.StrategyDP {
+			continue
 		}
-		for _, strat := range strats {
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
-				t.Parallel()
-				compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: strat})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ws := model.NewSeededWeights(g, 1)
-				input := model.SeededInput(g.Nodes[0].OutShape, 2)
-				res, err := Simulate(context.Background(), compiled, ws, input, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := res.Stats.Check(); err != nil {
-					t.Errorf("inconsistent report: %v", err)
-				}
-				assertMatchesExecute(t, "simulated", compiled, ws, input, res)
-				inputs := []tensor.Tensor{input}
-				for i := 1; i < 8; i++ {
-					inputs = append(inputs, model.SeededInput(g.Nodes[0].OutShape, uint64(2+i)))
-				}
-				s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: len(inputs)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				batch, err := s.InferBatch(context.Background(), inputs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsEqual(t, "lane 0 of 8", res, batch[0])
-			})
-		}
-	}
-}
-
-// TestInterpreterEquivalencePooled proves the equivalence holds on reused
-// (pooled, Reset) chips as well as fresh ones: a session's first and second
-// run on its one pooled chip must each be a fresh chip's run exactly, and the
-// golden executor's output.
-func TestInterpreterEquivalencePooled(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	g := model.TinyResNet()
-	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := model.NewSeededWeights(g, 1)
-	input := model.SeededInput(g.Nodes[0].OutShape, 2)
-	fresh, err := Simulate(context.Background(), compiled, ws, input, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesExecute(t, "fresh chip", compiled, ws, input, fresh)
-	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, label := range []string{"first run", "pooled rerun"} {
-		res, err := s.Infer(context.Background(), input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, label, fresh, res)
+		t.Run(c.String(), func(t *testing.T) {
+			t.Parallel()
+			compiled := c.compiled(t)
+			res := c.refs(t, 1)[0]
+			if err := res.Stats.Check(); err != nil {
+				t.Errorf("inconsistent report: %v", err)
+			}
+			assertMatchesExecute(t, "simulated", compiled, 0, res)
+			g := compiled.Graph
+			s, err := NewSession(compiled, model.NewSeededWeights(g, zooWeights), Options{MaxPooledChips: 1, SimLanes: zooLanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			batch, err := s.InferBatch(context.Background(), zooInputs(g, zooLanes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, "lane 0 of 8", res, batch[0])
+		})
 	}
 }
 
@@ -203,9 +122,9 @@ func TestInterpreterEquivalencePooled(t *testing.T) {
 // macros of 24/8 channels: one 8-wide tile and a channel the kernel blocks do
 // not cover), 32, 40 (32 + 8), 72 (64 + 8) and 128 (two 64-wide tiles); the
 // default 64 is every other test. At each width every lane of an eight-lane
-// batch must be a one-lane run of its input exactly, outputs and full Stats,
-// the output the golden executor's, and the first input's report its
-// "grouptail/chans=N" row of the golden table.
+// batch must be a fresh-chip one-lane run of its input exactly, outputs and
+// full Stats, the output the golden executor's, and the first input's report
+// its "grouptail/chans=N" row of the golden table.
 func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 	golden := newGoldenChecker(t)
 	for _, shape := range groupTailShapes {
@@ -216,18 +135,11 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 			if cfg.GroupChannels() != shape.chans {
 				t.Fatalf("GroupChannels() = %d, want %d", cfg.GroupChannels(), shape.chans)
 			}
-			g := model.TinyResNet()
-			compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws := model.NewSeededWeights(g, 1)
-			const lanes = 8
-			inputs := make([]tensor.Tensor, lanes)
-			for i := range inputs {
-				inputs[i] = model.SeededInput(g.Nodes[0].OutShape, uint64(2+i))
-			}
-			s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: lanes})
+			compiled := zooCase{"tinyresnet", compiler.StrategyGeneric, cfg}.compiled(t)
+			g := compiled.Graph
+			ws := model.NewSeededWeights(g, zooWeights)
+			inputs := zooInputs(g, zooLanes)
+			s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: zooLanes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +154,7 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 					t.Fatalf("input %d: %v", l, err)
 				}
 				assertResultsEqual(t, fmt.Sprintf("lane %d", l), alone, batch[l])
-				assertMatchesExecute(t, fmt.Sprintf("input %d", l), compiled, ws, in, alone)
+				assertMatchesExecute(t, fmt.Sprintf("input %d", l), compiled, l, alone)
 				if l == 0 {
 					golden.check(t, fmt.Sprintf("grouptail/chans=%d", shape.chans), alone.Stats)
 				}

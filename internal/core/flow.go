@@ -1,15 +1,14 @@
-// Package core is the integrated CIMFlow workflow: it couples the compiler
-// and the cycle-accurate simulator behind one entry point, provides the
-// compile-once/infer-many Session that the public Engine API is built on,
-// runs functional validation against the golden tensor library, and
-// underpins the experiment sweeps that regenerate the paper's figures.
+// Package core is the integrated CIMFlow workflow: it runs compiled
+// programs on the cycle-accurate simulator through the
+// compile-once/infer-many Session that the public Engine API is built on
+// (Simulate is one run on a fresh chip), validates a session's outputs
+// against the golden tensor library, and underpins the experiment sweeps
+// that regenerate the paper's figures.
 package core
 
 import (
 	"context"
-	"fmt"
 
-	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
 	"cimflow/internal/sim"
@@ -46,8 +45,6 @@ func newResult(compiled *compiler.Compiled, stats *sim.Stats, out tensor.Tensor,
 
 // Options configures a run.
 type Options struct {
-	Strategy compiler.Strategy
-	Seed     uint64
 	// CycleLimit overrides the simulator's runaway guard (0 = default).
 	CycleLimit int64
 	// MaxPooledChips bounds the live chips of the private Pool NewSession
@@ -68,32 +65,6 @@ type Options struct {
 	SimLanes int
 }
 
-// session compiles the model for the architecture (one pass of the staged
-// compiler pipeline: frontend, planning, parallel per-core codegen) and
-// stages it with deterministic synthetic weights; it also returns the
-// matching synthetic input.
-func session(g *model.Graph, cfg arch.Config, opt Options) (*Session, tensor.Tensor, error) {
-	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: opt.Strategy})
-	if err != nil {
-		return nil, tensor.Tensor{}, fmt.Errorf("core: compile %s: %w", g.Name, err)
-	}
-	s, err := NewSession(compiled, model.NewSeededWeights(g, opt.Seed), opt)
-	return s, model.SeededInput(g.Nodes[0].OutShape, opt.Seed+1), err
-}
-
-// Run compiles the model and executes it on the simulator with
-// deterministic synthetic weights and input. Cancelling ctx aborts the
-// simulation mid-run. Callers that compile the same graph repeatedly should
-// go through an Engine or a dse.CompileCache, which reuse the graph's
-// CompileContext and artifacts.
-func Run(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (*Result, error) {
-	s, input, err := session(g, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Infer(ctx, input)
-}
-
 // Simulate executes an already-compiled model with the given weights and
 // input tensor on a fresh chip. Callers running the same compiled model
 // repeatedly should hold a Session instead, which stages weights once and
@@ -106,15 +77,4 @@ func Simulate(ctx context.Context, compiled *compiler.Compiled, ws model.WeightS
 		return nil, err
 	}
 	return s.Infer(ctx, input)
-}
-
-// Validate runs the model end to end and compares the simulated output with
-// the golden reference executor (Session.Validate); it returns the number
-// of mismatching elements (0 = exact functional match).
-func Validate(ctx context.Context, g *model.Graph, cfg arch.Config, opt Options) (int, error) {
-	s, input, err := session(g, cfg, opt)
-	if err != nil {
-		return -1, err
-	}
-	return s.Validate(ctx, input)
 }

@@ -17,69 +17,42 @@ import (
 // batch of distinct inputs through one lane-batched chip simulation, and
 // each lane's Result must agree byte for byte — output tensor, cycles,
 // instructions, MACs, energy breakdown, per-core stats and NoC counters —
-// with a serial per-input run of the same compiled model. Occupancy varies
+// with a serial per-input run of the same compiled model (the zoo
+// fixture's references, input 0 of which TestInterpreterEquivalence holds
+// to the golden executor and table). Occupancy varies
 // (1, 2, full) on the same pooled chip, covering SetLanes shrink/regrow. In
 // -short and -race modes the four large benchmark DNNs are skipped; the
 // tiny networks still cover every operator lowering.
 func TestLaneEquivalence(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	large := map[string]bool{"resnet18": true, "vgg19": true, "mobilenetv2": true, "efficientnetb0": true}
-	const lanes = 8
-	for _, name := range model.ZooNames() {
-		if (testing.Short() || raceEnabled) && large[name] {
-			continue
-		}
-		g := model.Zoo(name)
-		for _, strat := range []compiler.Strategy{
-			compiler.StrategyGeneric, compiler.StrategyDuplication, compiler.StrategyDP,
-		} {
-			t.Run(name+"/"+strat.String(), func(t *testing.T) {
-				t.Parallel()
-				compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: strat})
+	for _, c := range zooCases(arch.DefaultConfig()) {
+		t.Run(c.String(), func(t *testing.T) {
+			t.Parallel()
+			compiled := c.compiled(t)
+			// References: the fixture's serial per-input runs.
+			refs := c.refs(t, zooLanes)
+			g := compiled.Graph
+			s, err := NewSession(compiled, model.NewSeededWeights(g, zooWeights), Options{MaxPooledChips: 1, SimLanes: zooLanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			inputs := zooInputs(g, zooLanes)
+			// Occupancies 1, 2 and full reuse the one pooled chip, so
+			// stale lane state from a wider run must never leak into a
+			// narrower or regrown one.
+			for _, b := range []int{1, 2, zooLanes, zooLanes} {
+				res, err := s.InferBatch(context.Background(), inputs[:b])
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("lanes=%d: %v", b, err)
 				}
-				ws := model.NewSeededWeights(g, 1)
-				inputs := make([]tensor.Tensor, lanes)
-				for i := range inputs {
-					inputs[i] = model.SeededInput(g.Nodes[0].OutShape, uint64(2+i))
+				for l := 0; l < b; l++ {
+					assertResultsEqual(t, fmt.Sprintf("lanes=%d lane=%d", b, l), refs[l], res[l])
 				}
-
-				// References: serial per-input runs on a plain session.
-				serial, err := NewSession(compiled, ws, Options{MaxPooledChips: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer serial.Close()
-				refs := make([]*Result, lanes)
-				for i, in := range inputs {
-					if refs[i], err = serial.Infer(context.Background(), in); err != nil {
-						t.Fatalf("serial reference %d: %v", i, err)
-					}
-				}
-
-				s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: lanes})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				// Occupancies 1, 2 and full reuse the one pooled chip, so
-				// stale lane state from a wider run must never leak into a
-				// narrower or regrown one.
-				for _, b := range []int{1, 2, lanes, lanes} {
-					res, err := s.InferBatch(context.Background(), inputs[:b])
-					if err != nil {
-						t.Fatalf("lanes=%d: %v", b, err)
-					}
-					for l := 0; l < b; l++ {
-						assertResultsEqual(t, fmt.Sprintf("lanes=%d lane=%d", b, l), refs[l], res[l])
-					}
-				}
-				if n := s.LaneFallbacks(); n != 0 {
-					t.Errorf("%d unexpected divergence fallbacks", n)
-				}
-			})
-		}
+			}
+			if n := s.LaneFallbacks(); n != 0 {
+				t.Errorf("%d unexpected divergence fallbacks", n)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -30,11 +29,5 @@ func TestRingStreamingByChip(t *testing.T) {
 	if padded, budget := 34*34*32, cfg.Core.LocalMemBytes*5/16; padded <= budget {
 		t.Fatalf("conv1's padded input (%d bytes) fits the %d-byte staging budget: nothing streams", padded, budget)
 	}
-	mism, err := Validate(context.Background(), g, cfg, Options{Strategy: compiler.StrategyGeneric, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mism != 0 {
-		t.Errorf("%d mismatches", mism)
-	}
+	assertValidates(t, g.Name, mustCompile(t, g, cfg, compiler.StrategyGeneric), 5)
 }

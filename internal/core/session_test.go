@@ -16,43 +16,35 @@ import (
 )
 
 // TestSessionPooledRunsMatchFreshRuns: a session reusing one pooled chip
-// must produce byte-identical outputs and identical cycle counts to
-// independent fresh-chip Simulate calls, for several different inputs.
+// must run each of several inputs exactly as a fresh chip does — output,
+// cycles, instructions, MACs, energy breakdown, per-core stats and NoC
+// counters — and the first to the golden executor's output. The input
+// changes from run to run, so state a reset chip kept from the last one
+// would show.
 func TestSessionPooledRunsMatchFreshRuns(t *testing.T) {
-	cfg := arch.DefaultConfig()
-	g := model.TinyResNet()
-	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyDP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := model.NewSeededWeights(g, 1)
+	compiled := zooCase{"tinyresnet", compiler.StrategyDP, arch.DefaultConfig()}.compiled(t)
+	ws := model.NewSeededWeights(compiled.Graph, zooWeights)
 	// MaxPooledChips=1 forces every inference after the first through the
 	// Reset+ZeroGlobal reuse path.
 	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ctx := context.Background()
-	for seed := uint64(2); seed < 6; seed++ {
-		input := model.SeededInput(g.Nodes[0].OutShape, seed)
+	for i, input := range zooInputs(compiled.Graph, 4) {
+		label := fmt.Sprintf("input seed %d", zooInput+i)
 		got, err := s.Infer(ctx, input)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		want, err := Simulate(ctx, compiled, ws, input, Options{})
 		if err != nil {
-			t.Fatalf("seed %d fresh: %v", seed, err)
+			t.Fatalf("%s fresh: %v", label, err)
 		}
-		if got.Stats.Cycles != want.Stats.Cycles {
-			t.Errorf("seed %d: pooled %d cycles, fresh %d", seed, got.Stats.Cycles, want.Stats.Cycles)
-		}
-		if got.EnergyMJ != want.EnergyMJ {
-			t.Errorf("seed %d: pooled %v mJ, fresh %v", seed, got.EnergyMJ, want.EnergyMJ)
-		}
-		a := int8Bytes(got.Output)
-		b := int8Bytes(want.Output)
-		if !bytes.Equal(a, b) {
-			t.Errorf("seed %d: pooled output differs from fresh run", seed)
+		assertResultsEqual(t, label, want, got)
+		if i == 0 {
+			assertMatchesExecute(t, label, compiled, i, want)
 		}
 	}
 	if s.PooledChips() != 1 {

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
-
 	"testing"
 
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
-	"cimflow/internal/model"
 )
 
 // TestMultiPassConvFunctional squeezes the CIM geometry so ordinary
@@ -22,12 +19,7 @@ func TestMultiPassConvFunctional(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"tinycnn", "tinyresnet"} {
-		mism, err := Validate(context.Background(), model.Zoo(name), cfg, Options{Strategy: compiler.StrategyGeneric, Seed: 9})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if mism != 0 {
-			t.Errorf("%s: %d mismatches", name, mism)
-		}
+		c := zooCase{name, compiler.StrategyGeneric, cfg}
+		assertValidates(t, c.String(), c.compiled(t), 9)
 	}
 }

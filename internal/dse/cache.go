@@ -93,15 +93,15 @@ func NewCompileCache() *CompileCache {
 	}
 }
 
-// Context returns the shared CompileContext for a graph, running the
-// compiler frontend at most once per structural fingerprint.
-func (c *CompileCache) Context(g *model.Graph) (*compiler.CompileContext, error) {
-	key := artifact.GraphFingerprint(g)
+// context returns the shared CompileContext for g, whose
+// artifact.GraphFingerprint is fp, running the compiler frontend at most
+// once per fingerprint.
+func (c *CompileCache) context(fp string, g *model.Graph) (*compiler.CompileContext, error) {
 	c.mu.Lock()
-	e, ok := c.ctxs[key]
+	e, ok := c.ctxs[fp]
 	if !ok {
 		e = &ctxEntry{}
-		c.ctxs[key] = e
+		c.ctxs[fp] = e
 	}
 	c.mu.Unlock()
 	e.once.Do(func() { e.cx, e.err = compiler.NewContext(g) })
@@ -141,7 +141,12 @@ func (c *CompileCache) Compile(g *model.Graph, cfg *arch.Config, opt compiler.Op
 // front, so a renamed copy of a graph gets a Compiled of its own name
 // (sharing the original's programs).
 func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt compiler.Options) (*compiler.Compiled, CompileInfo, error) {
-	storeKey := artifact.Key(g, cfg, opt)
+	return c.compile(artifact.GraphFingerprint(g), g, cfg, opt)
+}
+
+// compile is CompileWithInfo of g, whose artifact.GraphFingerprint is fp.
+func (c *CompileCache) compile(fp string, g *model.Graph, cfg *arch.Config, opt compiler.Options) (*compiler.Compiled, CompileInfo, error) {
+	storeKey := artifact.Key(fp, cfg, opt)
 	key := g.Name + "@" + storeKey
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -157,7 +162,7 @@ func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt com
 	e.once.Do(func() {
 		leader = true
 		start := time.Now()
-		e.compiled, e.info.Source, e.err = c.produce(g, &e.cfg, opt, storeKey)
+		e.compiled, e.info.Source, e.err = c.produce(fp, g, &e.cfg, opt, storeKey)
 		if e.compiled != nil && e.compiled.Graph.Name != g.Name {
 			// The frontend and the store are shared by structure alone;
 			// an entry, keyed by name too, carries its caller's name.
@@ -179,7 +184,7 @@ func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt com
 // Store read and write failures never fail the compile — the store
 // degrades to a pass-through — but a closed store fails with
 // artifact.ErrClosed.
-func (c *CompileCache) produce(g *model.Graph, cfg *arch.Config, opt compiler.Options, key string) (*compiler.Compiled, CompileSource, error) {
+func (c *CompileCache) produce(fp string, g *model.Graph, cfg *arch.Config, opt compiler.Options, key string) (*compiler.Compiled, CompileSource, error) {
 	if c.store != nil {
 		compiled, _, err := c.store.Load(key)
 		if err == nil {
@@ -191,7 +196,7 @@ func (c *CompileCache) produce(g *model.Graph, cfg *arch.Config, opt compiler.Op
 		}
 	}
 	c.compiles.Add(1)
-	cx, err := c.Context(g)
+	cx, err := c.context(fp, g)
 	if err != nil {
 		return nil, SourceFresh, err
 	}

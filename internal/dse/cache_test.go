@@ -59,9 +59,9 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	tinycnn, tinymlp := model.TinyCNN(), model.TinyMLP()
 	keys := map[string]bool{}
 	for _, k := range []string{
-		artifact.Key(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
-		artifact.Key(tinycnn, &cfg, compiler.Options{Strategy: compiler.StrategyDP}),
-		artifact.Key(tinymlp, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
+		artifact.Key(artifact.GraphFingerprint(tinycnn), &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
+		artifact.Key(artifact.GraphFingerprint(tinycnn), &cfg, compiler.Options{Strategy: compiler.StrategyDP}),
+		artifact.Key(artifact.GraphFingerprint(tinymlp), &cfg, compiler.Options{Strategy: compiler.StrategyGeneric}),
 	} {
 		if keys[k] {
 			t.Fatalf("duplicate compile key %q", k)
@@ -147,7 +147,7 @@ func TestCompileCacheDedup(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	opt := compiler.Options{Strategy: compiler.StrategyGeneric}
 	dir := t.TempDir()
-	key := artifact.Key(g, &cfg, opt)
+	key := artifact.Key(artifact.GraphFingerprint(g), &cfg, opt)
 	openStore := func() *artifact.Store {
 		t.Helper()
 		s, err := artifact.Open(dir)
@@ -280,8 +280,8 @@ func TestCacheSharesContextsAcrossPoints(t *testing.T) {
 	if got := cache.Contexts(); got != 2 {
 		t.Errorf("Contexts = %d, want 2", got)
 	}
-	// Context is also available directly and matches the graph.
-	cx, err := cache.Context(g)
+	// The context is also available directly and matches the graph.
+	cx, err := cache.context(artifact.GraphFingerprint(g), g)
 	if err != nil {
 		t.Fatal(err)
 	}

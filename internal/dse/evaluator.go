@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"cimflow/internal/artifact"
 	"cimflow/internal/compiler"
 	"cimflow/internal/core"
 	"cimflow/internal/model"
@@ -85,12 +86,13 @@ func (ev *Evaluator) Estimate(p *Point) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
-	return ev.estimate(p, g)
+	return ev.estimate(p, artifact.GraphFingerprint(g), g)
 }
 
-// estimate is Estimate of p with its graph g resolved.
-func (ev *Evaluator) estimate(p *Point, g *model.Graph) (Estimate, error) {
-	cx, err := ev.Cache.Context(g)
+// estimate is Estimate of p with its graph g resolved; fp is g's
+// artifact.GraphFingerprint.
+func (ev *Evaluator) estimate(p *Point, fp string, g *model.Graph) (Estimate, error) {
+	cx, err := ev.Cache.context(fp, g)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -121,7 +123,9 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 		return PointResult{Point: p, Err: err}
 	}
 	start := time.Now()
-	compiled, err := ev.Cache.Compile(g, &p.Config, compiler.Options{Strategy: p.Strategy})
+	// One fingerprint names the graph to both cache lookups below.
+	fp := artifact.GraphFingerprint(g)
+	compiled, _, err := ev.Cache.compile(fp, g, &p.Config, compiler.Options{Strategy: p.Strategy})
 	compileTime := time.Since(start)
 	if err != nil {
 		return PointResult{Point: p, CompileTime: compileTime,
@@ -131,7 +135,7 @@ func (ev *Evaluator) evaluate(ctx context.Context, p Point) PointResult {
 	// The estimate rides along on full evaluations so every result row can
 	// report predicted next to measured cycles. The planner is memoized in
 	// the shared context, so this re-prices an existing plan.
-	if est, err := ev.estimate(&p, g); err == nil {
+	if est, err := ev.estimate(&p, fp, g); err == nil {
 		r.CostEst = est.Cycles
 	}
 	ws := ev.weightsOf(&p, g)
