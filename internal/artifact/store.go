@@ -206,19 +206,22 @@ func (s *Store) Save(c *compiler.Compiled, opt compiler.Options) (string, error)
 		return "", err
 	}
 	data, err := Encode(c, opt)
+	var meta Meta // the header just written names the compile: the graph is hashed once
+	if err == nil {
+		meta, err = ReadMeta(data)
+	}
 	if err != nil {
 		return "", err
 	}
-	key := Key(GraphFingerprint(c.Graph), c.Cfg, opt)
+	key := meta.Key()
 	tmp, err := os.CreateTemp(s.dir, "tmp-*"+artifactExt)
 	if err != nil {
 		return "", fmt.Errorf("artifact: staging %s: %w", key, err)
 	}
 	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	if err := errors.Join(werr, tmp.Close()); err != nil {
 		os.Remove(tmp.Name())
-		return "", fmt.Errorf("artifact: writing %s: %w", key, errors.Join(werr, cerr))
+		return "", fmt.Errorf("artifact: writing %s: %w", key, err)
 	}
 	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
 		os.Remove(tmp.Name())

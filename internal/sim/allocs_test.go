@@ -12,25 +12,31 @@ import (
 // predecoded pipeline: once a core is warm, stepping through a loop that
 // exercises the scalar, vector, transfer and CIM units must not allocate at
 // all — the scoreboard ranges live in the core's scratch buffer and every
-// per-step slice is a view of preallocated state.
-func TestStepDecodedZeroAllocs(t *testing.T) {
+// per-step slice is a view of preallocated state. TestLaneStepAllocs steps
+// the same loop over four lanes' data planes.
+func TestStepDecodedZeroAllocs(t *testing.T) { stepAllocs(t, 1) }
+func TestLaneStepAllocs(t *testing.T)        { stepAllocs(t, 4) }
+
+func stepAllocs(t *testing.T, lanes int) {
 	cfg := testConfig()
 	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 1
-	ch, err := NewChip(&cfg)
+	ch, err := NewChip(&cfg, WithLanes(lanes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := []isa.Instruction{}
-	prog = append(prog, isa.LI(1, 0)...)   // vector src A / mvm input
-	prog = append(prog, isa.LI(2, 64)...)  // vector src B / fill dst
-	prog = append(prog, isa.LI(3, 128)...) // vector dst / mvm out
-	prog = append(prog, isa.LI(4, 32)...)  // vector length / copy size
-	prog = append(prog, isa.LI(5, 0)...)   // macro group
-	prog = append(prog, isa.LI(6, 8)...)   // cim rows
-	prog = append(prog, isa.LI(7, 8)...)   // cim chans
-	// G8: both activation scales.
-	prog = append(prog, isa.LI(8, int32(math.Float32bits(0.0625)))...)
-	prog = append(prog, isa.MTS(isa.SRegActInScale, 8), isa.MTS(isa.SRegActOutScale, 8))
+	if err := ch.SetLanes(lanes); err != nil {
+		t.Fatal(err)
+	}
+	prog := seq(
+		isa.LI(1, 0),   // vector src A / mvm input
+		isa.LI(2, 64),  // vector src B / fill dst
+		isa.LI(3, 128), // vector dst / mvm out
+		isa.LI(4, 32),  // vector length / copy size
+		isa.LI(5, 0),   // macro group
+		isa.LI(6, 8),   // cim rows
+		isa.LI(7, 8),   // cim chans
+		isa.LI(8, int32(math.Float32bits(0.0625))), // both activation scales
+		one(isa.MTS(isa.SRegActInScale, 8), isa.MTS(isa.SRegActOutScale, 8)))
 	loop := len(prog)
 	prog = append(prog,
 		isa.Vec(isa.VFnAdd8, 3, 1, 2, 4),
@@ -41,10 +47,7 @@ func TestStepDecodedZeroAllocs(t *testing.T) {
 		isa.CimLoad(5, 1, 6, 7),
 		isa.CimMVM(1, 6, 3, isa.MVMFlags(0, isa.MVMFlagWriteback)),
 	)
-	prog = append(prog, isa.Jmp(int32(loop-len(prog)-1)))
-	if err := ch.LoadProgram(Program{Core: 0, Code: prog}); err != nil {
-		t.Fatal(err)
-	}
+	load(t, ch, 0, append(prog, isa.Jmp(int32(loop-len(prog)-1))))
 	c := ch.cores[0]
 	step := func() {
 		st, err := c.stepDecoded()
@@ -56,7 +59,7 @@ func TestStepDecodedZeroAllocs(t *testing.T) {
 		step()
 	}
 	if avg := testing.AllocsPerRun(20000, step); avg != 0 {
-		t.Errorf("steady-state step allocates %.4f objects/op, want 0", avg)
+		t.Errorf("steady-state step of %d lanes allocates %.4f objects/op, want 0", lanes, avg)
 	}
 }
 

@@ -513,7 +513,7 @@ func TestLazyLocalMatchesEager(t *testing.T) {
 // higher, so that the arena reaches a page below it, faults with
 // ErrUnmapped, as do a CIM_LOAD into and a CIM_MVM on a group it does not
 // declare; with no map, the program with the undeclared MVM runs and matches
-// the reference.
+// the reference. A pool and an arena sharing a page leave no hole.
 func TestMemMapEdge(t *testing.T) {
 	const page = 1 << dirtyShift
 	cfg := testConfig()
@@ -566,15 +566,10 @@ func TestMemMapEdge(t *testing.T) {
 		}
 	}
 
-	// A pool and an arena that meet inside a page leave no hole.
-	ch, err := NewChip(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.LoadProgram(Program{Code: spinHalt(), Map: &MemMap{PoolEnd: page + 900, ArenaMin: page + 1000}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ch.cores[0].localRange(page-100, 200); err != nil {
-		t.Errorf("a window across the page the pool and arena share: %v", err)
-	}
+	// A pool and an arena that meet inside a page leave no hole: a fill
+	// across that page reads back as the reference's.
+	fill := []Program{{Code: seq(isa.LI(1, page-100), isa.LI(2, 1200), one(isa.VFill(1, 2, 0x5a)), spinHalt()),
+		Map: &MemMap{PoolEnd: page + 900, ArenaMin: page + 1000}}}
+	ch, _, err := runChip(t, cfg, nil, fill...)
+	matchRef(t, ch, 0, err, fill, nil)
 }

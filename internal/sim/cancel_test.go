@@ -1,18 +1,27 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
 )
 
-// longLoop returns a single-core program that spins through ~10M scalar
-// instructions before halting — long enough that a test can cancel it
-// mid-simulation.
-func longLoop(t *testing.T) Program {
-	t.Helper()
-	code := asm(t, `
+// TestRunHonorsCancelledContext: an already-cancelled context aborts before
+// any instruction executes; TestRunCancelsMidSimulation: cancelling while the
+// cycle loop runs ~10M scalar instructions aborts it promptly. Both errors
+// wrap ctx.Err().
+func TestRunHonorsCancelledContext(t *testing.T) { runCancelled(t, 0) }
+func TestRunCancelsMidSimulation(t *testing.T)   { runCancelled(t, 5*time.Millisecond) }
+
+func runCancelled(t *testing.T, after time.Duration) {
+	cfg := testConfig()
+	ch, err := NewChip(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(t, ch, 0, asm(`
 		SC_ADDI G1, G0, 500
 	outer:	SC_ADDI G2, G0, 500
 	inner:	SC_ADDI G3, G0, 20
@@ -23,47 +32,18 @@ func longLoop(t *testing.T) Program {
 		SC_ADDI G1, G1, -1
 		BNE G1, G0, %outer
 		HALT
-	`)
-	return Program{Core: 0, Code: code}
-}
-
-// TestRunHonorsCancelledContext: an already-cancelled context must abort
-// before any instruction executes.
-func TestRunHonorsCancelledContext(t *testing.T) {
-	cfg := testConfig()
-	ch, err := NewChip(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.LoadProgram(longLoop(t)); err != nil {
-		t.Fatal(err)
-	}
+	`))
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ch.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run with cancelled ctx = %v, want context.Canceled", err)
-	}
-}
-
-// TestRunCancelsMidSimulation: cancelling while the cycle loop is running
-// must abort the simulation promptly with an error wrapping ctx.Err().
-func TestRunCancelsMidSimulation(t *testing.T) {
-	cfg := testConfig()
-	ch, err := NewChip(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.LoadProgram(longLoop(t)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
+	if after == 0 {
 		cancel()
-	}()
-	_, err = ch.Run(ctx)
-	if !errors.Is(err, context.Canceled) {
+	} else {
+		time.AfterFunc(after, cancel)
+	}
+	if _, err := ch.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if n := ch.cores[0].stats.Instructions; after == 0 && n != 0 {
+		t.Errorf("%d instructions ran under a context cancelled before Run", n)
 	}
 }
 
@@ -100,7 +80,7 @@ func TestAbortedRunReturnsPayloads(t *testing.T) {
 	`
 	// Core 0 sends 20 rounds of a 64-byte and a 500-byte message; core 1
 	// takes the first 10 rounds. Both then spin for ~10M instructions.
-	sender := asm(t, `
+	sender := asm(`
 		SC_ADDI G1, G0, 0
 		SC_ADDI G3, G0, 1
 		SC_ADDI G5, G0, 20
@@ -110,8 +90,8 @@ func TestAbortedRunReturnsPayloads(t *testing.T) {
 		SEND G1, G2, G3, 7
 		SC_ADDI G5, G5, -1
 		BNE G5, G0, %loop
-	`+spin)
-	receiver := asm(t, `
+	` + spin)
+	receiver := asm(`
 		SC_ADDI G1, G0, 0
 		SC_ADDI G3, G0, 0
 		SC_ADDI G5, G0, 10
@@ -121,7 +101,7 @@ func TestAbortedRunReturnsPayloads(t *testing.T) {
 		RECV G1, G2, G3, 7
 		SC_ADDI G5, G5, -1
 		BNE G5, G0, %loop
-	`+spin)
+	` + spin)
 	cfg := testConfig()
 	for _, ex := range resetExecutors {
 		for _, abort := range []string{"cancel", "limit"} {
@@ -157,52 +137,9 @@ func TestAbortedRunReturnsPayloads(t *testing.T) {
 	}
 }
 
-// TestChipResetReuse: Reset must restore a run chip to a state that
-// reproduces a fresh chip's simulation exactly.
-func TestChipResetReuse(t *testing.T) {
-	code := asm(t, `
-		SC_ADDI G1, G0, 10
-		SC_ADDI G5, G0, 0
-	loop:	SC_ADD G5, G5, G1
-		SC_ADDI G1, G1, -1
-		BNE G1, G0, %loop
-		SC_ADDI G2, G0, 100
-		SC_ST G5, G2, 0
-		HALT
-	`)
-	cfg := testConfig()
-	ch, err := NewChip(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.LoadProgram(Program{Core: 0, Code: code}); err != nil {
-		t.Fatal(err)
-	}
-	first, err := ch.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch.Reset()
-	second, err := ch.Run(context.Background())
-	if err != nil {
-		t.Fatalf("rerun after Reset: %v", err)
-	}
-	if first.Cycles != second.Cycles || first.Instructions != second.Instructions {
-		t.Errorf("reset run diverged: %d/%d cycles, %d/%d instructions",
-			first.Cycles, second.Cycles, first.Instructions, second.Instructions)
-	}
-	if first.Energy.TotalPJ() != second.Energy.TotalPJ() {
-		t.Errorf("reset run energy diverged: %v != %v",
-			first.Energy.TotalPJ(), second.Energy.TotalPJ())
-	}
-	mem, err := ch.ReadLocal(0, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem[0] != 55 {
-		t.Errorf("reused chip result = %d, want 55", mem[0])
-	}
-}
+// TestChipResetReuse: Reset restores a run chip to a state that reproduces
+// a fresh chip's run exactly (the pooled rerun of the table's runner).
+func TestChipResetReuse(t *testing.T) { runRows(t, "scalar loop") }
 
 // TestZeroGlobal bounds-checks and clears a global-memory region.
 func TestZeroGlobal(t *testing.T) {
@@ -212,25 +149,16 @@ func TestZeroGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch.EnsureGlobal(cfg.Chip.GlobalMemBytes)
-	if err := ch.InitGlobal(GlobalSegment{Addr: 8, Data: []byte{1, 2, 3, 4}}); err != nil {
+	if err := ch.InitGlobal(GlobalSegment{Addr: 7, Data: []byte{1, 2, 3, 4, 5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.ZeroGlobal(8, 4); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ch.ReadGlobal(8, 4)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := ch.ReadGlobal(7, 6); err != nil || !bytes.Equal(got, []byte{1, 0, 0, 0, 0, 6}) {
+		t.Errorf("after ZeroGlobal(8, 4): %v, %v", got, err)
 	}
-	for i, b := range got {
-		if b != 0 {
-			t.Errorf("byte %d = %d after ZeroGlobal", i, b)
-		}
-	}
-	if err := ch.ZeroGlobal(-1, 4); err == nil {
-		t.Error("ZeroGlobal accepted a negative address")
-	}
-	if err := ch.ZeroGlobal(0, cfg.Chip.GlobalMemBytes+1); err == nil {
-		t.Error("ZeroGlobal accepted an oversized range")
+	if ch.ZeroGlobal(-1, 4) == nil || ch.ZeroGlobal(0, cfg.Chip.GlobalMemBytes+1) == nil {
+		t.Error("ZeroGlobal accepted a span out of bounds")
 	}
 }

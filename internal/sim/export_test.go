@@ -55,12 +55,6 @@ func (ch *Chip) ResetFootprint() ResetFootprint {
 // after they load one.
 func (c *core) whole() { c.mapMemory(MemMap{Groups: uint32(uint64(1)<<len(c.mg) - 1)}) }
 
-// group returns lane 0's macro group g of the whole-core map.
-func (c *core) group(g int) []byte {
-	c.whole()
-	return c.mg[g]
-}
-
 // mem returns lane 0's local memory of c up to the first page boundary (or
 // its end) under the whole-core map, where addresses index the backing as
 // they are.

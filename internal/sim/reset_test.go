@@ -212,7 +212,7 @@ func boundaryCases(mem int32) []laneCase {
 // which reset always clears. Cancellation, the cycle limit and a deadlock
 // stop a run between instructions.
 func faultCases(t *testing.T, globalBytes int32) []laneCase {
-	prologue := asm(t, `
+	prologue := asm(`
 		SC_ADDI G20, G0, 77
 		SC_LUI G21, 1          ; 65536, page 16
 		SC_SB G20, G21, 0
@@ -222,7 +222,7 @@ func faultCases(t *testing.T, globalBytes int32) []laneCase {
 	`)
 	var out []laneCase
 	for _, tc := range runtimeErrorCases {
-		out = append(out, laneCase{name: tc.name, progs: []Program{{Core: 0, Code: seq(prologue, asm(t, tc.src))}}})
+		out = append(out, laneCase{name: tc.name, progs: []Program{{Core: 0, Code: seq(prologue, asm(tc.src))}}})
 	}
 	in := copyIn(0, laneIn, 64)
 	return append(out,
@@ -249,7 +249,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 
 	// Every lane case at occupancy 8 -> 2 -> 8 with a Reset after each, then
 	// 8 and 2 with none between them: Reset owes the lanes of the wider run.
-	for _, lc := range laneCases() {
+	for _, lc := range programs() {
 		for _, ex := range resetExecutors {
 			t.Run(lc.name+"/"+ex.name, func(t *testing.T) {
 				lc := lc.in(ex)
@@ -264,7 +264,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkGolden(t, "lane/"+lc.name, stats, nil)
+					checkGolden(t, lc.golden(), stats, nil)
 					if powerOnDiff(ch) == "" {
 						t.Fatal("the run left nothing to clear: the case proves nothing")
 					}
@@ -380,6 +380,42 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 	}
 }
 
+// TestZeroLengthOperandMarksNothing: a zero-length operand's window is its
+// unvalidated base address. It must neither fault nor reach the dirty
+// record: a base inside memory would mark a page nothing wrote, and a wild
+// one indexes the bitmap at word 512 of 2.
+func TestZeroLengthOperandMarksNothing(t *testing.T) {
+	cfg := testConfig()
+	mem := int32(cfg.Core.LocalMemBytes)
+	prog := seq(
+		isa.LI(1, 1<<27+5), isa.LI(2, mem), isa.LI(3, 5000),
+		one(
+			isa.Vec(isa.VFnAdd8, 1, 1, 1, 0),  // n = G0 = 0, every operand at 1<<27+5
+			isa.Vec(isa.VFnRelu8, 1, 1, 0, 0), // one source
+			isa.Vec(isa.VFnMov8, 3, 3, 0, 0),
+			isa.VFill(2, 0, 0x5a), // 0 bytes at len(local)
+			isa.VFill(3, 0, 0x5a),
+			isa.MemCpy(2, 3, 0, 0),
+			isa.Send(3, 0, 0, 3), // 0 bytes to core 0 itself
+			isa.Recv(2, 0, 0, 3),
+			isa.Halt(),
+		))
+	for _, ex := range resetExecutors {
+		t.Run(ex.name, func(t *testing.T) {
+			ch, err := NewChip(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex.load(t, ch, Program{Code: prog})
+			if _, err := ch.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ch.dirtyLanes = 0 // the run counts; it must be all the record holds
+			assertPowerOn(t, ch, "after the run, before any Reset")
+		})
+	}
+}
+
 // fuzzResetProgram assembles the program FuzzResetClean runs: one store of
 // the chosen kind to a fuzzed window of a core whose local memory holds a
 // lane's 64 input bytes at [0, 64). Core 1 takes part in the RECV path only.
@@ -465,7 +501,7 @@ func FuzzResetClean(f *testing.F) {
 // does not name must hold no program and halt at once, not rerun the old one.
 func TestLoadProgramsRebindsChip(t *testing.T) {
 	cfg := testConfig()
-	cases := laneCases()
+	cases := programs()
 	in := laneInput(1)
 	for i, prev := range cases {
 		next := cases[(i+1)%len(cases)]
@@ -516,7 +552,7 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 	last.Chip.GlobalMemBytes = 32 << 10
 	steps := []arch.Config{mg16, base.WithMacrosPerGroup(4), mg16, mg16.WithFlitBytes(16), last}
 
-	cases := laneCases()
+	cases := programs()
 	ch := cases[1].stage(t, &base, WithLanes(2)) // send/recv: the pool gets its payload
 	if _, err := runOccupancy(t, ch, 2, nil); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,9 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,28 +40,99 @@ func checkSchedule(t *testing.T, name string, cfg arch.Config, progs ...Program)
 	ch, got, err := runChip(t, cfg, nil, progs...)
 	checkGolden(t, "schedule/"+name, got, err)
 	matchRef(t, ch, 0, err, progs, nil)
+	if err == nil {
+		if cerr := got.Check(); cerr != nil {
+			t.Errorf("inconsistent report: %v", cerr)
+		}
+	}
 	return ch, got, err
 }
 
-func TestScheduleMessagingRing(t *testing.T) {
-	// The determinism ring: four cores each send to their successor,
-	// receive from their predecessor, then meet at a barrier.
-	cfg := testConfig()
-	var progs []Program
-	for core := 0; core < 4; core++ {
-		prog := []isa.Instruction{}
-		prog = append(prog, isa.LI(1, 0)...)
-		prog = append(prog, isa.LI(2, 64)...)
-		prog = append(prog, isa.LI(3, int32((core+1)%4))...)
-		prog = append(prog, isa.LI(4, int32((core+3)%4))...)
-		prog = append(prog, isa.Send(1, 2, 3, 5))
-		prog = append(prog, isa.Recv(1, 2, 4, 5))
-		prog = append(prog, isa.Barrier(1))
-		prog = append(prog, isa.Halt())
-		progs = append(progs, Program{Core: core, Code: prog})
+// runtimeErrorCases are programs that fault: name, source, and a substring of
+// the error. TestResetRestoresPowerOnState reruns them behind a prologue.
+var runtimeErrorCases = []struct {
+	name string
+	src  string
+	want string
+}{
+	{"div by zero", "SC_ADDI G1, G0, 5\nSC_DIV G2, G1, G0\nHALT", "division by zero"},
+	{"oob store", "SC_LUI G1, 512\nSC_ST G1, G1, 0\nHALT", "out of bounds"},
+	{"bad sreg", "SC_MTS 31, G0\nHALT", "special register"},
+	{"bad mvm length", "CIM_MVM G0, G0, G0, 0\nHALT", "input length"},
+	{"bad mvm group", "SC_ADDI G1, G0, 64\nCIM_MVM G0, G1, G0, 0x1f0\nHALT", "macro group"},
+	{"send oob core", "SC_ADDI G3, G0, 30\nSC_ADDI G2, G0, 4\nSEND G0, G2, G3, 0\nHALT", "out of range"},
+	// 65537 elements at stride 65536: (n-1)*stride+1 wraps int32 to 1, a
+	// span that used to validate and then index 4 GiB past local memory.
+	{"vector span wraps int32", "SC_LUI G1, 1\nSC_MTS 6, G1\nSC_ADDI G2, G1, 1\nVEC_RSUM8 G0, G0, G0, G2\nHALT", "out of bounds"},
+	{"negative vector length", "SC_ADDI G4, G0, -5\nVEC_RELU G1, G1, G0, G4\nHALT", "negative vector length"},
+	{"cim_load past the group", "SC_ADDI G1, G0, 512\nSC_MTS 9, G1\nSC_ADDI G3, G0, 1\nCIM_LOAD G0, G0, G3, G3\nHALT", "exceeds macro group"},
+}
+
+// TestRuntimeErrors: illegal encodings are rejected when the program is
+// loaded, data-dependent faults when it runs — as errors, never panics — and
+// a fault is the reference executor's, at the same core and pc, with the
+// golden row's text.
+func TestRuntimeErrors(t *testing.T) {
+	for _, tc := range runtimeErrorCases {
+		t.Run(tc.name, func(t *testing.T) { runtimeErrors(t, tc.name) })
 	}
-	if _, _, err := checkSchedule(t, "ring", cfg, progs...); err != nil {
-		t.Fatal(err)
+}
+
+// runtimeErrors runs the named runtimeErrorCases as TestRuntimeErrors says.
+func runtimeErrors(t *testing.T, names ...string) {
+	cfg := testConfig()
+	for _, tc := range runtimeErrorCases {
+		if !slices.Contains(names, tc.name) {
+			continue
+		}
+		ch, _ := NewChip(&cfg)
+		prog := Program{Core: 0, Code: asm(tc.src)}
+		err := ch.LoadProgram(prog)
+		if err == nil {
+			_, err = ch.Run(context.Background())
+			matchRef(t, ch, 0, err, []Program{prog}, nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: load+Run = %v, want %q", tc.name, err, tc.want)
+		}
+		checkGolden(t, "error/"+tc.name, nil, err)
+	}
+}
+
+func TestCycleLimit(t *testing.T) {
+	cfg := testConfig()
+	ch, _ := NewChip(&cfg)
+	ch.CycleLimit = 1000
+	load(t, ch, 0, asm("spin: JMP %spin"))
+	if _, err := ch.Run(context.Background()); !errors.Is(err, ErrCycleLimit) {
+		t.Errorf("Run = %v, want cycle limit error", err)
+	}
+}
+
+func TestProgramTooLarge(t *testing.T) {
+	cfg := testConfig()
+	ch, _ := NewChip(&cfg)
+	if err := ch.LoadProgram(Program{Code: make([]isa.Instruction, cfg.Core.InstMemBytes/4+1)}); err == nil {
+		t.Error("LoadProgram accepted an oversized program")
+	}
+}
+
+func TestDeadlockDetected(t *testing.T) {
+	_, _, err := checkSchedule(t, "deadlock", testConfig(),
+		Program{Core: 0, Code: asm("SC_ADDI G2, G0, 4\nSC_ADDI G3, G0, 1\nRECV G0, G2, G3, 1\nHALT")},
+		Program{Core: 1, Code: asm("HALT")})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("Run = %v, want deadlock error", err)
+	}
+}
+
+// TestStatsAccounting: the figures a report derives, of a run that fills
+// local memory on the transfer unit and does no MAC.
+func TestStatsAccounting(t *testing.T) {
+	_, stats, err := checkSchedule(t, "vfill", testConfig(), Program{Code: asm("SC_ADDI G1, G0, 10\nSC_ADDI G2, G0, 16\nVFILL G2, G1, 3\nHALT")})
+	if err != nil || stats.Energy.LocalMemPJ <= 0 || stats.Utilization(int(isa.UnitTransfer)) <= 0 ||
+		stats.TOPS(1.0) != 0 || stats.Seconds(1.0) <= 0 || !strings.Contains(stats.String(), "cycles") {
+		t.Errorf("Run = %v, report %s", err, stats)
 	}
 }
 
@@ -72,7 +144,7 @@ func TestScheduleBarrierWithMessageInFlight(t *testing.T) {
 	// the (possibly post-release) arrival time.
 	cfg := testConfig()
 	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 2
-	sender := asm(t, `
+	sender := asm(`
 		SC_ADDI G1, G0, 0
 		SC_ADDI G2, G0, 32
 		SC_ADDI G3, G0, 1
@@ -80,7 +152,7 @@ func TestScheduleBarrierWithMessageInFlight(t *testing.T) {
 		BARRIER 2
 		HALT
 	`)
-	receiver := asm(t, `
+	receiver := asm(`
 		BARRIER 2
 		SC_ADDI G1, G0, 64
 		SC_ADDI G2, G0, 32
@@ -99,7 +171,7 @@ func TestSchedulePingPong(t *testing.T) {
 	// ping-pong, so the schedule alternates cores on nearly every step.
 	cfg := testConfig()
 	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 2
-	ping := asm(t, `
+	ping := asm(`
 		SC_ADDI G5, G0, 50
 		SC_ADDI G1, G0, 0
 		SC_ADDI G2, G0, 4
@@ -110,7 +182,7 @@ func TestSchedulePingPong(t *testing.T) {
 		BNE G5, G0, %loop
 		HALT
 	`)
-	pong := asm(t, `
+	pong := asm(`
 		SC_ADDI G5, G0, 50
 		SC_ADDI G1, G0, 0
 		SC_ADDI G2, G0, 4
@@ -127,49 +199,11 @@ func TestSchedulePingPong(t *testing.T) {
 	}
 }
 
-func TestScheduleFusedRunStopsBeforeSend(t *testing.T) {
-	// Core 0 computes for a while and then sends to core 3; core 1 sends to
-	// core 3 early. XY routing puts both messages on link 1->3, which core
-	// 1's must reserve first. Fusion runs core 0's straight-line stretch as
-	// one step, which is exact only because the run ends before its SEND:
-	// a SEND inside the run would reserve the link at core 0's later time
-	// ahead of core 1's earlier message.
-	cfg := testConfig()
-	late := asm(t, `
-		SC_ADDI G1, G0, 0
-		SC_ADDI G2, G0, 256
-		SC_ADDI G3, G0, 3
-	`+strings.Repeat("SC_ADDI G5, G5, 1\n", 40)+`
-		SEND G1, G2, G3, 1
-		HALT
-	`)
-	early := asm(t, `
-		SC_ADDI G1, G0, 0
-		SC_ADDI G2, G0, 256
-		SC_ADDI G3, G0, 3
-		SEND G1, G2, G3, 2
-		HALT
-	`)
-	sink := asm(t, `
-		SC_ADDI G1, G0, 0
-		SC_ADDI G2, G0, 256
-		SC_ADDI G3, G0, 1
-		SC_ADDI G4, G0, 0
-		RECV G1, G2, G3, 2
-		RECV G1, G2, G4, 1
-		HALT
-	`)
-	if _, _, err := checkSchedule(t, "fused run stops before send", cfg,
-		Program{Core: 0, Code: late}, Program{Core: 1, Code: early}, Program{Core: 3, Code: sink}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScheduleSingleCore(t *testing.T) {
 	// One active core never leaves the popped-core fast path of Run.
 	cfg := testConfig()
 	cfg.Chip.CoreRows, cfg.Chip.CoreCols = 1, 1
-	prog := Program{Core: 0, Code: asm(t, `
+	prog := Program{Core: 0, Code: asm(`
 		SC_ADDI G1, G0, 200
 	loop:	SC_ADDI G2, G2, 3
 		SC_ADDI G1, G1, -1
@@ -188,7 +222,7 @@ func TestScheduleDeadlockReportSorted(t *testing.T) {
 	// deadlock report must list the stuck cores in ascending core-id order.
 	cfg := testConfig()
 	hang := func(src int) []isa.Instruction {
-		return asm(t, fmt.Sprintf(`
+		return asm(fmt.Sprintf(`
 			SC_ADDI G1, G0, 0
 			SC_ADDI G2, G0, 4
 			SC_ADDI G3, G0, %d
@@ -198,7 +232,7 @@ func TestScheduleDeadlockReportSorted(t *testing.T) {
 	}
 	_, _, err := checkSchedule(t, "deadlock report", cfg,
 		Program{Core: 0, Code: hang(2)},
-		Program{Core: 1, Code: asm(t, "HALT")},
+		Program{Core: 1, Code: asm("HALT")},
 		Program{Core: 2, Code: hang(3)},
 		Program{Core: 3, Code: hang(0)},
 	)
@@ -219,7 +253,7 @@ func TestScheduleCycleLimit(t *testing.T) {
 	// Two runaway cores: the limit error must come from the core the
 	// schedule trips first (the smaller (time, id) key), core 0.
 	cfg := testConfig()
-	spin := asm(t, "spin: JMP %spin")
+	spin := asm("spin: JMP %spin")
 	run := func(opts ...ChipOption) error {
 		ch, err := NewChip(&cfg, opts...)
 		if err != nil {
@@ -246,14 +280,14 @@ func TestScheduleFirstError(t *testing.T) {
 	// almost immediately: the error surfaced is core 1's, the earlier key
 	// in the schedule.
 	cfg := testConfig()
-	late := asm(t, `
+	late := asm(`
 		SC_ADDI G5, G0, 400
 	spin:	SC_ADDI G5, G5, -1
 		BNE G5, G0, %spin
 		SC_DIV G1, G5, G0
 		HALT
 	`)
-	early := asm(t, `
+	early := asm(`
 		SC_ADDI G1, G0, 7
 		SC_DIV G2, G1, G0
 		HALT
@@ -264,40 +298,5 @@ func TestScheduleFirstError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "core 1") {
 		t.Fatalf("first error came from the wrong core: %v", err)
-	}
-}
-
-func TestSchedulePooledRerun(t *testing.T) {
-	// Reset + rerun on the same chip (the pooled-serving pattern) must
-	// stay bit-identical run over run, and to the golden row.
-	cfg := testConfig()
-	var progs []Program
-	for core := 0; core < 4; core++ {
-		prog := []isa.Instruction{}
-		prog = append(prog, isa.LI(1, 0)...)
-		prog = append(prog, isa.LI(2, 16)...)
-		prog = append(prog, isa.LI(3, int32((core+1)%4))...)
-		prog = append(prog, isa.LI(4, int32((core+3)%4))...)
-		prog = append(prog, isa.Send(1, 2, 3, 9))
-		prog = append(prog, isa.Recv(1, 2, 4, 9))
-		prog = append(prog, isa.Halt())
-		progs = append(progs, Program{Core: core, Code: prog})
-	}
-	ch, first, err := checkSchedule(t, "pooled rerun", cfg, progs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rerun := 0; rerun < 3; rerun++ {
-		ch.Reset()
-		if err := ch.CheckPayloadPool(); err != nil {
-			t.Fatal(err)
-		}
-		again, err := ch.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("rerun %d diverges: %+v vs %+v", rerun, first, again)
-		}
 	}
 }

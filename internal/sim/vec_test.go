@@ -2,13 +2,11 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
 
-	"cimflow/internal/arch"
 	"cimflow/internal/isa"
 	"cimflow/internal/tensor"
 )
@@ -299,87 +297,9 @@ func TestActTable(t *testing.T) {
 		}
 	}
 
-	// One program: SILU at scales 0, SIGM at scales 2, SILU at scales 1 and
-	// SILU at scales 0 again, over all 256 input bytes.
-	cfg := testConfig()
-	type step struct {
-		fn  uint8
-		sc  [2]float32
-		out int32
-	}
-	steps := []step{
-		{isa.VFnSilu8, scales[0], 1024}, {isa.VFnSigm8, scales[2], 1280},
-		{isa.VFnSilu8, scales[1], 1536}, {isa.VFnSilu8, scales[0], 1792},
-	}
-	prog := seq(isa.LI(4, 0), isa.LI(6, 256))
-	for _, st := range steps {
-		prog = seq(prog,
-			setSReg(isa.SRegActInScale, bitsOf(st.sc[0])), setSReg(isa.SRegActOutScale, bitsOf(st.sc[1])),
-			isa.LI(5, st.out), one(isa.Vec(st.fn, 5, 4, 0, 6)))
-	}
-	prog = seq(prog, one(isa.Halt()))
-	stage := func(ch *Chip) {
-		for x := 0; x < 256; x++ {
-			ch.cores[0].mem()[x] = byte(x)
-		}
-	}
-	check := func(ch *Chip, what string) {
-		t.Helper()
-		for _, st := range steps {
-			ref := tensor.Sigmoid8
-			if st.fn == isa.VFnSilu8 {
-				ref = tensor.SiLU8
-			}
-			out, err := ch.ReadLocal(0, int(st.out), 256)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x := 0; x < 256; x++ {
-				if want := byte(ref(int8(x), st.sc[0], st.sc[1])); out[x] != want {
-					t.Fatalf("%s: %s scales %v of %d = %d, want %d", what, isa.VectorFnName(st.fn), st.sc, int8(x), int8(out[x]), int8(want))
-				}
-			}
-		}
-	}
-	ch, err := NewChip(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	load(t, ch, 0, prog)
-	for _, what := range []string{"fresh chip", "after Reset"} {
-		stage(ch)
-		if _, err := ch.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		check(ch, what)
-		ch.Reset()
-	}
-}
-
-// laneDifferential runs each input through a one-lane chip, which must equal
-// the reference executor on it and the golden row key, then all of them as
-// one full batch, each lane of which must equal its one-lane run. It returns
-// the one-lane outputs.
-func (lc *laneCase) laneDifferential(t *testing.T, key string, cfg *arch.Config, inputs [][]byte) [][]byte {
-	t.Helper()
-	want := make([][]byte, len(inputs))
-	var wantStats *Stats
-	for l, in := range inputs {
-		out, stats := lc.runAlone(t, cfg, in)
-		checkGolden(t, key, stats, nil)
-		want[l], wantStats = out, stats
-	}
-	lc.runLanes(t, lc.stage(t, cfg, WithLanes(len(inputs))), inputs, want, wantStats)
-	return want
-}
-
-// laneInputs is the first n lane inputs.
-func laneInputs(n int) [][]byte {
-	inputs := make([][]byte, n)
-	for l := range inputs {
-		inputs[l] = laneInput(l)
-	}
-	return inputs
+	// One table slot serves a program that alternates activations and
+	// scales, also after Reset.
+	runRows(t, "activations alternate")
 }
 
 // TestWritebackPartialGroup runs the partial-group writeback case (5 of the
@@ -388,16 +308,8 @@ func laneInputs(n int) [][]byte {
 // table, and as a full 8-lane batch against the one-lane runs.
 func TestWritebackPartialGroup(t *testing.T) {
 	cfg := testConfig()
-	var lc *laneCase
-	for _, c := range laneCases() {
-		if c.name == "mvm writeback 5 channels" {
-			lc = &c
-		}
-	}
-	if lc == nil {
-		t.Fatal("lane case not found")
-	}
-	want := lc.laneDifferential(t, "lane/"+lc.name, &cfg, laneInputs(8))
+	lc := row(t, "mvm writeback 5 channels")
+	want := lc.check(t, lc.golden(), &cfg, laneInputs(8))
 	if relu, noRelu := want[0][40:45], want[0][32:37]; bytes.Equal(relu, noRelu) {
 		t.Fatalf("the case does not tell ReLU from no ReLU: both %v", relu)
 	}
@@ -458,7 +370,7 @@ func TestWritebackTable(t *testing.T) {
 				}
 				t.Run(lc.name, func(t *testing.T) {
 					distinct := map[byte]bool{}
-					for l, out := range lc.laneDifferential(t, "writeback/"+lc.name, &cfg, inputs) {
+					for l, out := range lc.check(t, "writeback/"+lc.name, &cfg, inputs) {
 						if tail := out[len(out)-8:]; !bytes.Equal(tail, bytes.Repeat([]byte{0x55}, 8)) {
 							t.Fatalf("input %d: bytes behind the window overwritten: %v", l, tail)
 						}
