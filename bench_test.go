@@ -1,9 +1,7 @@
-// Benchmark harness regenerating the paper's evaluation (Sec. IV).
-// Each benchmark measures one figure's experiments end to end
-// (compile + cycle-accurate simulation) and reports the headline series as
-// benchmark metrics: norm_speed/norm_energy for Fig. 5 bars, TOPS and mJ
-// for the Fig. 6 / Fig. 7 sweep points. `cmd/cimflow-bench` prints the same
-// rows as tables; EXPERIMENTS.md records paper-vs-measured.
+// The Table I peak, micro-benchmarks of the compiler, simulator, NoC model
+// and golden executor, and the ablations. The paper's figures (Sec. IV) are
+// regenerated by `cimflow-dse -fig`, which fails on any point that does not
+// compile and simulate; EXPERIMENTS.md records paper-vs-measured.
 package cimflow_test
 
 import (
@@ -15,109 +13,11 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/core"
-	"cimflow/internal/dse"
 	"cimflow/internal/isa"
 	"cimflow/internal/model"
 	"cimflow/internal/noc"
 	"cimflow/internal/sim"
 )
-
-// runOnce is one figure data point end to end: a fresh engine compiles the
-// model and a fresh chip simulates the seeded input (weights seed 1, input
-// seed 2).
-func runOnce(b *testing.B, g *cimflow.Graph, cfg cimflow.Config, s cimflow.Strategy) *cimflow.Result {
-	b.Helper()
-	sess := freshSession(b, g, cfg, s, 1)
-	res, err := sess.Infer(context.Background(), sess.SeededInput(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// BenchmarkFig5 regenerates Fig. 5: normalized speed and energy of the
-// three compilation strategies on the four benchmark DNNs.
-func BenchmarkFig5(b *testing.B) {
-	cfg := cimflow.DefaultConfig()
-	for _, name := range dse.Fig5Models {
-		g, err := cimflow.LookupModel(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var base *cimflow.Result
-		for _, s := range []cimflow.Strategy{cimflow.StrategyGeneric, cimflow.StrategyDuplication, cimflow.StrategyDP} {
-			b.Run(fmt.Sprintf("%s/%v", name, s), func(b *testing.B) {
-				var res *cimflow.Result
-				for i := 0; i < b.N; i++ {
-					res = runOnce(b, g, cfg, s)
-				}
-				if s == cimflow.StrategyGeneric {
-					base = res
-				}
-				b.ReportMetric(float64(res.Stats.Cycles), "cycles")
-				b.ReportMetric(res.EnergyMJ, "mJ")
-				if base != nil {
-					b.ReportMetric(float64(base.Stats.Cycles)/float64(res.Stats.Cycles), "norm_speed")
-					b.ReportMetric(res.EnergyMJ/base.EnergyMJ, "norm_energy")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Fig. 6: throughput and energy breakdown across
-// MG sizes and NoC flit widths under the generic mapping.
-func BenchmarkFig6(b *testing.B) {
-	base := cimflow.DefaultConfig()
-	for _, name := range []string{"resnet18", "efficientnetb0"} {
-		g, err := cimflow.LookupModel(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mg := range dse.Fig6MGSizes {
-			for _, flit := range dse.Fig6Flits {
-				b.Run(fmt.Sprintf("%s/mg%d/flit%d", name, mg, flit), func(b *testing.B) {
-					cfg := base.WithMacrosPerGroup(mg).WithFlitBytes(flit)
-					var res *cimflow.Result
-					for i := 0; i < b.N; i++ {
-						res = runOnce(b, g, cfg, cimflow.StrategyGeneric)
-					}
-					b.ReportMetric(res.TOPS, "TOPS")
-					b.ReportMetric(res.Stats.Energy.LocalMemPJ/1e9, "mJ_localmem")
-					b.ReportMetric(res.Stats.Energy.ComputePJ()/1e9, "mJ_compute")
-					b.ReportMetric(res.Stats.Energy.NoCPJ/1e9, "mJ_noc")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Fig. 7: the SW/HW design space — the same
-// hardware sweep under generic and DP-optimized compilation.
-func BenchmarkFig7(b *testing.B) {
-	base := cimflow.DefaultConfig()
-	for _, name := range []string{"resnet18", "efficientnetb0"} {
-		g, err := cimflow.LookupModel(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range []cimflow.Strategy{cimflow.StrategyGeneric, cimflow.StrategyDP} {
-			for _, mg := range dse.Fig6MGSizes {
-				for _, flit := range dse.Fig6Flits {
-					b.Run(fmt.Sprintf("%s/%v/mg%d/flit%d", name, s, mg, flit), func(b *testing.B) {
-						cfg := base.WithMacrosPerGroup(mg).WithFlitBytes(flit)
-						var res *cimflow.Result
-						for i := 0; i < b.N; i++ {
-							res = runOnce(b, g, cfg, s)
-						}
-						b.ReportMetric(res.TOPS, "TOPS")
-						b.ReportMetric(res.EnergyMJ, "mJ")
-					})
-				}
-			}
-		}
-	}
-}
 
 // BenchmarkTableIPeak reports the default (Table I) architecture's derived
 // peak throughput — the capacity context for every other number.

@@ -161,7 +161,7 @@ func SweepTable(title string, results []SweepResult) *Table {
 
 // RunFig5With / RunFig6With / RunFig7With regenerate the paper's evaluation
 // (Sec. IV) on the DSE engine, with the sweep's parallelism, cache sharing,
-// checkpointing and cancellation (cimflow-bench -j); cancelling ctx aborts
+// checkpointing and cancellation (cimflow-dse -fig -j); cancelling ctx aborts
 // mid-simulation. RunFig5With is Fig. 5, the compilation strategies.
 func RunFig5With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig5Row, error) {
 	return dse.RunFig5(ctx, cfg, models, opt)

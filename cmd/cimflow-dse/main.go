@@ -1,23 +1,32 @@
-// Command cimflow-dse runs a declarative design-space exploration sweep
-// from a JSON spec: the cross-product of models, compilation strategies
-// and hardware knobs (MG size, NoC flit width, core mesh, local memory)
-// simulated on a parallel worker pool with compile caching, then analyzed
-// for the energy/throughput Pareto frontier and best points.
+// Command cimflow-dse is the design-space front end. It regenerates the
+// paper's evaluation figures, and it sweeps or searches a JSON spec: the
+// cross-product of models, compilation strategies and hardware knobs (MG
+// size, NoC flit width, core mesh, local memory), simulated on a parallel
+// worker pool with compile caching and analyzed for the energy/throughput
+// Pareto frontier and best points.
 //
+//	cimflow-dse -fig 5                      # Fig. 5 (6, 7: MG x flit, SW/HW space)
+//	cimflow-dse -fig all -j 8 -csv out/     # Figs. 5-7, also as out/figN.csv
+//	cimflow-dse -fig 5 -models resnet18     # one figure on a model subset
 //	cimflow-dse -example > sweep.json       # print a template spec
-//	cimflow-dse -spec sweep.json            # run it (all cores)
-//	cimflow-dse -spec sweep.json -j 4       # bounded parallelism
-//	cimflow-dse -spec sweep.json -csv out.csv
-//	cimflow-dse -spec sweep.json -checkpoint state.json   # resumable
-//	cimflow-dse -spec sweep.json -pareto    # frontier rows only
+//	cimflow-dse -spec sweep.json -j 4       # sweep it on 4 workers
+//	cimflow-dse -spec sweep.json -csv out.csv -checkpoint state.json -pareto
+//
+// Every mode shares its output flags. -format csv or json prints the rows
+// alone on stdout (json: one object per row) and moves progress, timings
+// and summaries to stderr. Every row carries compile_ms and sim_ms, its
+// wall-clock cost split between compiler and simulator; every other column
+// is deterministic at any -j. The figures share one compile cache, and a
+// figure fails on any point that does not simulate. -cpuprofile and
+// -memprofile profile the whole run, an interrupted or failed one too.
 //
 // Instead of simulating the full cross-product, -search explores the space
 // under a simulation budget: free planning-stage cost estimates prune the
 // candidates, and only the survivors get cycle-accurate simulations.
 //
 //	cimflow-dse -spec sweep.json -search halving            # budget = 25% of space
-//	cimflow-dse -spec sweep.json -search evolve -budget 200 -seed 7
-//	cimflow-dse -spec sweep.json -search evolve -budget 200 \
+//	cimflow-dse -spec sweep.json -search hillclimb -budget 200 -seed 7
+//	cimflow-dse -spec sweep.json -search hillclimb -budget 200 \
 //	    -checkpoint state.json -cache-dir store -shard 2/4  # one of 4 shard procs
 //
 // Sharded searches split the simulation budget across cooperating
@@ -30,21 +39,6 @@
 // its row reads "INFEASIBLE <resource> need N have M (operator)" and the
 // summary line counts it as infeasible, not failed. The planner finds
 // macro-group and core limits, so a search never simulates such a point.
-//
-// The spec format (all axes optional except models; empty axes keep the
-// base configuration's value):
-//
-//	{
-//	  "name": "fig7-mini",
-//	  "models": ["mobilenetv2"],
-//	  "strategies": ["generic", "dp"],
-//	  "mg_sizes": [4, 8, 16],
-//	  "flit_bytes": [8, 16],
-//	  "core_meshes": [[8, 8], [4, 4]],
-//	  "local_mem_kb": [256, 512],
-//	  "seed": 1,
-//	  "base": { "clock_ghz": 1.0 }
-//	}
 package main
 
 import (
@@ -53,8 +47,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -71,18 +69,23 @@ func main() {
 }
 
 func run() error {
-	specPath := flag.String("spec", "", "sweep spec JSON file (required unless -example)")
+	fig := flag.String("fig", "", "regenerate a paper figure instead of running a spec: 5 | 6 | 7 | all")
+	models := flag.String("models", "", "comma-separated model subset for -fig (default: the figure's models)")
+	specPath := flag.String("spec", "", "sweep spec JSON file (required unless -fig or -example)")
 	workers := flag.Int("j", 0, "worker-pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "compile-artifact store directory: sweep shards running as separate processes share compiles through it")
-	csvPath := flag.String("csv", "", "write the result table as CSV to this file")
+	format := flag.String("format", "table", "stdout format: table | csv | json (one JSON object per row); csv and json move progress and summaries to stderr")
+	csvPath := flag.String("csv", "", "also write the result table as CSV to this file (with -fig: figN.csv files into this directory)")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file: resume done points, record progress")
 	paretoOnly := flag.Bool("pareto", false, "print only the Pareto-optimal rows")
 	quiet := flag.Bool("q", false, "suppress per-point progress lines")
 	example := flag.Bool("example", false, "print a template spec and exit")
-	searchName := flag.String("search", "", "search the space instead of sweeping it: halving, hillclimb or evolve")
+	searchName := flag.String("search", "", "search the space instead of sweeping it: halving or hillclimb")
 	budget := flag.Int("budget", 0, "simulation budget for -search (0 = 25% of the space)")
 	seed := flag.Int64("seed", 1, "random seed for -search (same seed + budget = same trajectory)")
 	shardSpec := flag.String("shard", "", "shard i/n for -search: this process simulates share i of n (requires -checkpoint)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	flag.Parse()
 
 	if *example {
@@ -93,22 +96,57 @@ func run() error {
 		fmt.Println(string(data))
 		return nil
 	}
-	if *specPath == "" {
+	// emit prints a result table in the -format and, when csvFile is set,
+	// writes it there too; info takes progress, timings and summaries:
+	// stdout beside a table, stderr beside rows a pipeline reads.
+	var info io.Writer = os.Stdout
+	write := (*cimflow.Table).Write
+	switch *format {
+	case "table":
+	case "csv", "json":
+		info, write = os.Stderr, (*cimflow.Table).WriteCSV
+		if *format == "json" {
+			write = (*cimflow.Table).WriteJSON
+		}
+	default:
+		return fmt.Errorf("unknown -format %q (want table, csv or json)", *format)
+	}
+	emit := func(t *cimflow.Table, csvFile string) error {
+		if err := write(t, os.Stdout); err != nil || csvFile == "" {
+			return err
+		}
+		f, err := os.Create(csvFile)
+		if err != nil {
+			return err
+		}
+		if err := t.WriteCSV(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	if (*fig == "") == (*specPath == "") {
 		flag.Usage()
-		return fmt.Errorf("-spec is required")
+		return fmt.Errorf("give one of -fig and -spec")
 	}
-	spec, err := dse.LoadSpec(*specPath)
+	if *fig != "" && (*searchName != "" || *paretoOnly) {
+		return fmt.Errorf("-search and -pareto need -spec")
+	}
+	var shard, shardCount int
+	if *shardSpec != "" {
+		if *searchName == "" {
+			return fmt.Errorf("-shard requires -search")
+		}
+		var err error
+		if shard, shardCount, err = parseShard(*shardSpec); err != nil {
+			return err
+		}
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
-	base, err := spec.BaseConfig()
-	if err != nil {
-		return err
-	}
-	points, err := spec.Expand(base)
-	if err != nil {
-		return err
-	}
+	defer stopProfiles()
 
 	opt := cimflow.SweepOptions{Workers: *workers, Cache: cimflow.NewCompileCache()}
 	if *cacheDir != "" {
@@ -130,14 +168,31 @@ func run() error {
 		opt.Checkpoint = ckpt
 	}
 
-	var shard, shardCount int
-	if *shardSpec != "" {
-		if *searchName == "" {
-			return fmt.Errorf("-shard requires -search")
+	// Ctrl-C aborts the current simulations mid-run instead of hanging
+	// until the sweep finishes.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if *fig != "" {
+		var subset []string
+		if *models != "" {
+			subset = strings.Split(*models, ",")
 		}
-		if shard, shardCount, err = parseShard(*shardSpec); err != nil {
-			return err
-		}
+		err := figures(ctx, *fig, subset, opt, emit, info, *csvPath)
+		saveCheckpoint(opt.Checkpoint)
+		return err
+	}
+
+	spec, err := dse.LoadSpec(*specPath)
+	if err != nil {
+		return err
+	}
+	base, err := spec.BaseConfig()
+	if err != nil {
+		return err
+	}
+	points, err := spec.Expand(base)
+	if err != nil {
+		return err
 	}
 	tag := fmt.Sprintf("[%%3d/%3d]", len(points))
 	if *searchName != "" {
@@ -162,8 +217,6 @@ func run() error {
 		progress = nil
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	start := time.Now()
 	kind, title, summary := "sweep", spec.Name, fmt.Sprintf("%d point(s)", len(points))
 	var rows, front []cimflow.SweepResult
@@ -210,8 +263,9 @@ func run() error {
 	if *paretoOnly {
 		shown, title = front, title+" (Pareto frontier)"
 	}
-	table := cimflow.SweepTable(title, shown)
-	table.Write(os.Stdout)
+	if err := emit(cimflow.SweepTable(title, shown), *csvPath); err != nil {
+		return err
+	}
 
 	failed, unfit := 0, 0
 	for _, r := range rows {
@@ -223,11 +277,11 @@ func run() error {
 		}
 	}
 	cache := opt.Cache
-	fmt.Printf("\n%s in %v: %d frontier point(s), %d compiles, %d cache hits, %d failed, %d infeasible\n",
+	fmt.Fprintf(info, "\n%s in %v: %d frontier point(s), %d compiles, %d cache hits, %d failed, %d infeasible\n",
 		summary, time.Since(start).Round(time.Millisecond), len(front), cache.CompileCalls(), cache.Hits(), failed, unfit)
 	if store := cache.Store(); store != nil {
 		st := store.Stats()
-		fmt.Printf("artifact store %s: %d loaded, %d saved, %d evicted\n",
+		fmt.Fprintf(info, "artifact store %s: %d loaded, %d saved, %d evicted\n",
 			store.Dir(), st.Loads, st.Saves, st.Evictions)
 	}
 	for _, b := range []struct {
@@ -235,32 +289,110 @@ func run() error {
 		score func(cimflow.SweepMetrics) float64
 	}{{"tops", dse.ScoreTOPS}, {"energy", dse.ScoreEnergy}, {"edp", dse.ScoreEDP}} {
 		if r, ok := cimflow.BestPoint(rows, b.score); ok {
-			fmt.Printf("best %-7s %-40s %8.3f TOPS  %10.4f mJ\n",
+			fmt.Fprintf(info, "best %-7s %-40s %8.3f TOPS  %10.4f mJ\n",
 				b.name, r.Point.Label(), r.Metrics.TOPS, r.Metrics.EnergyMJ)
 		}
 	}
 	for _, r := range front {
-		fmt.Printf("frontier %-40s %8.3f TOPS  %10.4f mJ\n",
+		fmt.Fprintf(info, "frontier %-40s %8.3f TOPS  %10.4f mJ\n",
 			r.Point.Label(), r.Metrics.TOPS, r.Metrics.EnergyMJ)
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		if err := table.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
 	if failed+unfit == len(rows) && len(rows) > 0 {
 		return fmt.Errorf("every point failed or was infeasible")
 	}
 	return nil
+}
+
+// figures regenerates one of the paper's Figs. 5-7, or all three, on the
+// default architecture: each figure's table, a timing line, and figN.csv
+// in csvDir when it is set.
+func figures(ctx context.Context, which string, models []string, opt cimflow.SweepOptions,
+	emit func(*cimflow.Table, string) error, info io.Writer, csvDir string) error {
+	cfg := cimflow.DefaultConfig()
+	figs := map[string]func() (*cimflow.Table, error){
+		"5": func() (*cimflow.Table, error) {
+			rows, err := dse.RunFig5(ctx, cfg, models, opt)
+			return dse.Fig5Table(rows), err
+		},
+		"6": func() (*cimflow.Table, error) {
+			rows, err := dse.RunFig6(ctx, cfg, models, opt)
+			return dse.Fig6Table(rows), err
+		},
+		"7": func() (*cimflow.Table, error) {
+			rows, err := dse.RunFig7(ctx, cfg, models, opt)
+			return dse.Fig7Table(rows), err
+		},
+	}
+	names := []string{which}
+	if which == "all" {
+		names = []string{"5", "6", "7"}
+	} else if figs[which] == nil {
+		return fmt.Errorf("-fig must be 5, 6, 7 or all, got %q", which)
+	}
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return err
+		}
+	}
+	for _, n := range names {
+		start := time.Now()
+		compiles, hits := opt.Cache.CompileCalls(), opt.Cache.Hits()
+		t, err := figs[n]()
+		if err != nil {
+			return fmt.Errorf("fig%s: %w", n, err)
+		}
+		csvFile := ""
+		if csvDir != "" {
+			csvFile = filepath.Join(csvDir, "fig"+n+".csv")
+		}
+		if err := emit(t, csvFile); err != nil {
+			return err
+		}
+		fmt.Fprintf(info, "(fig%s regenerated in %v; %d compiles, %d cache hits)\n\n",
+			n, time.Since(start).Round(time.Millisecond),
+			opt.Cache.CompileCalls()-compiles, opt.Cache.Hits()-hits)
+	}
+	return nil
+}
+
+// startProfiles starts the -cpuprofile; the returned stop ends it and
+// writes the -memprofile after a GC, so it shows live objects, not
+// transient garbage. run defers stop, so a failed or interrupted run
+// still leaves readable profiles.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("starting CPU profile: %w", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cimflow-dse: writing CPU profile:", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err == nil {
+			runtime.GC()
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cimflow-dse: writing heap profile:", err)
+		}
+	}, nil
 }
 
 // infeasible reports whether err is a point the chip cannot hold.

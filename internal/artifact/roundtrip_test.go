@@ -49,11 +49,19 @@ func TestArtifactRoundTripDifferential(t *testing.T) {
 
 				ws := model.NewSeededWeights(g, 1)
 				input := model.SeededInput(g.Nodes[0].OutShape, 2)
-				want, err := core.Simulate(context.Background(), fresh, ws, input, core.Options{})
+				infer := func(c *compiler.Compiled) (*core.Result, error) {
+					s, err := core.NewSession(c, ws, core.Options{})
+					if err != nil {
+						return nil, err
+					}
+					defer s.Close()
+					return s.Infer(context.Background(), input)
+				}
+				want, err := infer(fresh)
 				if err != nil {
 					t.Fatalf("fresh compile: %v", err)
 				}
-				got, err := core.Simulate(context.Background(), loaded, ws, input, core.Options{})
+				got, err := infer(loaded)
 				if err != nil {
 					t.Fatalf("decoded artifact: %v", err)
 				}

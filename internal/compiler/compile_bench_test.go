@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkCompile measures cold compilation (frontend + planning +
-// codegen) per model and strategy — the compile half of the perf
-// trajectory cimflow-bench now reports per row.
+// codegen) per model and strategy — the compile half of the cost that
+// cimflow-dse reports per row as compile_ms.
 func BenchmarkCompile(b *testing.B) {
 	cfg := arch.DefaultConfig()
 	for _, name := range []string{"resnet18", "vgg19", "mobilenetv2", "efficientnetb0"} {

@@ -9,7 +9,19 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/compiler"
 	"cimflow/internal/model"
+	"cimflow/internal/tensor"
 )
+
+// freshRun is one inference on a new session of its own, and so on a new
+// chip: the reference a pooled, reused or lane-batched run is held to.
+func freshRun(ctx context.Context, compiled *compiler.Compiled, ws model.WeightStore, in tensor.Tensor) (*Result, error) {
+	s, err := NewSession(compiled, ws, Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Infer(ctx, in)
+}
 
 // assertResultsEqual requires two simulation runs to agree byte for byte on
 // the output tensor and exactly on cycles, instruction counts, MACs, the
@@ -149,7 +161,7 @@ func TestInterpreterEquivalenceGroupTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l, in := range inputs {
-				alone, err := Simulate(context.Background(), compiled, ws, in, Options{})
+				alone, err := freshRun(context.Background(), compiled, ws, in)
 				if err != nil {
 					t.Fatalf("input %d: %v", l, err)
 				}

@@ -1,16 +1,12 @@
 // Package core is the integrated CIMFlow workflow: it runs compiled
 // programs on the cycle-accurate simulator through the
-// compile-once/infer-many Session that the public Engine API is built on
-// (Simulate is one run on a fresh chip), validates a session's outputs
-// against the golden tensor library, and underpins the experiment sweeps
-// that regenerate the paper's figures.
+// compile-once/infer-many Session that the public Engine API is built on,
+// validates a session's outputs against the golden tensor library, and
+// underpins the experiment sweeps that regenerate the paper's figures.
 package core
 
 import (
-	"context"
-
 	"cimflow/internal/compiler"
-	"cimflow/internal/model"
 	"cimflow/internal/sim"
 	"cimflow/internal/tensor"
 )
@@ -63,18 +59,4 @@ type Options struct {
 	// whose data would change control flow diverge and re-run alone. 0 or
 	// 1 means one lane.
 	SimLanes int
-}
-
-// Simulate executes an already-compiled model with the given weights and
-// input tensor on a fresh chip. Callers running the same compiled model
-// repeatedly should hold a Session instead, which stages weights once and
-// pools chips across runs; callers running many programs, of one
-// architecture or several, should build their sessions on one Pool, which
-// restages its chips from program to program.
-func Simulate(ctx context.Context, compiled *compiler.Compiled, ws model.WeightStore, input tensor.Tensor, opt Options) (*Result, error) {
-	s, err := NewSession(compiled, ws, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Infer(ctx, input)
 }

@@ -227,7 +227,7 @@ func TestPoolFailuresGiveSlotsBack(t *testing.T) {
 		s.release(c)
 	}
 	counted("the full pool", bound)
-	want, err := Simulate(ctx, compiled, ws, input, Options{})
+	want, err := freshRun(ctx, compiled, ws, input)
 	if err != nil {
 		t.Fatal(err)
 	}

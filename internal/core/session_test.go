@@ -38,7 +38,7 @@ func TestSessionPooledRunsMatchFreshRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		want, err := Simulate(ctx, compiled, ws, input, Options{})
+		want, err := freshRun(ctx, compiled, ws, input)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", label, err)
 		}
@@ -395,7 +395,7 @@ func TestPooledResetDifferential(t *testing.T) {
 				ran = res[0].Stats
 				checkPool(label, false)
 				for l, in := range inputs {
-					fresh, err := Simulate(context.Background(), compiled, ws, in, Options{})
+					fresh, err := freshRun(context.Background(), compiled, ws, in)
 					if err != nil {
 						t.Fatalf("%s: fresh chip: %v", label, err)
 					}

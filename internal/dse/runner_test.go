@@ -348,8 +348,12 @@ func TestSweepMatchesFreshChips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := core.Simulate(context.Background(), compiled, model.NewSeededWeights(g, p.Seed),
-			model.SeededInput(g.Nodes[0].OutShape, p.Seed+1), core.Options{})
+		s, err := core.NewSession(compiled, model.NewSeededWeights(g, p.Seed), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := s.Infer(context.Background(), model.SeededInput(g.Nodes[0].OutShape, p.Seed+1))
+		s.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 
 // SearchOptions configures a search run.
 type SearchOptions struct {
-	// Strategy picks the algorithm: "halving", "hillclimb" or "evolve".
+	// Strategy picks the algorithm: "halving" or "hillclimb".
 	Strategy string
 	// Budget is the maximum number of full cycle-accurate simulations the
 	// search may spend. Planning-stage estimates are free. <= 0 defaults to
@@ -61,17 +61,15 @@ type SearchResult struct {
 // through the tour's RNG and stop when the budget is spent.
 type strategy func(t *tour)
 
-// strategyNamed resolves a strategy by name or alias to its canonical name.
-func strategyNamed(name string) (string, strategy, error) {
+// strategyNamed resolves a strategy by name.
+func strategyNamed(name string) (strategy, error) {
 	switch name {
-	case "halving", "sh":
-		return "halving", halving, nil
-	case "hillclimb", "hc":
-		return "hillclimb", hillClimb, nil
-	case "evolve", "ea":
-		return "evolve", evolve, nil
+	case "halving":
+		return halving, nil
+	case "hillclimb":
+		return hillClimb, nil
 	}
-	return "", nil, fmt.Errorf("dse: unknown strategy %q (have halving, hillclimb, evolve)", name)
+	return nil, fmt.Errorf("dse: unknown strategy %q (have halving, hillclimb)", name)
 }
 
 // Search explores a spec's design space under opt.Budget full simulations
@@ -85,7 +83,7 @@ func Search(ctx context.Context, spec *Spec, opt SearchOptions) (*SearchResult, 
 	if err != nil {
 		return nil, err
 	}
-	name, strat, err := strategyNamed(opt.Strategy)
+	strat, err := strategyNamed(opt.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +96,7 @@ func Search(ctx context.Context, spec *Spec, opt SearchOptions) (*SearchResult, 
 	}
 	defer t.close()
 	strat(t)
-	return t.result(name), ctx.Err()
+	return t.result(opt.Strategy), ctx.Err()
 }
 
 // errBudget marks the asks of a batch that the spent budget left

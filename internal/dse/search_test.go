@@ -50,7 +50,7 @@ func renderRun(r *SearchResult) string {
 // trajectory and frontier at 1, 2 and 8 workers, for every strategy.
 func TestSearchDeterminism(t *testing.T) {
 	cache := NewCompileCache()
-	for _, strat := range []string{"halving", "hillclimb", "evolve"} {
+	for _, strat := range []string{"halving", "hillclimb"} {
 		var baseline string
 		for _, workers := range []int{1, 2, 8} {
 			res, err := Search(context.Background(), searchSpec(), SearchOptions{
@@ -150,7 +150,7 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"halving", "hillclimb", "evolve"} {
+	for _, name := range []string{"halving", "hillclimb"} {
 		check(name, len(points))
 	}
 	check("halving", len(points)/2)
@@ -160,7 +160,7 @@ func TestSearchRecoversExhaustiveFrontier(t *testing.T) {
 // repeat asks of the same point are not double-charged.
 func TestSearchBudgetEnforced(t *testing.T) {
 	res, err := Search(context.Background(), searchSpec(), SearchOptions{
-		Strategy: "evolve", Budget: 3, Seed: 5, Cache: NewCompileCache(),
+		Strategy: "hillclimb", Budget: 3, Seed: 5, Cache: NewCompileCache(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +178,14 @@ func TestSearchBudgetEnforced(t *testing.T) {
 	}
 }
 
-// TestSearchUnknownStrategy: typos fail fast with the valid names.
+// TestSearchUnknownStrategy: typos and retired names fail fast with the
+// valid names.
 func TestSearchUnknownStrategy(t *testing.T) {
-	_, err := Search(context.Background(), searchSpec(), SearchOptions{Strategy: "anneal"})
-	if err == nil || !strings.Contains(err.Error(), "unknown strategy") {
-		t.Fatalf("err = %v, want unknown strategy", err)
+	for _, name := range []string{"anneal", "evolve", "sh"} {
+		_, err := Search(context.Background(), searchSpec(), SearchOptions{Strategy: name})
+		if err == nil || !strings.Contains(err.Error(), "unknown strategy") || !strings.Contains(err.Error(), "halving, hillclimb") {
+			t.Fatalf("%s: err = %v, want unknown strategy naming halving and hillclimb", name, err)
+		}
 	}
 }
 
@@ -265,7 +268,7 @@ func TestSearchStopsWhenSpaceExhausted(t *testing.T) {
 		spec       *Spec
 		size, live int
 	}{{"live", searchSpec(), 8, 8}, {"dead cells", deadCellSpec(), 16, 8}} {
-		for _, strat := range []string{"halving", "hillclimb", "evolve"} {
+		for _, strat := range []string{"halving", "hillclimb"} {
 			for _, budget := range []int{sc.live, 2 * sc.size} {
 				label := fmt.Sprintf("%s/%s/budget %d", sc.name, strat, budget)
 				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

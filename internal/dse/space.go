@@ -8,12 +8,6 @@ import (
 	"cimflow/internal/model"
 )
 
-// Axis is one swept dimension of a space: its name and cardinality.
-type Axis struct {
-	Name string
-	Size int
-}
-
 // Space is a Spec indexed for navigation: every point of the spec's
 // cross-product is addressable by a dense index in [0, Size). Axis order is
 // fixed — models (outermost), strategies, MG sizes, flit widths, core
@@ -91,21 +85,8 @@ func (s *Space) radix() [6]int {
 	return [6]int{len(s.models), len(s.strats), len(s.mgs), len(s.flits), len(s.meshes), len(s.lms)}
 }
 
-// Axes describes the swept dimensions in index order (models outermost).
-func (s *Space) Axes() []Axis {
-	r := s.radix()
-	return []Axis{
-		{"model", r[0]},
-		{"strategy", r[1]},
-		{"mg_size", r[2]},
-		{"flit_B", r[3]},
-		{"mesh", r[4]},
-		{"localmem_KB", r[5]},
-	}
-}
-
 // Coords decodes an index into per-axis digits (mixed radix, models
-// outermost — the digit order of Axes).
+// outermost — the digit order of radix).
 func (s *Space) Coords(i int) [6]int {
 	var c [6]int
 	radix := s.radix()

@@ -11,10 +11,9 @@
 // ParetoFront/Best summarize the result.
 //
 // Search finds the same frontier in a fraction of the sweep's simulations:
-// a strategy (successive halving, hill climbing with random restarts, or a
-// (mu+lambda) evolutionary loop) walks the spec's Space, ranks candidates
-// by free planning-stage estimates and simulates only the survivors. Every
-// search is reproducible from its seed, and shards split its simulations
+// a strategy (successive halving, or hill climbing with random restarts)
+// walks the spec's Space, ranks candidates by free planning-stage
+// estimates and simulates only the survivors. Every search is reproducible from its seed, and shards split its simulations
 // across cooperating processes that converge to one merged frontier.
 package dse
 

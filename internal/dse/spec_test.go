@@ -180,8 +180,8 @@ func TestNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	for _, ax := range space.Axes() {
-		want += ax.Size - 1
+	for _, size := range space.radix() {
+		want += size - 1
 	}
 	for i := 0; i < space.Size(); i++ {
 		nbrs := space.Neighbors(i)

@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"maps"
+	"testing"
+)
 
 func kinds(t *testing.T, code []Instruction) []Decoded {
 	t.Helper()
@@ -96,5 +99,43 @@ func TestFuseLongRunSplits(t *testing.T) {
 	}
 	if dec[299].Kind != KindHALT {
 		t.Errorf("halt disturbed: %d", dec[299].Kind)
+	}
+}
+
+// TestFuseEndsRunAtControlTail: a branch or jump ends the run it closes. The
+// ops after it start a run of their own (a fused run replays its components
+// in order, so one that covered code past a taken branch would execute code
+// the branch skips), and no run covers a control op before its last slot.
+func TestFuseEndsRunAtControlTail(t *testing.T) {
+	add := ALUI(FnAdd, 1, 1, 1)
+	for _, c := range []struct {
+		name  string
+		code  []Instruction
+		heads map[int]uint8 // pc -> SubN of every fused run
+	}{
+		{"branch mid-stretch", []Instruction{add, add, Branch(OpBNE, 1, 0, -2), add, add, Halt()}, map[int]uint8{0: 3, 3: 2}},
+		{"jump mid-stretch", []Instruction{add, Jmp(3), add, add, add, Halt()}, map[int]uint8{0: 2, 2: 3}},
+		{"branch after a shared op", []Instruction{Send(1, 2, 3, 0), add, Branch(OpBEQ, 1, 0, 2), add, Halt()}, map[int]uint8{1: 2}},
+		{"back-to-back branches", []Instruction{add, Branch(OpBNE, 1, 0, -1), Branch(OpBNE, 1, 0, -2), add, add, Halt()}, map[int]uint8{0: 2, 3: 2}},
+		{"vector body then jump", []Instruction{Vec(0, 1, 2, 3, 4), add, Jmp(-2), VFill(1, 2, 0), Halt()}, map[int]uint8{0: 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dec := kinds(t, c.code)
+			got := map[int]uint8{}
+			for pc, d := range dec {
+				if d.Kind != KindFusedRun {
+					continue
+				}
+				got[pc] = d.SubN
+				for k := pc + 1; k < pc+int(d.SubN)-1; k++ {
+					if fuseTail(dec[k].Kind) {
+						t.Errorf("run at pc %d (n %d) covers the control op at pc %d", pc, d.SubN, k)
+					}
+				}
+			}
+			if !maps.Equal(got, c.heads) {
+				t.Fatalf("fused runs (pc: n) %v, want %v", got, c.heads)
+			}
+		})
 	}
 }

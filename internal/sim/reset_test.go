@@ -334,7 +334,9 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 	}
 
 	// A run cancelled in the middle of loops that fill, copy and load on four
-	// cores: the loops are abandoned wherever they were.
+	// cores: the loops are abandoned wherever they were. The loops never end;
+	// the cancel lands some 0.2M cycles in, and the cycle limit, about 1 s of
+	// simulation further, stops a run whose context goes unpolled.
 	loop := seq(copyIn(0, laneIn, 64),
 		isa.LI(1, 1<<dirtyShift-6), isa.LI(2, 20), isa.LI(3, 300000), isa.LI(4, 5000),
 		isa.LI(5, 2), isa.LI(6, 4), isa.LI(7, 8), isa.LI(8, 0),
@@ -351,6 +353,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ch.CycleLimit = 50_000_000
 			ch.EnsureGlobal(laneMemBytes)
 			for core := 0; core < 4; core++ {
 				m.load(t, ch, Program{Core: core, Code: loop})

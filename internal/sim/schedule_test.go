@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cimflow/internal/arch"
 	"cimflow/internal/isa"
@@ -104,9 +105,18 @@ func TestCycleLimit(t *testing.T) {
 	ch, _ := NewChip(&cfg)
 	ch.CycleLimit = 1000
 	load(t, ch, 0, asm("spin: JMP %spin"))
-	if _, err := ch.Run(context.Background()); !errors.Is(err, ErrCycleLimit) {
+	if _, err := ch.Run(runawayContext(t)); !errors.Is(err, ErrCycleLimit) {
 		t.Errorf("Run = %v, want cycle limit error", err)
 	}
+}
+
+// runawayContext bounds a run of an endless program that only CycleLimit
+// stops: a limit left unchecked fails as the context's deadline within
+// seconds, not as a test binary's timeout.
+func runawayContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 func TestProgramTooLarge(t *testing.T) {
@@ -265,7 +275,7 @@ func TestScheduleCycleLimit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err = ch.Run(context.Background())
+		_, err = ch.Run(runawayContext(t))
 		return err
 	}
 	err := run()

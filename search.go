@@ -13,8 +13,8 @@ import (
 // only on promising points. The same seed, budget and space reproduce the
 // identical trajectory at any worker count or shard layout.
 type (
-	// SearchOptions configures a search run: strategy name ("halving",
-	// "hillclimb", "evolve"), simulation budget, seed, worker pool,
+	// SearchOptions configures a search run: strategy name ("halving" or
+	// "hillclimb"), simulation budget, seed, worker pool,
 	// caching/checkpointing and the distributed shard layout.
 	SearchOptions = dse.SearchOptions
 	// SearchResult summarizes a run: the charged trajectory in ask order,
