@@ -158,30 +158,3 @@ var (
 func SweepTable(title string, results []SweepResult) *Table {
 	return dse.ResultTable(title, results)
 }
-
-// RunFig5With / RunFig6With / RunFig7With regenerate the paper's evaluation
-// (Sec. IV) on the DSE engine, with the sweep's parallelism, cache sharing,
-// checkpointing and cancellation (cimflow-dse -fig -j); cancelling ctx aborts
-// mid-simulation. RunFig5With is Fig. 5, the compilation strategies.
-func RunFig5With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig5Row, error) {
-	return dse.RunFig5(ctx, cfg, models, opt)
-}
-
-// RunFig6With regenerates Fig. 6 (MG size x flit width exploration).
-func RunFig6With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig6Row, error) {
-	return dse.RunFig6(ctx, cfg, models, opt)
-}
-
-// RunFig7With regenerates Fig. 7 (SW/HW co-design space).
-func RunFig7With(ctx context.Context, cfg Config, models []string, opt SweepOptions) ([]dse.Fig7Row, error) {
-	return dse.RunFig7(ctx, cfg, models, opt)
-}
-
-// Fig5Table / Fig6Table / Fig7Table render experiment rows as tables.
-func Fig5Table(rows []dse.Fig5Row) *Table { return dse.Fig5Table(rows) }
-
-// Fig6Table renders Fig. 6 rows.
-func Fig6Table(rows []dse.Fig6Row) *Table { return dse.Fig6Table(rows) }
-
-// Fig7Table renders Fig. 7 rows.
-func Fig7Table(rows []dse.Fig7Row) *Table { return dse.Fig7Table(rows) }

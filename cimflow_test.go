@@ -104,36 +104,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestFigureTablesRender drives the experiment table builders on a minimal
-// sweep (tiny model) without running the heavyweight benchmark networks.
-func TestFigureTablesRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep in -short mode")
-	}
-	cfg := cimflow.DefaultConfig()
-	rows5, err := cimflow.RunFig5With(context.Background(), cfg, []string{"mobilenetv2"}, cimflow.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := cimflow.Fig5Table(rows5)
-	if len(tbl.Rows) != 3 {
-		t.Errorf("fig5 rows = %d, want 3", len(tbl.Rows))
-	}
-	// DP must not be slower than generic.
-	var generic, dp int64
-	for _, r := range rows5 {
-		switch r.Strategy {
-		case cimflow.StrategyGeneric:
-			generic = r.Cycles
-		case cimflow.StrategyDP:
-			dp = r.Cycles
-		}
-	}
-	if dp > generic {
-		t.Errorf("DP (%d cycles) slower than generic (%d)", dp, generic)
-	}
-}
-
 // TestSearchFacade: a budgeted Search through the public API returns a
 // frontier drawn from its trajectory; beneath it, the planning-stage
 // estimate prices a point without simulating it, and the shard checkpoint

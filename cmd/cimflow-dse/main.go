@@ -281,8 +281,7 @@ func run() error {
 		summary, time.Since(start).Round(time.Millisecond), len(front), cache.CompileCalls(), cache.Hits(), failed, unfit)
 	if store := cache.Store(); store != nil {
 		st := store.Stats()
-		fmt.Fprintf(info, "artifact store %s: %d loaded, %d saved, %d evicted\n",
-			store.Dir(), st.Loads, st.Saves, st.Evictions)
+		fmt.Fprintf(info, "artifact store %s: %d loaded, %d saved\n", store.Dir(), st.Loads, st.Saves)
 	}
 	for _, b := range []struct {
 		name  string

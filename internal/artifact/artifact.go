@@ -14,12 +14,9 @@
 // identity does not match what the header claims.
 //
 // The store (Open / Store) is a flat directory of <key>.cfa files where
-// the key is a hash of the compile inputs: writes are atomic
-// (temp file + rename), reads refresh the file's LRU clock, and a
-// size cap evicts least-recently-used artifacts. A shared flock marks the
-// directory in use, so exclusive maintenance (cimflow-artifact gc) cannot
-// run under a live reader; corrupt files are quarantined on load and
-// swept by GC.
+// the key is a hash of the compile inputs: writes are atomic (temp file +
+// rename), so processes share a directory without a lock, and a file that
+// fails to decode is removed on load.
 package artifact
 
 import (
@@ -52,9 +49,6 @@ var (
 	ErrNotFound = errors.New("artifact: not found")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("artifact: store closed")
-	// ErrStoreBusy reports that another process holds the store's directory
-	// lock in a conflicting mode (e.g. gc while a server is running).
-	ErrStoreBusy = errors.New("artifact: store in use by another process")
 )
 
 // corruptf wraps a formatted reason in ErrCorrupt.

@@ -27,9 +27,9 @@ import (
 //
 // The header is separately length-prefixed so ReadMeta can describe an
 // artifact from its first few hundred bytes without decoding (or
-// verifying) the body — that is what lets `cimflow-artifact list` walk a
-// store of large artifacts cheaply. Decode always checks the whole-file
-// digest first and the recomputed content fingerprints last.
+// verifying) the body — Store.Save names a file from it without hashing
+// the graph again. Decode always checks the whole-file digest first and the
+// recomputed content fingerprints last.
 
 var magic = [4]byte{'C', 'F', 'A', 'R'}
 

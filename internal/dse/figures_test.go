@@ -47,6 +47,33 @@ func TestFig5RowsParallelInvariant(t *testing.T) {
 	}
 }
 
+// TestFigureTablesRender renders Fig. 5 of one benchmark network: three
+// strategy rows, and dp no slower than generic.
+func TestFigureTablesRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep in -short mode")
+	}
+	rows, err := RunFig5(context.Background(), arch.DefaultConfig(), []string{"mobilenetv2"}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(Fig5Table(rows).Rows); n != 3 {
+		t.Errorf("fig5 rows = %d, want 3", n)
+	}
+	var generic, dp int64
+	for _, r := range rows {
+		switch r.Strategy {
+		case compiler.StrategyGeneric:
+			generic = r.Cycles
+		case compiler.StrategyDP:
+			dp = r.Cycles
+		}
+	}
+	if dp > generic {
+		t.Errorf("DP (%d cycles) slower than generic (%d)", dp, generic)
+	}
+}
+
 // TestFig6Fig7ShareCache: Fig. 7 run after Fig. 6 with a shared cache
 // compiles only its DP half, and its generic rows equal Fig. 6's.
 func TestFig6Fig7ShareCache(t *testing.T) {
