@@ -3,25 +3,17 @@ package cimflow_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"cimflow"
 )
 
 // TestClusterFacade wires two replica Servers behind a Router through the
-// public API alone: placement works, tenant quotas enforce, and the routed
-// output matches a direct Server.Infer byte for byte.
+// public API alone: the routed output matches a direct Server.Infer byte
+// for byte, and the snapshot counts the placement and no tenant.
 func TestClusterFacade(t *testing.T) {
-	router := cimflow.NewRouter(
-		cimflow.WithCheckInterval(0),
-		cimflow.WithHedgeDelay(time.Millisecond),
-		cimflow.WithHedgeBudget(1),
-		cimflow.WithTenant(cimflow.TenantConfig{
-			Name: "metered", Priority: cimflow.PriorityStandard, Rate: 0.001, Burst: 2,
-		}))
+	router := cimflow.NewRouter()
 	defer router.Close()
 
 	servers := make([]*cimflow.Server, 2)
@@ -45,7 +37,7 @@ func TestClusterFacade(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	shape, err := router.InputShape("tinymlp")
+	shape, err := servers[0].InputShape("tinymlp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,31 +54,17 @@ func TestClusterFacade(t *testing.T) {
 		t.Fatal("routed output differs from direct Server.Infer")
 	}
 
-	// The metered tenant's burst of 2 exhausts on the third request.
-	for i := 0; i < 2; i++ {
-		if _, err := router.Infer(ctx, "metered", "tinymlp", input); err != nil {
-			t.Fatalf("metered request %d: %v", i, err)
-		}
-	}
-	if _, err := router.Infer(ctx, "metered", "tinymlp", input); !errors.Is(err, cimflow.ErrQuotaExceeded) {
-		t.Fatalf("over-quota request = %v, want ErrQuotaExceeded", err)
-	}
-
 	m := router.Metrics()
-	if m.Tenants["metered"].RejectedQuota != 1 {
-		t.Errorf("RejectedQuota = %d, want 1", m.Tenants["metered"].RejectedQuota)
+	if n := m.Backends["replica-a"].Placements + m.Backends["replica-b"].Placements; n != 1 {
+		t.Errorf("placements = %d, want 1", n)
 	}
-	var sb strings.Builder
-	if err := router.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `cimflow_tenant_requests_total{tenant="metered",outcome="rejected_quota"} 1`) {
-		t.Errorf("router exposition missing quota rejection:\n%s", sb.String())
+	if len(m.Tenants) != 0 {
+		t.Errorf("tenants = %v, want none", m.Tenants)
 	}
 }
 
-// TestServerMetricsPrometheus: the single-node snapshot renders in the
-// same exposition format the cluster router emits.
+// TestServerMetricsPrometheus: the server snapshot renders in the
+// Prometheus text exposition format.
 func TestServerMetricsPrometheus(t *testing.T) {
 	engine, err := cimflow.NewEngine(cimflow.DefaultConfig(),
 		cimflow.WithStrategy(cimflow.StrategyGeneric))

@@ -182,8 +182,8 @@ func (e *Engine) PooledChips() int { return e.pool.Idle() }
 // Close closes the engine's chip pool, dropping every idle chip, which closes
 // every session the engine built (in-flight inferences finish before their
 // chips are dropped); marks the engine closed (Session and SessionFor fail
-// with ErrEngineClosed); and closes the attached artifact store, releasing
-// its directory lock. Close is idempotent.
+// with ErrEngineClosed); and closes the attached artifact store, so its
+// Load and Save fail with ErrStoreClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {

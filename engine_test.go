@@ -421,8 +421,7 @@ func TestEngineSharesCompileContexts(t *testing.T) {
 // artifact-store tier: a first engine compiles fresh and persists, a
 // second engine over the same directory loads from disk without compiling,
 // and both serve byte-identical inference results. Engine.Close must close
-// the store it owns (releasing the directory lock so a new engine can
-// reopen it) and stay idempotent.
+// the store it owns and stay idempotent.
 func TestEngineArtifactStoreWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cimflow.DefaultConfig()
@@ -467,7 +466,7 @@ func TestEngineArtifactStoreWarmStart(t *testing.T) {
 	// Warm process: same directory, no compile.
 	store2, err := cimflow.OpenArtifactStore(dir)
 	if err != nil {
-		t.Fatalf("reopening store after Engine.Close (lock not released?): %v", err)
+		t.Fatalf("reopening store after Engine.Close: %v", err)
 	}
 	warm, err := cimflow.NewEngine(cfg,
 		cimflow.WithStrategy(cimflow.StrategyDP),

@@ -18,7 +18,7 @@ import (
 
 // replicaFleet builds n in-process replicas, each a serve.Server with its
 // own sessions (own chip pools) over shared compiled artifacts — the
-// deployment shape cmd/cimflow-router's local mode uses.
+// deployment shape of the benchmark's serve_tiny.
 func replicaFleet(t *testing.T, graphs []*model.Graph, seed uint64, n int) []*serve.Server {
 	t.Helper()
 	cfg := arch.DefaultConfig()
@@ -94,7 +94,7 @@ func TestRouterEquivalence(t *testing.T) {
 			// A 1µs hedge delay fires on nearly every simulated inference
 			// (a tiny model's takes tens of microseconds and more), so the
 			// hedging path itself is proven output-neutral.
-			r := testRouter(t, WithHedgeDelay(time.Microsecond))
+			r := testRouter(t, withHedgeDelay(time.Microsecond))
 			for i, srv := range servers {
 				if err := r.AddBackend(NewLocalBackend(fmt.Sprintf("replica-%d", i), srv)); err != nil {
 					t.Fatal(err)
@@ -140,6 +140,48 @@ func TestRouterEquivalence(t *testing.T) {
 				t.Error("hedging never fired despite the 1µs hedge delay — the test no longer exercises the hedged path")
 			}
 		})
+	}
+}
+
+// TestEjectionAndReadmission: a replica whose server is closed leaves
+// placement at once — its model's next request goes to the successor, with
+// the same output.
+func TestEjectionAndReadmission(t *testing.T) {
+	g := model.TinyMLP()
+	servers := replicaFleet(t, []*model.Graph{g}, 11, 2)
+	r := testRouter(t, withHedgeDelay(0))
+	for i, srv := range servers {
+		if err := r.AddBackend(NewLocalBackend(fmt.Sprintf("replica-%d", i), srv)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefs := r.placement(g.Name)
+	owner, successor := prefs[0].b.Name(), prefs[1].b.Name()
+	input := model.SeededInput(g.Nodes[0].OutShape, 3)
+	infer := func() []byte {
+		t.Helper()
+		res, err := r.Infer(context.Background(), "", g.Name, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int8Bytes(res.Output)
+	}
+	placements := func(name string) int64 { return r.Metrics().Backends[name].Placements }
+
+	want := infer()
+	if placements(owner) != 1 || placements(successor) != 0 {
+		t.Fatalf("the hash owner must serve first: %s=%d %s=%d", owner, placements(owner), successor, placements(successor))
+	}
+	for i, srv := range servers {
+		if fmt.Sprintf("replica-%d", i) == owner {
+			srv.Close()
+		}
+	}
+	if got := infer(); !bytes.Equal(got, want) {
+		t.Fatal("the successor's output differs from the closed owner's")
+	}
+	if placements(owner) != 1 || placements(successor) != 1 {
+		t.Fatalf("placement did not skip the closed owner: %s=%d %s=%d", owner, placements(owner), successor, placements(successor))
 	}
 }
 

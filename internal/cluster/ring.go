@@ -9,9 +9,8 @@ import (
 // ring is a consistent-hash ring over backend names. Each member owns
 // vnodes points on a 64-bit circle; a key's preference order is the walk
 // clockwise from the key's hash, collecting distinct members. The ring is
-// immutable once built — membership changes rebuild it (cheap: members are
-// few), health changes do not (the router skips unhealthy members during
-// the walk, so a recovered replica gets its exact old placement back).
+// immutable once built — a new member rebuilds it (cheap: members are
+// few); the router skips closed members during the walk.
 type ring struct {
 	points []ringPoint
 	n      int // distinct members
@@ -43,13 +42,10 @@ func hash64(s string) uint64 {
 // order does not matter: point positions depend only on the member names,
 // and equal hashes (vanishingly rare) tie-break on member name so the ring
 // is a pure function of the membership set.
-func buildRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	r := &ring{points: make([]ringPoint, 0, len(members)*vnodes), n: len(members)}
+func buildRing(members []string, perMember int) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(members)*perMember), n: len(members)}
 	for _, m := range members {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < perMember; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(m + "#" + strconv.Itoa(i)), member: m})
 		}
 	}

@@ -11,34 +11,26 @@ import (
 	"time"
 
 	"cimflow/internal/core"
-	"cimflow/internal/model"
 	"cimflow/internal/serve"
 	"cimflow/internal/sim"
 	"cimflow/internal/tensor"
 )
 
 // fakeBackend is a scriptable replica: configurable per-call latency,
-// health and inference errors, with counters for placement assertions.
+// inference errors and closing, with counters for placement assertions.
 type fakeBackend struct {
-	name   string
-	served []string
-	shape  model.Shape
+	name string
 
 	mu       sync.Mutex
 	delay    time.Duration
-	checkErr error
+	closed   bool
 	inferErr error
 
 	infers    atomic.Int64
 	cancelled atomic.Int64 // attempts that died to context cancellation
 }
 
-func newFake(name string, models ...string) *fakeBackend {
-	if len(models) == 0 {
-		models = []string{"m"}
-	}
-	return &fakeBackend{name: name, served: models, shape: model.Shape{H: 1, W: 1, C: 4}}
-}
+func newFake(name string) *fakeBackend { return &fakeBackend{name: name} }
 
 func (f *fakeBackend) set(mut func(*fakeBackend)) {
 	f.mu.Lock()
@@ -46,10 +38,7 @@ func (f *fakeBackend) set(mut func(*fakeBackend)) {
 	mut(f)
 }
 
-func (f *fakeBackend) Name() string     { return f.name }
-func (f *fakeBackend) Models() []string { return f.served }
-
-func (f *fakeBackend) InputShape(string) (model.Shape, error) { return f.shape, nil }
+func (f *fakeBackend) Name() string { return f.name }
 
 func (f *fakeBackend) Infer(ctx context.Context, name string, input tensor.Tensor) (*core.Result, error) {
 	f.infers.Add(1)
@@ -75,19 +64,28 @@ func (f *fakeBackend) Infer(ctx context.Context, name string, input tensor.Tenso
 	return &core.Result{Output: out, Stats: &sim.Stats{Cycles: 1}}, nil
 }
 
-func (f *fakeBackend) Check(context.Context) error {
+func (f *fakeBackend) Closed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.checkErr
+	return f.closed
 }
 
-// testRouter builds a router with the background checker disabled (tests
-// drive CheckNow directly) and a generous hedge budget unless overridden.
-func testRouter(t *testing.T, opts ...Option) *Router {
+// testRouter builds a router with the default settings but a hedge budget
+// of a whole token per request, then applies the given changes to them.
+func testRouter(t *testing.T, changes ...func(*tuning)) *Router {
 	t.Helper()
-	r := New(append([]Option{WithCheckInterval(0), WithHedgeBudget(1)}, opts...)...)
+	tn := tuning{hedgeDelay: hedgeDelay, hedgeBudget: 1, backendConcurrency: backendConcurrency}
+	for _, change := range changes {
+		change(&tn)
+	}
+	r := newRouter(tn)
 	t.Cleanup(func() { r.Close() })
 	return r
+}
+
+// withHedgeDelay sets the hedge delay of a testRouter.
+func withHedgeDelay(d time.Duration) func(*tuning) {
+	return func(tn *tuning) { tn.hedgeDelay = d }
 }
 
 // primaryModel finds a model name whose consistent-hash owner is the named
@@ -138,99 +136,35 @@ func TestPlacementDeterministic(t *testing.T) {
 }
 
 func TestPlacementMinimalDisruption(t *testing.T) {
-	r := testRouter(t)
-	names := []string{"replica-a", "replica-b", "replica-c", "replica-d"}
-	for _, n := range names {
-		if err := r.AddBackend(newFake(n)); err != nil {
-			t.Fatal(err)
+	build := func(names ...string) *Router {
+		r := testRouter(t)
+		for _, n := range names {
+			if err := r.AddBackend(newFake(n)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return r
 	}
-	const keys = 200
-	before := make(map[string]string, keys)
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("model-%d", i)
-		before[key] = r.placement(key)[0].b.Name()
-	}
-	if err := r.RemoveBackend("replica-c"); err != nil {
-		t.Fatal(err)
-	}
+	all := build("replica-a", "replica-b", "replica-c", "replica-d")
+	without := build("replica-a", "replica-b", "replica-d")
 	moved := 0
-	for key, owner := range before {
-		now := r.placement(key)[0].b.Name()
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("model-%d", i)
+		owner := all.placement(key)[0].b.Name()
 		if owner == "replica-c" {
 			continue // had to move
 		}
-		if now != owner {
+		if without.placement(key)[0].b.Name() != owner {
 			moved++
 		}
 	}
 	if moved != 0 {
-		t.Fatalf("%d keys not owned by the removed backend changed owner (consistent hashing must only remap the removed member's keys)", moved)
-	}
-}
-
-func TestEjectionAndReadmission(t *testing.T) {
-	r := testRouter(t, WithEjectAfter(2), WithReadmitAfter(2))
-	a, b := newFake("replica-a"), newFake("replica-b")
-	for _, bk := range []*fakeBackend{a, b} {
-		if err := r.AddBackend(bk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mdl := primaryModel(t, r, "replica-a")
-	ctx := context.Background()
-
-	// Healthy: the hash owner serves.
-	if _, err := r.Infer(ctx, "", mdl, input4()); err != nil {
-		t.Fatal(err)
-	}
-	if a.infers.Load() != 1 || b.infers.Load() != 0 {
-		t.Fatalf("expected primary replica-a to serve: a=%d b=%d", a.infers.Load(), b.infers.Load())
-	}
-
-	// Flap: one failed check is not enough to eject...
-	a.set(func(f *fakeBackend) { f.checkErr = errors.New("boom") })
-	r.CheckNow()
-	if !r.Healthy("replica-a") {
-		t.Fatal("one failed check must not eject (eject-after=2)")
-	}
-	// ...the second is.
-	r.CheckNow()
-	if r.Healthy("replica-a") {
-		t.Fatal("two consecutive failed checks must eject")
-	}
-	if _, err := r.Infer(ctx, "", mdl, input4()); err != nil {
-		t.Fatal(err)
-	}
-	if b.infers.Load() != 1 {
-		t.Fatalf("ejected primary: replica-b must serve, b=%d", b.infers.Load())
-	}
-
-	// Recovery: one good check is not enough to re-admit...
-	a.set(func(f *fakeBackend) { f.checkErr = nil })
-	r.CheckNow()
-	if r.Healthy("replica-a") {
-		t.Fatal("one good check must not re-admit (readmit-after=2)")
-	}
-	r.CheckNow()
-	if !r.Healthy("replica-a") {
-		t.Fatal("two consecutive good checks must re-admit")
-	}
-	// Re-admitted: exact old placement restored.
-	if _, err := r.Infer(ctx, "", mdl, input4()); err != nil {
-		t.Fatal(err)
-	}
-	if a.infers.Load() != 2 {
-		t.Fatalf("re-admitted primary must serve again: a=%d", a.infers.Load())
-	}
-	m := r.Metrics()
-	if m.Backends["replica-a"].Ejections != 1 {
-		t.Fatalf("ejections = %d, want 1", m.Backends["replica-a"].Ejections)
+		t.Fatalf("%d keys not owned by the missing backend changed owner (consistent hashing must only remap the missing member's keys)", moved)
 	}
 }
 
 func TestHedgeWinsOverSlowPrimary(t *testing.T) {
-	r := testRouter(t, WithHedgeDelay(5*time.Millisecond))
+	r := testRouter(t, withHedgeDelay(5*time.Millisecond))
 	a, b := newFake("replica-a"), newFake("replica-b")
 	for _, bk := range []*fakeBackend{a, b} {
 		if err := r.AddBackend(bk); err != nil {
@@ -266,7 +200,7 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 
 func TestHedgeBudgetBounds(t *testing.T) {
 	// Budget 0: no tokens ever accrue, so the slow primary is waited out.
-	r := testRouter(t, WithHedgeDelay(time.Millisecond), WithHedgeBudget(0))
+	r := testRouter(t, withHedgeDelay(time.Millisecond), func(tn *tuning) { tn.hedgeBudget = 0 })
 	a, b := newFake("replica-a"), newFake("replica-b")
 	for _, bk := range []*fakeBackend{a, b} {
 		if err := r.AddBackend(bk); err != nil {
@@ -284,25 +218,6 @@ func TestHedgeBudgetBounds(t *testing.T) {
 	}
 	if b.infers.Load() != 0 {
 		t.Fatalf("successor must not be touched without budget: b=%d", b.infers.Load())
-	}
-}
-
-func TestBatchPriorityNeverHedges(t *testing.T) {
-	r := testRouter(t, WithHedgeDelay(time.Millisecond),
-		WithTenant(TenantConfig{Name: "bulk", Priority: PriorityBatch}))
-	a, b := newFake("replica-a"), newFake("replica-b")
-	for _, bk := range []*fakeBackend{a, b} {
-		if err := r.AddBackend(bk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mdl := primaryModel(t, r, "replica-a")
-	a.set(func(f *fakeBackend) { f.delay = 20 * time.Millisecond })
-	if _, err := r.Infer(context.Background(), "bulk", mdl, input4()); err != nil {
-		t.Fatal(err)
-	}
-	if m := r.Metrics(); m.HedgesLaunched != 0 {
-		t.Fatalf("batch traffic hedged: %d", m.HedgesLaunched)
 	}
 }
 
@@ -356,85 +271,8 @@ func TestNonRetryableErrorFailsFast(t *testing.T) {
 	}
 }
 
-func TestQuotaTokenBucket(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	now := func() time.Time { return clock }
-	r := testRouter(t, withClock(now),
-		WithTenant(TenantConfig{Name: "metered", Rate: 10, Burst: 2}))
-	if err := r.AddBackend(newFake("replica-a")); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := r.Infer(ctx, "metered", "m", input4()); err != nil {
-			t.Fatalf("burst request %d: %v", i, err)
-		}
-	}
-	if _, err := r.Infer(ctx, "metered", "m", input4()); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
-	}
-	// 100ms at 10 req/s refills exactly one token.
-	clock = clock.Add(100 * time.Millisecond)
-	if _, err := r.Infer(ctx, "metered", "m", input4()); err != nil {
-		t.Fatalf("after refill: %v", err)
-	}
-	if _, err := r.Infer(ctx, "metered", "m", input4()); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want ErrQuotaExceeded again", err)
-	}
-	tm := r.Metrics().Tenants["metered"]
-	if tm.RejectedQuota != 2 || tm.Completed != 3 {
-		t.Fatalf("tenant metrics = %+v, want 2 quota rejections, 3 completed", tm)
-	}
-	// The unmetered anonymous tenant is unaffected.
-	if _, err := r.Infer(ctx, "", "m", input4()); err != nil {
-		t.Fatalf("anonymous tenant: %v", err)
-	}
-}
-
-func TestPrioritySheddingUnderLoad(t *testing.T) {
-	r := testRouter(t, WithBackendConcurrency(1), WithPriorityShedThreshold(0.5),
-		WithHedgeDelay(0),
-		WithTenant(TenantConfig{Name: "bulk", Priority: PriorityBatch}),
-		WithTenant(TenantConfig{Name: "gold", Priority: PriorityInteractive}))
-	a := newFake("replica-a")
-	a.set(func(f *fakeBackend) { f.delay = 100 * time.Millisecond })
-	if err := r.AddBackend(a); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	// Saturate the fleet with one slow in-flight request.
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Infer(ctx, "gold", "m", input4())
-		done <- err
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for r.Metrics().Backends["replica-a"].Inflight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight request never landed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Batch traffic is shed at the door; interactive traffic still queues.
-	if _, err := r.Infer(ctx, "bulk", "m", input4()); !errors.Is(err, serve.ErrOverloaded) {
-		t.Fatalf("batch err = %v, want ErrOverloaded", err)
-	}
-	if _, err := r.Infer(ctx, "gold", "m", input4()); err != nil {
-		t.Fatalf("interactive under load: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	tm := r.Metrics().Tenants["bulk"]
-	if tm.RejectedPriority != 1 {
-		t.Fatalf("bulk rejected_priority = %d, want 1", tm.RejectedPriority)
-	}
-}
-
 func TestLeastLoadedFallback(t *testing.T) {
-	r := testRouter(t, WithBackendConcurrency(1), WithHedgeDelay(0))
+	r := testRouter(t, withHedgeDelay(0), func(tn *tuning) { tn.backendConcurrency = 1 })
 	a, b := newFake("replica-a"), newFake("replica-b")
 	for _, bk := range []*fakeBackend{a, b} {
 		if err := r.AddBackend(bk); err != nil {
@@ -474,7 +312,7 @@ func TestLeastLoadedFallback(t *testing.T) {
 }
 
 func TestNoHealthyBackends(t *testing.T) {
-	r := testRouter(t, WithEjectAfter(1))
+	r := testRouter(t)
 	if _, err := r.Infer(context.Background(), "", "m", input4()); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("empty router err = %v, want ErrNoBackends", err)
 	}
@@ -482,15 +320,17 @@ func TestNoHealthyBackends(t *testing.T) {
 	if err := r.AddBackend(a); err != nil {
 		t.Fatal(err)
 	}
-	a.set(func(f *fakeBackend) { f.checkErr = errors.New("down") })
-	r.CheckNow()
+	a.set(func(f *fakeBackend) { f.closed = true })
 	if _, err := r.Infer(context.Background(), "", "m", input4()); !errors.Is(err, ErrNoBackends) {
-		t.Fatalf("all-ejected err = %v, want ErrNoBackends", err)
+		t.Fatalf("all-closed err = %v, want ErrNoBackends", err)
+	}
+	if a.infers.Load() != 0 {
+		t.Fatalf("a closed backend was placed on: %d", a.infers.Load())
 	}
 }
 
 func TestInferAfterClose(t *testing.T) {
-	r := New(WithCheckInterval(0))
+	r := New()
 	if err := r.AddBackend(newFake("replica-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -505,9 +345,9 @@ func TestInferAfterClose(t *testing.T) {
 	}
 }
 
-// TestCloseLeavesNoGoroutines: Close while hedged requests are in flight and
-// the health checker is running lets every request finish and leaves no
-// goroutine behind — not the checker, not an attempt, not a hedge timer.
+// TestCloseLeavesNoGoroutines: Close while hedged requests are in flight
+// lets every request finish and leaves no goroutine behind — not an
+// attempt, not a hedge timer.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	waitFor := func(what string, pred func() bool) {
 		t.Helper()
@@ -518,7 +358,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 	before := runtime.NumGoroutine()
-	r := New(WithCheckInterval(time.Millisecond), WithHedgeBudget(1), WithHedgeDelay(time.Millisecond))
+	r := newRouter(tuning{hedgeDelay: time.Millisecond, hedgeBudget: 1, backendConcurrency: backendConcurrency})
 	for _, name := range []string{"replica-a", "replica-b"} {
 		f := newFake(name)
 		f.delay = 100 * time.Millisecond
@@ -546,8 +386,10 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	waitFor("goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
+// TestDeadlineExpiryRecorded: the caller's deadline reaches the attempt,
+// which the backend records as cancelled.
 func TestDeadlineExpiryRecorded(t *testing.T) {
-	r := testRouter(t, WithHedgeDelay(0))
+	r := testRouter(t, withHedgeDelay(0))
 	a := newFake("replica-a")
 	a.set(func(f *fakeBackend) { f.delay = time.Second })
 	if err := r.AddBackend(a); err != nil {
@@ -558,30 +400,10 @@ func TestDeadlineExpiryRecorded(t *testing.T) {
 	if _, err := r.Infer(ctx, "", "m", input4()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	if tm := r.Metrics().Tenants[""]; tm.Expired != 1 {
-		t.Fatalf("expired = %d, want 1", tm.Expired)
-	}
-}
-
-func TestBackgroundHealthLoopEjectsFlappingBackend(t *testing.T) {
-	r := New(WithCheckInterval(2*time.Millisecond), WithEjectAfter(2), WithReadmitAfter(2))
-	defer r.Close()
-	a := newFake("replica-a")
-	if err := r.AddBackend(a); err != nil {
-		t.Fatal(err)
-	}
-	a.set(func(f *fakeBackend) { f.checkErr = errors.New("flap") })
 	deadline := time.Now().Add(2 * time.Second)
-	for r.Healthy("replica-a") {
+	for a.cancelled.Load() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("background checker never ejected the failing backend")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	a.set(func(f *fakeBackend) { f.checkErr = nil })
-	for !r.Healthy("replica-a") {
-		if time.Now().After(deadline) {
-			t.Fatal("background checker never re-admitted the recovered backend")
+			t.Fatal("the expired attempt was never cancelled")
 		}
 		time.Sleep(time.Millisecond)
 	}

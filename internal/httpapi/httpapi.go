@@ -1,12 +1,8 @@
-// Package httpapi owns both ends of the serving tier's HTTP JSON API: the
-// wire types, the infer and model-list routes cimflow-serve and
-// cimflow-router both mount, the bound on a body, the table between typed
-// errors and statuses, the http.Server with its deadlines and drain, and
-// Client, the cluster.Backend that speaks the format to a remote replica.
-// The binaries add only the routes whose content differs between them.
+// Package httpapi is cimflow-serve's HTTP JSON API: the wire types, the
+// infer and model-list routes, the bound on a body, the table from typed
+// errors to statuses, and the http.Server with its deadlines and drain.
 //
-//	POST /v1/models/{name}/infer   {"seed": 7} or {"data": [...], "shape": [h,w,c]};
-//	                               the X-Cimflow-Tenant header names the tenant
+//	POST /v1/models/{name}/infer   {"seed": 7} or {"data": [...], "shape": [h,w,c]}
 //	GET  /v1/models                served models and their input shapes
 package httpapi
 
@@ -22,7 +18,6 @@ import (
 	"syscall"
 	"time"
 
-	"cimflow/internal/cluster"
 	"cimflow/internal/core"
 	"cimflow/internal/model"
 	"cimflow/internal/serve"
@@ -59,28 +54,20 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// statusTable maps typed errors to HTTP statuses and back, one row a status.
-// The handler answers an error with the status of the first row holding a
-// sentinel it matches under errors.Is (500 when none does). The wire does
-// not tell a row's sentinels apart, so the client rebuilds a status as the
-// row's first sentinel, formatted around the replica's name and message (an
-// untyped error for a row without a format, or no row); cluster.Retryable
-// classes the rest of the row as it classes the first (TestStatusTableRoundTrip).
+// statusTable maps typed errors to HTTP statuses, one row a status. The
+// handler answers an error with the status of the first row holding a
+// sentinel it matches under errors.Is (500 when none does).
 var statusTable = []struct {
 	status int
-	format string // of the client's error: sentinel, backend name, message
 	errs   []error
 }{
-	{http.StatusNotFound, "%w: %s: %s", []error{serve.ErrUnknownModel}},
-	// A replica's quota is not a contract of the router in front of it.
-	{http.StatusTooManyRequests, "", []error{cluster.ErrQuotaExceeded}},
-	{http.StatusServiceUnavailable, "%w (%s: %s)", []error{serve.ErrOverloaded, serve.ErrClosed, core.ErrClosed,
-		cluster.ErrNoBackends, cluster.ErrRouterClosed, cluster.ErrBackendUnavailable}},
-	{http.StatusGatewayTimeout, "%w (%s: %s)", []error{context.DeadlineExceeded, context.Canceled}},
+	{http.StatusNotFound, []error{serve.ErrUnknownModel}},
+	{http.StatusServiceUnavailable, []error{serve.ErrOverloaded, serve.ErrClosed, core.ErrClosed}},
+	{http.StatusGatewayTimeout, []error{context.DeadlineExceeded, context.Canceled}},
 }
 
-// statusFor is the table read forwards. Unrecognized errors are
-// server-side faults (simulation failures), not client mistakes.
+// statusFor reads the table. Unrecognized errors are server-side faults
+// (simulation failures), not client mistakes.
 func statusFor(err error) int {
 	for _, row := range statusTable {
 		for _, sentinel := range row.errs {
@@ -92,40 +79,15 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// errorFor is the table read backwards.
-func errorFor(status int, backend, msg string) error {
-	for _, row := range statusTable {
-		if row.status == status && row.format != "" {
-			return fmt.Errorf(row.format, row.errs[0], backend, msg)
-		}
-	}
-	return fmt.Errorf("cluster: backend %s: %s", backend, msg)
-}
-
-// Service is what the shared routes serve: *cluster.Router as it is, a
-// server without tenants through SingleTenant.
-type Service interface {
-	Models() []string
-	InputShape(model string) (model.Shape, error)
-	Infer(ctx context.Context, tenant, model string, input tensor.Tensor) (*core.Result, error)
-}
-
-// Server is a serving tier without tenants: *serve.Server or its facade.
+// Server is what the routes serve: *serve.Server or its facade.
 type Server interface {
 	Models() []string
 	InputShape(model string) (model.Shape, error)
 	Infer(ctx context.Context, model string, input tensor.Tensor) (*core.Result, error)
 }
 
-// SingleTenant serves a Server to every tenant alike.
-type SingleTenant struct{ Server }
-
-func (s SingleTenant) Infer(ctx context.Context, _, model string, input tensor.Tensor) (*core.Result, error) {
-	return s.Server.Infer(ctx, model, input)
-}
-
 // Register mounts the infer and model-list routes on mux.
-func Register(mux *http.ServeMux, svc Service) {
+func Register(mux *http.ServeMux, svc Server) {
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
 		var out []modelInfo
 		for _, name := range svc.Models() {
@@ -156,9 +118,7 @@ func Register(mux *http.ServeMux, svc Service) {
 			return
 		}
 		start := time.Now()
-		// The header names the tenant contract on a router; a server
-		// without tenants ignores it.
-		res, err := svc.Infer(r.Context(), r.Header.Get("X-Cimflow-Tenant"), name, input)
+		res, err := svc.Infer(r.Context(), name, input)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return

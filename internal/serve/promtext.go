@@ -1,17 +1,16 @@
-package cluster
+package serve
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
 // MetricWriter emits the Prometheus text exposition format (version 0.0.4)
 // without any client-library dependency: Counter/Gauge write the # HELP
 // and # TYPE header for a metric family, Sample writes one sample line
-// with optional labels. It is the single exposition path for both serving
-// tiers — the cluster router's /metrics and the single-node cimflow-serve
-// /metrics encode through it.
+// with optional labels. cimflow-serve's /metrics encodes through it.
 //
 // Errors are sticky: the first write failure latches and every later call
 // is a no-op, so callers check Err once at the end.
@@ -86,3 +85,6 @@ func escapeHelp(s string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(s)
 }
+
+// fmtFloat renders a sample value the way Prometheus expects.
+func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -179,8 +179,8 @@ func (s *Server) AddModel(name string, sess *core.Session, cfg ModelConfig) erro
 	return nil
 }
 
-// Closed reports whether Close has been called — the liveness signal a
-// cluster health check reads for an in-process replica.
+// Closed reports whether Close has been called; the cluster router skips
+// a closed replica at placement.
 func (s *Server) Closed() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

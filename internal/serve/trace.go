@@ -1,4 +1,4 @@
-package cluster
+package serve
 
 import (
 	"context"
@@ -13,12 +13,11 @@ import (
 
 	"cimflow/internal/model"
 	"cimflow/internal/report"
-	"cimflow/internal/serve"
 )
 
-// TraceTenant is one tenant's share of a replayed trace and its SLO: the
-// per-request context deadline every request carries. Quotas and priority
-// come from the router's tenant registration, not the trace.
+// TraceTenant is one traffic class of a replayed trace: its share of the
+// arrivals and its SLO, the per-request context deadline every request
+// carries.
 type TraceTenant struct {
 	Name string
 	// Weight is the tenant's share of arrivals (relative to the others).
@@ -88,7 +87,7 @@ func (s *TraceSpec) rate(t time.Duration) float64 {
 	return r
 }
 
-// TenantSLO is one tenant's replay outcome: admission counters, latency
+// TenantSLO is one tenant's replay outcome: outcome counters, latency
 // quantiles over every request (not a window), and SLO attainment — the
 // fraction of offered requests that completed within the tenant's
 // deadline.
@@ -97,7 +96,6 @@ type TenantSLO struct {
 	DeadlineMs float64 `json:"deadline_ms"`
 	Sent       int64   `json:"sent"`
 	Completed  int64   `json:"completed"`
-	Quota      int64   `json:"rejected_quota"`
 	Shed       int64   `json:"shed"`
 	Expired    int64   `json:"expired"`
 	Failed     int64   `json:"failed"`
@@ -118,7 +116,6 @@ type ReplayReport struct {
 	// already inside every latency quantile.
 	LagP99Ms float64     `json:"lag_p99_ms"`
 	Tenants  []TenantSLO `json:"tenants"` // sorted by tenant name
-	Router   Metrics     `json:"router"`
 }
 
 // tenantAcc accumulates one tenant's replay outcomes.
@@ -127,7 +124,6 @@ type tenantAcc struct {
 	mu       sync.Mutex
 	sent     int64
 	ok       int64
-	quota    int64
 	shed     int64
 	expired  int64
 	failed   int64
@@ -187,27 +183,26 @@ func (s *TraceSpec) schedule(ctx context.Context, clk clock, send func(due time.
 	return start, lags
 }
 
-// Replay drives the router with the spec's traffic, open loop: arrivals
+// Replay drives the server with the spec's traffic, open loop: arrivals
 // fire at the trace's instantaneous rate regardless of completions, each
 // under its tenant's deadline. A request's latency and deadline run from
 // the time it was due, not from when it left, so a generator that falls
 // behind charges its stall to the requests it delays. It returns per-tenant
-// SLO attainment and the router's own metrics snapshot. Cancelling ctx
-// stops offering load early; in-flight requests still drain into the
-// report.
-func Replay(ctx context.Context, r *Router, spec TraceSpec) (*ReplayReport, error) {
-	return replay(ctx, wallClock{}, r, spec)
+// SLO attainment. Cancelling ctx stops offering load early; in-flight
+// requests still drain into the report.
+func Replay(ctx context.Context, s *Server, spec TraceSpec) (*ReplayReport, error) {
+	return replay(ctx, wallClock{}, s, spec)
 }
 
-func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayReport, error) {
+func replay(ctx context.Context, clk clock, s *Server, spec TraceSpec) (*ReplayReport, error) {
 	if spec.Duration <= 0 {
-		return nil, fmt.Errorf("cluster: trace duration must be positive")
+		return nil, fmt.Errorf("serve: trace duration must be positive")
 	}
 	if spec.RPS <= 0 {
-		return nil, fmt.Errorf("cluster: trace rps must be positive")
+		return nil, fmt.Errorf("serve: trace rps must be positive")
 	}
 	if len(spec.Models) == 0 {
-		return nil, fmt.Errorf("cluster: trace needs at least one model")
+		return nil, fmt.Errorf("serve: trace needs at least one model")
 	}
 	tenants := slices.Clone(spec.Tenants)
 	if len(tenants) == 0 {
@@ -218,7 +213,7 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 	var tenantTotal float64
 	for i, tt := range tenants {
 		if _, dup := accs[tt.Name]; dup {
-			return nil, fmt.Errorf("cluster: trace tenant %q named twice", tt.Name)
+			return nil, fmt.Errorf("serve: trace tenant %q named twice", tt.Name)
 		}
 		if tt.Weight <= 0 {
 			tt.Weight = 1
@@ -244,9 +239,9 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 	}
 	shapes := make(map[string]model.Shape, len(spec.Models))
 	for _, m := range spec.Models {
-		shape, err := r.InputShape(m)
+		shape, err := s.InputShape(m)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: trace model %q: %w", m, err)
+			return nil, fmt.Errorf("serve: trace model %q: %w", m, err)
 		}
 		shapes[m] = shape
 	}
@@ -279,7 +274,7 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 			defer wg.Done()
 			rctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
-			_, err := r.Infer(rctx, tt.Name, mdl, model.SeededInput(shapes[mdl], inputSeed))
+			_, err := s.Infer(rctx, mdl, model.SeededInput(shapes[mdl], inputSeed))
 			lat := clk.Now().Sub(due)
 			acc.mu.Lock()
 			defer acc.mu.Unlock()
@@ -287,9 +282,7 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 			case err == nil:
 				acc.ok++
 				acc.lat = append(acc.lat, lat)
-			case errors.Is(err, ErrQuotaExceeded):
-				acc.quota++
-			case errors.Is(err, serve.ErrOverloaded):
+			case errors.Is(err, ErrOverloaded):
 				acc.shed++
 			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 				acc.expired++
@@ -301,8 +294,8 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 	wg.Wait()
 	elapsed := clk.Now().Sub(start)
 
-	rep := &ReplayReport{Elapsed: elapsed, Router: r.Metrics()}
-	_, _, rep.LagP99Ms = serve.Quantiles(lags)
+	rep := &ReplayReport{Elapsed: elapsed}
+	_, _, rep.LagP99Ms = Quantiles(lags)
 	for _, tt := range tenants {
 		acc := accs[tt.Name]
 		slo := TenantSLO{
@@ -310,12 +303,11 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 			DeadlineMs: float64(acc.deadline) / float64(time.Millisecond),
 			Sent:       acc.sent,
 			Completed:  acc.ok,
-			Quota:      acc.quota,
 			Shed:       acc.shed,
 			Expired:    acc.expired,
 			Failed:     acc.failed,
 		}
-		slo.P50Ms, slo.P95Ms, slo.P99Ms = serve.Quantiles(acc.lat)
+		slo.P50Ms, slo.P95Ms, slo.P99Ms = Quantiles(acc.lat)
 		if acc.sent > 0 {
 			slo.Attainment = float64(acc.ok) / float64(acc.sent)
 		}
@@ -333,10 +325,10 @@ func replay(ctx context.Context, clk clock, r *Router, spec TraceSpec) (*ReplayR
 // Table renders the per-tenant SLO attainment report.
 func (rep *ReplayReport) Table(title string) *report.Table {
 	t := report.New(title,
-		"tenant", "deadline ms", "sent", "done", "quota", "shed", "expired", "failed",
+		"tenant", "deadline ms", "sent", "done", "shed", "expired", "failed",
 		"p50 ms", "p95 ms", "p99 ms", "attainment")
 	for _, slo := range rep.Tenants {
-		t.Add(slo.Tenant, slo.DeadlineMs, slo.Sent, slo.Completed, slo.Quota, slo.Shed,
+		t.Add(slo.Tenant, slo.DeadlineMs, slo.Sent, slo.Completed, slo.Shed,
 			slo.Expired, slo.Failed, slo.P50Ms, slo.P95Ms, slo.P99Ms, slo.Attainment)
 	}
 	return t

@@ -1,4 +1,4 @@
-package cluster
+package serve
 
 import (
 	"context"
@@ -8,7 +8,40 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cimflow/internal/arch"
+	"cimflow/internal/compiler"
+	"cimflow/internal/core"
+	"cimflow/internal/model"
 )
+
+// replayServer serves one tinymlp session under each name, each name
+// warmed by one inference, so a replay meets no chip build.
+func replayServer(t *testing.T, names ...string) *Server {
+	t.Helper()
+	g := model.TinyMLP()
+	cfg := arch.DefaultConfig()
+	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.NewSession(compiled, model.NewSeededWeights(g, 1), core.Options{MaxPooledChips: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	srv := NewServer(2)
+	t.Cleanup(func() { srv.Close() })
+	for _, name := range names {
+		if err := srv.AddModel(name, sess, ModelConfig{QueueDepth: 256}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Infer(context.Background(), name, model.SeededInput(sess.InputShape(), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv
+}
 
 func TestTraceRateShaping(t *testing.T) {
 	spec := TraceSpec{
@@ -30,13 +63,8 @@ func TestTraceRateShaping(t *testing.T) {
 	}
 }
 
-func TestReplayAgainstFakeCluster(t *testing.T) {
-	r := testRouter(t)
-	for _, name := range []string{"replica-a", "replica-b", "replica-c"} {
-		if err := r.AddBackend(newFake(name, "hot", "cold")); err != nil {
-			t.Fatal(err)
-		}
-	}
+func TestReplayAgainstServer(t *testing.T) {
+	srv := replayServer(t, "hot", "cold")
 	spec := TraceSpec{
 		Duration:         300 * time.Millisecond,
 		RPS:              400,
@@ -52,7 +80,7 @@ func TestReplayAgainstFakeCluster(t *testing.T) {
 	}
 	want := spec
 	want.Tenants = slices.Clone(spec.Tenants)
-	rep, err := Replay(context.Background(), r, spec)
+	rep, err := Replay(context.Background(), srv, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +91,7 @@ func TestReplayAgainstFakeCluster(t *testing.T) {
 		t.Fatalf("sent = %d, want a few dozen arrivals over 300ms at ~400 rps", rep.Sent)
 	}
 	if rep.Completed != rep.Sent {
-		t.Fatalf("fake replicas are instant: completed %d != sent %d", rep.Completed, rep.Sent)
+		t.Fatalf("a tiny model at this rate misses no deadline: completed %d != sent %d", rep.Completed, rep.Sent)
 	}
 	if len(rep.Tenants) != 2 || rep.Tenants[0].Tenant != "free" || rep.Tenants[1].Tenant != "gold" {
 		t.Fatalf("tenant reports malformed: %+v", rep.Tenants)
@@ -91,7 +119,7 @@ func TestReplayAgainstFakeCluster(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	r := testRouter(t)
+	r := replayServer(t)
 	if _, err := Replay(context.Background(), r, TraceSpec{RPS: 10, Models: []string{"m"}}); err == nil {
 		t.Fatal("zero duration must fail")
 	}
@@ -101,13 +129,11 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := Replay(context.Background(), r, TraceSpec{Duration: time.Second, RPS: 10}); err == nil {
 		t.Fatal("no models must fail")
 	}
-	// No backends: shape resolution fails up front.
+	// A model the server does not serve: shape resolution fails up front.
 	if _, err := Replay(context.Background(), r, TraceSpec{Duration: time.Second, RPS: 10, Models: []string{"m"}}); err == nil {
-		t.Fatal("no backends must fail")
+		t.Fatal("an unserved model must fail")
 	}
-	if err := r.AddBackend(newFake("replica-a")); err != nil {
-		t.Fatal(err)
-	}
+	r = replayServer(t, "m")
 	twice := []TraceTenant{{Name: "x"}, {Name: "x"}}
 	if _, err := Replay(context.Background(), r, TraceSpec{Duration: time.Second, RPS: 10, Models: []string{"m"}, Tenants: twice}); err == nil {
 		t.Fatal("a tenant named twice must fail")
@@ -175,12 +201,9 @@ func TestReplaySchedule(t *testing.T) {
 		t.Errorf("generator waited %d times, want 4", clk.waits)
 	}
 
-	// The same trace through a router: the report carries the lag, and the
+	// The same trace through a server: the report carries the lag, and the
 	// latencies, measured from the due times, include it.
-	r := testRouter(t)
-	if err := r.AddBackend(newFake("replica-a")); err != nil {
-		t.Fatal(err)
-	}
+	r := replayServer(t, "m")
 	rep, err := replay(context.Background(), &fakeClock{now: start, overshoot: []time.Duration{25 * ms}}, r, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +235,8 @@ func TestReplaySchedule(t *testing.T) {
 }
 
 func TestReplayCancel(t *testing.T) {
-	r := testRouter(t, WithHedgeDelay(0))
-	fb := newFake("replica-a")
-	fb.delay = 50 * time.Millisecond // every sent request is still in flight at the cancel
-	if err := r.AddBackend(fb); err != nil {
-		t.Fatal(err)
-	}
+	r := replayServer(t, "m")
+	warm := r.Metrics().Models["m"].Accepted
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// The sixth wait cancels: arrivals 0..4 were sent, the rest of the
@@ -233,11 +252,11 @@ func TestReplayCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sent != 5 || rep.Completed != 5 || fb.infers.Load() != 5 {
-		t.Fatalf("sent %d, completed %d, backend saw %d; want 5 of each", rep.Sent, rep.Completed, fb.infers.Load())
+	if saw := r.Metrics().Models["m"].Accepted - warm; rep.Sent != 5 || rep.Completed != 5 || saw != 5 {
+		t.Fatalf("sent %d, completed %d, server saw %d; want 5 of each", rep.Sent, rep.Completed, saw)
 	}
 	for _, slo := range rep.Tenants {
-		if sum := slo.Completed + slo.Quota + slo.Shed + slo.Expired + slo.Failed; sum != slo.Sent {
+		if sum := slo.Completed + slo.Shed + slo.Expired + slo.Failed; sum != slo.Sent {
 			t.Errorf("tenant %s: sent %d, outcomes sum to %d", slo.Tenant, slo.Sent, sum)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"cimflow/internal/cluster"
 	"cimflow/internal/serve"
 )
 
@@ -28,6 +27,19 @@ type (
 	// ModelMetrics is one served model's snapshot: queue state, admission
 	// counters, batch-size histogram, latency and queue-wait quantiles.
 	ModelMetrics = serve.ModelMetrics
+	// TraceSpec shapes a synthetic trace replay: diurnal ramps, bursts,
+	// hot-model skew, and a weighted mix of tenants with deadlines.
+	TraceSpec = serve.TraceSpec
+	// TraceTenant is one traffic class of a trace: its share of the
+	// arrivals and its deadline SLO.
+	TraceTenant = serve.TraceTenant
+	// Burst is a bounded rate spike inside a trace.
+	Burst = serve.Burst
+	// ReplayReport is a finished replay: per-tenant SLO attainment and
+	// latency quantiles, and the generator's lag.
+	ReplayReport = serve.ReplayReport
+	// TenantSLO is one tenant's replay outcome.
+	TenantSLO = serve.TenantSLO
 )
 
 // ServerMetrics is a point-in-time snapshot of a Server: per-model serving
@@ -164,10 +176,9 @@ func (s *Server) Metrics() ServerMetrics {
 }
 
 // WritePrometheus renders the snapshot in Prometheus text exposition
-// format — the same encoder the cluster router uses, so a scrape config
-// covers both serving tiers with one job.
+// format.
 func (m ServerMetrics) WritePrometheus(w io.Writer) error {
-	mw := cluster.NewMetricWriter(w)
+	mw := serve.NewMetricWriter(w)
 	mw.Gauge("cimflow_serve_workers", "Dispatch worker-pool size.")
 	mw.Sample("cimflow_serve_workers", nil, float64(m.Workers))
 	mw.Counter("cimflow_serve_compile_calls_total", "Engine compile invocations.")
@@ -185,7 +196,7 @@ func (m ServerMetrics) WritePrometheus(w io.Writer) error {
 
 	mw.Gauge("cimflow_model_queue_depth", "Requests waiting in the model's admission queue.")
 	for _, name := range names {
-		mw.Sample("cimflow_model_queue_depth", cluster.Labels{{Name: "model", Value: name}}, float64(m.Models[name].QueueDepth))
+		mw.Sample("cimflow_model_queue_depth", serve.Labels{{Name: "model", Value: name}}, float64(m.Models[name].QueueDepth))
 	}
 	mw.Counter("cimflow_model_requests_total", "Requests by model and outcome.")
 	for _, name := range names {
@@ -198,19 +209,19 @@ func (m ServerMetrics) WritePrometheus(w io.Writer) error {
 			{"shed", mm.Shed}, {"expired", mm.Expired}, {"failed", mm.Failed},
 		} {
 			mw.Sample("cimflow_model_requests_total",
-				cluster.Labels{{Name: "model", Value: name}, {Name: "outcome", Value: oc.outcome}}, float64(oc.v))
+				serve.Labels{{Name: "model", Value: name}, {Name: "outcome", Value: oc.outcome}}, float64(oc.v))
 		}
 	}
 	mw.Counter("cimflow_model_batches_total", "Coalesced batch dispatches by model.")
 	for _, name := range names {
-		mw.Sample("cimflow_model_batches_total", cluster.Labels{{Name: "model", Value: name}}, float64(m.Models[name].Batches))
+		mw.Sample("cimflow_model_batches_total", serve.Labels{{Name: "model", Value: name}}, float64(m.Models[name].Batches))
 	}
 	quantiles := func(metric, help string, of func(ModelMetrics) [3]float64) {
 		mw.Gauge(metric, help)
 		for _, name := range names {
 			v := of(m.Models[name])
 			for i, q := range [3]string{"0.5", "0.95", "0.99"} {
-				mw.Sample(metric, cluster.Labels{{Name: "model", Value: name}, {Name: "quantile", Value: q}}, v[i])
+				mw.Sample(metric, serve.Labels{{Name: "model", Value: name}, {Name: "quantile", Value: q}}, v[i])
 			}
 		}
 	}
@@ -222,7 +233,7 @@ func (m ServerMetrics) WritePrometheus(w io.Writer) error {
 		})
 	mw.Gauge("cimflow_model_sim_lanes", "Configured lane-batch capacity by model.")
 	for _, name := range names {
-		mw.Sample("cimflow_model_sim_lanes", cluster.Labels{{Name: "model", Value: name}}, float64(m.Models[name].SimLanes))
+		mw.Sample("cimflow_model_sim_lanes", serve.Labels{{Name: "model", Value: name}}, float64(m.Models[name].SimLanes))
 	}
 	mw.Counter("cimflow_model_lane_runs_total", "Chip runs by model and lane occupancy.")
 	for _, name := range names {
@@ -234,14 +245,21 @@ func (m ServerMetrics) WritePrometheus(w io.Writer) error {
 		sort.Ints(lanes)
 		for _, b := range lanes {
 			mw.Sample("cimflow_model_lane_runs_total",
-				cluster.Labels{{Name: "model", Value: name}, {Name: "lanes", Value: strconv.Itoa(b)}}, float64(mm.LaneOccupancy[b]))
+				serve.Labels{{Name: "model", Value: name}, {Name: "lanes", Value: strconv.Itoa(b)}}, float64(mm.LaneOccupancy[b]))
 		}
 	}
 	mw.Counter("cimflow_model_lane_fallbacks_total", "Lanes that diverged during lane-batched runs and re-ran serially.")
 	for _, name := range names {
-		mw.Sample("cimflow_model_lane_fallbacks_total", cluster.Labels{{Name: "model", Value: name}}, float64(m.Models[name].LaneFallbacks))
+		mw.Sample("cimflow_model_lane_fallbacks_total", serve.Labels{{Name: "model", Value: name}}, float64(m.Models[name].LaneFallbacks))
 	}
 	return mw.Err()
+}
+
+// ReplayTrace replays a synthetic trace against the server open-loop and
+// reports per-tenant SLO attainment; latency is measured from each
+// request's due time.
+func ReplayTrace(ctx context.Context, s *Server, spec TraceSpec) (*ReplayReport, error) {
+	return serve.Replay(ctx, s.inner, spec)
 }
 
 // Close stops admission, serves every queued request, and stops the
