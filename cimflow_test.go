@@ -106,8 +106,7 @@ func TestRunDeterministic(t *testing.T) {
 
 // TestSearchFacade: a budgeted Search through the public API returns a
 // frontier drawn from its trajectory; beneath it, the planning-stage
-// estimate prices a point without simulating it, and the shard checkpoint
-// path matches the documented layout.
+// estimate prices a point without simulating it.
 func TestSearchFacade(t *testing.T) {
 	spec := &cimflow.SweepSpec{
 		Models:     []string{"tinymlp"},
@@ -151,9 +150,5 @@ func TestSearchFacade(t *testing.T) {
 	}
 	if est.Cycles <= 0 || est.TOPS <= 0 || est.EnergyMJ <= 0 {
 		t.Errorf("degenerate estimate: %+v", est)
-	}
-
-	if got := dse.ShardPath("ck.json", 2, 4); got != "ck.json.shard2of4" {
-		t.Errorf("ShardPath = %q", got)
 	}
 }

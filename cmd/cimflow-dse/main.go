@@ -26,14 +26,11 @@
 //
 //	cimflow-dse -spec sweep.json -search halving            # budget = 25% of space
 //	cimflow-dse -spec sweep.json -search hillclimb -budget 200 -seed 7
-//	cimflow-dse -spec sweep.json -search hillclimb -budget 200 \
-//	    -checkpoint state.json -cache-dir store -shard 2/4  # one of 4 shard procs
 //
-// Sharded searches split the simulation budget across cooperating
-// processes: every shard runs the same spec, strategy, seed and budget,
-// simulates only its share of the asks, and reads the rest from its peers'
-// shard checkpoints (derived from -checkpoint). Each shard converges to the
-// identical merged frontier.
+// A run is one process: -j workers share its compile cache, and
+// -checkpoint records each simulated point, so re-running the same command
+// resumes an interrupted sweep or search and replays a finished one with
+// no compiles.
 //
 // A point the chip cannot hold is a class of its own, apart from failures:
 // its row reads "INFEASIBLE <resource> need N have M (operator)" and the
@@ -53,7 +50,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -62,31 +58,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cimflow-dse:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fig := flag.String("fig", "", "regenerate a paper figure instead of running a spec: 5 | 6 | 7 | all")
-	models := flag.String("models", "", "comma-separated model subset for -fig (default: the figure's models)")
-	specPath := flag.String("spec", "", "sweep spec JSON file (required unless -fig or -example)")
-	workers := flag.Int("j", 0, "worker-pool size (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", "", "compile-artifact store directory: sweep shards running as separate processes share compiles through it")
-	format := flag.String("format", "table", "stdout format: table | csv | json (one JSON object per row); csv and json move progress and summaries to stderr")
-	csvPath := flag.String("csv", "", "also write the result table as CSV to this file (with -fig: figN.csv files into this directory)")
-	ckptPath := flag.String("checkpoint", "", "checkpoint file: resume done points, record progress")
-	paretoOnly := flag.Bool("pareto", false, "print only the Pareto-optimal rows")
-	quiet := flag.Bool("q", false, "suppress per-point progress lines")
-	example := flag.Bool("example", false, "print a template spec and exit")
-	searchName := flag.String("search", "", "search the space instead of sweeping it: halving or hillclimb")
-	budget := flag.Int("budget", 0, "simulation budget for -search (0 = 25% of the space)")
-	seed := flag.Int64("seed", 1, "random seed for -search (same seed + budget = same trajectory)")
-	shardSpec := flag.String("shard", "", "shard i/n for -search: this process simulates share i of n (requires -checkpoint)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("cimflow-dse", flag.ExitOnError)
+	fig := fs.String("fig", "", "regenerate a paper figure instead of running a spec: 5 | 6 | 7 | all")
+	models := fs.String("models", "", "comma-separated model subset for -fig (default: the figure's models)")
+	specPath := fs.String("spec", "", "sweep spec JSON file (required unless -fig or -example)")
+	workers := fs.Int("j", 0, "worker-pool size (0 = GOMAXPROCS)")
+	format := fs.String("format", "table", "stdout format: table | csv | json (one JSON object per row); csv and json move progress and summaries to stderr")
+	csvPath := fs.String("csv", "", "also write the result table as CSV to this file (with -fig: figN.csv files into this directory)")
+	ckptPath := fs.String("checkpoint", "", "checkpoint file: resume done points, record progress")
+	paretoOnly := fs.Bool("pareto", false, "print only the Pareto-optimal rows")
+	quiet := fs.Bool("q", false, "suppress per-point progress lines")
+	example := fs.Bool("example", false, "print a template spec and exit")
+	searchName := fs.String("search", "", "search the space instead of sweeping it: halving or hillclimb")
+	budget := fs.Int("budget", 0, "simulation budget for -search (0 = 25% of the space)")
+	seed := fs.Int64("seed", 1, "random seed for -search (same seed + budget = same trajectory)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
+	fs.Parse(args)
 
 	if *example {
 		data, err := json.MarshalIndent(dse.ExampleSpec(), "", "  ")
@@ -126,20 +121,25 @@ func run() error {
 		return f.Close()
 	}
 	if (*fig == "") == (*specPath == "") {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("give one of -fig and -spec")
 	}
-	if *fig != "" && (*searchName != "" || *paretoOnly) {
-		return fmt.Errorf("-search and -pareto need -spec")
-	}
-	var shard, shardCount int
-	if *shardSpec != "" {
-		if *searchName == "" {
-			return fmt.Errorf("-shard requires -search")
-		}
-		var err error
-		if shard, shardCount, err = parseShard(*shardSpec); err != nil {
-			return err
+	// A mode's flags are refused outside it rather than dropped; Visit sees
+	// a flag given at its default value too.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for _, m := range []struct {
+		name, mode string
+		on         bool
+	}{
+		{"models", "-fig", *fig != ""},
+		{"search", "-spec", *specPath != ""},
+		{"pareto", "-spec", *specPath != ""},
+		{"budget", "-search", *searchName != ""},
+		{"seed", "-search", *searchName != ""},
+	} {
+		if given[m.name] && !m.on {
+			return fmt.Errorf("-%s needs %s", m.name, m.mode)
 		}
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
@@ -149,14 +149,6 @@ func run() error {
 	defer stopProfiles()
 
 	opt := cimflow.SweepOptions{Workers: *workers, Cache: cimflow.NewCompileCache()}
-	if *cacheDir != "" {
-		store, err := cimflow.OpenArtifactStore(*cacheDir)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		opt.Cache.SetStore(store)
-	}
 	if *ckptPath != "" {
 		ckpt, err := dse.LoadCheckpoint(*ckptPath)
 		if err != nil {
@@ -236,12 +228,8 @@ func run() error {
 			Cache:      opt.Cache,
 			Checkpoint: opt.Checkpoint,
 			OnSim:      progress,
-			Shard:      shard,
-			ShardCount: shardCount,
 		})
-		if shardCount == 0 {
-			saveCheckpoint(opt.Checkpoint) // a shard saves its own file
-		}
+		saveCheckpoint(opt.Checkpoint)
 		if err == nil {
 			rows, front = res.Trajectory, res.Frontier
 			title += fmt.Sprintf(" (%s)", res.Strategy)
@@ -279,10 +267,6 @@ func run() error {
 	cache := opt.Cache
 	fmt.Fprintf(info, "\n%s in %v: %d frontier point(s), %d compiles, %d cache hits, %d failed, %d infeasible\n",
 		summary, time.Since(start).Round(time.Millisecond), len(front), cache.CompileCalls(), cache.Hits(), failed, unfit)
-	if store := cache.Store(); store != nil {
-		st := store.Stats()
-		fmt.Fprintf(info, "artifact store %s: %d loaded, %d saved\n", store.Dir(), st.Loads, st.Saves)
-	}
 	for _, b := range []struct {
 		name  string
 		score func(cimflow.SweepMetrics) float64
@@ -398,21 +382,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 func infeasible(err error) bool {
 	var inf *cimflow.InfeasibleError
 	return errors.As(err, &inf)
-}
-
-// parseShard parses "i/n" with 0 <= i < n and n >= 2.
-func parseShard(s string) (shard, count int, err error) {
-	i, n, ok := strings.Cut(s, "/")
-	if ok {
-		shard, err = strconv.Atoi(i)
-		if err == nil {
-			count, err = strconv.Atoi(n)
-		}
-	}
-	if !ok || err != nil || count < 2 || shard < 0 || shard >= count {
-		return 0, 0, fmt.Errorf("-shard must be i/n with 0 <= i < n and n >= 2, got %q", s)
-	}
-	return shard, count, nil
 }
 
 // saveCheckpoint writes a checkpoint, if any, reporting but not failing on

@@ -52,7 +52,6 @@ type serveFlags struct {
 	queue    int
 	pool     int
 	simLanes int
-	artDir   string
 
 	replay     bool
 	duration   time.Duration
@@ -78,7 +77,6 @@ func (f *serveFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.queue, "queue", 64, "per-model admission queue depth")
 	fs.IntVar(&f.pool, "pool", 0, "live chips shared by every served model (0 = GOMAXPROCS)")
 	fs.IntVar(&f.simLanes, "sim-lanes", 1, "lane-batch capacity per chip: coalesced batches run up to this many inferences through one cycle-accurate schedule (1 = off)")
-	fs.StringVar(&f.artDir, "artifact-dir", "", "compile-artifact store directory: restarts load compiled models from disk instead of recompiling")
 	fs.BoolVar(&f.replay, "replay", false, "replay a synthetic trace against the server instead of listening")
 	fs.DurationVar(&f.duration, "duration", 10*time.Second, "replay: trace length")
 	fs.Float64Var(&f.rps, "rps", 100, "replay: base offered arrival rate, requests/second")
@@ -135,21 +133,11 @@ func build(f *serveFlags) (*cimflow.Engine, *cimflow.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	engineOpts := []cimflow.Option{
+	engine, err := cimflow.NewEngine(cfg,
 		cimflow.WithStrategy(strat),
 		cimflow.WithSeed(f.seed),
 		cimflow.WithMaxPooledChips(f.pool),
-		cimflow.WithSimLanes(f.simLanes),
-	}
-	if f.artDir != "" {
-		store, err := cimflow.OpenArtifactStore(f.artDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		// The engine owns the store now; Engine.Close closes it.
-		engineOpts = append(engineOpts, cimflow.WithArtifactStore(store))
-	}
-	engine, err := cimflow.NewEngine(cfg, engineOpts...)
+		cimflow.WithSimLanes(f.simLanes))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,7 +154,7 @@ func build(f *serveFlags) (*cimflow.Engine, *cimflow.Server, error) {
 		}
 		total := time.Since(start)
 		// The facade Session carries the compile provenance (fresh compile
-		// vs artifact-store load vs in-memory hit) and its cost; the rest of
+		// vs in-memory hit) and its cost; the rest of
 		// the serve time is weight staging; chips are built or restaged by
 		// the first requests.
 		if sess, err := engine.SessionFor(name); err == nil {

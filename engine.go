@@ -25,17 +25,34 @@ var (
 	ErrEngineClosed = errors.New("cimflow: engine closed")
 )
 
+// Compile provenance re-exported from internal/dse.
+type (
+	// CompileInfo reports whether a session's compiled artifact was
+	// compiled fresh or served from the compile cache, and how long
+	// producing it took.
+	CompileInfo = dse.CompileInfo
+	// CompileSource is the origin in a CompileInfo.
+	CompileSource = dse.CompileSource
+)
+
+// CompileInfo sources.
+const (
+	// CompileFresh: the compiler ran.
+	CompileFresh = dse.SourceFresh
+	// CompileMemory: served from the in-memory compile cache.
+	CompileMemory = dse.SourceMemory
+)
+
 // Option configures an Engine or a Session built from it: engine-level
 // options set defaults, and Session-level options override them per model.
 type Option func(*settings)
 
 // settings is the resolved option set: what compiles a Session's model and
-// generates its weights, the internal session options, and the store.
+// generates its weights, and the internal session options.
 type settings struct {
 	core.Options
 	strategy Strategy
 	seed     uint64
-	store    *artifact.Store
 }
 
 // WithStrategy selects the CG-level compilation strategy (default:
@@ -85,17 +102,6 @@ func WithSimLanes(n int) Option {
 	return func(o *settings) { o.SimLanes = n }
 }
 
-// WithArtifactStore attaches an on-disk artifact store as the engine
-// compile cache's second tier (memory → store → compile): compiles missing
-// in memory are loaded from the store when present, fresh compiles are
-// persisted for the next process, and a warm restart skips compilation
-// entirely. The engine takes ownership of the store — Engine.Close closes
-// it. Engine-level only; it configures the engine's cache at NewEngine
-// time and is ignored by Session.
-func WithArtifactStore(s *ArtifactStore) Option {
-	return func(o *settings) { o.store = s }
-}
-
 // Engine is the reusable entry point of the framework: one architecture
 // plus a compile cache, per-(model, strategy) inference Sessions and one
 // bounded chip pool they share (WithMaxPooledChips). An Engine compiles
@@ -110,7 +116,6 @@ type Engine struct {
 	cfg      Config
 	defaults settings
 	cache    *dse.CompileCache
-	store    *artifact.Store
 	pool     *core.Pool
 
 	mu       sync.Mutex
@@ -155,10 +160,6 @@ func NewEngine(cfg Config, opts ...Option) (*Engine, error) {
 	}
 	e.pool = core.NewPool(e.defaults.MaxPooledChips)
 	e.cache = dse.NewCompileCache()
-	if e.defaults.store != nil {
-		e.store = e.defaults.store
-		e.cache.SetStore(e.store)
-	}
 	return e, nil
 }
 
@@ -172,9 +173,6 @@ func (e *Engine) CompileCalls() int64 { return e.cache.CompileCalls() }
 // CacheHits reports how many compilations were served from the cache.
 func (e *Engine) CacheHits() int64 { return e.cache.Hits() }
 
-// ArtifactStore returns the store attached with WithArtifactStore, or nil.
-func (e *Engine) ArtifactStore() *ArtifactStore { return e.store }
-
 // PooledChips reports the idle chips in the engine's pool — the pool
 // introspection a serving layer reports in its metrics.
 func (e *Engine) PooledChips() int { return e.pool.Idle() }
@@ -182,21 +180,13 @@ func (e *Engine) PooledChips() int { return e.pool.Idle() }
 // Close closes the engine's chip pool, dropping every idle chip, which closes
 // every session the engine built (in-flight inferences finish before their
 // chips are dropped); marks the engine closed (Session and SessionFor fail
-// with ErrEngineClosed); and closes the attached artifact store, so its
-// Load and Save fail with ErrStoreClosed. Close is idempotent.
+// with ErrEngineClosed). Close is idempotent and always returns nil.
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	e.pool.Close()
-	e.mu.Unlock()
-	// Outside the engine lock: a store close waits on nothing internal,
-	// but keeping lock scopes minimal mirrors the rest of the engine.
-	if e.store != nil {
-		return e.store.Close()
+	defer e.mu.Unlock()
+	if !e.closed {
+		e.closed = true
+		e.pool.Close()
 	}
 	return nil
 }
@@ -290,8 +280,8 @@ type Session struct {
 func (s *Session) Graph() *Graph { return s.graph }
 
 // CompileInfo reports how this session's compiled artifact was produced —
-// fresh compile, artifact-store load, or in-memory cache hit — and how
-// long that production took, so operators can see warm-start wins.
+// fresh compile or in-memory cache hit — and how long that production
+// took.
 func (s *Session) CompileInfo() CompileInfo { return s.compileInfo }
 
 // Compiled returns the compiled artifact (programs, plan, layout).

@@ -1,7 +1,6 @@
 package cimflow_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -415,91 +414,4 @@ func TestEngineSharesCompileContexts(t *testing.T) {
 	if got := engine.CompileContexts(); got != 1 {
 		t.Errorf("CompileContexts after re-lookup = %d, want 1", got)
 	}
-}
-
-// TestEngineArtifactStoreWarmStart is the engine-level proof of the
-// artifact-store tier: a first engine compiles fresh and persists, a
-// second engine over the same directory loads from disk without compiling,
-// and both serve byte-identical inference results. Engine.Close must close
-// the store it owns and stay idempotent.
-func TestEngineArtifactStoreWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	cfg := cimflow.DefaultConfig()
-	g, err := cimflow.LookupModel("tinyresnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Cold process: compile fresh, persist on the way.
-	store, err := cimflow.OpenArtifactStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := cimflow.NewEngine(cfg,
-		cimflow.WithStrategy(cimflow.StrategyDP),
-		cimflow.WithArtifactStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := cold.Session(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := sess.CompileInfo().Source; src != cimflow.CompileFresh {
-		t.Fatalf("cold engine compile source = %v, want fresh", src)
-	}
-	want, err := sess.Infer(context.Background(), sess.SeededInput(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The engine owned the store: it must be closed now.
-	if _, _, err := store.Load("00"); !errors.Is(err, cimflow.ErrStoreClosed) {
-		t.Fatalf("store open after Engine.Close: %v", err)
-	}
-	if err := cold.Close(); err != nil {
-		t.Fatal("second Close errored:", err)
-	}
-
-	// Warm process: same directory, no compile.
-	store2, err := cimflow.OpenArtifactStore(dir)
-	if err != nil {
-		t.Fatalf("reopening store after Engine.Close: %v", err)
-	}
-	warm, err := cimflow.NewEngine(cfg,
-		cimflow.WithStrategy(cimflow.StrategyDP),
-		cimflow.WithArtifactStore(store2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	sess2, err := warm.Session(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := sess2.CompileInfo().Source; src != cimflow.CompileStore {
-		t.Fatalf("warm engine compile source = %v, want store load", src)
-	}
-	if warm.CompileCalls() != 0 || warm.StoreLoads() != 1 {
-		t.Fatalf("warm engine ran %d compiles, %d store loads; want 0 and 1",
-			warm.CompileCalls(), warm.StoreLoads())
-	}
-	got, err := sess2.Infer(context.Background(), sess2.SeededInput(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(int8Bytes(want.Output.Data), int8Bytes(got.Output.Data)) ||
-		want.Stats.Cycles != got.Stats.Cycles {
-		t.Fatal("store-loaded session diverges from fresh compile")
-	}
-}
-
-func int8Bytes(v []int8) []byte {
-	out := make([]byte, len(v))
-	for i, b := range v {
-		out[i] = byte(b)
-	}
-	return out
 }

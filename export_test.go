@@ -6,6 +6,3 @@ func (e *Engine) LiveChips() int { return e.pool.Live() }
 // CompileContexts reports the graph frontends the engine's compile cache
 // holds: every strategy of one model shares one.
 func (e *Engine) CompileContexts() int { return e.cache.Contexts() }
-
-// StoreLoads reports the compilations decoded from the artifact store.
-func (e *Engine) StoreLoads() int64 { return e.cache.StoreLoads() }

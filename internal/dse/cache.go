@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,8 +18,6 @@ type CompileSource int
 const (
 	// SourceFresh: the compiler ran.
 	SourceFresh CompileSource = iota
-	// SourceStore: decoded from the attached artifact store.
-	SourceStore
 	// SourceMemory: served from this cache's in-memory tier.
 	SourceMemory
 )
@@ -30,16 +27,14 @@ func (s CompileSource) String() string {
 	switch s {
 	case SourceFresh:
 		return "compiled"
-	case SourceStore:
-		return "loaded from store"
 	case SourceMemory:
 		return "cached in memory"
 	}
 	return fmt.Sprintf("CompileSource(%d)", int(s))
 }
 
-// CompileInfo reports how a compile was satisfied: the tier that produced
-// the artifact and how long that production took. For SourceMemory the
+// CompileInfo reports how a compile was satisfied: fresh or from memory,
+// and how long producing the artifact took. For SourceMemory the
 // duration is the original cost of filling the entry, not the (trivial)
 // lookup time.
 type CompileInfo struct {
@@ -73,16 +68,13 @@ type ctxEntry struct {
 // how many architecture points or strategies a sweep visits. It is safe
 // for concurrent use; a point compiled by one worker is awaited, not
 // recompiled, by the others. It is the only place a compile is
-// deduplicated: the attached artifact.Store is a plain disk tier it reads
-// and writes inside each key's one slot.
+// deduplicated, and it lives in one process's memory.
 type CompileCache struct {
-	mu         sync.Mutex
-	store      *artifact.Store
-	entries    map[string]*cacheEntry
-	ctxs       map[string]*ctxEntry
-	compiles   atomic.Int64
-	hits       atomic.Int64
-	storeLoads atomic.Int64
+	mu       sync.Mutex
+	entries  map[string]*cacheEntry
+	ctxs     map[string]*ctxEntry
+	compiles atomic.Int64
+	hits     atomic.Int64
 }
 
 // NewCompileCache returns an empty cache.
@@ -115,15 +107,6 @@ func (c *CompileCache) Contexts() int {
 	return len(c.ctxs)
 }
 
-// SetStore attaches an on-disk artifact store as the cache's second tier:
-// a memory miss loads from the store before compiling, and fresh compiles
-// are persisted for the next process. The caller keeps ownership of the
-// store's lifecycle (Close). Attach before concurrent use.
-func (c *CompileCache) SetStore(s *artifact.Store) { c.store = s }
-
-// Store returns the attached store tier, if any.
-func (c *CompileCache) Store() *artifact.Store { return c.store }
-
 // Compile returns the compiled artifact for (g, cfg, opt), compiling at
 // most once per distinct key through the graph's shared CompileContext.
 // The returned Compiled references a cache-owned copy of cfg, so callers
@@ -133,11 +116,9 @@ func (c *CompileCache) Compile(g *model.Graph, cfg *arch.Config, opt compiler.Op
 	return compiled, err
 }
 
-// CompileWithInfo is Compile plus provenance: which tier satisfied the
-// call (fresh compile, store load, or in-memory hit) and how long the
-// artifact originally took to produce. Lookup order is memory → store →
-// compile; fresh compiles are written back to the store when one is
-// attached. Entries are keyed by artifact.Key with the graph's name in
+// CompileWithInfo is Compile plus provenance: whether the call compiled
+// or was served from memory, and how long the artifact originally took to
+// produce. Entries are keyed by artifact.Key with the graph's name in
 // front, so a renamed copy of a graph gets a Compiled of its own name
 // (sharing the original's programs).
 func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt compiler.Options) (*compiler.Compiled, CompileInfo, error) {
@@ -146,8 +127,7 @@ func (c *CompileCache) CompileWithInfo(g *model.Graph, cfg *arch.Config, opt com
 
 // compile is CompileWithInfo of g, whose artifact.GraphFingerprint is fp.
 func (c *CompileCache) compile(fp string, g *model.Graph, cfg *arch.Config, opt compiler.Options) (*compiler.Compiled, CompileInfo, error) {
-	storeKey := artifact.Key(fp, cfg, opt)
-	key := g.Name + "@" + storeKey
+	key := g.Name + "@" + artifact.Key(fp, cfg, opt)
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -162,10 +142,10 @@ func (c *CompileCache) compile(fp string, g *model.Graph, cfg *arch.Config, opt 
 	e.once.Do(func() {
 		leader = true
 		start := time.Now()
-		e.compiled, e.info.Source, e.err = c.produce(fp, g, &e.cfg, opt, storeKey)
+		e.compiled, e.err = c.produce(fp, g, &e.cfg, opt)
 		if e.compiled != nil && e.compiled.Graph.Name != g.Name {
-			// The frontend and the store are shared by structure alone;
-			// an entry, keyed by name too, carries its caller's name.
+			// The frontend is shared by structure alone; an entry, keyed
+			// by name too, carries its caller's name.
 			named := *e.compiled
 			named.Graph = g
 			e.compiled = &named
@@ -179,32 +159,15 @@ func (c *CompileCache) compile(fp string, g *model.Graph, cfg *arch.Config, opt 
 	return e.compiled, info, e.err
 }
 
-// produce fills one entry: the attached store's artifact under key if it
-// holds a usable one, else a fresh compile, written back to the store.
-// Store read and write failures never fail the compile — the store
-// degrades to a pass-through — but a closed store fails with
-// artifact.ErrClosed.
-func (c *CompileCache) produce(fp string, g *model.Graph, cfg *arch.Config, opt compiler.Options, key string) (*compiler.Compiled, CompileSource, error) {
-	if c.store != nil {
-		compiled, _, err := c.store.Load(key)
-		if err == nil {
-			c.storeLoads.Add(1)
-			return compiled, SourceStore, nil
-		}
-		if errors.Is(err, artifact.ErrClosed) {
-			return nil, SourceFresh, err
-		}
-	}
+// produce fills one entry with a fresh compile through g's shared
+// CompileContext.
+func (c *CompileCache) produce(fp string, g *model.Graph, cfg *arch.Config, opt compiler.Options) (*compiler.Compiled, error) {
 	c.compiles.Add(1)
 	cx, err := c.context(fp, g)
 	if err != nil {
-		return nil, SourceFresh, err
+		return nil, err
 	}
-	compiled, err := cx.Compile(cfg, opt)
-	if err == nil && c.store != nil {
-		c.store.Save(compiled, opt) // best effort; a full disk must not fail the compile
-	}
-	return compiled, SourceFresh, err
+	return cx.Compile(cfg, opt)
 }
 
 // CompileCalls reports how many real compiler.Compile invocations the
@@ -213,10 +176,6 @@ func (c *CompileCache) CompileCalls() int64 { return c.compiles.Load() }
 
 // Hits reports how many lookups were served from the cache.
 func (c *CompileCache) Hits() int64 { return c.hits.Load() }
-
-// StoreLoads reports how many compiles were satisfied by decoding an
-// artifact from the attached store instead of running the compiler.
-func (c *CompileCache) StoreLoads() int64 { return c.storeLoads.Load() }
 
 // Len reports the number of distinct compiled artifacts held.
 func (c *CompileCache) Len() int {

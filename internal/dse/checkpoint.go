@@ -86,9 +86,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 }
 
 // DecodeCheckpoint parses checkpoint bytes into a memory-only checkpoint.
-// It is the single entry point for untrusted checkpoint data (LoadCheckpoint,
-// a search shard reading its peers' files, and the fuzz target): it either
-// returns an error or a checkpoint whose encoding round-trips.
+// It is the single entry point for untrusted checkpoint data (LoadCheckpoint
+// reading a resume file, and the fuzz target): it either returns an error or
+// a checkpoint whose encoding round-trips.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c := NewCheckpoint("")
 	if err := json.Unmarshal(data, &c.data); err != nil {
@@ -115,9 +115,6 @@ func (c *Checkpoint) encodeLocked() ([]byte, error) {
 	}
 	return append(data, '\n'), nil
 }
-
-// Path returns the file the checkpoint persists to ("" = memory-only).
-func (c *Checkpoint) Path() string { return c.path }
 
 // Lookup returns the saved result for a point key, if present.
 func (c *Checkpoint) Lookup(key string) (SavedResult, bool) {

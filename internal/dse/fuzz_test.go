@@ -56,7 +56,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal("DecodeCheckpoint returned no checkpoint and no error")
 		}
 		// A decoded checkpoint must encode and decode back to the same
-		// entry set — the invariant shard peers and resume rely on.
+		// entry set — the invariant a resumed run relies on.
 		enc, err := c.Encode()
 		if err != nil {
 			t.Fatalf("re-encoding decoded checkpoint: %v", err)

@@ -20,23 +20,13 @@ type SearchOptions struct {
 	Seed int64
 	// Workers bounds parallel point evaluation; <= 0 means GOMAXPROCS.
 	Workers int
-	// Cache deduplicates compilation; nil uses a private cache. Attach an
-	// artifact store to share compiles across shard processes.
+	// Cache deduplicates compilation; nil uses a private cache.
 	Cache *CompileCache
 	// Checkpoint, when non-nil, records completed simulations for resume.
-	// Sharded runs derive per-shard files from its path (see shard.go).
 	Checkpoint *Checkpoint
 	// OnSim, when non-nil, observes each charged simulation in trajectory
 	// order (serialized).
 	OnSim func(PointResult)
-
-	// Shard and ShardCount distribute the simulation budget across
-	// cooperating processes: this process simulates the asks whose global
-	// ordinal is congruent to Shard modulo ShardCount and reads its peers'
-	// results from their shard checkpoints. ShardCount <= 1 disables
-	// sharding. Every shard must run the same spec, strategy, seed and
-	// budget; each converges to the identical merged frontier.
-	Shard, ShardCount int
 }
 
 // SearchResult is the outcome of a search run.
@@ -47,8 +37,7 @@ type SearchResult struct {
 	// the free planning-stage evaluations.
 	Sims, Estimates int
 	// Trajectory lists every charged simulation in ask order — the
-	// deterministic spine of the run (byte-identical across worker counts
-	// and shards).
+	// deterministic spine of the run (byte-identical across worker counts).
 	Trajectory []PointResult
 	// Frontier is the Pareto-optimal subset of the trajectory.
 	Frontier []PointResult
@@ -90,11 +79,7 @@ func Search(ctx context.Context, spec *Spec, opt SearchOptions) (*SearchResult, 
 	if opt.Budget <= 0 {
 		opt.Budget = (space.Size() + 3) / 4
 	}
-	t, err := newTour(ctx, space, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer t.close()
+	t := newTour(ctx, space, opt)
 	strat(t)
 	return t.result(opt.Strategy), ctx.Err()
 }
@@ -160,34 +145,18 @@ type tour struct {
 	trajectory []int
 	sims       int
 	estimates  int
-	shard      *shardState
 }
 
-func newTour(ctx context.Context, space *Space, opt SearchOptions) (*tour, error) {
-	t := &tour{
+func newTour(ctx context.Context, space *Space, opt SearchOptions) *tour {
+	return &tour{
 		ctx:      ctx,
 		space:    space,
+		ev:       newEvaluator(opt.Cache, opt.Checkpoint),
 		rng:      rand.New(rand.NewSource(opt.Seed)),
 		opt:      opt,
 		estMemo:  map[int]estResult{},
 		simMemo:  map[int]PointResult{},
 		keyIndex: map[string]int{},
-	}
-	ckpt := opt.Checkpoint
-	if opt.ShardCount > 1 {
-		sh, err := newShardState(opt)
-		if err != nil {
-			return nil, err
-		}
-		t.shard, ckpt = sh, sh.own
-	}
-	t.ev = newEvaluator(opt.Cache, ckpt)
-	return t, nil
-}
-
-func (t *tour) close() {
-	if t.shard != nil {
-		t.shard.close()
 	}
 }
 
@@ -282,31 +251,13 @@ func (t *tour) SimBatch(idx []int) []PointResult {
 		fresh = append(fresh, job{index: i, point: p})
 	}
 
-	// Split the batch by global ask ordinal: this shard's asks (all of them
-	// when unsharded) run locally, peers' results are awaited from their
-	// shard checkpoints.
-	mine := func(k int) bool {
-		return t.shard == nil || (t.sims+k)%t.opt.ShardCount == t.opt.Shard
-	}
-	var local []int
-	for k := range fresh {
-		if mine(k) {
-			local = append(local, k)
-		}
-	}
 	results := make([]PointResult, len(fresh))
-	parallel(len(local), t.opt.Workers, func(m int) {
-		k := local[m]
+	parallel(len(fresh), t.opt.Workers, func(k int) {
 		results[k] = t.ev.Evaluate(t.ctx, fresh[k].point)
 	})
-	for k := range fresh {
-		if !mine(k) {
-			results[k] = t.shard.await(t.ctx, fresh[k].point)
-		}
-	}
 
 	// Assemble in ask order: the trajectory, budget and memo advance
-	// identically no matter how the batch was parallelized or sharded.
+	// identically no matter how the batch was parallelized.
 	for k, j := range fresh {
 		r := results[k]
 		t.simMemo[j.index] = r

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,8 +26,7 @@ func searchSpec() *Spec {
 
 // renderRun flattens a result's trajectory and frontier into a canonical
 // byte string: the determinism contract is that two runs with the same
-// seed, budget and space render identically no matter the worker count or
-// shard layout.
+// seed, budget and space render identically no matter the worker count.
 func renderRun(r *SearchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy=%s space=%d sims=%d\n", r.Strategy, r.SpaceSize, r.Sims)
@@ -189,65 +186,6 @@ func TestSearchUnknownStrategy(t *testing.T) {
 	}
 }
 
-// TestShardMergeEquivalence: two shards racing over a shared checkpoint
-// directory produce — each of them — the identical trajectory and frontier
-// as the single-process run. The shards share a compile cache the way real
-// deployments share an artifact store.
-func TestShardMergeEquivalence(t *testing.T) {
-	cache := NewCompileCache()
-	single, err := Search(context.Background(), searchSpec(), SearchOptions{
-		Strategy: "halving", Budget: 4, Seed: 9, Cache: cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderRun(single)
-
-	base := filepath.Join(t.TempDir(), "search.ckpt")
-	results := make([]*SearchResult, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for shard := 0; shard < 2; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			ckpt, err := LoadCheckpoint(base)
-			if err != nil {
-				errs[shard] = err
-				return
-			}
-			results[shard], errs[shard] = Search(context.Background(), searchSpec(), SearchOptions{
-				Strategy:   "halving",
-				Budget:     4,
-				Seed:       9,
-				Cache:      cache,
-				Checkpoint: ckpt,
-				Shard:      shard,
-				ShardCount: 2,
-			})
-		}(shard)
-	}
-	wg.Wait()
-	for shard := 0; shard < 2; shard++ {
-		if errs[shard] != nil {
-			t.Fatalf("shard %d: %v", shard, errs[shard])
-		}
-		if got := renderRun(results[shard]); got != want {
-			t.Errorf("shard %d diverged from single-process run:\n--- single ---\n%s--- shard %d ---\n%s",
-				shard, want, shard, got)
-		}
-		// The split of the work: a shard's own checkpoint holds what it
-		// simulated, its half of the four asks.
-		own, err := LoadCheckpoint(ShardPath(base, shard, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if own.Len() != 2 {
-			t.Errorf("shard %d simulated %d of the 4 asks, want 2", shard, own.Len())
-		}
-	}
-}
-
 // deadCellSpec is searchSpec with a second core mesh of zero rows: half its
 // 16 cells are dead (their configuration is invalid), so their estimates
 // fail, and 8 are live.
@@ -305,25 +243,6 @@ func TestSearchStopsWhenSpaceExhausted(t *testing.T) {
 	res, err := Search(context.Background(), searchSpec(), SearchOptions{Strategy: "halving", Budget: 3, Seed: 3, Cache: cache})
 	if err != nil || res.Sims != 3 || len(res.Trajectory) != 3 {
 		t.Errorf("halving at budget 3 of 8: %d sims, %d in the trajectory, %v", res.Sims, len(res.Trajectory), err)
-	}
-}
-
-// TestShardValidation: a sharded run without a file-backed checkpoint, or
-// with an out-of-range shard id, fails fast.
-func TestShardValidation(t *testing.T) {
-	if _, err := Search(context.Background(), searchSpec(), SearchOptions{
-		Strategy: "halving", Budget: 2, Shard: 0, ShardCount: 2,
-	}); err == nil {
-		t.Error("sharded run without checkpoint accepted")
-	}
-	ckpt, err := LoadCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Search(context.Background(), searchSpec(), SearchOptions{
-		Strategy: "halving", Budget: 2, Checkpoint: ckpt, Shard: 2, ShardCount: 2,
-	}); err == nil {
-		t.Error("out-of-range shard id accepted")
 	}
 }
 

@@ -13,8 +13,8 @@
 // Search finds the same frontier in a fraction of the sweep's simulations:
 // a strategy (successive halving, or hill climbing with random restarts)
 // walks the spec's Space, ranks candidates by free planning-stage
-// estimates and simulates only the survivors. Every search is reproducible from its seed, and shards split its simulations
-// across cooperating processes that converge to one merged frontier.
+// estimates and simulates only the survivors. Every search is reproducible
+// from its seed at any worker count, and its checkpoint resumes it.
 package dse
 
 import (

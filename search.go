@@ -11,11 +11,11 @@ import (
 // strategy navigates the space under a simulation budget, pruning with free
 // planning-stage cost estimates and spending cycle-accurate simulations
 // only on promising points. The same seed, budget and space reproduce the
-// identical trajectory at any worker count or shard layout.
+// identical trajectory at any worker count.
 type (
 	// SearchOptions configures a search run: strategy name ("halving" or
-	// "hillclimb"), simulation budget, seed, worker pool,
-	// caching/checkpointing and the distributed shard layout.
+	// "hillclimb"), simulation budget, seed, worker pool, compile cache
+	// and checkpoint.
 	SearchOptions = dse.SearchOptions
 	// SearchResult summarizes a run: the charged trajectory in ask order,
 	// its Pareto frontier, simulation/estimate counts and hypervolume.
