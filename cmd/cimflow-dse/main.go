@@ -50,6 +50,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,7 +75,7 @@ func run(args []string) error {
 	csvPath := fs.String("csv", "", "also write the result table as CSV to this file (with -fig: figN.csv files into this directory)")
 	ckptPath := fs.String("checkpoint", "", "checkpoint file: resume done points, record progress")
 	paretoOnly := fs.Bool("pareto", false, "print only the Pareto-optimal rows")
-	quiet := fs.Bool("q", false, "suppress per-point progress lines")
+	quiet := fs.Bool("q", false, "suppress per-point progress lines of -spec")
 	example := fs.Bool("example", false, "print a template spec and exit")
 	searchName := fs.String("search", "", "search the space instead of sweeping it: halving or hillclimb")
 	budget := fs.Int("budget", 0, "simulation budget for -search (0 = 25% of the space)")
@@ -82,8 +83,15 @@ func run(args []string) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	fs.Parse(args)
+	// A mode's flags are refused outside it rather than dropped; Visit sees
+	// a flag given at its default value too.
+	var given []string
+	fs.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
 
 	if *example {
+		if len(given) > 1 {
+			return fmt.Errorf("-example takes no other flag")
+		}
 		data, err := json.MarshalIndent(dse.ExampleSpec(), "", "  ")
 		if err != nil {
 			return err
@@ -124,10 +132,6 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("give one of -fig and -spec")
 	}
-	// A mode's flags are refused outside it rather than dropped; Visit sees
-	// a flag given at its default value too.
-	given := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	for _, m := range []struct {
 		name, mode string
 		on         bool
@@ -135,10 +139,11 @@ func run(args []string) error {
 		{"models", "-fig", *fig != ""},
 		{"search", "-spec", *specPath != ""},
 		{"pareto", "-spec", *specPath != ""},
+		{"q", "-spec", *specPath != ""},
 		{"budget", "-search", *searchName != ""},
 		{"seed", "-search", *searchName != ""},
 	} {
-		if given[m.name] && !m.on {
+		if slices.Contains(given, m.name) && !m.on {
 			return fmt.Errorf("-%s needs %s", m.name, m.mode)
 		}
 	}

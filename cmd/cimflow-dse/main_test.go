@@ -6,7 +6,8 @@ import (
 )
 
 // TestModeFlagsRejected: a flag that only one mode reads is refused in the
-// other modes, even at its default value, instead of being dropped; the
+// other modes, even at its default value, instead of being dropped, and
+// -example, which reads no other flag, refuses them all; the
 // same flags in their own mode get past the check (and fail later, on a
 // missing spec or an unknown figure, before anything runs).
 func TestModeFlagsRejected(t *testing.T) {
@@ -21,6 +22,9 @@ func TestModeFlagsRejected(t *testing.T) {
 		{[]string{"-fig", "5", "-seed", "7"}, "-seed needs -search"},
 		{[]string{"-fig", "5", "-search", "halving"}, "-search needs -spec"},
 		{[]string{"-fig", "5", "-pareto"}, "-pareto needs -spec"},
+		{[]string{"-fig", "5", "-q"}, "-q needs -spec"},
+		{[]string{"-example", "-q"}, "-example takes no other flag"},
+		{[]string{"-example", "-spec", "none.json"}, "-example takes no other flag"},
 		{[]string{"-spec", "none.json", "-search", "halving", "-budget", "4", "-seed", "2"}, "none.json"},
 		{[]string{"-fig", "9", "-models", "tinycnn"}, "-fig must be 5, 6, 7 or all"},
 	} {

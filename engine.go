@@ -72,9 +72,11 @@ func WithSeed(seed uint64) Option {
 // them all busy waits. An idle chip goes first to the session it was last
 // staged for, else it is restaged for another, so a larger n buys fewer
 // restages and more concurrent inferences with memory (per lane, what a
-// chip's programs touch: about 9 MB of local memory on mobilenetv2 at the
-// default architecture, of the 32 MB it addresses). Engine-level only:
-// Session ignores it.
+// chip's programs touch: on mobilenetv2 at the default architecture about
+// 9 MB of the 32 MB of local memory a lane addresses, and 0.17 MB of its
+// 3.5 MB of global memory — the pages with scratch bytes; the weights are
+// one image per session, which all its chips read in place). Engine-level
+// only: Session ignores it.
 func WithMaxPooledChips(n int) Option {
 	return func(o *settings) { o.MaxPooledChips = n }
 }

@@ -1,22 +1,23 @@
-// Package artifact gives compiled models a life beyond the process: a
-// versioned, deterministic binary codec for compiler.Compiled plus a
-// content-addressed on-disk store keyed by the same graph + architecture +
-// strategy fingerprints the in-memory compile caches already use.
+// Package artifact names compiled models and serializes them. Key, with
+// ConfigFingerprint and GraphFingerprint, is the identity of a compile —
+// graph, architecture, strategy and codec version — that the in-memory
+// compile caches (the engine's, dse.CompileCache) key their entries by and
+// a DSE point is named by.
 //
-// The codec serializes only primary state — the architecture description,
-// the graph, the CG-level plan, the raw ISA instruction words, the global
-// memory layout and the constant-pool segments. Everything derived (MVM
-// geometries, plan indexes, predecoded micro-ops) is recomputed on load
-// through the same code paths a fresh compile uses, so nothing executable
-// is ever trusted from disk. Every file carries a magic/version header,
-// the input fingerprints, and a whole-file SHA-256; decoding re-derives
-// the fingerprints from the decoded content and refuses files whose
-// identity does not match what the header claims.
-//
-// The store (Open / Store) is a flat directory of <key>.cfa files where
-// the key is a hash of the compile inputs: writes are atomic (temp file +
-// rename), so processes share a directory without a lock, and a file that
-// fails to decode is removed on load.
+// The rest — a versioned, deterministic binary codec for compiler.Compiled
+// (Encode, Decode) and Store, a flat directory of <key>.cfa files — has one
+// caller, the frozen benchmark walk in bench/layers.go, which times an
+// encode, a decode, a save and a load. The codec serializes only primary
+// state — the architecture description, the graph, the CG-level plan, the
+// raw ISA instruction words, the global memory layout and the constant-pool
+// segments. Everything derived (MVM geometries, plan indexes, predecoded
+// micro-ops) is recomputed on load through the same code paths a fresh
+// compile uses, so nothing executable is ever trusted from disk. Every file
+// carries a magic/version header, the input fingerprints, and a whole-file
+// SHA-256; decoding re-derives the fingerprints from the decoded content
+// and refuses files whose identity does not match what the header claims.
+// Store writes atomically (temp file + rename) and removes a file that
+// fails to decode on load.
 package artifact
 
 import (

@@ -192,13 +192,14 @@ func (c *Compiled) InputAddr(input tensor.Tensor) (int, error) {
 	return int(c.layout.inputAddr), nil
 }
 
-// StaticInit builds the write-once global segments: every node's weights
-// (pre-tiled into the CIM macro-group layout) and the per-core constant
-// pools — everything in global memory that does not change between
-// inferences of the same compiled model. They do not overlap and come in
-// one order, highest address first.
-func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error) {
-	var segs []sim.GlobalSegment
+// StaticImage builds the compiled model's global memory as a run starts
+// from it: every node's weights, pre-tiled into the CIM macro-group layout,
+// and the per-core constant pools, each at its address in one
+// GlobalBytes()-long buffer, and zeros in the scratch ranges (ScratchRanges)
+// — everything that does not change between inferences of the model, and
+// what sim.Chip.MapGlobal maps.
+func (c *Compiled) StaticImage(ws model.WeightStore) ([]byte, error) {
+	img := make([]byte, c.GlobalBytes())
 	gc := c.Cfg.GroupChannels()
 	for id, base := range c.layout.weightAddr {
 		n := c.Graph.Node(id)
@@ -206,10 +207,10 @@ func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error)
 		if w == nil {
 			return nil, fmt.Errorf("compiler: no weights for node %s", n.Name)
 		}
+		data := img[base:][:regionBytes(c.geoms, c.Cfg, n)]
 		switch n.Op {
 		case model.OpConv, model.OpDense:
 			gm := c.geoms[id]
-			data := make([]byte, regionBytes(c.geoms, c.Cfg, n))
 			pos := 0
 			for ct := 0; ct < gm.chanTiles; ct++ {
 				chans := gc
@@ -232,41 +233,62 @@ func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error)
 					rowBase += t.Rows
 				}
 			}
-			segs = append(segs, sim.GlobalSegment{Addr: int(base), Data: data})
 		case model.OpDWConv:
-			segs = append(segs, sim.GlobalSegment{Addr: int(base), Data: int8ToBytes(w)})
+			for i, v := range w[:min(len(w), len(data))] {
+				data[i] = byte(v)
+			}
 		}
 	}
-	segs = append(segs, c.poolSegs...)
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Addr > segs[j].Addr })
+	for _, s := range c.poolSegs {
+		copy(img[s.Addr:], s.Data)
+	}
+	return img, nil
+}
+
+// StaticInit returns StaticImage as segments, sub-slices of one image: the
+// weight regions and constant pools, which do not overlap, highest address
+// first.
+func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error) {
+	img, err := c.StaticImage(ws)
+	if err != nil {
+		return nil, err
+	}
+	spans := c.staticSpans()
+	segs := make([]sim.GlobalSegment, len(spans))
+	for i, s := range spans {
+		segs[len(spans)-1-i] = sim.GlobalSegment{Addr: s[0], Data: img[s[0]:s[1]]}
+	}
 	return segs, nil
 }
 
-// ScratchRanges returns the global-memory byte ranges NOT covered by
-// StaticInit: the input region, activation buffers and alignment padding.
-// Zeroing them (plus rewriting the input) restores a reused chip's global
-// memory to the freshly-initialized state byte for byte, which is what
-// makes pooled-chip inference results identical to fresh-chip runs.
-func (c *Compiled) ScratchRanges() [][2]int {
-	type span struct{ lo, hi int }
-	var static []span
+// staticSpans returns the [lo, hi) byte ranges of the weight regions and
+// constant pools, ascending.
+func (c *Compiled) staticSpans() [][2]int {
+	var spans [][2]int
 	for id, base := range c.layout.weightAddr {
 		n := c.Graph.Node(id)
-		static = append(static, span{int(base), int(base) + int(regionBytes(c.geoms, c.Cfg, n))})
+		spans = append(spans, [2]int{int(base), int(base) + int(regionBytes(c.geoms, c.Cfg, n))})
 	}
 	for _, s := range c.poolSegs {
-		static = append(static, span{s.Addr, s.Addr + len(s.Data)})
+		spans = append(spans, [2]int{s.Addr, s.Addr + len(s.Data)})
 	}
-	sort.Slice(static, func(i, j int) bool { return static[i].lo < static[j].lo })
+	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
+	return spans
+}
+
+// ScratchRanges returns the global-memory byte ranges, as (addr, size)
+// pairs, that StaticImage leaves zero: the input region, activation buffers
+// and alignment padding. Zeroing them (plus rewriting the input) restores a
+// reused chip's global memory to the image byte for byte, which is what
+// makes pooled-chip inference results identical to fresh-chip runs.
+func (c *Compiled) ScratchRanges() [][2]int {
 	var out [][2]int
 	pos := 0
-	for _, s := range static {
-		if s.lo > pos {
-			out = append(out, [2]int{pos, s.lo - pos})
+	for _, s := range c.staticSpans() {
+		if s[0] > pos {
+			out = append(out, [2]int{pos, s[0] - pos})
 		}
-		if s.hi > pos {
-			pos = s.hi
-		}
+		pos = max(pos, s[1])
 	}
 	if total := int(c.layout.size); pos < total {
 		out = append(out, [2]int{pos, total - pos})

@@ -76,36 +76,98 @@ func TestWarmInferAllocs(t *testing.T) {
 }
 
 // TestChipBacksWhatRuns guards the chip's footprint: a chip backs the local
-// memory and macro groups each core's program declares and global memory as
-// long as the layout, so a
-// default-architecture session's first tinymlp inference — chip build,
-// weight staging and the run — costs well under a megabyte, not the 32 MB
-// of local memory, 32 MB of macro groups and 16 MB of global memory the
-// architecture holds. Measured on linux/amd64: 0.4 MB; 32.3 MB when local
-// memory was backed at build, 80.2 MB when all three were.
+// memory and macro groups each core's program declares, and of global memory
+// each lane holds only the pages with scratch bytes, reading the session's
+// image in place for the rest. So a default-architecture session's first
+// tinymlp inference — chip build, image and the run — costs well under a
+// megabyte, not the 32 MB of local memory, 32 MB of macro groups and 16 MB of
+// global memory the architecture holds (measured on linux/amd64: 0.4 MB;
+// 32.3 MB when local memory was backed at build, 80.2 MB when all three
+// were), and a lane of an 8-lane mobilenetv2 chip holds 0.17 MB of global
+// memory of its own, not the layout's 3.6 MB. The mobilenetv2 row is skipped
+// in -short and -race modes, like the other tests of the large zoo DNNs.
 func TestChipBacksWhatRuns(t *testing.T) {
-	const bound = 2 << 20
 	cfg := arch.DefaultConfig()
-	g := model.Zoo("tinymlp")
-	compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		model   string
+		lanes   int
+		alloc   uint64 // what the first inference may allocate; 0: no bound
+		private int    // the global memory a lane may hold of its own
+	}{
+		{"tinymlp", 1, 2 << 20, 64 << 10},
+		{"mobilenetv2", 8, 0, 512 << 10},
+	} {
+		t.Run(tc.model, func(t *testing.T) {
+			if tc.model == "mobilenetv2" && (testing.Short() || raceEnabled) {
+				t.Skip("runs a large zoo DNN")
+			}
+			g := model.Zoo(tc.model)
+			compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyGeneric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, inputs := model.NewSeededWeights(g, 1), zooInputs(g, tc.lanes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1, SimLanes: tc.lanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.InferBatch(context.Background(), inputs); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			private := idleChip(t, s).PrivateGlobalBytes()
+			t.Logf("a session's first %d-lane %s inference allocates %.1f MB; a lane holds %d KB of its %d KB of global memory",
+				tc.lanes, tc.model, float64(got)/(1<<20), private>>10, compiled.GlobalBytes()>>10)
+			if tc.alloc > 0 && got >= tc.alloc {
+				t.Errorf("the first inference allocates %d bytes, want under %d", got, tc.alloc)
+			}
+			if private > tc.private {
+				t.Errorf("a lane holds %d bytes of global memory of its own, want at most %d", private, tc.private)
+			}
+		})
 	}
-	ws, input := model.NewSeededWeights(g, 1), model.SeededInput(g.Nodes[0].OutShape, 2)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s, err := NewSession(compiled, ws, Options{MaxPooledChips: 1})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRestageAllocatesNothing: once a pooled chip has held two tiny sessions'
+// programs, restaging it from one to the other — programs loaded, the image
+// mapped, each lane's private pages copied from it — allocates nothing: the
+// pages come from the chip's arena, not from new memory. serve_tiny restages
+// a replica's chip per request this way.
+func TestRestageAllocatesNothing(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	pool := NewPool(1)
+	var sessions []*Session
+	for _, name := range []string{"tinymlp", "tinycnn"} {
+		g := model.Zoo(name)
+		compiled, err := compiler.Compile(g, &cfg, compiler.Options{Strategy: compiler.StrategyDP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := pool.NewSession(compiled, model.NewSeededWeights(g, 1), Options{SimLanes: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.InferBatch(context.Background(), zooInputs(g, 8)); err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
 	}
-	defer s.Close()
-	if _, err := s.Infer(context.Background(), input); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("a session's first tinymlp inference allocates %.1f MB", float64(got)/(1<<20))
-	if got >= bound {
-		t.Errorf("a session's first tinymlp inference allocates %d bytes, want under %d", got, bound)
+	pool.mu.Lock()
+	c := pool.idle[0]
+	pool.mu.Unlock()
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, s := range sessions {
+			if err := s.restage(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("restaging a pooled chip between two sessions allocates %.1f times, want none", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -36,7 +37,9 @@ func idleChip(t testing.TB, s *Session) *sim.Chip {
 // changes — and every run equals the first run of a fresh session, outputs
 // and full Stats or error text. After each run the pool's chip holds in
 // global memory, as long as the layout, byte for byte what the fresh chip
-// holds. The pool builds one chip and restages it.
+// holds. The pool builds one chip and restages it. Last, two chips of one
+// 8-lane session each run two batches, and the session's image, which both
+// map and every lane reads in place, still reads as StaticImage built it.
 func TestPoolMatchesFreshChips(t *testing.T) {
 	def := arch.DefaultConfig()
 	mg16, mg4 := def.WithMacrosPerGroup(16), def.WithMacrosPerGroup(4)
@@ -113,6 +116,48 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 			t.Errorf("%s: global byte %d is %#x on the pool's chip, %#x on a fresh one (layout %d bytes)",
 				label, i, a[i], b[i], compiled.GlobalBytes())
 		}
+	}
+
+	c := zooCase{"tinyresnet", dp, def}
+	compiled := c.compiled(t)
+	s, err := NewPool(2).NewSession(compiled, model.NewSeededWeights(compiled.Graph, zooWeights), Options{SimLanes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hash := sha256.Sum256(s.image)
+	refs, inputs := c.refs(t, zooLanes), zooInputs(compiled.Graph, zooLanes)
+	for round := range 2 {
+		a, err := s.acquire(ctx, zooLanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.acquire(ctx, zooLanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*pooled{a, b} {
+			addr, _ := compiled.InputAddr(inputs[0])
+			got, err := s.runLanes(ctx, p.ch, addr, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range got {
+				assertResultsEqual(t, fmt.Sprintf("round %d lane %d", round, l), refs[l], got[l])
+			}
+		}
+		s.release(a)
+		s.release(b)
+	}
+	if s.PooledChips() != 2 {
+		t.Errorf("%d chips pooled for the 8-lane session, want 2", s.PooledChips())
+	}
+	want, err := compiled.StaticImage(s.ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sha256.Sum256(s.image) != hash || !bytes.Equal(s.image, want) {
+		t.Error("8-lane runs on two chips changed the session's image")
 	}
 }
 

@@ -22,21 +22,25 @@ import (
 // it with errors.Is.
 var ErrClosed = errors.New("core: session closed")
 
-// Session is a compiled model prepared for repeated inference: the
-// pre-tiled weight segments are built once, and its runs take chips from a
-// Pool — an Engine's or a sweep's, shared by all their sessions, or a private
-// one — so the cost of one Infer is just the cycle-accurate simulation
-// itself. A Session is safe for concurrent use; each in-flight Infer owns one
-// chip.
+// Session is a compiled model prepared for repeated inference: its global
+// memory image (pre-tiled weights, constant pools, zero scratch) is built
+// once, and its runs take chips from a Pool — an Engine's or a sweep's,
+// shared by all their sessions, or a private one — so the cost of one Infer
+// is just the cycle-accurate simulation itself. A Session is safe for
+// concurrent use; each in-flight Infer owns one chip.
 //
-// Pooled runs are byte-identical to fresh-chip runs. A chip that ran another
-// session is first restaged (restage). Then Chip.Reset restores its cores'
-// data planes to power-on state by clearing what its runs since the last
-// Reset touched — pages of local memory, macro groups, in the lanes that ran,
-// a run that errored or was cancelled included — and the scratch ranges
-// (input, activations, padding) are zeroed; the resident weight segments are
-// exactly what StaticInit would rewrite. So an acquire costs what the last
-// inference wrote, not what the chip backs.
+// Every chip the session stages maps the one image (Chip.MapGlobal): the
+// pages holding only weights and pools are the image's own, read in place by
+// every lane of every chip and never written, and each lane holds a private
+// copy of only the few pages with scratch bytes (input, activations,
+// padding). Pooled runs are byte-identical to fresh-chip runs. A chip that
+// ran another session is first restaged (restage), which maps the image
+// afresh. Then Chip.Reset restores its cores' data planes to power-on state
+// by clearing what its runs since the last Reset touched — pages of local
+// memory, macro groups, in the lanes that ran, a run that errored or was
+// cancelled included — and on a chip the session staged before, the scratch
+// ranges are zeroed. So an acquire costs what the last inference wrote, not
+// what the chip backs.
 type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore
@@ -44,8 +48,11 @@ type Session struct {
 	// cfg is a stable copy referenced by every chip the session stages. It
 	// is allocated on its own so that a pooled chip outliving the session
 	// keeps the copy alive, not the session with its weights.
-	cfg     *arch.Config
-	static  []sim.GlobalSegment
+	cfg *arch.Config
+	// image is the compiled model's global memory that every chip of the
+	// session maps (compiler.StaticImage); it is the session's alone, so
+	// that it goes with the session, not with the compiled model.
+	image   []byte
 	scratch [][2]int
 	pool    *Pool
 	// id names the session to the pool's chips; see pooled.owner.
@@ -80,7 +87,7 @@ func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) 
 // NewSession is core.NewSession on the pool's chips; Options.MaxPooledChips
 // is ignored.
 func (p *Pool) NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) (*Session, error) {
-	static, err := compiled.StaticInit(ws)
+	image, err := compiled.StaticImage(ws)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +104,7 @@ func (p *Pool) NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt
 		ws:       ws,
 		opt:      opt,
 		cfg:      &cfg,
-		static:   static,
+		image:    image,
 		scratch:  compiled.ScratchRanges(),
 		pool:     p,
 		id:       sessionIDs.Add(1),
@@ -168,7 +175,7 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// newChip builds a fresh chip with programs loaded and weights staged.
+// newChip builds a fresh chip with programs loaded and the image mapped.
 func (s *Session) newChip() (*sim.Chip, error) {
 	ch, err := sim.NewChip(s.cfg, sim.WithLanes(s.opt.SimLanes))
 	if err != nil {
@@ -178,21 +185,15 @@ func (s *Session) newChip() (*sim.Chip, error) {
 }
 
 // stage readies a chip built with the session's chip options for its
-// program: global memory sized to the layout, the cycle limit, every core's
-// program and memory, and the weights. That is all a new chip needs; a chip
-// that ran another program also needs restage first and a Reset after.
+// program: the cycle limit, every core's program and memory, and global
+// memory mapped to the image. That is all a new chip needs; a chip that ran
+// another program also needs restage first and a Reset after.
 func (s *Session) stage(ch *sim.Chip) error {
-	ch.EnsureGlobal(s.compiled.GlobalBytes())
 	ch.CycleLimit = s.opt.CycleLimit
 	if err := ch.LoadPrograms(s.compiled.Programs); err != nil {
 		return err
 	}
-	for _, seg := range s.static {
-		if err := ch.InitGlobal(seg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ch.MapGlobal(s.image, s.scratch)
 }
 
 // restage readies c, a chip last staged for another session, for s: one of
@@ -233,6 +234,8 @@ func (s *Session) acquire(ctx context.Context, lanes int) (*pooled, error) {
 	c.owner, c.cfg = s.id, s.cfg
 	if how != takeNew {
 		c.ch.Reset()
+	}
+	if how == takeOwn { // a restaged chip's private pages are the image's
 		for _, r := range s.scratch {
 			if err = c.ch.ZeroGlobal(r[0], r[1]); err != nil {
 				break

@@ -279,14 +279,16 @@ func TestLazyBackingMatchesZeros(t *testing.T) {
 			t.Error("ReadGlobal past the grown size succeeded")
 		}
 
-		// Shrinking zeroes what it drops: grown again, it reads as zeros.
-		ch.EnsureGlobal(size)
-		for l, g := range ch.global {
-			if i := firstNonzero(g[size:cap(g)]); i >= 0 {
-				t.Fatalf("lane %d: byte %d past the shrunk size is %#x", l, size+i, g[size:][i])
-			}
+		// Shrinking zeroes what it drops, the rest of a page too: grown
+		// again, it reads as zeros.
+		ch.EnsureGlobal(size - 2)
+		if l, i := arenaNonzero(ch, size-2); i >= 0 {
+			t.Fatalf("lane %d: byte %d past the shrunk size is nonzero", l, i)
 		}
 		ch.EnsureGlobal(2 * size)
+		if b, err := ch.ReadGlobal(size-4, 4); err != nil || !bytes.Equal(b, []byte{5, 6, 0, 0}) {
+			t.Errorf("shrunk into a page and grown again, its end reads %v, %v", b, err)
+		}
 		if b, err := ch.ReadGlobal(2*size-8, 8); err != nil || !bytes.Equal(b, make([]byte, 8)) {
 			t.Errorf("shrunk and grown again, the tail reads %v, %v", b, err)
 		}

@@ -266,8 +266,11 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 		issue = c.regIssue(isa.UnitScalar, d.Srcs[:d.NSrc])
 		done = c.chip.mesh.MemAccess(c.id, int(size), issue)
 		addr -= GlobalBase
-		if int(addr)+int(size) > len(c.chip.global[0]) {
+		if int(addr)+int(size) > c.chip.gsize {
 			return stepOK, c.errf("global access %d out of bounds", addr)
+		}
+		if !d.IsLoad && c.chip.shared(int(addr), int(size)) {
+			return stepOK, c.errf("global store at %d: %w", addr, ErrUnmapped)
 		}
 	} else {
 		r, err := c.localRange(addr, size)
@@ -282,24 +285,25 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 		addr = c.phys(addr)
 	}
 	if d.IsLoad {
-		v := loadScalar(c.plane(0, global)[addr:], size)
+		v := c.loadScalar(0, global, addr, size)
 		if d.RT != isa.GZero { // a discarded value cannot diverge anything
 			for m := c.live() &^ 1; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
-				if loadScalar(c.plane(l, global)[addr:], size) != v {
+				if c.loadScalar(l, global, addr, size) != v {
 					c.chip.divergedMask |= 1 << l // sticky until SetLanes or Reset
 				}
 			}
 		}
 		c.setReg(d.RT, v, done)
 	} else {
-		v := c.reg(d.RT)
+		var w [4]byte // little-endian: a byte store is its first byte
+		binary.LittleEndian.PutUint32(w[:], uint32(c.reg(d.RT)))
 		for m := c.live(); m != 0; m &= m - 1 {
-			mem := c.plane(bits.TrailingZeros64(m), global)[addr:]
-			if size == 4 {
-				binary.LittleEndian.PutUint32(mem, uint32(v))
+			l := bits.TrailingZeros64(m)
+			if global {
+				c.chip.writeGlobal(l, int(addr), w[:size])
 			} else {
-				mem[0] = byte(v)
+				copy(c.images[l].local[addr:], w[:size])
 			}
 		}
 	}
@@ -309,8 +313,16 @@ func decScMem(c *core, d *isa.Decoded) (stepStatus, error) {
 	return stepOK, nil
 }
 
-// loadScalar reads a sign-extended byte or a little-endian word.
-func loadScalar(mem []byte, size int32) int32 {
+// loadScalar reads lane l's sign-extended byte or little-endian word at
+// addr: a global offset, or an index of local memory's backing.
+func (c *core) loadScalar(l int, global bool, addr, size int32) int32 {
+	var w [4]byte
+	mem := w[:]
+	if global {
+		c.chip.readGlobal(w[:size], l, int(addr))
+	} else {
+		mem = c.images[l].local[addr:]
+	}
 	if size == 4 {
 		return int32(binary.LittleEndian.Uint32(mem))
 	}
@@ -380,9 +392,10 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	issue := c.hazardIssue(isa.UnitTransfer, d.Srcs[:d.NSrc], ranges)
 
 	// Functional copy, lane by lane.
+	ch := c.chip
 	if srcGlobal {
 		src -= GlobalBase
-		if int(src)+int(size) > len(c.chip.global[0]) {
+		if int(src)+int(size) > ch.gsize {
 			return stepOK, c.errf("global read [%d+%d) out of bounds", src, size)
 		}
 	} else {
@@ -390,15 +403,29 @@ func decMemCpy(c *core, d *isa.Decoded) (stepStatus, error) {
 	}
 	if dstGlobal {
 		dst -= GlobalBase
-		if int(dst)+int(size) > len(c.chip.global[0]) {
+		if int(dst)+int(size) > ch.gsize {
 			return stepOK, c.errf("global write [%d+%d) out of bounds", dst, size)
+		}
+		if ch.shared(int(dst), int(size)) {
+			return stepOK, c.errf("global write [%d+%d): %w", dst, size, ErrUnmapped)
 		}
 	} else {
 		dst = c.phys(dst)
 	}
 	for m := c.live(); m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		copy(c.plane(l, dstGlobal)[dst:], c.plane(l, srcGlobal)[src:src+size])
+		switch local := c.images[l].local; {
+		case srcGlobal && dstGlobal: // no compiled program copies within global memory
+			buf := make([]byte, size)
+			ch.readGlobal(buf, l, int(src))
+			ch.writeGlobal(l, int(dst), buf)
+		case srcGlobal:
+			ch.readGlobal(local[dst:dst+size], l, int(src))
+		case dstGlobal:
+			ch.writeGlobal(l, int(dst), local[src:src+size])
+		default:
+			copy(local[dst:], local[src:src+size])
+		}
 	}
 
 	// Timing and energy.

@@ -320,7 +320,7 @@ func runStream(t *testing.T, cfg *arch.Config, data []byte) *streamOutcome {
 		}
 		o.pc, o.time, o.regs, o.sregs = c.pc, c.time, c.regs, c.sregs
 		o.stats = flattenStats(nil, reflect.ValueOf(c.stats))
-		o.local, o.global = localReads(c, 0), ch.global[0]
+		o.local, o.global = localReads(c, 0), globalReads(ch, 0, ch.gsize)
 	}
 	want := &outcomes[0]
 	for i, got := range outcomes[1:] {

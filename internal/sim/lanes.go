@@ -11,12 +11,13 @@ import (
 // all cycle/energy accounting exist once per core — the timing plane. The
 // data plane exists once per lane: core.images[l] holds lane l's local
 // memory (backed where the program's map declares it: the hole is
-// lane-shared, see core), accumulator and gather buffer, Chip.global[l]
-// its global memory, and a message payload carries every lane's bytes
-// strided at the message size. Macro groups are the exception: the chip is
-// weight-stationary and a batch runs every lane on the same weights, so
-// lanes share lane 0's group buffers until a CIM_LOAD gives one lane bytes
-// unlike lane 0's (image.mg).
+// lane-shared, see core), accumulator and gather buffer, Chip.garena[l] its
+// private pages of global memory, and a message payload carries every lane's
+// bytes strided at the message size. Two things are lane-shared: global
+// memory's shared pages, the mapped image that nothing writes (global.go),
+// and macro groups — the chip is weight-stationary and a batch runs every
+// lane on the same weights, so lanes share lane 0's group buffers until a
+// CIM_LOAD gives one lane bytes unlike lane 0's (image.mg).
 // Each handler in decoded.go validates and times its micro-op once from the
 // shared registers, then applies the data effect to every live lane
 // (core.live); a one-lane run is the B = 1 case of the same loops. What
@@ -82,54 +83,6 @@ func (ch *Chip) SetLanes(b int) error {
 	return nil
 }
 
-// laneGlobal returns lane l's global memory after checking that l is
-// allocated and [addr, addr+size) lies inside the declared size.
-func (ch *Chip) laneGlobal(l, addr, size int) ([]byte, error) {
-	if l < 0 || l >= len(ch.global) {
-		return nil, fmt.Errorf("sim: lane %d out of range [0, %d)", l, len(ch.global))
-	}
-	if err := checkSpan("global", addr, size, len(ch.global[l])); err != nil {
-		return nil, err
-	}
-	return ch.global[l], nil
-}
-
-// InitGlobalLane writes an initialization segment into lane l's global
-// memory only, on top of whatever InitGlobal mirrored there.
-func (ch *Chip) InitGlobalLane(l int, seg GlobalSegment) error {
-	g, err := ch.laneGlobal(l, seg.Addr, len(seg.Data))
-	if err != nil {
-		return err
-	}
-	copy(g[seg.Addr:], seg.Data)
-	return nil
-}
-
-// InitGlobalLaneInt8 writes data, as bytes, into lane l's global memory at
-// addr: InitGlobalLane for an int8 tensor, without building the segment.
-func (ch *Chip) InitGlobalLaneInt8(l, addr int, data []int8) error {
-	g, err := ch.laneGlobal(l, addr, len(data))
-	if err != nil {
-		return err
-	}
-	g = g[addr : addr+len(data)]
-	for i, v := range data {
-		g[i] = byte(v)
-	}
-	return nil
-}
-
-// ReadGlobalLane copies a region of lane l's global memory after execution.
-func (ch *Chip) ReadGlobalLane(l, addr, size int) ([]byte, error) {
-	g, err := ch.laneGlobal(l, addr, size)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, size)
-	copy(out, g[addr:])
-	return out, nil
-}
-
 // DivergedLanes returns the lanes (ascending) that diverged during the last
 // Run; their outputs are invalid and must be re-run on their own.
 func (ch *Chip) DivergedLanes() []int {
@@ -160,14 +113,4 @@ func (c *core) live() uint64 {
 // empty: whether a lane holding a reads as one holding b.
 func sameBuffer(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// plane returns lane l's image of the memory an address resolved to: its
-// global memory, or its local memory's backing on this core, indexed at
-// phys of a validated address.
-func (c *core) plane(l int, global bool) []byte {
-	if global {
-		return c.chip.global[l]
-	}
-	return c.images[l].local
 }

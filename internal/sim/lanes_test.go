@@ -81,7 +81,7 @@ func TestLaneSharedMacroGroups(t *testing.T) {
 					if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: inputs[l]}); err != nil {
 						t.Fatal(err)
 					}
-					staged[l] = slices.Clone(readsAs(ch.global[l], laneMemBytes))
+					staged[l] = globalReads(ch, l, ch.gsize)
 				}
 				_, err := ch.Run(context.Background())
 				for l := range staged {

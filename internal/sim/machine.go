@@ -143,12 +143,18 @@ func (ch *Chip) putPayload(b []byte) {
 
 // Chip is one simulation instance.
 type Chip struct {
-	cfg  *arch.Config
-	mesh *noc.Mesh
-	// global[l] is lane l's global memory (see lanes.go), all lanes as long
-	// as EnsureGlobal declared.
-	global [][]byte
-	cores  []*core
+	cfg   *arch.Config
+	mesh  *noc.Mesh
+	cores []*core
+
+	// Global memory (global.go): gsize bytes in pages, gpage[p] the slot of
+	// page p in every lane's arena garena[l], or -1 for a page of image
+	// shared by all lanes; grun[p] the first page past p of the other kind.
+	gsize  int
+	image  []byte
+	gpage  []int32
+	grun   []int32
+	garena [][]byte
 
 	mailbox map[msgKey]*msgQueue
 	// payloads[k] is the LIFO free list of message buffers of capacity
@@ -202,7 +208,8 @@ func WithWorkers(int) ChipOption {
 }
 
 // NewChip builds a chip with idle cores and no memory: LoadProgram backs a
-// core's local memory and macro groups, EnsureGlobal global memory.
+// core's local memory and macro groups, MapGlobal or EnsureGlobal global
+// memory.
 func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
@@ -215,7 +222,7 @@ func NewChip(cfg *arch.Config, opts ...ChipOption) (*Chip, error) {
 	if ch.lanesCap > MaxLanes {
 		return nil, fmt.Errorf("sim: %d lanes exceed the %d-lane divergence mask", ch.lanesCap, MaxLanes)
 	}
-	ch.global = make([][]byte, ch.lanesCap)
+	ch.garena = make([][]byte, ch.lanesCap)
 	ch.configure(cfg)
 	return ch, nil
 }
@@ -237,9 +244,9 @@ func checkConfig(cfg *arch.Config) error {
 // Retarget makes the chip read as the one NewChip(cfg) builds with the same
 // lane capacity, in every byte and every size: it is reset, its memory
 // unmapped and its programs dropped, and every buffer is kept for the next
-// LoadProgram or EnsureGlobal to reslice — memories, accumulators, the dirty
-// record, the mailboxes, and the payload free lists trimmed to cfg's bound.
-// CycleLimit stays. On error the chip is unchanged.
+// LoadProgram, MapGlobal or EnsureGlobal to reslice — memories,
+// accumulators, the dirty record, the mailboxes, and the payload free lists
+// trimmed to cfg's bound. CycleLimit stays. On error the chip is unchanged.
 func (ch *Chip) Retarget(cfg *arch.Config) error {
 	if err := checkConfig(cfg); err != nil {
 		return err
@@ -347,54 +354,6 @@ func checkSpan(what string, addr, size, n int) error {
 	return nil
 }
 
-// EnsureGlobal sizes every lane's global memory to size bytes, keeping its
-// bytes, zeroing what it drops and growing with zeros. The configured global
-// memory (16 MB by default) is modeled as the on-chip tier of a memory
-// system whose capacity extends into DRAM behind the same port: a layout
-// larger than the configuration still runs, with the configured bandwidth
-// and latency.
-func (ch *Chip) EnsureGlobal(size int) {
-	size = max(size, 0)
-	for l, g := range ch.global {
-		clear(g[min(size, len(g)):])
-		if cap(g) < size {
-			g = append(make([]byte, 0, size), g...)
-		}
-		ch.global[l] = g[:size]
-	}
-}
-
-// InitGlobal writes an initialization segment into every allocated lane's
-// global memory, so that uniform data (weights, a default input) is visible
-// to all lanes; per-lane inputs are staged on top with InitGlobalLane.
-func (ch *Chip) InitGlobal(seg GlobalSegment) error {
-	if _, err := ch.laneGlobal(0, seg.Addr, len(seg.Data)); err != nil {
-		return err
-	}
-	for _, g := range ch.global {
-		copy(g[seg.Addr:], seg.Data)
-	}
-	return nil
-}
-
-// ZeroGlobal clears a region of global memory. Sessions use it between
-// pooled runs to wipe the input and activation scratch regions while the
-// staged weights stay resident.
-func (ch *Chip) ZeroGlobal(addr, size int) error {
-	if err := checkSpan("global", addr, size, len(ch.global[0])); err != nil {
-		return err
-	}
-	// Every allocated lane is wiped, not just the active ones: a pooled chip
-	// may shrink and regrow its occupancy between runs, and a lane left dirty
-	// by an earlier wider run must not leak into a later one. Unlike Reset
-	// this keeps no record of what ran: the host stages into the region
-	// outside Run, and clearing it is a few tenths of a millisecond per batch.
-	for _, g := range ch.global {
-		clear(g[addr : addr+size])
-	}
-	return nil
-}
-
 // Reset returns the chip to its pre-run state while preserving the loaded
 // programs and the contents of global memory: core pipelines, registers,
 // local memories, macro-group weights, accumulators, mailboxes, barrier
@@ -469,11 +428,6 @@ func (ch *Chip) CheckPayloadPool() error {
 			ch.payloadAllocBytes, ch.payloadDroppedBytes, held, ch.payloadAllocBytes-ch.payloadDroppedBytes-held)
 	}
 	return nil
-}
-
-// ReadGlobal copies a region of lane 0's global memory after execution.
-func (ch *Chip) ReadGlobal(addr, size int) ([]byte, error) {
-	return ch.ReadGlobalLane(0, addr, size)
 }
 
 // ReadLocal copies a region of a core's lane-0 local memory (for tests and

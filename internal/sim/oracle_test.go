@@ -130,6 +130,9 @@ const refMaxSteps = 1 << 22
 func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, global []byte) {
 	t.Helper()
 	r := newRefChip(ch.cfg, progs, slices.Clone(global))
+	for _, s := range ch.gpage {
+		r.readOnly = append(r.readOnly, s < 0) // a page of the mapped image
+	}
 	if !r.run(refMaxSteps) {
 		t.Fatalf("lane %d: the reference did not finish in %d steps", l, refMaxSteps)
 	}
@@ -183,7 +186,7 @@ func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, glob
 			t.Errorf("lane %d core %d: accumulator %v, the reference's %v", l, id, im.cimAcc, c.acc)
 		}
 	}
-	g := readsAs(ch.global[l], len(r.global))
+	g := globalReads(ch, l, len(r.global))
 	if i := diffAt(g, r.global); i >= 0 {
 		t.Errorf("lane %d: global[%d] = %#x, the reference's %#x", l, i, g[i], r.global[i])
 	}
@@ -196,6 +199,26 @@ func readsAs(b []byte, n int) []byte {
 		return b[:n]
 	}
 	return append(slices.Clone(b), make([]byte, n-len(b))...)
+}
+
+// globalReads returns the first n bytes lane l's global memory of ch reads
+// as: its own bytes, then zeros past its size.
+func globalReads(ch *Chip, l, n int) []byte {
+	out := make([]byte, n)
+	ch.readGlobal(out[:min(n, ch.gsize)], l, 0)
+	return out
+}
+
+// arenaNonzero returns the lane and offset of the first nonzero byte at or
+// past offset from in a lane's global-memory arena, up to its capacity, or
+// -1, -1: what no page holds must read as zeros.
+func arenaNonzero(ch *Chip, from int) (int, int) {
+	for l, a := range ch.garena {
+		if i := firstNonzero(a[min(from, cap(a)):cap(a)]); i >= 0 {
+			return l, from + i
+		}
+	}
+	return -1, -1
 }
 
 // localReads returns what lane l's local memory of c reads as, the whole

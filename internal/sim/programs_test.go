@@ -26,6 +26,7 @@ type laneCase struct {
 	name    string
 	progs   []Program
 	uniform []byte // staged at global[128:] in every lane
+	mapped  bool   // global memory maps testImage, not laneMemBytes of its own
 	outSize int
 	want    []byte // the output every lane must hold, when the row says
 	key     string // the golden row, "lane/"+name when empty
@@ -45,6 +46,30 @@ const (
 	laneOut      = 256 // global offset of a lane's result
 	laneMemBytes = 768 // global bytes the cases need
 )
+
+// testImage is a three-page global memory image, what rows that map one
+// (laneCase.mapped) and the runtime error cases run on, with the scratch
+// ranges it is mapped with: page 0 is private, its first laneMemBytes bytes,
+// where rows stage and leave their data, scratch; page 1 is shared; page 2 is
+// private, 64 bytes of scratch at imageScratch between image bytes.
+func testImage() ([]byte, [][2]int) {
+	img := make([]byte, 3<<dirtyShift)
+	for i := laneMemBytes; i < len(img); i++ {
+		img[i] = byte(7*i + 1)
+	}
+	clear(img[imageScratch : imageScratch+64])
+	return img, [][2]int{{0, laneMemBytes}, {imageScratch, 64}}
+}
+
+const imageScratch = 2<<dirtyShift + 1024
+
+// mapTestImage maps a testImage onto ch.
+func mapTestImage(t testing.TB, ch *Chip) {
+	t.Helper()
+	if err := ch.MapGlobal(testImage()); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func testConfig() arch.Config {
 	cfg := arch.DefaultConfig()
@@ -334,6 +359,13 @@ func programs() []laneCase {
 			SC_ST G13, G0, 224
 			SC_ST G14, G0, 228
 			SC_ST G15, G0, 232`)),
+		// MEM_CPY out of a mapped image: 32 bytes across the end of a shared
+		// page into a private one read as the image, shared and copied
+		// bytes alike; stored into the private page's scratch and read back
+		// they are the lane's own.
+		{name: "memcpy through a mapped image", mapped: true, outSize: 32, want: mappedBytes(2<<dirtyShift-16, 32),
+			progs: []Program{{Code: seq(copyIn(0, 2<<dirtyShift-16, 32), copyOut(imageScratch, 0, 32),
+				copyIn(64, imageScratch, 32), copyOut(laneOut, 64, 32), spinHalt())}}},
 		example("g0 hardwired", nil, 100, le32(5), asm("SC_ADDI G0, G0, 42\nSC_ADDI G1, G0, 5\nSC_ST G1, G0, 100")),
 		// The copy-in and copy-out are MEM_CPY from and to global memory.
 		example("global memory access", []byte{11, 22, 33, 44}, 0, []byte{12, 22, 33, 44},
@@ -563,6 +595,12 @@ func row(t *testing.T, name string) laneCase {
 	return ps[i]
 }
 
+// mappedBytes is testImage's [addr, addr+n).
+func mappedBytes(addr, n int) []byte {
+	img, _ := testImage()
+	return img[addr : addr+n]
+}
+
 // laneInput is lane l's 64 input bytes: lane-varying values with one run of
 // eight zeros private to the lane and one shared by all lanes, so the MAC
 // kernel's zero-run skipping sees both.
@@ -593,16 +631,26 @@ func (lc *laneCase) stage(t *testing.T, cfg *arch.Config, opts ...ChipOption) *C
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.EnsureGlobal(laneMemBytes)
 	for _, p := range lc.progs {
 		if err := ch.LoadProgram(p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	lc.stageGlobal(t, ch)
+	return ch
+}
+
+// stageGlobal gives ch the row's global memory and stages its uniform data.
+func (lc *laneCase) stageGlobal(t *testing.T, ch *Chip) {
+	t.Helper()
+	if lc.mapped {
+		mapTestImage(t, ch)
+	} else {
+		ch.EnsureGlobal(laneMemBytes)
+	}
 	if err := ch.InitGlobal(GlobalSegment{Addr: laneUniform, Data: lc.uniform}); err != nil {
 		t.Fatal(err)
 	}
-	return ch
 }
 
 // runAlone runs one input through a one-lane chip built with opts, holds
@@ -614,7 +662,7 @@ func (lc *laneCase) runAlone(t *testing.T, cfg *arch.Config, in []byte, opts ...
 	if err := ch.InitGlobal(GlobalSegment{Addr: laneIn, Data: in}); err != nil {
 		t.Fatal(err)
 	}
-	staged := slices.Clone(readsAs(ch.global[0], laneMemBytes))
+	staged := globalReads(ch, 0, ch.gsize)
 	stats, err := ch.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -767,3 +815,11 @@ func TestCimLoadBoundsRejected(t *testing.T)           { runtimeErrors(t, "cim_l
 
 // TestDeterminism runs the ring twice: each run must be the same golden row.
 func TestDeterminism(t *testing.T) { runRows(t, "messaging ring", "messaging ring") }
+
+// TestMappedGlobalMemory: on a chip that maps an image, MEM_CPY reads shared
+// and private pages alike as the image, and a store or MEM_CPY into a shared
+// page faults with ErrUnmapped where the reference executor faults.
+func TestMappedGlobalMemory(t *testing.T) {
+	runRows(t, "memcpy through a mapped image")
+	runtimeErrors(t, "store to a shared page", "memcpy to a shared page")
+}

@@ -42,10 +42,11 @@ type refCore struct {
 // chip's global memory: it models that memory's first len(global) bytes, and
 // an access past them faults.
 type refChip struct {
-	cfg    *arch.Config
-	global []byte
-	cores  []*refCore
-	fifos  map[msgKey][][]byte
+	cfg      *arch.Config
+	global   []byte
+	readOnly []bool // per page of global memory: no store or MEM_CPY may write it
+	cores    []*refCore
+	fifos    map[msgKey][][]byte
 }
 
 // newRefChip loads progs on a power-on chip whose global memory is global.
@@ -109,13 +110,15 @@ func (c *refCore) span(addr, n int32) ([]byte, error) {
 }
 
 // mem is span over the unified address space: global memory from GlobalBase up.
-func (r *refChip) mem(c *refCore, addr, n int32) ([]byte, error) {
-	if addr < GlobalBase {
-		return c.span(addr, n)
-	}
+func (r *refChip) mem(c *refCore, addr, n int32, write bool) ([]byte, error) {
 	g := int64(addr) - GlobalBase
-	if n < 0 || g+int64(n) > int64(len(r.global)) {
+	switch {
+	case addr < GlobalBase:
+		return c.span(addr, n)
+	case n < 0 || g+int64(n) > int64(len(r.global)):
 		return nil, fmt.Errorf("global [%d+%d) out of bounds", g, n)
+	case write && n > 0 && slices.Contains(r.readOnly[g>>dirtyShift:(g+int64(n)-1)>>dirtyShift+1], true):
+		return nil, fmt.Errorf("global [%d+%d) is read-only", g, n)
 	}
 	return r.global[g : g+int64(n)], nil
 }
@@ -167,22 +170,22 @@ func (r *refChip) step(c *refCore) bool {
 		set(in.RT, c.sregs[in.Imm])
 	case isa.OpScLD, isa.OpScST:
 		var m []byte
-		if m, err = r.mem(c, g(in.RS)+in.Imm, 4); err == nil && in.Op == isa.OpScLD {
+		if m, err = r.mem(c, g(in.RS)+in.Imm, 4, in.Op == isa.OpScST); err == nil && in.Op == isa.OpScLD {
 			set(in.RT, int32(binary.LittleEndian.Uint32(m)))
 		} else if err == nil {
 			binary.LittleEndian.PutUint32(m, uint32(g(in.RT)))
 		}
 	case isa.OpScLB, isa.OpScSB:
 		var m []byte
-		if m, err = r.mem(c, g(in.RS)+in.Imm, 1); err == nil && in.Op == isa.OpScLB {
+		if m, err = r.mem(c, g(in.RS)+in.Imm, 1, in.Op == isa.OpScSB); err == nil && in.Op == isa.OpScLB {
 			set(in.RT, int32(int8(m[0])))
 		} else if err == nil {
 			m[0] = byte(g(in.RT))
 		}
 	case isa.OpMemCpy:
 		var src, dst []byte
-		if src, err = r.mem(c, g(in.RS), g(in.RT)); err == nil {
-			if dst, err = r.mem(c, g(in.RD)+in.Imm, g(in.RT)); err == nil {
+		if src, err = r.mem(c, g(in.RS), g(in.RT), false); err == nil {
+			if dst, err = r.mem(c, g(in.RD)+in.Imm, g(in.RT), true); err == nil {
 				copy(dst, src)
 			}
 		}
@@ -290,10 +293,7 @@ func (r *refChip) cimMVM(c *refCore, in isa.Instruction) error {
 	if chans <= 0 || chans > width {
 		chans = width
 	}
-	elem := int32(1)
-	if raw {
-		elem = 4
-	}
+	elem := map[bool]int32{false: 1, true: 4}[raw]
 	out, err := c.span(c.regs[in.RE], chans*elem)
 	if err != nil {
 		return err

@@ -12,8 +12,8 @@ import (
 )
 
 // stagedChip builds a chip of the given lanes for the zoo model compiled
-// with strat at cfg, loads its programs and its seeded weights, and returns
-// it with run, which stages one distinct seeded input per lane onto it (after
+// with strat at cfg, loads its programs and maps its seeded weights' image,
+// as a session stages a chip, and returns it with run, which stages one distinct seeded input per lane onto it (after
 // zeroing the scratch ranges, as a session does) and runs it.
 func stagedChip(tb testing.TB, cfg *arch.Config, name string, strat compiler.Strategy, lanes int) (*sim.Chip, func()) {
 	tb.Helper()
@@ -22,7 +22,7 @@ func stagedChip(tb testing.TB, cfg *arch.Config, name string, strat compiler.Str
 	if err != nil {
 		tb.Fatal(err)
 	}
-	static, err := compiled.StaticInit(model.NewSeededWeights(g, 1))
+	image, err := compiled.StaticImage(model.NewSeededWeights(g, 1))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -30,16 +30,13 @@ func stagedChip(tb testing.TB, cfg *arch.Config, name string, strat compiler.Str
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ch.EnsureGlobal(compiled.GlobalBytes())
 	for _, p := range compiled.Programs {
 		if err := ch.LoadProgram(p); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	for _, seg := range static {
-		if err := ch.InitGlobal(seg); err != nil {
-			tb.Fatal(err)
-		}
+	if err := ch.MapGlobal(image, compiled.ScratchRanges()); err != nil {
+		tb.Fatal(err)
 	}
 	inputs := make([]sim.GlobalSegment, lanes)
 	for l := range inputs {

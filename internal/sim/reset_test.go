@@ -108,7 +108,7 @@ func runOccupancy(t *testing.T, ch *Chip, b int, progs []Program) (*Stats, error
 		if err := ch.InitGlobalLane(l, GlobalSegment{Addr: laneIn, Data: laneInput(l)}); err != nil {
 			t.Fatal(err)
 		}
-		staged[l] = slices.Clone(readsAs(ch.global[l], laneMemBytes))
+		staged[l] = globalReads(ch, l, ch.gsize)
 	}
 	stats, err := ch.Run(context.Background())
 	for l := 0; progs != nil && l < b; l++ {
@@ -311,7 +311,7 @@ func TestResetRestoresPowerOnState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ch.EnsureGlobal(laneMemBytes)
+				mapTestImage(t, ch)
 				// An illegal encoding already fails to load on the predecoded
 				// pipeline; the chip it leaves behind must be as clean.
 				for _, p := range ex.progs(lc.progs) {
@@ -502,12 +502,26 @@ func FuzzResetClean(f *testing.F) {
 // chip built for it does, output and full report. The pairs include a program
 // on two cores followed by one on a single core: the core the second program
 // does not name must hold no program and halt at once, not rerun the old one.
+// The pairs go round the rows that own their global memory; a row that maps
+// an image runs after the row before it and before the row after it, so the
+// chip goes from owning its memory to mapping an image and back.
 func TestLoadProgramsRebindsChip(t *testing.T) {
 	cfg := testConfig()
 	cases := programs()
 	in := laneInput(1)
-	for i, prev := range cases {
-		next := cases[(i+1)%len(cases)]
+	own := slices.DeleteFunc(slices.Clone(cases), func(lc laneCase) bool { return lc.mapped })
+	var pairs [][2]laneCase
+	for i, prev := range own {
+		pairs = append(pairs, [2]laneCase{prev, own[(i+1)%len(own)]})
+	}
+	for i, lc := range cases {
+		if lc.mapped {
+			n := len(cases)
+			pairs = append(pairs, [2]laneCase{cases[(i+n-1)%n], lc}, [2]laneCase{lc, cases[(i+1)%n]})
+		}
+	}
+	for _, pair := range pairs {
+		prev, next := pair[0], pair[1]
 		t.Run(prev.name+"/then/"+next.name, func(t *testing.T) {
 			want, wantStats := next.runAlone(t, &cfg, in)
 			ch := prev.stage(t, &cfg)
@@ -521,9 +535,7 @@ func TestLoadProgramsRebindsChip(t *testing.T) {
 			if err := ch.LoadPrograms(next.progs); err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.InitGlobal(GlobalSegment{Addr: laneUniform, Data: next.uniform}); err != nil {
-				t.Fatal(err)
-			}
+			next.stageGlobal(t, ch)
 			next.runLanes(t, ch, [][]byte{in}, [][]byte{want}, wantStats)
 		})
 	}
@@ -583,10 +595,8 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertPowerOn(t, ch, label)
-			for l, g := range ch.global {
-				if i := firstNonzero(g[:cap(g)]); i >= 0 {
-					t.Fatalf("%s: lane %d global byte %d is %#x after Retarget", label, l, i, g[:i+1][i])
-				}
+			if l, i := arenaNonzero(ch, 0); i >= 0 || ch.image != nil {
+				t.Fatalf("%s: lane %d global byte %d is nonzero, or an image mapped, after Retarget", label, l, i)
 			}
 			fresh, err := NewChip(&cfg, WithLanes(2))
 			if err != nil {
@@ -596,13 +606,10 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 				t.Fatalf("%s: retargeted chip unlike a new one: %s", label, diff)
 			}
 
-			ch.EnsureGlobal(laneMemBytes)
 			if err := ch.LoadPrograms(lc.progs); err != nil {
 				t.Fatal(err)
 			}
-			if err := ch.InitGlobal(GlobalSegment{Addr: laneUniform, Data: lc.uniform}); err != nil {
-				t.Fatal(err)
-			}
+			lc.stageGlobal(t, ch)
 			fresh = lc.stage(t, &cfg, WithLanes(2))
 			got, err := runOccupancy(t, ch, 2, nil)
 			want, wantErr := runOccupancy(t, fresh, 2, nil)
@@ -637,12 +644,13 @@ func chipDiff(a, b *Chip) string {
 			a.lanesCap, a.activeLanes, a.payloadBound, b.lanesCap, b.activeLanes, b.payloadBound)
 	case !reflect.DeepEqual(a.mesh, b.mesh):
 		return "meshes differ"
-	case len(a.global) != len(b.global) || len(a.cores) != len(b.cores):
-		return fmt.Sprintf("%d lanes and %d cores vs %d and %d", len(a.global), len(a.cores), len(b.global), len(b.cores))
+	case len(a.garena) != len(b.garena) || len(a.cores) != len(b.cores) || a.gsize != b.gsize:
+		return fmt.Sprintf("%d lanes, %d cores and %d global bytes vs %d, %d and %d",
+			len(a.garena), len(a.cores), a.gsize, len(b.garena), len(b.cores), b.gsize)
 	}
-	for l := range a.global {
-		if !bytes.Equal(a.global[l], b.global[l]) {
-			return fmt.Sprintf("lane %d: global memory differs (%d vs %d bytes)", l, len(a.global[l]), len(b.global[l]))
+	for l := range a.garena {
+		if !bytes.Equal(globalReads(a, l, a.gsize), globalReads(b, l, b.gsize)) {
+			return fmt.Sprintf("lane %d: global memory differs", l)
 		}
 	}
 	for i, ca := range a.cores {

@@ -67,6 +67,9 @@ var runtimeErrorCases = []struct {
 	{"vector span wraps int32", "SC_LUI G1, 1\nSC_MTS 6, G1\nSC_ADDI G2, G1, 1\nVEC_RSUM8 G0, G0, G0, G2\nHALT", "out of bounds"},
 	{"negative vector length", "SC_ADDI G4, G0, -5\nVEC_RELU G1, G1, G0, G4\nHALT", "negative vector length"},
 	{"cim_load past the group", "SC_ADDI G1, G0, 512\nSC_MTS 9, G1\nSC_ADDI G3, G0, 1\nCIM_LOAD G0, G0, G3, G3\nHALT", "exceeds macro group"},
+	// testImage's page 1 is shared: read-only to a store and to MEM_CPY.
+	{"store to a shared page", "SC_LUI G1, 4096\nSC_ADDI G2, G0, 9\nSC_ST G2, G1, 4100\nHALT", ErrUnmapped.Error()},
+	{"memcpy to a shared page", "SC_LUI G1, 4096\nSC_ADDI G1, G1, 8184\nSC_ADDI G3, G0, 16\nMEM_CPY G0, G3, G1, 0\nHALT", ErrUnmapped.Error()},
 }
 
 // TestRuntimeErrors: illegal encodings are rejected when the program is
@@ -87,6 +90,7 @@ func runtimeErrors(t *testing.T, names ...string) {
 			continue
 		}
 		ch, _ := NewChip(&cfg)
+		mapTestImage(t, ch)
 		prog := Program{Core: 0, Code: asm(tc.src)}
 		err := ch.LoadProgram(prog)
 		if err == nil {
