@@ -75,8 +75,8 @@ func WithSeed(seed uint64) Option {
 // chip's programs touch: on mobilenetv2 at the default architecture about
 // 9 MB of the 32 MB of local memory a lane addresses, and 0.17 MB of its
 // 3.5 MB of global memory — the pages with scratch bytes; the weights are
-// one image per session, which all its chips read in place). Engine-level
-// only: Session ignores it.
+// tiled once per session, and all its chips read the tiles in place).
+// Engine-level only: Session ignores it.
 func WithMaxPooledChips(n int) Option {
 	return func(o *settings) { o.MaxPooledChips = n }
 }

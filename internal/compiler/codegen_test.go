@@ -7,6 +7,7 @@ import (
 	"cimflow/internal/arch"
 	"cimflow/internal/isa"
 	"cimflow/internal/model"
+	"cimflow/internal/sim"
 )
 
 func compileOrDie(t *testing.T, g *model.Graph, cfg *arch.Config, s Strategy) *Compiled {
@@ -86,15 +87,22 @@ func TestCompiledProgramsEncodable(t *testing.T) {
 	}
 }
 
+// TestGlobalInitCoversWeights: the input segment and the static segments
+// lie inside global memory and hold at least the input and every weight.
 func TestGlobalInitCoversWeights(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyCNN()
 	c := compileOrDie(t, g, &cfg, StrategyGeneric)
 	ws := model.NewSeededWeights(g, 1)
-	segs, err := c.GlobalInit(ws, model.SeededInput(g.Nodes[0].OutShape, 2))
+	in, err := c.InputSegment(model.SeededInput(g.Nodes[0].OutShape, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	static, err := c.StaticSegments(NewWeightTiles(ws))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := append([]sim.GlobalSegment{in}, static...)
 	var total int
 	for _, s := range segs {
 		if s.Addr < 0 || s.Addr+len(s.Data) > c.GlobalBytes() {
@@ -164,9 +172,8 @@ func TestGlobalInitRejectsBadInput(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	g := model.TinyMLP()
 	c := compileOrDie(t, g, &cfg, StrategyGeneric)
-	ws := model.NewSeededWeights(g, 1)
-	if _, err := c.GlobalInit(ws, model.SeededInput(model.Shape{H: 2, W: 2, C: 2}, 1)); err == nil {
-		t.Error("GlobalInit accepted a mis-shaped input")
+	if _, err := c.InputSegment(model.SeededInput(model.Shape{H: 2, W: 2, C: 2}, 1)); err == nil {
+		t.Error("InputSegment accepted a mis-shaped input")
 	}
 }
 

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cimflow/internal/arch"
@@ -156,23 +157,6 @@ func (c *Compiled) InstructionCount() int {
 	return n
 }
 
-// GlobalInit builds the full global-memory initialization: the input
-// tensor, every node's weights (pre-tiled for CIM loading), and the
-// per-core constant pools. It is InputSegment + StaticInit; sessions that
-// pool chips call those separately so weights are staged once while the
-// input is refreshed per inference.
-func (c *Compiled) GlobalInit(ws model.WeightStore, input tensor.Tensor) ([]sim.GlobalSegment, error) {
-	in, err := c.InputSegment(input)
-	if err != nil {
-		return nil, err
-	}
-	static, err := c.StaticInit(ws)
-	if err != nil {
-		return nil, err
-	}
-	return append([]sim.GlobalSegment{in}, static...), nil
-}
-
 // InputSegment builds the input-tensor segment for one inference.
 func (c *Compiled) InputSegment(input tensor.Tensor) (sim.GlobalSegment, error) {
 	addr, err := c.InputAddr(input)
@@ -192,73 +176,33 @@ func (c *Compiled) InputAddr(input tensor.Tensor) (int, error) {
 	return int(c.layout.inputAddr), nil
 }
 
-// StaticImage builds the compiled model's global memory as a run starts
-// from it: every node's weights, pre-tiled into the CIM macro-group layout,
-// and the per-core constant pools, each at its address in one
-// GlobalBytes()-long buffer, and zeros in the scratch ranges (ScratchRanges)
-// — everything that does not change between inferences of the model, and
-// what sim.Chip.MapGlobal maps.
-func (c *Compiled) StaticImage(ws model.WeightStore) ([]byte, error) {
-	img := make([]byte, c.GlobalBytes())
-	gc := c.Cfg.GroupChannels()
+// StaticSegments returns the compiled model's static global memory, what
+// does not change between inferences and what sim.Chip.MapGlobal maps:
+// every node's weight region, pre-tiled into the CIM macro-group layout, and
+// the per-core constant pools, ascending. The weight regions are tiles' own
+// bytes, shared with every other caller of the same tiles and geometry;
+// nothing may write them. Global memory outside the segments is the scratch
+// ranges (ScratchRanges), zero as a run starts.
+func (c *Compiled) StaticSegments(tiles *WeightTiles) ([]sim.GlobalSegment, error) {
+	segs := make([]sim.GlobalSegment, 0, len(c.layout.weightAddr)+len(c.poolSegs))
 	for id, base := range c.layout.weightAddr {
-		n := c.Graph.Node(id)
-		w := ws.Weights(id)
-		if w == nil {
-			return nil, fmt.Errorf("compiler: no weights for node %s", n.Name)
+		data, err := tiles.region(c, id)
+		if err != nil {
+			return nil, err
 		}
-		data := img[base:][:regionBytes(c.geoms, c.Cfg, n)]
-		switch n.Op {
-		case model.OpConv, model.OpDense:
-			gm := c.geoms[id]
-			pos := 0
-			for ct := 0; ct < gm.chanTiles; ct++ {
-				chans := gc
-				if (ct+1)*gc > n.Cout {
-					chans = n.Cout - ct*gc
-				}
-				rowBase := 0
-				for _, t := range gm.tiles {
-					for r := 0; r < t.Rows; r++ {
-						// One weight row's channel tile is contiguous in the
-						// source; copy it span-wise so staging a pooled
-						// session is not byte-indexed arithmetic per element.
-						src := w[(rowBase+r)*n.Cout+ct*gc:][:chans]
-						dst := data[pos:][:chans]
-						for i := range src {
-							dst[i] = byte(src[i])
-						}
-						pos += chans
-					}
-					rowBase += t.Rows
-				}
-			}
-		case model.OpDWConv:
-			for i, v := range w[:min(len(w), len(data))] {
-				data[i] = byte(v)
-			}
-		}
+		segs = append(segs, sim.GlobalSegment{Addr: int(base), Data: data})
 	}
-	for _, s := range c.poolSegs {
-		copy(img[s.Addr:], s.Data)
-	}
-	return img, nil
+	segs = append(segs, c.poolSegs...)
+	slices.SortFunc(segs, func(a, b sim.GlobalSegment) int { return a.Addr - b.Addr })
+	return segs, nil
 }
 
-// StaticInit returns StaticImage as segments, sub-slices of one image: the
-// weight regions and constant pools, which do not overlap, highest address
-// first.
+// StaticInit returns StaticSegments of a cache of its own over ws, highest
+// address first.
 func (c *Compiled) StaticInit(ws model.WeightStore) ([]sim.GlobalSegment, error) {
-	img, err := c.StaticImage(ws)
-	if err != nil {
-		return nil, err
-	}
-	spans := c.staticSpans()
-	segs := make([]sim.GlobalSegment, len(spans))
-	for i, s := range spans {
-		segs[len(spans)-1-i] = sim.GlobalSegment{Addr: s[0], Data: img[s[0]:s[1]]}
-	}
-	return segs, nil
+	segs, err := c.StaticSegments(NewWeightTiles(ws))
+	slices.Reverse(segs)
+	return segs, err
 }
 
 // staticSpans returns the [lo, hi) byte ranges of the weight regions and
@@ -277,10 +221,11 @@ func (c *Compiled) staticSpans() [][2]int {
 }
 
 // ScratchRanges returns the global-memory byte ranges, as (addr, size)
-// pairs, that StaticImage leaves zero: the input region, activation buffers
-// and alignment padding. Zeroing them (plus rewriting the input) restores a
-// reused chip's global memory to the image byte for byte, which is what
-// makes pooled-chip inference results identical to fresh-chip runs.
+// pairs, that the static segments leave zero: the input region, activation
+// buffers and alignment padding. Zeroing them (plus rewriting the input)
+// restores a reused chip's global memory to what it maps byte for byte,
+// which is what makes pooled-chip inference results identical to fresh-chip
+// runs.
 func (c *Compiled) ScratchRanges() [][2]int {
 	var out [][2]int
 	pos := 0

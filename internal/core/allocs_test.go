@@ -78,12 +78,12 @@ func TestWarmInferAllocs(t *testing.T) {
 // TestChipBacksWhatRuns guards the chip's footprint: a chip backs the local
 // memory and macro groups each core's program declares, and of global memory
 // each lane holds only the pages with scratch bytes, reading the session's
-// image in place for the rest. So a default-architecture session's first
-// tinymlp inference — chip build, image and the run — costs well under a
-// megabyte, not the 32 MB of local memory, 32 MB of macro groups and 16 MB of
-// global memory the architecture holds (measured on linux/amd64: 0.4 MB;
-// 32.3 MB when local memory was backed at build, 80.2 MB when all three
-// were), and a lane of an 8-lane mobilenetv2 chip holds 0.17 MB of global
+// weight tiles and pools in place for the rest. So a default-architecture
+// session's first tinymlp inference — chip build, tiles and the run — costs
+// well under a megabyte, not the 32 MB of local memory, 32 MB of macro groups
+// and 16 MB of global memory the architecture holds (measured on
+// linux/amd64: 0.4 MB; 32.3 MB when local memory was backed at build,
+// 80.2 MB when all three were), and a lane of an 8-lane mobilenetv2 chip holds 0.17 MB of global
 // memory of its own, not the layout's 3.6 MB. The mobilenetv2 row is skipped
 // in -short and -race modes, like the other tests of the large zoo DNNs.
 func TestChipBacksWhatRuns(t *testing.T) {

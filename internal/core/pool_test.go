@@ -38,8 +38,9 @@ func idleChip(t testing.TB, s *Session) *sim.Chip {
 // and full Stats or error text. After each run the pool's chip holds in
 // global memory, as long as the layout, byte for byte what the fresh chip
 // holds. The pool builds one chip and restages it. Last, two chips of one
-// 8-lane session each run two batches, and the session's image, which both
-// map and every lane reads in place, still reads as StaticImage built it.
+// 8-lane session each run two batches, and the session's static segments,
+// which both map and every lane reads in place, still read as a fresh tiling
+// of the weights lays them out.
 func TestPoolMatchesFreshChips(t *testing.T) {
 	def := arch.DefaultConfig()
 	mg16, mg4 := def.WithMacrosPerGroup(16), def.WithMacrosPerGroup(4)
@@ -125,7 +126,7 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	hash := sha256.Sum256(s.image)
+	hash := segmentsHash(s.static)
 	refs, inputs := c.refs(t, zooLanes), zooInputs(compiled.Graph, zooLanes)
 	for round := range 2 {
 		a, err := s.acquire(ctx, zooLanes)
@@ -152,13 +153,23 @@ func TestPoolMatchesFreshChips(t *testing.T) {
 	if s.PooledChips() != 2 {
 		t.Errorf("%d chips pooled for the 8-lane session, want 2", s.PooledChips())
 	}
-	want, err := compiled.StaticImage(s.ws)
+	want, err := compiled.StaticSegments(compiler.NewWeightTiles(s.ws))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sha256.Sum256(s.image) != hash || !bytes.Equal(s.image, want) {
-		t.Error("8-lane runs on two chips changed the session's image")
+	if segmentsHash(s.static) != hash || segmentsHash(want) != hash {
+		t.Error("8-lane runs on two chips changed the session's static segments")
 	}
+}
+
+// segmentsHash is the SHA-256 of segments' addresses and bytes.
+func segmentsHash(segs []sim.GlobalSegment) [32]byte {
+	h := sha256.New()
+	for _, s := range segs {
+		fmt.Fprintf(h, "%d:%d:", s.Addr, len(s.Data))
+		h.Write(s.Data)
+	}
+	return [32]byte(h.Sum(nil))
 }
 
 // poolCounted fails t unless every one of pool's want live chips is idle and

@@ -22,25 +22,29 @@ import (
 // it with errors.Is.
 var ErrClosed = errors.New("core: session closed")
 
-// Session is a compiled model prepared for repeated inference: its global
-// memory image (pre-tiled weights, constant pools, zero scratch) is built
-// once, and its runs take chips from a Pool — an Engine's or a sweep's,
-// shared by all their sessions, or a private one — so the cost of one Infer
-// is just the cycle-accurate simulation itself. A Session is safe for
-// concurrent use; each in-flight Infer owns one chip.
+// Session is a compiled model prepared for repeated inference: its static
+// global memory (pre-tiled weights, constant pools) is laid out once, and its
+// runs take chips from a Pool — an Engine's or a sweep's, shared by all their
+// sessions, or a private one — so the cost of one Infer is just the
+// cycle-accurate simulation itself. A Session is safe for concurrent use;
+// each in-flight Infer owns one chip.
 //
-// Every chip the session stages maps the one image (Chip.MapGlobal): the
-// pages holding only weights and pools are the image's own, read in place by
-// every lane of every chip and never written, and each lane holds a private
-// copy of only the few pages with scratch bytes (input, activations,
-// padding). Pooled runs are byte-identical to fresh-chip runs. A chip that
-// ran another session is first restaged (restage), which maps the image
-// afresh. Then Chip.Reset restores its cores' data planes to power-on state
-// by clearing what its runs since the last Reset touched — pages of local
-// memory, macro groups, in the lanes that ran, a run that errored or was
-// cancelled included — and on a chip the session staged before, the scratch
-// ranges are zeroed. So an acquire costs what the last inference wrote, not
-// what the chip backs.
+// The weight regions are tiles of a compiler.WeightTiles: the session's own
+// over the weight store it is given, or the one it is given, which other
+// sessions of the same weights share (a sweep's, one per model and seed).
+// Every chip the session stages maps them with the pools (Chip.MapGlobal): a
+// page inside one region or pool is that segment's own bytes, read in place
+// by every lane of every chip and never written; a page a segment edge
+// crosses is composed once per chip and read by all its lanes; and each lane
+// holds a private copy of only the few pages with scratch bytes (input,
+// activations, padding). Pooled runs are byte-identical to fresh-chip runs.
+// A chip that ran another session is first restaged (restage), which maps
+// the segments afresh. Then Chip.Reset restores its cores' data planes to
+// power-on state by clearing what its runs since the last Reset touched —
+// pages of local memory, macro groups, in the lanes that ran, a run that
+// errored or was cancelled included — and on a chip the session staged
+// before, the scratch ranges are zeroed. So an acquire costs what the last
+// inference wrote, not what the chip backs.
 type Session struct {
 	compiled *compiler.Compiled
 	ws       model.WeightStore
@@ -49,10 +53,10 @@ type Session struct {
 	// is allocated on its own so that a pooled chip outliving the session
 	// keeps the copy alive, not the session with its weights.
 	cfg *arch.Config
-	// image is the compiled model's global memory that every chip of the
-	// session maps (compiler.StaticImage); it is the session's alone, so
-	// that it goes with the session, not with the compiled model.
-	image   []byte
+	// static is the compiled model's static global memory that every chip
+	// of the session maps (compiler.StaticSegments). The session holds it,
+	// not the compiled model, so that the tiles go with their sessions.
+	static  []sim.GlobalSegment
 	scratch [][2]int
 	pool    *Pool
 	// id names the session to the pool's chips; see pooled.owner.
@@ -87,7 +91,11 @@ func NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) 
 // NewSession is core.NewSession on the pool's chips; Options.MaxPooledChips
 // is ignored.
 func (p *Pool) NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt Options) (*Session, error) {
-	image, err := compiled.StaticImage(ws)
+	tiles, ok := ws.(*compiler.WeightTiles)
+	if !ok {
+		tiles = compiler.NewWeightTiles(ws)
+	}
+	static, err := compiled.StaticSegments(tiles)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +112,7 @@ func (p *Pool) NewSession(compiled *compiler.Compiled, ws model.WeightStore, opt
 		ws:       ws,
 		opt:      opt,
 		cfg:      &cfg,
-		image:    image,
+		static:   static,
 		scratch:  compiled.ScratchRanges(),
 		pool:     p,
 		id:       sessionIDs.Add(1),
@@ -175,7 +183,7 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// newChip builds a fresh chip with programs loaded and the image mapped.
+// newChip builds a fresh chip with programs loaded and global memory mapped.
 func (s *Session) newChip() (*sim.Chip, error) {
 	ch, err := sim.NewChip(s.cfg, sim.WithLanes(s.opt.SimLanes))
 	if err != nil {
@@ -186,14 +194,14 @@ func (s *Session) newChip() (*sim.Chip, error) {
 
 // stage readies a chip built with the session's chip options for its
 // program: the cycle limit, every core's program and memory, and global
-// memory mapped to the image. That is all a new chip needs; a chip that ran
-// another program also needs restage first and a Reset after.
+// memory mapped to the static segments. That is all a new chip needs; a
+// chip that ran another program also needs restage first and a Reset after.
 func (s *Session) stage(ch *sim.Chip) error {
 	ch.CycleLimit = s.opt.CycleLimit
 	if err := ch.LoadPrograms(s.compiled.Programs); err != nil {
 		return err
 	}
-	return ch.MapGlobal(s.image, s.scratch)
+	return ch.MapGlobal(s.compiled.GlobalBytes(), s.static, s.scratch)
 }
 
 // restage readies c, a chip last staged for another session, for s: one of
@@ -235,7 +243,7 @@ func (s *Session) acquire(ctx context.Context, lanes int) (*pooled, error) {
 	if how != takeNew {
 		c.ch.Reset()
 	}
-	if how == takeOwn { // a restaged chip's private pages are the image's
+	if how == takeOwn { // a restaged chip's private pages are as mapped
 		for _, r := range s.scratch {
 			if err = c.ch.ZeroGlobal(r[0], r[1]); err != nil {
 				break

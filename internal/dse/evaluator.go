@@ -25,9 +25,12 @@ type Estimate = compiler.CostEstimate
 // restages the chips of finished simulations for the next points, so the
 // chips it holds are as many as ran at once (at most GOMAXPROCS), and it
 // keeps one read-only weight table per (model, seed), generated by the
-// first point that needs it and shared by every later one. Both live as
-// long as the evaluator: one Run, or one whole search. Safe for concurrent
-// use; not to be copied.
+// first point that needs it, with one compiler.WeightTiles over it: each
+// node's region is tiled once per macro geometry, by the first point of
+// that geometry, and every later point's chips read it in place, whatever
+// the strategy or the flit width. All of them live as long as the
+// evaluator: one Run, or one whole search. Safe for concurrent use; not to
+// be copied.
 type Evaluator struct {
 	// Cache deduplicates compilation; required.
 	Cache *CompileCache
@@ -36,8 +39,11 @@ type Evaluator struct {
 	Checkpoint *Checkpoint
 
 	chips   core.Pool
-	weights sync.Map // weightKey -> func() weightTable, a sync.OnceValue
+	weights sync.Map // weightKey -> func() *compiler.WeightTiles, a sync.OnceValue
 }
+
+// testTiles, when set by tests, sees every tile cache an evaluator makes.
+var testTiles func(*compiler.WeightTiles)
 
 // weightKey names the weights of a point: its model and seed.
 type weightKey struct {
@@ -51,19 +57,23 @@ type weightTable [][]int8
 
 func (t weightTable) Weights(nodeID int) []int8 { return t[nodeID] }
 
-// weightsOf returns the weight table of p's model and seed, generating it
-// from g, p's graph, on first use.
-func (ev *Evaluator) weightsOf(p *Point, g *model.Graph) weightTable {
-	gen := sync.OnceValue(func() weightTable {
+// weightsOf returns the tiles over the weight table of p's model and seed,
+// generating the table from g, p's graph, on first use.
+func (ev *Evaluator) weightsOf(p *Point, g *model.Graph) *compiler.WeightTiles {
+	gen := sync.OnceValue(func() *compiler.WeightTiles {
 		ws := model.NewSeededWeights(g, p.Seed)
 		t := make(weightTable, len(g.Nodes))
 		for id := range t {
 			t[id] = ws.Weights(id)
 		}
-		return t
+		tiles := compiler.NewWeightTiles(t)
+		if testTiles != nil {
+			testTiles(tiles)
+		}
+		return tiles
 	})
 	v, _ := ev.weights.LoadOrStore(weightKey{p.Model, p.Seed}, gen)
-	return v.(func() weightTable)()
+	return v.(func() *compiler.WeightTiles)()
 }
 
 // graph resolves a point's model from the zoo.

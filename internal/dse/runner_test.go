@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cimflow/internal/arch"
@@ -360,5 +361,46 @@ func TestSweepMatchesFreshChips(t *testing.T) {
 		if !reflect.DeepEqual(fresh.Output.Data, r.Result.Output.Data) || !reflect.DeepEqual(fresh.Stats, r.Result.Stats) {
 			t.Errorf("point %s differs from a fresh chip: cycles %d vs %d", p.Label(), r.Result.Stats.Cycles, fresh.Stats.Cycles)
 		}
+	}
+}
+
+// TestSweepTilesOncePerMG: a sweep of one model x 3 strategies x 2 MG sizes
+// x 2 flit widths, on two workers, makes one tile cache for the model and
+// seed, which tiles each weighted node once per MG size: the six points of
+// an MG size share its tiles whatever their strategy or flit width.
+func TestSweepTilesOncePerMG(t *testing.T) {
+	points, err := (&Spec{Models: []string{"tinyresnet"}, Strategies: []string{"generic", "duplication", "dp"},
+		MGSizes: []int{4, 16}, FlitBytes: []int{8, 16}}).Expand(arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var caches []*compiler.WeightTiles
+	testTiles = func(c *compiler.WeightTiles) {
+		mu.Lock()
+		caches = append(caches, c)
+		mu.Unlock()
+	}
+	defer func() { testTiles = nil }()
+	results, err := Run(context.Background(), points, RunOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("point %d: %v", i, r.Err)
+		}
+	}
+	weighted := 0
+	for _, n := range model.Zoo("tinyresnet").Nodes {
+		if n.WeightBytes(1) > 0 {
+			weighted++
+		}
+	}
+	if len(caches) != 1 {
+		t.Fatalf("%d tile caches for one model and seed", len(caches))
+	}
+	if got, want := caches[0].Builds(), 2*weighted; got != want {
+		t.Errorf("%d points tiled %d regions, want %d: %d weighted nodes at 2 MG sizes", len(points), got, want, weighted)
 	}
 }

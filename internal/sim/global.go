@@ -1,74 +1,142 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Global memory is gsize bytes in pages of 1<<dirtyShift bytes (the last one
 // may be short), each shared or private, the same in every lane. A shared
-// page is the mapped image's own bytes (MapGlobal): every lane of every chip
-// that maps the image reads it in place, and nothing writes it — a store,
-// MEM_CPY, InitGlobal* or ZeroGlobal that reaches one fails with
-// ErrUnmapped. A private page is a slot of each lane's arena, memory the chip
-// owns and a later MapGlobal or EnsureGlobal reuses. Slots go to private
-// pages in address order, so a run of private pages is one span of an arena,
-// as a run of shared ones is of the image, and an access inside a run is one
-// copy. Every arena byte past gsize's page or past the slots in use is zero.
+// page is never written — a store, MEM_CPY, InitGlobal* or ZeroGlobal that
+// reaches one fails with ErrUnmapped — and every lane reads it through
+// gview: a page inside one mapped segment (MapGlobal) is that segment's own
+// bytes, read in place by every lane of every chip that maps the segment; a
+// page a segment edge crosses is composed once, into the chip's edge buffer
+// that all its lanes read. A private page is a slot of each lane's arena,
+// memory the chip owns and a later MapGlobal or EnsureGlobal reuses, as it
+// does the edge buffer. Slots go to private pages, and edge pages to the
+// buffer, in address order, so a run of private pages is one span of an
+// arena, as a run of edge pages is of the buffer and a run of in-place pages
+// of one segment, and an access inside a run is one copy. Every arena byte
+// past gsize's page or past the slots in use is zero.
+
+// The marks of gpage: a slot (>= 0) is a private page, edge a composed one,
+// and inPlace-k a page inside segment k.
+const (
+	edge    = -1
+	inPlace = -2
+)
 
 // pageCount is the number of pages n bytes of global memory take.
 func pageCount(n int) int { return (n + 1<<dirtyShift - 1) >> dirtyShift }
 
-// MapGlobal makes the chip's global memory len(image) bytes that read as
-// image in every lane. A page that no scratch range ([addr, size) pairs)
-// touches is shared: image's own bytes, read in place by every lane and every
-// chip that maps image, never written. Every other page is private: each lane
-// holds a copy of image's page in its arena. image must not change while a
-// chip maps it. On error the chip is unchanged.
-func (ch *Chip) MapGlobal(image []byte, scratch [][2]int) error {
+// MapGlobal makes the chip's global memory size bytes that read, in every
+// lane, as segs — ascending and not overlapping — over zeros. A page that no
+// scratch range ([addr, size) pairs) touches is shared: one that lies inside
+// a segment reads the segment's own bytes in place, and one that a segment
+// edge crosses is composed once into the chip's edge buffer, which all its
+// lanes read. Every other page is private: each lane holds its own copy in
+// its arena. A segment's bytes must not change while a chip maps them. On
+// error the chip is unchanged.
+func (ch *Chip) MapGlobal(size int, segs []GlobalSegment, scratch [][2]int) error {
+	end := 0
+	for _, s := range segs {
+		if err := checkSpan("segment", s.Addr, len(s.Data), size); err != nil {
+			return err
+		}
+		if s.Addr < end {
+			return fmt.Errorf("sim: segment at %d starts before %d, the end of the one before it", s.Addr, end)
+		}
+		end = s.Addr + len(s.Data)
+	}
 	for _, r := range scratch {
-		if err := checkSpan("scratch", r[0], r[1], len(image)); err != nil {
+		if err := checkSpan("scratch", r[0], r[1], size); err != nil {
 			return err
 		}
 	}
 	const private = 0 // a page's mark before the slots are numbered
-	ch.gpage = fit(ch.gpage, pageCount(len(image)))
+	n := pageCount(size)
+	ch.gpage = fit(ch.gpage, n)
+	ch.gview = fit(ch.gview, n)
+	clear(ch.gview[:cap(ch.gview)]) // no earlier mapping stays reachable
 	for p := range ch.gpage {
-		ch.gpage[p] = -1
+		ch.gpage[p] = edge
+	}
+	for k, s := range segs {
+		for p := pageCount(s.Addr); p < n && min((p+1)<<dirtyShift, size) <= s.Addr+len(s.Data); p++ {
+			ch.gpage[p] = int32(inPlace - k)
+			ch.gview[p] = s.Data[p<<dirtyShift-s.Addr:]
+		}
 	}
 	for _, r := range scratch {
 		for p := r[0] >> dirtyShift; r[1] > 0 && p<<dirtyShift < r[0]+r[1]; p++ {
 			ch.gpage[p] = private
 		}
 	}
-	slots := 0
+	slots, edges := 0, 0
 	for p, s := range ch.gpage {
-		if s == private {
+		switch s {
+		case private:
 			ch.gpage[p] = int32(slots)
 			slots++
+		case edge:
+			edges++
 		}
 	}
-	ch.layoutGlobal(len(image), image, slots)
-	for _, a := range ch.garena {
-		for p, s := range ch.gpage {
-			if s >= 0 {
-				slot := a[int(s)<<dirtyShift:][:1<<dirtyShift]
-				clear(slot[copy(slot, image[p<<dirtyShift:]):])
-			}
+	ch.gedge = fit(ch.gedge, edges<<dirtyShift)
+	edges = 0
+	for p, s := range ch.gpage {
+		if s == edge {
+			ch.gview[p] = ch.gedge[edges<<dirtyShift:]
+			compose(ch.gview[p][:1<<dirtyShift], p<<dirtyShift, segs)
+			edges++
 		}
+	}
+	ch.mapped = true
+	ch.layoutGlobal(size, slots)
+	a0 := ch.garena[0]
+	for p, s := range ch.gpage {
+		if s >= 0 {
+			compose(a0[int(s)<<dirtyShift:][:1<<dirtyShift], p<<dirtyShift, segs)
+		}
+	}
+	for _, a := range ch.garena[1:] {
+		copy(a, a0)
 	}
 	return nil
 }
 
+// compose writes into page what global memory from address a on reads as
+// when it holds segs, ascending, over zeros.
+func compose(page []byte, a int, segs []GlobalSegment) {
+	clear(page)
+	k, _ := slices.BinarySearchFunc(segs, a, func(s GlobalSegment, a int) int {
+		if s.Addr+len(s.Data) <= a {
+			return -1
+		}
+		return 1
+	})
+	for ; k < len(segs) && segs[k].Addr < a+len(page); k++ {
+		s := segs[k]
+		lo := max(s.Addr, a)
+		copy(page[lo-a:], s.Data[lo-s.Addr:])
+	}
+}
+
 // EnsureGlobal sizes every lane's global memory to size bytes of private
 // pages, keeping its bytes, zeroing what it drops and growing with zeros; a
-// chip that maps an image unmaps it first, and then reads as zeros. The
+// chip that maps segments unmaps them first, and then reads as zeros. The
 // configured global memory (16 MB by default) is modeled as the on-chip tier
 // of a memory system whose capacity extends into DRAM behind the same port:
 // a layout larger than the configuration still runs, with the configured
 // bandwidth and latency.
 func (ch *Chip) EnsureGlobal(size int) {
 	size = max(size, 0)
-	if ch.image != nil {
+	if ch.mapped {
 		ch.gpage = ch.gpage[:0]
-		ch.layoutGlobal(0, nil, 0)
+		ch.layoutGlobal(0, 0)
+		clear(ch.gview[:cap(ch.gview)])
+		ch.mapped = false
 	}
 	for _, a := range ch.garena {
 		clear(a[min(size, len(a)):])
@@ -77,19 +145,19 @@ func (ch *Chip) EnsureGlobal(size int) {
 	for p := range ch.gpage {
 		ch.gpage[p] = int32(p)
 	}
-	ch.layoutGlobal(size, nil, len(ch.gpage))
+	ch.layoutGlobal(size, len(ch.gpage))
 }
 
 // layoutGlobal completes the page table gpage, whose private pages number
-// slots: the size, the image and the runs; and sizes every lane's arena to
-// the slots, zeroing the ones it drops and growing from capacity, or into a
-// larger arena that keeps the bytes.
-func (ch *Chip) layoutGlobal(size int, image []byte, slots int) {
-	ch.gsize, ch.image = size, image
+// slots: the size and the runs; and sizes every lane's arena to the slots,
+// zeroing the ones it drops and growing from capacity, or into a larger
+// arena that keeps the bytes.
+func (ch *Chip) layoutGlobal(size, slots int) {
+	ch.gsize = size
 	ch.grun = fit(ch.grun, len(ch.gpage))
 	for p := len(ch.gpage) - 1; p >= 0; p-- {
 		ch.grun[p] = int32(p + 1)
-		if p+1 < len(ch.gpage) && (ch.gpage[p] < 0) == (ch.gpage[p+1] < 0) {
+		if p+1 < len(ch.gpage) && contiguous(ch.gpage[p], ch.gpage[p+1]) {
 			ch.grun[p] = ch.grun[p+1]
 		}
 	}
@@ -103,6 +171,10 @@ func (ch *Chip) layoutGlobal(size int, image []byte, slots int) {
 	}
 }
 
+// contiguous reports whether pages marked s and t, one after the other, are
+// one run: both private, both edge pages or both in place in one segment.
+func contiguous(s, t int32) bool { return s == t || s >= 0 && t >= 0 }
+
 // PrivateGlobalBytes is the global memory each lane holds of its own: its
 // arena, the private pages' slots. It is a test hook, exported because the
 // session tests of internal/core bound it.
@@ -113,11 +185,12 @@ func (ch *Chip) PrivateGlobalBytes() int { return cap(ch.garena[0]) }
 func (ch *Chip) gspan(l, a, n int) []byte {
 	p := a >> dirtyShift
 	end := min(int(ch.grun[p])<<dirtyShift, ch.gsize, a+n)
+	off := a & (1<<dirtyShift - 1)
 	if s := ch.gpage[p]; s >= 0 {
-		off := int(s)<<dirtyShift | a&(1<<dirtyShift-1)
+		off |= int(s) << dirtyShift
 		return ch.garena[l][off : off+end-a]
 	}
-	return ch.image[a:end]
+	return ch.gview[p][off : off+end-a]
 }
 
 // shared reports whether [a, a+n), inside global memory, holds a byte of a

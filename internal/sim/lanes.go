@@ -14,7 +14,7 @@ import (
 // lane-shared, see core), accumulator and gather buffer, Chip.garena[l] its
 // private pages of global memory, and a message payload carries every lane's
 // bytes strided at the message size. Two things are lane-shared: global
-// memory's shared pages, the mapped image that nothing writes (global.go),
+// memory's shared pages, mapped segments that nothing writes (global.go),
 // and macro groups — the chip is weight-stationary and a batch runs every
 // lane on the same weights, so lanes share lane 0's group buffers until a
 // CIM_LOAD gives one lane bytes unlike lane 0's (image.mg).

@@ -148,12 +148,16 @@ type Chip struct {
 	cores []*core
 
 	// Global memory (global.go): gsize bytes in pages, gpage[p] the slot of
-	// page p in every lane's arena garena[l], or -1 for a page of image
-	// shared by all lanes; grun[p] the first page past p of the other kind.
+	// page p in every lane's arena garena[l], or a negative mark for a page
+	// shared by all lanes, read through gview[p]: a mapped segment's bytes
+	// or the edge buffer gedge. grun[p] is the first page past p that does
+	// not continue its run; mapped is whether MapGlobal built the table.
 	gsize  int
-	image  []byte
+	mapped bool
 	gpage  []int32
 	grun   []int32
+	gview  [][]byte
+	gedge  []byte
 	garena [][]byte
 
 	mailbox map[msgKey]*msgQueue

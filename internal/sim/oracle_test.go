@@ -131,7 +131,7 @@ func matchRef(t testing.TB, ch *Chip, l int, runErr error, progs []Program, glob
 	t.Helper()
 	r := newRefChip(ch.cfg, progs, slices.Clone(global))
 	for _, s := range ch.gpage {
-		r.readOnly = append(r.readOnly, s < 0) // a page of the mapped image
+		r.readOnly = append(r.readOnly, s < 0) // a shared page of the mapping
 	}
 	if !r.run(refMaxSteps) {
 		t.Fatalf("lane %d: the reference did not finish in %d steps", l, refMaxSteps)

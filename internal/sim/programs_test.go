@@ -47,21 +47,28 @@ const (
 	laneMemBytes = 768 // global bytes the cases need
 )
 
-// testImage is a three-page global memory image, what rows that map one
-// (laneCase.mapped) and the runtime error cases run on, with the scratch
-// ranges it is mapped with: page 0 is private, its first laneMemBytes bytes,
-// where rows stage and leave their data, scratch; page 1 is shared; page 2 is
-// private, 64 bytes of scratch at imageScratch between image bytes.
-func testImage() ([]byte, [][2]int) {
-	img := make([]byte, 3<<dirtyShift)
-	for i := laneMemBytes; i < len(img); i++ {
+// testImage is a four-page global memory, what rows that map one
+// (laneCase.mapped) and the runtime error cases run on: its size, the
+// segments it is mapped from and the scratch ranges it is mapped with. Page 0
+// is private, its first laneMemBytes bytes, where rows stage and leave their
+// data, scratch; page 1 is shared, composed of two segments that meet at
+// imageEdge; page 2 is private, 64 bytes of scratch at imageScratch between
+// segment bytes; page 3 is shared, a segment's own bytes.
+func testImage() (int, []GlobalSegment, [][2]int) {
+	const size = 4 << dirtyShift
+	img := make([]byte, size)
+	for i := laneMemBytes; i < size; i++ {
 		img[i] = byte(7*i + 1)
 	}
-	clear(img[imageScratch : imageScratch+64])
-	return img, [][2]int{{0, laneMemBytes}, {imageScratch, 64}}
+	segs := []GlobalSegment{{laneMemBytes, img[laneMemBytes:imageEdge]},
+		{imageEdge, img[imageEdge:imageScratch]}, {imageScratch + 64, img[imageScratch+64:]}}
+	return size, segs, [][2]int{{0, laneMemBytes}, {imageScratch, 64}}
 }
 
-const imageScratch = 2<<dirtyShift + 1024
+const (
+	imageEdge    = 1<<dirtyShift + 1904
+	imageScratch = 2<<dirtyShift + 1024
+)
 
 // mapTestImage maps a testImage onto ch.
 func mapTestImage(t testing.TB, ch *Chip) {
@@ -359,8 +366,8 @@ func programs() []laneCase {
 			SC_ST G13, G0, 224
 			SC_ST G14, G0, 228
 			SC_ST G15, G0, 232`)),
-		// MEM_CPY out of a mapped image: 32 bytes across the end of a shared
-		// page into a private one read as the image, shared and copied
+		// MEM_CPY out of mapped segments: 32 bytes across the end of a shared
+		// page into a private one read as the segments, shared and copied
 		// bytes alike; stored into the private page's scratch and read back
 		// they are the lane's own.
 		{name: "memcpy through a mapped image", mapped: true, outSize: 32, want: mappedBytes(2<<dirtyShift-16, 32),
@@ -595,9 +602,13 @@ func row(t *testing.T, name string) laneCase {
 	return ps[i]
 }
 
-// mappedBytes is testImage's [addr, addr+n).
+// mappedBytes is what testImage's [addr, addr+n) reads as.
 func mappedBytes(addr, n int) []byte {
-	img, _ := testImage()
+	size, segs, _ := testImage()
+	img := make([]byte, size)
+	for _, s := range segs {
+		copy(img[s.Addr:], s.Data)
+	}
 	return img[addr : addr+n]
 }
 
@@ -816,9 +827,9 @@ func TestCimLoadBoundsRejected(t *testing.T)           { runtimeErrors(t, "cim_l
 // TestDeterminism runs the ring twice: each run must be the same golden row.
 func TestDeterminism(t *testing.T) { runRows(t, "messaging ring", "messaging ring") }
 
-// TestMappedGlobalMemory: on a chip that maps an image, MEM_CPY reads shared
-// and private pages alike as the image, and a store or MEM_CPY into a shared
-// page faults with ErrUnmapped where the reference executor faults.
+// TestMappedGlobalMemory: on a chip that maps segments, MEM_CPY reads shared
+// and private pages alike as the segments, and a store or MEM_CPY into a
+// shared page faults with ErrUnmapped where the reference executor faults.
 func TestMappedGlobalMemory(t *testing.T) {
 	runRows(t, "memcpy through a mapped image")
 	runtimeErrors(t, "store to a shared page", "memcpy to a shared page")

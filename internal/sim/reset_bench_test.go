@@ -12,7 +12,7 @@ import (
 )
 
 // stagedChip builds a chip of the given lanes for the zoo model compiled
-// with strat at cfg, loads its programs and maps its seeded weights' image,
+// with strat at cfg, loads its programs and maps its seeded weights' tiles,
 // as a session stages a chip, and returns it with run, which stages one distinct seeded input per lane onto it (after
 // zeroing the scratch ranges, as a session does) and runs it.
 func stagedChip(tb testing.TB, cfg *arch.Config, name string, strat compiler.Strategy, lanes int) (*sim.Chip, func()) {
@@ -22,7 +22,7 @@ func stagedChip(tb testing.TB, cfg *arch.Config, name string, strat compiler.Str
 	if err != nil {
 		tb.Fatal(err)
 	}
-	image, err := compiled.StaticImage(model.NewSeededWeights(g, 1))
+	static, err := compiled.StaticSegments(compiler.NewWeightTiles(model.NewSeededWeights(g, 1)))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func stagedChip(tb testing.TB, cfg *arch.Config, name string, strat compiler.Str
 			tb.Fatal(err)
 		}
 	}
-	if err := ch.MapGlobal(image, compiled.ScratchRanges()); err != nil {
+	if err := ch.MapGlobal(compiled.GlobalBytes(), static, compiled.ScratchRanges()); err != nil {
 		tb.Fatal(err)
 	}
 	inputs := make([]sim.GlobalSegment, lanes)

@@ -595,8 +595,8 @@ func TestRetargetMatchesNewChip(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertPowerOn(t, ch, label)
-			if l, i := arenaNonzero(ch, 0); i >= 0 || ch.image != nil {
-				t.Fatalf("%s: lane %d global byte %d is nonzero, or an image mapped, after Retarget", label, l, i)
+			if l, i := arenaNonzero(ch, 0); i >= 0 || ch.mapped {
+				t.Fatalf("%s: lane %d global byte %d is nonzero, or segments mapped, after Retarget", label, l, i)
 			}
 			fresh, err := NewChip(&cfg, WithLanes(2))
 			if err != nil {
